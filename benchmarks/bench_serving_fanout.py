@@ -273,7 +273,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     top = max(subscriber_counts)
     if base and top > 1:
         sublinearity = shared_seconds[top] / (base * top)
-        metrics[f"fanout_sublinearity_n{top}_ratio"] = round(sublinearity, 3)
+        # A cost, lower is better: "_rate" is the perf gate's must-not-rise
+        # class ("_ratio" must not drop, which would fail an improvement).
+        metrics[f"fanout_cost_vs_linear_n{top}_rate"] = round(sublinearity, 3)
         print(
             f"fan-out cost at N={top}: {sublinearity:.2f}x of linear "
             f"(sublinear < 1.0)"

@@ -109,6 +109,8 @@ def _render_prometheus(service: StandingQueryService) -> str:
                         "dropped_provisional",
                         "publish_blocks",
                         "disconnects",
+                        "read_batches",
+                        "elements_read",
                     )
                 },
                 "gauges": {

@@ -8,11 +8,13 @@ live tail from its hub cursor; because the hub applies cache updates and
 ring appends under one lock (:meth:`repro.serve.hub.FanoutHub.publish`),
 snapshot + tail composes to the identical final state.
 
-The cache is keyed by :meth:`~repro.relation.TPTuple.key` — the same key
-the settled-output merge uses — and snapshots return tuples in the
-canonical deterministic order shared with
-:func:`repro.parallel.batch.canonical_order`, so two independently
-accumulated states compare equal element-for-element.
+The cache is keyed by the tuple's identity ``(fact, start, end, lineage)`` —
+lineage nodes are frozen dataclasses, so structurally equal lineages hash
+and compare equal without rendering them to text the way
+:meth:`~repro.relation.TPTuple.key` does for every revision.  ``key()`` is
+paid once per snapshot instead: snapshots return tuples in the canonical
+deterministic order shared with :func:`repro.parallel.batch.canonical_order`,
+so two independently accumulated states compare equal element-for-element.
 """
 
 from __future__ import annotations
@@ -59,12 +61,14 @@ class ResultCache:
         if not isinstance(element, Revision):
             raise TypeError(f"cannot cache element {element!r}")
         self.revisions_applied += 1
-        key = element.tuple.key()
+        tp_tuple = element.tuple
+        interval = tp_tuple.interval
+        key = (tp_tuple.fact, interval.start, interval.end, tp_tuple.lineage)
         if element.kind is RevisionKind.RETRACT:
             self._entries.pop(key, None)
             self.retractions_applied += 1
         else:
-            self._entries[key] = (element.tuple, element.provisional)
+            self._entries[key] = (tp_tuple, element.provisional)
 
     def _settle_passed(self, watermark: float) -> None:
         """Promote provisional entries the watermark has passed.

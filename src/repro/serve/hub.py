@@ -22,8 +22,14 @@ behind — the configured policy decides, in publisher context:
   read raises :class:`SlowSubscriberDisconnected`; it can re-subscribe and
   recover through a snapshot), freeing its entries.
 
-Cursors never regress: a read only ever advances its cursor past the entry
-it returned.  Publishing and cache maintenance happen under one lock —
+Cursors never regress: a read only ever advances its cursor past the last
+entry it returned.  The unit of delivery is a **batch of whatever the ring
+already holds** past the cursor (:meth:`FanoutHub.read_batch`; ``read`` is a
+batch of one): a reader that found the ring empty either blocks on the hub
+condition or arms a one-shot *waker* callback that the next ``publish`` /
+``close`` / disconnect / detach fires — the bridge event loops use instead of
+parking a thread per subscriber.  Publishing and cache maintenance happen
+under one lock —
 ``publish(element, update=cache.apply)`` applies the cache update and the
 ring append atomically, and ``attach(snapshot_fn)`` takes its snapshot
 under the same lock, which is what makes a late joiner's snapshot + tail
@@ -35,7 +41,9 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from bisect import bisect_left
 from collections import deque
+from operator import itemgetter
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from ..dataflow.revision import Revision
@@ -54,9 +62,18 @@ HUB_TRACE_ID_BASE = 1_000_000
 #: subscriber's cursor advance can be attributed to its publish span.
 _TRACED_SEQ_LIMIT = 64
 
+#: Most elements one delivery batch takes from the ring (subscription
+#: iteration and the TCP pump).  There is no linger timer: a batch is what
+#: the ring holds when the reader looks, so an idle stream still delivers
+#: element by element and a busy one amortises the lock, the wake-up and the
+#: socket write over up to this many.
+DELIVERY_BATCH = 64
+
+_SEQUENCE = itemgetter(0)
+
 
 class _EndOfStream:
-    """Sentinel a drained, closed hub returns from :meth:`FanoutHub.read`."""
+    """Sentinel a drained, closed hub returns from its read methods."""
 
     __slots__ = ()
 
@@ -64,7 +81,7 @@ class _EndOfStream:
         return "END_OF_STREAM"
 
 
-#: Returned by ``read`` when the hub is closed and the cursor is at the end.
+#: Returned by ``read``/``read_batch`` when the hub is closed and drained.
 END_OF_STREAM = _EndOfStream()
 
 
@@ -90,11 +107,13 @@ def droppable(item: Any) -> bool:
 
 
 class _SubscriberState:
-    __slots__ = ("cursor", "disconnected")
+    __slots__ = ("cursor", "disconnected", "waker")
 
     def __init__(self, cursor: int) -> None:
         self.cursor = cursor
         self.disconnected = False
+        #: One-shot callback armed by a ``read_batch`` that found nothing.
+        self.waker: Optional[Callable[[], None]] = None
 
 
 class HubSubscription:
@@ -113,16 +132,25 @@ class HubSubscription:
         """The next sequence number this subscription will read."""
         return self._hub.cursor_of(self.id)
 
+    def read_batch(
+        self,
+        limit: int,
+        timeout: Optional[float] = None,
+        waker: Optional[Callable[[], None]] = None,
+    ):
+        """Up to ``limit`` elements; see :meth:`FanoutHub.read_batch`."""
+        return self._hub.read_batch(self.id, limit, timeout, waker)
+
     def read(self, timeout: Optional[float] = None):
         """Next element; ``END_OF_STREAM`` when done, ``None`` on timeout."""
         return self._hub.read(self.id, timeout)
 
     def __iter__(self) -> Iterator:
         while True:
-            item = self.read()
-            if item is END_OF_STREAM:
+            batch = self.read_batch(DELIVERY_BATCH)
+            if batch is END_OF_STREAM:
                 return
-            yield item
+            yield from batch
 
     def close(self) -> None:
         """Detach from the hub (idempotent)."""
@@ -153,10 +181,17 @@ class FanoutHub:
         self._tracer = tracer
         self._sampler = sampler if tracer is not None else None
         self._traced: Dict[int, Tuple[int, str]] = {}
+        # Invariant (lock held, between operations): the ring holds no entry
+        # below the slowest live cursor, and is empty when nobody is live —
+        # every cursor move, detach and disconnect evicts, so ``publish``
+        # never has to look at the subscribers.
         self._ring: Deque[Tuple[int, Any]] = deque()
         self._cond = threading.Condition()
         self._next_seq = 0
         self._states: Dict[int, _SubscriberState] = {}
+        self._live = 0  # attached and not disconnected
+        self._waiting = 0  # threads parked on the condition
+        self._armed: List[_SubscriberState] = []  # states holding a waker
         self._ids = itertools.count()
         self._closed = False
         # Statistics, all guarded by the condition's lock.
@@ -165,6 +200,8 @@ class FanoutHub:
         self.publish_blocks = 0
         self.disconnects = 0
         self.max_ring = 0
+        self.read_batches = 0
+        self.elements_read = 0
 
     @property
     def capacity(self) -> int:
@@ -187,7 +224,7 @@ class FanoutHub:
     @property
     def subscriber_count(self) -> int:
         with self._cond:
-            return sum(1 for state in self._states.values() if not state.disconnected)
+            return self._live
 
     def ring_size(self) -> int:
         with self._cond:
@@ -215,7 +252,12 @@ class FanoutHub:
             }
 
     def metrics(self) -> Dict[str, float]:
-        """One consistent reading of the hub's counters and occupancy."""
+        """One consistent reading of the hub's counters and occupancy.
+
+        ``elements_read / read_batches`` is the mean delivery batch: near 1
+        the hub is ping-ponging with its readers, near ``DELIVERY_BATCH``
+        the readers are the bottleneck.
+        """
         with self._cond:
             lags = [
                 self._next_seq - state.cursor
@@ -227,6 +269,8 @@ class FanoutHub:
                 "dropped_provisional": self.dropped_provisional,
                 "publish_blocks": self.publish_blocks,
                 "disconnects": self.disconnects,
+                "read_batches": self.read_batches,
+                "elements_read": self.elements_read,
                 "ring_size": len(self._ring),
                 "ring_high_watermark": self.max_ring,
                 "capacity": self._capacity,
@@ -250,6 +294,7 @@ class FanoutHub:
         with self._cond:
             subscriber_id = next(self._ids)
             self._states[subscriber_id] = _SubscriberState(self._next_seq)
+            self._live += 1
             subscription = HubSubscription(self, subscriber_id)
             if snapshot_fn is not None:
                 subscription.snapshot = snapshot_fn()
@@ -262,15 +307,30 @@ class FanoutHub:
                 raise ValueError(f"subscriber {subscriber_id} is detached")
             return state.cursor
 
-    def read(self, subscriber_id: int, timeout: Optional[float] = None):
-        """Next element for one subscriber.
+    def read_batch(
+        self,
+        subscriber_id: int,
+        limit: int,
+        timeout: Optional[float] = None,
+        waker: Optional[Callable[[], None]] = None,
+    ):
+        """Up to ``limit`` elements past one subscriber's cursor, in order.
 
-        Blocks while the ring holds nothing past the cursor; returns
-        ``END_OF_STREAM`` once the hub is closed and drained, ``None`` on
-        timeout.  Raises :class:`SlowSubscriberDisconnected` if the
-        disconnect policy evicted this subscriber, ``ValueError`` after an
-        explicit detach.
+        Takes whatever the ring already holds in one lock acquisition — it
+        never waits for a batch to fill.  With nothing to take it returns
+        ``END_OF_STREAM`` once the hub is closed and drained; otherwise it
+        blocks up to ``timeout`` (forever on ``None``) and returns ``[]`` on
+        expiry — or, given a ``waker``, arms it and returns ``[]`` at once:
+        the next ``publish``/``close``/disconnect/detach calls it exactly
+        once, from that thread and under the hub lock, so it must neither
+        block nor raise (``loop.call_soon_threadsafe`` is the intended use).
+        Arming and the emptiness test share the lock, so no wake-up is lost.
+
+        Raises :class:`SlowSubscriberDisconnected` if the disconnect policy
+        evicted this subscriber, ``ValueError`` after an explicit detach.
         """
+        if limit <= 0:
+            raise ValueError("batch limit must be positive")
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while True:
@@ -283,37 +343,40 @@ class FanoutHub:
                         "elements behind and was disconnected (policy="
                         "'disconnect'); re-subscribe with a snapshot to recover"
                     )
-                entry = self._first_at_or_after(state.cursor)
-                if entry is not None:
-                    sequence, item = entry
-                    state.cursor = sequence + 1  # monotone: sequence >= cursor
-                    if self._traced:
-                        traced = self._traced.get(sequence)
-                        if traced is not None:
-                            now = time.perf_counter()
-                            self._tracer.record(
-                                "cursor_advance", traced[0], traced[1], now, now,
-                                seq=sequence, subscriber=subscriber_id,
-                            )
-                    self._evict_consumed()
-                    self._cond.notify_all()
-                    return item
+                if self._ring and self._ring[-1][0] >= state.cursor:
+                    return self._take(subscriber_id, state, limit)
                 if self._closed:
                     return END_OF_STREAM
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return None
-                    self._cond.wait(remaining)
-                else:
-                    self._cond.wait()
+                if waker is not None:
+                    if state.waker is None:
+                        self._armed.append(state)
+                    state.waker = waker
+                    return []
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    return []
+                self._wait(remaining)
+
+    def read(self, subscriber_id: int, timeout: Optional[float] = None):
+        """Next element for one subscriber: a :meth:`read_batch` of one.
+
+        ``END_OF_STREAM`` once the hub is closed and drained, ``None`` on
+        timeout.
+        """
+        batch = self.read_batch(subscriber_id, 1, timeout)
+        if batch is END_OF_STREAM:
+            return batch
+        return batch[0] if batch else None
 
     def detach(self, subscriber_id: int) -> None:
         """Remove a subscriber; its retained entries become evictable."""
         with self._cond:
-            if self._states.pop(subscriber_id, None) is not None:
+            state = self._states.pop(subscriber_id, None)
+            if state is not None:
+                if not state.disconnected:
+                    self._live -= 1
                 self._evict_consumed()
-                self._cond.notify_all()
+                self._wake()
 
     # ------------------------------------------------------------------ #
     # publisher side
@@ -331,19 +394,12 @@ class FanoutHub:
             while True:
                 if self._closed:
                     return False
-                live = [
-                    state.cursor
-                    for state in self._states.values()
-                    if not state.disconnected
-                ]
-                if not live:
+                if not self._live:
                     # Nobody is reading: maintain the cache (late joiners
-                    # recover through snapshots) and keep the ring empty.
+                    # recover through snapshots); the ring is already empty.
                     if update is not None:
                         update(item)
-                    self._ring.clear()
                     return False
-                self._evict_consumed()
                 if len(self._ring) < self._capacity:
                     break
                 if self._policy == "drop_provisional":
@@ -355,12 +411,12 @@ class FanoutHub:
                         self.dropped_provisional += 1
                         return False
                     self.publish_blocks += 1
-                    self._cond.wait()
+                    self._wait()
                 elif self._policy == "disconnect":
                     self._disconnect_slowest()
                 else:  # block
                     self.publish_blocks += 1
-                    self._cond.wait()
+                    self._wait()
             if update is not None:
                 update(item)
             self._ring.append((self._next_seq, item))
@@ -380,7 +436,7 @@ class FanoutHub:
                         del self._traced[next(iter(self._traced))]
             if len(self._ring) > self.max_ring:
                 self.max_ring = len(self._ring)
-            self._cond.notify_all()
+            self._wake()
             return True
 
     def close(self) -> None:
@@ -391,27 +447,82 @@ class FanoutHub:
         """
         with self._cond:
             self._closed = True
-            self._cond.notify_all()
+            self._wake()
 
     # ------------------------------------------------------------------ #
     # internals (lock held)
     # ------------------------------------------------------------------ #
-    def _first_at_or_after(self, cursor: int) -> Optional[Tuple[int, Any]]:
-        for entry in self._ring:
-            if entry[0] >= cursor:
-                return entry
-        return None
+    def _wait(self, timeout: Optional[float] = None) -> None:
+        self._waiting += 1
+        try:
+            self._cond.wait(timeout)
+        finally:
+            self._waiting -= 1
+
+    def _wake(self) -> None:
+        """Something changed: notify parked threads, fire armed wakers.
+
+        Both sets are usually empty — a TCP-served hub parks no reader
+        thread, and a reader that keeps up arms its waker once per burst —
+        so the common publish pays two truth tests here.
+        """
+        if self._waiting:
+            self._cond.notify_all()
+        if self._armed:
+            armed, self._armed = self._armed, []
+            for state in armed:
+                waker, state.waker = state.waker, None
+                waker()
+
+    def _take(self, subscriber_id: int, state: _SubscriberState, limit: int) -> list:
+        """Advance ``state`` over up to ``limit`` entries (one is readable)."""
+        first = self._position(state.cursor)
+        entries = list(itertools.islice(self._ring, first, first + limit))
+        state.cursor = entries[-1][0] + 1  # monotone: every sequence >= cursor
+        self.read_batches += 1
+        self.elements_read += len(entries)
+        if self._traced:
+            for sequence, _item in entries:
+                traced = self._traced.get(sequence)
+                if traced is not None:
+                    now = time.perf_counter()
+                    self._tracer.record(
+                        "cursor_advance", traced[0], traced[1], now, now,
+                        seq=sequence, subscriber=subscriber_id,
+                    )
+        if first == 0:
+            # Only a reader that held the ring's head can have raised the
+            # floor; anyone further in is ahead of a slower cursor.
+            self._evict_consumed()
+            if self._waiting:
+                self._cond.notify_all()
+        return [item for _sequence, item in entries]
+
+    def _position(self, cursor: int) -> int:
+        """Ring index of the first entry at or after ``cursor`` (one exists).
+
+        Sequences are dense unless ``drop_provisional`` evicted from
+        mid-ring, so the offset from the head's sequence is the answer — or,
+        past a gap, an upper bound for the bisect.
+        """
+        ring = self._ring
+        guess = cursor - ring[0][0]
+        if guess <= 0:
+            return 0
+        if guess < len(ring) and ring[guess][0] == cursor:
+            return guess
+        return bisect_left(ring, cursor, 0, min(guess, len(ring)), key=_SEQUENCE)
 
     def _evict_consumed(self) -> None:
-        live: List[int] = [
-            state.cursor for state in self._states.values() if not state.disconnected
-        ]
-        if not live:
-            self._ring.clear()
+        ring = self._ring
+        if not self._live:
+            ring.clear()
             return
-        floor = min(live)
-        while self._ring and self._ring[0][0] < floor:
-            self._ring.popleft()
+        floor = min(
+            state.cursor for state in self._states.values() if not state.disconnected
+        )
+        while ring and ring[0][0] < floor:
+            ring.popleft()
 
     def _evict_droppable(self) -> bool:
         for index, (_sequence, item) in enumerate(self._ring):
@@ -422,17 +533,12 @@ class FanoutHub:
         return False
 
     def _disconnect_slowest(self) -> None:
-        live = {
-            subscriber_id: state
-            for subscriber_id, state in self._states.items()
-            if not state.disconnected
-        }
-        if not live:
-            return
-        floor = min(state.cursor for state in live.values())
-        for state in live.values():
+        live = [state for state in self._states.values() if not state.disconnected]
+        floor = min(state.cursor for state in live)
+        for state in live:
             if state.cursor == floor:
                 state.disconnected = True
+                self._live -= 1
                 self.disconnects += 1
         self._evict_consumed()
-        self._cond.notify_all()
+        self._wake()

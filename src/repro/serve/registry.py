@@ -31,7 +31,7 @@ the graph workers and, transitively, the sources.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
 
 from ..dataflow.executor import run_graph
 from ..dataflow.graph import DataflowGraph, NodeSpec
@@ -241,6 +241,16 @@ class ServingSubscription:
     @property
     def cursor(self) -> int:
         return self._inner.cursor
+
+    def read_batch(
+        self,
+        limit: int,
+        timeout: Optional[float] = None,
+        waker: Optional[Callable[[], None]] = None,
+    ):
+        """Up to ``limit`` elements the ring already holds (the unit of
+        delivery); see :meth:`repro.serve.hub.FanoutHub.read_batch`."""
+        return self._inner.read_batch(limit, timeout, waker)
 
     def read(self, timeout: Optional[float] = None):
         """Next element; ``END_OF_STREAM`` when done, ``None`` on timeout."""

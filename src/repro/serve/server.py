@@ -33,9 +33,14 @@ the NDJSON protocol and the binary runtime codecs share one tuple wire
 shape.  Watermark values may be ``Infinity`` — Python's ``json`` emits and
 accepts it (the protocol is NDJSON between Python peers, not strict JSON).
 
-The serving runtime is threaded; the bridge into asyncio is
-``run_in_executor`` around the hub's blocking cursor reads, with a short
-read timeout so a vanished client is noticed promptly.
+The serving runtime is threaded; the bridge into asyncio is a wake-up, not
+a thread.  A subscription's pump takes whatever its hub ring holds (up to
+``DELIVERY_BATCH`` elements) without blocking, encodes the batch and hands
+it to the socket in one write and one ``drain()`` — TCP backpressure is what
+makes a slow client's cursor lag and the hub's policy fire.  When the ring
+is empty the read arms a one-shot waker under the hub lock, and the next
+``publish``/``close``/detach schedules the pump again through
+``loop.call_soon_threadsafe``; no pool thread is parked per subscriber.
 """
 
 from __future__ import annotations
@@ -51,13 +56,10 @@ from ..dataflow.revision import Revision, RevisionKind
 from ..parallel.serialize import decode_tuple, encode_tuple
 from ..relation import TPTuple
 from ..stream.elements import Watermark
-from .hub import END_OF_STREAM, SlowSubscriberDisconnected
+from .hub import DELIVERY_BATCH, END_OF_STREAM, SlowSubscriberDisconnected
 from .registry import ServeError, ServingSubscription, StandingQueryService
 
 _LOGGER = logging.getLogger(__name__)
-
-#: How often the streaming loop wakes to notice a detach or dead client.
-_READ_POLL_SECONDS = 0.25
 
 
 # --------------------------------------------------------------------------- #
@@ -341,12 +343,19 @@ class ServeServer:
                 },
             )
         watcher = asyncio.ensure_future(self._watch_for_detach(reader, subscription))
+        wake = asyncio.Event()
+
+        def waker() -> None:
+            # Runs on a publisher thread, under the hub lock.
+            try:
+                loop.call_soon_threadsafe(wake.set)
+            except RuntimeError:
+                pass  # the loop is closed: no pump is left to wake
+
         try:
             while True:
                 try:
-                    item = await loop.run_in_executor(
-                        None, subscription.read, _READ_POLL_SECONDS
-                    )
+                    batch = subscription.read_batch(DELIVERY_BATCH, waker=waker)
                 except ValueError:
                     # Detached (client asked, or the connection vanished).
                     await self._send(writer, {"type": "end", "name": name, "reason": "detached"})
@@ -358,14 +367,24 @@ class ServeServer:
                          "message": str(error)},
                     )
                     return
-                if item is None:
-                    continue
-                if item is END_OF_STREAM:
+                if batch is END_OF_STREAM:
                     await self._send(writer, {"type": "end", "name": name, "reason": "settled"})
                     return
-                payload = element_payload(item)
-                payload["name"] = name
-                await self._send(writer, payload)
+                if not batch:
+                    await wake.wait()
+                    wake.clear()
+                    continue
+                lines = []
+                for item in batch:
+                    payload = element_payload(item)
+                    payload["name"] = name
+                    lines.append(json.dumps(payload) + "\n")
+                writer.write("".join(lines).encode())
+                await writer.drain()
+                # drain() returns without suspending while the socket keeps
+                # up; yield anyway so a pump whose ring never runs dry cannot
+                # starve the other connections on this loop.
+                await asyncio.sleep(0)
         except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
             pass
         finally:
@@ -385,8 +404,8 @@ class ServeServer:
                 continue
             if request.get("op") == "detach":
                 break
-        # Closing the subscription makes the streaming loop's next read
-        # raise ValueError, which ends the stream cleanly.
+        # Closing the subscription fires the pump's waker and makes its next
+        # read raise ValueError, which ends the stream cleanly.
         subscription.close()
 
 

@@ -43,11 +43,14 @@ def test_hub_cursor_lag_tracks_a_stalled_subscriber():
     assert metrics["published"] == 10
     assert metrics["ring_size"] == 10  # retained for the laggard
     assert metrics["ring_high_watermark"] == 10
+    # Ten single-element reads: delivery is ping-ponging, mean batch 1.
+    assert (metrics["read_batches"], metrics["elements_read"]) == (10, 10)
     # Once the laggard catches up, lag and occupancy collapse.
     for _ in range(10):
         slow.read(timeout=1.0)
     assert hub.subscriber_lags()[slow.id] == 0
     assert hub.metrics()["ring_size"] == 0
+    assert hub.metrics()["elements_read"] == 20
     fast.close()
     slow.close()
 
@@ -113,6 +116,9 @@ def test_stats_verb_returns_serving_and_worker_telemetry(serving):
     telemetry = stats["metrics"]["q1"]
     assert telemetry["hub"]["published"] == query_stats["published"]
     assert telemetry["hub"]["capacity"] == 256
+    # One subscriber read everything, in no more batches than elements.
+    assert telemetry["hub"]["elements_read"] == query_stats["published"]
+    assert 0 < telemetry["hub"]["read_batches"] <= telemetry["hub"]["elements_read"]
     # The plan group ran with metrics on: worker totals came home.
     assert telemetry["workers"] is not None
     totals = telemetry["workers"]["totals"]
@@ -143,6 +149,8 @@ def test_prometheus_rendering_covers_hubs_and_workers(serving):
     _run_query_to_settlement(serving)
     text = _render_prometheus(serving.service)
     assert "# TYPE repro_hub_published_total counter" in text
+    assert "# TYPE repro_hub_read_batches_total counter" in text
+    assert "# TYPE repro_hub_elements_read_total counter" in text
     assert 'query="q1"' in text
     assert "# TYPE repro_elements_routed_total counter" in text
     assert 'queries="q1"' in text

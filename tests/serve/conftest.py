@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
+import threading
 
 import pytest
 
@@ -54,6 +56,34 @@ def make_stream_catalog(
                     watermark_every=watermark_every,
                 ),
             ),
+        )
+    return catalog
+
+
+def make_gated_catalog(seed: int, gate: threading.Event):
+    """A stream catalog whose sources yield nothing until ``gate`` is set.
+
+    A plan group over this catalog provably cannot settle before the test
+    releases the gate, which makes group-lifetime assertions (same group
+    across a resubscribe, both queries landing in one running group)
+    deterministic instead of a race against an in-memory replay.
+    """
+    catalog = make_stream_catalog(seed=seed)
+    for name in ("a", "b", "c"):
+        definition = catalog.lookup_stream(name)
+        original_replay = definition.replay
+
+        def gated_replay(inner=original_replay):
+            elements = list(inner())
+
+            def generate():
+                assert gate.wait(timeout=30.0), "test never released the gate"
+                yield from elements
+
+            return generate()
+
+        catalog.register_stream(
+            name, dataclasses.replace(definition, replay=gated_replay), replace=True
         )
     return catalog
 

@@ -7,6 +7,7 @@ dropped and cursors never regress.
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 import pytest
@@ -236,3 +237,221 @@ def test_snapshot_fn_runs_atomically_with_cursor_placement():
     assert len(late.snapshot) == 4
     assert drain(late) == [revision(4)]
     assert len(drain(reader)) == 5
+
+
+# --------------------------------------------------------------------------- #
+# batch delivery: read_batch is the one take path (read = a batch of one)
+# --------------------------------------------------------------------------- #
+def drain_batches(subscription, limits) -> list:
+    """Drain through ``read_batch``, cycling ``limits``; returns the batches."""
+    batches = []
+    for limit in itertools.cycle(limits):
+        batch = subscription.read_batch(limit, timeout=5.0)
+        if batch is END_OF_STREAM:
+            return batches
+        assert batch, "unexpected read timeout"
+        assert len(batch) <= limit
+        batches.append(batch)
+
+
+def test_read_batch_cursors_are_monotone_and_gap_free_across_mixed_limits():
+    hub = FanoutHub(capacity=64)
+    reader = hub.attach()
+    other = hub.attach()  # pins the ring so positions past the head are exercised
+    elements = [revision(index) for index in range(40)]
+    for element in elements:
+        hub.publish(element)
+    hub.close()
+    received, cursors = [], [reader.cursor]
+    for limit in itertools.cycle((1, 7, 3, 64, 2)):
+        batch = reader.read_batch(limit, timeout=1.0)
+        if batch is END_OF_STREAM:
+            break
+        received.extend(batch)
+        cursors.append(reader.cursor)
+        # Gap-free: the cursor moved by exactly what the batch returned.
+        assert cursors[-1] - cursors[-2] == len(batch) <= limit
+    assert received == elements
+    assert cursors[-1] == 40
+    assert hub.ring_size() == 40  # ``other`` has read nothing
+    assert [item for batch in drain_batches(other, (64,)) for item in batch] == elements
+    assert hub.ring_size() == 0
+    metrics = hub.metrics()
+    assert metrics["elements_read"] == 80
+    reader_batches = len(cursors) - 1
+    assert metrics["read_batches"] == reader_batches + 1  # ``other`` took one
+    with pytest.raises(ValueError, match="limit"):
+        reader.read_batch(0)
+
+
+def test_batch_reader_behind_a_mid_ring_eviction_sees_settled_exactly_once():
+    hub = FanoutHub(capacity=6, policy="drop_provisional")
+    reader = hub.attach()
+    # s0 p s1 p s2 p fills the ring; reading two moves the cursor inside it.
+    for index in range(3):
+        hub.publish(revision(index))
+        hub.publish(revision(100 + index, provisional=True))
+    assert reader.read_batch(2) == [revision(0), revision(100, provisional=True)]
+    laggard = hub.attach()  # keeps nothing: attached at the tail
+    # Four more settled revisions against a full ring evict the provisionals
+    # *ahead of* the reader's cursor, leaving non-contiguous sequences
+    # (2, 4, 6, ...) and a cursor (3) that points into a gap.
+    for index in range(3, 7):
+        assert hub.publish(revision(index))
+    hub.close()
+    assert hub.dropped_provisional == 2
+    tail = [item for batch in drain_batches(reader, (2, 1, 3)) for item in batch]
+    assert tail == [revision(index) for index in range(1, 7)]
+    assert drain(laggard) == [revision(index) for index in range(3, 7)]
+
+
+def test_disconnect_raises_on_the_next_read_batch():
+    hub = FanoutHub(capacity=2, policy="disconnect")
+    fast = hub.attach()
+    stalled = hub.attach()
+    hub.publish(revision(0))
+    assert stalled.read_batch(8) == fast.read_batch(8) == [revision(0)]
+    for index in (1, 2):
+        hub.publish(revision(index))
+        assert fast.read_batch(8) == [revision(index)]
+    hub.publish(revision(3))  # the ring is full of entries only ``stalled`` holds
+    assert hub.disconnects == 1
+    with pytest.raises(SlowSubscriberDisconnected):
+        stalled.read_batch(8, waker=lambda: None)
+    assert fast.read_batch(8) == [revision(3)]
+
+
+def test_an_armed_waker_fires_once_on_publish_close_and_detach():
+    hub = FanoutHub(capacity=8)
+    reader = hub.attach()
+    leaver = hub.attach()
+    woken = []
+    assert reader.read_batch(8, waker=lambda: woken.append("reader")) == []
+    assert leaver.read_batch(8, waker=lambda: woken.append("leaver")) == []
+    leaver.close()
+    # The leaver's pump wakes to find itself detached; waking the bystander
+    # too is allowed (it reads nothing and re-arms), losing a wake-up is not.
+    assert sorted(woken) == ["leaver", "reader"]
+    with pytest.raises(ValueError):
+        leaver.read_batch(8, waker=lambda: woken.append("leaver again"))
+    woken.clear()
+    assert reader.read_batch(8, waker=lambda: woken.append("reader")) == []
+    hub.publish(revision(0))
+    hub.publish(revision(1))  # nothing is armed any more: no second call
+    assert woken == ["reader"]
+    assert reader.read_batch(8) == [revision(0), revision(1)]
+    assert reader.read_batch(8, waker=lambda: woken.append("reader at end")) == []
+    hub.close()
+    assert woken == ["reader", "reader at end"]
+    assert reader.read_batch(8, waker=lambda: woken.append("never")) is END_OF_STREAM
+    assert woken == ["reader", "reader at end"]
+
+
+def test_late_joiner_snapshot_plus_batched_tail_equals_from_start_state():
+    from repro.serve import ResultCache
+
+    hub = FanoutHub(capacity=64)
+    cache = ResultCache()
+    from_start = hub.attach()
+    stream = []
+    for index in range(30):
+        stream.append(revision(index, provisional=index % 3 == 0))
+        if index % 4 == 3:  # retract-after-emit of an earlier tuple
+            stream.append(revision(index - 2, kind=RevisionKind.RETRACT))
+        if index % 5 == 4:
+            stream.append(Watermark(float(index)))
+    late = None
+    for position, element in enumerate(stream):
+        if position == len(stream) // 2:
+            late = hub.attach(snapshot_fn=cache.snapshot)
+        hub.publish(element, update=cache.apply)
+    hub.close()
+    from_start_cache = ResultCache()
+    for batch in drain_batches(from_start, (5, 64)):
+        for element in batch:
+            from_start_cache.apply(element)
+    late_cache = ResultCache()
+    for tp_tuple in late.snapshot:
+        late_cache.apply(Revision(RevisionKind.EMIT, tp_tuple))
+    for batch in drain_batches(late, (3, 1, 8)):
+        for element in batch:
+            late_cache.apply(element)
+    assert late_cache.snapshot() == from_start_cache.snapshot() == cache.snapshot()
+    assert 0 < len(cache) < 30  # the retractions removed tuples, not all of them
+    retracted = revision(1).tuple
+    assert retracted not in cache.snapshot()
+
+
+def test_traced_sequences_get_one_cursor_advance_span_per_subscriber():
+    from repro.obs.trace import Tracer, TraceSampler
+
+    hub = FanoutHub(capacity=64, tracer=Tracer("hub/test"), sampler=TraceSampler(0.25))
+    one = hub.attach()
+    two = hub.attach()
+    for index in range(20):
+        hub.publish(revision(index))
+    hub.close()
+    drain_batches(one, (64,))  # one batch over every traced sequence
+    drain_batches(two, (1, 6))
+    spans = hub.trace_spans()
+    published = [span["seq"] for span in spans if span["name"] == "hub_publish"]
+    assert len(published) == 5
+    for subscription in (one, two):
+        advanced = [
+            span["seq"]
+            for span in spans
+            if span["name"] == "cursor_advance" and span["subscriber"] == subscription.id
+        ]
+        assert advanced == published
+
+
+def test_no_wakeup_is_lost_when_publish_races_the_arm():
+    # The pump protocol: read without blocking; on [] the waker is armed
+    # under the hub lock and the reader sleeps until it fires.  A publish
+    # that lands between "found nothing" and "armed" would strand the
+    # reader, so every wait carries a deadline: a hang fails, not times out.
+    import sys
+    import time
+
+    rounds = 1000
+    hub = FanoutHub(capacity=4, policy="block")
+    reader = hub.attach()
+    wake = threading.Event()
+    received = []
+    stranded = []
+
+    def pump():
+        while True:
+            batch = reader.read_batch(3, waker=wake.set)
+            if batch is END_OF_STREAM:
+                return
+            if batch:
+                received.extend(batch)
+            elif wake.wait(timeout=5.0):
+                wake.clear()
+            else:
+                stranded.append(len(received))
+                return
+
+    def publisher():
+        for value in range(rounds):
+            hub.publish(value)
+        hub.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=pump, daemon=True)] + [
+            threading.Thread(target=publisher, daemon=True)
+        ]
+        started = time.monotonic()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert stranded == [], f"reader stranded after {stranded} elements"
+    assert received == list(range(rounds))
+    assert time.monotonic() - started < 30.0

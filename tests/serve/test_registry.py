@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 
@@ -15,7 +14,7 @@ from repro.serve import END_OF_STREAM, ServeError, StandingQueryService
 from repro.stream.elements import Watermark
 from repro.stream.query import StreamQueryConfig
 
-from conftest import make_stream_catalog
+from conftest import make_gated_catalog, make_stream_catalog
 
 ON = (("Key", "Key"),)
 JOIN = NodeSpec("j1", "left_outer", "a", "b", ON)
@@ -23,34 +22,6 @@ JOIN = NodeSpec("j1", "left_outer", "a", "b", ON)
 
 def make_service(seed=5, **kwargs) -> StandingQueryService:
     return StandingQueryService(make_stream_catalog(seed=seed), **kwargs)
-
-
-def make_gated_catalog(seed: int, gate: threading.Event):
-    """A stream catalog whose sources yield nothing until ``gate`` is set.
-
-    A plan group over this catalog provably cannot settle before the test
-    releases the gate, which makes group-lifetime assertions (same group
-    across a resubscribe, both queries landing in one running group)
-    deterministic instead of a race against an in-memory replay.
-    """
-    catalog = make_stream_catalog(seed=seed)
-    for name in ("a", "b", "c"):
-        definition = catalog.lookup_stream(name)
-        original_replay = definition.replay
-
-        def gated_replay(inner=original_replay):
-            elements = list(inner())
-
-            def generate():
-                assert gate.wait(timeout=30.0), "test never released the gate"
-                yield from elements
-
-            return generate()
-
-        catalog.register_stream(
-            name, dataclasses.replace(definition, replay=gated_replay), replace=True
-        )
-    return catalog
 
 
 def settled_sorted(tuples) -> list:

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import os
+import statistics
 import threading
+import time
 
 import pytest
 
@@ -13,16 +17,15 @@ from repro.relation import TPTuple
 from repro.serve import ResultCache, ServeClient, ServeError, ServeServer, StandingQueryService
 from repro.serve.server import element_from_payload, node_from_payload, node_payload
 
-from conftest import make_stream_catalog
+from conftest import make_gated_catalog, make_stream_catalog
 
 ON = (("Key", "Key"),)
 JOIN = NodeSpec("j1", "left_outer", "a", "b", ON)
 
 
-@pytest.fixture()
-def serving():
-    """A StandingQueryService behind a live TCP server on a loopback port."""
-    service = StandingQueryService(make_stream_catalog(seed=5))
+@contextlib.contextmanager
+def hosted(service):
+    """``service`` behind a live TCP server on a loopback port."""
     server = ServeServer(service)
     loop = asyncio.new_event_loop()
     ready = threading.Event()
@@ -32,16 +35,32 @@ def serving():
         loop.run_until_complete(server.start())
         ready.set()
         loop.run_forever()
+        # Unwind the connection handlers still parked on a read or a
+        # wake-up, so none is torn down by the garbage collector after the
+        # loop is closed.
+        handlers = asyncio.all_tasks(loop)
+        for task in handlers:
+            task.cancel()
+        loop.run_until_complete(asyncio.gather(*handlers, return_exceptions=True))
         loop.run_until_complete(server.close())
         loop.close()
 
     thread = threading.Thread(target=host, name="serve-test-loop", daemon=True)
     thread.start()
     assert ready.wait(timeout=10.0)
-    yield server
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(timeout=10.0)
-    service.shutdown()
+    try:
+        yield server
+    finally:
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=10.0)
+        service.shutdown()
+
+
+@pytest.fixture()
+def serving():
+    """A StandingQueryService behind a live TCP server on a loopback port."""
+    with hosted(StandingQueryService(make_stream_catalog(seed=5))) as server:
+        yield server
 
 
 def test_node_payload_roundtrip():
@@ -148,3 +167,39 @@ def test_error_responses_do_not_kill_the_connection(serving):
             client.request({"op": "detach"})
         # The connection is still usable after errors.
         assert client.list_queries() == []
+
+
+def test_idle_subscribers_do_not_starve_control_requests():
+    # No subscriber may hold a default-executor thread while it waits for
+    # elements: ``stats`` and ``subscribe`` run in that pool, and with more
+    # idle subscribers than it has threads they would queue behind parked
+    # reads for tens to hundreds of milliseconds.
+    pool_threads = min(32, (os.cpu_count() or 1) + 4)
+    gate = threading.Event()  # released only on the way out: subscribers stay idle
+    service = StandingQueryService(make_gated_catalog(5, gate))
+    with hosted(service) as server, contextlib.ExitStack() as clients:
+        def connect() -> ServeClient:
+            return clients.enter_context(ServeClient("127.0.0.1", server.port))
+
+        control = connect()
+        control.register("q1", [JOIN])
+        for _ in range(pool_threads + 2):
+            assert connect().subscribe("q1") == []
+
+        def typical(request, attempts=5) -> float:
+            # The median of a few attempts: one scheduling hiccup on a
+            # loaded host must not fail the test, while a queue behind
+            # parked reads slows most of them.
+            timings = []
+            for _ in range(attempts):
+                started = time.perf_counter()
+                request()
+                timings.append(time.perf_counter() - started)
+            return statistics.median(timings)
+
+        assert typical(control.stats) < 0.050
+        assert typical(lambda: connect().subscribe("q1")) < 0.050
+        hub = control.stats()["metrics"]["q1"]["hub"]
+        assert hub["subscribers"] == pool_threads + 2 + 5  # + the timed subscribes
+        assert hub["elements_read"] == 0
+        gate.set()
