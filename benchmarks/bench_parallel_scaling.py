@@ -40,7 +40,8 @@ from repro.engine import Catalog
 from repro.harness.reporting import write_bench_file
 from repro.lineage import canonical
 from repro.options import ExecutionOptions
-from repro.parallel import available_cpus, canonical_order, parallel_tp_join
+from repro.parallel import canonical_order, parallel_tp_join
+from repro.runtime import available_cpus
 from repro.relation import EquiJoinCondition, TPTuple
 from repro.stream import StreamQuery
 

@@ -56,7 +56,7 @@ from repro.engine import Catalog
 from repro.harness.reporting import write_bench_file
 from repro.lineage import EventSpace
 from repro.options import ExecutionOptions
-from repro.parallel import available_cpus
+from repro.runtime import available_cpus
 
 #: The two-stage tree: one forward-window and one reverse-window operator.
 KINDS = (("n1", "left_outer", "r", "s"), ("n2", "right_outer", "n1", "t"))

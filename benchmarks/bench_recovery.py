@@ -15,8 +15,8 @@ Every chaos run must settle tuple-for-tuple identical to the unfailed run
 before any number is reported (the recovery correctness contract), and the
 payload asserts that checkpointed recovery replayed *strictly fewer*
 elements than replay-from-zero.  A failure-free run through the recovering
-driver is also measured against the plain router — the hot-path overhead
-of buffering for replay (``hotpath_throughput_ratio``).
+session is also measured against the plain socket session — the hot-path
+overhead of buffering for replay (``hotpath_throughput_ratio``).
 
 Results go to ``bench_results/BENCH_recovery.json``.  Run with::
 
@@ -152,29 +152,29 @@ def main(argv: Sequence[str] | None = None) -> int:
         f"partitions={arguments.partitions}  kill_after={kill_after}"
     )
 
-    # The referee: an unfailed run on the plain (non-recovering) router.
+    # The referee: an unfailed run on the plain (non-recovering) session.
     plain, baseline_rows = run_once(
         size, arguments.disorder, arguments.seed, arguments.partitions,
         restart_limit=0, checkpoint_interval=None, kill_after=None,
     )
     print(
-        f"plain router       {plain['events_per_second']:>9.0f} ev/s  "
+        f"plain session      {plain['events_per_second']:>9.0f} ev/s  "
         f"({plain['outputs']} outputs)"
     )
 
-    # Hot path through the recovering driver, no failures injected.
+    # Hot path through the recovering session, no failures injected.
     hot, hot_rows = run_once(
         size, arguments.disorder, arguments.seed, arguments.partitions,
         restart_limit=2, checkpoint_interval=None, kill_after=None,
     )
     if hot_rows != baseline_rows:
-        print("FAIL: recovering driver changed the settled output on the hot path")
+        print("FAIL: recovering session changed the settled output on the hot path")
         return 1
     hotpath_ratio = round(
         hot["events_per_second"] / plain["events_per_second"], 3
     )
     print(
-        f"recovering router  {hot['events_per_second']:>9.0f} ev/s  "
+        f"recovering session {hot['events_per_second']:>9.0f} ev/s  "
         f"(hot-path ratio {hotpath_ratio:.2f}x)"
     )
 

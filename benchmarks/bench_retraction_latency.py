@@ -37,13 +37,7 @@ from typing import List, Sequence
 
 from conftest import bench_payload_base
 
-from repro.dataflow import (
-    DataflowQuery,
-    NodeSpec,
-    assert_converged,
-    percentile,
-    summarize_ms,
-)
+from repro.dataflow import DataflowQuery, NodeSpec, assert_converged
 from repro.datasets.meteo import meteo_config
 from repro.datasets import ReplayConfig, stream_def
 from repro.datasets.generators import generate_relation
@@ -51,6 +45,15 @@ from repro.engine import Catalog
 from repro.harness.reporting import write_bench_file
 from repro.lineage import EventSpace
 from repro.options import ExecutionOptions
+from repro.stream.query import summarize_latency_ms
+
+def percentile(samples: Sequence[float], fraction: float) -> float:
+    """The ``fraction`` percentile of an event-time lag list (0 when empty)."""
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
+
 
 TREE = [
     NodeSpec("n1", "left_outer", "r", "s", (("Metric", "Metric"),)),
@@ -106,7 +109,7 @@ def run_one(size: int, disorder: int, early: bool, seed: int, backend: str) -> d
         "events": result.events_processed,
         "outputs_settled": len(result.relation),
         "emit_latency_ms": {
-            key: round(value, 4) for key, value in summarize_ms(latencies).items()
+            key: round(value, 4) for key, value in summarize_latency_ms(latencies).items()
         },
         "emit_event_lag_p50": percentile(lags, 0.50),
         "emit_event_lag_p95": percentile(lags, 0.95),

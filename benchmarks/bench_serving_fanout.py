@@ -50,7 +50,7 @@ from repro.engine import Catalog
 from repro.harness.reporting import write_bench_file
 from repro.lineage import EventSpace
 from repro.options import ExecutionOptions
-from repro.parallel import available_cpus
+from repro.runtime import available_cpus
 from repro.relation import TPTuple
 from repro.serve import ResultCache, StandingQueryService
 

@@ -98,7 +98,6 @@ from .stream import (
     ContinuousLeftOuterJoin,
     StreamDef,
     StreamQuery,
-    StreamQueryConfig,
     StreamSource,
 )
 from .temporal import Interval, IntervalSet
@@ -126,7 +125,6 @@ __all__ = [
     "Schema",
     "StreamDef",
     "StreamQuery",
-    "StreamQueryConfig",
     "StreamSource",
     "TPRelation",
     "TPTuple",

@@ -11,9 +11,10 @@ watermarks — the multi-way, correction-tolerant layer above
   included).
 * :mod:`repro.dataflow.graph` — :class:`NodeSpec` / :class:`DataflowGraph`:
   DAG description, validation, schema and watermark topology.
-* :mod:`repro.dataflow.executor` — the one graph driver over the runtime
-  transports (:mod:`repro.runtime`): inline / threads / processes /
-  sockets, all sharing the bounded-channel backpressure seam.
+* :mod:`repro.dataflow.executor` — :func:`run_graph`: compiles the graph
+  into worker specs, source edges and routing stages for the runtime's one
+  router (:func:`repro.runtime.driver.run_job`) and merges the reports per
+  node in canonical order.
 * :mod:`repro.dataflow.query` — :class:`DataflowQuery` /
   :class:`DataflowResult`, the registered executable form.
 * :mod:`repro.dataflow.convergence` — the batch re-run harness proving
@@ -34,21 +35,15 @@ from .executor import (
     GraphRunOutcome,
     route_partition,
     run_graph,
-    run_graph_inline,
-    run_graph_threads,
     stage_watermark,
 )
 from .graph import DataflowGraph, GraphError, NodeSpec
 from .operators import RevisionJoin, RevisionJoinStats
 from .query import (
-    GRAPH_BACKENDS,
-    IN_PROCESS_BACKENDS,
     DataflowQuery,
-    MultipleConsumerError,
     DataflowResult,
+    MultipleConsumerError,
     NodeResult,
-    percentile,
-    summarize_ms,
 )
 from .revision import (
     Revision,
@@ -65,10 +60,8 @@ __all__ = [
     "DataflowGraph",
     "DataflowQuery",
     "DataflowResult",
-    "GRAPH_BACKENDS",
     "GraphError",
     "GraphRunOutcome",
-    "IN_PROCESS_BACKENDS",
     "MultipleConsumerError",
     "NodeResult",
     "NodeSpec",
@@ -83,11 +76,7 @@ __all__ = [
     "batch_rerun",
     "drained_relation",
     "identity_rows",
-    "percentile",
     "route_partition",
     "run_graph",
-    "run_graph_inline",
-    "run_graph_threads",
     "stage_watermark",
-    "summarize_ms",
 ]

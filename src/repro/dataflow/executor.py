@@ -1,9 +1,10 @@
 """Dataflow graph execution over the unified runtime layer.
 
-One driver (:func:`run_graph`) compiles the graph into worker specs — one
-per *(node, partition)* — hands them to a runtime transport
-(:mod:`repro.runtime`), and routes the merged source edges into the live
-session.  The transport decides where the workers live:
+:func:`run_graph` compiles the graph into worker specs — one per *(node,
+partition)* — plus the source edges and per-node routing stages, hands them
+to the one router (:func:`repro.runtime.driver.run_job`), and merges the
+worker reports per node in canonical order.  The transport decides where
+the workers live:
 
 * **inline** — every worker in the caller's thread, elements flowing
   depth-first: each output revision of a node is delivered to its consumers
@@ -39,24 +40,23 @@ the standard per-channel frontier argument.
 Termination needs no out-of-band protocol: every source replay ends with a
 ``CLOSED`` watermark, each partition's derived watermark therefore reaches
 ``CLOSED`` once all its groups settle, and the cascade closes the whole
-graph.  The driver still sends one done sentinel per source edge (and each
+graph.  The router still sends one done sentinel per source edge (and each
 worker one per downstream channel), so a malformed source cannot leave the
 close protocol hanging.
 """
 
 from __future__ import annotations
 
-import random
-import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..obs.metrics import DEFAULT_METRICS_INTERVAL
 from ..parallel.batch import canonical_order
 from ..parallel.plan import stable_hash
 from ..relation import TPTuple
-from ..runtime import ChannelClosed, ChannelWatermarks, RuntimeJob, get_transport
-from ..stream.elements import LEFT, RIGHT, StreamElement, StreamEvent, Tagged
+from ..runtime import SOURCE_CHANNEL, ChannelWatermarks
+from ..runtime.driver import SourceEdge, Stage, merge_edges, run_job
+from ..runtime.transport import TRANSPORTS
+from ..stream.elements import LEFT, RIGHT, StreamEvent
 from .graph import DataflowGraph
 from .operators import RevisionJoin, RevisionJoinStats
 from .revision import Revision
@@ -69,8 +69,6 @@ __all__ = [
     "merge_edges",
     "route_partition",
     "run_graph",
-    "run_graph_inline",
-    "run_graph_threads",
     "source_edges",
     "stage_watermark",
 ]
@@ -96,9 +94,6 @@ class GraphRunOutcome:
     #: Final per-worker metrics snapshots (empty unless the run was
     #: instrumented via ``config.metrics`` or an attached collector).
     metrics: List[dict] = field(default_factory=list)
-    #: Every span the run recorded (empty unless the run was traced via
-    #: ``config.trace`` or an attached trace collector).
-    trace_spans: List[dict] = field(default_factory=list)
 
 
 def stage_watermark(partition_joins: Sequence[RevisionJoin]) -> float:
@@ -127,45 +122,14 @@ def route_partition(join: RevisionJoin, side: str, element, partitions: int) -> 
     return stable_hash(key) % partitions
 
 
-def source_edges(
-    graph: DataflowGraph, node_index: Dict[str, int]
-) -> List[Tuple[int, str, Iterator[StreamElement]]]:
+def source_edges(graph: DataflowGraph, node_index: Dict[str, int]) -> List[SourceEdge]:
     """One fresh replay per (source → node input) edge of the graph."""
-    edges: List[Tuple[int, str, Iterator[StreamElement]]] = []
+    edges: List[SourceEdge] = []
     for source in graph.source_names:
         stream_def = graph.catalog.lookup_stream(source)
         for consumer, side in graph.consumers_of(source):
             edges.append((node_index[consumer], side, iter(stream_def.replay())))
     return edges
-
-
-def merge_edges(
-    edges: List[Tuple[int, str, Iterator[StreamElement]]],
-    seed: Optional[int] = None,
-) -> Iterator[Tuple[int, int, str, StreamElement]]:
-    """Interleave the source edges into one delivery sequence.
-
-    Yields ``(edge index, target node, side, element)`` — the edge index is
-    the element's watermark channel.  Round-robin by default; with a seed,
-    each step picks a random non-exhausted edge (each edge's internal order
-    is preserved, which is all the watermark semantics require).
-    """
-    rng = random.Random(seed) if seed is not None else None
-    open_edges = list(range(len(edges)))
-    turn = 0
-    while open_edges:
-        if rng is None:
-            slot = open_edges[turn % len(open_edges)]
-            turn += 1
-        else:
-            slot = rng.choice(open_edges)
-        target, side, iterator = edges[slot]
-        try:
-            element = next(iterator)
-        except StopIteration:
-            open_edges.remove(slot)
-            continue
-        yield slot, target, side, element
 
 
 def downstream_table(graph: DataflowGraph, node_index: Dict[str, int]) -> List[List[Tuple[int, str]]]:
@@ -187,19 +151,18 @@ def channel_topology(
 ) -> List[Dict[str, List[Hashable]]]:
     """Per node: the watermark channels feeding each input side.
 
-    A source edge contributes one ``("src", edge_index)`` channel (indices
-    match :func:`source_edges` order); an upstream node contributes one
-    ``("node", index, partition)`` channel per partition.  Every partition
-    of the consumer tracks the same channel set — watermarks are broadcast.
+    A source edge contributes the one ``SOURCE_CHANNEL`` (a side has exactly
+    one input, so source edges never share a tracker); an upstream node
+    contributes one ``("node", index, partition)`` channel per partition.
+    Every partition of the consumer tracks the same channel set — watermarks
+    are broadcast.
     """
     channels: List[Dict[str, List[Hashable]]] = [
         {LEFT: [], RIGHT: []} for _ in graph.nodes
     ]
-    edge_index = 0
     for source in graph.source_names:
         for consumer, side in graph.consumers_of(source):
-            channels[node_index[consumer]][side].append(("src", edge_index))
-            edge_index += 1
+            channels[node_index[consumer]][side].append(SOURCE_CHANNEL)
     for index, spec in enumerate(graph.nodes):
         for consumer, side in graph.consumers_of(spec.name):
             if consumer in node_index:
@@ -211,7 +174,7 @@ def channel_topology(
 
 
 # --------------------------------------------------------------------------- #
-# the one graph driver
+# the graph driver
 # --------------------------------------------------------------------------- #
 def run_graph(
     graph: DataflowGraph,
@@ -226,13 +189,12 @@ def run_graph(
 ) -> GraphRunOutcome:
     """Execute a dataflow graph on one runtime transport.
 
-    Compiles the graph into one worker spec per *(node, partition)*, starts
-    a transport session, and routes the merged source edges in: events are
-    key-routed to the owning partition of their target node, watermarks are
-    broadcast to every partition with their source-edge channel id.  After
-    the sources drain, one done sentinel per source edge closes the cascade
-    and the workers' reports are merged into a backend-independent
+    Compiles the graph into one worker spec per *(node, partition)* and one
+    routing stage per node, lets the router
+    (:func:`repro.runtime.driver.run_job`) drive the merged source edges
+    through them, and merges the workers' reports into a backend-independent
     :class:`GraphRunOutcome` (canonical settled order, summed stats).
+    ``config`` is the run's :class:`repro.ExecutionOptions`.
 
     ``taps`` / ``probes`` map node names to observation callables — the
     serving layer's seam: a tap sees every output element of the node's
@@ -241,38 +203,24 @@ def run_graph(
     Callables cannot cross a process/socket boundary, so both require an
     in-process transport (``inline`` / ``threads``).
 
-    ``collector`` is an optional :class:`repro.obs.MetricsCollector`; when
-    given (or when ``config.metrics`` is true) the job runs instrumented:
-    workers keep per-worker metrics registries and snapshots cross the
-    transport boundary inside the existing frame protocol — live periodic
-    frames plus a final one per worker report — so, unlike taps/probes,
-    metrics work identically on all four transports.  The collector sees
-    live snapshots mid-run (``collector.snapshots()``) and the final ones
-    afterwards; they are also returned on the outcome.
+    ``collector`` / ``trace_collector`` (:class:`repro.obs.MetricsCollector`
+    / :class:`repro.obs.TraceCollector`) and ``cancel`` are the router's:
+    unlike taps/probes, metrics snapshots and span shipments cross the
+    transport boundary inside the existing frame protocol, so they work
+    identically on all four transports; once ``cancel`` is set the graph
+    settles early over what was already ingested — the cooperative stop
+    used by standing-query lifecycle management.
 
-    ``trace_collector`` is the tracing counterpart, a
-    :class:`repro.obs.TraceCollector`; when given (or when ``config.trace``
-    is true) the driver samples source elements at ``config.trace_sample_rate``,
-    records root ``source`` spans, and attaches the trace context workers
-    propagate hop by hop — span shipments ride the same frames as metrics
-    snapshots, so tracing too works identically on all four transports.
-
-    ``cancel`` is an optional :class:`threading.Event`-like object; once set,
-    the driver stops routing further source elements and sends the done
-    sentinels, so the graph settles early over what was already ingested —
-    the cooperative stop used by standing-query lifecycle management.
-
-    The process and socket transports raise
-    :class:`~repro.runtime.WorkerStartError` strictly before any source
-    element is consumed when their workers cannot start, so callers can
-    fall back to the thread transport over the same untouched replays.
+    When the process or socket workers cannot start, the run degrades to
+    the thread transport over the same untouched replays;
+    ``GraphRunOutcome.backend`` records what actually ran.
     """
     # Imported lazily: repro.parallel imports this module's graph helpers,
     # so a top-level import here would be circular during package init.
     from ..parallel.stream_exec import graph_node_specs
     from ..stream.operators import theta_from_pairs
 
-    if (taps or probes) and transport not in ("inline", "threads"):
+    if (taps or probes) and transport not in TRANSPORTS[:2]:
         raise ValueError(
             f"taps/probes are in-process callables and cannot cross the "
             f"{transport!r} transport's serialization boundary; use the "
@@ -284,144 +232,41 @@ def run_graph(
             "DataflowQuery.metrics() / StreamQuery.metrics() live or the "
             "outcome's metrics snapshots after the run"
         )
-    if taps:
-        unknown = sorted(set(taps) - set(graph.node_names))
+    for label, hooks in (("taps", taps), ("probes", probes)):
+        unknown = sorted(set(hooks or ()) - set(graph.node_names))
         if unknown:
-            raise ValueError(f"taps name unknown graph nodes: {unknown}")
-    if probes:
-        unknown = sorted(set(probes) - set(graph.node_names))
-        if unknown:
-            raise ValueError(f"probes name unknown graph nodes: {unknown}")
-    specs = graph_node_specs(graph, config, taps=taps, probes=probes)
+            raise ValueError(f"{label} name unknown graph nodes: {unknown}")
     node_index = {name: index for index, name in enumerate(graph.node_names)}
-    parts = graph.partition_counts
-    first_worker: List[int] = []
+    stages: List[Stage] = []
     total = 0
-    for count in parts:
-        first_worker.append(total)
-        total += count
-    thetas = [
-        theta_from_pairs(
+    for spec in graph.nodes:
+        theta = theta_from_pairs(
             graph.schema_of(spec.left), graph.schema_of(spec.right), spec.on
         )
-        for spec in graph.nodes
-    ]
-    metrics_on = collector is not None or bool(getattr(config, "metrics", False))
-    trace_on = trace_collector is not None or bool(getattr(config, "trace", False))
-    job = RuntimeJob(
-        tuple(specs),
-        micro_batch_size=getattr(config, "micro_batch_size", 64),
-        buffer_capacity=getattr(config, "buffer_capacity", 1024),
-        metrics=metrics_on,
-        metrics_interval=getattr(config, "metrics_interval", DEFAULT_METRICS_INTERVAL),
-        trace=trace_on,
+        # Every dataflow input is revisable, so both sides are stamped.
+        stages.append(Stage(total, spec.partitions, theta, True))
+        total += spec.partitions
+    reports, events_processed, blocks, backend, _recoveries = run_job(
+        graph_node_specs(graph, config, taps=taps, probes=probes),
+        source_edges(graph, node_index),
+        stages,
+        config,
+        transport,
+        merge_seed,
+        collector=collector,
+        trace_collector=trace_collector,
+        cancel=cancel,
     )
-    sampler = None
-    driver_tracer = None
-    if trace_on:
-        from ..obs.trace import (
-            DEFAULT_TRACE_SAMPLE_RATE,
-            Tracer,
-            TraceSampler,
-            span_detail,
-        )
-
-        sampler = TraceSampler(
-            getattr(config, "trace_sample_rate", DEFAULT_TRACE_SAMPLE_RATE)
-        )
-        driver_tracer = Tracer("driver")
-    session = get_transport(transport).start(job, getattr(config, "placement", None))
-    if collector is not None:
-        collector.attach(session)
-    if trace_collector is not None:
-        trace_collector.attach(session)
-    edges = source_edges(graph, node_index)
-    events_processed = 0
-    with session:
-        stamp = session.stamps_ingest
-        try:
-            for edge, target, side, element in merge_edges(edges, merge_seed):
-                if cancel is not None and cancel.is_set():
-                    break
-                if isinstance(element, StreamEvent):
-                    events_processed += 1
-                    # Stamp ingestion before the element can sit in a
-                    # channel, so emit latency includes queueing time.
-                    clock = time.perf_counter() if stamp else None
-                    context = None
-                    if sampler is not None:
-                        trace_id = sampler.sample()
-                        if trace_id is not None:
-                            now = time.perf_counter()
-                            root = driver_tracer.record(
-                                "source",
-                                trace_id,
-                                None,
-                                now,
-                                now,
-                                side=side,
-                                target=graph.node_names[target],
-                                **span_detail(element),
-                            )
-                            context = (trace_id, root)
-                    theta = thetas[target]
-                    if parts[target] > 1:
-                        key = (
-                            theta.left_key(element.tuple)
-                            if side == LEFT
-                            else theta.right_key(element.tuple)
-                        )
-                        partition = stable_hash(key) % parts[target]
-                    else:
-                        partition = 0
-                    session.send(
-                        first_worker[target] + partition,
-                        None,
-                        Tagged(side, element, clock, context),
-                    )
-                else:
-                    for partition in range(parts[target]):
-                        session.send(
-                            first_worker[target] + partition,
-                            ("src", edge),
-                            Tagged(side, element),
-                        )
-        except ChannelClosed:
-            # A worker died and closed its channel; stop routing — the
-            # failure is re-raised by finish() after every worker is joined.
-            pass
-        for target, _side, _iterator in edges:
-            for partition in range(parts[target]):
-                session.done(first_worker[target] + partition)
-        reports = session.finish()
-        blocks = session.backpressure_blocks
-        backend = session.name
-
-    final_metrics = [
-        report.metrics for report in reports if report.metrics is not None
-    ]
-    if collector is not None:
-        collector.complete(final_metrics)
-    final_spans: List[dict] = []
-    if trace_on:
-        for report in reports:
-            if report.spans:
-                final_spans.extend(report.spans)
-        if driver_tracer is not None:
-            final_spans.extend(driver_tracer.dump())
-    if trace_collector is not None:
-        trace_collector.complete([final_spans])
     settled: Dict[str, List[TPTuple]] = {}
     stats: Dict[str, RevisionJoinStats] = {}
     latencies: Dict[str, List[float]] = {}
     lags: Dict[str, List[float]] = {}
-    for node, spec in enumerate(graph.nodes):
+    for spec, stage in zip(graph.nodes, stages):
         merged: List[TPTuple] = []
         node_stats: List[RevisionJoinStats] = []
         node_latencies: List[float] = []
         node_lags: List[float] = []
-        for partition in range(parts[node]):
-            report = reports[first_worker[node] + partition]
+        for report in reports[stage.first_worker : stage.first_worker + stage.partitions]:
             merged.extend(report.outputs)
             node_stats.append(RevisionJoinStats(*report.stats))
             node_latencies.extend(report.emit_latencies)
@@ -440,20 +285,5 @@ def run_graph(
         events_processed=events_processed,
         backpressure_blocks=blocks,
         backend=backend,
-        metrics=final_metrics,
-        trace_spans=final_spans,
+        metrics=[report.metrics for report in reports if report.metrics is not None],
     )
-
-
-def run_graph_inline(
-    graph: DataflowGraph, config, merge_seed: Optional[int] = None
-) -> GraphRunOutcome:
-    """Single-threaded depth-first execution (the inline transport)."""
-    return run_graph(graph, config, merge_seed, transport="inline")
-
-
-def run_graph_threads(
-    graph: DataflowGraph, config, merge_seed: Optional[int] = None
-) -> GraphRunOutcome:
-    """Pipelined execution with one worker thread per node partition."""
-    return run_graph(graph, config, merge_seed, transport="threads")

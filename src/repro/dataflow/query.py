@@ -10,37 +10,35 @@ unified :class:`repro.ExecutionOptions` for its knobs: ``transport`` picks
 the backend, ``buffer_capacity``/``micro_batch_size`` shape the
 backpressure seam, ``early_emit`` switches provisional publication on and
 ``materialize_probabilities`` computes output probabilities inline through
-the maintainer-owned per-key computers.  The recovery knobs
-(``checkpoint_interval``/``restart_limit``) are accepted but inert here:
-dataflow nodes have peer edges, so a dead node is not a self-contained
-shard — :meth:`DataflowResult.recoveries` is always empty.
+the maintainer-owned per-key computers.  Graph runs are not yet
+recoverable — dataflow nodes exchange revisions over peer edges whose
+in-flight elements a per-seat snapshot cannot capture, so a dead node is not
+a self-contained shard — and ``checkpoint_interval``/``restart_limit`` are
+inert here.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
+from ..obs.collector import QueryTelemetry, RunIntrospection
 from ..options import ExecutionOptions
-from ..recovery.types import RecoveryEvent
 from ..relation import TPRelation, TPTuple
-from ..runtime import Channel, ChannelClosed, ChannelWatermarks, WorkerStartError
+from ..runtime import Channel, ChannelClosed, ChannelWatermarks
+from ..runtime.transport import TRANSPORTS
 from ..stream.elements import Watermark
-from ..stream.query import summarize_latency_ms as summarize_ms
+from ..stream.query import summarize_latency_ms
 from .executor import GraphRunOutcome, run_graph
 from .graph import DataflowGraph, NodeSpec
 from .operators import RevisionJoinStats
 from .revision import RevisionElement
 
-#: Valid executor backends of a dataflow query — the runtime transports.
-GRAPH_BACKENDS = ("inline", "threads", "processes", "sockets")
-
 #: In-process backends — the only ones whose workers can call back into the
 #: driver's address space (taps), which live revision iteration requires.
-IN_PROCESS_BACKENDS = ("inline", "threads")
+IN_PROCESS = TRANSPORTS[:2]
 
 
 class MultipleConsumerError(RuntimeError):
@@ -56,15 +54,6 @@ class MultipleConsumerError(RuntimeError):
     """
 
 
-def percentile(samples: Sequence[float], fraction: float) -> float:
-    """The ``fraction`` percentile of a sample list (0 when empty)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[index]
-
-
 @dataclass
 class NodeResult:
     """The settled output and revision statistics of one graph node."""
@@ -78,7 +67,7 @@ class NodeResult:
 
     def latency_summary(self) -> dict:
         """Wall-clock first-publication latency percentiles (ms)."""
-        return summarize_ms(self.emit_latencies)
+        return summarize_latency_ms(self.emit_latencies)
 
     @property
     def retraction_rate(self) -> float:
@@ -90,88 +79,17 @@ class NodeResult:
 
 
 @dataclass
-class DataflowResult:
+class DataflowResult(RunIntrospection):
     """The settled outcome of one dataflow graph execution."""
 
     nodes: Dict[str, NodeResult]
     sink: str
-    events_processed: int
-    elapsed_seconds: float
     backend: str
-    backpressure_blocks: int = 0
-    #: Final per-worker metrics snapshots (empty unless ``config.metrics``).
-    metrics_snapshots: List[dict] = field(default_factory=list)
-    #: Every span the run recorded (empty unless ``config.trace``).
-    trace_spans: List[dict] = field(default_factory=list)
-    #: Seat recoveries (always empty: graph recovery is unsupported, the
-    #: field exists so dataflow and stream results introspect identically).
-    recovery_events: List[RecoveryEvent] = field(default_factory=list)
 
     @property
     def relation(self) -> TPRelation:
         """The sink node's settled output relation."""
         return self.nodes[self.sink].relation
-
-    def metrics(self):
-        """The run's final snapshots as a :class:`repro.obs.MetricsAggregator`.
-
-        ``None`` when the run was not instrumented (``metrics=False``).
-        """
-        if not self.metrics_snapshots:
-            return None
-        from ..obs.metrics import MetricsAggregator
-
-        aggregator = MetricsAggregator()
-        aggregator.update_all(self.metrics_snapshots)
-        return aggregator
-
-    def recoveries(self) -> List[RecoveryEvent]:
-        """Seat recoveries performed during the run (always empty here).
-
-        Dataflow nodes exchange revisions over peer edges, so a dead node
-        cannot be replayed in isolation — graph recovery is not supported
-        and this list is always empty.  The method exists so dataflow and
-        stream results expose the same introspection surface.
-        """
-        return list(self.recovery_events)
-
-    def trace(self):
-        """The run's spans as a :class:`repro.obs.TraceAggregator`.
-
-        ``None`` when the run was not traced (or nothing was sampled).
-        """
-        if not self.trace_spans:
-            return None
-        from ..obs.trace import TraceAggregator
-
-        aggregator = TraceAggregator()
-        aggregator.add_spans(self.trace_spans)
-        return aggregator
-
-    def explain_tuple(self, key) -> str:
-        """Provenance of one settled sink tuple: lineage plus its trace.
-
-        ``key`` is either a full fact tuple (exact match) or a scalar that
-        any fact attribute may equal.  The report shows the tuple's
-        interval, probability and lineage tree, then every sampled span
-        timeline that contributed to it — the per-event evidence chain
-        from source ingestion through each node's operate/emit to the sink.
-        """
-        from ..obs.trace import find_tuples, render_tuple_explanation
-
-        matches = find_tuples(self.relation, key)
-        if not matches:
-            return f"no settled tuple matches {key!r}"
-        aggregator = self.trace()
-        return "\n\n".join(
-            render_tuple_explanation(tp_tuple, aggregator) for tp_tuple in matches
-        )
-
-    @property
-    def events_per_second(self) -> float:
-        if self.elapsed_seconds <= 0:
-            return float("inf")
-        return self.events_processed / self.elapsed_seconds
 
     def explain_analyze(self) -> str:
         """``EXPLAIN ANALYZE``-style per-node report of the finished run.
@@ -203,19 +121,10 @@ class DataflowResult:
                 f"retraction_rate={node.retraction_rate:.3f}, "
                 f"p50 latency {latency['p50_ms']:.2f}ms"
             )
-        if self.recovery_events:
-            lines.append("recoveries:")
-            lines.extend("  " + event.describe() for event in self.recovery_events)
-        aggregated = self.metrics()
-        if aggregated is not None:
-            lines.append("worker metrics:")
-            lines.extend(
-                "  " + line for line in aggregated.render_report().splitlines()
-            )
-        return "\n".join(lines)
+        return "\n".join(lines + self._telemetry_lines())
 
 
-class DataflowQuery:
+class DataflowQuery(QueryTelemetry):
     """A continuous operator graph registered against catalogued streams.
 
     Args:
@@ -236,16 +145,7 @@ class DataflowQuery:
         self._config = config or ExecutionOptions()
         self._consumer_lock = threading.Lock()
         self._live_consumer = False
-        self._collector = None
-        if self._config.metrics:
-            from ..obs.collector import MetricsCollector
-
-            self._collector = MetricsCollector()
-        self._trace_collector = None
-        if self._config.trace:
-            from ..obs.trace import TraceCollector
-
-            self._trace_collector = TraceCollector()
+        super().__init__(self._config)
 
     @property
     def graph(self) -> DataflowGraph:
@@ -255,32 +155,12 @@ class DataflowQuery:
     def config(self) -> ExecutionOptions:
         return self._config
 
-    def metrics(self):
-        """Aggregated worker metrics: live during :meth:`run`, final after.
-
-        Returns a :class:`repro.obs.MetricsAggregator`, or ``None`` when
-        the config has ``metrics=False`` or nothing has been collected yet.
-        """
-        if self._collector is None:
-            return None
-        return self._collector.aggregate()
-
-    def trace(self):
-        """Aggregated span timelines: live during :meth:`run`, final after.
-
-        Returns a :class:`repro.obs.TraceAggregator`, or ``None`` when the
-        config has ``trace=False`` or no span has been recorded yet.
-        """
-        if self._trace_collector is None:
-            return None
-        return self._trace_collector.aggregate()
-
     def describe(self) -> str:
         mode = "early-emit" if self._config.early_emit else "watermark-only"
         parts = "/".join(str(count) for count in self._graph.partition_counts)
         return (
             f"DataflowQuery[{len(self._graph.nodes)} nodes, sink={self._graph.sink}, "
-            f"parts={parts}, {mode}, workers={self._config.workers}]"
+            f"parts={parts}, {mode}, workers={self._config.transport}]"
         )
 
     # ------------------------------------------------------------------ #
@@ -291,36 +171,17 @@ class DataflowQuery:
     ) -> DataflowResult:
         """Execute the graph over fresh source replays until settlement."""
         chosen = backend or self._config.transport
-        if chosen not in GRAPH_BACKENDS:
-            raise ValueError(f"backend must be one of {GRAPH_BACKENDS}, got {chosen!r}")
+        if chosen not in TRANSPORTS:
+            raise ValueError(f"backend must be one of {TRANSPORTS}, got {chosen!r}")
         started = time.perf_counter()
-        try:
-            outcome = run_graph(
-                self._graph,
-                self._config,
-                merge_seed,
-                transport=chosen,
-                collector=self._collector,
-                trace_collector=self._trace_collector,
-            )
-        except WorkerStartError as error:
-            # Workers unavailable (sandbox without fork, unreachable host):
-            # degrade to the thread transport — safe, no source element was
-            # consumed yet.  The result's ``backend`` records what ran.
-            warnings.warn(
-                f"{chosen!r} workers could not start "
-                f"({error}); falling back to the thread transport",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            outcome = run_graph(
-                self._graph,
-                self._config,
-                merge_seed,
-                transport="threads",
-                collector=self._collector,
-                trace_collector=self._trace_collector,
-            )
+        outcome = run_graph(
+            self._graph,
+            self._config,
+            merge_seed,
+            transport=chosen,
+            collector=self._collector,
+            trace_collector=self._trace_collector,
+        )
         elapsed = time.perf_counter() - started
         return self._build_result(outcome, elapsed)
 
@@ -345,12 +206,12 @@ class DataflowQuery:
         serving layer's job (:class:`repro.serve.StandingQueryService`).
         """
         chosen = backend or self._config.transport
-        if backend is not None and backend not in IN_PROCESS_BACKENDS:
+        if backend is not None and backend not in IN_PROCESS:
             raise ValueError(
                 f"iter_revisions taps the sink in-process; backend must be "
-                f"one of {IN_PROCESS_BACKENDS}, got {backend!r}"
+                f"one of {IN_PROCESS}, got {backend!r}"
             )
-        if chosen not in IN_PROCESS_BACKENDS:
+        if chosen not in IN_PROCESS:
             chosen = "threads"
         with self._consumer_lock:
             if self._live_consumer:
@@ -456,5 +317,5 @@ class DataflowQuery:
             backend=outcome.backend,
             backpressure_blocks=outcome.backpressure_blocks,
             metrics_snapshots=outcome.metrics,
-            trace_spans=outcome.trace_spans,
+            trace_spans=self._run_spans(),
         )

@@ -223,7 +223,7 @@ class DataflowJoinOperator(PhysicalOperator):
             )
         return (
             f"DataflowJoin [{chain}] sink={graph.sink}{parts} "
-            f"(revision streams, {mode}, workers={self._query.config.workers})"
+            f"(revision streams, {mode}, workers={self._query.config.transport})"
         )
 
     def estimated_cost(self) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..options import ExecutionOptions, deprecated_config_call
+from ..options import ExecutionOptions
 from ..parallel.plan import ParallelConfig
 from ..relation import TPRelation
 from ..stream import StreamDef, StreamQuery
@@ -32,25 +32,15 @@ class Engine:
     telemetry and the recovery knobs, applied to every continuous,
     dataflow and planner-routed stream query the engine runs.
     ``parallel_config`` keeps the planner *policy* knobs (worker ceiling,
-    state-size targets); its legacy ``transport``/``placement`` kwargs
-    still work but warn.  ``stream_config`` is the deprecated alias for
-    ``options``.
+    state-size targets).
     """
 
     def __init__(
         self,
         default_strategy: JoinStrategy = JoinStrategy.NJ,
-        stream_config: ExecutionOptions | None = None,
         parallel_config: ParallelConfig | None = None,
         options: ExecutionOptions | None = None,
     ) -> None:
-        if stream_config is not None:
-            deprecated_config_call(
-                "Engine(stream_config=...)",
-                "pass the same object as Engine(options=...)",
-            )
-            if options is None:
-                options = stream_config
         self._catalog = Catalog()
         self._planner = Planner(
             self._catalog,
@@ -60,7 +50,7 @@ class Engine:
                 parallel=parallel_config,
             ),
         )
-        self._stream_config = options
+        self._options = options
 
     # ------------------------------------------------------------------ #
     # catalog management
@@ -90,7 +80,7 @@ class Engine:
     ) -> StreamQuery:
         """Build a :class:`StreamQuery` and register it under ``name``."""
         query = StreamQuery(
-            self._catalog, kind, left, right, on, config=config or self._stream_config
+            self._catalog, kind, left, right, on, config=config or self._options
         )
         self._catalog.register_continuous_query(name, query, replace=replace)
         return query
@@ -110,7 +100,7 @@ class Engine:
         from ..dataflow import DataflowQuery
 
         query = DataflowQuery(
-            self._catalog, nodes, config=config or self._stream_config
+            self._catalog, nodes, config=config or self._options
         )
         self._catalog.register_dataflow(name, query, replace=replace)
         return query

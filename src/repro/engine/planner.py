@@ -312,28 +312,6 @@ class Planner:
             for left_attribute, right_attribute in on
         )
 
-    def _stream_exec_config(self) -> Optional[ExecutionOptions]:
-        """The execution options continuous/dataflow plans run under.
-
-        ``Engine(options=ExecutionOptions(transport="sockets",
-        placement=...))`` is the one-stop switch to distributed execution;
-        a legacy :class:`~repro.parallel.plan.ParallelConfig` that pins a
-        runtime ``transport`` (and optionally a ``placement``) still
-        overrides the options' own choice for compatibility.
-        """
-        config = self._config.stream_config
-        parallel = self._config.parallel
-        if parallel is None or parallel.transport is None:
-            return config
-        from dataclasses import replace
-
-        base = config or ExecutionOptions()
-        return replace(
-            base,
-            transport=parallel.transport,
-            placement=parallel.placement or base.placement,
-        )
-
     def _streamness(self, plan: LogicalPlan) -> str:
         """Classify a join input subtree: ``stream``, ``relation`` or ``mixed``.
 
@@ -401,7 +379,7 @@ class Planner:
 
         build(plan)
         return DataflowJoinOperator(
-            self._catalog, tuple(scans), nodes, config=self._stream_exec_config()
+            self._catalog, tuple(scans), nodes, config=self._config.stream_config
         )
 
     def _dataflow_partitions(
@@ -449,7 +427,7 @@ class Planner:
             plan.right.stream_name,
             plan.kind,
             plan.on,
-            config=self._stream_exec_config(),
+            config=self._config.stream_config,
         )
 
     def _merged_events(self, plan: LogicalPlan):

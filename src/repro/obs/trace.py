@@ -394,7 +394,13 @@ class TraceCollector:
         self._session = None
 
     def attach(self, session) -> None:
+        """Point live reads at a running session — the start of a run.
+
+        Span ids are only unique within one run, so a re-run starts from
+        an empty aggregator rather than deduplicating against the last.
+        """
         with self._lock:
+            self._aggregator = TraceAggregator()
             self._session = session
 
     def add_spans(self, spans: Iterable[dict]) -> None:

@@ -1,29 +1,16 @@
 """The unified execution-knob surface: one frozen :class:`ExecutionOptions`.
 
-Before this module, the knobs a run composes from were scattered:
-transport/placement/partitions lived on ``StreamQueryConfig`` (under the
-historical name ``workers``), transport/placement *again* on
-``ParallelConfig`` for planner-driven runs, and per-call kwargs carried
-the rest.  Checkpointed shard-failure recovery adds three more knobs
-(``checkpoint_interval``, ``restart_limit``, ``seat_timeout``) that must
-compose with all of the above — the forcing function for one object.
-
-``ExecutionOptions`` is accepted uniformly by :class:`repro.Engine`,
+Every knob a continuous run composes from — transport, placement,
+partitions, batching, telemetry, state layout and the recovery knobs
+(``checkpoint_interval``, ``restart_limit``, ``seat_timeout``) — lives on
+this one object, accepted uniformly by :class:`repro.Engine`,
 :class:`repro.stream.StreamQuery`, :class:`repro.dataflow.DataflowQuery`
-and ``python -m repro.serve``.  The legacy constructors keep working:
-``StreamQueryConfig(workers=...)`` is now a deprecation shim returning an
-``ExecutionOptions`` (so every attribute read old call sites perform still
-resolves), and ``ParallelConfig(transport=..., placement=...)`` warns that
-those two knobs moved here while continuing to honour them.
-
-Field-name note: the transport knob is canonically ``transport``; the
-read-only :attr:`ExecutionOptions.workers` alias preserves the historical
-``config.workers`` spelling old code reads.
+and ``python -m repro.serve``.  :func:`repro.runtime.driver.run_job` is the
+one place a run's :class:`~repro.runtime.RuntimeJob` is built from it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,12 +18,9 @@ from .columnar import LAYOUTS
 from .obs.metrics import DEFAULT_METRICS_INTERVAL
 from .obs.trace import DEFAULT_TRACE_SAMPLE_RATE
 from .runtime.placement import Placement
+from .runtime.transport import TRANSPORTS
 
-__all__ = ["ExecutionOptions", "LAYOUTS", "TRANSPORTS"]
-
-#: Valid values of :attr:`ExecutionOptions.transport` for partitioned runs.
-#: (Single-partition runs execute inline regardless.)
-TRANSPORTS = ("threads", "processes", "sockets")
+__all__ = ["ExecutionOptions", "LAYOUTS"]
 
 
 @dataclass(frozen=True)
@@ -117,9 +101,11 @@ class ExecutionOptions:
             raise ValueError("micro_batch_size must be positive")
         if self.buffer_capacity <= 0:
             raise ValueError("buffer_capacity must be positive")
-        if self.transport not in TRANSPORTS:
+        # Single-partition runs execute inline regardless, so ``inline`` is
+        # not a value this knob takes.
+        if self.transport not in TRANSPORTS[1:]:
             raise ValueError(
-                f"transport must be one of {TRANSPORTS}, got {self.transport!r}"
+                f"transport must be one of {TRANSPORTS[1:]}, got {self.transport!r}"
             )
         if self.layout not in LAYOUTS:
             raise ValueError(f"layout must be one of {LAYOUTS}, got {self.layout!r}")
@@ -141,26 +127,7 @@ class ExecutionOptions:
             )
 
     @property
-    def workers(self) -> str:
-        """Legacy read alias: ``StreamQueryConfig`` called the transport
-        knob ``workers``; old call sites keep reading it here."""
-        return self.transport
-
-    @property
     def recovery_enabled(self) -> bool:
         """Whether a run under these options recovers dead seats at all."""
         return self.restart_limit > 0 and self.transport == "sockets"
 
-
-def deprecated_config_call(old: str, hint: str, stacklevel: int = 3) -> None:
-    """Emit the one shared migration warning for a legacy config surface.
-
-    The default ``stacklevel=3`` points at the *caller of the shim*, not
-    the shim itself — the line the user should edit.  Shims one frame
-    deeper (dataclass ``__post_init__``) pass 4.
-    """
-    warnings.warn(
-        f"{old} is deprecated; {hint}",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )

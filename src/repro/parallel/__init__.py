@@ -15,9 +15,9 @@ queries:
   available, inline fallback when processes cannot start).
 * :mod:`repro.parallel.batch` — :func:`parallel_tp_join`: any Table II join
   executed shard-wise with an order-stable canonical merge.
-* :mod:`repro.parallel.stream_exec` — the process backend behind
-  ``ExecutionOptions(transport="processes")``: per-partition worker
-  processes, broadcast watermarks, bounded queues for backpressure.
+* :mod:`repro.parallel.stream_exec` — the picklable worker specs every
+  runtime transport rebuilds its continuous-join and dataflow-node workers
+  from.
 
 Correctness invariant: with an equi-θ, every window of a tuple derives only
 from tuples sharing its join key, so key-disjoint shards never interact and
@@ -31,10 +31,8 @@ from .batch import (
     parallel_tp_join,
     plan_workers,
 )
-from ..runtime import Placement
 from .plan import (
     DEFAULT_MAX_WORKERS,
-    PLANNER_TRANSPORTS,
     ParallelConfig,
     balanced_key_assignment,
     choose_partitions,
@@ -44,7 +42,7 @@ from .plan import (
     shardable,
     stable_hash,
 )
-from .pool import available_cpus, imap_tasks, preferred_context, run_tasks
+from .pool import imap_tasks, run_tasks
 from .serialize import (
     decode_lineage,
     decode_tagged,
@@ -56,24 +54,14 @@ from .serialize import (
     encode_tuples,
     restricted_probabilities,
 )
-from .stream_exec import (
-    ProcessRunOutcome,
-    StreamShardSpec,
-    WorkerStartError,
-    run_process_partitions,
-)
+from .stream_exec import StreamShardSpec
 
 __all__ = [
     "BATCH_JOINS",
     "DEFAULT_MAX_WORKERS",
-    "PLANNER_TRANSPORTS",
     "ParallelConfig",
-    "Placement",
     "ParallelJoinResult",
-    "ProcessRunOutcome",
     "StreamShardSpec",
-    "WorkerStartError",
-    "available_cpus",
     "balanced_key_assignment",
     "canonical_order",
     "choose_partitions",
@@ -91,9 +79,7 @@ __all__ = [
     "partition_pair",
     "partition_tuples",
     "plan_workers",
-    "preferred_context",
     "restricted_probabilities",
-    "run_process_partitions",
     "run_tasks",
     "shardable",
     "stable_hash",

@@ -23,7 +23,7 @@ the router and any re-run that checks it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, List, Optional, Sequence, TypeVar
+from typing import Callable, Hashable, List, Sequence, TypeVar
 
 from ..relation import (
     EquiJoinCondition,
@@ -32,15 +32,11 @@ from ..relation import (
     TrueCondition,
     stable_key_hash,
 )
-from ..runtime.placement import Placement
 
 T = TypeVar("T")
 
 #: Partition-count ceiling applied when a config does not set its own.
 DEFAULT_MAX_WORKERS = 4
-
-#: Transports a :class:`ParallelConfig` may pin for stream/dataflow plans.
-PLANNER_TRANSPORTS = ("threads", "processes", "sockets")
 
 
 @dataclass(frozen=True)
@@ -53,41 +49,17 @@ class ParallelConfig:
             per worker; the planner adds workers until shards fall under it.
         min_tuples: inputs smaller than this (left side) always run serially
             — process start-up and shard serialization would dominate.
-        transport: **deprecated** — runtime transport continuous/dataflow
-            plans execute on.  The knob moved to
-            :class:`repro.ExecutionOptions`; passing it here still works
-            but emits a :class:`DeprecationWarning`.
-        placement: **deprecated** — worker index → ``host:port`` map for
-            the socket transport; moved to ``ExecutionOptions`` likewise.
     """
 
     max_workers: int = DEFAULT_MAX_WORKERS
     state_per_worker: float = 20_000.0
     min_tuples: int = 512
-    transport: Optional[str] = None
-    placement: Optional[Placement] = None
 
     def __post_init__(self) -> None:
         if self.max_workers <= 0:
             raise ValueError("max_workers must be positive")
         if self.state_per_worker <= 0:
             raise ValueError("state_per_worker must be positive")
-        if self.transport is not None and self.transport not in PLANNER_TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {PLANNER_TRANSPORTS}, got {self.transport!r}"
-            )
-        if self.transport is not None or self.placement is not None:
-            # Imported here, not at module top: repro.options is a layer
-            # above the parallel planner.
-            from ..options import deprecated_config_call
-
-            deprecated_config_call(
-                "ParallelConfig(transport=/placement=)",
-                "those execution knobs moved to repro.ExecutionOptions "
-                "(Engine(options=...)); ParallelConfig keeps only the "
-                "planner policy knobs",
-                stacklevel=4,
-            )
 
 
 #: The shared stable key hash (see :func:`repro.relation.stable_key_hash`);

@@ -20,15 +20,12 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, List, Sequence, TypeVar
 
-# The context/CPU helpers moved to the runtime layer with the rest of the
-# process plumbing; re-exported here because shard callers import them from
-# this module.
-from ..runtime.transport import available_cpus, preferred_context
+from ..runtime.transport import preferred_context
 
 TaskT = TypeVar("TaskT")
 ResultT = TypeVar("ResultT")
 
-__all__ = ["available_cpus", "imap_tasks", "preferred_context", "run_tasks"]
+__all__ = ["imap_tasks", "run_tasks"]
 
 
 def run_tasks(

@@ -1,12 +1,7 @@
 """Worker specs for transport-parallel continuous and dataflow execution.
 
-Historically this module owned the whole process backend — router, queue
-plumbing, worker loops.  That machinery is now the unified runtime layer
-(:mod:`repro.runtime`): one worker loop, one channel/watermark
-implementation, pluggable transports (``inline`` / ``threads`` /
-``processes`` / ``sockets``).  What remains here is the *spec* layer — the
-plain picklable dataclasses every transport rebuilds its workers from — and
-thin compatibility wrappers over the runtime entry points:
+The *spec* layer of the unified runtime (:mod:`repro.runtime`): the plain
+picklable dataclasses every transport rebuilds its workers from.
 
 * :class:`StreamShardSpec` — one shard of a continuous TP join: the worker
   collects its settled outputs and reports them with emit latencies and
@@ -16,13 +11,11 @@ thin compatibility wrappers over the runtime entry points:
   the producer count of the done-sentinel close protocol;
 * :func:`graph_node_specs` — compile a
   :class:`~repro.dataflow.DataflowGraph` into worker specs with contiguous
-  per-node worker indices;
-* :func:`run_process_partitions` / :func:`run_graph_processes` — the
-  historical process-backend entry points, now one-liners over the runtime.
+  per-node worker indices.
 
 Emit latencies remain comparable across the process boundary because
 ``time.perf_counter`` reads ``CLOCK_MONOTONIC``, which is system-wide on the
-platforms with ``fork``; the routers stamp ingestion before an element can
+platforms with ``fork``; the router stamps ingestion before an element can
 sit in a queue, so latencies include cross-process queueing time.
 
 Trace context rides the same path: when tracing is on
@@ -35,26 +28,18 @@ each worker's spans come back inside its :class:`~repro.runtime.WorkerReport`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from dataclasses import field as dataclass_field
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, List, Optional
 
 from ..columnar import resolve_layout
-from ..relation import Schema, ThetaCondition, TPTuple
-from ..runtime import SOURCE_CHANNEL, WorkerReport, WorkerStartError  # noqa: F401
-from ..stream.elements import LEFT, RIGHT, Tagged
+from ..relation import Schema, TPTuple
+from ..runtime import SOURCE_CHANNEL, WorkerReport
+from ..stream.elements import LEFT, RIGHT
 from ..stream.operators import continuous_join
 from .serialize import events_from_probabilities
 
-__all__ = [
-    "DataflowNodeSpec",
-    "ProcessRunOutcome",
-    "StreamShardSpec",
-    "WorkerStartError",
-    "graph_node_specs",
-    "run_graph_processes",
-    "run_process_partitions",
-]
+__all__ = ["DataflowNodeSpec", "StreamShardSpec", "graph_node_specs"]
 
 
 @dataclass(frozen=True)
@@ -67,9 +52,10 @@ class StreamShardSpec:
     maintainer-owned per-key computers.  ``None`` leaves probabilities unset
     (the caller computes them later, the default).
 
-    The runtime-protocol fields have single-shard defaults: a shard has one
-    producer (the router), one watermark channel per side (the merged source
-    sequence), no downstream — it collects outputs and reports them.
+    The runtime-protocol fields have single-shard defaults: a shard has two
+    producers (the router sends one done sentinel per source edge), one
+    watermark channel per side (that side's source edge), no downstream — it
+    collects outputs and reports them.
     """
 
     kind: str
@@ -80,7 +66,7 @@ class StreamShardSpec:
     right_name: str = "s"
     event_probabilities: Optional[dict] = None
     index: int = 0
-    producers: int = 1
+    producers: int = 2
     left_channels: tuple = (SOURCE_CHANNEL,)
     right_channels: tuple = (SOURCE_CHANNEL,)
     downstream: tuple = ()
@@ -122,70 +108,6 @@ class StreamShardSpec:
             emit_latencies=list(join.emit_latencies),
             late_dropped=stats.late_positives_dropped + stats.late_negatives_dropped,
         )
-
-
-@dataclass
-class ProcessRunOutcome:
-    """What the router hands back to :class:`StreamQuery` after a run."""
-
-    outputs: List[TPTuple]
-    emit_latencies: List[float]
-    late_dropped: int
-    events_processed: int
-    backpressure_blocks: int
-
-
-def run_process_partitions(
-    spec: StreamShardSpec,
-    merged: Iterable[Tagged],
-    theta: ThetaCondition,
-    partitions: int,
-    micro_batch_size: int = 64,
-    buffer_capacity: int = 1024,
-) -> ProcessRunOutcome:
-    """Route a merged element sequence through ``partitions`` worker processes.
-
-    The historical process-backend entry point, now a wrapper over the
-    runtime's process transport: events are hash-routed by join key,
-    watermarks are broadcast, per-partition element order is preserved, and
-    bounded queues backpressure the router.  Outputs are concatenated in
-    partition-index order — deterministic for a fixed partition count.
-    Raises :class:`~repro.runtime.WorkerStartError` strictly before any
-    input element is consumed when processes cannot start.
-    """
-    if partitions <= 1:
-        raise ValueError("run_process_partitions requires at least two partitions")
-    # Imported lazily: repro.stream.query is this package's consumer, so a
-    # top-level import here would be circular during package init.
-    from ..stream.query import run_stream_shards
-
-    specs = tuple(replace(spec, index=index) for index in range(partitions))
-    # Right/full outer joins treat right events as positives too (mirrored
-    # maintainer), so both sides get an ingestion stamp for emit latency.
-    stamp_right = spec.kind in ("right_outer", "full_outer")
-    reports, events_processed, blocks, _backend = run_stream_shards(
-        "processes",
-        specs,
-        merged,
-        theta,
-        stamp_right,
-        micro_batch_size=micro_batch_size,
-        buffer_capacity=buffer_capacity,
-    )
-    outputs: List[TPTuple] = []
-    latencies: List[float] = []
-    late_dropped = 0
-    for report in reports:
-        outputs.extend(report.outputs)
-        latencies.extend(report.emit_latencies)
-        late_dropped += report.late_dropped
-    return ProcessRunOutcome(
-        outputs=outputs,
-        emit_latencies=latencies,
-        late_dropped=late_dropped,
-        events_processed=events_processed,
-        backpressure_blocks=blocks,
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -310,7 +232,7 @@ def graph_node_specs(graph, config, taps=None, probes=None) -> List[DataflowNode
         first_worker.append(total)
         total += count
     event_probabilities = None
-    if getattr(config, "materialize_probabilities", False):
+    if config.materialize_probabilities:
         events = graph.merged_events()
         event_probabilities = {
             name: events.probability(name) for name in events.names()
@@ -358,25 +280,12 @@ def graph_node_specs(graph, config, taps=None, probes=None) -> List[DataflowNode
                     producers=producers[index],
                     left_channels=tuple(channels[index][LEFT]),
                     right_channels=tuple(channels[index][RIGHT]),
-                    early_emit=getattr(config, "early_emit", False),
+                    early_emit=config.early_emit,
                     event_probabilities=event_probabilities,
-                    layout=resolve_layout(getattr(config, "layout", "object")),
+                    layout=resolve_layout(config.layout),
                     tap=(taps or {}).get(spec.name),
                     probe=(probes or {}).get(spec.name),
                 )
             )
     return specs
 
-
-def run_graph_processes(graph, config, merge_seed=None):
-    """Run a dataflow graph with one OS process per node partition.
-
-    The historical process-backend entry point, now a wrapper over the
-    runtime's process transport (see
-    :func:`repro.dataflow.executor.run_graph`).  Raises
-    :class:`~repro.runtime.WorkerStartError` (strictly before consuming any
-    source element) when processes cannot start, so callers can fall back.
-    """
-    from ..dataflow.executor import run_graph
-
-    return run_graph(graph, config, merge_seed, transport="processes")

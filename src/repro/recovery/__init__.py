@@ -7,8 +7,9 @@ turns a dead seat from a run-killing error into a recovered one:
   worker's full state (open windows, reverse maintainer, hash-cons
   probability caches, collected outputs) through the compact codecs of
   :mod:`repro.parallel.serialize`;
-* :mod:`repro.recovery.driver` — the recovering stream router: detects a
-  dead or timed-out seat, re-dispatches its self-contained spec to a
+* :mod:`repro.recovery.driver` — the recovering session the one router
+  (:func:`repro.runtime.driver.run_job`) drives: detects a dead or
+  timed-out seat, re-dispatches its self-contained spec to a
   fresh placement seat restored from the latest checkpoint, replays only
   the post-checkpoint element suffix, and splices the replacement's
   report in at-most-once — settled output stays tuple-for-tuple,

@@ -1,9 +1,9 @@
-"""Kill-workers-mid-run failure injection for the recovering socket router.
+"""Kill-workers-mid-run failure injection for the recovering socket session.
 
 The chaos tests and ``benchmarks/bench_recovery.py`` share one injector:
 a plan of ``(after_events, seat)`` pairs, executed against the live
-:class:`~repro.recovery.driver.RecoveringStreamRouter` as the driver
-routes elements.  When the routed-event count reaches ``after_events``,
+:class:`~repro.recovery.driver.RecoveringSession` as the driver routes
+elements.  When the routed-event count reaches ``after_events``,
 the local worker process currently hosting ``seat`` is SIGKILLed — no
 shutdown handler runs, the TCP connection drops, and the driver's next
 send or the seat's result wait surfaces a
@@ -29,7 +29,7 @@ __all__ = ["ChaosInjector", "random_kill_plan"]
 class ChaosInjector:
     """Execute a ``(after_events, seat)`` kill plan against a live run.
 
-    The recovering router attaches itself (:meth:`attach`) before routing
+    The recovering session attaches itself (:meth:`attach`) before routing
     and calls :meth:`on_event` with the running event count after every
     routed event.  Kills whose seat currently has no local process (a
     remote placement seat, or a seat already torn down) are recorded as
@@ -51,32 +51,32 @@ class ChaosInjector:
     ) -> None:
         #: Pending kills, soonest first.
         self._plan: List[Tuple[int, int]] = sorted(plan)
-        self._router = None
+        self._session = None
         self._wait_for_checkpoint = wait_for_checkpoint
         self._wait_timeout = wait_timeout
         #: ``(after_events, seat, signalled)`` for every executed entry.
         self.executed: List[Tuple[int, int, bool]] = []
 
-    def attach(self, router) -> None:
-        """Bind to the run's router (called by the recovering driver)."""
-        self._router = router
+    def attach(self, session) -> None:
+        """Bind to the run's session (called by the recovering session)."""
+        self._session = session
 
     def on_event(self, events_routed: int) -> None:
         """Fire every plan entry now due (called once per routed event)."""
         while self._plan and self._plan[0][0] <= events_routed:
             after_events, seat = self._plan.pop(0)
             signalled = False
-            if self._router is not None:
+            if self._session is not None:
                 if self._wait_for_checkpoint:
                     self._await_checkpoint(seat)
-                signalled = self._router.kill_seat(seat)
+                signalled = self._session.kill_seat(seat)
             self.executed.append((after_events, seat, signalled))
 
     def _await_checkpoint(self, seat: int) -> None:
         """Block (bounded) until the driver holds a checkpoint for ``seat``."""
         deadline = time.monotonic() + self._wait_timeout
         while (
-            self._router.latest_checkpoint(seat) is None
+            self._session.latest_checkpoint(seat) is None
             and time.monotonic() < deadline
         ):
             time.sleep(0.01)

@@ -1,9 +1,11 @@
-"""The recovering stream router: socket shards that survive seat loss.
+"""The recovering session: socket shards that survive seat loss.
 
-A drop-in sibling of :func:`repro.stream.query.run_stream_shards`,
-activated by :attr:`repro.options.ExecutionOptions.recovery_enabled`
-(``restart_limit > 0`` on the socket transport).  The routing loop is the
-same — hash-route events, broadcast watermarks — with three additions:
+A :class:`RecoveringSession` is a
+:class:`~repro.runtime.transport.TransportSession`, so the one router loop
+(:func:`repro.runtime.driver.run_job`) drives it like any other backend; it
+picks this session for socket runs of self-contained specs under
+:attr:`repro.options.ExecutionOptions.recovery_enabled`.  On top of a plain
+:class:`~repro.runtime.sockets.SocketSession` it adds:
 
 * every element is appended to a per-seat **replay buffer** at send time,
   so the driver can re-send any seat's input suffix verbatim;
@@ -24,12 +26,11 @@ same — hash-route events, broadcast watermarks — with three additions:
 Stream shards are shared-nothing (no worker→worker edges), which is what
 makes single-seat re-execution sound; dataflow graphs have peer edges
 whose in-flight elements a per-seat snapshot cannot capture, so graph
-runs do not use this router (``DataflowResult.recoveries()`` is always
-empty).
+runs never get this session.
 
 Each recovery increments the driver-side ``recovery`` metrics registry
-and records one ``recovery`` span, both merged into the run's collectors
-alongside the worker telemetry.
+and records one ``recovery`` span; the router merges both into the run's
+collectors alongside the worker telemetry.
 """
 
 from __future__ import annotations
@@ -39,94 +40,101 @@ import os
 import signal
 import time
 from dataclasses import replace
-from typing import Iterable, List, Optional, Sequence
+from typing import Hashable, List, Optional
 
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import Tracer, TraceSampler, span_detail
-from ..relation import stable_key_hash
-from ..runtime import RuntimeJob, WorkerReport
+from ..obs.trace import Tracer
+from ..runtime import RuntimeJob, TransportSession, WorkerReport
 from ..runtime.placement import Placement
 from ..runtime.sockets import SocketSession
-from ..runtime.worker import SOURCE_CHANNEL
-from ..stream.elements import LEFT, StreamEvent, Tagged, Watermark
+from ..stream.elements import Tagged
 from .checkpoint import checkpoint_elements
 from .types import RecoveryEvent, SeatFailure
 
 _LOGGER = logging.getLogger(__name__)
 
-__all__ = ["RecoveringStreamRouter", "run_recovering_stream_shards"]
+__all__ = ["RecoveringSession"]
 
 
-class RecoveringStreamRouter:
+class RecoveringSession(TransportSession):
     """Per-seat send/recover state of one recovering socket run.
 
     Seats start on one multi-spec :class:`SocketSession`; each recovery
-    moves a seat onto its own single-spec replacement session.  The
-    router tracks, per seat, the session currently owning it, the replay
-    buffer, whether its done sentinel was sent, and how many
-    re-executions it has consumed against ``options.restart_limit``.
+    moves a seat onto its own single-spec replacement session.  Tracked
+    per seat: the session currently owning it, the replay buffer, how many
+    done sentinels were sent, and how many re-executions it has consumed
+    against ``options.restart_limit``.
+
+    ``chaos`` is the failure-injection hook (see
+    :class:`repro.recovery.chaos.ChaosInjector`): attached at start-up,
+    notified with the running count after every routed event, and free to
+    kill seats through :meth:`kill_seat`.
     """
 
-    def __init__(self, specs: Sequence, options, job: RuntimeJob) -> None:
-        self._specs = tuple(specs)
+    name = "sockets"
+
+    def __init__(self, job: RuntimeJob, options, chaos=None) -> None:
         self._options = options
         self._job = job
-        count = len(self._specs)
+        count = len(job.specs)
         session = SocketSession(job, options.placement)
         #: Every session ever started, newest last — released together.
         self.sessions: List[SocketSession] = [session]
         self._seat_session: List[SocketSession] = [session] * count
         self._seat_target: List[int] = list(range(count))
         self._buffers: List[List[tuple]] = [[] for _ in range(count)]
-        self._done_sent = [False] * count
+        self._dones_sent = [0] * count
         self._attempts = [0] * count
         # Spare placement addresses (indices beyond the spec count) are
         # consumed left to right by successive recoveries.
         self._spare_cursor = count
-        self.recoveries: List[RecoveryEvent] = []
+        self._recoveries: List[RecoveryEvent] = []
         #: Driver-side recovery telemetry, merged into the run's metrics.
         self.registry = MetricsRegistry(worker="driver", component="recovery")
         self.tracer = Tracer("recovery")
+        self._chaos = chaos
+        self._events_routed = 0
+        if chaos is not None:
+            chaos.attach(self)
 
     # ------------------------------------------------------------------ #
-    # routing
+    # the session contract
     # ------------------------------------------------------------------ #
     @property
-    def seat_count(self) -> int:
-        return len(self._specs)
+    def recoveries(self) -> List[RecoveryEvent]:
+        return self._recoveries
 
-    def route_event(self, seat: int, tagged: Tagged) -> None:
-        """Send one key-routed event to its seat (recovering on failure)."""
-        self._buffers[seat].append((None, tagged))
-        self._deliver(seat, None, tagged)
-
-    def route_watermark(self, tagged: Tagged) -> None:
-        """Broadcast one watermark to every seat (recovering on failure)."""
-        for seat in range(len(self._specs)):
-            self._buffers[seat].append((SOURCE_CHANNEL, tagged))
-            self._deliver(seat, SOURCE_CHANNEL, tagged)
-
-    def done(self, seat: int) -> None:
-        """Send one seat's done sentinel (recovering on failure)."""
-        self._done_sent[seat] = True
+    def send(self, target: int, channel: Hashable, tagged: Tagged) -> None:
+        """Buffer one element for replay and deliver it (recovering on
+        failure)."""
+        self._buffers[target].append((channel, tagged))
         try:
-            self._seat_session[seat].done(self._seat_target[seat])
+            self._seat_session[target].send(self._seat_target[target], channel, tagged)
         except SeatFailure as failure:
-            self._recover(seat, failure)
+            self._recover(target, failure)
+        if self._chaos is not None and channel is None:
+            self._events_routed += 1
+            self._chaos.on_event(self._events_routed)
 
-    def finish_seat(self, seat: int) -> WorkerReport:
-        """One seat's settled report, re-executing it as often as allowed."""
+    def done(self, target: int) -> None:
+        """Send one of a seat's done sentinels (recovering on failure)."""
+        self._dones_sent[target] += 1
+        try:
+            self._seat_session[target].done(self._seat_target[target])
+        except SeatFailure as failure:
+            self._recover(target, failure)
+
+    def finish(self) -> List[WorkerReport]:
+        """Every seat's settled report, each seat re-executed as often as
+        ``restart_limit`` allows."""
+        return [self._finish_seat(seat) for seat in range(len(self._job.specs))]
+
+    def _finish_seat(self, seat: int) -> WorkerReport:
         while True:
             try:
                 return self._seat_session[seat].finish_seat(self._seat_target[seat])
             except SeatFailure as failure:
                 self._recover(seat, failure)
-
-    def _deliver(self, seat: int, channel, tagged: Tagged) -> None:
-        try:
-            self._seat_session[seat].send(self._seat_target[seat], channel, tagged)
-        except SeatFailure as failure:
-            self._recover(seat, failure)
 
     # ------------------------------------------------------------------ #
     # chaos seam
@@ -161,7 +169,7 @@ class RecoveringStreamRouter:
         counts against ``restart_limit``; exhausting it re-raises the
         last :class:`SeatFailure` with every earlier cause in its chain.
         """
-        spec = self._specs[seat]
+        spec = self._job.specs[seat]
         while True:
             self._attempts[seat] += 1
             self.registry.counter("seat_failures").inc()
@@ -186,7 +194,7 @@ class RecoveringStreamRouter:
             try:
                 for channel, tagged in suffix:
                     session.send(0, channel, tagged)
-                if self._done_sent[seat]:
+                for _ in range(self._dones_sent[seat]):
                     session.done(0)
             except SeatFailure as next_failure:
                 # The replacement died during replay: loop with its own
@@ -203,7 +211,7 @@ class RecoveringStreamRouter:
                 elements_replayed=len(suffix),
                 recovery_seconds=elapsed,
             )
-            self.recoveries.append(event)
+            self._recoveries.append(event)
             self.registry.counter("recoveries").inc()
             self.registry.counter("elements_replayed").inc(len(suffix))
             self.registry.gauge("last_checkpoint_elements").set(skip)
@@ -238,10 +246,10 @@ class RecoveringStreamRouter:
         try:
             session = SocketSession(sub_job, sub_placement, restores=restores)
         except Exception as error:
-            # Mid-run there is no safe transport fallback (the merged input
-            # iterator is partially consumed), so a replacement that cannot
-            # start is fatal — never a WorkerStartError the query layer
-            # would degrade on.
+            # Mid-run there is no safe transport fallback (the source edges
+            # are partially consumed), so a replacement that cannot start
+            # is fatal — never a WorkerStartError the router would degrade
+            # on.
             raise RuntimeError(
                 f"cannot start replacement seat for shard {spec.index}: {error}"
             ) from error
@@ -269,116 +277,6 @@ class RecoveringStreamRouter:
     def backpressure_blocks(self) -> int:
         return sum(session.backpressure_blocks for session in self.sessions)
 
-    def release(self) -> None:
+    def _cleanup(self, failed: bool) -> None:
         for session in self.sessions:
             session.release()
-
-
-def run_recovering_stream_shards(
-    specs: Sequence,
-    merged: Iterable[Tagged],
-    theta,
-    stamp_right: bool,
-    *,
-    options,
-    collector: Optional[object] = None,
-    trace_collector: Optional[object] = None,
-    chaos: Optional[object] = None,
-) -> tuple[List[WorkerReport], int, int, str, List[RecoveryEvent]]:
-    """Route a merged element sequence through recovering socket shards.
-
-    The fault-tolerant sibling of
-    :func:`repro.stream.query.run_stream_shards` (same routing rules, same
-    determinism), returning one extra element: the ordered list of
-    :class:`RecoveryEvent` for every seat re-execution the run survived.
-
-    ``chaos`` is an optional failure injector (see
-    :class:`repro.recovery.chaos.ChaosInjector`): it is attached to the
-    router and notified once per routed event, and may kill seats through
-    :meth:`RecoveringStreamRouter.kill_seat`.
-    """
-    partitions = len(specs)
-    job = RuntimeJob(
-        tuple(specs),
-        options.micro_batch_size,
-        options.buffer_capacity,
-        metrics=options.metrics or collector is not None,
-        metrics_interval=options.metrics_interval,
-        trace=options.trace or trace_collector is not None,
-        result_timeout=options.seat_timeout,
-        checkpoint_interval=options.checkpoint_interval,
-    )
-    sampler = None
-    driver_tracer = None
-    if job.trace:
-        sampler = TraceSampler(options.trace_sample_rate)
-        driver_tracer = Tracer("driver")
-    router = RecoveringStreamRouter(specs, options, job)
-    if collector is not None:
-        collector.attach(router)
-    if trace_collector is not None:
-        trace_collector.attach(router)
-    if chaos is not None:
-        chaos.attach(router)
-    events_processed = 0
-    try:
-        for tagged in merged:
-            element = tagged.element
-            if isinstance(element, StreamEvent):
-                events_processed += 1
-                # Right/full outer joins treat right events as positives
-                # too (mirrored maintainer), so both sides get an
-                # ingestion stamp for emit latency.
-                if tagged.side == LEFT or stamp_right:
-                    tagged = Tagged(tagged.side, element, time.perf_counter())
-                if sampler is not None:
-                    trace_id = sampler.sample()
-                    if trace_id is not None:
-                        now = time.perf_counter()
-                        root = driver_tracer.record(
-                            "source",
-                            trace_id,
-                            None,
-                            now,
-                            now,
-                            side=tagged.side,
-                            **span_detail(element),
-                        )
-                        tagged = Tagged(
-                            tagged.side, element, tagged.ingest_clock, (trace_id, root)
-                        )
-                if partitions > 1:
-                    key = (
-                        theta.left_key(element.tuple)
-                        if tagged.side == LEFT
-                        else theta.right_key(element.tuple)
-                    )
-                    seat = stable_key_hash(key) % partitions
-                else:
-                    seat = 0
-                router.route_event(seat, tagged)
-                if chaos is not None:
-                    chaos.on_event(events_processed)
-            elif isinstance(element, Watermark):
-                router.route_watermark(tagged)
-        for seat in range(partitions):
-            router.done(seat)
-        reports = [router.finish_seat(seat) for seat in range(partitions)]
-        blocks = router.backpressure_blocks
-    finally:
-        router.release()
-    if collector is not None:
-        snapshots = [
-            report.metrics for report in reports if report.metrics is not None
-        ]
-        if router.recoveries:
-            snapshots.append(router.registry.snapshot())
-        collector.complete(snapshots)
-    if trace_collector is not None:
-        span_lists = [report.spans for report in reports if report.spans]
-        if driver_tracer is not None:
-            span_lists.append(driver_tracer.dump())
-        if router.recoveries:
-            span_lists.append(router.tracer.dump())
-        trace_collector.complete(span_lists)
-    return reports, events_processed, blocks, "sockets", router.recoveries

@@ -1,9 +1,8 @@
 """The transport-agnostic runtime: one worker/channel/watermark substrate.
 
-Every execution backend in this codebase — the partitioned continuous
-:class:`~repro.stream.StreamQuery`, the shared-nothing process shards of
-:mod:`repro.parallel`, and the pipelined/partitioned dataflow graphs of
-:mod:`repro.dataflow` — runs on the same four primitives:
+Every continuous execution backend in this codebase — the partitioned
+:class:`~repro.stream.StreamQuery` and the pipelined/partitioned dataflow
+graphs of :mod:`repro.dataflow` — runs on the same five primitives:
 
 * :class:`Channel` — bounded backpressuring FIFO with micro-batch draining
   and the multi-producer done-sentinel close protocol
@@ -16,6 +15,8 @@ Every execution backend in this codebase — the partitioned continuous
 * :class:`Transport` — pluggable worker placement and wiring: ``inline`` /
   ``threads`` / ``processes`` / ``sockets``
   (:mod:`repro.runtime.transport`, :mod:`repro.runtime.sockets`);
+* :func:`run_job` — the one source router that feeds a session of workers
+  from source edges (:mod:`repro.runtime.driver`);
 * :class:`Placement` — worker index → ``host:port`` map for the socket
   transport; unplaced indices spawn locally
   (:mod:`repro.runtime.placement`).
@@ -38,15 +39,17 @@ _LAZY_EXPORTS = {
     "decode_report": "worker",
     "encode_report": "worker",
     "run_worker": "worker",
-    "ALL_TRANSPORTS": "transport",
-    "PARALLEL_TRANSPORTS": "transport",
     "RuntimeJob": "transport",
+    "TRANSPORTS": "transport",
     "Transport": "transport",
     "TransportSession": "transport",
     "WorkerStartError": "transport",
     "available_cpus": "transport",
     "get_transport": "transport",
     "preferred_context": "transport",
+    "Stage": "driver",
+    "merge_edges": "driver",
+    "run_job": "driver",
 }
 
 
@@ -64,14 +67,14 @@ def __dir__():
 
 
 __all__ = [
-    "ALL_TRANSPORTS",
     "Channel",
     "ChannelClosed",
     "ChannelWatermarks",
-    "PARALLEL_TRANSPORTS",
     "Placement",
     "RuntimeJob",
     "SOURCE_CHANNEL",
+    "Stage",
+    "TRANSPORTS",
     "Transport",
     "TransportSession",
     "Worker",
@@ -81,8 +84,10 @@ __all__ = [
     "decode_report",
     "encode_report",
     "get_transport",
+    "merge_edges",
     "parse_host_port",
     "parse_placement",
     "preferred_context",
+    "run_job",
     "run_worker",
 ]

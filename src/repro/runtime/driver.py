@@ -1,0 +1,266 @@
+"""The one source router: every continuous run drives the runtime through it.
+
+A continuous run — the K key-partitioned shards of a
+:class:`~repro.stream.StreamQuery`, the *(node, partition)* workers of a
+:class:`~repro.dataflow.DataflowGraph`, a recovering socket run — is a set
+of worker specs plus the source edges that feed them.  :func:`run_job` is
+the only place that
+
+* builds the :class:`~repro.runtime.RuntimeJob` from
+  :class:`repro.ExecutionOptions`,
+* starts the transport session (degrading to threads, once, when workers
+  cannot start — strictly before any source element is consumed),
+* runs the routing loop: stamp the ingest clock, sample and record the root
+  ``source`` span, key-route events by the stable hash of the stage's θ key,
+  broadcast watermarks, send the done sentinels, ``finish`` —
+* and completes the metrics/trace collectors.
+
+Callers differ only in what they compile (specs, edges, stages) and in how
+they merge the ordered worker reports.
+"""
+
+from __future__ import annotations
+
+import random
+import warnings
+from time import perf_counter
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+
+from ..recovery.types import RecoveryEvent
+from ..relation import ThetaCondition, stable_key_hash
+from ..stream.elements import LEFT, StreamElement, StreamEvent, Tagged
+from .channel import ChannelClosed
+from .transport import (
+    RuntimeJob,
+    TransportSession,
+    WorkerStartError,
+    get_transport,
+)
+from .worker import SOURCE_CHANNEL, WorkerReport
+
+__all__ = ["SourceEdge", "Stage", "merge_edges", "run_job"]
+
+#: One source edge: ``(stage index, input side, element iterator)``.
+SourceEdge = Tuple[int, str, Iterator[StreamElement]]
+
+
+class Stage(NamedTuple):
+    """Where the source elements of one stage go.
+
+    A stage is one operator fanned out over ``partitions`` workers with
+    contiguous indices from ``first_worker``; ``theta`` supplies the key an
+    event is hash-routed by.  ``stamp_right`` says whether right-side events
+    get an ingest clock too — true when the operator treats them as
+    positives (right/full outer, every dataflow node).
+    """
+
+    first_worker: int
+    partitions: int
+    theta: ThetaCondition
+    stamp_right: bool
+
+
+def merge_edges(
+    edges: Sequence[SourceEdge], seed: Optional[int] = None
+) -> Iterator[Tuple[int, int, str, StreamElement]]:
+    """Interleave the source edges into one delivery sequence.
+
+    Yields ``(edge index, target stage, side, element)``.  Round-robin by
+    default; with a seed, each step picks a random non-exhausted edge (each
+    edge's internal order is preserved, which is all the watermark semantics
+    require).
+    """
+    rng = random.Random(seed) if seed is not None else None
+    open_edges = list(range(len(edges)))
+    turn = 0
+    while open_edges:
+        if rng is None:
+            slot = open_edges[turn % len(open_edges)]
+            turn += 1
+        else:
+            slot = rng.choice(open_edges)
+        target, side, iterator = edges[slot]
+        try:
+            element = next(iterator)
+        except StopIteration:
+            open_edges.remove(slot)
+            continue
+        yield slot, target, side, element
+
+
+def _start_session(
+    job: RuntimeJob, options, transport: str, recover: bool, chaos
+) -> TransportSession:
+    """Start the session a job runs on, degrading to threads when it cannot.
+
+    Transports raise :class:`WorkerStartError` strictly before any source
+    element is consumed (sandbox without fork, unreachable placement), so
+    the thread transport can take over the same untouched edges.
+    """
+    try:
+        if recover:
+            from ..recovery.driver import RecoveringSession
+
+            return RecoveringSession(job, options, chaos)
+        return get_transport(transport).start(job, options.placement)
+    except WorkerStartError as error:
+        warnings.warn(
+            f"{transport!r} workers could not start "
+            f"({error}); falling back to the thread transport",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+        return get_transport("threads").start(job)
+
+
+def run_job(
+    specs: Sequence,
+    edges: Sequence[SourceEdge],
+    stages: Sequence[Stage],
+    options,
+    transport: str,
+    merge_seed: Optional[int] = None,
+    *,
+    collector: Optional[object] = None,
+    trace_collector: Optional[object] = None,
+    cancel: Optional[object] = None,
+    chaos: Optional[object] = None,
+) -> tuple[List[WorkerReport], int, int, str, List[RecoveryEvent]]:
+    """Route the merged source edges into a session of ``specs`` workers.
+
+    Events are hash-routed to the worker owning their join key within the
+    target stage (the stable, ``PYTHONHASHSEED``-independent hash shared
+    with the batch shard planner), watermarks are broadcast to every
+    partition of the stage, per-worker element order is preserved by the
+    transport's FIFO channels, and the bounded channels backpressure this
+    loop.  Ingest clocks are stamped before an element can sit in any
+    queue, so emit latency includes queueing (and, on the serialized
+    transports, encoding) time; the inline transport stamps at processing
+    time instead, where the two coincide.  After the edges drain, one done
+    sentinel per (edge × partition) closes the cascade.
+
+    ``collector`` / ``trace_collector`` (:class:`repro.obs.MetricsCollector`
+    / :class:`repro.obs.TraceCollector`) see the live session mid-run and
+    the final worker telemetry afterwards; either one — or the matching
+    ``options`` flag — switches the instrumentation on.  With tracing on
+    this loop is the trace *source*: it samples events deterministically,
+    records the root ``source`` span, and attaches the trace context the
+    workers propagate.
+
+    ``cancel`` is an optional :class:`threading.Event`-like object; once
+    set, routing stops and the done sentinels go out, so the run settles
+    early over what was already ingested.
+
+    A socket run of self-contained (output-collecting) specs under
+    ``options.recovery_enabled`` runs on a
+    :class:`~repro.recovery.driver.RecoveringSession`, which re-executes
+    dead seats; ``chaos`` is that session's failure-injection hook (see
+    :class:`repro.recovery.chaos.ChaosInjector`) and is ignored everywhere
+    else.
+
+    Returns ``(reports, events_processed, backpressure_blocks, backend,
+    recoveries)`` with reports in worker-index order and ``backend`` the
+    transport that actually ran.
+    """
+    specs = tuple(specs)
+    # Only self-contained shards can be snapshotted and re-executed alone:
+    # dataflow node workers have peer edges (snapshot_worker rejects them).
+    collecting = all(spec.collect_outputs for spec in specs)
+    job = RuntimeJob(
+        specs,
+        micro_batch_size=options.micro_batch_size,
+        buffer_capacity=options.buffer_capacity,
+        metrics=options.metrics or collector is not None,
+        metrics_interval=options.metrics_interval,
+        trace=options.trace or trace_collector is not None,
+        result_timeout=options.seat_timeout,
+        checkpoint_interval=options.checkpoint_interval if collecting else None,
+    )
+    sampler = None
+    driver_tracer = None
+    if job.trace:
+        from ..obs.trace import Tracer, TraceSampler, span_detail
+
+        sampler = TraceSampler(options.trace_sample_rate)
+        driver_tracer = Tracer("driver")
+    session = _start_session(
+        job,
+        options,
+        transport,
+        transport == "sockets" and options.recovery_enabled and collecting,
+        chaos,
+    )
+    if collector is not None:
+        collector.attach(session)
+    if trace_collector is not None:
+        trace_collector.attach(session)
+    events_processed = 0
+    with session:
+        stamp = session.stamps_ingest
+        send = session.send
+        try:
+            for _edge, target, side, element in merge_edges(edges, merge_seed):
+                if cancel is not None and cancel.is_set():
+                    break
+                worker, partitions, theta, stamp_right = stages[target]
+                if isinstance(element, StreamEvent):
+                    events_processed += 1
+                    clock = (
+                        perf_counter()
+                        if stamp and (stamp_right or side == LEFT)
+                        else None
+                    )
+                    context = None
+                    if sampler is not None:
+                        trace_id = sampler.sample()
+                        if trace_id is not None:
+                            now = perf_counter()
+                            root = driver_tracer.record(
+                                "source",
+                                trace_id,
+                                None,
+                                now,
+                                now,
+                                side=side,
+                                **span_detail(element),
+                            )
+                            context = (trace_id, root)
+                    if partitions > 1:
+                        key = (
+                            theta.left_key(element.tuple)
+                            if side == LEFT
+                            else theta.right_key(element.tuple)
+                        )
+                        worker += stable_key_hash(key) % partitions
+                    send(worker, None, Tagged(side, element, clock, context))
+                else:
+                    tagged = Tagged(side, element)
+                    for index in range(worker, worker + partitions):
+                        send(index, SOURCE_CHANNEL, tagged)
+        except ChannelClosed:
+            # A worker died and closed its channel; stop routing — the
+            # failure is re-raised by finish() after every worker is joined.
+            pass
+        for target, _side, _iterator in edges:
+            worker, partitions, _theta, _stamp_right = stages[target]
+            for index in range(worker, worker + partitions):
+                session.done(index)
+        reports = session.finish()
+        blocks = session.backpressure_blocks
+        recoveries = session.recoveries
+    if collector is not None:
+        snapshots = [
+            report.metrics for report in reports if report.metrics is not None
+        ]
+        if recoveries:
+            # Only a RecoveringSession reports recoveries: its driver-side
+            # registry (and tracer, below) join the worker telemetry.
+            snapshots.append(session.registry.snapshot())
+        collector.complete(snapshots)
+    if trace_collector is not None:
+        span_lists = [report.spans for report in reports if report.spans]
+        span_lists.append(driver_tracer.dump())
+        if recoveries:
+            span_lists.append(session.tracer.dump())
+        trace_collector.complete(span_lists)
+    return reports, events_processed, blocks, session.name, recoveries

@@ -770,7 +770,7 @@ class SocketSession(TransportSession):
 
         Returns a :class:`repro.recovery.types.SeatFailure` (a
         ``RuntimeError``) naming the seat and its placement address, so the
-        recovering driver can tell *which* seat to re-execute and operators
+        recovering session can tell *which* seat to re-execute and operators
         can tell *which* host to look at.
         """
         self._result_events[target].wait(timeout=2.0)
@@ -902,7 +902,7 @@ class SocketSession(TransportSession):
     def release(self) -> None:
         """Close every connection and reap local workers.
 
-        The recovering driver finishes seats one by one across several
+        The recovering session finishes seats one by one across several
         sessions, so it releases each session explicitly instead of going
         through :meth:`finish`.
         """

@@ -23,8 +23,8 @@ loop of :mod:`repro.runtime.worker`:
 Every session exposes the identical driver contract — ``send(worker,
 channel, element)``, ``done(worker)`` once per producer edge, ``finish()``
 for the ordered :class:`~repro.runtime.worker.WorkerReport` list — so the
-stream, parallel and dataflow subsystems each keep exactly one router loop
-and inherit all four backends from it.
+one router loop (:func:`repro.runtime.driver.run_job`) drives all four
+backends.
 """
 
 from __future__ import annotations
@@ -41,6 +41,11 @@ from ..stream.elements import Tagged
 from .channel import Channel, ChannelClosed
 from .placement import Placement
 from .worker import Worker, WorkerReport, decode_report, encode_report, run_worker
+
+#: Every transport name, the in-process ones first: ``TRANSPORTS[:2]`` can run
+#: callables (taps, probes) in the driver's address space, ``TRANSPORTS[1:]``
+#: run workers in parallel.
+TRANSPORTS = ("inline", "threads", "processes", "sockets")
 
 #: Poll interval (seconds) for queue operations that must watch worker
 #: liveness.  Slow-but-alive workers are waited on indefinitely; only a dead
@@ -170,6 +175,12 @@ class TransportSession:
     @property
     def backpressure_blocks(self) -> int:
         return 0
+
+    @property
+    def recoveries(self) -> list:
+        """Seat recoveries performed so far (only a
+        :class:`~repro.recovery.driver.RecoveringSession` ever has any)."""
+        return []
 
     def __enter__(self) -> "TransportSession":
         return self
@@ -742,13 +753,4 @@ def get_transport(name: str) -> Transport:
         from .sockets import SocketTransport
 
         return SocketTransport()
-    raise ValueError(
-        f"unknown transport {name!r}; expected one of "
-        "('inline', 'threads', 'processes', 'sockets')"
-    )
-
-
-#: Transport names usable for parallel (multi-worker) execution.
-PARALLEL_TRANSPORTS = ("threads", "processes", "sockets")
-#: Every transport name, including the single-threaded inline one.
-ALL_TRANSPORTS = ("inline",) + PARALLEL_TRANSPORTS
+    raise ValueError(f"unknown transport {name!r}; expected one of {TRANSPORTS}")

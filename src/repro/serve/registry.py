@@ -35,7 +35,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
 
 from ..dataflow.executor import run_graph
 from ..dataflow.graph import DataflowGraph, NodeSpec
-from ..dataflow.query import IN_PROCESS_BACKENDS, DataflowQuery
+from ..dataflow.query import IN_PROCESS, DataflowQuery
 from ..relation import TPTuple
 from ..runtime import ChannelWatermarks
 from ..stream.elements import Watermark
@@ -295,10 +295,10 @@ class StandingQueryService:
     ) -> None:
         if policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
-        if transport not in IN_PROCESS_BACKENDS:
+        if transport not in IN_PROCESS:
             raise ValueError(
                 f"serving taps the graph in-process; transport must be one "
-                f"of {IN_PROCESS_BACKENDS}, got {transport!r}"
+                f"of {IN_PROCESS}, got {transport!r}"
             )
         self._catalog = catalog
         self._config = config or ExecutionOptions(early_emit=True)

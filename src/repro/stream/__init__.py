@@ -5,18 +5,15 @@ Layers, bottom to top:
 * :mod:`repro.stream.elements` — events, watermarks, tagged merges.
 * :mod:`repro.stream.source` — ingestion with per-source watermarks and
   bounded-lateness eviction.
-* :mod:`repro.stream.buffer` — historical aliases of the runtime's bounded
-  backpressuring :class:`~repro.runtime.Channel`.
 * :mod:`repro.stream.incremental` — per-key overlap state with
   watermark-driven, retraction-free window finalization.
 * :mod:`repro.stream.operators` — :class:`ContinuousAntiJoin` and
   :class:`ContinuousLeftOuterJoin`.
-* :mod:`repro.stream.query` — the :class:`StreamQuery` API: one
-  hash-partitioning router over the runtime transports
-  (threads / processes / sockets).
+* :mod:`repro.stream.query` — the :class:`StreamQuery` API: K
+  key-partitioned shards driven by the runtime's one router
+  (:func:`repro.runtime.driver.run_job`).
 """
 
-from .buffer import BoundedBuffer, BufferClosed
 from .elements import (
     CLOSED,
     LEFT,
@@ -50,21 +47,12 @@ from .operators import (
     reverse_group_tuples,
     theta_from_pairs,
 )
-from .query import (
-    WORKER_BACKENDS,
-    StreamDef,
-    StreamStats,
-    StreamQuery,
-    StreamQueryConfig,
-    StreamQueryResult,
-)
+from .query import StreamDef, StreamQuery, StreamQueryResult, StreamStats
 from .source import SourceStats, StreamSource, merge_tagged
 
 __all__ = [
     "CLOSED",
     "CONTINUOUS_OPERATORS",
-    "BoundedBuffer",
-    "BufferClosed",
     "ContinuousAntiJoin",
     "ContinuousFullOuterJoin",
     "ContinuousInnerJoin",
@@ -83,12 +71,10 @@ __all__ = [
     "StreamElement",
     "StreamEvent",
     "StreamQuery",
-    "StreamQueryConfig",
     "StreamQueryResult",
     "StreamSource",
     "StreamStats",
     "Tagged",
-    "WORKER_BACKENDS",
     "Watermark",
     "continuous_join",
     "continuous_output_schema",

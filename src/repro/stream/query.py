@@ -7,24 +7,14 @@ event is routed to a worker by the stable hash of its join key — all events
 that can ever form a window together share a key, so partitions are
 independent — and watermarks are broadcast to every worker.
 
-The workers themselves run on the unified runtime layer
-(:mod:`repro.runtime`): this module contributes exactly one router —
-:func:`run_stream_shards` — that feeds a transport session, and the
-transport decides where the workers live:
-
-* ``workers="threads"`` (default) — worker threads in this interpreter,
-  connected by bounded :class:`~repro.runtime.Channel` inboxes whose hard
-  capacity backpressures the router (and the sources behind it);
-* ``workers="processes"`` — one OS process per partition for true
-  multi-core speedup on CPU-bound lineage work (the GIL caps the thread
-  backend at one core);
-* ``workers="sockets"`` — one TCP endpoint per partition: driver-spawned
-  local processes by default, or remote hosts named in
-  :class:`~repro.runtime.Placement` — the distributed backend.
-
-With ``partitions=1`` (or a non-equi θ, which cannot be key-partitioned) the
-query runs on the inline transport in the calling thread — the fast path for
-small streams and the engine's SQL entry point.
+The query is a thin caller of the one router
+(:func:`repro.runtime.driver.run_job`): two source edges, K shard specs of
+one stage, reports concatenated in shard order.  ``ExecutionOptions.transport``
+decides where the shard workers live (``"threads"`` / ``"processes"`` /
+``"sockets"``, see :mod:`repro.runtime`); with ``partitions=1`` (or a
+non-equi θ, which cannot be key-partitioned) the query runs on the inline
+transport in the calling thread — the fast path for small streams and the
+engine's SQL entry point.
 
 The module avoids importing :mod:`repro.engine`; the catalog is used through
 its ``lookup_stream`` method only, so the engine can depend on this package
@@ -34,33 +24,23 @@ without a cycle.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from ..columnar import resolve_layout
 from ..lineage import EventSpace
-from ..obs.metrics import DEFAULT_METRICS_INTERVAL
-from ..obs.trace import DEFAULT_TRACE_SAMPLE_RATE
-from ..options import TRANSPORTS, ExecutionOptions, deprecated_config_call
-from ..recovery.types import RecoveryEvent
-from ..relation import Schema, TPRelation, TPTuple, stable_key_hash
-from ..runtime import (
-    SOURCE_CHANNEL,
-    ChannelClosed,
-    Placement,
-    RuntimeJob,
-    WorkerReport,
-    WorkerStartError,
-    get_transport,
-)
-from .elements import LEFT, StreamElement, StreamEvent, Tagged, Watermark
+from ..obs.collector import QueryTelemetry, RunIntrospection
+from ..options import ExecutionOptions
+from ..relation import Schema, TPRelation, TPTuple
+from ..runtime.driver import Stage, run_job
+from .elements import LEFT, RIGHT, StreamElement
 from .operators import (
+    REVERSE_KINDS,
     continuous_join,
     continuous_output_schema,
     theta_from_pairs,
 )
-from .source import SourceStats, merge_tagged
+from .source import SourceStats
 
 
 @dataclass(frozen=True)
@@ -98,54 +78,6 @@ class StreamDef:
     stats: Optional[StreamStats] = None
 
 
-#: Valid transports of a partitioned run (legacy name: the knob that picks
-#: one was historically called ``workers``).
-WORKER_BACKENDS = TRANSPORTS
-
-
-def StreamQueryConfig(
-    partitions: int = 1,
-    micro_batch_size: int = 64,
-    buffer_capacity: int = 1024,
-    workers: str = "threads",
-    materialize_probabilities: bool = False,
-    early_emit: bool = False,
-    placement: Optional[Placement] = None,
-    metrics: bool = False,
-    metrics_interval: float = DEFAULT_METRICS_INTERVAL,
-    trace: bool = False,
-    trace_sample_rate: float = DEFAULT_TRACE_SAMPLE_RATE,
-    **new_knobs,
-) -> ExecutionOptions:
-    """Deprecated: the historical config constructor of a continuous query.
-
-    Returns a :class:`repro.ExecutionOptions` carrying the same knobs —
-    ``workers=`` maps onto the canonical ``transport=`` field, and any
-    new-style knob (``checkpoint_interval``, ``restart_limit``,
-    ``seat_timeout``) passes through — so every old call site keeps
-    working while emitting a :class:`DeprecationWarning`.
-    """
-    deprecated_config_call(
-        "StreamQueryConfig",
-        "construct repro.ExecutionOptions instead (the workers= kwarg is "
-        "now transport=)",
-    )
-    return ExecutionOptions(
-        transport=workers,
-        partitions=partitions,
-        micro_batch_size=micro_batch_size,
-        buffer_capacity=buffer_capacity,
-        materialize_probabilities=materialize_probabilities,
-        early_emit=early_emit,
-        placement=placement,
-        metrics=metrics,
-        metrics_interval=metrics_interval,
-        trace=trace,
-        trace_sample_rate=trace_sample_rate,
-        **new_knobs,
-    )
-
-
 def summarize_latency_ms(samples: Sequence[float]) -> dict:
     """Mean / p50 / p95 / max of a latency sample list, in milliseconds.
 
@@ -166,55 +98,21 @@ def summarize_latency_ms(samples: Sequence[float]) -> dict:
 
 
 @dataclass
-class StreamQueryResult:
+class StreamQueryResult(RunIntrospection):
     """The finalized output of a continuous query run, with run statistics."""
 
     relation: TPRelation
-    events_processed: int
     outputs_emitted: int
-    elapsed_seconds: float
     emit_latencies: List[float] = field(default_factory=list)
     partitions: int = 1
     late_dropped: int = 0
-    backpressure_blocks: int = 0
     #: The transport that actually ran (``inline`` for single-partition
     #: runs; the fallback transport when workers could not start).
     workers: str = "threads"
-    #: Final per-worker metrics snapshots (empty unless ``config.metrics``).
-    metrics_snapshots: List[dict] = field(default_factory=list)
-    #: Every span the run recorded (empty unless ``config.trace``).
-    trace_spans: List[dict] = field(default_factory=list)
-    #: Seat recoveries the run performed (empty on an unfailed run, and
-    #: always empty unless ``options.restart_limit`` enabled recovery).
-    recovery_events: List[RecoveryEvent] = field(default_factory=list)
-
-    @property
-    def events_per_second(self) -> float:
-        """Ingest throughput of the run."""
-        if self.elapsed_seconds <= 0:
-            return float("inf")
-        return self.events_processed / self.elapsed_seconds
 
     def latency_summary(self) -> dict:
         """Mean / p50 / p95 / max emit latency in milliseconds."""
         return summarize_latency_ms(self.emit_latencies)
-
-    def metrics(self):
-        """The run's final worker metrics as a
-        :class:`repro.obs.MetricsAggregator` (``None`` when the run was
-        not instrumented)."""
-        if not self.metrics_snapshots:
-            return None
-        from ..obs.metrics import MetricsAggregator
-
-        aggregator = MetricsAggregator()
-        aggregator.update_all(self.metrics_snapshots)
-        return aggregator
-
-    def recoveries(self) -> List[RecoveryEvent]:
-        """Seat recoveries the run performed: who died, which checkpoint
-        the replacement restored, how many elements were replayed."""
-        return list(self.recovery_events)
 
     def explain_analyze(self) -> str:
         """``EXPLAIN ANALYZE``-style report of the finished run.
@@ -235,185 +133,22 @@ class StreamQueryResult:
             f"  emit latency: p50 {latency['p50_ms']:.2f}ms "
             f"p95 {latency['p95_ms']:.2f}ms max {latency['max_ms']:.2f}ms",
         ]
-        if self.recovery_events:
-            lines.append(f"recoveries: {len(self.recovery_events)}")
-            lines.extend(f"  {event.describe()}" for event in self.recovery_events)
-        aggregated = self.metrics()
-        if aggregated is not None:
-            lines.append("worker metrics:")
-            lines.extend(
-                "  " + line for line in aggregated.render_report().splitlines()
-            )
-        return "\n".join(lines)
-
-    def trace(self):
-        """The run's spans as a :class:`repro.obs.TraceAggregator`.
-
-        ``None`` when the run was not traced (or nothing was sampled).
-        """
-        if not self.trace_spans:
-            return None
-        from ..obs.trace import TraceAggregator
-
-        aggregator = TraceAggregator()
-        aggregator.add_spans(self.trace_spans)
-        return aggregator
-
-    def explain_tuple(self, key) -> str:
-        """Provenance of one settled tuple: lineage joined with its trace.
-
-        ``key`` is either a full fact tuple (exact match) or a scalar that
-        any fact attribute may equal.  The report shows the tuple's
-        interval, probability and lineage tree, then every sampled
-        timeline whose spans contributed to it.
-        """
-        from ..obs.trace import find_tuples, render_tuple_explanation
-
-        matches = find_tuples(self.relation, key)
-        if not matches:
-            return f"no settled tuple matches {key!r}"
-        aggregator = self.trace()
-        return "\n\n".join(
-            render_tuple_explanation(tp_tuple, aggregator) for tp_tuple in matches
-        )
+        return "\n".join(lines + self._telemetry_lines())
 
 
-def run_stream_shards(
-    transport_name: str,
-    specs: Sequence,
-    merged: Iterable[Tagged],
-    theta,
-    stamp_right: bool,
-    micro_batch_size: int = 64,
-    buffer_capacity: int = 1024,
-    placement: Optional[Placement] = None,
-    metrics: bool = False,
-    metrics_interval: float = DEFAULT_METRICS_INTERVAL,
-    collector: Optional[object] = None,
-    trace: bool = False,
-    trace_sample_rate: float = DEFAULT_TRACE_SAMPLE_RATE,
-    trace_collector: Optional[object] = None,
-    result_timeout: Optional[float] = None,
-) -> tuple[List[WorkerReport], int, int, str]:
-    """The one stream router: feed a merged element sequence into a session.
-
-    Events are hash-routed to the shard worker owning their join key (the
-    stable, ``PYTHONHASHSEED``-independent hash shared with the batch shard
-    planner), watermarks are broadcast to every worker, per-shard element
-    order is preserved by the transport's FIFO channels, and the bounded
-    channels backpressure this router.  Ingest clocks are stamped before an
-    element can sit in any queue, so emit latency includes queueing (and, on
-    the serialized transports, encoding) time; the inline transport stamps
-    at processing time instead, where the two coincide.
-
-    With ``trace`` on, this loop is also the trace *source*: it samples
-    events deterministically, records the root ``source`` span, and attaches
-    the trace context the workers propagate.
-
-    Returns ``(reports, events_processed, backpressure_blocks, transport)``
-    with reports in worker-index order — deterministic for a fixed partition
-    count.
-    """
-    partitions = len(specs)
-    job = RuntimeJob(
-        tuple(specs),
-        micro_batch_size,
-        buffer_capacity,
-        metrics=metrics or collector is not None,
-        metrics_interval=metrics_interval,
-        trace=trace or trace_collector is not None,
-        result_timeout=result_timeout,
-    )
-    sampler = None
-    driver_tracer = None
-    if job.trace:
-        from ..obs.trace import Tracer, TraceSampler, span_detail
-
-        sampler = TraceSampler(trace_sample_rate)
-        driver_tracer = Tracer("driver")
-    session = get_transport(transport_name).start(job, placement)
-    if collector is not None:
-        collector.attach(session)
-    if trace_collector is not None:
-        trace_collector.attach(session)
-    events_processed = 0
-    with session:
-        stamp = session.stamps_ingest
-        try:
-            for tagged in merged:
-                element = tagged.element
-                if isinstance(element, StreamEvent):
-                    events_processed += 1
-                    # Right/full outer joins treat right events as positives
-                    # too (mirrored maintainer), so both sides get an
-                    # ingestion stamp for emit latency.
-                    if stamp and (tagged.side == LEFT or stamp_right):
-                        tagged = Tagged(tagged.side, element, time.perf_counter())
-                    if sampler is not None:
-                        trace_id = sampler.sample()
-                        if trace_id is not None:
-                            now = time.perf_counter()
-                            root = driver_tracer.record(
-                                "source",
-                                trace_id,
-                                None,
-                                now,
-                                now,
-                                side=tagged.side,
-                                **span_detail(element),
-                            )
-                            tagged = Tagged(
-                                tagged.side,
-                                element,
-                                tagged.ingest_clock,
-                                (trace_id, root),
-                            )
-                    if partitions > 1:
-                        key = (
-                            theta.left_key(element.tuple)
-                            if tagged.side == LEFT
-                            else theta.right_key(element.tuple)
-                        )
-                        index = stable_key_hash(key) % partitions
-                    else:
-                        index = 0
-                    session.send(index, None, tagged)
-                elif isinstance(element, Watermark):
-                    for index in range(partitions):
-                        session.send(index, SOURCE_CHANNEL, tagged)
-        except ChannelClosed:
-            # A worker died and closed its channel; stop routing — the
-            # failure is re-raised by finish() after every worker is joined.
-            pass
-        for index in range(partitions):
-            session.done(index)
-        reports = session.finish()
-        blocks = session.backpressure_blocks
-    if collector is not None:
-        collector.complete(
-            [report.metrics for report in reports if report.metrics is not None]
-        )
-    if trace_collector is not None:
-        span_lists = [report.spans for report in reports if report.spans]
-        if driver_tracer is not None:
-            span_lists.append(driver_tracer.dump())
-        trace_collector.complete(span_lists)
-    return reports, events_processed, blocks, session.name
-
-
-class StreamQuery:
+class StreamQuery(QueryTelemetry):
     """A continuous TP join registered against catalogued streams.
 
     Args:
         catalog: any object with ``lookup_stream(name) -> StreamDef`` (the
             engine catalog satisfies this).
-        kind: ``"anti"`` or ``"left_outer"``.
+        kind: one of the five Table II kinds (``"anti"``, ``"inner"``,
+            ``"left_outer"``, ``"right_outer"``, ``"full_outer"``).
         left: name of the positive (left) registered stream.
         right: name of the negative (right) registered stream.
         on: ``(left_attribute, right_attribute)`` equality pairs (θ).
-        config: :class:`repro.ExecutionOptions` (legacy
-            ``StreamQueryConfig(...)`` calls still produce one); defaults
-            to single-partition inline runs.
+        config: :class:`repro.ExecutionOptions`; defaults to
+            single-partition inline runs.
     """
 
     def __init__(
@@ -436,40 +171,11 @@ class StreamQuery:
         right_def = catalog.lookup_stream(right)
         self._theta = theta_from_pairs(left_def.schema, right_def.schema, self._on)
         continuous_join(kind, left_def.schema, right_def.schema, self._on)
-        self._collector = None
-        if self._config.metrics:
-            from ..obs.collector import MetricsCollector
-
-            self._collector = MetricsCollector()
-        self._trace_collector = None
-        if self._config.trace:
-            from ..obs.trace import TraceCollector
-
-            self._trace_collector = TraceCollector()
+        super().__init__(self._config)
 
     @property
     def config(self) -> ExecutionOptions:
         return self._config
-
-    def metrics(self):
-        """Aggregated worker metrics: live during :meth:`run`, final after.
-
-        Returns a :class:`repro.obs.MetricsAggregator`, or ``None`` when
-        the config has ``metrics=False`` or nothing has been collected yet.
-        """
-        if self._collector is None:
-            return None
-        return self._collector.aggregate()
-
-    def trace(self):
-        """Aggregated span timelines: live during :meth:`run`, final after.
-
-        Returns a :class:`repro.obs.TraceAggregator`, or ``None`` when the
-        config has ``trace=False`` or no span has been recorded yet.
-        """
-        if self._trace_collector is None:
-            return None
-        return self._trace_collector.aggregate()
 
     def describe(self) -> str:
         condition = " AND ".join(f"{left} = {right}" for left, right in self._on) or "true"
@@ -528,87 +234,32 @@ class StreamQuery:
     ) -> StreamQueryResult:
         """Execute the query over a fresh replay of both streams.
 
-        ``chaos`` is the failure-injection seam of the recovering sockets
-        router (see :class:`repro.recovery.chaos.ChaosInjector`): a hook
-        called once per routed element, used by the chaos tests and
-        ``bench_recovery`` to kill seats mid-run.  Ignored — no failure
-        is injected — on every other execution path.
+        ``chaos`` is the failure-injection seam of recovering socket runs
+        (see :class:`repro.recovery.chaos.ChaosInjector`), used by the
+        chaos tests and ``bench_recovery`` to kill seats mid-run.  Ignored
+        — no failure is injected — on every other execution path.
         """
         left_def = self._catalog.lookup_stream(self._left_name)
         right_def = self._catalog.lookup_stream(self._right_name)
         left_elements = left_def.replay()
         right_elements = right_def.replay()
-        merged = merge_tagged(left_elements, right_elements, seed=merge_seed)
         partitions = self.effective_partitions
-        transport = self._config.transport if partitions > 1 else "inline"
         spec = self._shard_spec()
-        specs = tuple(replace(spec, index=index) for index in range(partitions))
-        stamp_right = self._kind in ("right_outer", "full_outer")
-        recoveries: List[RecoveryEvent] = []
         started = time.perf_counter()
-        try:
-            if transport == "sockets" and self._config.recovery_enabled:
-                from ..recovery.driver import run_recovering_stream_shards
-
-                (
-                    reports,
-                    events_processed,
-                    blocks,
-                    backend,
-                    recoveries,
-                ) = run_recovering_stream_shards(
-                    specs,
-                    merged,
-                    self._theta,
-                    stamp_right,
-                    options=self._config,
-                    collector=self._collector,
-                    trace_collector=self._trace_collector,
-                    chaos=chaos,
-                )
-            else:
-                reports, events_processed, blocks, backend = run_stream_shards(
-                    transport,
-                    specs,
-                    merged,
-                    self._theta,
-                    stamp_right,
-                    micro_batch_size=self._config.micro_batch_size,
-                    buffer_capacity=self._config.buffer_capacity,
-                    placement=self._config.placement,
-                    metrics=self._config.metrics,
-                    metrics_interval=self._config.metrics_interval,
-                    collector=self._collector,
-                    trace=self._config.trace,
-                    trace_sample_rate=self._config.trace_sample_rate,
-                    trace_collector=self._trace_collector,
-                    result_timeout=self._config.seat_timeout,
-                )
-        except WorkerStartError as error:
-            # Workers unavailable (sandbox without fork, unreachable host):
-            # degrade to the thread transport — safe, no element was
-            # consumed yet — and record the backend that actually ran.
-            warnings.warn(
-                f"{transport!r} workers could not start "
-                f"({error}); falling back to the thread transport",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            reports, events_processed, blocks, backend = run_stream_shards(
-                "threads",
-                specs,
-                merged,
-                self._theta,
-                stamp_right,
-                micro_batch_size=self._config.micro_batch_size,
-                buffer_capacity=self._config.buffer_capacity,
-                metrics=self._config.metrics,
-                metrics_interval=self._config.metrics_interval,
-                collector=self._collector,
-                trace=self._config.trace,
-                trace_sample_rate=self._config.trace_sample_rate,
-                trace_collector=self._trace_collector,
-            )
+        reports, events_processed, blocks, backend, recoveries = run_job(
+            tuple(replace(spec, index=index) for index in range(partitions)),
+            [(0, LEFT, iter(left_elements)), (0, RIGHT, iter(right_elements))],
+            # Right/full outer joins treat right events as positives too
+            # (mirrored maintainer), so both sides get an ingestion stamp
+            # for emit latency.
+            [Stage(0, partitions, self._theta, self._kind in REVERSE_KINDS)],
+            self._config,
+            self._config.transport if partitions > 1 else "inline",
+            merge_seed,
+            collector=self._collector,
+            trace_collector=self._trace_collector,
+            chaos=chaos,
+        )
         elapsed = time.perf_counter() - started
 
         outputs: List[TPTuple] = []
@@ -648,10 +299,6 @@ class StreamQuery:
             metrics_snapshots=[
                 report.metrics for report in reports if report.metrics is not None
             ],
-            trace_spans=(
-                self._trace_collector.spans()
-                if self._trace_collector is not None
-                else []
-            ),
+            trace_spans=self._run_spans(),
             recovery_events=recoveries,
         )

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from repro import Schema, TPRelation, equi_join_on
+from repro import ExecutionOptions, Schema, TPRelation, equi_join_on
 from repro.lineage import canonical
 from repro.relation import EquiJoinCondition
+from repro.runtime import Stage, run_job
+from repro.stream import LEFT, RIGHT
 
 
 # --------------------------------------------------------------------------- #
@@ -123,3 +126,33 @@ def canonical_rows(relation: TPRelation, with_probability: bool = True) -> set[t
 def assert_same_result(left: TPRelation, right: TPRelation, with_probability: bool = True) -> None:
     """Assert that two join results contain the same tuples (order-insensitive)."""
     assert canonical_rows(left, with_probability) == canonical_rows(right, with_probability)
+
+
+# --------------------------------------------------------------------------- #
+# stream shards through the one router
+# --------------------------------------------------------------------------- #
+def run_shard_job(
+    transport: str,
+    spec,
+    catalog,
+    theta,
+    options: ExecutionOptions | None = None,
+    partitions: int = 2,
+    wrap=iter,
+    **collectors,
+):
+    """Drive ``partitions`` copies of one stream shard spec over the ``l`` /
+    ``r`` streams of ``catalog`` — what ``StreamQuery.run`` hands the router,
+    for tests that need an arbitrary spec, transport or element pacing.
+    ``wrap`` decorates each replay (e.g. a throttle)."""
+    return run_job(
+        tuple(replace(spec, index=index) for index in range(partitions)),
+        [
+            (0, LEFT, wrap(catalog.lookup_stream("l").replay())),
+            (0, RIGHT, wrap(catalog.lookup_stream("r").replay())),
+        ],
+        [Stage(0, partitions, theta, False)],
+        options or ExecutionOptions(),
+        transport,
+        **collectors,
+    )

@@ -14,8 +14,8 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
+from repro import ExecutionOptions
 from repro.dataflow import DataflowQuery, NodeSpec, assert_converged
-from repro.stream import StreamQueryConfig
 
 from tests.dataflow.conftest import make_stream_catalog
 
@@ -63,7 +63,7 @@ def test_random_replays_converge_on_every_node(
         replace(spec, partitions=degree) for spec, degree in zip(tree, partitions)
     ]
     query = DataflowQuery(
-        catalog, tree, StreamQueryConfig(early_emit=True)
+        catalog, tree, ExecutionOptions(early_emit=True)
     )
     result = query.run(merge_seed=merge_seed, backend=backend)
     # assert_converged checks every node, probabilities bitwise.
@@ -79,7 +79,7 @@ def test_random_replays_converge_on_every_node(
 def test_watermark_only_mode_never_retracts_and_converges(seed, disorder):
     tree = TREES[seed % len(TREES)]
     catalog, *_ = make_stream_catalog(seed, sizes=(12, 12, 10), disorder=disorder)
-    query = DataflowQuery(catalog, tree, StreamQueryConfig(early_emit=False))
+    query = DataflowQuery(catalog, tree, ExecutionOptions(early_emit=False))
     result = query.run(merge_seed=seed)
     assert_converged(result, catalog, tree)
     for node in result.nodes.values():

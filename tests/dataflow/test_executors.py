@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import ExecutionOptions
 from repro.dataflow import (
     DataflowQuery,
     NodeSpec,
@@ -11,7 +12,6 @@ from repro.dataflow import (
     identity_rows,
 )
 from repro.lineage import ProbabilityComputer
-from repro.stream import StreamQueryConfig
 
 TREE = [
     NodeSpec("n1", "left_outer", "a", "b", (("Key", "Key"),)),
@@ -23,7 +23,7 @@ TREE = [
 @pytest.mark.parametrize("early", [False, True])
 def test_every_backend_converges_to_batch(stream_catalog_factory, backend, early):
     catalog, *_ = stream_catalog_factory(21)
-    query = DataflowQuery(catalog, TREE, StreamQueryConfig(early_emit=early))
+    query = DataflowQuery(catalog, TREE, ExecutionOptions(early_emit=early))
     result = query.run(merge_seed=5, backend=backend)
     cardinalities = assert_converged(result, catalog, TREE)
     assert cardinalities["n2"] > 0
@@ -35,7 +35,7 @@ def test_backends_agree_tuple_for_tuple(stream_catalog_factory):
     rows = {}
     for backend in ("inline", "threads", "processes", "sockets"):
         query = DataflowQuery(
-            catalog, TREE, StreamQueryConfig(early_emit=True)
+            catalog, TREE, ExecutionOptions(early_emit=True)
         )
         result = query.run(merge_seed=9, backend=backend)
         rows[backend] = {
@@ -49,7 +49,7 @@ def test_backends_agree_tuple_for_tuple(stream_catalog_factory):
 
 def test_early_emission_retracts_and_still_converges(stream_catalog_factory):
     catalog, *_ = stream_catalog_factory(23, disorder=8)
-    query = DataflowQuery(catalog, TREE, StreamQueryConfig(early_emit=True))
+    query = DataflowQuery(catalog, TREE, ExecutionOptions(early_emit=True))
     result = query.run(merge_seed=3)
     assert_converged(result, catalog, TREE)
     stats = result.nodes["n1"].stats
@@ -61,7 +61,7 @@ def test_early_emission_retracts_and_still_converges(stream_catalog_factory):
 
 def test_tiny_buffers_backpressure_without_deadlock(stream_catalog_factory):
     catalog, *_ = stream_catalog_factory(24, sizes=(40, 40, 30))
-    config = StreamQueryConfig(
+    config = ExecutionOptions(
         early_emit=True, buffer_capacity=4, micro_batch_size=2
     )
     query = DataflowQuery(catalog, TREE, config)
@@ -72,7 +72,7 @@ def test_tiny_buffers_backpressure_without_deadlock(stream_catalog_factory):
 
 def test_materialized_probabilities_are_bitwise_identical(stream_catalog_factory):
     catalog, *_ = stream_catalog_factory(25)
-    config = StreamQueryConfig(early_emit=True, materialize_probabilities=True)
+    config = ExecutionOptions(early_emit=True, materialize_probabilities=True)
     query = DataflowQuery(catalog, TREE, config)
     result = query.run(merge_seed=2)
     assert_converged(result, catalog, TREE)
@@ -88,7 +88,7 @@ def test_materialized_probabilities_are_bitwise_identical(stream_catalog_factory
 
 def test_latencies_and_lags_are_recorded_per_group(stream_catalog_factory):
     catalog, a, _b, c = stream_catalog_factory(26)
-    query = DataflowQuery(catalog, TREE, StreamQueryConfig(early_emit=True))
+    query = DataflowQuery(catalog, TREE, ExecutionOptions(early_emit=True))
     result = query.run(merge_seed=4)
     n2 = result.nodes["n2"]
     # right_outer records one latency per forward group (from n1's output)

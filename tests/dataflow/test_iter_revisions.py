@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import ExecutionOptions
 from repro.dataflow import (
     DataflowQuery,
     MultipleConsumerError,
@@ -12,7 +13,6 @@ from repro.dataflow import (
 )
 from repro.relation import TPTuple
 from repro.stream.elements import Watermark
-from repro.stream.query import StreamQueryConfig
 
 from conftest import make_stream_catalog
 
@@ -21,7 +21,7 @@ ON = (("Key", "Key"),)
 
 def make_query(seed=11, kind="left_outer", backend_config=None) -> DataflowQuery:
     catalog, _a, _b, _c = make_stream_catalog(seed)
-    config = backend_config or StreamQueryConfig(early_emit=True)
+    config = backend_config or ExecutionOptions(early_emit=True)
     return DataflowQuery(catalog, [NodeSpec("j1", kind, "a", "b", ON)], config)
 
 
@@ -49,7 +49,7 @@ def test_watermarks_are_min_merged_and_monotone():
     query = DataflowQuery(
         catalog,
         [NodeSpec("j1", "left_outer", "a", "b", ON, partitions=2)],
-        StreamQueryConfig(early_emit=True),
+        ExecutionOptions(early_emit=True),
     )
     marks = [
         e.value for e in query.iter_revisions(merge_seed=3) if isinstance(e, Watermark)

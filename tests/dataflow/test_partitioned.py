@@ -14,6 +14,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import ExecutionOptions
 from repro import Schema
 from repro.dataflow import (
     ChannelWatermarks,
@@ -28,7 +29,7 @@ from repro.dataflow import (
     stage_watermark,
 )
 from repro.parallel.plan import stable_hash
-from repro.stream import LEFT, RIGHT, StreamQueryConfig, Tagged, Watermark
+from repro.stream import LEFT, RIGHT, Tagged, Watermark
 from repro.stream.elements import StreamEvent
 
 from tests.dataflow.conftest import make_relation, make_stream_catalog
@@ -119,7 +120,7 @@ def test_channel_watermarks_merge_min_and_ignore_regressions():
 # settled-output determinism across degrees and backends
 # --------------------------------------------------------------------------- #
 def _settled_rows(catalog, tree, backend: str, merge_seed: int):
-    query = DataflowQuery(catalog, tree, StreamQueryConfig(early_emit=True))
+    query = DataflowQuery(catalog, tree, ExecutionOptions(early_emit=True))
     result = query.run(merge_seed=merge_seed, backend=backend)
     assert_converged(result, catalog, tree)
     return {
@@ -157,7 +158,7 @@ def test_partitioned_routing_is_deterministic_across_degrees(
 
 def test_inline_backend_supports_partitioned_graphs(stream_catalog_factory):
     catalog, *_ = stream_catalog_factory(3, sizes=(25, 25, 15), disorder=6)
-    query = DataflowQuery(catalog, PARTITIONED_TREE, StreamQueryConfig(early_emit=True))
+    query = DataflowQuery(catalog, PARTITIONED_TREE, ExecutionOptions(early_emit=True))
     result = query.run(merge_seed=9, backend="inline")
     assert result.backend == "inline"
     assert_converged(result, catalog, PARTITIONED_TREE)
@@ -170,10 +171,10 @@ def test_partitioned_stats_merge_across_partitions(stream_catalog_factory):
         NodeSpec("n2", "right_outer", "n1", "c", (("Key", "Key"),)),
     ]
     catalog, *_ = stream_catalog_factory(11, sizes=(20, 20, 12), disorder=4)
-    serial = DataflowQuery(catalog, serial_tree, StreamQueryConfig()).run(merge_seed=2)
+    serial = DataflowQuery(catalog, serial_tree, ExecutionOptions()).run(merge_seed=2)
     catalog, *_ = stream_catalog_factory(11, sizes=(20, 20, 12), disorder=4)
     partitioned = DataflowQuery(
-        catalog, PARTITIONED_TREE, StreamQueryConfig()
+        catalog, PARTITIONED_TREE, ExecutionOptions()
     ).run(merge_seed=2)
     for name in ("n1", "n2"):
         assert (

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import ExecutionOptions
 from repro.core import tp_anti_join, tp_left_outer_join, tp_right_outer_join
 from repro.dataflow import NodeSpec
 from repro.datasets import ReplayConfig, stream_def
@@ -17,7 +18,6 @@ from repro.engine import (
 )
 from repro.lineage import canonical
 from repro.relation import TPRelation, equi_join_on
-from repro.stream import StreamQueryConfig
 
 from tests.dataflow.conftest import make_relation
 
@@ -110,7 +110,7 @@ def test_explain_marks_partition_degrees(triple):
 
 def test_early_emit_config_routes_binary_join_through_dataflow(triple):
     a, b, _c = triple
-    engine = Engine(stream_config=StreamQueryConfig(early_emit=True))
+    engine = Engine(options=ExecutionOptions(early_emit=True))
     engine.register_stream("sa", stream_def(a, ReplayConfig(disorder=4, seed=0)))
     engine.register_stream("sb", stream_def(b, ReplayConfig(disorder=4, seed=1)))
     sql = "SELECT * FROM STREAM sa TP LEFT OUTER JOIN STREAM sb ON sa.Key = sb.Key"

@@ -94,9 +94,9 @@ def test_parallel_operator_validates_construction(workload):
 
 def test_continuous_explain_carries_parallel_marker(workload):
     from repro.datasets import ReplayConfig, stream_def
-    from repro.stream import StreamQueryConfig
+    from repro import ExecutionOptions
 
-    engine = Engine(stream_config=StreamQueryConfig(partitions=3))
+    engine = Engine(options=ExecutionOptions(partitions=3))
     engine.register_stream("sa", stream_def(workload[0], ReplayConfig()))
     engine.register_stream("sb", stream_def(workload[1], ReplayConfig()))
     text = engine.explain_sql(

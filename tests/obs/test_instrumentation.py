@@ -18,9 +18,10 @@ import time
 
 import pytest
 
+from repro import ExecutionOptions
 from repro.dataflow import DataflowQuery, NodeSpec
 from repro.obs import MetricsCollector
-from repro.stream import StreamQuery, StreamQueryConfig
+from repro.stream import StreamQuery
 from tests.dataflow.conftest import make_stream_catalog
 
 ON = (("Key", "Key"),)
@@ -39,7 +40,7 @@ _REVISIONS = ("revision_emits", "revision_retracts", "revision_refines",
 
 def _run_with_metrics(backend: str, seed: int = 11):
     catalog, *_ = make_stream_catalog(seed, sizes=(25, 25, 20), disorder=4)
-    config = StreamQueryConfig(early_emit=True, metrics=True)
+    config = ExecutionOptions(early_emit=True, metrics=True)
     query = DataflowQuery(catalog, TREE, config)
     result = query.run(backend=backend, merge_seed=seed)
     aggregator = query.metrics()
@@ -85,7 +86,7 @@ def test_counter_totals_identical_across_transports():
     for backend in TRANSPORTS:
         catalog, *_ = make_stream_catalog(11, sizes=(25, 25, 20), disorder=4)
         query = DataflowQuery(
-            catalog, single, StreamQueryConfig(early_emit=True, metrics=True)
+            catalog, single, ExecutionOptions(early_emit=True, metrics=True)
         )
         query.run(backend=backend, merge_seed=11)
         totals = query.metrics().totals()
@@ -98,7 +99,7 @@ def test_counter_totals_identical_across_transports():
 
 def test_metrics_off_is_the_default_and_returns_none():
     catalog, *_ = make_stream_catalog(11, sizes=(25, 25, 20), disorder=4)
-    query = DataflowQuery(catalog, TREE, StreamQueryConfig(early_emit=True))
+    query = DataflowQuery(catalog, TREE, ExecutionOptions(early_emit=True))
     result = query.run(backend="inline", merge_seed=11)
     assert query.metrics() is None
     assert result.metrics_snapshots == []
@@ -113,7 +114,7 @@ def test_stream_query_metrics_across_partitions():
         "a",
         "b",
         ON,
-        config=StreamQueryConfig(partitions=2, workers="threads", metrics=True),
+        config=ExecutionOptions(partitions=2, transport="threads", metrics=True),
     )
     result = query.run(merge_seed=13)
     aggregator = query.metrics()
@@ -129,7 +130,7 @@ def test_stream_query_metrics_across_partitions():
 
 def test_probability_hash_cons_counters_flow_through():
     catalog, *_ = make_stream_catalog(17, sizes=(20, 20, 10), disorder=3)
-    config = StreamQueryConfig(
+    config = ExecutionOptions(
         early_emit=True, metrics=True, materialize_probabilities=True
     )
     query = DataflowQuery(catalog, TREE, config)
@@ -144,7 +145,7 @@ def test_probability_hash_cons_counters_flow_through():
 def test_explain_analyze_includes_worker_metrics():
     catalog, *_ = make_stream_catalog(11, sizes=(25, 25, 20), disorder=4)
     query = DataflowQuery(
-        catalog, TREE, StreamQueryConfig(early_emit=True, metrics=True)
+        catalog, TREE, ExecutionOptions(early_emit=True, metrics=True)
     )
     result = query.run(backend="threads", merge_seed=11)
     report = result.explain_analyze()
@@ -175,7 +176,7 @@ def test_taps_coexist_with_metrics_and_read_them_live():
 
     outcome = run_graph(
         graph,
-        StreamQueryConfig(early_emit=True),
+        ExecutionOptions(early_emit=True),
         11,
         transport="inline",
         taps={"n2": tap},
@@ -198,7 +199,7 @@ def test_tap_error_message_points_at_metrics():
     with pytest.raises(ValueError, match="metrics=True") as excinfo:
         run_graph(
             graph,
-            StreamQueryConfig(early_emit=True),
+            ExecutionOptions(early_emit=True),
             11,
             transport="processes",
             taps={"n2": lambda *args: None},
@@ -210,24 +211,20 @@ def test_tap_error_message_points_at_metrics():
 # --------------------------------------------------------------------------- #
 # live (mid-run) delivery per carrier
 # --------------------------------------------------------------------------- #
-def _throttled(merged, delay: float = 0.002):
-    for tagged in merged:
+def _throttled(elements, delay: float = 0.002):
+    for element in elements:
         time.sleep(delay)
-        yield tagged
+        yield element
 
 
 def _shard_run(transport: str, collector, placement=None, seed: int = 19):
-    """Drive run_stream_shards over a throttled element sequence so the
-    run outlives several metrics intervals."""
-    from dataclasses import replace
-
+    """Drive the router over throttled source edges so the run outlives
+    several metrics intervals."""
     from repro.datasets import ReplayConfig, stream_def
     from repro.engine import Catalog
     from repro.parallel.stream_exec import StreamShardSpec
     from repro.stream.operators import theta_from_pairs
-    from repro.stream.query import run_stream_shards
-    from repro.stream.source import merge_tagged
-    from tests.conftest import make_random_relations
+    from tests.conftest import make_random_relations, run_shard_job
 
     left, right, _theta = make_random_relations(
         seed=seed, left_size=60, right_size=60
@@ -243,16 +240,15 @@ def _shard_run(transport: str, collector, placement=None, seed: int = 19):
     spec = StreamShardSpec(
         "left_outer", left_def.schema.attributes, right_def.schema.attributes, ON
     )
-    specs = tuple(replace(spec, index=index) for index in range(2))
-    merged = merge_tagged(left_def.replay(), right_def.replay())
-    return run_stream_shards(
+    return run_shard_job(
         transport,
-        specs,
-        _throttled(merged),
+        spec,
+        catalog,
         theta,
-        stamp_right=False,
-        placement=placement,
-        metrics_interval=0.05,
+        ExecutionOptions(
+            transport=transport, placement=placement, metrics_interval=0.05
+        ),
+        wrap=_throttled,
         collector=collector,
     )
 
@@ -273,7 +269,7 @@ def test_live_metrics_mid_run(transport):
     poller = threading.Thread(target=poll)
     poller.start()
     try:
-        _reports, events, _blocks, ran = _shard_run(transport, collector)
+        _reports, events, _blocks, ran, _recoveries = _shard_run(transport, collector)
     finally:
         done.set()
         poller.join()
@@ -336,7 +332,7 @@ def test_live_metrics_from_remote_entrypoint_workers():
         poller = threading.Thread(target=poll)
         poller.start()
         try:
-            _reports, _events, _blocks, ran = _shard_run(
+            _reports, _events, _blocks, ran, _recoveries = _shard_run(
                 "sockets", collector, placement=placement
             )
         finally:

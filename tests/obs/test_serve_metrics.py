@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from repro import ExecutionOptions
 from repro.dataflow import NodeSpec
 from repro.serve import (
     FanoutHub,
@@ -15,7 +16,6 @@ from repro.serve import (
     SlowSubscriberDisconnected,
     StandingQueryService,
 )
-from repro.stream.query import StreamQueryConfig
 from tests.dataflow.conftest import make_stream_catalog
 
 ON = (("Key", "Key"),)
@@ -74,7 +74,7 @@ def serving():
     """A metrics-enabled StandingQueryService behind a live TCP server."""
     service = StandingQueryService(
         make_stream_catalog(seed=5)[0],
-        config=StreamQueryConfig(early_emit=True, metrics=True),
+        config=ExecutionOptions(early_emit=True, metrics=True),
     )
     server = ServeServer(service)
     loop = asyncio.new_event_loop()

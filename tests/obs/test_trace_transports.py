@@ -10,8 +10,9 @@ import time
 
 import pytest
 
+from repro import ExecutionOptions
 from repro.dataflow import DataflowQuery, NodeSpec
-from repro.stream import StreamQuery, StreamQueryConfig
+from repro.stream import StreamQuery
 from tests.dataflow.conftest import make_stream_catalog
 
 ON = (("Key", "Key"),)
@@ -21,7 +22,7 @@ TREE = [
 ]
 TRANSPORTS = ("inline", "threads", "processes", "sockets")
 
-TRACED = StreamQueryConfig(early_emit=True, trace=True, trace_sample_rate=1.0)
+TRACED = ExecutionOptions(early_emit=True, trace=True, trace_sample_rate=1.0)
 
 
 def _traced_run(backend: str, seed: int = 11):
@@ -75,7 +76,7 @@ def test_stitched_timelines_cover_source_to_sink(backend):
 
 def test_tracing_is_off_by_default_and_returns_none():
     catalog, *_ = make_stream_catalog(11, sizes=(20, 20, 15), disorder=4)
-    query = DataflowQuery(catalog, TREE, StreamQueryConfig(early_emit=True))
+    query = DataflowQuery(catalog, TREE, ExecutionOptions(early_emit=True))
     result = query.run(backend="inline", merge_seed=11)
     assert query.trace() is None
     assert result.trace() is None
@@ -85,7 +86,7 @@ def test_tracing_is_off_by_default_and_returns_none():
 def test_traced_output_matches_untraced_output():
     catalog, *_ = make_stream_catalog(11, sizes=(25, 25, 20), disorder=4)
     plain = DataflowQuery(
-        catalog, TREE, StreamQueryConfig(early_emit=True)
+        catalog, TREE, ExecutionOptions(early_emit=True)
     ).run(backend="inline", merge_seed=11)
     catalog, *_ = make_stream_catalog(11, sizes=(25, 25, 20), disorder=4)
     traced = DataflowQuery(catalog, TREE, TRACED).run(
@@ -133,8 +134,8 @@ def test_stream_query_traces_across_partitions():
         "a",
         "b",
         ON,
-        config=StreamQueryConfig(
-            partitions=2, workers="threads", trace=True, trace_sample_rate=1.0
+        config=ExecutionOptions(
+            partitions=2, transport="threads", trace=True, trace_sample_rate=1.0
         ),
     )
     result = query.run(merge_seed=13)
@@ -156,9 +157,9 @@ def test_explain_marks_traced_plans():
     catalog, *_ = make_stream_catalog(seed=5)
     sql = "SELECT * FROM STREAM a TP LEFT OUTER JOIN STREAM b ON a.Key = b.Key"
     traced = Engine(
-        stream_config=StreamQueryConfig(trace=True, trace_sample_rate=0.05)
+        options=ExecutionOptions(trace=True, trace_sample_rate=0.05)
     )
-    plain = Engine(stream_config=StreamQueryConfig())
+    plain = Engine(options=ExecutionOptions())
     for engine in (traced, plain):
         for name in ("a", "b"):
             engine.register_stream(name, catalog.lookup_stream(name))
@@ -170,15 +171,11 @@ def test_explain_marks_traced_plans():
 # socket transport: clock anchoring + flight-recorder dump on a dead seat
 # --------------------------------------------------------------------------- #
 def test_socket_reports_carry_clock_offsets():
-    from dataclasses import replace
-
     from repro.datasets import ReplayConfig, stream_def
     from repro.engine import Catalog
     from repro.parallel.stream_exec import StreamShardSpec
     from repro.stream.operators import theta_from_pairs
-    from repro.stream.query import run_stream_shards
-    from repro.stream.source import merge_tagged
-    from tests.conftest import make_random_relations
+    from tests.conftest import make_random_relations, run_shard_job
 
     left, right, _theta = make_random_relations(seed=19, left_size=40, right_size=40)
     catalog = Catalog()
@@ -189,16 +186,12 @@ def test_socket_reports_carry_clock_offsets():
     spec = StreamShardSpec(
         "left_outer", left_def.schema.attributes, right_def.schema.attributes, ON
     )
-    specs = tuple(replace(spec, index=index) for index in range(2))
-    merged = merge_tagged(left_def.replay(), right_def.replay())
-    reports, events, _blocks, ran = run_stream_shards(
+    reports, events, _blocks, ran, _recoveries = run_shard_job(
         "sockets",
-        specs,
-        merged,
+        spec,
+        catalog,
         theta,
-        stamp_right=False,
-        trace=True,
-        trace_sample_rate=1.0,
+        ExecutionOptions(trace=True, trace_sample_rate=1.0),
     )
     assert ran == "sockets" and events > 0
     for report in reports:
@@ -273,7 +266,7 @@ def traced_serving():
 
     service = StandingQueryService(
         make_stream_catalog(seed=5)[0],
-        config=StreamQueryConfig(
+        config=ExecutionOptions(
             early_emit=True, metrics=True, trace=True, trace_sample_rate=1.0
         ),
     )

@@ -12,11 +12,12 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import ExecutionOptions
 from repro.core import tp_anti_join, tp_left_outer_join
 from repro.datasets import ReplayConfig, stream_def
 from repro.engine import Catalog
 from repro.parallel import canonical_order, parallel_tp_join
-from repro.stream import StreamQuery, StreamQueryConfig
+from repro.stream import StreamQuery
 from tests.conftest import make_random_relations
 
 PARTITION_COUNTS = (1, 2, 4)
@@ -78,7 +79,7 @@ def test_stream_thread_partitions_equal_inline_run(workload, disorder):
             "l",
             "r",
             [("Key", "Key")],
-            config=StreamQueryConfig(partitions=partitions, micro_batch_size=4),
+            config=ExecutionOptions(partitions=partitions, micro_batch_size=4),
         )
         rows = identity_rows(query.run(merge_seed=seed).relation, with_probability=False)
         if expected is None:
@@ -111,8 +112,8 @@ def test_stream_worker_transports_equal_inline_run(seed, transport):
             "l",
             "r",
             [("Key", "Key")],
-            config=StreamQueryConfig(
-                partitions=partitions, workers=transport, micro_batch_size=4
+            config=ExecutionOptions(
+                partitions=partitions, transport=transport, micro_batch_size=4
             ),
         )
         rows = identity_rows(query.run(merge_seed=seed).relation, with_probability=False)

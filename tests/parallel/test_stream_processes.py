@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro import ExecutionOptions
 from repro.core import tp_anti_join, tp_left_outer_join
 from repro.datasets import ReplayConfig, stream_def
 from repro.engine import Catalog
-from repro.parallel import StreamShardSpec, run_process_partitions
-from repro.stream import StreamQuery, StreamQueryConfig
-from repro.stream.source import merge_tagged
-from tests.conftest import canonical_rows, make_random_relations
+from repro.parallel import StreamShardSpec
+from repro.stream import StreamQuery
+from tests.conftest import canonical_rows, make_random_relations, run_shard_job
 
 
 def _register_pair(seed: int, disorder: int = 3, size: int = 30):
@@ -34,7 +34,7 @@ def test_stream_query_processes_backend_matches_batch(kind, batch_join):
         "l",
         "r",
         [("Key", "Key")],
-        config=StreamQueryConfig(partitions=2, workers="processes", micro_batch_size=8),
+        config=ExecutionOptions(partitions=2, transport="processes", micro_batch_size=8),
     )
     result = query.run(merge_seed=31)
     assert result.workers == "processes"
@@ -54,7 +54,7 @@ def test_processes_backend_reports_emit_latencies_per_positive_group():
         "l",
         "r",
         [("Key", "Key")],
-        config=StreamQueryConfig(partitions=2, workers="processes"),
+        config=ExecutionOptions(partitions=2, transport="processes"),
     )
     result = query.run(merge_seed=7)
     # One latency sample per finalized positive tuple, all non-negative.
@@ -64,33 +64,21 @@ def test_processes_backend_reports_emit_latencies_per_positive_group():
 
 def test_worker_backend_config_is_validated():
     with pytest.raises(ValueError):
-        StreamQueryConfig(workers="fibers")
+        ExecutionOptions(transport="fibers")
 
 
 def test_describe_mentions_process_backend_only_when_parallel():
     catalog, _left, _right, _theta = _register_pair(seed=1)
     parallel = StreamQuery(
         catalog, "anti", "l", "r", [("Key", "Key")],
-        config=StreamQueryConfig(partitions=2, workers="processes"),
+        config=ExecutionOptions(partitions=2, transport="processes"),
     )
     inline = StreamQuery(
         catalog, "anti", "l", "r", [("Key", "Key")],
-        config=StreamQueryConfig(partitions=1, workers="processes"),
+        config=ExecutionOptions(partitions=1, transport="processes"),
     )
     assert "workers=processes" in parallel.describe()
     assert "workers=processes" not in inline.describe()
-
-
-def test_run_process_partitions_requires_multiple_partitions():
-    catalog, _left, _right, theta = _register_pair(seed=2)
-    left_def = catalog.lookup_stream("l")
-    right_def = catalog.lookup_stream("r")
-    spec = StreamShardSpec(
-        "anti", left_def.schema.attributes, right_def.schema.attributes, (("Key", "Key"),)
-    )
-    merged = merge_tagged(left_def.replay(), right_def.replay())
-    with pytest.raises(ValueError):
-        run_process_partitions(spec, merged, theta, partitions=1)
 
 
 def test_worker_failure_is_reported_to_the_router():
@@ -104,9 +92,8 @@ def test_worker_failure_is_reported_to_the_router():
         right_def.schema.attributes,
         (("Key", "Key"),),
     )
-    merged = merge_tagged(left_def.replay(), right_def.replay())
     with pytest.raises(RuntimeError, match="failed"):
-        run_process_partitions(spec, merged, theta, partitions=2)
+        run_shard_job("processes", spec, catalog, theta)
 
 
 def test_worker_start_failure_falls_back_to_threads(monkeypatch):
@@ -124,7 +111,7 @@ def test_worker_start_failure_falls_back_to_threads(monkeypatch):
         "l",
         "r",
         [("Key", "Key")],
-        config=StreamQueryConfig(partitions=2, workers="processes"),
+        config=ExecutionOptions(partitions=2, transport="processes"),
     )
     with pytest.warns(RuntimeWarning, match="falling back to the thread transport"):
         result = query.run(merge_seed=5)
@@ -136,22 +123,20 @@ def test_worker_start_failure_falls_back_to_threads(monkeypatch):
 
 
 def test_bounded_queues_backpressure_the_router():
-    catalog, _left, _right, theta = _register_pair(seed=13, size=60)
-    left_def = catalog.lookup_stream("l")
-    right_def = catalog.lookup_stream("r")
-    spec = StreamShardSpec(
+    catalog, _left, _right, _theta = _register_pair(seed=13, size=60)
+    query = StreamQuery(
+        catalog,
         "left_outer",
-        left_def.schema.attributes,
-        right_def.schema.attributes,
-        (("Key", "Key"),),
-        left_name="l",
-        right_name="r",
+        "l",
+        "r",
+        [("Key", "Key")],
+        config=ExecutionOptions(
+            partitions=2, transport="processes", micro_batch_size=1, buffer_capacity=1
+        ),
     )
-    merged = merge_tagged(left_def.replay(), right_def.replay())
-    outcome = run_process_partitions(
-        spec, merged, theta, partitions=2, micro_batch_size=1, buffer_capacity=1
-    )
+    result = query.run()
+    assert result.workers == "processes"
     # Tiny queues (one single-element batch in flight) must block the router
     # at least once on this workload — and the run must still be correct.
-    assert outcome.backpressure_blocks > 0
-    assert outcome.events_processed == 120
+    assert result.backpressure_blocks > 0
+    assert result.events_processed == 120

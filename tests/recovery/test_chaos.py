@@ -62,8 +62,8 @@ def _baseline_rows(kind: str) -> list[str]:
     return _BASELINES[kind]
 
 
-def test_unfailed_run_through_the_recovering_router_is_identical():
-    """restart_limit > 0 routes through the recovering driver even when
+def test_unfailed_run_through_the_recovering_session_is_identical():
+    """restart_limit > 0 routes through the recovering session even when
     nothing dies — the hot path must not change the settled output."""
     result = _run("left_outer", _options())
     assert result.workers == "sockets"
@@ -132,10 +132,10 @@ def test_restart_limit_exhaustion_raises_the_seat_failure():
     """Killing the same logical seat more times than restart_limit allows
     surfaces the SeatFailure itself — with the seat and its placement
     address — instead of recovering silently forever.  Driven through the
-    router directly (micro_batch_size=1: one frame per element) so each
+    session directly (micro_batch_size=1: one frame per element) so each
     kill is detected at a controlled point."""
-    from repro.recovery.driver import RecoveringStreamRouter
-    from repro.runtime.transport import RuntimeJob
+    from repro.recovery.driver import RecoveringSession
+    from repro.runtime import SOURCE_CHANNEL, RuntimeJob
     from repro.parallel.stream_exec import StreamShardSpec
     from repro.stream.elements import Watermark
     from repro.stream.source import merge_tagged
@@ -150,20 +150,17 @@ def test_restart_limit_exhaustion_raises_the_seat_failure():
     options = ExecutionOptions(
         transport="sockets", partitions=1, micro_batch_size=1, restart_limit=1
     )
-    job = RuntimeJob((spec,), micro_batch_size=1)
-    router = RecoveringStreamRouter((spec,), options, job)
+    session = RecoveringSession(RuntimeJob((spec,), micro_batch_size=1), options)
 
     def route(tagged) -> None:
-        if isinstance(tagged.element, Watermark):
-            router.route_watermark(tagged)
-        else:
-            router.route_event(0, tagged)
+        watermark = isinstance(tagged.element, Watermark)
+        session.send(0, SOURCE_CHANNEL if watermark else None, tagged)
 
-    try:
+    with session:
         iterator = iter(elements)
         for _ in range(10):
             route(next(iterator))
-        assert router.kill_seat(0)
+        assert session.kill_seat(0)
         # One frame per element: the broken connection surfaces within a
         # couple of sends and the (single allowed) recovery runs inline.
         # The pacing sleep lets the driver's reader thread observe the
@@ -171,24 +168,23 @@ def test_restart_limit_exhaustion_raises_the_seat_failure():
         # the reader ever wakes up.
         for tagged in iterator:
             route(tagged)
-            if router.recoveries:
+            if session.recoveries:
                 break
             time.sleep(0.002)
-        assert len(router.recoveries) == 1, "first kill was never recovered"
+        assert len(session.recoveries) == 1, "first kill was never recovered"
         # Kill the replacement seat.  (No assert: if the replacement
         # already died on its own the exhaustion below triggers anyway.)
-        router.kill_seat(0)
+        session.kill_seat(0)
         with pytest.raises(SeatFailure) as excinfo:
             for tagged in iterator:
                 route(tagged)
-            router.done(0)
-            router.finish_seat(0)
+            for _ in range(spec.producers):
+                session.done(0)
+            session.finish()
         failure = excinfo.value
         assert failure.seat == 0
         assert failure.address and ":" in failure.address
         assert failure.cause in CAUSES
-    finally:
-        router.release()
 
 
 # --------------------------------------------------------------------------- #
@@ -211,7 +207,7 @@ def test_random_kill_plan_rejects_single_seat():
         random_kill_plan(1, seats=1, events_total=100)
 
 
-def test_injector_records_misses_without_a_router():
+def test_injector_records_misses_without_a_session():
     chaos = ChaosInjector([(5, 0)])
     chaos.on_event(4)
     assert chaos.executed == []

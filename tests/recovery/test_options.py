@@ -1,11 +1,8 @@
-"""The unified ExecutionOptions surface, its shims, and symmetric results.
+"""The unified ExecutionOptions surface and symmetric results.
 
-Covers the API-redesign satellites: legacy ``StreamQueryConfig`` /
-``ParallelConfig`` / ``Engine(stream_config=...)`` spellings keep working
-behind DeprecationWarnings, validation rejects nonsense knobs loudly,
-StreamQuery and DataflowQuery results expose the identical introspection
-surface (``metrics()``/``trace()``/``recoveries()``/``explain_analyze()``),
-EXPLAIN renders the recovery marker, and the socket transport honours the
+Validation rejects nonsense knobs loudly, StreamQuery and DataflowQuery
+results expose the identical introspection surface
+(``metrics()``/``trace()``/``recoveries()``/``explain_analyze()``), EXPLAIN renders the recovery marker, and the socket transport honours the
 configurable result-frame timeout with the seat's address in the error.
 """
 
@@ -16,8 +13,7 @@ import pytest
 from repro import ExecutionOptions
 from repro.dataflow import DataflowQuery, NodeSpec
 from repro.engine import Engine, JoinStrategy
-from repro.parallel import ParallelConfig
-from repro.stream import StreamQuery, StreamQueryConfig
+from repro.stream import StreamQuery
 
 from tests.dataflow.conftest import make_stream_catalog
 from tests.recovery.conftest import query_catalog
@@ -31,7 +27,6 @@ ON = (("Key", "Key"),)
 def test_options_defaults_are_the_historical_ones():
     options = ExecutionOptions()
     assert options.transport == "threads"
-    assert options.workers == "threads"  # legacy read-only alias
     assert options.partitions == 1
     assert options.checkpoint_interval is None
     assert options.restart_limit == 0
@@ -69,53 +64,6 @@ def test_options_is_frozen_and_importable_from_the_package_root():
     assert repro.ExecutionOptions is ExecutionOptions
     with pytest.raises(Exception):
         ExecutionOptions().partitions = 2  # type: ignore[misc]
-
-
-# --------------------------------------------------------------------------- #
-# deprecation shims
-# --------------------------------------------------------------------------- #
-def test_stream_query_config_shim_returns_options_and_warns():
-    with pytest.warns(DeprecationWarning, match="StreamQueryConfig"):
-        options = StreamQueryConfig(
-            partitions=2,
-            workers="sockets",
-            early_emit=True,
-            checkpoint_interval=1.5,
-            restart_limit=2,
-            seat_timeout=30.0,
-        )
-    assert isinstance(options, ExecutionOptions)
-    assert options.transport == "sockets"
-    assert options.workers == "sockets"
-    assert options.partitions == 2
-    assert options.early_emit
-    # The recovery knobs flow straight through the legacy spelling too.
-    assert options.checkpoint_interval == 1.5
-    assert options.restart_limit == 2
-    assert options.seat_timeout == 30.0
-    assert options.recovery_enabled
-
-
-def test_parallel_config_moved_kwargs_warn_but_still_work():
-    with pytest.warns(DeprecationWarning, match="ParallelConfig"):
-        config = ParallelConfig(max_workers=3, transport="processes")
-    assert config.max_workers == 3
-    assert config.transport == "processes"
-
-
-def test_parallel_config_without_moved_kwargs_is_silent():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        ParallelConfig(max_workers=3)
-
-
-def test_engine_stream_config_kwarg_warns_and_is_honoured():
-    options = ExecutionOptions(partitions=2, early_emit=True)
-    with pytest.warns(DeprecationWarning, match="stream_config"):
-        engine = Engine(stream_config=options)
-    assert engine._stream_config is options
 
 
 # --------------------------------------------------------------------------- #

@@ -1,18 +1,65 @@
-"""Runtime channel: producer bookkeeping on top of the bounded FIFO.
+"""Runtime channel: the bounded FIFO and its producer bookkeeping.
 
-The base FIFO semantics (capacity, blocking put, micro-batch drain, close)
-are pinned by ``tests/stream/test_buffer.py`` through the historical
-``BoundedBuffer`` alias; these tests cover what the runtime layer added —
-the multi-producer done-sentinel close protocol.
+The first four tests are the only pin on the base FIFO semantics (capacity,
+blocking put, micro-batch drain, close); the rest cover the multi-producer
+done-sentinel close protocol.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro.runtime import Channel, ChannelClosed
+
+
+def test_fifo_order_and_micro_batches():
+    channel: Channel[int] = Channel(capacity=10)
+    for value in range(7):
+        channel.put(value)
+    assert channel.take_batch(3) == [0, 1, 2]
+    assert channel.take_batch(100) == [3, 4, 5, 6]
+
+
+def test_close_drains_then_signals_completion():
+    channel: Channel[str] = Channel(capacity=4)
+    channel.put("a")
+    channel.close()
+    assert channel.take_batch(8) == ["a"]
+    assert channel.take_batch(8) is None
+    with pytest.raises(ChannelClosed):
+        channel.put("b")
+
+
+def test_put_blocks_until_consumer_makes_space():
+    channel: Channel[int] = Channel(capacity=2)
+    channel.put(0)
+    channel.put(1)
+    produced = []
+
+    def producer():
+        channel.put(2)  # blocks: channel full
+        produced.append(2)
+
+    thread = threading.Thread(target=producer)
+    thread.start()
+    time.sleep(0.05)
+    assert not produced  # still blocked
+    assert channel.take_batch(1) == [0]
+    thread.join(timeout=2)
+    assert produced == [2]
+    assert channel.put_blocks == 1
+    assert channel.high_watermark == 2
+
+
+def test_validation():
+    with pytest.raises(ValueError):
+        Channel(capacity=0)
+    channel: Channel[int] = Channel(capacity=1)
+    with pytest.raises(ValueError):
+        channel.take_batch(0)
 
 
 def test_channel_closes_after_every_producer_reports_done():

@@ -1,0 +1,166 @@
+"""The one source router (``repro.runtime.driver.run_job``).
+
+Three pins: the single job builder mirrors ``ExecutionOptions`` field for
+field (so a knob cannot go silently inert on one kind of run again — the
+``seat_timeout`` bug), a stream query and its one-node dataflow twin drive
+the router to the same settled answer as the batch join, and the two merge
+helpers produce the same sequence.
+"""
+
+from __future__ import annotations
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import ExecutionOptions
+from repro.dataflow import BATCH_JOINS, DataflowQuery, NodeSpec, drained_relation
+from repro.dataflow.convergence import identity_rows
+from repro.runtime import Placement, merge_edges
+from repro.runtime import driver as driver_module
+from repro.runtime.transport import InlineTransport
+from repro.stream import LEFT, RIGHT, StreamQuery, merge_tagged, theta_from_pairs
+
+from tests.recovery.conftest import query_catalog
+
+ON = (("Key", "Key"),)
+
+
+# --------------------------------------------------------------------------- #
+# the single job builder
+# --------------------------------------------------------------------------- #
+class _CapturingTransport(InlineTransport):
+    """Records what the router asked for, then runs it inline."""
+
+    def __init__(self, captured: list) -> None:
+        self._captured = captured
+
+    def start(self, job, placement=None):
+        self._captured.append((job, placement))
+        return super().start(job, placement)
+
+
+#: A non-default value in every field the job is built from.
+OPTIONS = ExecutionOptions(
+    transport="threads",
+    partitions=2,
+    micro_batch_size=7,
+    buffer_capacity=33,
+    placement=Placement(("127.0.0.1:1", "127.0.0.1:2")),
+    metrics=True,
+    metrics_interval=0.25,
+    trace=True,
+    trace_sample_rate=0.5,
+    checkpoint_interval=1.5,
+    restart_limit=2,
+    seat_timeout=12.0,
+)
+
+
+def _captured_job(monkeypatch, run) -> tuple:
+    captured: list = []
+    monkeypatch.setattr(
+        driver_module, "get_transport", lambda name: _CapturingTransport(captured)
+    )
+    run()
+    ((job, placement),) = captured
+    assert placement is OPTIONS.placement
+    assert job.micro_batch_size == OPTIONS.micro_batch_size
+    assert job.buffer_capacity == OPTIONS.buffer_capacity
+    assert job.metrics is OPTIONS.metrics
+    assert job.metrics_interval == OPTIONS.metrics_interval
+    assert job.trace is OPTIONS.trace
+    assert job.result_timeout == OPTIONS.seat_timeout
+    return job
+
+
+def test_stream_shard_job_mirrors_the_options(monkeypatch):
+    catalog, _left, _right = query_catalog(3, left_size=12, right_size=12)
+    query = StreamQuery(catalog, "left_outer", "l", "r", ON, config=OPTIONS)
+    job = _captured_job(monkeypatch, query.run)
+    assert len(job.specs) == OPTIONS.partitions
+    assert all(spec.collect_outputs for spec in job.specs)
+    assert job.checkpoint_interval == OPTIONS.checkpoint_interval
+
+
+def test_dataflow_job_mirrors_the_options_but_withholds_checkpoints(monkeypatch):
+    """Dataflow node workers cannot be snapshotted (peer edges), so the
+    checkpoint interval must never reach them — every other field, the
+    seat timeout included, must."""
+    catalog, _left, _right = query_catalog(3, left_size=12, right_size=12)
+    query = DataflowQuery(
+        catalog, [NodeSpec("n", "left_outer", "l", "r", ON, partitions=2)], OPTIONS
+    )
+    job = _captured_job(monkeypatch, query.run)
+    assert len(job.specs) == 2
+    assert not any(spec.collect_outputs for spec in job.specs)
+    assert job.checkpoint_interval is None
+
+
+def test_dataflow_socket_run_ignores_the_recovery_knobs_end_to_end():
+    """The trap the builder guards: a socket graph run under recovery knobs
+    must take the plain session (no snapshot of a node worker is ever
+    attempted) and settle exactly like the inline run."""
+    catalog, _left, _right = query_catalog(5, left_size=25, right_size=25)
+    nodes = [NodeSpec("n", "full_outer", "l", "r", ON, partitions=2)]
+    inline = DataflowQuery(catalog, nodes, ExecutionOptions()).run(
+        merge_seed=5, backend="inline"
+    )
+    sockets = DataflowQuery(
+        catalog,
+        nodes,
+        ExecutionOptions(
+            transport="sockets", restart_limit=1, checkpoint_interval=0.0
+        ),
+    ).run(merge_seed=5)
+    assert sockets.backend == "sockets"
+    assert sockets.recoveries() == []
+    assert identity_rows(sockets.relation) == identity_rows(inline.relation)
+
+
+# --------------------------------------------------------------------------- #
+# router equivalence: stream shards ≡ one-node graph ≡ batch
+# --------------------------------------------------------------------------- #
+@settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    merge_seed=st.one_of(st.none(), st.integers(min_value=0, max_value=2**16)),
+    partitions=st.sampled_from((1, 2, 3)),
+    kind=st.sampled_from(sorted(BATCH_JOINS)),
+)
+def test_stream_query_and_one_node_graph_settle_to_the_batch_join(
+    seed, merge_seed, partitions, kind
+):
+    catalog, _left, _right = query_catalog(seed, left_size=24, right_size=24)
+    stream = StreamQuery(
+        catalog, kind, "l", "r", ON, config=ExecutionOptions(partitions=partitions)
+    ).run(merge_seed=merge_seed)
+    graph = DataflowQuery(
+        catalog, [NodeSpec("n", kind, "l", "r", ON, partitions=partitions)]
+    ).run(merge_seed=merge_seed)
+    left = drained_relation(catalog.lookup_stream("l"))
+    right = drained_relation(catalog.lookup_stream("r"))
+    batch = BATCH_JOINS[kind](
+        left, right, theta_from_pairs(left.schema, right.schema, ON)
+    )
+    assert stream.events_processed == graph.events_processed == len(left) + len(right)
+    settled = identity_rows(stream.relation.with_probabilities())
+    assert settled == identity_rows(graph.relation.with_probabilities())
+    assert settled == identity_rows(batch)
+
+
+# --------------------------------------------------------------------------- #
+# the surviving duplicate cannot drift
+# --------------------------------------------------------------------------- #
+@given(
+    left=st.lists(st.integers(), max_size=12),
+    right=st.lists(st.integers(), max_size=12),
+    seed=st.one_of(st.none(), st.integers(min_value=0, max_value=2**16)),
+)
+def test_merge_tagged_is_the_two_edge_merge(left, right, seed):
+    tagged = [(item.side, item.element) for item in merge_tagged(left, right, seed)]
+    edges = [(0, LEFT, iter(left)), (0, RIGHT, iter(right))]
+    assert tagged == [
+        (side, element) for _edge, _stage, side, element in merge_edges(edges, seed)
+    ]

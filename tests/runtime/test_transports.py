@@ -16,11 +16,12 @@ import sys
 
 import pytest
 
+from repro import ExecutionOptions
 from repro.core import tp_anti_join, tp_left_outer_join
 from repro.datasets import ReplayConfig, stream_def
 from repro.engine import Catalog
 from repro.runtime import Placement, WorkerStartError, get_transport, parse_placement
-from repro.stream import StreamQuery, StreamQueryConfig
+from repro.stream import StreamQuery
 from tests.conftest import canonical_rows, make_random_relations
 
 
@@ -75,7 +76,7 @@ def test_stream_query_socket_backend_matches_batch(kind, batch_join):
         "l",
         "r",
         [("Key", "Key")],
-        config=StreamQueryConfig(partitions=2, workers="sockets", micro_batch_size=8),
+        config=ExecutionOptions(partitions=2, transport="sockets", micro_batch_size=8),
     )
     result = query.run(merge_seed=41)
     assert result.workers == "sockets"
@@ -87,11 +88,8 @@ def test_stream_query_socket_backend_matches_batch(kind, batch_join):
 
 
 def test_socket_worker_failure_is_reported_to_the_driver():
-    from dataclasses import replace
-
     from repro.parallel.stream_exec import StreamShardSpec
-    from repro.stream.query import run_stream_shards
-    from repro.stream.source import merge_tagged
+    from tests.conftest import run_shard_job
 
     catalog, _left, _right, theta = _register_pair(seed=43)
     left_def = catalog.lookup_stream("l")
@@ -103,10 +101,8 @@ def test_socket_worker_failure_is_reported_to_the_driver():
         right_def.schema.attributes,
         (("Key", "Key"),),
     )
-    specs = tuple(replace(spec, index=index) for index in range(2))
-    merged = merge_tagged(left_def.replay(), right_def.replay())
     with pytest.raises(RuntimeError, match="failed"):
-        run_stream_shards("sockets", specs, merged, theta, stamp_right=False)
+        run_shard_job("sockets", spec, catalog, theta)
 
 
 def test_socket_fallback_to_threads_warns():
@@ -121,7 +117,7 @@ def test_socket_fallback_to_threads_warns():
         "l",
         "r",
         [("Key", "Key")],
-        config=StreamQueryConfig(partitions=2, workers="sockets", placement=dead),
+        config=ExecutionOptions(partitions=2, transport="sockets", placement=dead),
     )
     with pytest.warns(RuntimeWarning, match="falling back to the thread transport"):
         result = query.run(merge_seed=47)
@@ -143,7 +139,7 @@ def test_dataflow_socket_fallback_records_effective_backend(monkeypatch):
         NodeSpec("n1", "left_outer", "a", "b", (("Key", "Key"),)),
         NodeSpec("n2", "right_outer", "n1", "c", (("Key", "Key"),)),
     ]
-    query = DataflowQuery(catalog, tree, StreamQueryConfig(early_emit=True, workers="sockets"))
+    query = DataflowQuery(catalog, tree, ExecutionOptions(early_emit=True, transport="sockets"))
     with pytest.warns(RuntimeWarning, match="falling back to the thread transport"):
         result = query.run(merge_seed=5)
     assert result.backend == "threads"  # the transport that actually ran
@@ -188,8 +184,8 @@ def test_placement_runs_on_external_entrypoint_workers():
             "l",
             "r",
             [("Key", "Key")],
-            config=StreamQueryConfig(
-                partitions=2, workers="sockets", placement=placement
+            config=ExecutionOptions(
+                partitions=2, transport="sockets", placement=placement
             ),
         )
         batch = tp_left_outer_join(left, right, theta, compute_probabilities=False)

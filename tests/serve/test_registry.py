@@ -7,12 +7,12 @@ import time
 
 import pytest
 
+from repro import ExecutionOptions
 from repro.dataflow import DataflowQuery, NodeSpec
 from repro.dataflow.revision import Revision, RevisionKind
 from repro.relation import TPTuple
 from repro.serve import END_OF_STREAM, ServeError, StandingQueryService
 from repro.stream.elements import Watermark
-from repro.stream.query import StreamQueryConfig
 
 from conftest import make_gated_catalog, make_stream_catalog
 
@@ -76,7 +76,7 @@ def test_lifecycle_idle_until_first_subscriber_then_settles():
 
 
 def test_settled_state_matches_direct_dataflow_run():
-    config = StreamQueryConfig(early_emit=True)
+    config = ExecutionOptions(early_emit=True)
     catalog = make_stream_catalog(seed=5)
     direct = DataflowQuery(catalog, [JOIN], config).run(backend="inline")
     service = StandingQueryService(make_stream_catalog(seed=5), config=config)
@@ -132,7 +132,7 @@ def test_linger_keeps_the_group_alive_for_a_resubscribe():
 def test_two_queries_sharing_a_subplan_execute_it_once():
     partitions = 2
     shared_spec = NodeSpec("j1", "left_outer", "a", "b", ON, partitions=partitions)
-    config = StreamQueryConfig(early_emit=True, materialize_probabilities=True)
+    config = ExecutionOptions(early_emit=True, materialize_probabilities=True)
     # Gated sources: nothing is published (and the group cannot settle)
     # until both subscribers are attached, so both observe the full stream.
     gate = threading.Event()

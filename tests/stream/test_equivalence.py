@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro import ExecutionOptions
 from repro.core import tp_anti_join, tp_left_outer_join
 from repro.datasets import ReplayConfig, arrival_order, stream_def
 from repro.engine import Catalog
@@ -21,7 +22,6 @@ from repro.stream import (
     ContinuousAntiJoin,
     ContinuousLeftOuterJoin,
     StreamQuery,
-    StreamQueryConfig,
     StreamSource,
     merge_tagged,
 )
@@ -105,7 +105,7 @@ def test_parallel_partitions_match_batch(seed, random_relation_factory):
             "l",
             "r",
             [("Key", "Key")],
-            config=StreamQueryConfig(
+            config=ExecutionOptions(
                 partitions=partitions, micro_batch_size=8, buffer_capacity=16
             ),
         )

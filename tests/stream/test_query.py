@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro import ExecutionOptions
 from repro.datasets import ReplayConfig, stream_def
 from repro.engine import Catalog, CatalogError
 from repro.lineage import canonical
-from repro.stream import StreamQuery, StreamQueryConfig
+from repro.stream import StreamQuery
 
 
 def _catalog(random_relation_factory, seed=0, **sizes):
@@ -34,7 +35,7 @@ def test_describe_names_the_query_shape(random_relation_factory):
     catalog, *_ = _catalog(random_relation_factory)
     query = StreamQuery(
         catalog, "anti", "l", "r", [("Key", "Key")],
-        config=StreamQueryConfig(partitions=3),
+        config=ExecutionOptions(partitions=3),
     )
     description = query.describe()
     assert "anti" in description and "partitions=3" in description
@@ -72,7 +73,7 @@ def test_non_equi_theta_forces_a_single_partition(random_relation_factory):
     catalog.register_stream("l", stream_def(left, ReplayConfig()))
     catalog.register_stream("r", stream_def(right, ReplayConfig()))
     query = StreamQuery(
-        catalog, "anti", "l", "r", (), config=StreamQueryConfig(partitions=8)
+        catalog, "anti", "l", "r", (), config=ExecutionOptions(partitions=8)
     )
     # θ = true is an equi-join with an empty key: partitionable in principle,
     # but every tuple shares the one key, so this exercises the skew path.
@@ -90,7 +91,7 @@ def test_backpressure_engages_with_tiny_buffers(random_relation_factory):
         "l",
         "r",
         [("Key", "Key")],
-        config=StreamQueryConfig(partitions=2, micro_batch_size=1, buffer_capacity=1),
+        config=ExecutionOptions(partitions=2, micro_batch_size=1, buffer_capacity=1),
     )
     result = query.run(merge_seed=2)
     # Watermarks are broadcast to both workers, so with capacity 1 the router
@@ -101,7 +102,7 @@ def test_backpressure_engages_with_tiny_buffers(random_relation_factory):
 
 def test_invalid_config_rejected():
     with pytest.raises(ValueError):
-        StreamQueryConfig(partitions=0)
+        ExecutionOptions(partitions=0)
 
 
 def test_source_evictions_surface_in_late_dropped(random_relation_factory):
@@ -134,7 +135,7 @@ def test_worker_failure_raises_instead_of_deadlocking(
         "l",
         "r",
         [("Key", "Key")],
-        config=StreamQueryConfig(partitions=2, micro_batch_size=1, buffer_capacity=2),
+        config=ExecutionOptions(partitions=2, micro_batch_size=1, buffer_capacity=2),
     )
 
     real_factory = spec_module.continuous_join

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro import ExecutionOptions
 from repro.core import tp_full_outer_join, tp_inner_join, tp_right_outer_join
 from repro.datasets import ReplayConfig, arrival_order, stream_def
 from repro.engine import Catalog
@@ -18,7 +19,6 @@ from repro.lineage import ProbabilityComputer, canonical
 from repro.stream import (
     CONTINUOUS_OPERATORS,
     StreamQuery,
-    StreamQueryConfig,
     StreamSource,
     continuous_join,
     merge_tagged,
@@ -95,7 +95,7 @@ def test_partitioned_reverse_kinds_match_batch(kind, random_relation_factory):
             "l",
             "r",
             [("Key", "Key")],
-            config=StreamQueryConfig(partitions=partitions, micro_batch_size=8),
+            config=ExecutionOptions(partitions=partitions, micro_batch_size=8),
         )
         result = query.run(merge_seed=7)
         assert finalized_rows(result.relation) == finalized_rows(batch)
@@ -137,7 +137,7 @@ def test_materialized_probabilities_through_stream_query(random_relation_factory
         "l",
         "r",
         [("Key", "Key")],
-        config=StreamQueryConfig(materialize_probabilities=True),
+        config=ExecutionOptions(materialize_probabilities=True),
     )
     result = query.run(merge_seed=3)
     events = left.events.merge(right.events)
