@@ -7,9 +7,10 @@ under the GIL).  A registry's :meth:`MetricsRegistry.snapshot` is a plain
 dict of builtins, so it pickles through the runtime codecs and serialises
 to JSON for the NDJSON serve front end without any custom hooks.
 
-The metrics-off fast path is structural: when metrics are disabled no
-registry exists and the hot loops take the original branch, so the cost
-of an uninstrumented run is one ``is None`` test per loop at most.
+Workers keep their flow counts as plain ints whether or not metrics are
+on; a registry exists only when they are, and is where those counts and the
+operator state are sampled into at snapshot time — nothing on the
+per-element path touches it.
 
 The driver side is :class:`MetricsAggregator`: it merges labelled
 snapshots from every worker (whatever transport delivered them) into a

@@ -55,10 +55,10 @@ class ExecutionOptions:
     numpy is not installed a columnar request degrades to ``"object"``
     with a :class:`RuntimeWarning`.
 
-    ``metrics`` / ``metrics_interval`` instrument the run with per-worker
-    registries (:mod:`repro.obs`); ``trace`` / ``trace_sample_rate``
-    record span-per-element timelines.  Both are off by default — the
-    uninstrumented loop is the fast path.
+    ``metrics`` / ``metrics_interval`` sample every worker's always-on
+    counts and operator state into per-worker registries and ship them
+    (:mod:`repro.obs`); ``trace`` / ``trace_sample_rate`` record
+    span-per-element timelines.  Both are off by default.
 
     Fault tolerance (sockets transport only):
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 import warnings
+from dataclasses import replace
 from time import perf_counter
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -110,7 +111,7 @@ def _start_session(
             RuntimeWarning,
             stacklevel=4,
         )
-        return get_transport("threads").start(job)
+        return get_transport("threads").start(replace(job, checkpoint_interval=None))
 
 
 def run_job(
@@ -163,9 +164,15 @@ def run_job(
     transport that actually ran.
     """
     specs = tuple(specs)
-    # Only self-contained shards can be snapshotted and re-executed alone:
-    # dataflow node workers have peer edges (snapshot_worker rejects them).
-    collecting = all(spec.collect_outputs for spec in specs)
+    # Only self-contained shards can be snapshotted and re-executed alone
+    # (dataflow node workers have peer edges; snapshot_worker rejects them),
+    # and only the recovering socket session ever reads a checkpoint — no
+    # other run is told to take any.
+    recover = (
+        transport == "sockets"
+        and options.recovery_enabled
+        and all(spec.collect_outputs for spec in specs)
+    )
     job = RuntimeJob(
         specs,
         micro_batch_size=options.micro_batch_size,
@@ -174,7 +181,7 @@ def run_job(
         metrics_interval=options.metrics_interval,
         trace=options.trace or trace_collector is not None,
         result_timeout=options.seat_timeout,
-        checkpoint_interval=options.checkpoint_interval if collecting else None,
+        checkpoint_interval=options.checkpoint_interval if recover else None,
     )
     sampler = None
     driver_tracer = None
@@ -183,13 +190,7 @@ def run_job(
 
         sampler = TraceSampler(options.trace_sample_rate)
         driver_tracer = Tracer("driver")
-    session = _start_session(
-        job,
-        options,
-        transport,
-        transport == "sockets" and options.recovery_enabled and collecting,
-        chaos,
-    )
+    session = _start_session(job, options, transport, recover, chaos)
     if collector is not None:
         collector.attach(session)
     if trace_collector is not None:

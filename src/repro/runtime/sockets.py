@@ -8,14 +8,16 @@ with the ``multiprocessing`` queues swapped for TCP connections:
   :class:`~repro.runtime.placement.Placement`);
 * the driver connects to each worker and ships a *job* frame — the worker's
   picklable spec, the fully resolved worker-index → address map, and the
-  channel knobs — then streams micro-batches of codec-encoded elements
+  job's settings (the :class:`RuntimeJob` record without its specs) — then
+  streams micro-batches of codec-encoded elements
   (:mod:`repro.parallel.serialize`) as length-prefixed pickle frames;
 * workers open direct worker→worker connections for downstream routing (the
   address map makes peers addressable without relaying through the driver);
 * done sentinels are ``("done", job)`` frames counted against the spec's
   producer count, exactly like the queue backend's ``None`` messages;
-* each worker answers its driver connection with one result (or marshalled
-  traceback) frame after settling.
+* what a worker sends before settling — metrics snapshots, spans,
+  checkpoints — rides its driver connection as ``(kind, job, index,
+  payload)`` frames; one result (or marshalled traceback) frame ends it.
 
 Backpressure survives the boundary: a server connection feeds a bounded
 :class:`~repro.runtime.channel.Channel`; when it fills, the reader stops
@@ -43,7 +45,6 @@ import traceback
 import uuid
 from typing import Dict, Hashable, List, Optional
 
-from ..obs.metrics import DEFAULT_METRICS_INTERVAL
 from ..obs.trace import clock_anchor, estimate_clock_offset, shift_spans
 from ..recovery.types import SeatFailure
 from ..stream.elements import Tagged
@@ -85,6 +86,30 @@ def send_raw_frame(sock: socket.socket, data: bytes) -> None:
     sock.sendall(_HEADER.pack(len(data)) + data)
 
 
+def _is_columnar(spec) -> bool:
+    return getattr(spec, "layout", "object") == "columnar"
+
+
+def send_batch(sock: socket.socket, job_key: str, batch, binary: bool) -> None:
+    """Ship one micro-batch of codec-encoded elements.
+
+    With ``binary`` (the receiving spec is columnar) the batch ships as a
+    binary column frame — no pickle on the element hot path.  A batch the
+    fixed layout cannot express, like every batch of an object-layout job,
+    is one pickled ``batch`` frame; the receiver dispatches per frame, so
+    the mix is safe.
+    """
+    if binary:
+        try:
+            data = wire.encode_batch_frame(job_key, batch)
+        except wire.WireFormatError:
+            pass
+        else:
+            send_raw_frame(sock, data)
+            return
+    send_frame(sock, ("batch", job_key, batch))
+
+
 def recv_frame(file) -> Optional[object]:
     """Read one frame from a buffered socket file; ``None`` on EOF.
 
@@ -124,15 +149,9 @@ class _EncodedChannelInbox:
 
 
 class _PeerPutter:
-    """Worker-side delivery to downstream peers over cached connections.
+    """Worker-side delivery to downstream peers over cached connections."""
 
-    With ``binary=True`` (columnar layout) micro-batches ship as binary
-    column frames — no pickle on the element hot path.  A batch the fixed
-    layout cannot express falls back to one pickled frame; the receiver
-    dispatches per frame, so the mix is safe.
-    """
-
-    def __init__(self, addresses, job_key: str, binary: bool = False) -> None:
+    def __init__(self, addresses, job_key: str, binary: bool) -> None:
         self._addresses = addresses
         self._job_key = job_key
         self._binary = binary
@@ -148,15 +167,7 @@ class _PeerPutter:
         return connection
 
     def put(self, target: int, batch) -> None:
-        if self._binary:
-            try:
-                data = wire.encode_batch_frame(self._job_key, batch)
-            except wire.WireFormatError:
-                pass
-            else:
-                send_raw_frame(self._connection(target), data)
-                return
-        send_frame(self._connection(target), ("batch", self._job_key, batch))
+        send_batch(self._connection(target), self._job_key, batch, self._binary)
 
     def put_done(self, target: int) -> None:
         send_frame(self._connection(target), ("done", self._job_key))
@@ -195,108 +206,49 @@ class _ServerJob:
     """One job's state on a worker server: inbox, worker thread, result."""
 
     def __init__(
-        self,
-        key: str,
-        spec,
-        addresses,
-        micro_batch_size: int,
-        capacity: int,
-        metrics_on: bool = False,
-        metrics_interval: float = DEFAULT_METRICS_INTERVAL,
-        trace_on: bool = False,
-        reply: Optional[_ReplySender] = None,
-        checkpoint_interval: Optional[float] = None,
-        restore=None,
+        self, key: str, spec, addresses, job: RuntimeJob, reply: _ReplySender, restore
     ) -> None:
         self.key = key
         self.spec = spec
-        self.inbox: Channel = Channel(capacity, producers=spec.producers)
+        self.inbox: Channel = Channel(job.buffer_capacity, producers=spec.producers)
         self.done_event = threading.Event()
         self.result: tuple = ("error", key, spec.index, "worker never ran")
         #: Most recent metrics snapshot per worker index, read by the
         #: entrypoint's Prometheus endpoint (``--metrics-port``).
         self.latest_metrics: Dict[int, dict] = {}
-        self._metrics_on = metrics_on
-        self._metrics_interval = metrics_interval
-        self._trace_on = trace_on
         self._reply = reply
-        self._checkpoint_interval = checkpoint_interval
-        self._restore = restore
         self._thread = threading.Thread(
             target=self._run,
-            args=(addresses, micro_batch_size),
+            args=(addresses, job, restore),
             name=f"runtime-socket-worker-{spec.index}",
             daemon=True,
         )
         self._thread.start()
 
-    def _run(self, addresses, micro_batch_size: int) -> None:
-        putter = _PeerPutter(
-            addresses,
-            self.key,
-            binary=getattr(self.spec, "layout", "object") == "columnar",
-        )
+    def _upstream(self, kind: str, payload) -> None:
+        """Everything the worker sends before its result rides the driver
+        connection as a ``(kind, job, index, payload)`` frame; the locked
+        reply sender serialises the kinds with each other."""
+        if kind == "metrics":
+            self.latest_metrics[self.spec.index] = payload
+        self._reply.send((kind, self.key, self.spec.index, payload))
+
+    def _run(self, addresses, job: RuntimeJob, restore) -> None:
+        putter = _PeerPutter(addresses, self.key, _is_columnar(self.spec))
         try:
-            if self._reply is not None:
-                # Handshake anchor: a (wall_clock, perf_counter) pair the
-                # driver uses to map this worker's timestamps onto its own
-                # clock scale (meaningful across real hosts; near-zero on
-                # localhost).  Sent before any metrics/spans frame.
-                self._reply.send(("anchor", self.key, self.spec.index, clock_anchor()))
-            emitter = BatchingEmitter(putter, micro_batch_size)
-            registry = None
-            sink = None
-            tracer = None
-            trace_sink = None
-            if self._metrics_on:
-                from ..obs.metrics import registry_for_spec
-
-                registry = registry_for_spec(self.spec)
-
-                def sink(snapshot) -> None:
-                    self.latest_metrics[self.spec.index] = snapshot
-                    if self._reply is not None:
-                        self._reply.send(
-                            ("metrics", self.key, self.spec.index, snapshot)
-                        )
-
-            if self._trace_on:
-                from ..obs.trace import tracer_for_spec
-
-                tracer = tracer_for_spec(self.spec)
-
-                if self._reply is not None:
-
-                    def trace_sink(spans) -> None:
-                        self._reply.send(("spans", self.key, self.spec.index, spans))
-
-            checkpoint_sink = None
-            if self._checkpoint_interval is not None and self._reply is not None:
-
-                def checkpoint_sink(payload) -> None:
-                    # Checkpoint frames ride the metrics-frame path: the
-                    # locked reply sender serialises them with metrics/span
-                    # frames on the one driver connection.
-                    self._reply.send(
-                        ("checkpoint", self.key, self.spec.index, payload)
-                    )
-
+            # Handshake anchor: a (wall_clock, perf_counter) pair the driver
+            # uses to map this worker's timestamps onto its own clock scale
+            # (meaningful across real hosts; near-zero on localhost).  Sent
+            # before any metrics/spans frame.
+            self._reply.send(("anchor", self.key, self.spec.index, clock_anchor()))
             report = run_worker(
                 self.spec,
                 _EncodedChannelInbox(self.inbox),
-                emitter,
-                micro_batch_size,
-                metrics=registry,
-                metrics_sink=sink,
-                metrics_interval=self._metrics_interval,
-                tracer=tracer,
-                trace_sink=trace_sink,
-                restore=self._restore,
-                checkpoint_sink=checkpoint_sink,
-                checkpoint_interval=self._checkpoint_interval,
+                BatchingEmitter(putter, job.micro_batch_size),
+                job,
+                self._upstream,
+                restore,
             )
-            if report.metrics:
-                self.latest_metrics[self.spec.index] = report.metrics
             self.result = ("result", self.key, self.spec.index, encode_report(report))
         except BaseException:  # noqa: BLE001 - marshalled to the driver
             self.result = ("error", self.key, self.spec.index, traceback.format_exc())
@@ -334,37 +286,10 @@ class _JobRegistry:
         self._retained: Dict[str, Dict[int, dict]] = {}
         self._condition = threading.Condition()
 
-    def create(
-        self,
-        key: str,
-        spec,
-        addresses,
-        micro_batch_size: int,
-        capacity: int,
-        metrics_on: bool = False,
-        metrics_interval: float = DEFAULT_METRICS_INTERVAL,
-        trace_on: bool = False,
-        reply: Optional[_ReplySender] = None,
-        checkpoint_interval: Optional[float] = None,
-        restore=None,
-    ) -> _ServerJob:
-        job = _ServerJob(
-            key,
-            spec,
-            addresses,
-            micro_batch_size,
-            capacity,
-            metrics_on=metrics_on,
-            metrics_interval=metrics_interval,
-            trace_on=trace_on,
-            reply=reply,
-            checkpoint_interval=checkpoint_interval,
-            restore=restore,
-        )
+    def add(self, job: _ServerJob) -> None:
         with self._condition:
-            self._jobs[key] = job
+            self._jobs[job.key] = job
             self._condition.notify_all()
-        return job
 
     def jobs(self) -> List[_ServerJob]:
         """A snapshot of the currently-running jobs (metrics endpoint)."""
@@ -429,27 +354,24 @@ def _handle_connection(connection: socket.socket, registry: _JobRegistry, served
         if first is None:
             return
         if first[0] == "job":
-            # Older drivers send shorter frames (no metrics/trace knobs).
-            _kind, key, spec, addresses, micro_batch_size, capacity = first[:6]
-            metrics_on = first[6] if len(first) > 6 else False
-            metrics_interval = first[7] if len(first) > 7 else DEFAULT_METRICS_INTERVAL
-            trace_on = first[8] if len(first) > 8 else False
-            checkpoint_interval = first[9] if len(first) > 9 else None
-            restore = first[10] if len(first) > 10 else None
             reply = _ReplySender(connection)
-            job = registry.create(
-                key,
-                spec,
-                addresses,
-                micro_batch_size,
-                capacity,
-                metrics_on=metrics_on,
-                metrics_interval=metrics_interval,
-                trace_on=trace_on,
-                reply=reply,
-                checkpoint_interval=checkpoint_interval,
-                restore=restore,
-            )
+            if len(first) != 6 or not isinstance(first[4], RuntimeJob):
+                # Driver and workers ship from one checkout, so another shape
+                # is a mismatched deployment: refuse it by name rather than
+                # run the job with whatever fields happen to line up.
+                reply.send(
+                    (
+                        "error",
+                        first[1] if len(first) > 1 else None,
+                        None,
+                        f"malformed job frame of {len(first)} field(s): expected "
+                        "('job', key, spec, addresses, RuntimeJob settings, restore)",
+                    )
+                )
+                return
+            _kind, key, spec, addresses, settings, restore = first
+            job = _ServerJob(key, spec, addresses, settings, reply, restore)
+            registry.add(job)
             reader = threading.Thread(
                 target=_read_into_job, args=(file, job, True), daemon=True
             )
@@ -590,29 +512,19 @@ class _DriverSocketPutter:
     def __init__(self, session: "SocketSession") -> None:
         self._session = session
 
-    def _put(self, target: int, frame) -> None:
+    def _send(self, target: int, send, *payload) -> None:
         try:
-            send_frame(self._session.connections[target], frame)
+            send(self._session.connections[target], *payload)
         except OSError as error:
             raise self._session.connection_failure(target, error) from error
 
     def put(self, target: int, batch) -> None:
-        spec = self._session._job.specs[target]
-        if getattr(spec, "layout", "object") == "columnar":
-            try:
-                data = wire.encode_batch_frame(self._session.job_key, batch)
-            except wire.WireFormatError:
-                pass
-            else:
-                try:
-                    send_raw_frame(self._session.connections[target], data)
-                except OSError as error:
-                    raise self._session.connection_failure(target, error) from error
-                return
-        self._put(target, ("batch", self._session.job_key, batch))
+        session = self._session
+        binary = _is_columnar(session._job.specs[target])
+        self._send(target, send_batch, session.job_key, batch, binary)
 
     def put_done(self, target: int) -> None:
-        self._put(target, ("done", self._session.job_key))
+        self._send(target, send_frame, ("done", self._session.job_key))
 
 
 class SocketSession(TransportSession):
@@ -626,7 +538,7 @@ class SocketSession(TransportSession):
         placement: Optional[Placement] = None,
         restores: Optional[Dict[int, object]] = None,
     ) -> None:
-        self._job = job
+        super().__init__(job)
         self.job_key = uuid.uuid4().hex
         count = len(job.specs)
         addresses: List[Optional[str]] = [
@@ -648,11 +560,7 @@ class SocketSession(TransportSession):
         self._result_events: List[threading.Event] = [
             threading.Event() for _ in range(count)
         ]
-        self._live_metrics: Dict[int, dict] = {}
-        self._live_spans: Dict[int, list] = {}
         self._clock_offsets: Dict[int, float] = {}
-        #: Seat index → latest checkpoint payload frame received.
-        self._latest_checkpoints: Dict[int, object] = {}
         try:
             context = preferred_context()
             ready_queue = context.Queue()
@@ -678,22 +586,12 @@ class SocketSession(TransportSession):
                 connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 self.connections.append(connection)
                 self._files.append(connection.makefile("rb"))
+            settings = job.settings()
             for index, spec in enumerate(job.specs):
+                restore = restores.get(index) if restores else None
                 send_frame(
                     self.connections[index],
-                    (
-                        "job",
-                        self.job_key,
-                        spec,
-                        self.addresses,
-                        job.micro_batch_size,
-                        job.buffer_capacity,
-                        job.metrics,
-                        job.metrics_interval,
-                        job.trace,
-                        job.checkpoint_interval,
-                        restores.get(index) if restores else None,
-                    ),
+                    ("job", self.job_key, spec, self.addresses, settings, restore),
                 )
             for index in range(count):
                 reader = threading.Thread(
@@ -718,40 +616,23 @@ class SocketSession(TransportSession):
                 frame = recv_frame(file)
                 if frame is None:
                     break
-                if frame[0] == "metrics":
-                    self._live_metrics[index] = frame[3]
-                    continue
-                if frame[0] == "anchor":
+                kind, payload = frame[0], frame[3]
+                if kind in ("result", "error"):
+                    result = frame
+                    break
+                if kind == "anchor":
                     # Handshake (wall, perf) pair — first frame a worker
                     # sends, so the offset is known before any span arrives.
-                    self._clock_offsets[index] = estimate_clock_offset(frame[3])
+                    self._clock_offsets[index] = estimate_clock_offset(payload)
                     continue
-                if frame[0] == "spans":
-                    self._live_spans.setdefault(index, []).extend(
-                        shift_spans(frame[3], self._clock_offsets.get(index, 0.0))
-                    )
-                    continue
-                if frame[0] == "checkpoint":
-                    # Later frames carry strictly later state; keep the last.
-                    self._latest_checkpoints[index] = frame[3]
-                    continue
-                result = frame
-                break
+                if kind == "spans":
+                    payload = shift_spans(payload, self._clock_offsets.get(index, 0.0))
+                self._file(index, kind, payload)
         except (OSError, ValueError, EOFError):  # pragma: no cover - torn read
             pass
         finally:
             self._result_frames[index] = result
             self._result_events[index].set()
-
-    def metrics(self) -> List[dict]:
-        return [self._live_metrics[index] for index in sorted(self._live_metrics)]
-
-    def trace_spans(self) -> List[dict]:
-        return [
-            span
-            for index in sorted(self._live_spans)
-            for span in self._live_spans[index]
-        ]
 
     def _flight_dump(self, index: int) -> str:
         """Render the dead/stuck worker's last-known telemetry, if any."""
@@ -761,8 +642,8 @@ class SocketSession(TransportSession):
 
         return render_flight_dump(
             f"worker {index} (job {self.job_key})",
-            self._live_spans.get(index, []),
-            self._live_metrics.get(index),
+            self._live_spans[index],
+            self._live_metrics[index],
         )
 
     def connection_failure(self, target: int, error: OSError) -> RuntimeError:
@@ -817,7 +698,7 @@ class SocketSession(TransportSession):
             target,
             address,
             "worker_error",
-            f"worker {frame[2]} ({address}) failed:\n{frame[3]}",
+            f"worker {target} ({address}) failed:\n{frame[3]}",
         )
 
     def send(self, target: int, channel: Hashable, tagged: Tagged) -> None:
@@ -827,11 +708,6 @@ class SocketSession(TransportSession):
     def done(self, target: int) -> None:
         self._check_seat_alive(target)
         self._emitter.done(target)
-
-    def latest_checkpoint(self, index: int):
-        """The last checkpoint payload seat ``index`` shipped (``None`` when
-        it never checkpointed or checkpointing was off)."""
-        return self._latest_checkpoints.get(index)
 
     def finish_seat(self, index: int) -> WorkerReport:
         """Wait for one seat's result frame; its report, clock-normalized.
@@ -873,7 +749,7 @@ class SocketSession(TransportSession):
                 index,
                 address,
                 "worker_error",
-                f"worker {frame[2]} ({address}) failed:\n{frame[3]}",
+                f"worker {index} ({address}) failed:\n{frame[3]}",
             )
         report = decode_report(frame[3])
         offset = self._clock_offsets.get(index)

@@ -33,7 +33,8 @@ import multiprocessing
 import queue as queue_module
 import threading
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, Hashable, List, Optional
 
 from ..obs.metrics import DEFAULT_METRICS_INTERVAL
@@ -85,26 +86,26 @@ class RuntimeJob:
     specs: tuple
     micro_batch_size: int = 64
     buffer_capacity: int = 1024
-    #: Enable per-worker metrics registries (see :mod:`repro.obs`): workers
-    #: count flow/loop metrics and piggyback periodic snapshots to the
-    #: driver.  Off by default — the uninstrumented loop is the fast path.
+    #: Give every worker a metrics registry (see :mod:`repro.obs`): workers
+    #: sample their counts and operator state into it and ship periodic
+    #: snapshots to the driver.  Counting itself is always on.
     metrics: bool = False
-    #: Seconds between piggybacked snapshots on queued transports (also the
+    #: Seconds between shipped snapshots on queued transports (also the
     #: trace-span flush cadence).
     metrics_interval: float = DEFAULT_METRICS_INTERVAL
-    #: Enable per-worker tracers (see :mod:`repro.obs.trace`): sampled
+    #: Give every worker a tracer (see :mod:`repro.obs.trace`): sampled
     #: elements carry a trace context and workers record spans into bounded
-    #: flight-recorder rings.  Off by default, same discipline as metrics.
+    #: flight-recorder rings.
     trace: bool = False
     #: Socket transport only: seconds to wait for each worker's result frame
     #: before declaring the seat lost (``None`` waits forever, the
     #: historical behaviour).  A timeout triggers a flight-recorder dump.
     result_timeout: Optional[float] = None
-    #: Socket transport only: seconds between worker state checkpoints
-    #: (window-maintainer snapshots shipped to the driver as checkpoint
-    #: frames).  ``0.0`` checkpoints at every micro-batch boundary;
-    #: ``None`` (default) disables checkpointing — recovery, when enabled,
-    #: then replays the failed shard from zero.
+    #: Seconds between worker state checkpoints (window-maintainer
+    #: snapshots shipped to the driver).  ``0.0`` checkpoints at every
+    #: micro-batch boundary; ``None`` (default) disables checkpointing —
+    #: recovery, when enabled, then replays the failed shard from zero.
+    #: The router sets it only for the recovering session, the one reader.
     checkpoint_interval: Optional[float] = None
 
     @property
@@ -113,23 +114,10 @@ class RuntimeJob:
         in-process :class:`Channel` of ``buffer_capacity`` provides."""
         return max(2, self.buffer_capacity // max(1, self.micro_batch_size))
 
-
-def _job_registries(job: RuntimeJob) -> List:
-    """One metrics registry per spec when the job is instrumented."""
-    if not job.metrics:
-        return [None] * len(job.specs)
-    from ..obs.metrics import registry_for_spec
-
-    return [registry_for_spec(spec) for spec in job.specs]
-
-
-def _job_tracers(job: RuntimeJob) -> List:
-    """One flight-recorder tracer per spec when the job is traced."""
-    if not job.trace:
-        return [None] * len(job.specs)
-    from ..obs.trace import tracer_for_spec
-
-    return [tracer_for_spec(spec) for spec in job.specs]
+    def settings(self) -> "RuntimeJob":
+        """This job without its specs: the record that crosses a process or
+        socket boundary beside the one spec the receiving worker runs."""
+        return replace(self, specs=())
 
 
 class TransportSession:
@@ -145,6 +133,16 @@ class TransportSession:
     #: include queueing time in emit latency; inline stamps at processing).
     stamps_ingest: bool = True
 
+    def __init__(self, job: RuntimeJob) -> None:
+        self._job = job
+        # The live store: what each worker sent upstream before its report.
+        # One slot per worker, allocated up front, so worker and reader
+        # threads only ever assign or extend — safe to read under the GIL.
+        count = len(job.specs)
+        self._live_metrics: List[Optional[dict]] = [None] * count
+        self._live_spans: List[list] = [[] for _ in range(count)]
+        self._checkpoints: List[Optional[tuple]] = [None] * count
+
     def send(self, target: int, channel: Hashable, tagged: Tagged) -> None:
         raise NotImplementedError
 
@@ -154,13 +152,24 @@ class TransportSession:
     def finish(self) -> List[WorkerReport]:
         raise NotImplementedError
 
-    def metrics(self) -> List[dict]:
-        """Most recent per-worker metrics snapshots (live, mid-run).
+    def _file(self, index: int, kind: str, payload) -> None:
+        """File what worker ``index`` handed its ``upstream`` callable (see
+        :func:`~repro.runtime.worker.run_worker`): spans accumulate, a
+        metrics snapshot or checkpoint replaces the one before it."""
+        if kind == "spans":
+            self._live_spans[index].extend(payload)
+        elif kind == "metrics":
+            self._live_metrics[index] = payload
+        else:
+            self._checkpoints[index] = payload
 
-        Empty unless the job ran with ``metrics=True``; the final
-        authoritative snapshots travel in the worker reports.
+    def metrics(self) -> List[dict]:
+        """Most recent per-worker metrics snapshots, in worker order: live
+        mid-run, each worker's final one once it settled.
+
+        Empty unless the job ran with ``metrics=True``.
         """
-        return []
+        return [snapshot for snapshot in self._live_metrics if snapshot is not None]
 
     def trace_spans(self) -> List[dict]:
         """Spans shipped so far (live, mid-run), all workers flattened.
@@ -170,7 +179,12 @@ class TransportSession:
         to merge.  Remote sessions return spans already normalized onto
         the driver's clock.
         """
-        return []
+        return [span for spans in self._live_spans for span in list(spans)]
+
+    def latest_checkpoint(self, index: int):
+        """The last checkpoint worker ``index`` shipped (``None`` when it
+        never checkpointed or checkpointing was off)."""
+        return self._checkpoints[index]
 
     @property
     def backpressure_blocks(self) -> int:
@@ -231,12 +245,7 @@ class InlineSession(TransportSession):
 
     def __init__(self, job: RuntimeJob) -> None:
         emitter = _InlineEmitter(self)
-        registries = _job_registries(job)
-        self._tracers = _job_tracers(job)
-        self._workers = [
-            Worker(spec, emitter, metrics=registry, tracer=tracer)
-            for spec, registry, tracer in zip(job.specs, registries, self._tracers)
-        ]
+        self._workers = [Worker.for_job(spec, emitter, job) for spec in job.specs]
         self._remaining = [spec.producers for spec in job.specs]
         self._reports: List[Optional[WorkerReport]] = [None] * len(job.specs)
 
@@ -259,23 +268,20 @@ class InlineSession(TransportSession):
 
     def metrics(self) -> List[dict]:
         # Single-threaded: sampling the live operators directly is safe.
-        snapshots = []
-        for worker, report in zip(self._workers, self._reports):
-            if report is not None and report.metrics is not None:
-                snapshots.append(report.metrics)
-            elif worker.metrics is not None:
-                snapshot = worker.metrics_snapshot()
-                if snapshot:
-                    snapshots.append(snapshot)
-        return snapshots
+        snapshots = [
+            report.metrics if report is not None else worker.metrics_snapshot()
+            for worker, report in zip(self._workers, self._reports)
+        ]
+        return [snapshot for snapshot in snapshots if snapshot is not None]
 
     def trace_spans(self) -> List[dict]:
         # Single-threaded: reading the live rings directly is safe.
-        spans: List[dict] = []
-        for tracer in self._tracers:
-            if tracer is not None:
-                spans.extend(tracer.dump())
-        return spans
+        return [
+            span
+            for worker in self._workers
+            if worker.tracer is not None
+            for span in worker.tracer.dump()
+        ]
 
 
 class InlineTransport(Transport):
@@ -308,17 +314,13 @@ class ThreadSession(TransportSession):
     name = "threads"
 
     def __init__(self, job: RuntimeJob) -> None:
-        self._job = job
+        super().__init__(job)
         self._inboxes: List[Channel] = [
             Channel(job.buffer_capacity, producers=spec.producers) for spec in job.specs
         ]
         self._emitter = _ThreadEmitter(self._inboxes)
         self._failures: List[BaseException] = []
         self._reports: List[Optional[WorkerReport]] = [None] * len(job.specs)
-        self._registries = _job_registries(job)
-        self._tracers = _job_tracers(job)
-        self._live_metrics: List[Optional[dict]] = [None] * len(job.specs)
-        self._live_spans: List[list] = [[] for _ in job.specs]
         self._threads = [
             threading.Thread(
                 target=self._work,
@@ -334,26 +336,14 @@ class ThreadSession(TransportSession):
         spec = self._job.specs[index]
         dones_sent = False
         try:
-
-            def sink(snapshot, index=index) -> None:
-                self._live_metrics[index] = snapshot
-
-            def trace_sink(spans, index=index) -> None:
-                self._live_spans[index].extend(spans)
-
-            report = run_worker(
+            self._reports[index] = run_worker(
                 spec,
                 self._inboxes[index],
                 self._emitter,
-                self._job.micro_batch_size,
-                metrics=self._registries[index],
-                metrics_sink=sink if self._job.metrics else None,
-                metrics_interval=self._job.metrics_interval,
-                tracer=self._tracers[index],
-                trace_sink=trace_sink if self._job.trace else None,
+                self._job,
+                upstream=partial(self._file, index),
             )
             dones_sent = True
-            self._reports[index] = report
         except ChannelClosed:
             # A consumer died; the failure that closed its channel is the
             # one reported.
@@ -381,20 +371,6 @@ class ThreadSession(TransportSession):
         if self._failures:
             raise self._failures[0]
         return [report for report in self._reports]  # all set once joined
-
-    def metrics(self) -> List[dict]:
-        snapshots = []
-        for index, report in enumerate(self._reports):
-            if report is not None and report.metrics is not None:
-                snapshots.append(report.metrics)
-            elif self._live_metrics[index] is not None:
-                snapshots.append(self._live_metrics[index])
-        return snapshots
-
-    def trace_spans(self) -> List[dict]:
-        # Lists are append-only from the worker side; a live read sees a
-        # consistent prefix under the GIL.
-        return [span for spans in self._live_spans for span in list(spans)]
 
     @property
     def backpressure_blocks(self) -> int:
@@ -508,43 +484,22 @@ class _WorkerQueuePutter:
         self._put(target, None)
 
 
-def _process_worker_main(
-    spec, worker_queues, out_queue, micro_batch_size: int, abort,
-    metrics: bool = False, metrics_interval: float = DEFAULT_METRICS_INTERVAL,
-    trace: bool = False,
-) -> None:
-    """Process-transport worker entry point: run the loop, report once."""
+def _process_worker_main(spec, worker_queues, out_queue, abort, job: RuntimeJob) -> None:
+    """Process-transport worker entry point: run the loop, report once.
+
+    Everything the worker sends before its report rides the result queue
+    under its own message kind; the driver files it as it drains.
+    """
     try:
         inbox = _QueueInbox(worker_queues[spec.index], spec.producers)
-        emitter = BatchingEmitter(_WorkerQueuePutter(worker_queues, abort), micro_batch_size)
-        registry = None
-        sink = None
-        tracer = None
-        trace_sink = None
-        if metrics:
-            from ..obs.metrics import registry_for_spec
-
-            registry = registry_for_spec(spec)
-
-            def sink(snapshot) -> None:
-                # Periodic snapshots ride the result queue with their own
-                # message kind; the driver files them as live metrics.
-                out_queue.put((spec.index, "metrics", snapshot))
-
-        if trace:
-            from ..obs.trace import tracer_for_spec
-
-            tracer = tracer_for_spec(spec)
-
-            def trace_sink(spans) -> None:
-                # Periodic span flushes ride the result queue too.
-                out_queue.put((spec.index, "spans", spans))
-
-        report = run_worker(
-            spec, inbox, emitter, micro_batch_size,
-            metrics=registry, metrics_sink=sink, metrics_interval=metrics_interval,
-            tracer=tracer, trace_sink=trace_sink,
+        emitter = BatchingEmitter(
+            _WorkerQueuePutter(worker_queues, abort), job.micro_batch_size
         )
+
+        def upstream(kind: str, payload) -> None:
+            out_queue.put((spec.index, kind, payload))
+
+        report = run_worker(spec, inbox, emitter, job, upstream)
         out_queue.put((spec.index, "ok", encode_report(report)))
     except BaseException:  # noqa: BLE001 - marshalled to the driver
         out_queue.put((spec.index, "error", traceback.format_exc()))
@@ -590,13 +545,12 @@ class ProcessSession(TransportSession):
     name = "processes"
 
     def __init__(self, job: RuntimeJob) -> None:
-        self._job = job
+        super().__init__(job)
         self.blocks = 0
         self._results: Dict[int, tuple] = {}
-        self._live_metrics: Dict[int, dict] = {}
-        self._live_spans: Dict[int, list] = {}
         self._failure: Optional[BaseException] = None
         context = preferred_context()
+        settings = job.settings()
         self.workers: List = []
         try:
             # Queue construction can itself fail in sandboxes (sem_open
@@ -608,10 +562,7 @@ class ProcessSession(TransportSession):
             self.workers = [
                 context.Process(
                     target=_process_worker_main,
-                    args=(
-                        spec, self.queues, self._out_queue, job.micro_batch_size,
-                        self._abort, job.metrics, job.metrics_interval, job.trace,
-                    ),
+                    args=(spec, self.queues, self._out_queue, self._abort, settings),
                     name=f"runtime-worker-{spec.index}",
                     daemon=True,
                 )
@@ -636,22 +587,16 @@ class ProcessSession(TransportSession):
     def _take_result(self, message) -> None:
         """Record one worker message; a failure aborts the whole run."""
         index, kind, payload = message
-        if kind == "metrics":
-            self._live_metrics[index] = payload
-            return
-        if kind == "spans":
-            self._live_spans.setdefault(index, []).extend(payload)
-            return
-        if kind != "ok":
+        if kind == "ok":
+            self._results[index] = payload
+        elif kind == "error":
             self._abort.set()
             # Remember the failure: a metrics poll draining the queue may
             # consume the error message before finish() gets to it.
             self._failure = RuntimeError(f"worker {index} failed:\n{payload}")
             raise self._failure
-        self._results[index] = message
-        final_metrics = payload[-1]
-        if final_metrics:
-            self._live_metrics[index] = final_metrics
+        else:
+            self._file(index, kind, payload)
 
     def drain_results(self) -> None:
         while True:
@@ -660,23 +605,19 @@ class ProcessSession(TransportSession):
             except queue_module.Empty:
                 return
 
-    def metrics(self) -> List[dict]:
+    def _drain_quietly(self) -> None:
         try:
             self.drain_results()
         except RuntimeError:
             pass  # stored in self._failure; finish() raises it
-        return [self._live_metrics[index] for index in sorted(self._live_metrics)]
+
+    def metrics(self) -> List[dict]:
+        self._drain_quietly()
+        return super().metrics()
 
     def trace_spans(self) -> List[dict]:
-        try:
-            self.drain_results()
-        except RuntimeError:
-            pass  # stored in self._failure; finish() raises it
-        return [
-            span
-            for index in sorted(self._live_spans)
-            for span in self._live_spans[index]
-        ]
+        self._drain_quietly()
+        return super().trace_spans()
 
     def finish(self) -> List[WorkerReport]:
         self._emitter.flush()
@@ -712,7 +653,7 @@ class ProcessSession(TransportSession):
             raise
         finally:
             self._join_workers()
-        return [decode_report(self._results[index][2]) for index in range(count)]
+        return [decode_report(self._results[index]) for index in range(count)]
 
     def _join_workers(self) -> None:
         for worker in self.workers:

@@ -23,6 +23,13 @@ picklable dataclasses (:class:`repro.parallel.StreamShardSpec`,
 runs in the caller's thread, in a thread pool, in a forked process, or on a
 remote host behind the socket transport.
 
+There is one loop, not an instrumented twin: a worker always counts what it
+routes, operates on and emits, and :func:`run_worker` always times its
+micro-batches.  Metrics and tracing decide only whether a registry samples
+those numbers and whether spans are recorded, and whatever leaves a worker
+before its report — snapshots, spans, checkpoints — goes through the one
+``upstream(kind, payload)`` callable its transport supplies.
+
 ``python -m repro.runtime.worker --listen HOST:PORT`` starts a standalone
 worker server that joins a placement map (see
 :mod:`repro.runtime.sockets`) — the entry point of distributed execution.
@@ -34,11 +41,11 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Hashable, List, Optional, Protocol, Sequence
 
-from ...obs.metrics import DEFAULT_METRICS_INTERVAL
-from ...obs.trace import span_detail
+from ...obs.metrics import registry_for_spec
+from ...obs.trace import span_detail, tracer_for_spec
 from ...relation import TPTuple, stable_key_hash
 from ...stream.elements import LEFT, RIGHT, Tagged, Watermark
-from ..channel import ChannelWatermarks
+from ..channel import Channel, ChannelWatermarks
 
 #: The channel id the driver uses for source-edge watermarks of single-stage
 #: (stream shard) jobs.
@@ -129,7 +136,7 @@ def decode_report(code: tuple) -> WorkerReport:
     """Rebuild a report from its encoding."""
     from ...parallel.serialize import decode_tuples
 
-    index, outputs, latencies, lags, late, stats, metrics = code[:7]
+    index, outputs, latencies, lags, late, stats, metrics, spans, offset = code
     return WorkerReport(
         index=index,
         outputs=decode_tuples(outputs),
@@ -138,8 +145,8 @@ def decode_report(code: tuple) -> WorkerReport:
         late_dropped=late,
         stats=tuple(stats) if stats is not None else None,
         metrics=metrics,
-        spans=code[7] if len(code) > 7 else None,
-        clock_offset=code[8] if len(code) > 8 else None,
+        spans=spans,
+        clock_offset=offset,
     )
 
 
@@ -152,25 +159,19 @@ class Worker:
         self.spec = spec
         self.emitter = emitter
         self.join = spec.build_join()
-        # Tracing is optional and per-element: ``tracer`` is a per-worker
-        # ``repro.obs.Tracer`` (or ``None``); spans are recorded only for
-        # elements that arrived carrying a trace context, so with sampling
-        # off the only added cost is one ``is None`` test per element.
+        # Flow counts are always kept: three plain ints cost less than asking
+        # per element whether anyone wants them.  ``metrics_snapshot`` copies
+        # them into the registry when the job has one.
+        self.routed = self.operated = self.emitted = 0
+        #: Per-worker ``repro.obs.MetricsRegistry``, or ``None``: nothing is
+        #: sampled and the report carries no snapshot.
+        self.metrics = metrics
+        #: Per-worker ``repro.obs.Tracer``, or ``None``.  Spans are recorded
+        #: only for elements that arrive carrying a trace context.
         self.tracer = tracer
         self._active_trace = None
-        # Metrics are optional: ``metrics`` is a per-worker
-        # ``repro.obs.MetricsRegistry`` (or ``None``, the fast path).  The
-        # three flow counters are bound once so the hot path is a plain
-        # attribute increment, not a dict lookup.
-        self.metrics = metrics
-        if metrics is not None:
-            self._m_routed = metrics.counter("elements_routed")
-            self._m_operated = metrics.counter("elements_operated")
-            self._m_emitted = metrics.counter("elements_emitted")
-        else:
-            self._m_routed = self._m_operated = self._m_emitted = None
         #: The worker's input channel, when the transport exposes one
-        #: (thread/process/socket inboxes); sampled into inbox_* gauges.
+        #: (thread/socket inboxes); sampled into inbox_* gauges.
         self.inbox_channel = None
         # Optional in-process observation hooks (the serving layer's seam):
         # ``tap(channel_id, element)`` sees every output element live,
@@ -188,33 +189,42 @@ class Worker:
         self._outputs: Optional[List[TPTuple]] = [] if spec.collect_outputs else None
         self._finished = False
 
+    @classmethod
+    def for_job(cls, spec: WorkerSpec, emitter: Emitter, job) -> "Worker":
+        """A worker with the registry and tracer the job's flags ask for."""
+        return cls(
+            spec,
+            emitter,
+            metrics=registry_for_spec(spec) if job.metrics else None,
+            tracer=tracer_for_spec(spec) if job.trace else None,
+        )
+
     def accept(self, channel: Hashable, tagged: Tagged) -> None:
-        """Process one delivered element (step 1 + 2 + 3)."""
-        if self._m_routed is not None:
-            self._m_routed.value += 1
+        """Process one delivered element (step 1 + 2 + 3).
+
+        An element that arrives carrying a trace context (at a worker that
+        has a tracer) also gets a ``queue_wait`` span (ingest stamp →
+        pickup, when it was stamped at a routing point) and an ``operate``
+        span, and its outputs are dispatched with the operate span as their
+        parent so downstream spans stitch into one causal timeline.
+        """
+        self.routed += 1
         element = tagged.element
         if isinstance(element, Watermark):
             merged = self._trackers[tagged.side].update(channel, element.value)
             if merged is None:
                 return
             tagged = Tagged(tagged.side, Watermark(merged), tagged.ingest_clock)
-        if self._m_operated is not None:
-            self._m_operated.value += 1
+        self.operated += 1
+        start = None
         if tagged.trace is not None and self.tracer is not None:
-            self._accept_traced(channel, tagged)
-        else:
-            self._dispatch(self.join.process(tagged))
-
-    def _accept_traced(self, channel: Hashable, tagged: Tagged) -> None:
-        """The operate step for a sampled element: spans around the operator.
-
-        Records a ``queue_wait`` span (ingest stamp → pickup, when the
-        element was stamped at a routing point) and an ``operate`` span,
-        then dispatches outputs with the operate span as their parent so
-        downstream spans stitch into one causal timeline.
-        """
+            start = perf_counter()
+        outputs = self.join.process(tagged)
+        if start is None:
+            self._dispatch(outputs)
+            return
+        end = perf_counter()
         trace_id, parent = tagged.trace
-        start = perf_counter()
         if tagged.ingest_clock is not None:
             self.tracer.record(
                 "queue_wait",
@@ -224,8 +234,6 @@ class Worker:
                 start,
                 channel=str(channel) if channel is not None else "data",
             )
-        outputs = self.join.process(tagged)
-        end = perf_counter()
         operate = self.tracer.record(
             "operate", trace_id, parent, start, end, **span_detail(tagged.element)
         )
@@ -246,97 +254,81 @@ class Worker:
             for offset in range(consumer_parts):
                 self.emitter.done(first + offset)
         report = self.spec.report(self.join, self._outputs)
-        if self.metrics is not None:
-            report.metrics = self.metrics_snapshot()
+        report.metrics = self.metrics_snapshot()
         if self.tracer is not None:
             report.spans = self.tracer.dump()
         return report
 
     def metrics_snapshot(self) -> Optional[dict]:
-        """Sample operator + inbox state into the registry and snapshot it."""
-        if self.metrics is None:
+        """Copy the flow counts and the operator + inbox state into the
+        registry and snapshot it (``None`` without a registry)."""
+        registry = self.metrics
+        if registry is None:
             return None
         from ...obs.sample import sample_operator
 
-        sample_operator(self.metrics, self.join)
+        registry.set_counter("elements_routed", self.routed)
+        registry.set_counter("elements_operated", self.operated)
+        registry.set_counter("elements_emitted", self.emitted)
+        sample_operator(registry, self.join)
         channel = self.inbox_channel
         if channel is not None:
-            self.metrics.gauge("inbox_depth").set(len(channel))
-            self.metrics.gauge("inbox_high_watermark").set(channel.high_watermark)
-            self.metrics.gauge("inbox_put_blocks").set(channel.put_blocks)
-            self.metrics.set_counter("inbox_total_put", channel.total_put)
-            self.metrics.set_counter("inbox_batches", channel.total_batches)
-            self.metrics.set_counter(
-                "inbox_batch_elements", channel.total_batch_elements
-            )
-        return self.metrics.snapshot()
+            registry.gauge("inbox_depth").set(len(channel))
+            registry.gauge("inbox_high_watermark").set(channel.high_watermark)
+            registry.gauge("inbox_put_blocks").set(channel.put_blocks)
+            registry.set_counter("inbox_total_put", channel.total_put)
+            registry.set_counter("inbox_batches", channel.total_batches)
+            registry.set_counter("inbox_batch_elements", channel.total_batch_elements)
+        return registry.snapshot()
 
     @property
     def finished(self) -> bool:
         return self._finished
 
     def _dispatch(self, elements) -> None:
-        if self._m_emitted is not None:
-            self._m_emitted.value += len(elements)
+        """Step 3, the only routing loop: collect locally or key-route.
+
+        While a traced operate step is active each output also gets an
+        ``emit`` span timestamping its departure; the span's id becomes the
+        parent carried downstream, so the gap to the consumer's ``operate``
+        span is the inter-worker queue/wire wait.  Sink workers (locally
+        collected outputs) still get the span — that is what closes a
+        timeline source→sink.
+        """
+        self.emitted += len(elements)
         if self._tap is not None:
             for element in elements:
                 self._tap(self.spec.channel_id, element)
-        if self._active_trace is not None and elements:
-            self._dispatch_traced(elements)
-            return
+        trace = self._active_trace
         if self._outputs is not None:
+            if trace is not None:
+                now = perf_counter()
+                for element in elements:
+                    self.tracer.record("emit", *trace, now, now, **span_detail(element))
             self._outputs.extend(elements)
             return
         channel = self.spec.channel_id
-        for element in elements:
-            for first, consumer_parts, side, key_indices in self.spec.downstream:
-                if isinstance(element, Watermark):
-                    for offset in range(consumer_parts):
-                        self.emitter.send(first + offset, channel, Tagged(side, element))
-                else:
-                    if consumer_parts > 1:
-                        key = tuple(element.tuple.fact[i] for i in key_indices)
-                        offset = stable_key_hash(key) % consumer_parts
-                    else:
-                        offset = 0
-                    self.emitter.send(first + offset, None, Tagged(side, element))
-
-    def _dispatch_traced(self, elements) -> None:
-        """Emit outputs of a traced operate step, one ``emit`` span each.
-
-        The emit span timestamps the element's departure; its id becomes
-        the parent carried downstream, so the gap to the consumer's
-        ``operate`` span is the inter-worker queue/wire wait.  Sink
-        workers (no downstream, or locally collected outputs) still get
-        the span — that is what closes a timeline source→sink.
-        """
-        trace_id, parent = self._active_trace
-        record = self.tracer.record
-        if self._outputs is not None:
-            now = perf_counter()
-            for element in elements:
-                record("emit", trace_id, parent, now, now, **span_detail(element))
-            self._outputs.extend(elements)
-            return
-        channel = self.spec.channel_id
+        send = self.emitter.send
         for element in elements:
             if isinstance(element, Watermark):
                 for first, consumer_parts, side, _key_indices in self.spec.downstream:
                     for offset in range(consumer_parts):
-                        self.emitter.send(first + offset, channel, Tagged(side, element))
+                        send(first + offset, channel, Tagged(side, element))
                 continue
-            now = perf_counter()
-            span = record("emit", trace_id, parent, now, now, **span_detail(element))
-            context = (trace_id, span)
+            context = None
+            if trace is not None:
+                now = perf_counter()
+                span = self.tracer.record(
+                    "emit", *trace, now, now, **span_detail(element)
+                )
+                context = (trace[0], span)
             for first, consumer_parts, side, key_indices in self.spec.downstream:
                 if consumer_parts > 1:
                     key = tuple(element.tuple.fact[i] for i in key_indices)
                     offset = stable_key_hash(key) % consumer_parts
                 else:
                     offset = 0
-                self.emitter.send(
-                    first + offset, None, Tagged(side, element, None, context)
-                )
+                send(first + offset, None, Tagged(side, element, None, context))
 
 
 class Inbox(Protocol):
@@ -346,82 +338,59 @@ class Inbox(Protocol):
 
 
 def run_worker(
-    spec: WorkerSpec,
-    inbox: Inbox,
-    emitter: Emitter,
-    micro_batch_size: int,
-    metrics=None,
-    metrics_sink=None,
-    metrics_interval: float = DEFAULT_METRICS_INTERVAL,
-    tracer=None,
-    trace_sink=None,
-    restore=None,
-    checkpoint_sink=None,
-    checkpoint_interval: Optional[float] = None,
+    spec: WorkerSpec, inbox: Inbox, emitter: Emitter, job, upstream=None, restore=None
 ) -> WorkerReport:
     """Drive one worker to settlement over a pull-based inbox.
 
     The loop every pull transport (threads, processes, sockets) runs: drain
     micro-batches until the inbox reports all producers done (``None``),
-    flushing buffered downstream sends after each batch, then close.
+    flushing buffered downstream sends after each batch, then close.  It
+    always times idle (blocked in ``take_batch``) vs busy seconds and counts
+    the elements consumed: three clock reads per micro-batch, none per
+    element.
 
-    With ``metrics`` (a per-worker registry) the loop also times idle
-    (blocked in ``take_batch``) vs busy seconds, histograms micro-batch
-    sizes, and — when ``metrics_sink`` is given — pushes a periodic
-    snapshot every ``metrics_interval`` seconds so the driver can observe
-    the run live.  With ``tracer`` (a per-worker ``repro.obs.Tracer``)
-    sampled elements get spans; ``trace_sink`` receives the newly recorded
-    spans on the same periodic cadence.
+    ``job`` is the :class:`~repro.runtime.transport.RuntimeJob` (its specs
+    are not read): ``metrics`` gives the worker a registry, ``trace`` a
+    tracer, and whatever leaves the worker before its report goes through
+    the one callable ``upstream(kind, payload)`` the transport supplies:
 
-    ``checkpoint_sink``/``checkpoint_interval`` add fault-tolerance state
-    capture: every ``checkpoint_interval`` seconds (``0.0`` = every batch)
-    the worker's full state — operator, collected outputs, the count of
-    elements consumed — is snapshotted at a micro-batch boundary
-    (:func:`repro.recovery.checkpoint.snapshot_worker`) and pushed to the
-    sink.  ``restore`` seeds a replacement worker from such a snapshot
-    before any element is consumed, returning the element count replay
-    must skip past.  The telemetry-off, checkpoint-off path is the
-    original tight loop.
+    * ``"metrics"`` — a registry snapshot every ``metrics_interval`` seconds,
+      and the final one (the dict the report carries) once settled;
+    * ``"spans"`` — the spans recorded since the last shipment, on the same
+      cadence;
+    * ``"checkpoint"`` — every ``checkpoint_interval`` seconds (``0.0`` =
+      every batch) the worker's full state (operator, collected outputs, the
+      count of elements consumed), snapshotted at a micro-batch boundary by
+      :func:`repro.recovery.checkpoint.snapshot_worker`.
+
+    ``restore`` seeds a replacement worker from such a checkpoint before any
+    element is consumed; replay then skips the elements it covers.
     """
-    worker = Worker(spec, emitter, metrics=metrics, tracer=tracer)
-    elements_seen = 0
-    snapshot_worker = None
-    if restore is not None or checkpoint_sink is not None:
-        from ...recovery.checkpoint import restore_worker, snapshot_worker
-    if restore is not None:
-        elements_seen = restore_worker(worker, restore)
-    checkpointing = checkpoint_sink is not None and checkpoint_interval is not None
-    if metrics is None and tracer is None and not checkpointing:
-        while True:
-            batch = inbox.take_batch(micro_batch_size)
-            if batch is None:
-                break
-            for channel, tagged in batch:
-                worker.accept(channel, tagged)
-            emitter.flush()
-        report = worker.finish()
-        emitter.flush()
-        return report
-
-    from ..channel import Channel
-
+    worker = Worker.for_job(spec, emitter, job)
+    registry, tracer = worker.metrics, worker.tracer
+    if registry is not None:
+        batch_sizes = registry.histogram("batch_size")
+        batches = registry.counter("batches")
+        idle_gauge = registry.gauge("idle_seconds")
+        busy_gauge = registry.gauge("busy_seconds")
     # The thread transport's inbox *is* the channel; the socket inbox wraps
     # one and exposes it as ``.channel``; the process inbox has none.
-    inbox_channel = getattr(inbox, "channel", None)
-    if inbox_channel is None and isinstance(inbox, Channel):
-        inbox_channel = inbox
-    worker.inbox_channel = inbox_channel
-    if metrics is not None:
-        batch_sizes = metrics.histogram("batch_size")
-        batches = metrics.counter("batches")
-        idle_gauge = metrics.gauge("idle_seconds")
-        busy_gauge = metrics.gauge("busy_seconds")
-    periodic = metrics_sink is not None or trace_sink is not None
+    worker.inbox_channel = (
+        inbox if isinstance(inbox, Channel) else getattr(inbox, "channel", None)
+    )
+    elements_seen = 0
+    checkpoint_interval = job.checkpoint_interval if upstream is not None else None
+    if restore is not None or checkpoint_interval is not None:
+        from ...recovery.checkpoint import restore_worker, snapshot_worker
+
+        if restore is not None:
+            elements_seen = restore_worker(worker, restore)
+    shipping = upstream is not None and (job.metrics or job.trace)
     idle = busy = 0.0
-    last_emit = last_checkpoint = perf_counter()
+    last_shipment = last_checkpoint = perf_counter()
     while True:
         mark = perf_counter()
-        batch = inbox.take_batch(micro_batch_size)
+        batch = inbox.take_batch(job.micro_batch_size)
         now = perf_counter()
         idle += now - mark
         if batch is None:
@@ -432,31 +401,33 @@ def run_worker(
         emitter.flush()
         done = perf_counter()
         busy += done - now
-        if metrics is not None:
+        if registry is not None:
             batch_sizes.observe(len(batch))
             batches.inc()
-        if checkpointing and done - last_checkpoint >= checkpoint_interval:
+        if checkpoint_interval is not None and done - last_checkpoint >= checkpoint_interval:
             # Micro-batch boundaries are the only consistent points: the
             # operator holds no half-processed element here, so the
             # snapshot plus the post-``elements_seen`` input suffix is
             # exactly equivalent to the full input prefix.
-            checkpoint_sink(snapshot_worker(worker, elements_seen))
+            upstream("checkpoint", snapshot_worker(worker, elements_seen))
             last_checkpoint = done
-        if periodic and done - last_emit >= metrics_interval:
-            if metrics_sink is not None:
+        if shipping and done - last_shipment >= job.metrics_interval:
+            if registry is not None:
                 idle_gauge.set(idle)
                 busy_gauge.set(busy)
-                metrics_sink(worker.metrics_snapshot())
-            if trace_sink is not None:
+                upstream("metrics", worker.metrics_snapshot())
+            if tracer is not None:
                 spans = tracer.pending()
                 if spans:
-                    trace_sink(spans)
-            last_emit = done
-    if metrics is not None:
+                    upstream("spans", spans)
+            last_shipment = done
+    if registry is not None:
         idle_gauge.set(idle)
         busy_gauge.set(busy)
     report = worker.finish()
     emitter.flush()
+    if shipping and registry is not None:
+        upstream("metrics", report.metrics)
     return report
 
 

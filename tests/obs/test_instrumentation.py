@@ -217,7 +217,14 @@ def _throttled(elements, delay: float = 0.002):
         yield element
 
 
-def _shard_run(transport: str, collector, placement=None, seed: int = 19):
+def _shard_run(
+    transport: str,
+    collector,
+    placement=None,
+    seed: int = 19,
+    metrics_interval: float = 0.05,
+    wrap=_throttled,
+):
     """Drive the router over throttled source edges so the run outlives
     several metrics intervals."""
     from repro.datasets import ReplayConfig, stream_def
@@ -246,9 +253,12 @@ def _shard_run(transport: str, collector, placement=None, seed: int = 19):
         catalog,
         theta,
         ExecutionOptions(
-            transport=transport, placement=placement, metrics_interval=0.05
+            # ``inline`` is a transport of the router, not a value of the knob.
+            transport="threads" if transport == "inline" else transport,
+            placement=placement,
+            metrics_interval=metrics_interval,
         ),
-        wrap=_throttled,
+        wrap=wrap,
         collector=collector,
     )
 
@@ -281,6 +291,32 @@ def test_live_metrics_mid_run(transport):
     assert sum(
         snap["counters"]["elements_routed"] for snap in finals
     ) >= events
+
+
+class _SessionKeepingCollector(MetricsCollector):
+    """Remembers the session the router attached, for reads after the run."""
+
+    session = None
+
+    def attach(self, session) -> None:
+        self.session = session
+        super().attach(session)
+
+
+@pytest.mark.parametrize("transport", ("inline", "threads", "processes", "sockets"))
+def test_session_serves_final_snapshots_once_results_arrived(transport):
+    """A run shorter than the metrics interval ships no periodic snapshot;
+    once a worker's result is in, the session itself must still serve that
+    worker's final one — on every transport alike."""
+    collector = _SessionKeepingCollector()
+    reports, events, _blocks, ran, _recoveries = _shard_run(
+        transport, collector, metrics_interval=60, wrap=iter
+    )
+    assert ran == transport and events > 0
+    served = collector.session.metrics()
+    assert served == [report.metrics for report in reports]
+    assert len(served) == 2
+    assert sum(snap["counters"]["elements_routed"] for snap in served) >= events
 
 
 def _free_port() -> int:

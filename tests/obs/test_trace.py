@@ -314,7 +314,3 @@ def test_report_codec_roundtrips_spans_and_clock_offset():
     decoded = decode_report(encode_report(report))
     assert decoded.spans == spans
     assert decoded.clock_offset == 0.25
-    # Pre-trace seven-field reports (old remote workers) still decode.
-    old = encode_report(WorkerReport(index=3))[:7]
-    legacy = decode_report(old)
-    assert legacy.spans is None and legacy.clock_offset is None

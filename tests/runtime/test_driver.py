@@ -9,6 +9,9 @@ helpers produce the same sequence.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -16,8 +19,9 @@ from repro import ExecutionOptions
 from repro.dataflow import BATCH_JOINS, DataflowQuery, NodeSpec, drained_relation
 from repro.dataflow.convergence import identity_rows
 from repro.runtime import Placement, merge_edges
+from repro.recovery import driver as recovery_driver
 from repro.runtime import driver as driver_module
-from repro.runtime.transport import InlineTransport
+from repro.runtime.transport import InlineSession, InlineTransport
 from repro.stream import LEFT, RIGHT, StreamQuery, merge_tagged, theta_from_pairs
 
 from tests.recovery.conftest import query_catalog
@@ -56,30 +60,51 @@ OPTIONS = ExecutionOptions(
 )
 
 
-def _captured_job(monkeypatch, run) -> tuple:
+def _captured_job(monkeypatch, run, options=OPTIONS) -> tuple:
     captured: list = []
     monkeypatch.setattr(
         driver_module, "get_transport", lambda name: _CapturingTransport(captured)
     )
+
+    def recovering(job, session_options, chaos=None):
+        captured.append((job, session_options.placement))
+        return InlineSession(job)
+
+    monkeypatch.setattr(recovery_driver, "RecoveringSession", recovering)
     run()
     ((job, placement),) = captured
-    assert placement is OPTIONS.placement
-    assert job.micro_batch_size == OPTIONS.micro_batch_size
-    assert job.buffer_capacity == OPTIONS.buffer_capacity
-    assert job.metrics is OPTIONS.metrics
-    assert job.metrics_interval == OPTIONS.metrics_interval
-    assert job.trace is OPTIONS.trace
-    assert job.result_timeout == OPTIONS.seat_timeout
+    assert placement is options.placement
+    assert job.micro_batch_size == options.micro_batch_size
+    assert job.buffer_capacity == options.buffer_capacity
+    assert job.metrics is options.metrics
+    assert job.metrics_interval == options.metrics_interval
+    assert job.trace is options.trace
+    assert job.result_timeout == options.seat_timeout
     return job
 
 
-def test_stream_shard_job_mirrors_the_options(monkeypatch):
+@pytest.mark.parametrize(
+    "transport, restart_limit, checkpointing",
+    [
+        # Only the recovering session reads checkpoints, so only its job is
+        # told to take them: a plain run would snapshot for nobody.
+        ("threads", 2, False),
+        ("sockets", 0, False),
+        ("sockets", 1, True),
+    ],
+)
+def test_stream_shard_job_mirrors_the_options(
+    monkeypatch, transport, restart_limit, checkpointing
+):
+    options = replace(OPTIONS, transport=transport, restart_limit=restart_limit)
     catalog, _left, _right = query_catalog(3, left_size=12, right_size=12)
-    query = StreamQuery(catalog, "left_outer", "l", "r", ON, config=OPTIONS)
-    job = _captured_job(monkeypatch, query.run)
-    assert len(job.specs) == OPTIONS.partitions
+    query = StreamQuery(catalog, "left_outer", "l", "r", ON, config=options)
+    job = _captured_job(monkeypatch, query.run, options)
+    assert len(job.specs) == options.partitions
     assert all(spec.collect_outputs for spec in job.specs)
-    assert job.checkpoint_interval == OPTIONS.checkpoint_interval
+    assert job.checkpoint_interval == (
+        options.checkpoint_interval if checkpointing else None
+    )
 
 
 def test_dataflow_job_mirrors_the_options_but_withholds_checkpoints(monkeypatch):
