@@ -34,58 +34,6 @@ def test_ablation_exact_probability(benchmark, join_lineages):
     assert all(0.0 <= value <= 1.0 for value in values)
 
 
-@pytest.mark.benchmark(group="ablation-probability-memoisation")
-def test_ablation_repeated_windows_structural_cache(benchmark, join_lineages):
-    """Baseline for the memoisation delta: structural cache, repeated windows.
-
-    Re-computing the same lineage list several times models a continuous
-    query finalizing repeated windows of the same positive tuples; the
-    structural cache pays a deep hash + equality walk per hit.
-    """
-    events, lineages = join_lineages
-
-    def compute_repeated():
-        computer = ProbabilityComputer(events, hash_cons=False)
-        values = []
-        for _round in range(5):
-            values = [computer.probability(lineage) for lineage in lineages]
-        return values
-
-    values = benchmark(compute_repeated)
-    assert all(0.0 <= value <= 1.0 for value in values)
-
-
-@pytest.mark.benchmark(group="ablation-probability-memoisation")
-def test_ablation_repeated_windows_hash_consed_cache(benchmark, join_lineages):
-    """The memoised side of the delta: hash-consed identity cache.
-
-    Interned sub-expressions make repeated probabilities one ``id()``
-    lookup — the first step of the ROADMAP's incremental probability
-    computation.  Compare against the structural-cache baseline in the same
-    benchmark group.
-    """
-    events, lineages = join_lineages
-
-    def compute_repeated():
-        computer = ProbabilityComputer(events, hash_cons=True)
-        values = []
-        for _round in range(5):
-            values = [computer.probability(lineage) for lineage in lineages]
-        return values
-
-    values = benchmark(compute_repeated)
-    assert all(0.0 <= value <= 1.0 for value in values)
-
-
-def test_memoised_probabilities_match_structural(join_lineages):
-    """The hash-consed cache must be a pure speedup: values identical bitwise."""
-    events, lineages = join_lineages
-    structural = ProbabilityComputer(events, hash_cons=False)
-    memoised = ProbabilityComputer(events, hash_cons=True)
-    for lineage in lineages:
-        assert memoised.probability(lineage) == structural.probability(lineage)
-
-
 @pytest.mark.benchmark(group="ablation-probability")
 def test_ablation_monte_carlo_200_samples(benchmark, join_lineages):
     events, lineages = join_lineages

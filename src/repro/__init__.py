@@ -94,8 +94,7 @@ from .relation import (
     equi_join_on,
 )
 from .stream import (
-    ContinuousAntiJoin,
-    ContinuousLeftOuterJoin,
+    ContinuousJoin,
     StreamDef,
     StreamQuery,
     StreamSource,
@@ -105,8 +104,7 @@ from .temporal import Interval, IntervalSet
 __version__ = "1.0.0"
 
 __all__ = [
-    "ContinuousAntiJoin",
-    "ContinuousLeftOuterJoin",
+    "ContinuousJoin",
     "DataflowQuery",
     "EquiJoinCondition",
     "EventSpace",

@@ -4,17 +4,16 @@ The per-tuple object hot path keeps every open positive and indexed
 negative as Python objects and probes them with interpreted loops — the
 engine's throughput ceiling.  This package re-lays the window-maintainer
 state as per-key struct-of-arrays numpy blocks (int64 interval columns,
-boolean alive masks, row-aligned payload lists) and vectorizes the three
+boolean alive masks, row-aligned payload lists) and vectorizes the two
 dominant sweeps of the paper's incremental join:
 
 * **interval-overlap probing** — one boolean-mask reduction over the
   negative (or open-positive) columns instead of a per-tuple Python loop;
 * **bounded-lateness eviction** — watermark horizons applied as boolean
-  masks with amortized compaction, instead of per-bucket list rebuilds;
-* **batched probability evaluation** — each *distinct* interned lineage
-  sub-expression of a finalized batch is evaluated once through the
-  hash-cons table and the values are scattered back by intern id
-  (:func:`repro.columnar.probs.batch_probabilities`).
+  masks with amortized compaction, instead of per-bucket list rebuilds.
+
+Probabilities are evaluated exactly as on the object layout, through the
+maintainer's per-key :class:`~repro.lineage.ProbabilityComputer`.
 
 The object layout remains first-class: it is the referee every columnar
 run must match tuple-for-tuple with bitwise-identical probabilities, and

@@ -35,7 +35,7 @@ arrival order), the same finalized groups and the same stats counters as
 the object maintainer.  Finalization order *across* keys may differ (both
 walk their key dicts, but the dicts can be populated in different orders);
 within a key both finalize in arrival order, and probabilities come from
-the same per-key hash-consed computers, so settled outputs are equal as
+the same per-key computers, so settled outputs are equal as
 sets with bitwise-identical probabilities.  Randomized parity tests in
 ``tests/columnar/`` hold the two implementations against each other.
 """
@@ -251,23 +251,16 @@ class ColumnarWindowMaintainer:
             )
         computer = self._computers.get(key)
         if computer is None:
-            computer = ProbabilityComputer(self._events, hash_cons=True)
+            computer = ProbabilityComputer(self._events)
             self._computers[key] = computer
         return computer
 
     def probability_counters(self) -> Dict[str, int]:
-        totals = {
-            "probability_cache_hits": 0,
-            "probability_cache_misses": 0,
-            "probability_intern_hits": 0,
-            "probability_intern_misses": 0,
+        computers = self._computers.values()
+        return {
+            "probability_cache_hits": sum(c.cache_hits for c in computers),
+            "probability_cache_misses": sum(c.cache_misses for c in computers),
         }
-        for computer in self._computers.values():
-            totals["probability_cache_hits"] += computer.cache_hits
-            totals["probability_cache_misses"] += computer.cache_misses
-            totals["probability_intern_hits"] += computer.intern_hits
-            totals["probability_intern_misses"] += computer.intern_misses
-        return totals
 
     # ------------------------------------------------------------------ #
     # keys

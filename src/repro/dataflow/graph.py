@@ -19,7 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 from ..lineage import EventSpace
 from ..relation import Schema
 from ..stream.elements import LEFT, RIGHT
-from ..stream.operators import CONTINUOUS_OPERATORS, continuous_output_schema
+from ..stream.operators import JOIN_KINDS, continuous_output_schema
 
 
 class GraphError(ValueError):
@@ -33,8 +33,7 @@ class NodeSpec:
     Attributes:
         name: unique node name (also the right-prefix of its output schema
             when a downstream join clashes attribute names).
-        kind: join kind — any key of
-            :data:`repro.stream.operators.CONTINUOUS_OPERATORS`.
+        kind: join kind — any of :data:`repro.stream.operators.JOIN_KINDS`.
         left / right: input names; each is a registered stream or an
             earlier node of the same graph.
         on: ``(left_attribute, right_attribute)`` equality pairs (θ).
@@ -83,10 +82,10 @@ class DataflowGraph:
         self._consumers: Dict[str, List[Edge]] = {}
         seen: Dict[str, NodeSpec] = {}
         for spec in self._nodes:
-            if spec.kind not in CONTINUOUS_OPERATORS:
+            if spec.kind not in JOIN_KINDS:
                 raise GraphError(
                     f"node {spec.name!r}: unknown join kind {spec.kind!r} "
-                    f"(supported: {sorted(CONTINUOUS_OPERATORS)})"
+                    f"(supported: {sorted(JOIN_KINDS)})"
                 )
             if spec.name in seen or spec.name in self._schemas:
                 raise GraphError(f"duplicate node name {spec.name!r}")

@@ -1,10 +1,11 @@
 """Retractable continuous TP joins: the operator behind a dataflow node.
 
-:class:`RevisionJoin` runs the same incremental window machinery as the
-finalizing operators in :mod:`repro.stream.operators` — one forward
-:class:`~repro.stream.incremental.IncrementalWindowMaintainer`, plus the
-mirrored reverse maintainer for right/full outer joins — but its inputs and
-outputs are *revision streams* (:mod:`repro.dataflow.revision`):
+:class:`RevisionJoin` is a :class:`~repro.stream.operators.ContinuousJoin`
+— same constructor, same forward (and, for right/full outer joins, mirrored
+reverse) :class:`~repro.stream.incremental.IncrementalWindowMaintainer`,
+same routing of watermarks into them, same group → tuples → probabilities
+step — whose inputs and outputs are *revision streams*
+(:mod:`repro.dataflow.revision`):
 
 * Input ``Emit``/``Refine`` elements are additions; ``Retract`` elements
   unwind the matching addition exactly (drop the open positive and its
@@ -31,41 +32,22 @@ inputs, tuple for tuple — the convergence harness in
 bitwise.
 
 With ``materialize_probabilities`` the operator computes each published
-tuple's probability through the maintainer-owned per-key hash-consed
+tuple's probability through the maintainer-owned per-key
 :class:`~repro.lineage.ProbabilityComputer`; a refined window's probability
-is recomputed through the same computer, so repeated sub-expressions of the
-group's lineage are interned once and reused across all its revisions.
+is recomputed through the same computer, whose memo answers the
+sub-expressions the group's earlier revisions already evaluated.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..columnar import maintainer_class
-from ..lineage import EventSpace
-from ..relation import Schema, TPTuple, ThetaCondition
+from ..relation import Schema, TPTuple
 from ..stream.elements import LEFT, RIGHT, StreamEvent, Tagged, Watermark
-from ..stream.incremental import (
-    FinalizedGroup,
-    IncrementalWindowMaintainer,
-    OpenPositive,
-)
-from ..stream.operators import (
-    CONTINUOUS_OPERATORS,
-    REVERSE_KINDS,
-    continuous_output_schema,
-    forward_group_tuples,
-    group_of,
-    reverse_group_tuples,
-    theta_from_pairs,
-)
+from ..stream.incremental import FinalizedGroup, OpenPositive
+from ..stream.operators import ContinuousJoin, group_of
 from .revision import Revision, RevisionElement, RevisionKind
-
-# swap_theta lives with the batch joins; imported here once for the mirrored
-# maintainer so this module does not re-derive the swapped condition.
-from ..core.joins import swap_theta
 
 #: Identity of one open group across both maintainers: (is_reverse, serial).
 GroupId = Tuple[bool, int]
@@ -96,18 +78,13 @@ class RevisionJoinStats:
         return total
 
 
-class RevisionJoin:
+class RevisionJoin(ContinuousJoin):
     """A retractable continuous TP join over tagged revision elements.
 
+    Takes :class:`~repro.stream.operators.ContinuousJoin`'s arguments, plus:
+
     Args:
-        kind: any key of :data:`repro.stream.operators.CONTINUOUS_OPERATORS`.
-        left_schema / right_schema: input schemas.
-        on: ``(left_attribute, right_attribute)`` equality pairs (θ).
         early_emit: publish provisional windows before finalization.
-        events: merged event space of every source feeding this node
-            (required for ``materialize_probabilities``).
-        materialize_probabilities: compute published tuples' probabilities
-            inline via the maintainer-owned per-key computers.
     """
 
     def __init__(
@@ -117,44 +94,17 @@ class RevisionJoin:
         right_schema: Schema,
         on: Sequence[tuple[str, str]] = (),
         *,
-        left_name: str = "r",
-        right_name: str = "s",
         early_emit: bool = False,
-        events: Optional[EventSpace] = None,
-        materialize_probabilities: bool = False,
-        clock: Callable[[], float] = time.perf_counter,
-        layout: str = "object",
+        **core,
     ) -> None:
-        if kind not in CONTINUOUS_OPERATORS:
-            raise ValueError(
-                f"dataflow nodes support {sorted(CONTINUOUS_OPERATORS)}, not {kind!r}"
-            )
-        if materialize_probabilities and events is None:
-            raise ValueError("materialize_probabilities requires an event space")
-        self.kind = kind
-        self._left_schema = left_schema
-        self._right_schema = right_schema
-        self._left_name = left_name
-        self._right_name = right_name
-        self._theta: ThetaCondition = theta_from_pairs(left_schema, right_schema, on)
+        super().__init__(kind, left_schema, right_schema, on, **core)
         self._early = early_emit
-        self._materialize = materialize_probabilities
-        self._clock = clock
-        self._layout = layout
-        maintainer_cls = maintainer_class(layout)
-        self._forward = maintainer_cls(self._theta, events=events)
-        self._reverse: Optional[IncrementalWindowMaintainer] = (
-            maintainer_cls(swap_theta(self._theta), events=events)
-            if kind in REVERSE_KINDS
-            else None
-        )
         #: Published provisional tuples per open group, keyed by tuple identity.
         self._published: Dict[GroupId, Dict[tuple, TPTuple]] = {}
         self._latency_recorded: set[GroupId] = set()
         #: Net output applied so far (emits/refines minus retracts).
         self.settled_outputs: Dict[tuple, TPTuple] = {}
         self.stats = RevisionJoinStats()
-        self.emit_latencies: List[float] = []
         #: Event-time emit lag per group: how far the input frontier (max
         #: event start seen) had progressed past the group's interval end at
         #: first publication.  Watermark-only emission floors this at the
@@ -167,25 +117,8 @@ class RevisionJoin:
     # introspection
     # ------------------------------------------------------------------ #
     @property
-    def theta(self) -> ThetaCondition:
-        return self._theta
-
-    @property
     def early_emit(self) -> bool:
         return self._early
-
-    @property
-    def maintainer(self) -> IncrementalWindowMaintainer:
-        return self._forward
-
-    @property
-    def reverse_maintainer(self) -> Optional[IncrementalWindowMaintainer]:
-        return self._reverse
-
-    def output_schema(self) -> Schema:
-        return continuous_output_schema(
-            self.kind, self._left_schema, self._right_schema, self._right_name
-        )
 
     def describe(self) -> str:
         mode = "early-emit" if self._early else "watermark-only"
@@ -231,18 +164,7 @@ class RevisionJoin:
                     self._frontier = element.tuple.start
                 self._add(tagged.side, element.tuple, tagged.ingest_clock, out)
         elif isinstance(element, Watermark):
-            if tagged.side == LEFT:
-                finalized = self._forward.advance_left(element.value)
-                finalized_reverse = (
-                    self._reverse.advance_right(element.value) if self._reverse else []
-                )
-            elif tagged.side == RIGHT:
-                finalized = self._forward.advance_right(element.value)
-                finalized_reverse = (
-                    self._reverse.advance_left(element.value) if self._reverse else []
-                )
-            else:
-                raise ValueError(f"unknown stream side {tagged.side!r}")
+            finalized, finalized_reverse = self._advance(tagged.side, element.value)
             for group in finalized:
                 self._settle(False, group, out)
             for group in finalized_reverse:
@@ -328,38 +250,12 @@ class RevisionJoin:
     # publication
     # ------------------------------------------------------------------ #
     def _group_tuples(
-        self,
-        is_reverse: bool,
-        group,
-        key: Hashable,
+        self, is_reverse: bool, group, key: Hashable
     ) -> Dict[tuple, TPTuple]:
-        left_width = len(self._left_schema)
-        right_width = len(self._right_schema)
-        derive = reverse_group_tuples if is_reverse else forward_group_tuples
-        maintainer = self._reverse if is_reverse else self._forward
-        tuples: Dict[tuple, TPTuple] = {}
-        computer = maintainer.computer_for(key) if self._materialize else None
-        if computer is not None and self._layout == "columnar":
-            # Batch kernel: one evaluation per distinct interned
-            # sub-expression of the group, scattered by intern id — values
-            # bitwise-identical to the sequential memo path below.
-            from ..columnar.probs import batch_probabilities
-
-            derived = list(derive(self.kind, group, left_width, right_width))
-            values = batch_probabilities(
-                computer, [tp_tuple.lineage for tp_tuple in derived]
-            )
-            for tp_tuple, value in zip(derived, values):
-                tp_tuple = replace(tp_tuple, probability=value)
-                tuples[tp_tuple.key()] = tp_tuple
-            return tuples
-        for tp_tuple in derive(self.kind, group, left_width, right_width):
-            if computer is not None:
-                tp_tuple = replace(
-                    tp_tuple, probability=computer.probability(tp_tuple.lineage)
-                )
-            tuples[tp_tuple.key()] = tp_tuple
-        return tuples
+        return {
+            tp_tuple.key(): tp_tuple
+            for tp_tuple in self._group_outputs(is_reverse, group, key)
+        }
 
     def _publish(
         self, is_reverse: bool, entry: OpenPositive, out: List[RevisionElement]

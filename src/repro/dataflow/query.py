@@ -13,8 +13,8 @@ backpressure seam, ``early_emit`` switches provisional publication on and
 the maintainer-owned per-key computers.  Graph runs are not yet
 recoverable — dataflow nodes exchange revisions over peer edges whose
 in-flight elements a per-seat snapshot cannot capture, so a dead node is not
-a self-contained shard — and ``checkpoint_interval``/``restart_limit`` are
-inert here.
+a self-contained shard: under ``restart_limit>0`` a socket run still runs,
+unrecovered, with a :class:`RuntimeWarning` saying so.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..obs.collector import QueryTelemetry, RunIntrospection
 from ..options import ExecutionOptions
-from ..relation import TPRelation, TPTuple
+from ..relation import TPRelation
 from ..runtime import Channel, ChannelClosed, ChannelWatermarks
 from ..runtime.transport import TRANSPORTS
 from ..stream.elements import Watermark
@@ -293,10 +293,10 @@ class DataflowQuery(QueryTelemetry):
         events = self._graph.merged_events()
         nodes: Dict[str, NodeResult] = {}
         for spec in self._graph.nodes:
-            tuples = sorted(outcome.settled[spec.name], key=TPTuple.key)
             relation = TPRelation(
                 self._graph.schema_of(spec.name),
-                tuples,
+                # run_graph returns each node's tuples in canonical order.
+                outcome.settled[spec.name],
                 events,
                 name=spec.name,
                 check_constraint=False,

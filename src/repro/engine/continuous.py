@@ -194,10 +194,13 @@ class DataflowJoinOperator(PhysicalOperator):
             self._query.config.trace_sample_rate if self._query.config.trace else None
         )
         #: Dataflow nodes have peer edges, so a dead node is not a
-        #: self-contained shard — graph recovery is not supported yet and
-        #: EXPLAIN never marks a dataflow plan recoverable.
-        self.recoverable = False
-        self.recovery_checkpoint_interval = None
+        #: self-contained shard — graph recovery is not supported yet.
+        #: EXPLAIN marks a plan whose options ask for seat recovery ``[not
+        #: recoverable: peer edges]`` (the run itself warns, see
+        #: ``runtime.driver.run_job``) and never ``[recoverable ...]``.
+        self.not_recoverable = (
+            "peer edges" if self._query.config.recovery_enabled else None
+        )
         self.last_result = None
 
     @property

@@ -24,7 +24,8 @@ enables span-per-element tracing carry ``[traced rate=R]``, read from
 ``trace_sample_rate`` (``None`` when tracing is off); plans whose options
 enable seat recovery carry ``[recoverable ckpt=Ns]`` (or ``[recoverable
 replay-from-zero]`` without checkpointing), read from ``recoverable`` /
-``recovery_checkpoint_interval``.
+``recovery_checkpoint_interval``; a dataflow plan under such options is not
+recovered and carries ``[not recoverable: peer edges]`` (``not_recoverable``).
 """
 
 from __future__ import annotations
@@ -83,6 +84,9 @@ def _render_physical(operator: PhysicalOperator, depth: int, lines: list[str]) -
         interval = getattr(operator, "recovery_checkpoint_interval", None)
         mode = f"ckpt={interval:g}s" if interval is not None else "replay-from-zero"
         annotation += f" [recoverable {mode}]"
+    cause = getattr(operator, "not_recoverable", None)
+    if cause is not None:
+        annotation += f" [not recoverable: {cause}]"
     lines.append("  " * depth + f"{operator.describe()}  {annotation}")
     for child in operator.children():
         _render_physical(child, depth + 1, lines)

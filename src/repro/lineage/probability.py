@@ -24,197 +24,50 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, Mapping
 
-#: Entries the id-keyed intern memo may hold before it is reset.  The memo
-#: (and its pin list) grows with every distinct lineage *object* seen, which
-#: for a long-lived computer over an unbounded stream is unbounded even when
-#: the distinct structures are few; resetting it costs only the O(size)
-#: re-interning of subsequently seen objects, while the structural intern
-#: table and the probability cache — bounded by distinct structures — are
-#: kept.
-_INTERN_MEMO_LIMIT = 250_000
-
 from .events import EventSpace
 from .expr import FALSE, TRUE, And, LineageExpr, Not, Or, Var
 from .simplify import restrict
+
+#: Entries the memo may hold before it is cleared.  A computer that lives as
+#: long as a standing query would otherwise retain every lineage it ever
+#: evaluated; clearing is always safe because a memoised float is exactly
+#: the value the uncached path recomputes.
+_MEMO_LIMIT = 250_000
 
 
 class ProbabilityComputer:
     """Exact probability computation over a fixed :class:`EventSpace`.
 
-    Instances memoise intermediate results keyed by the restricted
-    sub-expressions encountered during Shannon expansion, so computing the
-    probabilities of many structurally related lineages (as a join result
-    contains) shares work.
-
-    With ``hash_cons=True`` (the default) sub-expressions are additionally
-    *interned*: structurally equal nodes are mapped to one canonical
-    instance, and the memo cache is keyed on the canonical node's identity.
-    Cache hits then cost one ``id()`` dictionary lookup instead of a deep
-    structural hash + equality walk — the difference that matters when the
-    same positive tuple's lineage recurs across many windows (every window
-    of a continuous query re-derives ``λr ∧ ¬(λs1 ∨ ...)`` shapes sharing
-    whole subtrees).  Setting ``hash_cons=False`` restores the purely
-    structural cache.
+    Instances memoise intermediate results keyed by the (restricted)
+    sub-expressions encountered, structurally, so computing the
+    probabilities of many related lineages (as a join result contains —
+    ``a1 ∧ ¬(b1 ∨ b2)`` then ``a2 ∧ ¬(b1 ∨ b2)``) shares work.  The memo
+    only ever returns a value it previously computed the uncached way, so
+    results are bitwise-identical to a fresh computer's.
     """
 
-    __slots__ = (
-        "_events",
-        "_cache",
-        "_hash_cons",
-        "_intern_table",
-        "_intern_memo",
-        "_pins",
-        "cache_hits",
-        "cache_misses",
-        "intern_hits",
-        "intern_misses",
-    )
+    __slots__ = ("_events", "_cache", "cache_hits", "cache_misses")
 
-    def __init__(self, events: EventSpace, hash_cons: bool = True) -> None:
+    def __init__(self, events: EventSpace) -> None:
         self._events = events
-        self._hash_cons = hash_cons
-        # Structural cache (hash_cons=False) or id-keyed cache over interned
-        # nodes (hash_cons=True); the key type differs, the values agree.
-        self._cache: Dict[object, float] = {}
-        # Hash-consing state: structural key → canonical node, plus a memo
-        # from id(original) → canonical so repeatedly seen *objects* skip
-        # the structural walk entirely.  The pin list keeps every id-keyed
-        # object alive for the computer's lifetime (ids must not be reused).
-        self._intern_table: Dict[tuple, LineageExpr] = {}
-        self._intern_memo: Dict[int, LineageExpr] = {}
-        self._pins: list = []
+        self._cache: Dict[LineageExpr, float] = {}
         # Telemetry: plain ints (an increment is cheaper than any gating
         # check would be), read by the observability layer via
         # ``probability_counters()`` on the owning maintainer.
         self.cache_hits = 0
         self.cache_misses = 0
-        self.intern_hits = 0
-        self.intern_misses = 0
 
     @property
     def events(self) -> EventSpace:
         """The event space used for the marginal probabilities."""
         return self._events
 
-    @property
-    def memoises_subexpressions(self) -> bool:
-        """Whether the hash-consed identity cache is active."""
-        return self._hash_cons
-
     def probability(self, lineage: LineageExpr) -> float:
         """Return ``P(lineage)`` under independence of the base events."""
-        if self._hash_cons:
-            lineage = self._intern(lineage)
-            cached = self._cache.get(id(lineage))
-            if cached is not None:
-                # Already computed (and therefore already validated): a
-                # repeated window of the same positive tuple pays one
-                # intern-memo lookup, not a re-validation walk.
-                self.cache_hits += 1
-                return cached
         self._events.validate_lineage(lineage)
+        if len(self._cache) > _MEMO_LIMIT:
+            self._cache.clear()
         return self._probability(lineage)
-
-    # ------------------------------------------------------------------ #
-    # cache export / import (checkpointed recovery)
-    # ------------------------------------------------------------------ #
-    def cache_entries(self) -> list:
-        """Every memoised ``(lineage, probability)`` pair this computer holds.
-
-        Under hash-consing the pairs carry the canonical interned nodes; a
-        fresh computer seeded with them (:meth:`seed_cache`) re-interns the
-        structures and lands in the same memo state.  Used by the recovery
-        checkpoint codec — exporting then re-seeding is bitwise-safe
-        because the cached floats *are* the values the uncached path would
-        recompute.
-        """
-        if not self._hash_cons:
-            return [
-                (expr, value)
-                for expr, value in self._cache.items()
-                if isinstance(expr, LineageExpr)
-            ]
-        entries = []
-        for canonical in self._intern_table.values():
-            value = self._cache.get(id(canonical))
-            if value is not None:
-                entries.append((canonical, value))
-        return entries
-
-    def seed_cache(self, pairs) -> None:
-        """Warm the memo cache from :meth:`cache_entries` output.
-
-        Each lineage is interned (under hash-consing) so later structurally
-        equal expressions hit the seeded value by identity, exactly as they
-        would have hit the original computer's cache.
-        """
-        for expr, value in pairs:
-            if self._hash_cons:
-                canonical = self._intern(expr)
-                self._cache[id(canonical)] = value
-            else:
-                self._cache[expr] = value
-
-    # ------------------------------------------------------------------ #
-    # hash-consing
-    # ------------------------------------------------------------------ #
-    def intern(self, expr: LineageExpr) -> LineageExpr:
-        """Public interning entry point: the canonical node for ``expr``.
-
-        Structurally equal expressions map to one instance, so ``id()`` of
-        the result is a valid dedup key for batch evaluation
-        (:func:`repro.columnar.probs.batch_probabilities`).  Without
-        hash-consing the expression is returned unchanged — structural
-        equality is then the only dedup the caller can rely on.
-        """
-        if not self._hash_cons:
-            return expr
-        return self._intern(expr)
-
-    def _intern(self, expr: LineageExpr) -> LineageExpr:
-        """Map ``expr`` to the canonical instance of its structure.
-
-        Structural keys are built from the *identities* of already-interned
-        children, so every node costs O(fan-out) to key — no recursive
-        hashing.  Both memo tables pin their keys via ``_pins``.
-        """
-        memoised = self._intern_memo.get(id(expr))
-        if memoised is not None:
-            self.intern_hits += 1
-            return memoised
-        self.intern_misses += 1
-        if isinstance(expr, Var):
-            key: tuple = ("v", expr.name)
-        elif expr == TRUE:
-            key = ("t",)
-        elif expr == FALSE:
-            key = ("f",)
-        elif isinstance(expr, Not):
-            key = ("n", id(self._intern(expr.child)))
-        elif isinstance(expr, And):
-            # Operand order is part of the key on purpose: float products
-            # are evaluated in operand order, and interning must never
-            # change the result bit-for-bit versus the uncached path.
-            key = ("a", *(id(self._intern(operand)) for operand in expr.operands))
-        elif isinstance(expr, Or):
-            key = ("o", *(id(self._intern(operand)) for operand in expr.operands))
-        else:  # pragma: no cover - defensive, all node types handled above
-            raise TypeError(f"unsupported lineage node {type(expr).__name__}")
-        canonical = self._intern_table.get(key)
-        if canonical is None:
-            canonical = expr
-            self._intern_table[key] = expr
-        if len(self._pins) >= _INTERN_MEMO_LIMIT:
-            # Bound the duplicate-object memo; canonical nodes stay alive
-            # (and id-stable) as values of the intern table.
-            self._pins.clear()
-            self._intern_memo.clear()
-        self._intern_memo[id(expr)] = canonical
-        self._pins.append(expr)
-        return canonical
-
-    def _cache_key(self, expr: LineageExpr) -> object:
-        return id(expr) if self._hash_cons else expr
 
     # ------------------------------------------------------------------ #
     # internals
@@ -226,8 +79,7 @@ class ProbabilityComputer:
             return 0.0
         if isinstance(expr, Var):
             return self._events.probability(expr.name)
-        key = self._cache_key(expr)
-        cached = self._cache.get(key)
+        cached = self._cache.get(expr)
         if cached is not None:
             self.cache_hits += 1
             return cached
@@ -240,7 +92,7 @@ class ProbabilityComputer:
             value = self._connective(expr, is_and=False)
         else:  # pragma: no cover - defensive, all node types handled above
             raise TypeError(f"unsupported lineage node {type(expr).__name__}")
-        self._cache[key] = value
+        self._cache[expr] = value
         return value
 
     def _connective(self, expr: LineageExpr, is_and: bool) -> float:
@@ -264,9 +116,6 @@ class ProbabilityComputer:
         p_true = self._events.probability(variable)
         positive = restrict(expr, {variable: True})
         negative = restrict(expr, {variable: False})
-        if self._hash_cons:
-            positive = self._intern(positive)
-            negative = self._intern(negative)
         return p_true * self._probability(positive) + (1.0 - p_true) * self._probability(
             negative
         )

@@ -322,8 +322,6 @@ class MetricsAggregator:
                 for name in (
                     "probability_cache_hits",
                     "probability_cache_misses",
-                    "probability_intern_hits",
-                    "probability_intern_misses",
                 )
                 if name in counters
             ]

@@ -1,13 +1,13 @@
 """Sampling operator state into a worker's :class:`MetricsRegistry`.
 
 The hot loops only bump three flow counters; everything else — revision
-counters, open-group gauges, watermark lag, probability hash-cons hit
-rates — already lives in the operators' own stats objects and state, so
+counters, open-group gauges, watermark lag, probability memo hit rates —
+already lives in the operators' own stats objects and state, so
 it is *sampled* here on demand (periodic snapshot or final report)
 instead of being counted twice on the hot path.  Sampling is duck-typed:
-it works for :class:`~repro.dataflow.operators.RevisionJoin`, the stream
-shard operators (:class:`~repro.stream.operators.ContinuousJoinBase`),
-and anything future exposing the same attributes.
+it works for :class:`~repro.stream.operators.ContinuousJoin`, its
+retractable subclass :class:`~repro.dataflow.operators.RevisionJoin`, and
+anything future exposing the same attributes.
 """
 
 from __future__ import annotations

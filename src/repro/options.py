@@ -37,7 +37,7 @@ class ExecutionOptions:
     start.
 
     ``materialize_probabilities`` computes output probabilities inline
-    with the maintainer-owned per-key hash-consed computers instead of
+    with the maintainer-owned per-key computers instead of
     leaving them for a later ``with_probabilities`` pass.
 
     ``early_emit`` publishes provisional windows before the watermark
@@ -67,7 +67,7 @@ class ExecutionOptions:
       replaying that shard's elements.  ``0`` (default) disables
       recovery: a dead seat fails the run, as before.
     * ``checkpoint_interval`` — seconds between worker state snapshots
-      (open windows, hash-cons probability caches) shipped to the driver
+      (open windows, counters, collected outputs) shipped to the driver
       as checkpoint frames; recovery then replays only the
       post-checkpoint suffix instead of the shard's whole history.
       ``0.0`` checkpoints at every micro-batch boundary (deterministic,

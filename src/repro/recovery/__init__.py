@@ -4,8 +4,8 @@ The socket transport makes worker *loss* an expected event.  This package
 turns a dead seat from a run-killing error into a recovered one:
 
 * :mod:`repro.recovery.checkpoint` — snapshot/restore of a stream-shard
-  worker's full state (open windows, reverse maintainer, hash-cons
-  probability caches, collected outputs) through the compact codecs of
+  worker's state (open windows, reverse maintainer, collected outputs;
+  probability memos are recomputed, not shipped) through the compact codecs of
   :mod:`repro.parallel.serialize`;
 * :mod:`repro.recovery.driver` — the recovering session the one router
   (:func:`repro.runtime.driver.run_job`) drives: detects a dead or

@@ -7,8 +7,10 @@ the operator's emit latencies and counters, and — the bulk — the forward
 (and, for right/full outer joins, the mirrored reverse)
 :class:`~repro.stream.incremental.IncrementalWindowMaintainer`: open
 positives with their accrued overlap records, indexed negatives, watermark
-horizons, serial counter, stats, and the per-key probability computers'
-memoised ``(lineage, probability)`` caches.
+horizons, serial counter and stats.  The per-key probability memos are not
+part of it: a restored worker recomputes, and a recomputed probability is
+bitwise the memoised one, so a frame's size follows the open state, not the
+length of the run.
 
 Payloads are nested tuples of primitives built on the compact codecs of
 :mod:`repro.parallel.serialize` (``encode_tuple`` / ``encode_lineage`` and
@@ -17,15 +19,9 @@ at the same cost profile as the shard inputs themselves — no class metadata
 per node.  The codec is a bijection on the state it covers: restoring a
 snapshot and replaying the post-checkpoint input suffix yields settled
 output tuple-for-tuple, bitwise-probability equal to an unfailed run,
-because
-
-* floats (watermarks, intervals, cached probabilities) round-trip exactly
-  through pickle;
-* cached probabilities are re-seeded *as values* — the replacement computer
-  answers repeated lineages from the seeded memo exactly as the original
-  would have from its own; and
-* lineage expressions re-intern structurally, landing in an equivalent
-  hash-cons state.
+because floats (watermarks, intervals, the collected outputs'
+probabilities) round-trip exactly through pickle and lineages decode to
+structurally equal expressions.
 
 Only output-collecting shard workers (``spec.collect_outputs``) are
 checkpointable: dataflow node workers have peer edges whose in-flight
@@ -46,10 +42,8 @@ from typing import List, Optional
 
 from ..core.overlap import OverlapRecord
 from ..parallel.serialize import (
-    decode_lineage,
     decode_tuple,
     decode_tuples,
-    encode_lineage,
     encode_tuple,
     encode_tuples,
 )
@@ -59,7 +53,7 @@ from ..temporal import Interval
 
 #: Bumped whenever the payload shape changes; restore rejects mismatches
 #: loudly instead of mis-decoding a stale frame.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -102,16 +96,6 @@ def encode_maintainer(maintainer: IncrementalWindowMaintainer) -> tuple:
     negative_code = [
         (key, encode_tuples(bucket)) for key, bucket in maintainer.negative_items()
     ]
-    computer_code = [
-        (
-            key,
-            [
-                (encode_lineage(expr), value)
-                for expr, value in computer.cache_entries()
-            ],
-        )
-        for key, computer in maintainer._computers.items()
-    ]
     return (
         maintainer._watermark_left,
         maintainer._watermark_right,
@@ -133,7 +117,6 @@ def encode_maintainer(maintainer: IncrementalWindowMaintainer) -> tuple:
         ),
         open_code,
         negative_code,
-        computer_code,
     )
 
 
@@ -153,7 +136,6 @@ def restore_maintainer(maintainer: IncrementalWindowMaintainer, code: tuple) -> 
         stats_code,
         open_code,
         negative_code,
-        computer_code,
     ) = code
     maintainer._watermark_left = watermark_left
     maintainer._watermark_right = watermark_right
@@ -193,11 +175,6 @@ def restore_maintainer(maintainer: IncrementalWindowMaintainer, code: tuple) -> 
         maintainer.load_open_entries(key, entries)
     for key, bucket_code in negative_code:
         maintainer.load_negatives(key, decode_tuples(bucket_code))
-    for key, pairs in computer_code:
-        computer = maintainer.computer_for(key)
-        computer.seed_cache(
-            (decode_lineage(expr_code), value) for expr_code, value in pairs
-        )
 
 
 # --------------------------------------------------------------------------- #

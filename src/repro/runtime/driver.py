@@ -157,7 +157,9 @@ def run_job(
     :class:`~repro.recovery.driver.RecoveringSession`, which re-executes
     dead seats; ``chaos`` is that session's failure-injection hook (see
     :class:`repro.recovery.chaos.ChaosInjector`) and is ignored everywhere
-    else.
+    else.  A socket run that asks for recovery with specs that are not
+    self-contained (dataflow nodes) still runs, unrecovered, and says so
+    with one :class:`RuntimeWarning`.
 
     Returns ``(reports, events_processed, backpressure_blocks, backend,
     recoveries)`` with reports in worker-index order and ``backend`` the
@@ -168,11 +170,17 @@ def run_job(
     # (dataflow node workers have peer edges; snapshot_worker rejects them),
     # and only the recovering socket session ever reads a checkpoint — no
     # other run is told to take any.
-    recover = (
-        transport == "sockets"
-        and options.recovery_enabled
-        and all(spec.collect_outputs for spec in specs)
-    )
+    recover = transport == "sockets" and options.recovery_enabled
+    if recover and not all(spec.collect_outputs for spec in specs):
+        recover = False
+        warnings.warn(
+            f"restart_limit={options.restart_limit} asks for seat recovery, but "
+            "these workers exchange elements over peer edges (dataflow nodes), "
+            "which a per-seat checkpoint cannot capture; the run continues "
+            "unrecovered and a dead seat fails it",
+            RuntimeWarning,
+            stacklevel=4,
+        )
     job = RuntimeJob(
         specs,
         micro_batch_size=options.micro_batch_size,

@@ -7,8 +7,8 @@ Layers, bottom to top:
   bounded-lateness eviction.
 * :mod:`repro.stream.incremental` — per-key overlap state with
   watermark-driven, retraction-free window finalization.
-* :mod:`repro.stream.operators` — :class:`ContinuousAntiJoin` and
-  :class:`ContinuousLeftOuterJoin`.
+* :mod:`repro.stream.operators` — :class:`ContinuousJoin`, one operator
+  class for the five Table II join kinds.
 * :mod:`repro.stream.query` — the :class:`StreamQuery` API: K
   key-partitioned shards driven by the runtime's one router
   (:func:`repro.runtime.driver.run_job`).
@@ -31,14 +31,9 @@ from .incremental import (
     OpenPositive,
 )
 from .operators import (
-    CONTINUOUS_OPERATORS,
+    JOIN_KINDS,
     REVERSE_KINDS,
-    ContinuousAntiJoin,
-    ContinuousFullOuterJoin,
-    ContinuousInnerJoin,
-    ContinuousJoinBase,
-    ContinuousLeftOuterJoin,
-    ContinuousRightOuterJoin,
+    ContinuousJoin,
     continuous_join,
     continuous_output_schema,
     forward_group_tuples,
@@ -52,15 +47,10 @@ from .source import SourceStats, StreamSource, merge_tagged
 
 __all__ = [
     "CLOSED",
-    "CONTINUOUS_OPERATORS",
-    "ContinuousAntiJoin",
-    "ContinuousFullOuterJoin",
-    "ContinuousInnerJoin",
-    "ContinuousJoinBase",
-    "ContinuousLeftOuterJoin",
-    "ContinuousRightOuterJoin",
+    "ContinuousJoin",
     "FinalizedGroup",
     "IncrementalWindowMaintainer",
+    "JOIN_KINDS",
     "LEFT",
     "MaintainerStats",
     "OpenPositive",

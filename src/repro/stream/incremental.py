@@ -39,12 +39,11 @@ Two extensions serve the retractable dataflow subsystem
   tuple.  The ingestion methods return the open entries they touched, which
   is what early-emission needs to republish affected provisional windows.
 * **Per-key probability computers** — when constructed with an event space,
-  the maintainer owns one hash-consed
-  :class:`~repro.lineage.ProbabilityComputer` per join key, carried across
-  *all* windows of a live continuous query.  Repeated windows of the same
-  positive tuple then reuse interned sub-expression probabilities end to
-  end, and the values stay bitwise-identical to a fresh computation (the
-  memo only ever returns a value it previously computed the uncached way).
+  the maintainer owns one :class:`~repro.lineage.ProbabilityComputer` per
+  join key, carried across *all* windows of a live continuous query.
+  Windows of one key then share memoised sub-expression probabilities, and
+  the values stay bitwise-identical to a fresh computation (the memo only
+  ever returns a value it previously computed the uncached way).
 """
 
 from __future__ import annotations
@@ -136,9 +135,8 @@ class IncrementalWindowMaintainer:
         self._open_count = 0
         self._negative_count = 0
         self._serial = 0
-        # Per-key probability computers (requires an event space): the
-        # hash-cons intern table of each computer persists across every
-        # window of its key for the maintainer's lifetime.
+        # Per-key probability computers (requires an event space): each
+        # computer's memo persists across the windows of its key.
         self._events = events
         self._computers: Dict[Hashable, ProbabilityComputer] = {}
         # Smallest interval end among open positives / indexed negatives:
@@ -186,10 +184,9 @@ class IncrementalWindowMaintainer:
     def computer_for(self, key: Hashable) -> ProbabilityComputer:
         """The persistent per-key probability computer (requires events).
 
-        One hash-consed computer per join key, owned by the maintainer and
-        carried across all windows of a live continuous query, so repeated
-        windows of the same positive tuple reuse interned sub-expression
-        probabilities.
+        One computer per join key, owned by the maintainer and carried
+        across all windows of a live continuous query, so the windows of a
+        key share memoised sub-expression probabilities.
         """
         if self._events is None:
             raise ValueError(
@@ -198,24 +195,17 @@ class IncrementalWindowMaintainer:
             )
         computer = self._computers.get(key)
         if computer is None:
-            computer = ProbabilityComputer(self._events, hash_cons=True)
+            computer = ProbabilityComputer(self._events)
             self._computers[key] = computer
         return computer
 
     def probability_counters(self) -> Dict[str, int]:
-        """Summed hash-cons cache telemetry across all per-key computers."""
-        totals = {
-            "probability_cache_hits": 0,
-            "probability_cache_misses": 0,
-            "probability_intern_hits": 0,
-            "probability_intern_misses": 0,
+        """Summed memo telemetry across all per-key computers."""
+        computers = self._computers.values()
+        return {
+            "probability_cache_hits": sum(c.cache_hits for c in computers),
+            "probability_cache_misses": sum(c.cache_misses for c in computers),
         }
-        for computer in self._computers.values():
-            totals["probability_cache_hits"] += computer.cache_hits
-            totals["probability_cache_misses"] += computer.cache_misses
-            totals["probability_intern_hits"] += computer.intern_hits
-            totals["probability_intern_misses"] += computer.intern_misses
-        return totals
 
     # ------------------------------------------------------------------ #
     # event ingestion

@@ -1,11 +1,12 @@
 """Continuous TP join operators over watermarked element streams.
 
-The operators mirror the batch joins of the paper's Table II.  The first two
-depend only on the windows of the positive (left) relation:
+:class:`ContinuousJoin` mirrors the batch joins of the paper's Table II, one
+class parametrised by ``kind``.  Three kinds depend only on the windows of
+the positive (left) relation:
 
-* :class:`ContinuousAntiJoin` — ``r ▷ s``: unmatched and negating windows.
-* :class:`ContinuousLeftOuterJoin` — ``r ⟕ s``: all three window classes.
-* :class:`ContinuousInnerJoin` — ``r ⋈ s``: overlapping windows only.
+* ``anti`` — ``r ▷ s``: unmatched and negating windows.
+* ``left_outer`` — ``r ⟕ s``: all three window classes.
+* ``inner`` — ``r ⋈ s``: overlapping windows only.
 
 Right and full outer joins additionally need the *reverse* windows — the
 unmatched and negating windows of ``s`` with respect to ``r``.  They run a
@@ -15,34 +16,38 @@ windows keep coming from the forward maintainer so output lineages are
 constructed operand-for-operand like the batch joins build them (which keeps
 probabilities bitwise-comparable):
 
-* :class:`ContinuousRightOuterJoin` — ``r ⟖ s``.
-* :class:`ContinuousFullOuterJoin` — ``r ⟗ s``.
+* ``right_outer`` — ``r ⟖ s``.
+* ``full_outer`` — ``r ⟗ s``.
 
-All operators consume :class:`~repro.stream.elements.Tagged` stream elements
-(events and watermarks of either side) and emit *finalized* output tuples:
+The operator consumes :class:`~repro.stream.elements.Tagged` stream elements
+(events and watermarks of either side) and emits *finalized* output tuples:
 each output is produced exactly once, when the combined watermark passes the
-end of its originating positive tuple, and is never retracted.  (The
-retractable, early-emitting variant lives in :mod:`repro.dataflow`.)  Window
+end of its originating positive tuple, and is never retracted.  Window
 derivation replays the unchanged batch sweeps over each completed overlap
 group, so a continuous run over any delivery order (within the lateness
 bound) emits exactly the batch join's output set.
 
+The retractable, early-emitting :class:`~repro.dataflow.operators.
+RevisionJoin` is a subclass: it shares the constructor, the maintainers,
+the routing of watermarks into them and the group → tuples → probabilities
+step, and replaces only the output half.
+
 With ``materialize_probabilities=True`` (requires the merged event space)
 output probabilities are computed inline by the maintainer-owned per-key
-:class:`~repro.lineage.ProbabilityComputer` — the hash-cons intern table is
-carried across all windows of a key for the operator's lifetime, and the
-values stay bitwise-identical to a fresh per-tuple computation.
+:class:`~repro.lineage.ProbabilityComputer`, whose memo is shared by all
+windows of a key; the values stay bitwise-identical to a fresh per-tuple
+computation.
 
 Per-tuple emit latency — the wall-clock span between the ingestion of a
 positive event and the emission of its finalized outputs — is recorded in
-:attr:`ContinuousJoinBase.emit_latencies` for the benchmarks.
+:attr:`ContinuousJoin.emit_latencies` for the benchmarks.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.concat import (
     combined_output_schema as joined_output_schema,
@@ -93,8 +98,32 @@ _FORWARD_CLASSES: dict[str, frozenset] = {
     ),
 }
 
+#: Join kinds with a continuous operator (the batch joins of Table II).
+JOIN_KINDS = frozenset(_FORWARD_CLASSES)
+
 #: Kinds that also derive the reverse windows (positive side = right stream).
 REVERSE_KINDS = frozenset({"right_outer", "full_outer"})
+
+
+def _require_kind(kind: str) -> None:
+    if kind not in JOIN_KINDS:
+        raise ValueError(
+            f"continuous execution supports {sorted(JOIN_KINDS)}, not {kind!r}"
+        )
+
+
+def continuous_output_schema(
+    kind: str, left_schema: Schema, right_schema: Schema, right_name: str = "s"
+) -> Schema:
+    """The output schema of a continuous join, without building the operator.
+
+    Callers that only need the schema (e.g. :class:`repro.stream.StreamQuery`
+    wrapping a finished run) skip constructing a window maintainer.
+    """
+    _require_kind(kind)
+    if kind == "anti":
+        return left_schema
+    return joined_output_schema(left_schema, right_schema, right_name)
 
 
 def forward_group_tuples(
@@ -140,43 +169,51 @@ def group_of(entry: OpenPositive) -> OverlapGroup:
     return OverlapGroup(entry.tuple, sorted(entry.matches, key=_match_order))
 
 
-class ContinuousJoinBase:
-    """Shared machinery of the continuous TP joins.
+class ContinuousJoin:
+    """A continuous TP join of one ``kind`` with watermark-driven finalization.
 
-    Subclasses set ``kind``; kinds in :data:`REVERSE_KINDS` additionally run
-    the mirrored reverse maintainer.
+    Args:
+        kind: one of :data:`JOIN_KINDS`; kinds in :data:`REVERSE_KINDS`
+            additionally run the mirrored reverse maintainer.
+        left_schema / right_schema: input schemas.
+        on: ``(left_attribute, right_attribute)`` equality pairs (θ).
+        events: merged event space of every source feeding this operator
+            (required for ``materialize_probabilities``).
+        materialize_probabilities: compute output tuples' probabilities
+            inline via the maintainer-owned per-key computers.
+        layout: resolved window-maintainer state layout.
     """
-
-    kind: str = ""
 
     def __init__(
         self,
+        kind: str,
         left_schema: Schema,
         right_schema: Schema,
-        theta: ThetaCondition,
+        on: Sequence[tuple[str, str]] = (),
+        *,
         left_name: str = "r",
         right_name: str = "s",
-        clock: Callable[[], float] = time.perf_counter,
         events: Optional[EventSpace] = None,
         materialize_probabilities: bool = False,
+        clock: Callable[[], float] = time.perf_counter,
         layout: str = "object",
     ) -> None:
+        _require_kind(kind)
         if materialize_probabilities and events is None:
             raise ValueError("materialize_probabilities requires an event space")
+        self.kind = kind
         self._left_schema = left_schema
         self._right_schema = right_schema
-        self._theta = theta
+        self._theta = theta_from_pairs(left_schema, right_schema, on)
         self._left_name = left_name
         self._right_name = right_name
         self._clock = clock
-        self._events = events
         self._materialize = materialize_probabilities
-        self._layout = layout
         maintainer_cls = maintainer_class(layout)
-        self._maintainer = maintainer_cls(theta, events=events)
+        self._forward = maintainer_cls(self._theta, events=events)
         self._reverse: Optional[IncrementalWindowMaintainer] = (
-            maintainer_cls(swap_theta(theta), events=events)
-            if self.kind in REVERSE_KINDS
+            maintainer_cls(swap_theta(self._theta), events=events)
+            if kind in REVERSE_KINDS
             else None
         )
         self.stats = OperatorStats()
@@ -193,27 +230,16 @@ class ContinuousJoinBase:
     @property
     def maintainer(self) -> IncrementalWindowMaintainer:
         """The forward incremental window state (exposed for monitoring)."""
-        return self._maintainer
+        return self._forward
 
     @property
     def reverse_maintainer(self) -> Optional[IncrementalWindowMaintainer]:
         """The mirrored maintainer of right/full outer joins (else ``None``)."""
         return self._reverse
 
-    @property
-    def materializes_probabilities(self) -> bool:
-        return self._materialize
-
-    @property
-    def layout(self) -> str:
-        """The window-maintainer state layout this operator runs on."""
-        return self._layout
-
     def output_schema(self) -> Schema:
-        if self.kind == "anti":
-            return self._left_schema
-        return joined_output_schema(
-            self._left_schema, self._right_schema, self._right_name
+        return continuous_output_schema(
+            self.kind, self._left_schema, self._right_schema, self._right_name
         )
 
     _SYMBOLS = {
@@ -227,7 +253,7 @@ class ContinuousJoinBase:
     def describe(self) -> str:
         symbol = self._SYMBOLS[self.kind]
         return (
-            f"{type(self).__name__}[{self._left_name} {symbol} {self._right_name}] "
+            f"ContinuousJoin[{self._left_name} {symbol} {self._right_name}] "
             f"on {self._theta.describe()}"
         )
 
@@ -247,11 +273,11 @@ class ContinuousJoinBase:
                     if tagged.ingest_clock is not None
                     else self._clock()
                 )
-                self._maintainer.add_positive(element.tuple, ingest_clock=now)
+                self._forward.add_positive(element.tuple, ingest_clock=now)
                 if self._reverse is not None:
                     self._reverse.add_negative(element.tuple)
             elif tagged.side == RIGHT:
-                self._maintainer.add_negative(element.tuple)
+                self._forward.add_negative(element.tuple)
                 if self._reverse is not None:
                     now = (
                         tagged.ingest_clock
@@ -263,17 +289,7 @@ class ContinuousJoinBase:
                 raise ValueError(f"unknown stream side {tagged.side!r}")
             return []
         if isinstance(element, Watermark):
-            if tagged.side == LEFT:
-                finalized = self._maintainer.advance_left(element.value)
-                finalized_reverse = (
-                    self._reverse.advance_right(element.value) if self._reverse else []
-                )
-            else:
-                finalized = self._maintainer.advance_right(element.value)
-                finalized_reverse = (
-                    self._reverse.advance_left(element.value) if self._reverse else []
-                )
-            return self._emit(finalized, finalized_reverse)
+            return self._emit(*self._advance(tagged.side, element.value))
         raise TypeError(f"unsupported stream element {element!r}")
 
     def run(self, tagged_elements: Iterable[Tagged]) -> Iterator[TPTuple]:
@@ -285,7 +301,47 @@ class ContinuousJoinBase:
     def close(self) -> List[TPTuple]:
         """Finalize all remaining windows (both sides closed)."""
         return self._emit(
-            self._maintainer.close(), self._reverse.close() if self._reverse else []
+            self._forward.close(), self._reverse.close() if self._reverse else ()
+        )
+
+    # ------------------------------------------------------------------ #
+    # shared with the retractable subclass
+    # ------------------------------------------------------------------ #
+    def _advance(
+        self, side: str, value: float
+    ) -> Tuple[Sequence[FinalizedGroup], Sequence[FinalizedGroup]]:
+        """Route one side's watermark into both maintainers.
+
+        Returns the groups it finalized, forward then reverse (the mirrored
+        maintainer sees the sides swapped).
+        """
+        if side == LEFT:
+            return (
+                self._forward.advance_left(value),
+                self._reverse.advance_right(value) if self._reverse else (),
+            )
+        if side == RIGHT:
+            return (
+                self._forward.advance_right(value),
+                self._reverse.advance_left(value) if self._reverse else (),
+            )
+        raise ValueError(f"unknown stream side {side!r}")
+
+    def _group_outputs(
+        self, is_reverse: bool, group: OverlapGroup, key: Hashable
+    ) -> Iterator[TPTuple]:
+        """The output tuples of one group, with probabilities if materialized."""
+        derive = reverse_group_tuples if is_reverse else forward_group_tuples
+        tuples = derive(
+            self.kind, group, len(self._left_schema), len(self._right_schema)
+        )
+        if not self._materialize:
+            return tuples
+        maintainer = self._reverse if is_reverse else self._forward
+        computer = maintainer.computer_for(key)
+        return (
+            replace(tp_tuple, probability=computer.probability(tp_tuple.lineage))
+            for tp_tuple in tuples
         )
 
     # ------------------------------------------------------------------ #
@@ -294,149 +350,20 @@ class ContinuousJoinBase:
     def _emit(
         self,
         finalized: Sequence[FinalizedGroup],
-        finalized_reverse: Sequence[FinalizedGroup] = (),
+        finalized_reverse: Sequence[FinalizedGroup],
     ) -> List[TPTuple]:
         outputs: List[TPTuple] = []
         if not finalized and not finalized_reverse:
             return outputs
         emit_clock = self._clock()
-        left_width = len(self._left_schema)
-        right_width = len(self._right_schema)
-        for group in finalized:
-            self.stats.groups_finalized += 1
-            self.emit_latencies.append(max(0.0, emit_clock - group.ingest_clock))
-            outputs.extend(
-                self._materialized(
-                    forward_group_tuples(self.kind, group.group, left_width, right_width),
-                    self._maintainer,
-                    group,
-                )
-            )
-        for group in finalized_reverse:
-            self.stats.groups_finalized += 1
-            self.emit_latencies.append(max(0.0, emit_clock - group.ingest_clock))
-            outputs.extend(
-                self._materialized(
-                    reverse_group_tuples(self.kind, group.group, left_width, right_width),
-                    self._reverse,
-                    group,
-                )
-            )
+        for is_reverse, groups in ((False, finalized), (True, finalized_reverse)):
+            for group in groups:
+                self.stats.groups_finalized += 1
+                self.emit_latencies.append(max(0.0, emit_clock - group.ingest_clock))
+                outputs.extend(self._group_outputs(is_reverse, group.group, group.key))
         self.stats.outputs_emitted += len(outputs)
         return outputs
 
-    def _materialized(
-        self,
-        tuples: Iterator[TPTuple],
-        maintainer: IncrementalWindowMaintainer,
-        group: FinalizedGroup,
-    ) -> Iterator[TPTuple]:
-        if not self._materialize:
-            yield from tuples
-            return
-        computer = maintainer.computer_for(group.key)
-        if self._layout == "columnar":
-            # Batch kernel: evaluate each distinct interned sub-expression of
-            # the group once, scatter by intern id.  Values are produced by
-            # the same per-key computer, so they are bitwise-identical to the
-            # sequential path (a duplicate is exactly a memo hit).
-            from ..columnar.probs import batch_probabilities
 
-            materialized = list(tuples)
-            values = batch_probabilities(
-                computer, [tp_tuple.lineage for tp_tuple in materialized]
-            )
-            for tp_tuple, value in zip(materialized, values):
-                yield replace(tp_tuple, probability=value)
-            return
-        for tp_tuple in tuples:
-            yield replace(tp_tuple, probability=computer.probability(tp_tuple.lineage))
-
-
-class ContinuousAntiJoin(ContinuousJoinBase):
-    """Continuous TP anti join ``r ▷ s`` with watermark-driven finalization."""
-
-    kind = "anti"
-
-
-class ContinuousLeftOuterJoin(ContinuousJoinBase):
-    """Continuous TP left outer join ``r ⟕ s`` with watermark-driven finalization."""
-
-    kind = "left_outer"
-
-
-class ContinuousInnerJoin(ContinuousJoinBase):
-    """Continuous TP inner join ``r ⋈ s`` (overlapping windows only)."""
-
-    kind = "inner"
-
-
-class ContinuousRightOuterJoin(ContinuousJoinBase):
-    """Continuous TP right outer join ``r ⟖ s`` (reverse windows + WO)."""
-
-    kind = "right_outer"
-
-
-class ContinuousFullOuterJoin(ContinuousJoinBase):
-    """Continuous TP full outer join ``r ⟗ s`` (all five window sets)."""
-
-    kind = "full_outer"
-
-
-#: Continuous operator class per join-kind name (mirrors the batch registry).
-CONTINUOUS_OPERATORS = {
-    "anti": ContinuousAntiJoin,
-    "left_outer": ContinuousLeftOuterJoin,
-    "inner": ContinuousInnerJoin,
-    "right_outer": ContinuousRightOuterJoin,
-    "full_outer": ContinuousFullOuterJoin,
-}
-
-
-def continuous_output_schema(
-    kind: str, left_schema: Schema, right_schema: Schema, right_name: str = "s"
-) -> Schema:
-    """The output schema of a continuous join, without building the operator.
-
-    Mirrors the per-class ``output_schema`` definitions above so callers
-    that only need the schema (e.g. :class:`repro.stream.StreamQuery`
-    wrapping a finished run) skip constructing a window maintainer.
-    """
-    if kind not in CONTINUOUS_OPERATORS:
-        raise ValueError(
-            f"continuous execution supports {sorted(CONTINUOUS_OPERATORS)}, not {kind!r}"
-        )
-    if kind == "anti":
-        return left_schema
-    return joined_output_schema(left_schema, right_schema, right_name)
-
-
-def continuous_join(
-    kind: str,
-    left_schema: Schema,
-    right_schema: Schema,
-    on: Sequence[tuple[str, str]] = (),
-    left_name: str = "r",
-    right_name: str = "s",
-    events: Optional[EventSpace] = None,
-    materialize_probabilities: bool = False,
-    layout: str = "object",
-) -> ContinuousJoinBase:
-    """Instantiate a continuous join by kind name (see :data:`CONTINUOUS_OPERATORS`)."""
-    try:
-        operator_class = CONTINUOUS_OPERATORS[kind]
-    except KeyError:
-        raise ValueError(
-            f"continuous execution supports {sorted(CONTINUOUS_OPERATORS)}, not {kind!r}"
-        ) from None
-    theta = theta_from_pairs(left_schema, right_schema, on)
-    return operator_class(
-        left_schema,
-        right_schema,
-        theta,
-        left_name=left_name,
-        right_name=right_name,
-        events=events,
-        materialize_probabilities=materialize_probabilities,
-        layout=layout,
-    )
+#: The factory name worker specs and the benchmark of record build operators by.
+continuous_join = ContinuousJoin

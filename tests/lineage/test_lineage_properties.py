@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from repro.lineage import (
     EventSpace,
+    ProbabilityComputer,
     Var,
+    and_not,
     canonical,
     equivalent,
     lineage_and,
@@ -111,3 +113,38 @@ def test_shannon_expansion_identity(expr, name):
         1 - marginal
     ) * probability(restrict(expr, {name: False}), events)
     assert abs(probability(expr, events) - expanded) < 1e-9
+
+
+def join_lineages():
+    """NJ output shapes: ``λr``, ``λr ∧ λs`` and ``λr ∧ ¬(λs1 ∨ … ∨ λsn)``."""
+    positives = st.sampled_from([Var(name) for name in VARIABLE_NAMES[:2]])
+    negatives = st.lists(
+        st.sampled_from([Var(name) for name in VARIABLE_NAMES[2:]]),
+        min_size=1,
+        max_size=3,
+        unique=True,
+    )
+    return st.one_of(
+        positives,
+        st.builds(lambda r, s: lineage_and(r, s[0]), positives, negatives),
+        st.builds(lambda r, s: and_not(r, lineage_or(*s)), positives, negatives),
+    )
+
+
+@given(
+    st.lists(st.one_of(join_lineages(), expressions()), min_size=1, max_size=12),
+    st.randoms(use_true_random=False),
+    st.integers(min_value=0, max_value=50),
+)
+@settings(max_examples=80)
+def test_one_computer_over_shuffled_lineages_equals_fresh_computers_bitwise(
+    lineages, rng, seed
+):
+    """The memo only ever returns what the uncached path computes, so the
+    order lineages reach a shared computer in cannot change a single bit."""
+    events = event_space_for(seed)
+    expected = {id(expr): ProbabilityComputer(events).probability(expr) for expr in lineages}
+    rng.shuffle(lineages)
+    shared = ProbabilityComputer(events)
+    for expr in lineages:
+        assert shared.probability(expr) == expected[id(expr)]

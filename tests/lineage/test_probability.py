@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.lineage import (
@@ -100,6 +102,40 @@ class TestComputerAndHelpers:
         first = computer.probability(expr)
         second = computer.probability(expr)
         assert first == second
+
+    def test_sub_expression_shared_across_lineages_hits(self, events):
+        """Two windows' lineages over the same negatives: the second call
+        finds ``¬(b1 ∨ b2)`` memoised although every node is a new object."""
+        computer = ProbabilityComputer(events)
+        first = computer.probability(
+            and_not(Var("a1"), lineage_or(Var("b1"), Var("b2")))
+        )
+        assert (computer.cache_hits, first) == (0, pytest.approx(0.7 * 0.1 * 0.4))
+        second = computer.probability(
+            and_not(Var("a2"), lineage_or(Var("b1"), Var("b2")))
+        )
+        assert computer.cache_hits >= 1
+        assert second == ProbabilityComputer(events).probability(
+            and_not(Var("a2"), lineage_or(Var("b1"), Var("b2")))
+        )
+
+    def test_forced_memo_reset_keeps_values_bitwise(self, events, monkeypatch):
+        """A standing query's computer forgets past the limit; what it
+        answers before and after is what a fresh computer answers."""
+        # The package re-exports the function ``probability`` over the module.
+        module = sys.modules["repro.lineage.probability"]
+        monkeypatch.setattr(module, "_MEMO_LIMIT", 3)
+        lineages = [
+            and_not(Var(positive), lineage_or(*map(Var, negatives)))
+            for positive in ("a1", "a2")
+            for negatives in (("b1", "b2"), ("b2", "b3"), ("b1", "b2", "b3"))
+        ]
+        computer = ProbabilityComputer(events)
+        for lineage in lineages + lineages:
+            fresh = ProbabilityComputer(events).probability(lineage)
+            assert computer.probability(lineage) == fresh  # bitwise
+        # Without a reset the repeated pass would have been all hits.
+        assert computer.cache_misses > 3 * len(lineages)
 
     def test_probabilities_bulk(self, events):
         values = probabilities({"x": Var("a1"), "y": Var("b1")}, events)

@@ -128,7 +128,7 @@ def test_stream_query_metrics_across_partitions():
     assert skew["max"] >= skew["mean"] > 0
 
 
-def test_probability_hash_cons_counters_flow_through():
+def test_probability_cache_counters_flow_through():
     catalog, *_ = make_stream_catalog(17, sizes=(20, 20, 10), disorder=3)
     config = ExecutionOptions(
         early_emit=True, metrics=True, materialize_probabilities=True
@@ -137,9 +137,9 @@ def test_probability_hash_cons_counters_flow_through():
     query.run(backend="inline", merge_seed=17)
     totals = query.metrics().totals()
     assert totals["probability_cache_misses"] > 0
-    assert totals["probability_intern_misses"] > 0
-    # Repeated windows of the same positives share interned subtrees.
-    assert totals["probability_intern_hits"] > 0
+    # Republished windows of one key share memoised sub-expressions.
+    assert totals["probability_cache_hits"] > 0
+    assert not any(name.startswith("probability_intern") for name in totals)
 
 
 def test_explain_analyze_includes_worker_metrics():

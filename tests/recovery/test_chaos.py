@@ -95,7 +95,7 @@ def test_checkpointed_recovery_replays_only_the_suffix():
     """checkpoint_interval=0.0 snapshots at every micro-batch boundary, so
     a late kill restores a non-empty checkpoint and replays strictly less
     than the shard's history.  full_outer exercises the mirrored reverse
-    maintainer and the per-key probability caches in the snapshot.
+    maintainer; the restored seat recomputes probabilities with a cold memo.
     wait_for_checkpoint holds the kill until the driver actually received
     a checkpoint frame — under CPU contention the victim worker can lag
     the router by a whole micro-batch, and a pre-checkpoint kill

@@ -17,11 +17,14 @@ from repro.parallel.stream_exec import StreamShardSpec
 from repro.recovery.checkpoint import (
     CHECKPOINT_VERSION,
     checkpoint_elements,
+    encode_maintainer,
     restore_worker,
     snapshot_worker,
 )
+from repro.relation import Schema, TPRelation
 from repro.runtime.worker import SOURCE_CHANNEL, Worker
-from repro.stream.elements import Watermark
+from repro.stream import continuous_join
+from repro.stream.elements import LEFT, RIGHT, StreamEvent, Tagged, Watermark
 
 from tests.recovery.conftest import query_catalog
 
@@ -89,7 +92,8 @@ def test_snapshot_plus_suffix_equals_uninterrupted_run(kind, cut_fraction):
     """Snapshot at any boundary, restore into a fresh worker, feed the
     suffix: settled output and stats match the straight-through run.
     full_outer covers the mirrored reverse maintainer; probabilities are
-    materialized so the per-key computer caches ride the snapshot too."""
+    materialized, so the restored worker recomputes them with a cold memo
+    and must land on the same floats."""
     catalog, merged = _elements()
     spec = _spec(catalog, kind, materialize=True)
     cut = int(len(merged) * cut_fraction)
@@ -131,16 +135,69 @@ def test_snapshot_is_picklable_and_made_of_primitives():
     assert clone[0] == CHECKPOINT_VERSION
 
 
-def test_version_mismatch_is_rejected_loudly():
+@pytest.mark.parametrize("version", (1, CHECKPOINT_VERSION + 1))
+def test_version_mismatch_is_rejected_loudly(version):
+    """Version 1 frames carried the probability memo; they are refused by
+    name, not mis-decoded."""
     catalog, merged = _elements()
     spec = _spec(catalog, "anti")
     worker = Worker(spec, _NullEmitter())
     _feed(worker, merged[:20])
     payload = snapshot_worker(worker, 20)
-    stale = (CHECKPOINT_VERSION + 1,) + payload[1:]
+    stale = (version,) + payload[1:]
     fresh = Worker(spec, _NullEmitter())
-    with pytest.raises(ValueError, match="checkpoint version"):
+    with pytest.raises(ValueError, match=f"checkpoint version {version} "):
         restore_worker(fresh, stale)
+
+
+def _frame_bytes_after(groups: int) -> int:
+    """Pickled size of a maintainer frame after ``groups`` finalized groups.
+
+    Every run ends in the same open state — both watermarks at 5000, one
+    open positive at [6000, 6005) — and counts stay below 256 so every
+    counter in the frame pickles to the same width.
+    """
+    import pickle
+
+    def relation(name, rows):
+        return TPRelation.from_rows(
+            Schema.of("Key", "Serial"),
+            [
+                ("k", f"{name}{i}", f"{name}{i}", start, end, 0.5)
+                for i, (start, end) in enumerate(rows)
+            ],
+            name=name,
+        )
+
+    left = relation("l", [(10 * i, 10 * i + 5) for i in range(groups)])
+    right = relation("r", [(10 * i + 1, 10 * i + 3) for i in range(groups)])
+    still_open = relation("o", [(6000, 6005)])
+    join = continuous_join(
+        "left_outer",
+        left.schema,
+        right.schema,
+        ON,
+        events=left.events.merge(right.events).merge(still_open.events),
+        materialize_probabilities=True,
+    )
+    for positive, negative in zip(left.tuples, right.tuples):
+        join.process(Tagged(LEFT, StreamEvent(positive)))
+        join.process(Tagged(RIGHT, StreamEvent(negative)))
+    join.process(Tagged(LEFT, Watermark(5000)))
+    outputs = join.process(Tagged(RIGHT, Watermark(5000)))
+    assert join.stats.groups_finalized == groups
+    assert all(tp_tuple.probability is not None for tp_tuple in outputs)
+    assert join.maintainer.probability_counters()["probability_cache_misses"] >= groups
+    join.process(Tagged(LEFT, StreamEvent(still_open.tuples[0])))
+    assert join.maintainer.open_positives == 1
+    return len(pickle.dumps(encode_maintainer(join.maintainer)))
+
+
+def test_checkpoint_size_follows_the_open_state_not_the_run_length():
+    """The probability memo does not ride the frame: ten times the
+    finalized groups (and evaluated lineages) behind the same open state
+    make the checkpoint no larger."""
+    assert _frame_bytes_after(200) <= _frame_bytes_after(20)
 
 
 def test_non_collecting_workers_are_not_checkpointable():

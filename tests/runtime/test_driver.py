@@ -121,24 +121,35 @@ def test_dataflow_job_mirrors_the_options_but_withholds_checkpoints(monkeypatch)
     assert job.checkpoint_interval is None
 
 
-def test_dataflow_socket_run_ignores_the_recovery_knobs_end_to_end():
+def test_dataflow_socket_run_under_recovery_knobs_runs_unrecovered_and_says_so():
     """The trap the builder guards: a socket graph run under recovery knobs
     must take the plain session (no snapshot of a node worker is ever
-    attempted) and settle exactly like the inline run."""
+    attempted) and settle exactly like the inline run — and nothing
+    half-recovers silently: the run warns, EXPLAIN carries the marker."""
+    from repro.engine.continuous import ContinuousScanOperator, DataflowJoinOperator
+    from repro.engine.explain import explain_physical
+
     catalog, _left, _right = query_catalog(5, left_size=25, right_size=25)
     nodes = [NodeSpec("n", "full_outer", "l", "r", ON, partitions=2)]
     inline = DataflowQuery(catalog, nodes, ExecutionOptions()).run(
         merge_seed=5, backend="inline"
     )
-    sockets = DataflowQuery(
-        catalog,
-        nodes,
-        ExecutionOptions(
-            transport="sockets", restart_limit=1, checkpoint_interval=0.0
-        ),
-    ).run(merge_seed=5)
+    options = ExecutionOptions(
+        transport="sockets", restart_limit=1, checkpoint_interval=0.0
+    )
+    with pytest.warns(RuntimeWarning, match="peer edges.*unrecovered"):
+        sockets = DataflowQuery(catalog, nodes, options).run(merge_seed=5)
     assert sockets.backend == "sockets"
     assert sockets.recoveries() == []
+    scans = tuple(
+        ContinuousScanOperator(catalog.lookup_stream(name), name) for name in "lr"
+    )
+    for plan_options, marked in ((options, True), (ExecutionOptions(), False)):
+        plan = explain_physical(
+            DataflowJoinOperator(catalog, scans, nodes, plan_options)
+        )
+        assert ("[not recoverable: peer edges]" in plan) is marked
+        assert "[recoverable" not in plan
     assert identity_rows(sockets.relation) == identity_rows(inline.relation)
 
 

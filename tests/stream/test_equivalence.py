@@ -19,8 +19,7 @@ from repro.engine import Catalog
 from repro.lineage import canonical
 from repro.relation import TPRelation
 from repro.stream import (
-    ContinuousAntiJoin,
-    ContinuousLeftOuterJoin,
+    ContinuousJoin,
     StreamQuery,
     StreamSource,
     merge_tagged,
@@ -35,20 +34,20 @@ def finalized_rows(relation_or_tuples) -> set[tuple]:
     }
 
 
+#: The ``on`` pairs of the θ :func:`make_random_relations` builds.
+ON = [("Key", "Key")]
+
 BATCH_JOINS = {
     "anti": tp_anti_join,
     "left_outer": tp_left_outer_join,
 }
-CONTINUOUS_CLASSES = {
-    "anti": ContinuousAntiJoin,
-    "left_outer": ContinuousLeftOuterJoin,
-}
 
 
 def _run_continuous(kind, left, right, theta, disorder, lateness, watermark_every, seed):
-    operator = CONTINUOUS_CLASSES[kind](
-        left.schema, right.schema, theta, left_name=left.name, right_name=right.name
+    operator = ContinuousJoin(
+        kind, left.schema, right.schema, ON, left_name=left.name, right_name=right.name
     )
+    assert operator.theta == theta
     left_elements = StreamSource(
         arrival_order(left, disorder, seed=seed),
         lateness=lateness,
@@ -137,7 +136,7 @@ def test_insufficient_lateness_drops_late_events_without_crashing(
 ):
     """Disorder beyond the lateness bound evicts events; the run still closes."""
     left, right, theta = random_relation_factory(3, left_size=40, right_size=40)
-    operator = ContinuousAntiJoin(left.schema, right.schema, theta)
+    operator = ContinuousJoin("anti", left.schema, right.schema, ON)
     left_source = StreamSource(
         arrival_order(left, disorder=25, seed=1), lateness=0, watermark_every=1
     )

@@ -17,12 +17,14 @@ from repro.datasets import ReplayConfig, arrival_order, stream_def
 from repro.engine import Catalog
 from repro.lineage import ProbabilityComputer, canonical
 from repro.stream import (
-    CONTINUOUS_OPERATORS,
     StreamQuery,
     StreamSource,
     continuous_join,
     merge_tagged,
 )
+
+#: The ``on`` pairs of the θ :func:`make_random_relations` builds.
+ON = [("Key", "Key")]
 
 BATCH_JOINS = {
     "inner": tp_inner_join,
@@ -39,9 +41,10 @@ def finalized_rows(relation_or_tuples) -> set[tuple]:
 
 
 def _run_continuous(kind, left, right, theta, disorder, lateness, watermark_every, seed):
-    operator = CONTINUOUS_OPERATORS[kind](
-        left.schema, right.schema, theta, left_name=left.name, right_name=right.name
+    operator = continuous_join(
+        kind, left.schema, right.schema, ON, left_name=left.name, right_name=right.name
     )
+    assert operator.theta == theta
     left_elements = StreamSource(
         arrival_order(left, disorder, seed=seed),
         lateness=lateness,
