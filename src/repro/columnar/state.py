@@ -56,7 +56,8 @@ from ..stream.incremental import (
     FinalizedGroup,
     MaintainerStats,
     OpenPositive,
-    _match_order,
+    OpenStarts,
+    sort_matches,
 )
 from ..temporal import Interval
 
@@ -77,7 +78,7 @@ class _ColumnStore:
     realign its row-aligned side list.
     """
 
-    __slots__ = ("start", "end", "alive", "size", "dead", "payload", "min_start", "min_end")
+    __slots__ = ("start", "end", "alive", "size", "dead", "payload", "min_end")
 
     def __init__(self, capacity: int = 16) -> None:
         self.start = np.zeros(capacity, dtype=np.int64)
@@ -87,11 +88,10 @@ class _ColumnStore:
         self.dead = 0
         #: Row-aligned Python payloads (OpenPositive entries / TPTuples).
         self.payload: List[object] = []
-        #: Lower bounds on the live rows' smallest start/end — exact after
-        #: every append, possibly stale (too small) after kills.  Watermark
-        #: sweeps use them to skip untouched buckets with one float compare;
-        #: owners re-tighten via :meth:`min_live` after killing rows.
-        self.min_start = float("inf")
+        #: Lower bound on the live rows' smallest end — exact after every
+        #: append, possibly stale (too small) after kills.  Watermark sweeps
+        #: use it to skip untouched buckets with one float compare; owners
+        #: re-tighten via :meth:`tighten` after killing rows.
         self.min_end = float("inf")
 
     def append(self, start: int, end: int, payload: object) -> int:
@@ -107,8 +107,6 @@ class _ColumnStore:
         self.end[row] = end
         self.alive[row] = True
         self.size = row + 1
-        if start < self.min_start:
-            self.min_start = start
         if end < self.min_end:
             self.min_end = end
         if row == len(self.payload):
@@ -169,8 +167,7 @@ class _ColumnStore:
         self.payload[row] = None
 
     def tighten(self) -> None:
-        """Re-tighten the cached minima after rows died (keeps them exact)."""
-        self.min_start = self.min_live(self.start)
+        """Re-tighten the cached minimum after rows died (keeps it exact)."""
         self.min_end = self.min_live(self.end)
 
     def maybe_compact(self) -> None:
@@ -214,6 +211,8 @@ class ColumnarWindowMaintainer:
         self._open: Dict[Hashable, _ColumnStore] = {}
         #: Per-key column blocks; payload rows are negative TPTuples.
         self._negatives: Dict[Hashable, _ColumnStore] = {}
+        # Built by the first min_open_start() call, maintained from then on.
+        self._open_starts: Optional[OpenStarts] = None
 
     # ------------------------------------------------------------------ #
     # watermark accessors (object-maintainer API)
@@ -233,15 +232,14 @@ class ColumnarWindowMaintainer:
     def min_open_start(self) -> float:
         """Exact smallest interval start among open positives (inf when none).
 
-        ``min_start`` is re-tightened at every kill site, so the cached
-        per-store value is exact, not just a lower bound.
+        Answered by the same lazily-built :class:`OpenStarts` index as the
+        object maintainer's.
         """
-        value = min(
-            (store.min_start for store in self._open.values()),
-            default=float("inf"),
-        )
-        # The object path returns the raw tuple start (an int); keep parity.
-        return int(value) if value != float("inf") else value
+        if self._open_starts is None:
+            self._open_starts = OpenStarts(
+                entry for _key, entries in self.open_items() for entry in entries
+            )
+        return self._open_starts.minimum()
 
     def computer_for(self, key: Hashable) -> ProbabilityComputer:
         if self._events is None:
@@ -311,6 +309,8 @@ class ColumnarWindowMaintainer:
             store = self._open[key] = _ColumnStore()
         store.append(start, end, entry)
         self._open_count += 1
+        if self._open_starts is not None:
+            self._open_starts.add(entry)
         if end < self._min_open_end:
             self._min_open_end = end
         if self._open_count > self.stats.peak_open_positives:
@@ -363,25 +363,28 @@ class ColumnarWindowMaintainer:
         store = self._open.get(self._positive_key(tp_tuple))
         if store is None:
             return None
-        identity = tp_tuple.key()
+        identity = tp_tuple.identity()
         for row in store.live_rows().tolist():
             entry = store.payload[row]
-            if entry.tuple.key() == identity:
+            if entry.tuple.identity() == identity:
                 store.kill_one(row)
                 store.tighten()
                 self._open_count -= 1
                 self.stats.positives_retracted += 1
+                if self._open_starts is not None:
+                    self._open_starts.discard(entry)
                 store.maybe_compact()
                 return entry
         return None
 
     def remove_negative(self, tp_tuple: TPTuple) -> List[OpenPositive]:
         key = self._negative_key(tp_tuple)
-        identity = tp_tuple.key()
+        identity = tp_tuple.identity()
         store = self._negatives.get(key)
         if store is not None:
             for row in store.live_rows().tolist():
-                if store.payload[row].key() == identity:
+                negative = store.payload[row]
+                if negative.identity() == identity:
                     store.kill_one(row)
                     store.tighten()
                     self._negative_count -= 1
@@ -393,7 +396,11 @@ class ColumnarWindowMaintainer:
         if bucket is not None:
             for row in bucket.live_rows().tolist():
                 entry = bucket.payload[row]
-                kept = [record for record in entry.matches if record.s.key() != identity]
+                kept = [
+                    record
+                    for record in entry.matches
+                    if record.s.identity() != identity
+                ]
                 if len(kept) != len(entry.matches):
                     entry.matches[:] = kept
                     affected.append(entry)
@@ -440,9 +447,11 @@ class ColumnarWindowMaintainer:
                 entries = store.payload
                 for row in rows.tolist():
                     entry = entries[row]
-                    entry.matches.sort(key=_match_order)
+                    sort_matches(entry.matches)
                     self.stats.groups_finalized += 1
                     self._open_count -= 1
+                    if self._open_starts is not None:
+                        self._open_starts.discard(entry)
                     finalized.append(
                         FinalizedGroup(
                             OverlapGroup(entry.tuple, entry.matches),
@@ -511,6 +520,8 @@ class ColumnarWindowMaintainer:
             store = self._open[key] = _ColumnStore()
         for entry in entries:
             store.append(entry.tuple.start, entry.tuple.end, entry)
+            if self._open_starts is not None:
+                self._open_starts.add(entry)
         self._open_count += len(entries)
 
     def load_negatives(self, key: Hashable, bucket: List[TPTuple]) -> None:

@@ -15,15 +15,29 @@ step — whose inputs and outputs are *revision streams*
 * In **early-emission** mode the operator publishes each open group's
   current windows as *provisional* revisions — on the positive's arrival and
   again whenever the group's match list changes — instead of waiting for the
-  watermark.  A change republishes the group: stale windows are retracted,
-  corrected ones arrive as ``Refine`` elements.  Emit latency is recorded at
-  the group's first publication, which is what drops it below the watermark
+  watermark.  A change republishes the group as a *delta*: its windows are
+  derived again and compared, by structural identity ``(fact, interval,
+  lineage)``, with the list the group published last; stale windows are
+  retracted, new ones arrive as ``Refine`` elements, unchanged ones stay the
+  objects they were and are not mentioned.  Emit latency is recorded at the
+  group's first publication, which is what drops it below the watermark
   lag.
-* Watermark finalization *settles* a group: the final windows are diffed
-  against the published provisional ones (retract stale / emit missing), the
-  group's bookkeeping is dropped, and from then on the derived watermark
-  moving past the group guarantees downstream that none of its tuples will
-  ever be revised again.
+* Watermark finalization *settles* a group.  In early mode every change of
+  a match list has already republished the group, so what it has published
+  *is* final: the list moves to the settled output as it stands — nothing
+  is derived, nothing is compared, nothing is emitted.  With early emission
+  off nothing was published, so the group is derived once, here, and
+  emitted (the path of ``ContinuousJoin._emit`` plus the ``Revision``
+  wrapper).  Either way the derived watermark moving past the group then
+  guarantees downstream that none of its tuples will ever be revised again.
+
+Nothing on this path renders a lineage to text: windows and retracted
+inputs are recognised structurally, sweep order asks for a negative's
+:meth:`~repro.relation.TPTuple.key` only to break an overlap tie, and the
+derived watermark's ``min_open_start`` is answered by a heap.  The net
+output is not indexed either — a group's tuples live in the group's own
+list until it settles, and :attr:`RevisionJoin.settled_outputs` assembles
+the mapping when somebody reads it.
 
 The settled output therefore converges: once both inputs close, the net
 published set of every node equals the batch join re-run over the settled
@@ -41,12 +55,14 @@ sub-expressions the group's earlier revisions already evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..core.overlap import OverlapGroup
 from ..relation import Schema, TPTuple
 from ..stream.elements import LEFT, RIGHT, StreamEvent, Tagged, Watermark
-from ..stream.incremental import FinalizedGroup, OpenPositive
-from ..stream.operators import ContinuousJoin, group_of
+from ..stream.incremental import FinalizedGroup, OpenPositive, sort_matches
+from ..stream.operators import ContinuousJoin
 from .revision import Revision, RevisionElement, RevisionKind
 
 #: Identity of one open group across both maintainers: (is_reverse, serial).
@@ -99,11 +115,12 @@ class RevisionJoin(ContinuousJoin):
     ) -> None:
         super().__init__(kind, left_schema, right_schema, on, **core)
         self._early = early_emit
-        #: Published provisional tuples per open group, keyed by tuple identity.
-        self._published: Dict[GroupId, Dict[tuple, TPTuple]] = {}
-        self._latency_recorded: set[GroupId] = set()
-        #: Net output applied so far (emits/refines minus retracts).
-        self.settled_outputs: Dict[tuple, TPTuple] = {}
+        #: Early mode: the tuples each open group has published, in
+        #: derivation order.  A group enters with its first non-empty
+        #: publication and leaves when it settles or is retracted.
+        self._published: Dict[GroupId, List[TPTuple]] = {}
+        #: The tuples of settled groups, in settle order: never revised again.
+        self._settled: List[TPTuple] = []
         self.stats = RevisionJoinStats()
         #: Event-time emit lag per group: how far the input frontier (max
         #: event start seen) had progressed past the group's interval end at
@@ -119,6 +136,20 @@ class RevisionJoin(ContinuousJoin):
     @property
     def early_emit(self) -> bool:
         return self._early
+
+    @property
+    def settled_outputs(self) -> Dict[tuple, TPTuple]:
+        """Net output applied so far (emits/refines minus retracts).
+
+        Keyed by :meth:`~repro.relation.TPTuple.identity` and assembled on
+        read from the settled groups' tuples and the open groups' published
+        ones; the operator itself keeps no global index.
+        """
+        published = chain.from_iterable(self._published.values())
+        return {
+            tp_tuple.identity(): tp_tuple
+            for tp_tuple in chain(self._settled, published)
+        }
 
     def describe(self) -> str:
         mode = "early-emit" if self._early else "watermark-only"
@@ -249,85 +280,109 @@ class RevisionJoin(ContinuousJoin):
     # ------------------------------------------------------------------ #
     # publication
     # ------------------------------------------------------------------ #
-    def _group_tuples(
-        self, is_reverse: bool, group, key: Hashable
-    ) -> Dict[tuple, TPTuple]:
-        return {
-            tp_tuple.key(): tp_tuple
-            for tp_tuple in self._group_outputs(is_reverse, group, key)
-        }
-
     def _publish(
         self, is_reverse: bool, entry: OpenPositive, out: List[RevisionElement]
     ) -> None:
-        """Republish one open group's provisional windows (early mode)."""
+        """Publish one open group's current windows (early mode).
+
+        Called for a new positive and after every change of a group's match
+        list, so what a group has published is always what its matches
+        derive — which is why :meth:`_settle` has nothing left to compute.
+        """
         gid: GroupId = (is_reverse, entry.serial)
-        current = self._group_tuples(is_reverse, group_of(entry), entry.key)
+        # In place: the next publication then sorts an almost sorted list,
+        # and finalization sorts into this same order anyway.
+        sort_matches(entry.matches)
+        current = list(
+            self._group_outputs(
+                is_reverse, OverlapGroup(entry.tuple, entry.matches), entry.key
+            )
+        )
         previous = self._published.get(gid)
-        if previous is None and not current:
-            return  # nothing to say about this group yet
         if previous is None:
-            previous = {}
+            if not current:
+                return  # nothing to say about this group yet
             self.stats.groups_published_early += 1
-        self._diff(gid, previous, current, provisional=True, out=out)
+            self._announce(RevisionKind.EMIT, current, True, out)
+            self._record_latency(entry.ingest_clock, entry.tuple.end)
+        else:
+            current = self._republish(previous, current, out)
         self._published[gid] = current
-        if current and gid not in self._latency_recorded:
-            self._record_latency(gid, entry.ingest_clock, entry.tuple.end)
+
+    def _republish(
+        self,
+        previous: List[TPTuple],
+        current: List[TPTuple],
+        out: List[RevisionElement],
+    ) -> List[TPTuple]:
+        """Retract what ``current`` no longer holds, then add what is new.
+
+        Returns ``current`` with every unchanged window replaced by the
+        object already published for it, so downstream never sees a spurious
+        retract/re-emit cycle.
+        """
+        # A group whose last publication retracted everything starts over.
+        kind = RevisionKind.REFINE if previous else RevisionKind.EMIT
+        stale = {tp_tuple.identity(): tp_tuple for tp_tuple in previous}
+        fresh: List[TPTuple] = []
+        for index, tp_tuple in enumerate(current):
+            unchanged = stale.pop(tp_tuple.identity(), None)
+            if unchanged is None:
+                fresh.append(tp_tuple)
+            else:
+                current[index] = unchanged
+        self._announce(RevisionKind.RETRACT, stale.values(), True, out)
+        self._announce(kind, fresh, True, out)
+        return current
 
     def _settle(
         self, is_reverse: bool, finalized: FinalizedGroup, out: List[RevisionElement]
     ) -> None:
-        """Finalize one group: publish the settled diff, drop its bookkeeping."""
-        gid: GroupId = (is_reverse, finalized.serial)
-        final = self._group_tuples(is_reverse, finalized.group, finalized.key)
-        previous = self._published.pop(gid, {})
-        self._diff(gid, previous, final, provisional=False, out=out)
+        """Finalize one group: its tuples become settled output.
+
+        In early mode the group's published tuples *are* the final ones and
+        move over as they stand; nothing is derived and nothing is emitted.
+        Otherwise the group is derived once, here, and emitted.
+        """
         self.stats.groups_settled += 1
-        if gid not in self._latency_recorded:
-            self._record_latency(gid, finalized.ingest_clock, finalized.group.r.end)
-        # The group is gone for good; drop its latency bookkeeping with it.
-        self._latency_recorded.discard(gid)
-
-    def _diff(
-        self,
-        gid: GroupId,
-        previous: Dict[tuple, TPTuple],
-        current: Dict[tuple, TPTuple],
-        provisional: bool,
-        out: List[RevisionElement],
-    ) -> None:
-        refining = bool(previous)
-        for identity, old in previous.items():
-            if identity not in current:
-                out.append(Revision(RevisionKind.RETRACT, old, provisional=True))
-                self.stats.retracts += 1
-                self.settled_outputs.pop(identity, None)
-        for identity, tp_tuple in current.items():
-            if identity in previous:
-                # Unchanged window: keep the previously published object so
-                # downstream never sees a spurious retract/re-emit cycle.
-                current[identity] = previous[identity]
-                continue
-            kind = RevisionKind.REFINE if refining else RevisionKind.EMIT
-            out.append(Revision(kind, tp_tuple, provisional=provisional))
-            if kind is RevisionKind.EMIT:
-                self.stats.emits += 1
-            else:
-                self.stats.refines += 1
-            self.settled_outputs[identity] = tp_tuple
-
-    def _record_latency(self, gid: GroupId, ingest_clock: float, end: float) -> None:
-        self._latency_recorded.add(gid)
-        self.emit_latencies.append(max(0.0, self._clock() - ingest_clock))
-        self.emit_event_lags.append(self._frontier - end)
+        if self._early:
+            tuples = self._published.pop((is_reverse, finalized.serial), None)
+            if tuples is None:
+                # Never had a window to publish, so it has none now either.
+                self._record_latency(finalized.ingest_clock, finalized.group.r.end)
+                return
+        else:
+            tuples = list(
+                self._group_outputs(is_reverse, finalized.group, finalized.key)
+            )
+            self._announce(RevisionKind.EMIT, tuples, False, out)
+            self._record_latency(finalized.ingest_clock, finalized.group.r.end)
+        self._settled.extend(tuples)
 
     def _unpublish(self, gid: GroupId, out: List[RevisionElement]) -> None:
         """Retract everything a removed group had published."""
-        for old in self._published.pop(gid, {}).values():
-            out.append(Revision(RevisionKind.RETRACT, old, provisional=True))
-            self.stats.retracts += 1
-            self.settled_outputs.pop(old.key(), None)
-        self._latency_recorded.discard(gid)
+        self._announce(RevisionKind.RETRACT, self._published.pop(gid, ()), True, out)
+
+    def _announce(
+        self,
+        kind: RevisionKind,
+        tuples: Iterable[TPTuple],
+        provisional: bool,
+        out: List[RevisionElement],
+    ) -> None:
+        before = len(out)
+        out.extend(Revision(kind, tp_tuple, provisional) for tp_tuple in tuples)
+        count = len(out) - before
+        if kind is RevisionKind.EMIT:
+            self.stats.emits += count
+        elif kind is RevisionKind.RETRACT:
+            self.stats.retracts += count
+        else:
+            self.stats.refines += count
+
+    def _record_latency(self, ingest_clock: float, end: float) -> None:
+        self.emit_latencies.append(max(0.0, self._clock() - ingest_clock))
+        self.emit_event_lags.append(self._frontier - end)
 
     def _advance_watermark(self, out: List[RevisionElement]) -> None:
         derived = self.derived_watermark()

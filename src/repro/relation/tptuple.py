@@ -76,6 +76,18 @@ class TPTuple:
         """Exclusive end of the validity interval."""
         return self.interval.end
 
+    def identity(self) -> tuple:
+        """The tuple's structural identity ``(fact, start, end, lineage)``.
+
+        Hashable and comparable without rendering anything to text (lineage
+        nodes are frozen dataclasses), which is what per-element paths use
+        to recognise a tuple again; the probability is a function of the
+        lineage and takes no part.  :meth:`key` is the *ordering* and is
+        paid where a deterministic order is needed.
+        """
+        interval = self.interval
+        return (self.fact, interval.start, interval.end, self.lineage)
+
     def key(self) -> tuple:
         """A deterministic sort/identity key (fact, interval, lineage text).
 

@@ -8,10 +8,11 @@ live tail from its hub cursor; because the hub applies cache updates and
 ring appends under one lock (:meth:`repro.serve.hub.FanoutHub.publish`),
 snapshot + tail composes to the identical final state.
 
-The cache is keyed by the tuple's identity ``(fact, start, end, lineage)`` —
-lineage nodes are frozen dataclasses, so structurally equal lineages hash
+The cache is keyed by the tuple's structural identity
+(:meth:`~repro.relation.TPTuple.identity`: ``(fact, start, end, lineage)``)
+— lineage nodes are frozen dataclasses, so structurally equal lineages hash
 and compare equal without rendering them to text the way
-:meth:`~repro.relation.TPTuple.key` does for every revision.  ``key()`` is
+:meth:`~repro.relation.TPTuple.key` does.  ``key()`` is
 paid once per snapshot instead: snapshots return tuples in the canonical
 deterministic order shared with :func:`repro.parallel.batch.canonical_order`,
 so two independently accumulated states compare equal element-for-element.
@@ -62,8 +63,7 @@ class ResultCache:
             raise TypeError(f"cannot cache element {element!r}")
         self.revisions_applied += 1
         tp_tuple = element.tuple
-        interval = tp_tuple.interval
-        key = (tp_tuple.fact, interval.start, interval.end, tp_tuple.lineage)
+        key = tp_tuple.identity()
         if element.kind is RevisionKind.RETRACT:
             self._entries.pop(key, None)
             self.retractions_applied += 1

@@ -37,7 +37,6 @@ from .operators import (
     continuous_join,
     continuous_output_schema,
     forward_group_tuples,
-    group_of,
     joined_output_schema,
     reverse_group_tuples,
     theta_from_pairs,
@@ -69,7 +68,6 @@ __all__ = [
     "continuous_join",
     "continuous_output_schema",
     "forward_group_tuples",
-    "group_of",
     "joined_output_schema",
     "merge_tagged",
     "reverse_group_tuples",

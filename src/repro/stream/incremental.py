@@ -29,15 +29,21 @@ and a negative tuple is dropped once the *left* watermark passes its end
 (no open positive references it through the index any more, and every future
 positive starts after it).
 
-Two extensions serve the retractable dataflow subsystem
+Three extensions serve the retractable dataflow subsystem
 (:mod:`repro.dataflow`):
 
 * **Retraction** — :meth:`IncrementalWindowMaintainer.remove_positive` /
   :meth:`remove_negative` unwind an earlier addition exactly, so a node
   consuming a *revision stream* (provisional upstream output that may be
   retracted) keeps state identical to a run that never saw the retracted
-  tuple.  The ingestion methods return the open entries they touched, which
-  is what early-emission needs to republish affected provisional windows.
+  tuple.  The tuple to unwind is found by its structural identity
+  (:meth:`~repro.relation.TPTuple.identity`: fact, interval and lineage
+  compared as objects, nothing rendered to text).  The ingestion and
+  removal methods return the open entries they touched, which is what
+  early emission needs to republish exactly the affected groups.
+* **Derived watermark** — :meth:`IncrementalWindowMaintainer.min_open_start`
+  answers from an :class:`OpenStarts` index (a lazily-deleted heap) that is
+  built at the first call, so runs that never ask for it never maintain it.
 * **Per-key probability computers** — when constructed with an event space,
   the maintainer owns one :class:`~repro.lineage.ProbabilityComputer` per
   join key, carried across *all* windows of a live continuous query.
@@ -48,8 +54,10 @@ Two extensions serve the retractable dataflow subsystem
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from itertools import groupby
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from ..core.overlap import OverlapGroup, OverlapRecord
 from ..lineage import EventSpace, ProbabilityComputer
@@ -92,10 +100,6 @@ class OpenPositive:
     serial: int = 0
 
 
-#: Backwards-compatible alias (the entry type used to be module-private).
-_OpenPositive = OpenPositive
-
-
 @dataclass(frozen=True, slots=True)
 class FinalizedGroup:
     """A completed overlap group, ready for the LAWAU/LAWAN sweeps.
@@ -113,11 +117,67 @@ class FinalizedGroup:
     serial: int = 0
 
 
-def _match_order(record: OverlapRecord) -> tuple:
-    # Same ordering as repro.core.overlap._match_order: the sweeps require
-    # matches sorted by overlap start (ties: end, then negative-tuple key).
-    assert record.s is not None
-    return (record.interval.start, record.interval.end, record.s.key())
+def _overlap_bounds(record: OverlapRecord) -> Tuple[int, int]:
+    interval = record.interval
+    return (interval.start, interval.end)
+
+
+def _negative_key(record: OverlapRecord) -> tuple:
+    return record.s.key()
+
+
+def sort_matches(matches: List[OverlapRecord]) -> None:
+    """Sort one group's overlap records into sweep order, in place.
+
+    The same total order as :func:`repro.core.overlap._match_order` —
+    overlap start, then end, then the negative tuple's rendered key — but
+    the key is rendered only for records that tie on ``(start, end)``.  Both
+    sorts are stable, so records that tie on the full key keep their
+    relative order exactly as one three-component sort would leave them.
+    """
+    if len(matches) < 2:
+        return
+    matches.sort(key=_overlap_bounds)
+    bounds = [_overlap_bounds(record) for record in matches]
+    if len(set(bounds)) == len(bounds):
+        return
+    first = 0
+    for _tied, run in groupby(bounds):
+        last = first + len(list(run))
+        if last - first > 1:
+            matches[first:last] = sorted(matches[first:last], key=_negative_key)
+        first = last
+
+
+class OpenStarts:
+    """Exact smallest start among open positives, without scanning them.
+
+    A heap of ``(start, serial)`` with lazy deletion: closing an entry only
+    forgets its serial, and :meth:`minimum` pops heap heads whose serial is
+    gone.  Every entry is pushed and popped at most once, so a call costs
+    O(log n) amortized.
+    """
+
+    __slots__ = ("_heap", "_live")
+
+    def __init__(self, entries: Iterable[OpenPositive] = ()) -> None:
+        self._heap = [(entry.tuple.start, entry.serial) for entry in entries]
+        heapq.heapify(self._heap)
+        self._live = {serial for _start, serial in self._heap}
+
+    def add(self, entry: OpenPositive) -> None:
+        heapq.heappush(self._heap, (entry.tuple.start, entry.serial))
+        self._live.add(entry.serial)
+
+    def discard(self, entry: OpenPositive) -> None:
+        self._live.discard(entry.serial)
+
+    def minimum(self) -> float:
+        heap = self._heap
+        live = self._live
+        while heap and heap[0][1] not in live:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else float("inf")
 
 
 class IncrementalWindowMaintainer:
@@ -126,7 +186,7 @@ class IncrementalWindowMaintainer:
     def __init__(self, theta: ThetaCondition, events: Optional[EventSpace] = None) -> None:
         self._theta = theta
         self._partitioned = theta.is_equi
-        self._open: Dict[Hashable, List[_OpenPositive]] = {}
+        self._open: Dict[Hashable, List[OpenPositive]] = {}
         self._negatives: Dict[Hashable, List[TPTuple]] = {}
         self._watermark_left: float = float("-inf")
         self._watermark_right: float = float("-inf")
@@ -146,6 +206,8 @@ class IncrementalWindowMaintainer:
         # recomputed exactly during the scans that do run.
         self._min_open_end: float = float("inf")
         self._min_negative_end: float = float("inf")
+        # Built by the first min_open_start() call, maintained from then on.
+        self._open_starts: Optional[OpenStarts] = None
 
     # ------------------------------------------------------------------ #
     # watermark accessors
@@ -171,15 +233,15 @@ class IncrementalWindowMaintainer:
         The dataflow layer derives a node's *output watermark* from this: any
         future emission or retraction concerns an open positive, and all of a
         positive's windows start at or after the positive's own start.  The
-        value is computed exactly (not as a cached bound) because an
-        over-estimate would break the downstream watermark contract.
+        value is exact (not a cached bound) because an over-estimate would
+        break the downstream watermark contract.  The first call indexes the
+        open entries; operators that never derive a watermark never pay.
         """
-        smallest = float("inf")
-        for entries in self._open.values():
-            for entry in entries:
-                if entry.tuple.start < smallest:
-                    smallest = entry.tuple.start
-        return smallest
+        if self._open_starts is None:
+            self._open_starts = OpenStarts(
+                entry for entries in self._open.values() for entry in entries
+            )
+        return self._open_starts.minimum()
 
     def computer_for(self, key: Hashable) -> ProbabilityComputer:
         """The persistent per-key probability computer (requires events).
@@ -237,6 +299,8 @@ class IncrementalWindowMaintainer:
                 entry.matches.append(OverlapRecord(tp_tuple, negative, overlap))
         self._open.setdefault(key, []).append(entry)
         self._open_count += 1
+        if self._open_starts is not None:
+            self._open_starts.add(entry)
         if tp_tuple.end < self._min_open_end:
             self._min_open_end = tp_tuple.end
         if self._open_count > self.stats.peak_open_positives:
@@ -283,15 +347,17 @@ class IncrementalWindowMaintainer:
         callers treat as a contract violation.
         """
         key = self._positive_key(tp_tuple)
-        identity = tp_tuple.key()
+        identity = tp_tuple.identity()
         entries = self._open.get(key, [])
         for index, entry in enumerate(entries):
-            if entry.tuple.key() == identity:
+            if entry.tuple.identity() == identity:
                 del entries[index]
                 if not entries:
                     self._open.pop(key, None)
                 self._open_count -= 1
                 self.stats.positives_retracted += 1
+                if self._open_starts is not None:
+                    self._open_starts.discard(entry)
                 # _min_open_end is a lower bound; removal only raises the
                 # true minimum, so the bound stays valid as-is.
                 return entry
@@ -306,11 +372,11 @@ class IncrementalWindowMaintainer:
         early-emitting operator can republish them.
         """
         key = self._negative_key(tp_tuple)
-        identity = tp_tuple.key()
+        identity = tp_tuple.identity()
         bucket = self._negatives.get(key)
         if bucket is not None:
             for index, negative in enumerate(bucket):
-                if negative.key() == identity:
+                if negative.identity() == identity:
                     del bucket[index]
                     if not bucket:
                         self._negatives.pop(key, None)
@@ -319,7 +385,11 @@ class IncrementalWindowMaintainer:
         self.stats.negatives_retracted += 1
         affected: List[OpenPositive] = []
         for entry in self._open.get(key, ()):
-            kept = [record for record in entry.matches if record.s.key() != identity]
+            kept = [
+                record
+                for record in entry.matches
+                if record.s.identity() != identity
+            ]
             if len(kept) != len(entry.matches):
                 entry.matches[:] = kept
                 affected.append(entry)
@@ -363,12 +433,14 @@ class IncrementalWindowMaintainer:
         emptied: List[Hashable] = []
         min_end: float = float("inf")
         for key, entries in self._open.items():
-            remaining: List[_OpenPositive] = []
+            remaining: List[OpenPositive] = []
             for entry in entries:
                 if entry.tuple.end <= horizon:
-                    entry.matches.sort(key=_match_order)
+                    sort_matches(entry.matches)
                     self.stats.groups_finalized += 1
                     self._open_count -= 1
+                    if self._open_starts is not None:
+                        self._open_starts.discard(entry)
                     finalized.append(
                         FinalizedGroup(
                             OverlapGroup(entry.tuple, entry.matches),
@@ -415,6 +487,9 @@ class IncrementalWindowMaintainer:
         """
         self._open.setdefault(key, []).extend(entries)
         self._open_count += len(entries)
+        if self._open_starts is not None:
+            for entry in entries:
+                self._open_starts.add(entry)
 
     def load_negatives(self, key: Hashable, bucket: List[TPTuple]) -> None:
         """Checkpoint restore: adopt one key's indexed negatives."""

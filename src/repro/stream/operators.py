@@ -56,13 +56,14 @@ from ..core.concat import (
 )
 from ..core.joins import swap_theta
 from ..core.lawan import iter_lawan
+from ..core.lawau import iter_lawau
 from ..core.overlap import OverlapGroup
 from ..columnar import maintainer_class
 from ..core.windows import WindowClass
 from ..lineage import EventSpace
 from ..relation import Schema, TPTuple, ThetaCondition, theta_or_true
 from .elements import LEFT, RIGHT, StreamEvent, Tagged, Watermark
-from .incremental import FinalizedGroup, IncrementalWindowMaintainer, OpenPositive
+from .incremental import FinalizedGroup, IncrementalWindowMaintainer
 
 
 @dataclass
@@ -131,7 +132,10 @@ def forward_group_tuples(
 ) -> Iterator[TPTuple]:
     """Output tuples a completed *forward* group (positive = left) yields."""
     wanted = _FORWARD_CLASSES[kind]
-    for window in iter_lawan([group]):
+    # LAWAN is LAWAU plus the negating sweep; inner and right outer joins
+    # keep none of the negating windows, so they stop after LAWAU.
+    sweep = iter_lawan if WindowClass.NEGATING in wanted else iter_lawau
+    for window in sweep([group]):
         if window.window_class not in wanted:
             continue
         if kind == "anti":
@@ -156,17 +160,6 @@ def reverse_group_tuples(
         if window.window_class is WindowClass.OVERLAPPING:
             continue
         yield window_to_tuple(window, left_width, right_width, left_is_positive=False)
-
-
-def group_of(entry: OpenPositive) -> OverlapGroup:
-    """The (possibly still open) overlap group of one maintainer entry.
-
-    Matches are sorted into sweep order on a copy — the entry keeps arrival
-    order so later additions stay cheap.
-    """
-    from .incremental import _match_order
-
-    return OverlapGroup(entry.tuple, sorted(entry.matches, key=_match_order))
 
 
 class ContinuousJoin:

@@ -64,32 +64,32 @@ def _group_view(group):
     )
 
 
+def _apply(maintainer, op):
+    """Apply one operation; return what it observably did."""
+    kind = op[0]
+    if kind == "add_pos":
+        return ("add_pos", _entry_view(maintainer.add_positive(op[1], ingest_clock=op[2])))
+    if kind == "add_neg":
+        return ("add_neg", [_entry_view(entry) for entry in maintainer.add_negative(op[1])])
+    if kind == "rm_pos":
+        return ("rm_pos", _entry_view(maintainer.remove_positive(op[1])))
+    if kind == "rm_neg":
+        return ("rm_neg", [_entry_view(entry) for entry in maintainer.remove_negative(op[1])])
+    if kind == "advance_left":
+        groups = maintainer.advance_left(op[1])
+        return ("adv_l", sorted(repr(_group_view(g)) for g in groups))
+    if kind == "advance_right":
+        groups = maintainer.advance_right(op[1])
+        return ("adv_r", sorted(repr(_group_view(g)) for g in groups))
+    assert kind == "close"
+    return ("close", sorted(repr(_group_view(g)) for g in maintainer.close()))
+
+
 def _drive(maintainer, operations):
     """Apply one operation list; return every observable result."""
     trace = []
     for op in operations:
-        kind = op[0]
-        if kind == "add_pos":
-            result = maintainer.add_positive(op[1], ingest_clock=op[2])
-            trace.append(("add_pos", _entry_view(result)))
-        elif kind == "add_neg":
-            affected = maintainer.add_negative(op[1])
-            trace.append(("add_neg", [_entry_view(entry) for entry in affected]))
-        elif kind == "rm_pos":
-            result = maintainer.remove_positive(op[1])
-            trace.append(("rm_pos", _entry_view(result)))
-        elif kind == "rm_neg":
-            affected = maintainer.remove_negative(op[1])
-            trace.append(("rm_neg", [_entry_view(entry) for entry in affected]))
-        elif kind == "advance_left":
-            groups = maintainer.advance_left(op[1])
-            trace.append(("adv_l", sorted(repr(_group_view(g)) for g in groups)))
-        elif kind == "advance_right":
-            groups = maintainer.advance_right(op[1])
-            trace.append(("adv_r", sorted(repr(_group_view(g)) for g in groups)))
-        elif kind == "close":
-            groups = maintainer.close()
-            trace.append(("close", sorted(repr(_group_view(g)) for g in groups)))
+        trace.append(_apply(maintainer, op))
         trace.append(
             (
                 "state",
@@ -150,6 +150,83 @@ def test_randomized_operation_parity(theta_kind, seed):
     object_trace = _drive(IncrementalWindowMaintainer(theta), list(operations))
     columnar_trace = _drive(maintainer_class("columnar")(theta), list(operations))
     assert object_trace == columnar_trace
+
+
+class _Unscannable(dict):
+    """The open-entry dict, refusing to be walked (lookups still work)."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("min_open_start() scanned the open entries")
+
+    __iter__ = keys = values = items = _refuse
+
+
+def _scanned_min_open_start(maintainer) -> float:
+    return min(
+        (
+            entry.tuple.start
+            for _key, entries in maintainer.open_items()
+            for entry in entries
+        ),
+        default=float("inf"),
+    )
+
+
+@pytest.mark.parametrize("layout", ("object", "columnar"))
+@pytest.mark.parametrize("first_call_at", (0, 37))
+@pytest.mark.parametrize("seed", range(6))
+def test_min_open_start_is_exact_without_a_scan(layout, first_call_at, seed):
+    """The derived watermark's input: exact after every operation, never a scan.
+
+    The index is built by the first call — ``first_call_at`` operations into
+    the run, so both the build-from-open-state and the maintained-from-empty
+    paths are covered — and from then on every answer must come without
+    walking the open entries, and equal a brute-force scan of them.
+    """
+    maintainer = maintainer_class(layout)(_theta("equi"))
+    operations = _random_operations(seed, length=160)
+    for index, op in enumerate(operations):
+        _apply(maintainer, op)
+        if index < first_call_at:
+            continue
+        expected = _scanned_min_open_start(maintainer)
+        if index > first_call_at:
+            held = maintainer._open
+            maintainer._open = _Unscannable(held)
+            try:
+                assert maintainer.min_open_start() == expected, (index, op[0])
+            finally:
+                maintainer._open = held
+        else:
+            assert maintainer.min_open_start() == expected
+    assert maintainer.min_open_start() == float("inf")
+
+
+@pytest.mark.parametrize("layout", ("object", "columnar"))
+def test_removal_finds_a_tuple_by_structure_not_by_object_or_text(layout, monkeypatch):
+    """A retraction arrives as a copy (it crossed a process or a socket)."""
+    maintainer = maintainer_class(layout)(_theta("equi"))
+    positive = _tuple("p", 0, "k", 2, 9)
+    decoy = _tuple("p", 1, "k", 2, 9)
+    negative = _tuple("n", 0, "k", 4, 6)
+    other = _tuple("n", 1, "k", 4, 6)
+    for tp_tuple in (positive, decoy):
+        maintainer.add_positive(tp_tuple)
+    for tp_tuple in (negative, other):
+        maintainer.add_negative(tp_tuple)
+
+    def no_rendering(self):
+        raise AssertionError("removal rendered a key()")
+
+    monkeypatch.setattr(TPTuple, "key", no_rendering)
+    affected = maintainer.remove_negative(_tuple("n", 0, "k", 4, 6))
+    assert [entry.tuple for entry in affected] == [positive, decoy]
+    assert [[record.s for record in entry.matches] for entry in affected] == [[other]] * 2
+    assert maintainer.indexed_negatives == 1
+    removed = maintainer.remove_positive(_tuple("p", 0, "k", 2, 9))
+    assert removed is not None and removed.tuple is positive
+    assert maintainer.remove_positive(_tuple("p", 0, "k", 2, 9)) is None
+    assert maintainer.open_positives == 1
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -14,7 +14,7 @@ from repro.dataflow import (
 from repro.relation import TPTuple
 from repro.stream.elements import Watermark
 
-from conftest import make_stream_catalog
+from tests.dataflow.conftest import make_stream_catalog
 
 ON = (("Key", "Key"),)
 

@@ -14,7 +14,7 @@ from repro.relation import TPTuple
 from repro.serve import END_OF_STREAM, ServeError, StandingQueryService
 from repro.stream.elements import Watermark
 
-from conftest import make_gated_catalog, make_stream_catalog
+from tests.serve.conftest import make_gated_catalog, make_stream_catalog
 
 ON = (("Key", "Key"),)
 JOIN = NodeSpec("j1", "left_outer", "a", "b", ON)

@@ -17,7 +17,7 @@ from repro.relation import TPTuple
 from repro.serve import ResultCache, ServeClient, ServeError, ServeServer, StandingQueryService
 from repro.serve.server import element_from_payload, node_from_payload, node_payload
 
-from conftest import make_gated_catalog, make_stream_catalog
+from tests.serve.conftest import make_gated_catalog, make_stream_catalog
 
 ON = (("Key", "Key"),)
 JOIN = NodeSpec("j1", "left_outer", "a", "b", ON)

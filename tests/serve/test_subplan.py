@@ -7,7 +7,7 @@ import pytest
 from repro.dataflow import DataflowGraph, NodeSpec
 from repro.serve import SubplanRegistry, graph_structural_keys, structural_key
 
-from conftest import make_stream_catalog
+from tests.serve.conftest import make_stream_catalog
 
 ON = (("Key", "Key"),)
 
