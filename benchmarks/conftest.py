@@ -1,4 +1,4 @@
-"""Shared workloads and the unified payload schema for the benchmark suite.
+"""Shared workloads for the paper-figure and ablation benchmarks.
 
 The benchmarks regenerate the paper's figures at a reduced scale so that the
 whole suite runs in minutes on a laptop; the experiment harness
@@ -6,27 +6,6 @@ whole suite runs in minutes on a laptop; the experiment harness
 ``--paper-scale`` switches to the original 50K–200K inputs.
 
 Workload pairs are generated once per session and shared by all benchmarks.
-
-Every ``BENCH_*.json`` result file shares one top-level schema, built by
-:func:`bench_payload_base`:
-
-* ``experiment`` / ``title`` — identity;
-* ``seed`` — the workload-generator seed, so every payload is
-  self-reproducing;
-* ``cpu_count`` — so ≈1× speedups on single-core CI runners stay
-  interpretable;
-* ``skipped_reason`` — why a gate (speedup, throughput) was skipped, or
-  ``None`` when it ran;
-* ``metrics`` — the flat name → number mapping the CI perf-regression gate
-  (``benchmarks/check_perf_baselines.py``) compares against the committed
-  baselines.  Metric *names* choose the comparison policy: ``*_outputs`` /
-  ``*_events`` / ``*_count`` must match exactly, ``*_speedup`` / ``*_rate``
-  / ``*_ratio`` get the ratio tolerance band, ``*_seconds`` / ``*_ms`` /
-  ``*_per_second`` get the (wider) wall-clock band, anything else is
-  informational;
-* ``environment`` — interpreter/platform fingerprint;
-
-plus experiment-specific keys (``measurements`` etc.) on top.
 """
 
 from __future__ import annotations
@@ -34,11 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets import meteo_pair, webkit_pair
-
-# Re-exported so the standalone bench scripts reach the shared payload
-# schema via `from conftest import bench_payload_base` (benchmarks/ is
-# their sys.path[0]); the single implementation lives with the harness.
-from repro.harness.reporting import bench_payload_base  # noqa: F401
 from repro.relation import EquiJoinCondition
 
 #: Input size (tuples per relation) for the window-computation benchmarks.

@@ -257,6 +257,17 @@ def tp_inner_join(
     )
 
 
+#: Join-kind name → batch join function (the paper's Table II operators plus
+#: the inner join).  The names are the values of the engine's ``JoinKind``.
+BATCH_JOINS = {
+    "anti": tp_anti_join,
+    "left_outer": tp_left_outer_join,
+    "right_outer": tp_right_outer_join,
+    "full_outer": tp_full_outer_join,
+    "inner": tp_inner_join,
+}
+
+
 # --------------------------------------------------------------------------- #
 # measurement entry points used by the figures' benchmarks
 # --------------------------------------------------------------------------- #

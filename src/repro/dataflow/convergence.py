@@ -21,38 +21,21 @@ re-run — which never partitions — must produce the identical sequence.  The
 same harness therefore gates serial, pipelined and K-way partitioned runs
 on every backend.
 
-The harness is used by the randomized/property tests and by
-``benchmarks/bench_retraction_latency.py``, which refuses to report numbers
-for a run that did not converge.
+The harness is used by the randomized/property tests and, through
+``assert_converged``, by every test that runs a graph.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Sequence
 
-from ..core import (
-    tp_anti_join,
-    tp_full_outer_join,
-    tp_inner_join,
-    tp_left_outer_join,
-    tp_right_outer_join,
-)
+from ..core.joins import BATCH_JOINS
 from ..lineage import canonical
 from ..relation import TPRelation, TPTuple
 from ..stream.elements import StreamEvent
 from ..stream.operators import theta_from_pairs
 from .graph import NodeSpec
 from .query import DataflowResult
-
-#: Batch evaluator per continuous join kind.
-BATCH_JOINS = {
-    "anti": tp_anti_join,
-    "left_outer": tp_left_outer_join,
-    "right_outer": tp_right_outer_join,
-    "full_outer": tp_full_outer_join,
-    "inner": tp_inner_join,
-}
-
 
 def drained_relation(stream_def) -> TPRelation:
     """The settled content of a registered stream: one full replay's events.

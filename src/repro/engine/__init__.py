@@ -2,7 +2,6 @@
 
 from .catalog import Catalog, RelationStats
 from .continuous import (
-    CONTINUOUS_KINDS,
     ContinuousJoinOperator,
     ContinuousScanOperator,
     DataflowJoinOperator,
@@ -39,7 +38,6 @@ from .planner import Planner, PlannerConfig
 from .sql import JoinClause, ParsedQuery, parse_plan, parse_query, tokenize
 
 __all__ = [
-    "CONTINUOUS_KINDS",
     "Catalog",
     "CatalogError",
     "ContinuousJoinOperator",

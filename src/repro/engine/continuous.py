@@ -26,21 +26,8 @@ from ..stream import (
     StreamQueryResult,
     joined_output_schema,
 )
-from .errors import PlanError
 from .iterators import PhysicalOperator
 from .logical import JoinKind
-
-#: JoinKind → continuous operator kind name.  All five Table II kinds run
-#: continuously: right/full outer joins derive the reverse windows through
-#: the mirrored maintainer (:mod:`repro.stream.operators`).
-CONTINUOUS_KINDS: dict[JoinKind, str] = {
-    JoinKind.ANTI: "anti",
-    JoinKind.LEFT_OUTER: "left_outer",
-    JoinKind.RIGHT_OUTER: "right_outer",
-    JoinKind.FULL_OUTER: "full_outer",
-    JoinKind.INNER: "inner",
-}
-
 
 class ContinuousScanOperator(PhysicalOperator):
     """Scan a registered stream by draining its (closing) replay."""
@@ -94,16 +81,11 @@ class ContinuousJoinOperator(PhysicalOperator):
         config: ExecutionOptions | None = None,
     ) -> None:
         super().__init__()
-        if kind not in CONTINUOUS_KINDS:
-            raise PlanError(
-                f"continuous execution supports {sorted(k.value for k in CONTINUOUS_KINDS)}, "
-                f"not {kind.value}"
-            )
         self._left = left
         self._right = right
         self._query = StreamQuery(
             catalog,
-            CONTINUOUS_KINDS[kind],
+            kind.value,
             left_name,
             right_name,
             on,

@@ -21,7 +21,7 @@ measures.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from ..baselines.naive import naive_anti_join, naive_full_outer_join, naive_left_outer_join
 from ..baselines.temporal_alignment import (
@@ -29,13 +29,7 @@ from ..baselines.temporal_alignment import (
     ta_full_outer_join,
     ta_left_outer_join,
 )
-from ..core.joins import (
-    tp_anti_join,
-    tp_full_outer_join,
-    tp_inner_join,
-    tp_left_outer_join,
-    tp_right_outer_join,
-)
+from ..core.joins import BATCH_JOINS
 from ..relation import (
     Schema,
     TPRelation,
@@ -217,14 +211,6 @@ class _JoinOperatorBase(PhysicalOperator):
 class NJJoinOperator(_JoinOperatorBase):
     """TP join evaluated with the paper's NJ pipeline (lineage-aware windows)."""
 
-    _JOINS: dict[JoinKind, Callable] = {
-        JoinKind.INNER: tp_inner_join,
-        JoinKind.LEFT_OUTER: tp_left_outer_join,
-        JoinKind.RIGHT_OUTER: tp_right_outer_join,
-        JoinKind.FULL_OUTER: tp_full_outer_join,
-        JoinKind.ANTI: tp_anti_join,
-    }
-
     def describe(self) -> str:
         condition = " AND ".join(f"{left} = {right}" for left, right in self._on) or "true"
         return f"NJJoin [{self._kind.value}] on {condition}"
@@ -239,7 +225,7 @@ class NJJoinOperator(_JoinOperatorBase):
         left_relation = self._materialise(self._left, "left")
         right_relation = self._materialise(self._right, "right")
         theta = self._theta(left_relation.schema, right_relation.schema)
-        join = self._JOINS[self._kind]
+        join = BATCH_JOINS[self._kind.value]
         result = join(left_relation, right_relation, theta, compute_probabilities=False)
         yield from result
 
@@ -254,15 +240,6 @@ class ParallelNJJoinOperator(_JoinOperatorBase):
     state-size cost model says the join is large enough to amortise process
     start-up; ``EXPLAIN`` renders it with a ``[parallel n=K]`` marker.
     """
-
-    #: JoinKind → repro.parallel.batch join-kind name.
-    _KIND_NAMES: dict[JoinKind, str] = {
-        JoinKind.INNER: "inner",
-        JoinKind.LEFT_OUTER: "left_outer",
-        JoinKind.RIGHT_OUTER: "right_outer",
-        JoinKind.FULL_OUTER: "full_outer",
-        JoinKind.ANTI: "anti",
-    }
 
     def __init__(
         self,
@@ -299,7 +276,7 @@ class ParallelNJJoinOperator(_JoinOperatorBase):
         left_relation = self._materialise(self._left, "left")
         right_relation = self._materialise(self._right, "right")
         self.last_result = parallel_tp_join(
-            self._KIND_NAMES[self._kind],
+            self._kind.value,
             left_relation,
             right_relation,
             self._on,

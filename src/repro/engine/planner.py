@@ -341,7 +341,7 @@ class Planner:
         workers than cold ones, multiplying the pipeline axis.
         """
         from ..dataflow import NodeSpec
-        from .continuous import CONTINUOUS_KINDS, DataflowJoinOperator
+        from .continuous import DataflowJoinOperator
 
         from ..stream import continuous_output_schema
 
@@ -357,7 +357,7 @@ class Planner:
             left_name, left_schema, left_streams = build(subtree.left)
             right_name, right_schema, right_streams = build(subtree.right)
             name = f"node{len(nodes) + 1}"
-            kind = CONTINUOUS_KINDS[subtree.kind]
+            kind = subtree.kind.value
             # Qualified references from chained ON clauses resolve against
             # the accumulated left schema (prefixed name when it clashed,
             # bare name when it never did).

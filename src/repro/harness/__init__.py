@@ -10,12 +10,10 @@ from .experiments import (
 )
 from .reporting import (
     bench_payload,
-    bench_payload_base,
     environment_info,
     experiment_report,
     measurements_table,
     speedup_summary,
-    write_bench_file,
     write_bench_json,
     write_csv,
 )
@@ -29,7 +27,6 @@ __all__ = [
     "RunResult",
     "SeriesSpec",
     "bench_payload",
-    "bench_payload_base",
     "environment_info",
     "experiment_report",
     "measurements_table",
@@ -37,7 +34,6 @@ __all__ = [
     "run_by_name",
     "run_experiment",
     "speedup_summary",
-    "write_bench_file",
     "write_bench_json",
     "write_csv",
 ]

@@ -15,7 +15,7 @@ import platform
 import sys
 from collections import defaultdict
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .experiments import ExperimentSpec, Measurement
 
@@ -101,53 +101,8 @@ def write_csv(measurements: Iterable[Measurement], path: str | Path) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# machine-readable results (perf trajectory across PRs)
+# machine-readable results
 # --------------------------------------------------------------------------- #
-def bench_payload_base(
-    experiment: str,
-    title: str,
-    *,
-    seed: int,
-    skipped_reason: "str | None" = None,
-    metrics: "Mapping | None" = None,
-    metrics_enabled: bool = False,
-    **extra,
-) -> dict:
-    """The shared top-level schema of every ``BENCH_*.json`` payload.
-
-    One implementation serves every payload writer — the harness figures
-    (:func:`bench_payload`) and the standalone ``benchmarks/bench_*.py``
-    scripts (re-exported through ``benchmarks/conftest.py``) — so the keys
-    the CI perf-regression gate reads cannot drift between producers:
-
-    * ``seed`` — the workload-generator seed, making the payload
-      self-reproducing;
-    * ``cpu_count`` — so ≈1× speedups on single-core runners stay
-      interpretable;
-    * ``skipped_reason`` — why a gate was skipped, or ``None`` when it ran;
-    * ``metrics`` — the flat name → number mapping
-      ``benchmarks/check_perf_baselines.py`` compares against committed
-      baselines (``*_count`` keys exactly, ``*_seconds`` within the
-      wall-clock tolerance band);
-    * ``metrics_enabled`` — whether the run had the engine telemetry
-      subsystem (``ExecutionOptions(metrics=True)``) switched on, so a
-      figure measured with instrumentation live is never compared against
-      an uninstrumented baseline without the difference being visible.
-    """
-    payload = {
-        "experiment": experiment,
-        "title": title,
-        "seed": seed,
-        "cpu_count": os.cpu_count() or 1,
-        "skipped_reason": skipped_reason,
-        "metrics": dict(metrics or {}),
-        "metrics_enabled": bool(metrics_enabled),
-        "environment": environment_info(),
-    }
-    payload.update(extra)
-    return payload
-
-
 def bench_payload(
     spec: ExperimentSpec, measurements: Sequence[Measurement], seed: int = 0
 ) -> dict:
@@ -156,20 +111,17 @@ def bench_payload(
     ``seed`` is the workload-generator seed the run used; recording it makes
     every ``BENCH_*.json`` self-reproducing (re-run the same experiment with
     the recorded seed and sizes to regenerate the identical workload).
+    ``cpu_count`` and ``environment`` say what the seconds were measured on.
     """
-    metrics: dict = {}
-    for m in measurements:
-        prefix = f"{m.series}_s{m.size}"
-        metrics[f"{prefix}_output_count"] = m.output_count
-        metrics[f"{prefix}_seconds"] = round(m.seconds, 6)
-    return bench_payload_base(
-        spec.experiment_id,
-        spec.title,
-        seed=seed,
-        metrics=metrics,
-        dataset=spec.dataset,
-        expected_shape=spec.expected_shape,
-        measurements=[
+    return {
+        "experiment": spec.experiment_id,
+        "title": spec.title,
+        "seed": seed,
+        "cpu_count": os.cpu_count() or 1,
+        "environment": environment_info(),
+        "dataset": spec.dataset,
+        "expected_shape": spec.expected_shape,
+        "measurements": [
             {
                 "series": m.series,
                 "size": m.size,
@@ -178,7 +130,7 @@ def bench_payload(
             }
             for m in measurements
         ],
-    )
+    }
 
 
 def environment_info() -> dict:
@@ -190,31 +142,24 @@ def environment_info() -> dict:
     }
 
 
-def write_bench_file(name: str, payload: Mapping, directory: str | Path) -> Path:
-    """Write one ``BENCH_<name>.json`` result file and return its path.
-
-    The fixed prefix and stable key layout make the files greppable and
-    diffable across PRs — the perf trajectory lives in version control, not
-    in terminal scrollback.
-    """
-    destination = Path(directory) / f"BENCH_{name}.json"
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    with destination.open("w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return destination
-
-
 def write_bench_json(
     spec: ExperimentSpec,
     measurements: Sequence[Measurement],
     directory: str | Path,
     seed: int = 0,
 ) -> Path:
-    """Write one experiment's measurements as ``BENCH_<experiment>.json``."""
-    return write_bench_file(
-        spec.experiment_id, bench_payload(spec, measurements, seed=seed), directory
-    )
+    """Write one experiment's measurements as ``BENCH_<experiment>.json``.
+
+    The fixed prefix and stable key layout make the files greppable and
+    diffable from one run to the next.
+    """
+    destination = Path(directory) / f"BENCH_{spec.experiment_id}.json"
+    destination.parent.mkdir(parents=True, exist_ok=True)
+    payload = bench_payload(spec, measurements, seed=seed)
+    with destination.open("w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return destination
 
 
 def _series_order(measurements: Sequence[Measurement]) -> list[str]:

@@ -23,15 +23,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from ..core.joins import (
-    tp_anti_join,
-    tp_full_outer_join,
-    tp_inner_join,
-    tp_left_outer_join,
-    tp_right_outer_join,
-)
+from ..core.joins import BATCH_JOINS
 from ..relation import Schema, TPRelation, TPTuple, theta_or_true
 from .plan import (
     ParallelConfig,
@@ -47,16 +41,6 @@ from .serialize import (
     events_from_probabilities,
     restricted_probabilities,
 )
-
-#: Join-kind name → batch join function (the paper's Table II operators).
-BATCH_JOINS: Dict[str, Callable] = {
-    "anti": tp_anti_join,
-    "left_outer": tp_left_outer_join,
-    "right_outer": tp_right_outer_join,
-    "full_outer": tp_full_outer_join,
-    "inner": tp_inner_join,
-}
-
 
 @dataclass(frozen=True)
 class ParallelJoinResult:

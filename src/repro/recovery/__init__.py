@@ -15,7 +15,7 @@ turns a dead seat from a run-killing error into a recovered one:
   report in at-most-once — settled output stays tuple-for-tuple,
   bitwise-probability equal to an unfailed run;
 * :mod:`repro.recovery.chaos` — the kill-workers-mid-run injector the
-  chaos tests and ``benchmarks/bench_recovery.py`` share.
+  chaos tests drive.
 
 Only this ``__init__`` and :mod:`~repro.recovery.types` are imported
 eagerly (the stream package re-exports :class:`RecoveryEvent` on its

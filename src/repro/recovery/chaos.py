@@ -1,7 +1,7 @@
 """Kill-workers-mid-run failure injection for the recovering socket session.
 
-The chaos tests and ``benchmarks/bench_recovery.py`` share one injector:
-a plan of ``(after_events, seat)`` pairs, executed against the live
+The chaos tests drive one injector: a plan of ``(after_events, seat)``
+pairs, executed against the live
 :class:`~repro.recovery.driver.RecoveringSession` as the driver routes
 elements.  When the routed-event count reaches ``after_events``,
 the local worker process currently hosting ``seat`` is SIGKILLed — no
@@ -23,6 +23,8 @@ import random
 import time
 from typing import List, Optional, Sequence, Tuple
 
+from .checkpoint import checkpoint_elements
+
 __all__ = ["ChaosInjector", "random_kill_plan"]
 
 
@@ -36,17 +38,19 @@ class ChaosInjector:
     misses rather than errors, so a plan stays valid across placements.
 
     ``wait_for_checkpoint`` holds each due kill (up to ``wait_timeout``
-    seconds) until the driver has received at least one checkpoint frame
-    from the victim seat.  Without it, a kill landing while the worker is
-    still behind on its first micro-batch legitimately recovers from zero
-    — correct, but not the scenario a checkpointed-recovery measurement
-    wants to exercise.
+    seconds) until the driver holds a checkpoint of the victim seat that
+    covers at least that many elements (0: do not wait).  Without it, a
+    kill landing while the worker is still behind on its first micro-batch
+    legitimately recovers from zero — correct, but not the scenario a
+    checkpointed-recovery test wants to exercise; and a victim can lag the
+    router by most of its input, so one frame says little about how much
+    of it a restore will skip.
     """
 
     def __init__(
         self,
         plan: Sequence[Tuple[int, int]],
-        wait_for_checkpoint: bool = False,
+        wait_for_checkpoint: int = 0,
         wait_timeout: float = 10.0,
     ) -> None:
         #: Pending kills, soonest first.
@@ -73,10 +77,11 @@ class ChaosInjector:
             self.executed.append((after_events, seat, signalled))
 
     def _await_checkpoint(self, seat: int) -> None:
-        """Block (bounded) until the driver holds a checkpoint for ``seat``."""
+        """Block (bounded) until ``seat``'s checkpoint covers enough."""
         deadline = time.monotonic() + self._wait_timeout
         while (
-            self._session.latest_checkpoint(seat) is None
+            checkpoint_elements(self._session.latest_checkpoint(seat))
+            < self._wait_for_checkpoint
             and time.monotonic() < deadline
         ):
             time.sleep(0.01)

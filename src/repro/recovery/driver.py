@@ -143,7 +143,7 @@ class RecoveringSession(TransportSession):
         """The last checkpoint payload the driver holds for ``seat``
         (``None`` when the seat never checkpointed or checkpointing is
         off).  A kill landing before this is non-``None`` recovers from
-        zero — see ``ChaosInjector(wait_for_checkpoint=True)``."""
+        zero — see ``ChaosInjector(wait_for_checkpoint=...)``."""
         return self._seat_session[seat].latest_checkpoint(self._seat_target[seat])
 
     def kill_seat(self, seat: int, signum: int = signal.SIGKILL) -> bool:

@@ -236,7 +236,7 @@ class StreamQuery(QueryTelemetry):
 
         ``chaos`` is the failure-injection seam of recovering socket runs
         (see :class:`repro.recovery.chaos.ChaosInjector`), used by the
-        chaos tests and ``bench_recovery`` to kill seats mid-run.  Ignored
+        chaos tests to kill seats mid-run.  Ignored
         — no failure is injected — on every other execution path.
         """
         left_def = self._catalog.lookup_stream(self._left_name)

@@ -9,7 +9,6 @@ from repro.harness import (
     Measurement,
     bench_payload,
     run_experiment,
-    write_bench_file,
     write_bench_json,
 )
 from repro.harness.__main__ import main as harness_main
@@ -32,31 +31,21 @@ def test_bench_payload_shape():
     assert "python" in payload["environment"]
 
 
-def test_bench_payload_follows_unified_schema():
-    """Every payload carries cpu_count / seed / skipped_reason / metrics —
-    the shared schema the CI perf-regression gate reads."""
+def test_bench_payload_records_what_reproduces_it():
+    """Every payload carries the workload seed and the CPU count."""
     spec = EXPERIMENTS["fig5a"]
     payload = bench_payload(spec, _tiny_measurements(spec), seed=17)
     assert payload["seed"] == 17
     assert payload["cpu_count"] >= 1
-    assert payload["skipped_reason"] is None
-    assert payload["metrics"]["NJ_s100_output_count"] == 42
-    assert payload["metrics"]["TA_s100_seconds"] == 0.0456
 
 
 def test_write_bench_json_roundtrip(tmp_path):
     spec = EXPERIMENTS["fig5a"]
-    path = write_bench_json(spec, _tiny_measurements(spec), tmp_path)
-    assert path.name == "BENCH_fig5a.json"
+    nested = tmp_path / "a" / "b"  # created on demand
+    path = write_bench_json(spec, _tiny_measurements(spec), nested)
+    assert path == nested / "BENCH_fig5a.json"
     loaded = json.loads(path.read_text())
     assert loaded["measurements"][1]["output_count"] == 42
-
-
-def test_write_bench_file_creates_directories(tmp_path):
-    nested = tmp_path / "a" / "b"
-    path = write_bench_file("custom", {"hello": 1}, nested)
-    assert path == nested / "BENCH_custom.json"
-    assert json.loads(path.read_text()) == {"hello": 1}
 
 
 def test_real_run_produces_valid_json(tmp_path):
