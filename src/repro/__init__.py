@@ -62,9 +62,6 @@ from .core import (
     nj_wn,
     nj_wuo,
     nj_wuon,
-    stream_anti_join,
-    stream_left_outer_join,
-    stream_windows,
     tp_anti_join,
     tp_full_outer_join,
     tp_inner_join,
@@ -142,9 +139,6 @@ __all__ = [
     "nj_wuon",
     "parallel_tp_join",
     "probability",
-    "stream_anti_join",
-    "stream_left_outer_join",
-    "stream_windows",
     "ta_anti_join",
     "ta_full_outer_join",
     "ta_left_outer_join",

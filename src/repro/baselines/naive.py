@@ -15,10 +15,14 @@ harness can run it on small inputs as a sanity baseline.
 
 from __future__ import annotations
 
-from ..core.concat import window_to_positive_tuple, window_to_tuple
+from ..core.concat import (
+    combined_output_schema,
+    window_to_positive_tuple,
+    window_to_tuple,
+)
 from ..core.windows import Window, WindowClass, WindowSet
 from ..lineage import disjunction_of
-from ..relation import Schema, TPRelation, ThetaCondition
+from ..relation import TPRelation, ThetaCondition
 from ..temporal import partition_by_validity
 
 
@@ -96,15 +100,6 @@ def naive_windows(
     )
 
 
-def _combined_schema(left: TPRelation, right: TPRelation) -> Schema:
-    left_names = set(left.schema.attributes)
-    right_attributes = tuple(
-        f"{right.name or 's'}.{name}" if name in left_names else name
-        for name in right.schema.attributes
-    )
-    return Schema(left.schema.attributes + right_attributes)
-
-
 def naive_anti_join(
     positive: TPRelation,
     negative: TPRelation,
@@ -136,7 +131,7 @@ def naive_left_outer_join(
         positive.schema, positive.tuples, events, name=positive.name, check_constraint=False
     )
     windows = naive_windows(merged, negative, theta)
-    schema = _combined_schema(positive, negative)
+    schema = combined_output_schema(positive.schema, negative.schema, negative.name)
     left_width, right_width = len(positive.schema), len(negative.schema)
     tuples = [
         window_to_tuple(w, left_width, right_width, left_is_positive=True)
@@ -158,7 +153,7 @@ def naive_full_outer_join(
         left.schema, left.tuples, events, name=left.name, check_constraint=False
     )
     windows = naive_windows(merged, right, theta, include_reverse=True)
-    schema = _combined_schema(left, right)
+    schema = combined_output_schema(left.schema, right.schema, right.name)
     left_width, right_width = len(left.schema), len(right.schema)
     tuples = [
         window_to_tuple(w, left_width, right_width, left_is_positive=True)
@@ -170,3 +165,11 @@ def naive_full_outer_join(
     )
     result = merged.derived(schema, tuples, name=f"naive({left.name} ⟗ {right.name})")
     return result.with_probabilities() if compute_probabilities else result
+
+
+#: Join-kind name → naive join; the engine's ``USING NAIVE`` strategy table.
+NAIVE_JOINS = dict(
+    anti=naive_anti_join,
+    left_outer=naive_left_outer_join,
+    full_outer=naive_full_outer_join,
+)

@@ -33,12 +33,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.concat import window_to_positive_tuple, window_to_tuple
+from ..core.concat import (
+    combined_output_schema,
+    window_to_positive_tuple,
+    window_to_tuple,
+)
 from ..core.joins import swap_theta
 from ..core.overlap import overlap_join
 from ..core.windows import Window, WindowClass
 from ..lineage import disjunction_of
-from ..relation import Schema, TPRelation, TPTuple, ThetaCondition
+from ..relation import TPRelation, TPTuple, ThetaCondition
 from ..temporal import Interval, segments_within
 
 
@@ -261,7 +265,7 @@ def ta_left_outer_join(
     unmatched = ta_unmatched_windows(merged, negative, theta, nested_loop)
     unmatched_again = ta_unmatched_windows(merged, negative, theta, nested_loop)
     negating = ta_negating_windows(merged, negative, theta, nested_loop)
-    schema = _combined_schema(positive, negative)
+    schema = combined_output_schema(positive.schema, negative.schema, negative.name)
     left_width, right_width = len(positive.schema), len(negative.schema)
     tuples = [
         window_to_tuple(w, left_width, right_width, left_is_positive=True)
@@ -295,7 +299,7 @@ def ta_full_outer_join(
     unmatched_right = ta_unmatched_windows(merged_right, merged_left, reverse_theta, nested_loop)
     negating_right = ta_negating_windows(merged_right, merged_left, reverse_theta, nested_loop)
 
-    schema = _combined_schema(left, right)
+    schema = combined_output_schema(left.schema, right.schema, right.name)
     left_width, right_width = len(left.schema), len(right.schema)
     tuples = [
         window_to_tuple(w, left_width, right_width, left_is_positive=True)
@@ -308,6 +312,38 @@ def ta_full_outer_join(
     tuples = _deduplicate(tuples)
     result = merged_left.derived(schema, tuples, name=f"ta({left.name} ⟗ {right.name})")
     return result.with_probabilities() if compute_probabilities else result
+
+
+def ta_right_outer_join(
+    left: TPRelation,
+    right: TPRelation,
+    theta: ThetaCondition,
+    compute_probabilities: bool = True,
+    nested_loop: bool = True,
+) -> TPRelation:
+    """TP right outer join evaluated the TA way: the mirrored left outer join.
+
+    ``right ⟕ left`` under the swapped θ, with the fact columns put back in
+    ``(left, right)`` order.
+    """
+    mirrored = ta_left_outer_join(right, left, swap_theta(theta), False, nested_loop)
+    right_width = len(right.schema)
+    tuples = [
+        TPTuple(t.fact[right_width:] + t.fact[:right_width], t.lineage, t.interval)
+        for t in mirrored
+    ]
+    schema = combined_output_schema(left.schema, right.schema, right.name)
+    result = mirrored.derived(schema, tuples, name=f"ta({left.name} ⟖ {right.name})")
+    return result.with_probabilities() if compute_probabilities else result
+
+
+#: Join-kind name → TA join; the engine's ``USING TA`` strategy table.
+TA_JOINS = dict(
+    anti=ta_anti_join,
+    left_outer=ta_left_outer_join,
+    right_outer=ta_right_outer_join,
+    full_outer=ta_full_outer_join,
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -332,15 +368,6 @@ class _ForceNestedLoop(ThetaCondition):
 
     def describe(self) -> str:
         return f"nested_loop({self._inner.describe()})"
-
-
-def _combined_schema(left: TPRelation, right: TPRelation) -> Schema:
-    left_names = set(left.schema.attributes)
-    right_attributes = tuple(
-        f"{right.name or 's'}.{name}" if name in left_names else name
-        for name in right.schema.attributes
-    )
-    return Schema(left.schema.attributes + right_attributes)
 
 
 def _merge_adjacent_unmatched(windows: list[Window]) -> list[Window]:

@@ -24,21 +24,29 @@ from .windows import Window, WindowClass
 
 
 def combined_output_schema(
-    left_schema: Schema, right_schema: Schema, right_name: str = "s"
+    left_schema: Schema, right_schema: Schema, right_name: str = ""
 ) -> Schema:
     """The combined output schema of an outer join.
 
-    Right-side attributes clashing with a left-side name are prefixed with
-    the right input's name.  This is the single definition of the rule; the
-    batch joins, the streaming generators and the continuous operators all
-    delegate here so their schemas cannot diverge.
+    A right-side attribute clashing with a name already taken is prefixed
+    with the right input's name (``s`` for an unnamed input); in a join
+    *chain* the prefixed name can clash with an earlier join's prefix in
+    turn, so it is uniquified (``b2.``, ``b3.``, ...).  This is the one
+    definition of the rule: the baselines call it directly, every other
+    join — batch, continuous, engine — through
+    :func:`repro.core.joins.join_output_schema`.
     """
-    left_names = set(left_schema.attributes)
-    right_attributes = tuple(
-        f"{right_name}.{name}" if name in left_names else name
-        for name in right_schema.attributes
-    )
-    return Schema(left_schema.attributes + right_attributes)
+    prefix = right_name or "s"
+    taken = set(left_schema.attributes)
+    right_attributes = []
+    for name in right_schema.attributes:
+        candidate, counter = name, 1
+        while candidate in taken:
+            candidate = f"{prefix}{counter if counter > 1 else ''}.{name}"
+            counter += 1
+        taken.add(candidate)
+        right_attributes.append(candidate)
+    return Schema(left_schema.attributes + tuple(right_attributes))
 
 
 def concat_and(lineage_r: LineageExpr, lineage_s: LineageExpr | None) -> LineageExpr:

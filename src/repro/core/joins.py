@@ -1,8 +1,8 @@
 """Temporal-probabilistic join operators built from generalized windows.
 
-This module assembles the paper's TP joins with negation (Table II) from the
-three window classes computed by the NJ pipeline
-``overlap join → LAWAU → LAWAN``:
+This module states the paper's Table II once, as data: which of the window
+classes computed by the NJ pipeline ``overlap join → LAWAU → LAWAN`` each TP
+join keeps of ``r`` with respect to ``s`` and of ``s`` with respect to ``r``:
 
 ===================  =========  =========  =========  =========  =========
 operator             WU(r;s,θ)  WN(r;s,θ)  WO(r;s,θ)  WU(s;r,θ)  WN(s;r,θ)
@@ -11,36 +11,64 @@ anti join  r ▷ s        ✓          ✓
 left outer r ⟕ s        ✓          ✓          ✓
 right outer r ⟖ s                             ✓          ✓          ✓
 full outer r ⟗ s        ✓          ✓          ✓          ✓          ✓
+inner join r ⋈ s                              ✓
 ===================  =========  =========  =========  =========  =========
 
-Output tuples are formed per window with the class's lineage-concatenation
-function; probabilities are computed from the shared event space unless the
-caller opts out (benchmarks measure window computation and probability
-computation separately, like the paper measures runtimes without final
-materialisation cost differences).
+:data:`TABLE_II` is that table and :func:`group_tuples` the one place that
+reads it: it sweeps overlap groups, keeps the windows of the classes a kind
+wants and forms each output tuple with the class's lineage-concatenation
+function.  The batch joins (:func:`tp_join`), the continuous operators
+(:class:`repro.stream.ContinuousJoin` and its retractable subclass) and the
+engine's NJ operator all derive their tuples through it; the baselines under
+:mod:`repro.baselines` keep an independent class-by-class statement of the
+same table and are what the tests judge this one against.
+
+Probabilities are computed from the shared event space unless the caller
+opts out (benchmarks measure window computation and probability computation
+separately, like the paper measures runtimes without final materialisation
+cost differences).
 """
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Iterable, Iterator
+
 from ..relation import Schema, TPRelation, TPTuple, ThetaCondition
 from .concat import combined_output_schema, window_to_positive_tuple, window_to_tuple
-from .lawan import lawan, negating_windows
-from .lawau import lawau
-from .overlap import overlap_join, overlapping_windows
+from .lawan import iter_lawan, lawan, negating_windows
+from .lawau import iter_lawau, lawau
+from .overlap import OverlapGroup, iter_overlapping, overlap_join
 from .windows import Window, WindowClass, WindowSet
 
-#: The window sets required by each TP join with negation (the paper's Table II).
-WINDOW_SETS_BY_OPERATOR: dict[str, tuple[str, ...]] = {
-    "anti": ("unmatched_r", "negating_r"),
-    "left_outer": ("unmatched_r", "negating_r", "overlapping"),
-    "right_outer": ("overlapping", "unmatched_s", "negating_s"),
-    "full_outer": (
-        "unmatched_r",
-        "negating_r",
-        "overlapping",
-        "unmatched_s",
-        "negating_s",
-    ),
+_U, _N, _O = WindowClass.UNMATCHED, WindowClass.NEGATING, WindowClass.OVERLAPPING
+
+#: The paper's Table II (plus the inner join): join kind → the window classes
+#: kept of ``r`` w.r.t. ``s``, then of ``s`` w.r.t. ``r``.  The overlapping
+#: windows are shared (``WO(r;s,θ) = WO(s;r,θ)``) and always taken from
+#: ``r``'s side, so output lineages keep one operand order.  The kind names
+#: are the values of the engine's ``JoinKind``.
+TABLE_II: dict[str, tuple[frozenset[WindowClass], frozenset[WindowClass]]] = {
+    "anti": (frozenset({_U, _N}), frozenset()),
+    "left_outer": (frozenset({_U, _N, _O}), frozenset()),
+    "right_outer": (frozenset({_O}), frozenset({_U, _N})),
+    "full_outer": (frozenset({_U, _N, _O}), frozenset({_U, _N})),
+    "inner": (frozenset({_O}), frozenset()),
+}
+
+#: Every join kind, batch or continuous.
+JOIN_KINDS = frozenset(TABLE_II)
+
+#: Kinds that also keep windows of ``s`` w.r.t. ``r`` (the reverse windows).
+REVERSE_KINDS = frozenset(kind for kind, (_, kept) in TABLE_II.items() if kept)
+
+#: The algebra symbol of each kind (relation names, ``describe()`` lines).
+JOIN_SYMBOLS = {
+    "anti": "▷",
+    "left_outer": "⟕",
+    "right_outer": "⟖",
+    "full_outer": "⟗",
+    "inner": "⋈",
 }
 
 
@@ -111,22 +139,79 @@ def swap_theta(theta: ThetaCondition) -> ThetaCondition:
 # --------------------------------------------------------------------------- #
 # join operators
 # --------------------------------------------------------------------------- #
-def _output_schema(left: TPRelation, right: TPRelation) -> Schema:
-    """Combined output schema; right-hand attributes are prefixed on clash."""
-    return combined_output_schema(left.schema, right.schema, right.name or "s")
+def group_tuples(
+    kind: str,
+    groups: Iterable[OverlapGroup],
+    left_width: int,
+    right_width: int,
+    reverse: bool = False,
+) -> Iterator[TPTuple]:
+    """The output tuples join ``kind`` forms from completed overlap groups.
+
+    ``groups`` are overlap groups of ``r`` w.r.t. ``s`` — or, with
+    ``reverse``, of ``s`` w.r.t. ``r`` (θ swapped), whose facts go into the
+    right-hand columns.  Tuples are produced lazily, group by group: a
+    group's LAWAU windows first, then its negating windows.
+    """
+    wanted = TABLE_II[kind][reverse]
+    if not wanted:
+        return
+    # LAWAN is LAWAU plus the negating sweep and LAWAU the overlap records
+    # plus the gaps between them: run no more of the pipeline than is kept.
+    if _N in wanted:
+        sweep = iter_lawan
+    elif _U in wanted:
+        sweep = iter_lawau
+    else:
+        sweep = iter_overlapping
+    for window in sweep(groups):
+        if window.window_class not in wanted:
+            continue
+        if kind == "anti":
+            yield window_to_positive_tuple(window)
+        else:
+            yield window_to_tuple(
+                window, left_width, right_width, left_is_positive=not reverse
+            )
 
 
-def _finalise(
-    relation: TPRelation,
-    tuples: list[TPTuple],
-    schema: Schema,
-    name: str,
-    compute_probabilities: bool,
+def join_output_schema(
+    kind: str, left_schema: Schema, right_schema: Schema, right_name: str = ""
+) -> Schema:
+    """The output schema of join ``kind``: ``r``'s for the anti join, else combined.
+
+    ``right_name`` is the right input's name (relation, stream or dataflow
+    node); an unnamed input prefixes its clashing attributes with ``s``.
+    """
+    if kind not in TABLE_II:
+        raise ValueError(f"unknown join kind {kind!r}; supported: {sorted(TABLE_II)}")
+    if kind == "anti":
+        return left_schema
+    return combined_output_schema(left_schema, right_schema, right_name)
+
+
+def tp_join(
+    kind: str,
+    left: TPRelation,
+    right: TPRelation,
+    theta: ThetaCondition,
+    compute_probabilities: bool = True,
 ) -> TPRelation:
-    result = relation.derived(schema, tuples, name=name)
-    if compute_probabilities:
-        return result.with_probabilities()
-    return result
+    """The TP join ``kind`` of ``left`` (``r``, positive) and ``right`` (``s``)."""
+    schema = join_output_schema(kind, left.schema, right.schema, right.name)
+    events = left.events.merge(right.events)
+    merged = TPRelation(
+        left.schema, left.tuples, events, name=left.name, check_constraint=False
+    )
+    widths = len(left.schema), len(right.schema)
+    tuples = list(group_tuples(kind, overlap_join(merged, right, theta), *widths))
+    if kind in REVERSE_KINDS:
+        reverse_groups = overlap_join(right, merged, swap_theta(theta))
+        tuples.extend(group_tuples(kind, reverse_groups, *widths, reverse=True))
+    result = merged.derived(
+        schema, tuples, name=f"{left.name} {JOIN_SYMBOLS[kind]} {right.name}"
+    )
+    return result.with_probabilities() if compute_probabilities else result
 
 
 def tp_anti_join(
@@ -141,17 +226,7 @@ def tp_anti_join(
     the result gives the probability that the positive tuple is true while
     *no* θ-matching negative tuple is true.
     """
-    events = positive.events.merge(negative.events)
-    merged = TPRelation(
-        positive.schema, positive.tuples, events, name=positive.name, check_constraint=False
-    )
-    windows = compute_windows(merged, negative, theta)
-    tuples = [
-        window_to_positive_tuple(w) for w in (*windows.unmatched_r, *windows.negating_r)
-    ]
-    return _finalise(
-        merged, tuples, positive.schema, f"{positive.name} ▷ {negative.name}", compute_probabilities
-    )
+    return tp_join("anti", positive, negative, theta, compute_probabilities)
 
 
 def tp_left_outer_join(
@@ -161,20 +236,7 @@ def tp_left_outer_join(
     compute_probabilities: bool = True,
 ) -> TPRelation:
     """TP left outer join ``r ⟕ s`` (the paper's running example, Fig. 1b)."""
-    events = positive.events.merge(negative.events)
-    merged = TPRelation(
-        positive.schema, positive.tuples, events, name=positive.name, check_constraint=False
-    )
-    windows = compute_windows(merged, negative, theta)
-    schema = _output_schema(positive, negative)
-    left_width, right_width = len(positive.schema), len(negative.schema)
-    tuples = [
-        window_to_tuple(w, left_width, right_width, left_is_positive=True)
-        for w in (*windows.unmatched_r, *windows.overlapping, *windows.negating_r)
-    ]
-    return _finalise(
-        merged, tuples, schema, f"{positive.name} ⟕ {negative.name}", compute_probabilities
-    )
+    return tp_join("left_outer", positive, negative, theta, compute_probabilities)
 
 
 def tp_right_outer_join(
@@ -184,24 +246,7 @@ def tp_right_outer_join(
     compute_probabilities: bool = True,
 ) -> TPRelation:
     """TP right outer join ``r ⟖ s``: ``s`` is the positive relation."""
-    events = left.events.merge(right.events)
-    merged_left = TPRelation(
-        left.schema, left.tuples, events, name=left.name, check_constraint=False
-    )
-    windows = compute_windows(merged_left, right, theta, include_reverse=True)
-    schema = _output_schema(left, right)
-    left_width, right_width = len(left.schema), len(right.schema)
-    tuples = [
-        window_to_tuple(w, left_width, right_width, left_is_positive=True)
-        for w in windows.overlapping
-    ]
-    tuples.extend(
-        window_to_tuple(w, left_width, right_width, left_is_positive=False)
-        for w in (*windows.unmatched_s, *windows.negating_s)
-    )
-    return _finalise(
-        merged_left, tuples, schema, f"{left.name} ⟖ {right.name}", compute_probabilities
-    )
+    return tp_join("right_outer", left, right, theta, compute_probabilities)
 
 
 def tp_full_outer_join(
@@ -211,24 +256,7 @@ def tp_full_outer_join(
     compute_probabilities: bool = True,
 ) -> TPRelation:
     """TP full outer join ``r ⟗ s``: all five window sets of Table II."""
-    events = left.events.merge(right.events)
-    merged_left = TPRelation(
-        left.schema, left.tuples, events, name=left.name, check_constraint=False
-    )
-    windows = compute_windows(merged_left, right, theta, include_reverse=True)
-    schema = _output_schema(left, right)
-    left_width, right_width = len(left.schema), len(right.schema)
-    tuples = [
-        window_to_tuple(w, left_width, right_width, left_is_positive=True)
-        for w in (*windows.unmatched_r, *windows.overlapping, *windows.negating_r)
-    ]
-    tuples.extend(
-        window_to_tuple(w, left_width, right_width, left_is_positive=False)
-        for w in (*windows.unmatched_s, *windows.negating_s)
-    )
-    return _finalise(
-        merged_left, tuples, schema, f"{left.name} ⟗ {right.name}", compute_probabilities
-    )
+    return tp_join("full_outer", left, right, theta, compute_probabilities)
 
 
 def tp_inner_join(
@@ -242,30 +270,11 @@ def tp_inner_join(
     Not one of the paper's joins *with negation*, but the natural companion
     operator and the positive part shared by all of them.
     """
-    events = left.events.merge(right.events)
-    merged_left = TPRelation(
-        left.schema, left.tuples, events, name=left.name, check_constraint=False
-    )
-    windows = overlapping_windows(merged_left, right, theta)
-    schema = _output_schema(left, right)
-    left_width, right_width = len(left.schema), len(right.schema)
-    tuples = [
-        window_to_tuple(w, left_width, right_width, left_is_positive=True) for w in windows
-    ]
-    return _finalise(
-        merged_left, tuples, schema, f"{left.name} ⋈ {right.name}", compute_probabilities
-    )
+    return tp_join("inner", left, right, theta, compute_probabilities)
 
 
-#: Join-kind name → batch join function (the paper's Table II operators plus
-#: the inner join).  The names are the values of the engine's ``JoinKind``.
-BATCH_JOINS = {
-    "anti": tp_anti_join,
-    "left_outer": tp_left_outer_join,
-    "right_outer": tp_right_outer_join,
-    "full_outer": tp_full_outer_join,
-    "inner": tp_inner_join,
-}
+#: Join-kind name → batch join function, for callers that dispatch on a kind.
+BATCH_JOINS = {kind: partial(tp_join, kind) for kind in TABLE_II}
 
 
 # --------------------------------------------------------------------------- #
@@ -277,7 +286,11 @@ def nj_wuo(positive: TPRelation, negative: TPRelation, theta: ThetaCondition) ->
 
 
 def nj_wn(positive: TPRelation, negative: TPRelation, theta: ThetaCondition) -> list[Window]:
-    """NJ's negating windows only (LAWAN sweep output) — the Fig. 6 WN series."""
+    """NJ's negating windows only — the Fig. 6 WN series.
+
+    The overlap join plus the negating sweep: no LAWAU gaps, no copy of WUO.
+    Both the harness and ``benchmarks/bench_fig6_negating.py`` time this call.
+    """
     return negating_windows(overlap_join(positive, negative, theta))
 
 

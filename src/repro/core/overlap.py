@@ -26,7 +26,7 @@ sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from ..relation import TPRelation, TPTuple, ThetaCondition
 from ..temporal import Interval
@@ -184,14 +184,17 @@ def _pair_nested_loop(
                 group.matches.append(OverlapRecord(r, s, overlap))
 
 
+def iter_overlapping(groups: Iterable[OverlapGroup]) -> Iterator[Window]:
+    """Pipelined WO: the overlap records themselves as windows, no sweep."""
+    for group in groups:
+        for record in group.matches:
+            yield record.to_window()
+
+
 def overlapping_windows(
     positive: TPRelation,
     negative: TPRelation,
     theta: ThetaCondition,
 ) -> list[Window]:
-    """Only the overlapping windows ``WO(r; s, θ)`` (used by tests and WO-only joins)."""
-    windows: list[Window] = []
-    for group in overlap_join(positive, negative, theta):
-        for record in group.matches:
-            windows.append(record.to_window())
-    return windows
+    """Only the overlapping windows ``WO(r; s, θ)``."""
+    return list(iter_overlapping(overlap_join(positive, negative, theta)))

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+from ..core.joins import JOIN_KINDS, join_output_schema
 from ..lineage import EventSpace
 from ..relation import Schema
 from ..stream.elements import LEFT, RIGHT
-from ..stream.operators import JOIN_KINDS, continuous_output_schema
 
 
 class GraphError(ValueError):
@@ -33,7 +33,7 @@ class NodeSpec:
     Attributes:
         name: unique node name (also the right-prefix of its output schema
             when a downstream join clashes attribute names).
-        kind: join kind — any of :data:`repro.stream.operators.JOIN_KINDS`.
+        kind: join kind — any of :data:`repro.core.joins.JOIN_KINDS`.
         left / right: input names; each is a registered stream or an
             earlier node of the same graph.
         on: ``(left_attribute, right_attribute)`` equality pairs (θ).
@@ -109,7 +109,7 @@ class DataflowGraph:
                 self._consumers.setdefault(input_name, []).append((spec.name, side))
             left_schema = self._schemas[spec.left]
             right_schema = self._schemas[spec.right]
-            self._schemas[spec.name] = continuous_output_schema(
+            self._schemas[spec.name] = join_output_schema(
                 spec.kind, left_schema, right_schema, spec.right
             )
             seen[spec.name] = spec

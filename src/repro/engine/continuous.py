@@ -17,17 +17,13 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
+from ..core.joins import join_output_schema
 from ..options import ExecutionOptions
 from ..relation import Schema, TPTuple
-from ..stream import (
-    StreamDef,
-    StreamEvent,
-    StreamQuery,
-    StreamQueryResult,
-    joined_output_schema,
-)
+from ..stream import StreamDef, StreamEvent, StreamQuery, StreamQueryResult
 from .iterators import PhysicalOperator
 from .logical import JoinKind
+
 
 class ContinuousScanOperator(PhysicalOperator):
     """Scan a registered stream by draining its (closing) replay."""
@@ -41,6 +37,9 @@ class ContinuousScanOperator(PhysicalOperator):
 
     def output_schema(self) -> Schema:
         return self._stream_def.schema
+
+    def input_name(self) -> str:
+        return self._stream_def.name or self._label
 
     def stream_def(self) -> StreamDef:
         """The scanned stream definition (used by the continuous join)."""
@@ -93,7 +92,6 @@ class ContinuousJoinOperator(PhysicalOperator):
         )
         self._kind = kind
         self._on = on
-        self._right_label = right.stream_def().name or right_name
         #: Read by EXPLAIN to render the ``[parallel n=K]`` annotation.
         self.parallel_workers = self._query.effective_partitions
         #: Runtime transport the partitions run on; EXPLAIN appends
@@ -114,11 +112,11 @@ class ContinuousJoinOperator(PhysicalOperator):
         return (self._left, self._right)
 
     def output_schema(self) -> Schema:
-        left_schema = self._left.output_schema()
-        if self._kind is JoinKind.ANTI:
-            return left_schema
-        return joined_output_schema(
-            left_schema, self._right.output_schema(), self._right_label
+        return join_output_schema(
+            self._kind.value,
+            self._left.output_schema(),
+            self._right.output_schema(),
+            self._right.input_name(),
         )
 
     def describe(self) -> str:

@@ -9,10 +9,13 @@ output tuple at a time, ``close()`` releases state.  Operators are also
 context managers, and plain ``for`` iteration over an opened operator is the
 idiomatic way to consume them.
 
-The NJ join operator (:class:`repro.engine.physical.NJJoinOperator`) is a
-direct wrapper around the streaming generators of :mod:`repro.core.streaming`
-— demonstrating the paper's claim that the approach drops into a pipelined
-executor without buffering either input beyond the current group.
+The join operators themselves are blocking: each materialises both inputs
+and runs its strategy's batch join (:class:`repro.engine.physical.
+NJJoinOperator` calls :func:`repro.core.joins.tp_join`) before the first
+tuple leaves.  The pipelined form of the NJ derivation — nothing buffered
+beyond the current overlap group — is :func:`repro.core.joins.group_tuples`
+over ``iter_lawau`` / ``iter_lawan``, which is how the continuous operators
+consume it.
 """
 
 from __future__ import annotations
@@ -82,6 +85,11 @@ class PhysicalOperator:
     def output_schema(self) -> Schema:
         """Schema of the produced tuples."""
         raise NotImplementedError
+
+    def input_name(self) -> str:
+        """The name this operator lends, as a join's right input, to columns
+        clashing with the left input's; empty for a derived input."""
+        return ""
 
     def describe(self) -> str:
         """One-line description used by EXPLAIN."""

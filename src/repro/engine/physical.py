@@ -2,17 +2,18 @@
 
 Each operator implements the Volcano protocol of
 :class:`repro.engine.iterators.PhysicalOperator` and produces
-:class:`TPTuple` instances.  The two TP join operators differ exactly the way
-the paper's two compared systems differ:
+:class:`TPTuple` instances.  The join operators share one ``_produce`` —
+materialise both inputs, call the strategy's join for the kind, stream the
+result out — and differ only in the table of joins they look the kind up in
+(NJ and TA being the paper's two compared systems):
 
-* :class:`NJJoinOperator` pipelines the window computation (overlap join →
-  LAWAU → LAWAN) through the streaming generators of
-  :mod:`repro.core.streaming`; nothing is replicated and output tuples are
-  produced incrementally.
+* :class:`NJJoinOperator` runs :func:`repro.core.joins.tp_join`: one overlap
+  join, then the LAWAU/LAWAN sweeps; nothing is replicated.
 * :class:`TAJoinOperator` evaluates the same join the Temporal Alignment way:
-  it materialises its inputs, runs the union-based TA plan (with its repeated
-  conventional joins, alignment replication and duplicate-removing union) and
-  only then streams the result out.
+  the union-based TA plan with its repeated conventional joins, alignment
+  replication and duplicate-removing union.
+* :class:`NaiveJoinOperator` applies the window definitions time point by
+  time point (the oracle; small inputs only).
 
 Probabilities are computed lazily by the executor, not inside the join
 operators, so benchmark measurements isolate the window computation the paper
@@ -23,18 +24,13 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..baselines.naive import naive_anti_join, naive_full_outer_join, naive_left_outer_join
-from ..baselines.temporal_alignment import (
-    ta_anti_join,
-    ta_full_outer_join,
-    ta_left_outer_join,
-)
-from ..core.joins import BATCH_JOINS
+from ..baselines.naive import NAIVE_JOINS
+from ..baselines.temporal_alignment import TA_JOINS
+from ..core.joins import BATCH_JOINS, join_output_schema
 from ..relation import (
     Schema,
     TPRelation,
     TPTuple,
-    ThetaCondition,
     project as project_relation,
     theta_or_true,
 )
@@ -54,6 +50,9 @@ class ScanOperator(PhysicalOperator):
 
     def output_schema(self) -> Schema:
         return self._relation.schema
+
+    def input_name(self) -> str:
+        return self._label
 
     def relation(self) -> TPRelation:
         """The scanned relation (join operators pull it whole)."""
@@ -84,6 +83,9 @@ class FilterOperator(PhysicalOperator):
     def output_schema(self) -> Schema:
         return self._child.output_schema()
 
+    def input_name(self) -> str:
+        return self._child.input_name()
+
     def describe(self) -> str:
         return f"Filter {self._attribute} = {self._value!r}"
 
@@ -107,6 +109,9 @@ class TimesliceOperator(PhysicalOperator):
 
     def output_schema(self) -> Schema:
         return self._child.output_schema()
+
+    def input_name(self) -> str:
+        return self._child.input_name()
 
     def describe(self) -> str:
         return f"Timeslice {self._interval}"
@@ -149,6 +154,11 @@ class ProjectOperator(PhysicalOperator):
 class _JoinOperatorBase(PhysicalOperator):
     """Shared machinery of the NJ / TA / naive join operators."""
 
+    #: Label in EXPLAIN and in error messages.
+    label = ""
+    #: Join-kind name → join function of this operator's strategy.
+    joins: dict = {}
+
     def __init__(
         self,
         left: PhysicalOperator,
@@ -158,6 +168,10 @@ class _JoinOperatorBase(PhysicalOperator):
         events,
     ) -> None:
         super().__init__()
+        if kind.value not in self.joins:
+            raise PlanError(
+                f"{self.label} evaluates {sorted(self.joins)} joins, not {kind.value}"
+            )
         self._left = left
         self._right = right
         self._kind = kind
@@ -166,9 +180,6 @@ class _JoinOperatorBase(PhysicalOperator):
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self._left, self._right)
-
-    def _theta(self, left_schema: Schema, right_schema: Schema) -> ThetaCondition:
-        return theta_or_true(left_schema, right_schema, self._on)
 
     def _materialise(self, operator: PhysicalOperator, name: str) -> TPRelation:
         if isinstance(operator, ScanOperator):
@@ -182,52 +193,40 @@ class _JoinOperatorBase(PhysicalOperator):
         )
 
     def output_schema(self) -> Schema:
-        left_schema = self._left.output_schema()
-        right_schema = self._right.output_schema()
-        if self._kind is JoinKind.ANTI:
-            return left_schema
-        # Clashing right attributes get an "s." prefix; in a join *chain* the
-        # prefixed name itself can clash with an earlier join's prefix, so
-        # uniquify ("s2.", "s3.", ...) instead of raising a duplicate-schema
-        # error.
-        taken = set(left_schema.attributes)
-        right_attributes = []
-        for name in right_schema.attributes:
-            candidate = name
-            if candidate in taken:
-                candidate = f"s.{name}"
-                counter = 2
-                while candidate in taken:
-                    candidate = f"s{counter}.{name}"
-                    counter += 1
-            taken.add(candidate)
-            right_attributes.append(candidate)
-        return Schema(left_schema.attributes + tuple(right_attributes))
+        return join_output_schema(
+            self._kind.value,
+            self._left.output_schema(),
+            self._right.output_schema(),
+            self._right.input_name(),
+        )
+
+    def describe(self) -> str:
+        condition = " AND ".join(f"{left} = {right}" for left, right in self._on) or "true"
+        return f"{self.label} [{self._kind.value}] on {condition}"
 
     def estimated_cost(self) -> float:
         return self._left.estimated_cost() + self._right.estimated_cost()
+
+    def _produce(self) -> Iterator[TPTuple]:
+        left = self._materialise(self._left, "left")
+        right = self._materialise(self._right, "right")
+        theta = theta_or_true(left.schema, right.schema, self._on)
+        yield from self.joins[self._kind.value](
+            left, right, theta, compute_probabilities=False
+        )
 
 
 class NJJoinOperator(_JoinOperatorBase):
     """TP join evaluated with the paper's NJ pipeline (lineage-aware windows)."""
 
-    def describe(self) -> str:
-        condition = " AND ".join(f"{left} = {right}" for left, right in self._on) or "true"
-        return f"NJJoin [{self._kind.value}] on {condition}"
+    label = "NJJoin"
+    joins = BATCH_JOINS
 
     def estimated_cost(self) -> float:
         # NJ: one conventional join plus linear sweeps.
         left = self._left.estimated_cost()
         right = self._right.estimated_cost()
         return left + right + (left + right)
-
-    def _produce(self) -> Iterator[TPTuple]:
-        left_relation = self._materialise(self._left, "left")
-        right_relation = self._materialise(self._right, "right")
-        theta = self._theta(left_relation.schema, right_relation.schema)
-        join = BATCH_JOINS[self._kind.value]
-        result = join(left_relation, right_relation, theta, compute_probabilities=False)
-        yield from result
 
 
 class ParallelNJJoinOperator(_JoinOperatorBase):
@@ -240,6 +239,9 @@ class ParallelNJJoinOperator(_JoinOperatorBase):
     state-size cost model says the join is large enough to amortise process
     start-up; ``EXPLAIN`` renders it with a ``[parallel n=K]`` marker.
     """
+
+    label = "ParallelNJJoin"
+    joins = BATCH_JOINS
 
     def __init__(
         self,
@@ -258,10 +260,6 @@ class ParallelNJJoinOperator(_JoinOperatorBase):
         #: Read by EXPLAIN to render the ``[parallel n=K]`` annotation.
         self.parallel_workers = workers
         self.last_result = None
-
-    def describe(self) -> str:
-        condition = " AND ".join(f"{left} = {right}" for left, right in self._on) or "true"
-        return f"ParallelNJJoin [{self._kind.value}] on {condition}"
 
     def estimated_cost(self) -> float:
         # The NJ work divided across workers, plus a merge/serialization toll.
@@ -289,9 +287,8 @@ class ParallelNJJoinOperator(_JoinOperatorBase):
 class TAJoinOperator(_JoinOperatorBase):
     """TP join evaluated with the Temporal Alignment baseline."""
 
-    def describe(self) -> str:
-        condition = " AND ".join(f"{left} = {right}" for left, right in self._on) or "true"
-        return f"TAJoin [{self._kind.value}] on {condition}"
+    label = "TAJoin"
+    joins = TA_JOINS
 
     def estimated_cost(self) -> float:
         # TA: repeated conventional joins with replication → quadratic-ish.
@@ -299,78 +296,17 @@ class TAJoinOperator(_JoinOperatorBase):
         right = self._right.estimated_cost()
         return left + right + 2.0 * left * max(right, 1.0)
 
-    def _produce(self) -> Iterator[TPTuple]:
-        left_relation = self._materialise(self._left, "left")
-        right_relation = self._materialise(self._right, "right")
-        theta = self._theta(left_relation.schema, right_relation.schema)
-        if self._kind is JoinKind.ANTI:
-            result = ta_anti_join(left_relation, right_relation, theta, compute_probabilities=False)
-        elif self._kind is JoinKind.LEFT_OUTER:
-            result = ta_left_outer_join(
-                left_relation, right_relation, theta, compute_probabilities=False
-            )
-        elif self._kind is JoinKind.FULL_OUTER:
-            result = ta_full_outer_join(
-                left_relation, right_relation, theta, compute_probabilities=False
-            )
-        elif self._kind is JoinKind.RIGHT_OUTER:
-            # TA evaluates a right outer join as the mirrored left outer join.
-            from ..core.joins import swap_theta
-
-            mirrored = ta_left_outer_join(
-                right_relation, left_relation, swap_theta(theta), compute_probabilities=False
-            )
-            yield from _mirror_right_outer(mirrored, left_relation, right_relation)
-            return
-        elif self._kind is JoinKind.INNER:
-            result = tp_inner_join(left_relation, right_relation, theta, compute_probabilities=False)
-        else:  # pragma: no cover - all kinds handled
-            raise PlanError(f"unsupported join kind {self._kind}")
-        yield from result
-
 
 class NaiveJoinOperator(_JoinOperatorBase):
     """TP join evaluated with the naive per-time-point oracle (small inputs)."""
 
-    def describe(self) -> str:
-        condition = " AND ".join(f"{left} = {right}" for left, right in self._on) or "true"
-        return f"NaiveJoin [{self._kind.value}] on {condition}"
+    label = "NaiveJoin"
+    joins = NAIVE_JOINS
 
     def estimated_cost(self) -> float:
         left = self._left.estimated_cost()
         right = self._right.estimated_cost()
         return left * max(right, 1.0) * 10.0
-
-    def _produce(self) -> Iterator[TPTuple]:
-        left_relation = self._materialise(self._left, "left")
-        right_relation = self._materialise(self._right, "right")
-        theta = self._theta(left_relation.schema, right_relation.schema)
-        if self._kind is JoinKind.ANTI:
-            result = naive_anti_join(left_relation, right_relation, theta, compute_probabilities=False)
-        elif self._kind is JoinKind.LEFT_OUTER:
-            result = naive_left_outer_join(
-                left_relation, right_relation, theta, compute_probabilities=False
-            )
-        elif self._kind is JoinKind.FULL_OUTER:
-            result = naive_full_outer_join(
-                left_relation, right_relation, theta, compute_probabilities=False
-            )
-        else:
-            raise PlanError(
-                f"the naive strategy supports anti/left/full outer joins, not {self._kind.value}"
-            )
-        yield from result
-
-
-def _mirror_right_outer(
-    mirrored: TPRelation, left_relation: TPRelation, right_relation: TPRelation
-) -> Iterator[TPTuple]:
-    """Reorder the fact columns of a mirrored left outer join back to (left, right)."""
-    right_width = len(right_relation.schema)
-    for tp_tuple in mirrored:
-        right_part = tp_tuple.fact[:right_width]
-        left_part = tp_tuple.fact[right_width:]
-        yield TPTuple(tuple(left_part) + tuple(right_part), tp_tuple.lineage, tp_tuple.interval)
 
 
 def join_operator_for(

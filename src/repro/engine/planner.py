@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..core.joins import join_output_schema
 from ..parallel.plan import ParallelConfig, choose_partitions
 from ..relation import TPRelation
 from ..options import ExecutionOptions
@@ -116,8 +117,9 @@ class Planner:
             # A continuous join (or dataflow tree) consumes the streams' own
             # replays; selections stay above it and filter settled output.
             return None
-        left_schema = self._output_schema(join.left)
-        right_schema = self._output_schema(join.right)
+        # The physical operators own the schema rule (clash prefixes included).
+        left_schema = self._physicalise(join.left).output_schema()
+        right_schema = self._physicalise(join.right).output_schema()
         if select.attribute in left_schema:
             new_left = Select(join.left, select.attribute, select.value)
             return TPJoin(new_left, join.right, join.kind, join.on, join.strategy)
@@ -129,29 +131,6 @@ class Planner:
             new_right = Select(join.right, select.attribute, select.value)
             return TPJoin(join.left, new_right, join.kind, join.on, join.strategy)
         return None
-
-    def _output_schema(self, plan: LogicalPlan):
-        if isinstance(plan, Scan):
-            return self._catalog.lookup(plan.relation_name).schema
-        if isinstance(plan, StreamScan):
-            return self._catalog.lookup_stream(plan.stream_name).schema
-        if isinstance(plan, (Select, Timeslice)):
-            return self._output_schema(plan.child)
-        if isinstance(plan, Project):
-            return self._output_schema(plan.child).project(plan.attributes)
-        if isinstance(plan, TPJoin):
-            left = self._output_schema(plan.left)
-            right = self._output_schema(plan.right)
-            if plan.kind is JoinKind.ANTI:
-                return left
-            left_names = set(left.attributes)
-            renamed = tuple(
-                f"s.{name}" if name in left_names else name for name in right.attributes
-            )
-            from ..relation import Schema
-
-            return Schema(left.attributes + renamed)
-        raise PlanError(f"cannot infer schema of {plan.describe()}")
 
     # ------------------------------------------------------------------ #
     # physicalisation
@@ -343,8 +322,6 @@ class Planner:
         from ..dataflow import NodeSpec
         from .continuous import DataflowJoinOperator
 
-        from ..stream import continuous_output_schema
-
         nodes: list[NodeSpec] = []
         scans: list[ContinuousScanOperator] = []
 
@@ -373,7 +350,7 @@ class Planner:
             )
             return (
                 name,
-                continuous_output_schema(kind, left_schema, right_schema, right_name),
+                join_output_schema(kind, left_schema, right_schema, right_name),
                 left_streams + right_streams,
             )
 

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import groupby
 from typing import List, Optional, Sequence
 
-from ..core.joins import BATCH_JOINS
+from ..core.joins import BATCH_JOINS, join_output_schema
 from ..relation import Schema, TPRelation, TPTuple, theta_or_true
 from .plan import (
     ParallelConfig,
@@ -61,11 +62,22 @@ class ParallelJoinResult:
 def canonical_order(tuples: Sequence[TPTuple]) -> List[TPTuple]:
     """Sort tuples into the canonical deterministic output order.
 
-    The order is total over (fact, interval, lineage text), so any two runs
-    producing the same tuple *set* produce the same tuple *sequence* — the
-    order-stable merge contract of the subsystem.
+    The order is :meth:`TPTuple.key`'s — total over (fact, interval, lineage
+    text) — so any two runs producing the same tuple *set* produce the same
+    tuple *sequence*: the order-stable merge contract of the subsystem.  A
+    lineage is rendered only for tuples that tie on fact and interval; both
+    sorts are stable, so the result is ``sorted(tuples, key=TPTuple.key)``.
     """
-    return sorted(tuples, key=TPTuple.key)
+    prefixes = [tp_tuple.key_prefix() for tp_tuple in tuples]
+    order = sorted(range(len(prefixes)), key=prefixes.__getitem__)
+    ordered = [tuples[index] for index in order]
+    first = 0
+    for _tied, run in groupby(order, key=prefixes.__getitem__):
+        last = first + len(list(run))
+        if last - first > 1:
+            ordered[first:last] = sorted(ordered[first:last], key=TPTuple.key)
+        first = last
+    return ordered
 
 
 def _shard_worker(task: tuple) -> List[tuple]:
@@ -208,9 +220,8 @@ def parallel_tp_join(
     for codes in imap_tasks(_shard_worker, tasks, workers):
         shard_output_sizes.append(len(codes))
         merged.extend(decode_tuples(codes))
-    schema = _output_schema(kind, left, right, right_name)
     relation = TPRelation(
-        schema,
+        join_output_schema(kind, left.schema, right.schema, right_name),
         canonical_order(merged),
         events,
         name=f"{left_name} {kind} {right_name} [parallel n={workers}]",
@@ -225,13 +236,3 @@ def parallel_tp_join(
         shard_output_sizes=tuple(shard_output_sizes),
         elapsed_seconds=time.perf_counter() - started,
     )
-
-
-def _output_schema(
-    kind: str, left: TPRelation, right: TPRelation, right_name: str
-) -> Schema:
-    if kind == "anti":
-        return left.schema
-    from ..core.concat import combined_output_schema
-
-    return combined_output_schema(left.schema, right.schema, right_name)

@@ -97,6 +97,15 @@ class TPTuple:
         fact_key = tuple((value is None, "" if value is None else str(value)) for value in self.fact)
         return (fact_key, self.interval.start, self.interval.end, str(self.lineage))
 
+    def key_prefix(self) -> tuple:
+        """:meth:`key` short of its last component, the rendered lineage.
+
+        What a sort compares first; only tuples that tie here need the full
+        key (see :func:`repro.parallel.batch.canonical_order`).
+        """
+        fact_key = tuple((value is None, "" if value is None else str(value)) for value in self.fact)
+        return (fact_key, self.interval.start, self.interval.end)
+
     def __str__(self) -> str:
         fact = ", ".join("-" if value is None else str(value) for value in self.fact)
         probability = "?" if self.probability is None else f"{self.probability:.4g}"

@@ -8,12 +8,13 @@ Layers, bottom to top:
 * :mod:`repro.stream.incremental` — per-key overlap state with
   watermark-driven, retraction-free window finalization.
 * :mod:`repro.stream.operators` — :class:`ContinuousJoin`, one operator
-  class for the five Table II join kinds.
+  class for the five join kinds of :data:`repro.core.joins.TABLE_II`.
 * :mod:`repro.stream.query` — the :class:`StreamQuery` API: K
   key-partitioned shards driven by the runtime's one router
   (:func:`repro.runtime.driver.run_job`).
 """
 
+from ..core.joins import JOIN_KINDS, REVERSE_KINDS
 from .elements import (
     CLOSED,
     LEFT,
@@ -30,17 +31,7 @@ from .incremental import (
     MaintainerStats,
     OpenPositive,
 )
-from .operators import (
-    JOIN_KINDS,
-    REVERSE_KINDS,
-    ContinuousJoin,
-    continuous_join,
-    continuous_output_schema,
-    forward_group_tuples,
-    joined_output_schema,
-    reverse_group_tuples,
-    theta_from_pairs,
-)
+from .operators import ContinuousJoin, continuous_join, theta_from_pairs
 from .query import StreamDef, StreamQuery, StreamQueryResult, StreamStats
 from .source import SourceStats, StreamSource, merge_tagged
 
@@ -66,11 +57,7 @@ __all__ = [
     "Tagged",
     "Watermark",
     "continuous_join",
-    "continuous_output_schema",
-    "forward_group_tuples",
-    "joined_output_schema",
     "merge_tagged",
-    "reverse_group_tuples",
     "tag",
     "theta_from_pairs",
 ]

@@ -1,31 +1,26 @@
 """Continuous TP join operators over watermarked element streams.
 
-:class:`ContinuousJoin` mirrors the batch joins of the paper's Table II, one
-class parametrised by ``kind``.  Three kinds depend only on the windows of
-the positive (left) relation:
+:class:`ContinuousJoin` is the continuous counterpart of the batch joins,
+one class parametrised by ``kind``.  Which windows a kind keeps is stated
+once, in :data:`repro.core.joins.TABLE_II`, and every finalized overlap
+group is turned into output tuples by the same
+:func:`repro.core.joins.group_tuples` the batch joins call.
 
-* ``anti`` — ``r ▷ s``: unmatched and negating windows.
-* ``left_outer`` — ``r ⟕ s``: all three window classes.
-* ``inner`` — ``r ⋈ s``: overlapping windows only.
-
-Right and full outer joins additionally need the *reverse* windows — the
-unmatched and negating windows of ``s`` with respect to ``r``.  They run a
-second, mirrored :class:`~repro.stream.incremental.IncrementalWindowMaintainer`
-whose positive side is the right stream (θ swapped), while the overlapping
-windows keep coming from the forward maintainer so output lineages are
-constructed operand-for-operand like the batch joins build them (which keeps
-probabilities bitwise-comparable):
-
-* ``right_outer`` — ``r ⟖ s``.
-* ``full_outer`` — ``r ⟗ s``.
+The kinds that keep *reverse* windows (:data:`~repro.core.joins.
+REVERSE_KINDS`: the unmatched and negating windows of ``s`` with respect to
+``r``) run a second, mirrored :class:`~repro.stream.incremental.
+IncrementalWindowMaintainer` whose positive side is the right stream (θ
+swapped), while the overlapping windows keep coming from the forward
+maintainer so output lineages are constructed operand-for-operand like the
+batch joins build them (which keeps probabilities bitwise-comparable).
 
 The operator consumes :class:`~repro.stream.elements.Tagged` stream elements
 (events and watermarks of either side) and emits *finalized* output tuples:
 each output is produced exactly once, when the combined watermark passes the
 end of its originating positive tuple, and is never retracted.  Window
-derivation replays the unchanged batch sweeps over each completed overlap
-group, so a continuous run over any delivery order (within the lateness
-bound) emits exactly the batch join's output set.
+derivation and tuple formation are the batch derivation itself, applied to
+each completed overlap group, so a continuous run over any delivery order
+(within the lateness bound) emits exactly the batch join's output set.
 
 The retractable, early-emitting :class:`~repro.dataflow.operators.
 RevisionJoin` is a subclass: it shares the constructor, the maintainers,
@@ -49,17 +44,15 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.concat import (
-    combined_output_schema as joined_output_schema,
-    window_to_positive_tuple,
-    window_to_tuple,
-)
-from ..core.joins import swap_theta
-from ..core.lawan import iter_lawan
-from ..core.lawau import iter_lawau
-from ..core.overlap import OverlapGroup
 from ..columnar import maintainer_class
-from ..core.windows import WindowClass
+from ..core.joins import (
+    JOIN_SYMBOLS,
+    REVERSE_KINDS,
+    group_tuples,
+    join_output_schema,
+    swap_theta,
+)
+from ..core.overlap import OverlapGroup
 from ..lineage import EventSpace
 from ..relation import Schema, TPTuple, ThetaCondition, theta_or_true
 from .elements import LEFT, RIGHT, StreamEvent, Tagged, Watermark
@@ -83,91 +76,13 @@ def theta_from_pairs(
     return theta_or_true(left_schema, right_schema, on)
 
 
-# --------------------------------------------------------------------------- #
-# window-tuple derivation shared with the retractable dataflow operators
-# --------------------------------------------------------------------------- #
-#: Forward window classes each join kind turns into output tuples.
-_FORWARD_CLASSES: dict[str, frozenset] = {
-    "anti": frozenset({WindowClass.UNMATCHED, WindowClass.NEGATING}),
-    "left_outer": frozenset(
-        {WindowClass.UNMATCHED, WindowClass.OVERLAPPING, WindowClass.NEGATING}
-    ),
-    "inner": frozenset({WindowClass.OVERLAPPING}),
-    "right_outer": frozenset({WindowClass.OVERLAPPING}),
-    "full_outer": frozenset(
-        {WindowClass.UNMATCHED, WindowClass.OVERLAPPING, WindowClass.NEGATING}
-    ),
-}
-
-#: Join kinds with a continuous operator (the batch joins of Table II).
-JOIN_KINDS = frozenset(_FORWARD_CLASSES)
-
-#: Kinds that also derive the reverse windows (positive side = right stream).
-REVERSE_KINDS = frozenset({"right_outer", "full_outer"})
-
-
-def _require_kind(kind: str) -> None:
-    if kind not in JOIN_KINDS:
-        raise ValueError(
-            f"continuous execution supports {sorted(JOIN_KINDS)}, not {kind!r}"
-        )
-
-
-def continuous_output_schema(
-    kind: str, left_schema: Schema, right_schema: Schema, right_name: str = "s"
-) -> Schema:
-    """The output schema of a continuous join, without building the operator.
-
-    Callers that only need the schema (e.g. :class:`repro.stream.StreamQuery`
-    wrapping a finished run) skip constructing a window maintainer.
-    """
-    _require_kind(kind)
-    if kind == "anti":
-        return left_schema
-    return joined_output_schema(left_schema, right_schema, right_name)
-
-
-def forward_group_tuples(
-    kind: str, group: OverlapGroup, left_width: int, right_width: int
-) -> Iterator[TPTuple]:
-    """Output tuples a completed *forward* group (positive = left) yields."""
-    wanted = _FORWARD_CLASSES[kind]
-    # LAWAN is LAWAU plus the negating sweep; inner and right outer joins
-    # keep none of the negating windows, so they stop after LAWAU.
-    sweep = iter_lawan if WindowClass.NEGATING in wanted else iter_lawau
-    for window in sweep([group]):
-        if window.window_class not in wanted:
-            continue
-        if kind == "anti":
-            yield window_to_positive_tuple(window)
-        else:
-            yield window_to_tuple(window, left_width, right_width, left_is_positive=True)
-
-
-def reverse_group_tuples(
-    kind: str, group: OverlapGroup, left_width: int, right_width: int
-) -> Iterator[TPTuple]:
-    """Output tuples a completed *reverse* group (positive = right) yields.
-
-    Only the unmatched and negating windows of ``s`` w.r.t. ``r``: the
-    overlapping windows are shared with the forward direction (``WO(r;s,θ) =
-    WO(s;r,θ)``) and are emitted from there, with the batch joins' operand
-    order.
-    """
-    if kind not in REVERSE_KINDS:
-        return
-    for window in iter_lawan([group]):
-        if window.window_class is WindowClass.OVERLAPPING:
-            continue
-        yield window_to_tuple(window, left_width, right_width, left_is_positive=False)
-
-
 class ContinuousJoin:
     """A continuous TP join of one ``kind`` with watermark-driven finalization.
 
     Args:
-        kind: one of :data:`JOIN_KINDS`; kinds in :data:`REVERSE_KINDS`
-            additionally run the mirrored reverse maintainer.
+        kind: one of :data:`repro.core.joins.JOIN_KINDS`; kinds in
+            :data:`~repro.core.joins.REVERSE_KINDS` additionally run the
+            mirrored reverse maintainer.
         left_schema / right_schema: input schemas.
         on: ``(left_attribute, right_attribute)`` equality pairs (θ).
         events: merged event space of every source feeding this operator
@@ -191,12 +106,12 @@ class ContinuousJoin:
         clock: Callable[[], float] = time.perf_counter,
         layout: str = "object",
     ) -> None:
-        _require_kind(kind)
         if materialize_probabilities and events is None:
             raise ValueError("materialize_probabilities requires an event space")
         self.kind = kind
-        self._left_schema = left_schema
-        self._right_schema = right_schema
+        # Raises ``ValueError`` for a kind Table II does not list.
+        self._schema = join_output_schema(kind, left_schema, right_schema, right_name)
+        self._widths = len(left_schema), len(right_schema)
         self._theta = theta_from_pairs(left_schema, right_schema, on)
         self._left_name = left_name
         self._right_name = right_name
@@ -231,23 +146,12 @@ class ContinuousJoin:
         return self._reverse
 
     def output_schema(self) -> Schema:
-        return continuous_output_schema(
-            self.kind, self._left_schema, self._right_schema, self._right_name
-        )
-
-    _SYMBOLS = {
-        "anti": "▷",
-        "left_outer": "⟕",
-        "right_outer": "⟖",
-        "full_outer": "⟗",
-        "inner": "⋈",
-    }
+        return self._schema
 
     def describe(self) -> str:
-        symbol = self._SYMBOLS[self.kind]
         return (
-            f"ContinuousJoin[{self._left_name} {symbol} {self._right_name}] "
-            f"on {self._theta.describe()}"
+            f"ContinuousJoin[{self._left_name} {JOIN_SYMBOLS[self.kind]} "
+            f"{self._right_name}] on {self._theta.describe()}"
         )
 
     # ------------------------------------------------------------------ #
@@ -324,10 +228,7 @@ class ContinuousJoin:
         self, is_reverse: bool, group: OverlapGroup, key: Hashable
     ) -> Iterator[TPTuple]:
         """The output tuples of one group, with probabilities if materialized."""
-        derive = reverse_group_tuples if is_reverse else forward_group_tuples
-        tuples = derive(
-            self.kind, group, len(self._left_schema), len(self._right_schema)
-        )
+        tuples = group_tuples(self.kind, (group,), *self._widths, reverse=is_reverse)
         if not self._materialize:
             return tuples
         maintainer = self._reverse if is_reverse else self._forward

@@ -28,18 +28,14 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from ..columnar import resolve_layout
+from ..core.joins import REVERSE_KINDS, join_output_schema
 from ..lineage import EventSpace
 from ..obs.collector import QueryTelemetry, RunIntrospection
 from ..options import ExecutionOptions
 from ..relation import Schema, TPRelation, TPTuple
 from ..runtime.driver import Stage, run_job
 from .elements import LEFT, RIGHT, StreamElement
-from .operators import (
-    REVERSE_KINDS,
-    continuous_join,
-    continuous_output_schema,
-    theta_from_pairs,
-)
+from .operators import continuous_join, theta_from_pairs
 from .source import SourceStats
 
 
@@ -271,7 +267,7 @@ class StreamQuery(QueryTelemetry):
             late += report.late_dropped
 
         events = left_def.events.merge(right_def.events)
-        schema = continuous_output_schema(
+        schema = join_output_schema(
             self._kind,
             left_def.schema,
             right_def.schema,

@@ -1,86 +1,96 @@
-"""Table II: which window sets each TP join with negation uses."""
+"""Table II: which window sets each TP join keeps, and what it forms from them.
+
+``repro.core.joins.TABLE_II`` is the statement every join reads.  It is
+judged here against the paper's rows, spelled once below, and against the
+window-level classifier ``compute_windows``: for every kind, the join's
+output must be exactly the tuples formed by hand from the window sets the
+paper ticks — no window more, no window less.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import (
-    WINDOW_SETS_BY_OPERATOR,
+    TABLE_II,
+    WindowClass,
     compute_windows,
-    tp_anti_join,
-    tp_full_outer_join,
+    group_tuples,
+    overlap_join,
+    tp_join,
     tp_left_outer_join,
     tp_right_outer_join,
+    window_to_positive_tuple,
+    window_to_tuple,
 )
+from repro.dataflow.convergence import identity_rows
 from repro.lineage import canonical
+from tests.conftest import make_random_relations
+
+#: The paper's Table II, ✓ by ✓, in ``WindowSet`` field names (plus the inner
+#: join, which keeps the overlapping windows alone).
+PAPER_ROWS = {
+    "anti": {"unmatched_r", "negating_r"},
+    "left_outer": {"unmatched_r", "negating_r", "overlapping"},
+    "right_outer": {"overlapping", "unmatched_s", "negating_s"},
+    "full_outer": {"unmatched_r", "negating_r", "overlapping", "unmatched_s", "negating_s"},
+    "inner": {"overlapping"},
+}
+
+FIELD_OF = {
+    (WindowClass.UNMATCHED, False): "unmatched_r",
+    (WindowClass.NEGATING, False): "negating_r",
+    (WindowClass.OVERLAPPING, False): "overlapping",
+    (WindowClass.UNMATCHED, True): "unmatched_s",
+    (WindowClass.NEGATING, True): "negating_s",
+}
 
 
-class TestTableTwoDeclaration:
-    def test_anti_join_row(self):
-        assert WINDOW_SETS_BY_OPERATOR["anti"] == ("unmatched_r", "negating_r")
+def test_table_states_the_papers_rows():
+    stated = {
+        kind: {
+            FIELD_OF[window_class, reverse]
+            for reverse, kept in enumerate(sides)
+            for window_class in kept
+        }
+        for kind, sides in TABLE_II.items()
+    }
+    assert stated == PAPER_ROWS
 
-    def test_left_outer_row(self):
-        assert WINDOW_SETS_BY_OPERATOR["left_outer"] == (
-            "unmatched_r",
-            "negating_r",
-            "overlapping",
-        )
 
-    def test_right_outer_row(self):
-        assert WINDOW_SETS_BY_OPERATOR["right_outer"] == (
-            "overlapping",
-            "unmatched_s",
-            "negating_s",
-        )
+def formed_by_hand(kind, left, right, theta):
+    """The join's tuples, from exactly the window sets the paper ticks."""
+    windows = compute_windows(left, right, theta, include_reverse=True)
+    widths = len(left.schema), len(right.schema)
+    tuples = []
+    for field in sorted(PAPER_ROWS[kind]):
+        for window in getattr(windows, field):
+            if kind == "anti":
+                tuples.append(window_to_positive_tuple(window))
+            else:
+                tuples.append(
+                    window_to_tuple(window, *widths, left_is_positive=field[-1] != "s")
+                )
+    return tuples
 
-    def test_full_outer_row(self):
-        assert WINDOW_SETS_BY_OPERATOR["full_outer"] == (
-            "unmatched_r",
-            "negating_r",
-            "overlapping",
-            "unmatched_s",
-            "negating_s",
-        )
 
-    def test_every_operator_is_listed(self):
-        assert set(WINDOW_SETS_BY_OPERATOR) == {"anti", "left_outer", "right_outer", "full_outer"}
+@pytest.mark.parametrize("kind", sorted(PAPER_ROWS))
+class TestJoinsKeepExactlyTheirWindowSets:
+    def test_on_the_paper_example(self, kind, wants_to_visit, hotel_availability, loc_theta):
+        joined = tp_join(kind, wants_to_visit, hotel_availability, loc_theta)
+        by_hand = formed_by_hand(kind, wants_to_visit, hotel_availability, loc_theta)
+        assert identity_rows(joined, False) == identity_rows(by_hand, False)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_on_random_relations(self, kind, seed):
+        left, right, theta = make_random_relations(seed + 20)
+        joined = tp_join(kind, left, right, theta, compute_probabilities=False)
+        by_hand = formed_by_hand(kind, left, right, theta)
+        assert by_hand
+        assert identity_rows(joined, False) == identity_rows(by_hand, False)
 
 
 class TestOperatorsUseExactlyTheirWindowSets:
-    """The output cardinalities must equal the sizes of the declared window sets."""
-
-    @pytest.fixture()
-    def windows(self, wants_to_visit, hotel_availability, loc_theta):
-        return compute_windows(
-            wants_to_visit, hotel_availability, loc_theta, include_reverse=True
-        )
-
-    def test_anti_join_cardinality(self, windows, wants_to_visit, hotel_availability, loc_theta):
-        result = tp_anti_join(wants_to_visit, hotel_availability, loc_theta)
-        assert len(result) == len(windows.unmatched_r) + len(windows.negating_r)
-
-    def test_left_outer_cardinality(self, windows, wants_to_visit, hotel_availability, loc_theta):
-        result = tp_left_outer_join(wants_to_visit, hotel_availability, loc_theta)
-        assert len(result) == (
-            len(windows.unmatched_r) + len(windows.negating_r) + len(windows.overlapping)
-        )
-
-    def test_right_outer_cardinality(self, windows, wants_to_visit, hotel_availability, loc_theta):
-        result = tp_right_outer_join(wants_to_visit, hotel_availability, loc_theta)
-        assert len(result) == (
-            len(windows.overlapping) + len(windows.unmatched_s) + len(windows.negating_s)
-        )
-
-    def test_full_outer_cardinality(self, windows, wants_to_visit, hotel_availability, loc_theta):
-        result = tp_full_outer_join(wants_to_visit, hotel_availability, loc_theta)
-        assert len(result) == (
-            len(windows.unmatched_r)
-            + len(windows.negating_r)
-            + len(windows.overlapping)
-            + len(windows.unmatched_s)
-            + len(windows.negating_s)
-        )
-
     def test_overlapping_windows_are_shared_between_directions(
         self, wants_to_visit, hotel_availability, loc_theta
     ):
@@ -98,7 +108,48 @@ class TestOperatorsUseExactlyTheirWindowSets:
 
         assert overlapping_rows(left) == overlapping_rows(right)
 
-    def test_window_counts_helper(self, windows):
+    def test_window_counts_helper(self, wants_to_visit, hotel_availability, loc_theta):
+        windows = compute_windows(
+            wants_to_visit, hotel_availability, loc_theta, include_reverse=True
+        )
         counts = windows.counts()
         assert counts["overlapping"] == len(windows.overlapping)
         assert counts["negating_s"] == len(windows.negating_s)
+
+
+class TestPipelining:
+    """``group_tuples`` is the pipelined form: driven by its consumer, it
+    holds nothing beyond the group being swept."""
+
+    @pytest.fixture()
+    def fed(self, wants_to_visit, hotel_availability, loc_theta):
+        groups = overlap_join(wants_to_visit, hotel_availability, loc_theta)
+        pulled = []
+
+        def feed():
+            for group in groups:
+                pulled.append(group)
+                yield group
+
+        return groups, pulled, feed()
+
+    def test_the_first_tuple_pulls_only_the_first_group(self, fed):
+        groups, pulled, feed = fed
+        stream = group_tuples("left_outer", feed, 2, 2)
+        assert not pulled  # nothing happens before somebody asks
+        first = next(stream)
+        assert first.fact[0] == "Ann"
+        assert pulled == groups[:1] and len(groups) > 1
+
+    def test_the_rest_follows_group_by_group(
+        self, fed, wants_to_visit, hotel_availability, loc_theta
+    ):
+        groups, pulled, feed = fed
+        stream = group_tuples("left_outer", feed, 2, 2)
+        first = next(stream)
+        rest = list(stream)
+        assert pulled == groups
+        joined = tp_left_outer_join(
+            wants_to_visit, hotel_availability, loc_theta, compute_probabilities=False
+        )
+        assert [first, *rest] == list(joined)

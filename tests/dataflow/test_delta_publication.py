@@ -29,7 +29,7 @@ from repro import ExecutionOptions, Schema, TPRelation
 from repro.columnar import HAS_NUMPY
 from repro.dataflow import DataflowQuery, NodeSpec, Revision, RevisionJoin, RevisionKind
 from repro.dataflow.executor import merge_edges, source_edges
-from repro.core.joins import tp_anti_join, tp_full_outer_join, tp_left_outer_join
+from repro.core.joins import BATCH_JOINS
 from repro.relation import TPTuple, theta_or_true
 from repro.stream import JOIN_KINDS, LEFT, RIGHT, Tagged, Watermark
 
@@ -41,11 +41,6 @@ lawan_module = importlib.import_module("repro.core.lawan")
 
 ON = (("Key", "Key"),)
 KINDS = sorted(JOIN_KINDS)
-BATCH_JOINS = {
-    "anti": tp_anti_join,
-    "left_outer": tp_left_outer_join,
-    "full_outer": tp_full_outer_join,
-}
 LAYOUTS = ["object", "columnar"] if HAS_NUMPY else ["object"]
 
 

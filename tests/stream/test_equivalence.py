@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro import ExecutionOptions
-from repro.core import tp_anti_join, tp_left_outer_join
+from repro.core import BATCH_JOINS, tp_left_outer_join
 from repro.datasets import ReplayConfig, arrival_order, stream_def
 from repro.engine import Catalog
 from repro.lineage import canonical
@@ -36,11 +36,6 @@ def finalized_rows(relation_or_tuples) -> set[tuple]:
 
 #: The ``on`` pairs of the θ :func:`make_random_relations` builds.
 ON = [("Key", "Key")]
-
-BATCH_JOINS = {
-    "anti": tp_anti_join,
-    "left_outer": tp_left_outer_join,
-}
 
 
 def _run_continuous(kind, left, right, theta, disorder, lateness, watermark_every, seed):
