@@ -46,7 +46,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.overlap import OverlapGroup, OverlapRecord
+from ..core.overlap import OverlapGroup, OverlapRecord, sort_matches
 from ..lineage import EventSpace, ProbabilityComputer
 from ..relation import TPTuple, ThetaCondition
 from ..relation.predicates import TrueCondition
@@ -57,7 +57,6 @@ from ..stream.incremental import (
     MaintainerStats,
     OpenPositive,
     OpenStarts,
-    sort_matches,
 )
 from ..temporal import Interval
 
@@ -258,6 +257,7 @@ class ColumnarWindowMaintainer:
         return {
             "probability_cache_hits": sum(c.cache_hits for c in computers),
             "probability_cache_misses": sum(c.cache_misses for c in computers),
+            "probability_factorised": sum(c.factorised for c in computers),
         }
 
     # ------------------------------------------------------------------ #

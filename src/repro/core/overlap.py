@@ -17,16 +17,25 @@ grouped per originating ``r`` tuple (the paper's grouping by ``Fr`` and the
 initial interval), which is what both LAWAU and LAWAN consume.
 
 For equi-join conditions the pairing uses hash partitioning on the join key
-followed by a per-partition sort-merge over interval start points; for a
-general θ it falls back to a nested loop.  Either way the produced window
-stream per ``r`` tuple is ordered by overlap start, the order required by the
-sweeps.
+followed by a per-partition sort-merge over interval start points; a general
+θ is the same merge over one partition holding all of ``s``.  A partition is
+sorted by ``(start, end)`` once and indexed by two columns: its **starts**,
+and its **reach** — the running maximum of the ends, which unlike the ends
+themselves is non-decreasing.  For an ``r`` tuple, every ``s`` before
+``bisect_right(reach, r.start)`` has ended by ``r.start`` and every ``s``
+from ``bisect_left(starts, r.end)`` on starts at or after ``r.end``; only the
+slice between the two is looked at, so a pass costs the partition's sort plus
+the candidates that can overlap, not a prefix scan of the partition per ``r``
+tuple.  Either way the produced window stream per ``r`` tuple is ordered by
+overlap start (:func:`sort_matches`), the order required by the sweeps.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from itertools import accumulate, groupby
+from typing import Hashable, Iterable, Iterator, Optional
 
 from ..relation import TPRelation, TPTuple, ThetaCondition
 from ..temporal import Interval
@@ -96,6 +105,11 @@ class OverlapGroup:
         return len(self.matches)
 
 
+#: One partition of ``s``: its tuples sorted by ``(start, end)``, their
+#: starts, and the running maximum of their ends.
+_Bucket = tuple[list[TPTuple], list[int], list[int]]
+
+
 def overlap_join(
     positive: TPRelation,
     negative: TPRelation,
@@ -107,13 +121,21 @@ def overlap_join(
     group are ordered by overlap start (ties broken by overlap end and the
     negative tuple's fact) — the order LAWAU and LAWAN require.
     """
-    groups = [OverlapGroup(r) for r in positive]
     if theta.is_equi:
-        _pair_equi(groups, negative, theta)
+        left_key, right_key = theta.left_key, theta.right_key
     else:
-        _pair_nested_loop(groups, negative, theta)
+        # General θ: every pair is a candidate, so all of s is one partition.
+        left_key = right_key = _whole_relation
+    partitions: dict[Hashable, list[TPTuple]] = {}
+    for s in negative:
+        partitions.setdefault(right_key(s), []).append(s)
+    buckets = {key: _index_bucket(bucket) for key, bucket in partitions.items()}
+    groups = [OverlapGroup(r) for r in positive]
     for group in groups:
-        group.matches.sort(key=_match_order)
+        bucket = buckets.get(left_key(group.r))
+        if bucket is not None:
+            _merge_bucket(group, bucket, theta)
+            sort_matches(group.matches)
     return groups
 
 
@@ -127,61 +149,79 @@ def iter_overlap_records(
         yield from group.records()
 
 
-def _match_order(record: OverlapRecord) -> tuple:
-    assert record.s is not None
-    return (record.interval.start, record.interval.end, record.s.key())
+def _whole_relation(tp_tuple: TPTuple) -> Hashable:
+    return None
 
 
-def _pair_equi(
-    groups: list[OverlapGroup], negative: TPRelation, theta: ThetaCondition
-) -> None:
-    """Hash-partition both inputs on the join key, then merge per partition."""
-    partitions: dict[object, list[TPTuple]] = {}
-    for s in negative:
-        partitions.setdefault(theta.right_key(s), []).append(s)
-    for bucket in partitions.values():
-        bucket.sort(key=lambda t: (t.start, t.end))
-    for group in groups:
-        key = theta.left_key(group.r)
-        bucket = partitions.get(key)
-        if not bucket:
-            continue
-        _merge_bucket(group, bucket, theta)
+def _bounds(item: TPTuple | OverlapRecord) -> tuple[int, int]:
+    """The sort key both orders start from: the item's ``(start, end)``."""
+    interval = item.interval
+    return (interval.start, interval.end)
 
 
-def _merge_bucket(
-    group: OverlapGroup, bucket: list[TPTuple], theta: ThetaCondition
-) -> None:
-    """Collect overlaps of ``group.r`` against a start-sorted bucket."""
+def _index_bucket(bucket: list[TPTuple]) -> _Bucket:
+    """Sort one partition by ``(start, end)`` and build its two columns."""
+    bucket.sort(key=_bounds)
+    starts = [s.interval.start for s in bucket]
+    reach = list(accumulate((s.interval.end for s in bucket), max))
+    return bucket, starts, reach
+
+
+def _merge_bucket(group: OverlapGroup, bucket: _Bucket, theta: ThetaCondition) -> None:
+    """Collect the overlaps of ``group.r`` within one indexed partition."""
+    tuples, starts, reach = bucket
     r = group.r
-    for s in bucket:
-        if s.start >= r.end:
-            break
-        overlap = r.interval.intersect(s.interval)
-        if overlap is None:
+    r_start, r_end = _bounds(r)
+    matches = group.matches
+    for index in range(bisect_right(reach, r_start), bisect_left(starts, r_end)):
+        s = tuples[index]
+        s_end = s.interval.end
+        # Inside the slice a tuple starts before r ends; it may still have
+        # ended before r starts (the reach is a maximum, not its own end).
+        if s_end <= r_start:
             continue
-        # For composite equi-keys the hash key already guarantees θ, but a
-        # general ThetaCondition may carry extra non-equality conjuncts, so
-        # the predicate is still evaluated.
+        # The key already guarantees an equi-θ, except where dictionary
+        # lookup and ``==`` disagree (a ``nan`` is found by identity but
+        # equals nothing), and a general θ decides nothing before this.
         if theta.evaluate(r, s):
-            group.matches.append(OverlapRecord(r, s, overlap))
+            s_start = starts[index]
+            matches.append(
+                OverlapRecord(
+                    r,
+                    s,
+                    Interval(
+                        s_start if s_start > r_start else r_start,
+                        s_end if s_end < r_end else r_end,
+                    ),
+                )
+            )
 
 
-def _pair_nested_loop(
-    groups: list[OverlapGroup], negative: TPRelation, theta: ThetaCondition
-) -> None:
-    """General-θ pairing: compare every (r, s) pair."""
-    negative_sorted = sorted(negative, key=lambda t: (t.start, t.end))
-    for group in groups:
-        r = group.r
-        for s in negative_sorted:
-            if s.start >= r.end:
-                break
-            overlap = r.interval.intersect(s.interval)
-            if overlap is None:
-                continue
-            if theta.evaluate(r, s):
-                group.matches.append(OverlapRecord(r, s, overlap))
+def _negative_key(record: OverlapRecord) -> tuple:
+    return record.s.key()
+
+
+def sort_matches(matches: list[OverlapRecord]) -> None:
+    """Sort one group's overlap records into sweep order, in place.
+
+    The total order is overlap start, then end, then the negative tuple's
+    rendered :meth:`~repro.relation.TPTuple.key` — but the key is rendered
+    only for records that tie on ``(start, end)``.  Both sorts are stable,
+    so records that tie on the full key keep their relative order exactly as
+    one three-component sort would leave them.
+    """
+    if len(matches) < 2:
+        return
+    matches.sort(key=_bounds)
+    bounds = [_bounds(record) for record in matches]
+    if len(set(bounds)) == len(bounds):
+        return
+    first = 0
+    for _tied, run in groupby(bounds):
+        last = first + len(list(run))
+        if last - first > 1:
+            matches[first:last] = sorted(matches[first:last], key=_negative_key)
+        first = last
 
 
 def iter_overlapping(groups: Iterable[OverlapGroup]) -> Iterator[Window]:

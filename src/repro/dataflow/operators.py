@@ -58,10 +58,10 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.overlap import OverlapGroup
+from ..core.overlap import OverlapGroup, sort_matches
 from ..relation import Schema, TPTuple
 from ..stream.elements import LEFT, RIGHT, StreamEvent, Tagged, Watermark
-from ..stream.incremental import FinalizedGroup, OpenPositive, sort_matches
+from ..stream.incremental import FinalizedGroup, OpenPositive
 from ..stream.operators import ContinuousJoin
 from .revision import Revision, RevisionElement, RevisionKind
 

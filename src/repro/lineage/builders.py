@@ -6,6 +6,14 @@ being valid).  The helpers here apply the cheap, always-safe rewrites —
 constant folding, flattening of nested conjunctions/disjunctions, removal of
 duplicate operands and double negation — so that lineages stay small without
 requiring a full logic minimiser on the hot path.
+
+The operands a join of base relations hands in cannot trigger any of those
+rewrites: ``and(λr, λs)`` / ``and(λr, ¬λs)`` take two operands that are each
+a variable or a negation, and the disjunction of a negating window takes
+distinct variables.  :func:`lineage_and` and :func:`lineage_or` recognise
+these by exact node type and build the node directly; every other operand
+list goes through the general flatten / fold / dedupe construction, which
+returns the same node for these.
 """
 
 from __future__ import annotations
@@ -28,6 +36,13 @@ def lineage_and(*operands: LineageExpr) -> LineageExpr:
     conjunctions and removal of duplicates while preserving first-occurrence
     order.  An empty conjunction is ``true``.
     """
+    if len(operands) == 2:
+        left, right = operands
+        if (type(left) is Var or type(left) is Not) and (
+            type(right) is Var or type(right) is Not
+        ):
+            # Neither a constant nor a conjunction: only equality can fold.
+            return left if left == right else And(operands)
     flat = _flatten(operands, And)
     if any(operand is FALSE or operand == FALSE for operand in flat):
         return FALSE
@@ -47,6 +62,10 @@ def lineage_or(*operands: LineageExpr) -> LineageExpr:
     disjunctions and removal of duplicates.  An empty disjunction is
     ``false``.
     """
+    names = {operand.name for operand in operands if type(operand) is Var}
+    if len(names) == len(operands) > 0:
+        # Distinct variables only: nothing folds, flattens or repeats.
+        return operands[0] if len(operands) == 1 else Or(operands)
     flat = _flatten(operands, Or)
     if any(operand is TRUE or operand == TRUE for operand in flat):
         return TRUE

@@ -322,6 +322,7 @@ class MetricsAggregator:
                 for name in (
                     "probability_cache_hits",
                     "probability_cache_misses",
+                    "probability_factorised",
                 )
                 if name in counters
             ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numbers
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Optional, Sequence
 
 from .schema import Schema
@@ -108,16 +108,25 @@ class TrueCondition(ThetaCondition):
 
 @dataclass(frozen=True)
 class EquiJoinCondition(ThetaCondition):
-    """Equality of one or more attribute pairs (``r.A = s.B ∧ ...``)."""
+    """Equality of one or more attribute pairs (``r.A = s.B ∧ ...``).
+
+    The attribute names are resolved to fact positions once, at
+    construction (which is also where an unknown name raises).
+    """
 
     left_schema: Schema
     right_schema: Schema
     pairs: tuple[tuple[str, str], ...]
+    _positions: tuple[tuple[int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        for left_name, right_name in self.pairs:
-            self.left_schema.index(left_name)
-            self.right_schema.index(right_name)
+        positions = tuple(
+            (self.left_schema.index(left_name), self.right_schema.index(right_name))
+            for left_name, right_name in self.pairs
+        )
+        object.__setattr__(self, "_positions", positions)
 
     @classmethod
     def on(
@@ -129,23 +138,20 @@ class EquiJoinCondition(ThetaCondition):
         """Create a condition from ``(left_attr, right_attr)`` pairs."""
         return cls(left_schema, right_schema, tuple(pairs))
 
-    def _left_indexes(self) -> tuple[int, ...]:
-        return tuple(self.left_schema.index(name) for name, _ in self.pairs)
-
-    def _right_indexes(self) -> tuple[int, ...]:
-        return tuple(self.right_schema.index(name) for _, name in self.pairs)
-
     def evaluate(self, left: TPTuple, right: TPTuple) -> bool:
+        left_fact, right_fact = left.fact, right.fact
         return all(
-            left.fact[self.left_schema.index(l_name)] == right.fact[self.right_schema.index(r_name)]
-            for l_name, r_name in self.pairs
+            left_fact[left_index] == right_fact[right_index]
+            for left_index, right_index in self._positions
         )
 
     def left_key(self, left: TPTuple) -> Hashable:
-        return tuple(left.fact[index] for index in self._left_indexes())
+        fact = left.fact
+        return tuple(fact[index] for index, _ in self._positions)
 
     def right_key(self, right: TPTuple) -> Hashable:
-        return tuple(right.fact[index] for index in self._right_indexes())
+        fact = right.fact
+        return tuple(fact[index] for _, index in self._positions)
 
     @property
     def is_equi(self) -> bool:

@@ -47,19 +47,21 @@ Three extensions serve the retractable dataflow subsystem
 * **Per-key probability computers** — when constructed with an event space,
   the maintainer owns one :class:`~repro.lineage.ProbabilityComputer` per
   join key, carried across *all* windows of a live continuous query.
-  Windows of one key then share memoised sub-expression probabilities, and
-  the values stay bitwise-identical to a fresh computation (the memo only
-  ever returns a value it previously computed the uncached way).
+  Over base events every window lineage has one of the NJ shapes and is
+  answered from the marginals; over a derived input the windows of one key
+  share memoised sub-expression probabilities.  Either way the values are
+  bitwise-identical to a fresh computation (the factorised path performs
+  the general path's float operations, and the memo only ever returns a
+  value it previously computed the uncached way).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
-from ..core.overlap import OverlapGroup, OverlapRecord
+from ..core.overlap import OverlapGroup, OverlapRecord, sort_matches
 from ..lineage import EventSpace, ProbabilityComputer
 from ..relation import TPTuple, ThetaCondition
 from .elements import CLOSED
@@ -115,38 +117,6 @@ class FinalizedGroup:
     ingest_clock: float
     key: Hashable = None
     serial: int = 0
-
-
-def _overlap_bounds(record: OverlapRecord) -> Tuple[int, int]:
-    interval = record.interval
-    return (interval.start, interval.end)
-
-
-def _negative_key(record: OverlapRecord) -> tuple:
-    return record.s.key()
-
-
-def sort_matches(matches: List[OverlapRecord]) -> None:
-    """Sort one group's overlap records into sweep order, in place.
-
-    The same total order as :func:`repro.core.overlap._match_order` —
-    overlap start, then end, then the negative tuple's rendered key — but
-    the key is rendered only for records that tie on ``(start, end)``.  Both
-    sorts are stable, so records that tie on the full key keep their
-    relative order exactly as one three-component sort would leave them.
-    """
-    if len(matches) < 2:
-        return
-    matches.sort(key=_overlap_bounds)
-    bounds = [_overlap_bounds(record) for record in matches]
-    if len(set(bounds)) == len(bounds):
-        return
-    first = 0
-    for _tied, run in groupby(bounds):
-        last = first + len(list(run))
-        if last - first > 1:
-            matches[first:last] = sorted(matches[first:last], key=_negative_key)
-        first = last
 
 
 class OpenStarts:
@@ -262,11 +232,13 @@ class IncrementalWindowMaintainer:
         return computer
 
     def probability_counters(self) -> Dict[str, int]:
-        """Summed memo telemetry across all per-key computers."""
+        """Summed telemetry across all per-key computers: memo lookups, and
+        the lineages answered factorised without consulting it."""
         computers = self._computers.values()
         return {
             "probability_cache_hits": sum(c.cache_hits for c in computers),
             "probability_cache_misses": sum(c.cache_misses for c in computers),
+            "probability_factorised": sum(c.factorised for c in computers),
         }
 
     # ------------------------------------------------------------------ #

@@ -16,18 +16,25 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List
 
-from repro.core.overlap import OverlapGroup, _match_order
+from repro.core.overlap import OverlapGroup, OverlapRecord
 from repro.dataflow.operators import GroupId, RevisionJoin
 from repro.dataflow.revision import Revision, RevisionElement, RevisionKind
 from repro.relation import TPTuple
 from repro.stream.incremental import FinalizedGroup, OpenPositive
 
 
+def _match_order(record: OverlapRecord) -> tuple:
+    """The sweep order, stated in one key: overlap start, overlap end, then
+    the negative tuple's rendered key.  ``repro.core.overlap.sort_matches``
+    must leave exactly what a stable sort by this leaves."""
+    return (record.interval.start, record.interval.end, record.s.key())
+
+
 def group_of(entry: OpenPositive) -> OverlapGroup:
     """The (possibly still open) overlap group of one maintainer entry.
 
-    Matches are sorted into sweep order on a copy, by the batch pipeline's
-    own three-component key.
+    Matches are sorted into sweep order on a copy, by the referee's own
+    three-component key.
     """
     return OverlapGroup(entry.tuple, sorted(entry.matches, key=_match_order))
 

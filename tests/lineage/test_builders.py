@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
+
+import pytest
+
 from repro.lineage import (
     FALSE,
     TRUE,
@@ -96,3 +100,75 @@ class TestConvenience:
         expr = lineage_or(Var("b3"), Var("b2"), Var("b3"))
         assert isinstance(expr, Or)
         assert expr.operands == (Var("b3"), Var("b2"))
+
+
+A, B, C = Var("a"), Var("b"), Var("c")
+#: Equal to the constants, but not the module's singletons.
+UNPICKLED_TRUE = pickle.loads(pickle.dumps(TRUE))
+UNPICKLED_FALSE = pickle.loads(pickle.dumps(FALSE))
+
+
+class TestDirectConstruction:
+    """Operand lists that cannot fold are built without the general pass.
+
+    An extra identity operand (``true`` for a conjunction, ``false`` for a
+    disjunction) forces the general flatten / fold / dedupe construction and
+    folds away, so it is the referee for what the direct return must equal.
+    """
+
+    @pytest.mark.parametrize(
+        "operands",
+        [
+            (A, B),
+            (A, A),
+            (A, Not(B)),
+            (Not(B), Not(B)),
+            (Not(A), A),
+            (A, Not(Or((B, C)))),
+            (A, Not(Or((B, B)))),
+            (A, Not(TRUE)),
+            (A, UNPICKLED_TRUE),
+            (A, UNPICKLED_FALSE),
+            (UNPICKLED_TRUE, Not(A)),
+            (A, And((B, C))),
+            (A, Or((B, C))),
+            (A,),
+            (Not(A),),
+        ],
+        ids=str,
+    )
+    def test_conjunction_equals_the_general_construction(self, operands):
+        assert lineage_and(*operands) == lineage_and(*operands, TRUE)
+
+    @pytest.mark.parametrize(
+        "operands",
+        [
+            (A,),
+            (A, B),
+            (C, A, B),
+            (A, A),
+            (B, A, B),
+            (A, UNPICKLED_FALSE),
+            (A, UNPICKLED_TRUE),
+            (A, Not(B)),
+            (A, Or((B, C))),
+            (Or((A, A)),),
+            (Not(A),),
+        ],
+        ids=str,
+    )
+    def test_disjunction_equals_the_general_construction(self, operands):
+        assert lineage_or(*operands) == lineage_or(*operands, FALSE)
+
+    def test_unpickled_constants_still_fold(self):
+        assert UNPICKLED_TRUE is not TRUE and UNPICKLED_FALSE is not FALSE
+        assert lineage_and(A, UNPICKLED_TRUE) == A
+        assert lineage_and(A, UNPICKLED_FALSE) == FALSE
+        assert lineage_or(A, UNPICKLED_FALSE) == A
+        assert lineage_or(A, UNPICKLED_TRUE) == TRUE
+
+    def test_direct_nodes_have_the_expected_shape(self):
+        assert lineage_and(A, Not(Or((B, C)))) == And((A, Not(Or((B, C)))))
+        assert lineage_and(Not(B), Not(B)) == Not(B)
+        assert lineage_or(C, A, B) == Or((C, A, B))
+        assert lineage_or(A) is A

@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lineage import (
+    TRUE,
+    And,
     EventSpace,
+    Not,
+    Or,
     ProbabilityComputer,
+    UnknownEventError,
     Var,
     and_not,
     canonical,
@@ -148,3 +154,101 @@ def test_one_computer_over_shuffled_lineages_equals_fresh_computers_bitwise(
     shared = ProbabilityComputer(events)
     for expr in lineages:
         assert shared.probability(expr) == expected[id(expr)]
+
+
+def near_misses():
+    """One step off each NJ shape, built with the raw constructors so that
+    nothing is folded away before the computer sees it."""
+    r, r2, s1, s2 = (Var(name) for name in VARIABLE_NAMES[:4])
+    return st.sampled_from(
+        [
+            And((r, r)),
+            And((r, Not(r))),
+            And((r, Not(Or((r, s1))))),  # λr among the negatives
+            And((r, Not(Or((s1, s1))))),  # a repeated negative
+            And((r, Not(Or((s1, s2, s1))))),
+            And((And((r, r2)), Not(Or((s1, s2))))),  # a derived λr
+            And((And((r, r2)), s1)),
+            And((r, s1, s2)),  # a third conjunct
+            And((Not(s1), r)),  # the negation first
+            And((r, Not(And((s1, s2))))),
+            And((r, Not(Not(s1)))),
+            And((r, Not(TRUE))),
+            And((r, Not(Or((s1, TRUE))))),
+            Not(TRUE),
+            Not(r),
+            Or((r, s1)),
+        ]
+    )
+
+
+@given(join_lineages(), st.integers(min_value=0, max_value=50))
+@settings(max_examples=150)
+def test_factorised_nj_shapes_equal_the_general_path_bitwise(expr, seed):
+    """Same float operations in the same order: ``==`` on floats, no tolerance."""
+    events = event_space_for(seed)
+    computer = ProbabilityComputer(events)
+    assert computer.probability(expr) == ProbabilityComputer(events)._probability(expr)
+    assert (computer.factorised, computer.cache_misses) == (1, 0)
+
+
+@given(near_misses(), st.integers(min_value=0, max_value=50))
+@settings(max_examples=150)
+def test_near_misses_of_the_nj_shapes_take_the_general_path(expr, seed):
+    events = event_space_for(seed)
+    computer = ProbabilityComputer(events)
+    assert computer.probability(expr) == ProbabilityComputer(events)._probability(expr)
+    assert computer.factorised == 0
+    assert abs(computer.probability(expr) - brute_force_probability(expr, events)) < 1e-9
+
+
+def test_negating_product_keeps_the_general_paths_order():
+    """``p(r)·∏(1−p(si))`` is the same number on paper and another float:
+    the factorised answer must be the general path's
+    ``p(r)·(1−(1−∏(1−p(si))))``."""
+    events = EventSpace({"r": 0.13, "s1": 0.85, "s2": 0.76})
+    expr = and_not(Var("r"), lineage_or(Var("s1"), Var("s2")))
+    computer = ProbabilityComputer(events)
+    assert computer.probability(expr) == 0.0046800000000000045
+    assert computer.factorised == 1
+    assert computer._probability(expr) == 0.0046800000000000045
+    assert 0.13 * ((1.0 - 0.85) * (1.0 - 0.76)) == 0.004680000000000001
+
+
+def test_certain_base_tuples_still_answer_a_float():
+    """Int marginals (a relation loaded with ``p = 1``): the general product
+    starts from ``1.0``, so ``λr ∧ λs`` is ``1.0`` there, not ``1``."""
+    events = EventSpace({"r": 1, "s": 1})
+    for expr in (Var("r"), lineage_and(Var("r"), Var("s")), and_not(Var("r"), Var("s"))):
+        fast = ProbabilityComputer(events).probability(expr)
+        general = ProbabilityComputer(events)._probability(expr)
+        assert (type(fast), fast) == (type(general), general)
+
+
+Z, M, A = Var("z"), Var("m"), Var("a")
+
+
+@pytest.mark.parametrize(
+    ("expr", "known", "named"),
+    [
+        (Z, (), "z"),
+        (lineage_and(Z, M), (), "m"),
+        (and_not(Z, M), (), "m"),
+        (and_not(Z, M), ("z",), "m"),
+        (and_not(Z, lineage_or(M, A)), (), "a"),
+        (and_not(Z, lineage_or(M, A)), ("z",), "a"),
+        (and_not(Z, lineage_or(M, A)), ("z", "a"), "m"),
+    ],
+)
+def test_unknown_event_is_named_as_the_general_path_names_it(expr, known, named):
+    """A missing marginal falls through to validation, which names the first
+    missing variable in sorted order — here never the first the product
+    meets (``z``, then the disjunction left to right)."""
+    events = EventSpace({name: 0.5 for name in known})
+    with pytest.raises(UnknownEventError) as general:
+        events.validate_lineage(expr)
+    computer = ProbabilityComputer(events)
+    with pytest.raises(UnknownEventError) as factorised:
+        computer.probability(expr)
+    assert factorised.value.args == general.value.args == (named,)
+    assert computer.factorised == 0

@@ -105,18 +105,21 @@ class TestComputerAndHelpers:
 
     def test_sub_expression_shared_across_lineages_hits(self, events):
         """Two windows' lineages over the same negatives: the second call
-        finds ``¬(b1 ∨ b2)`` memoised although every node is a new object."""
+        finds ``¬(b1 ∨ b2)`` memoised although every node is a new object.
+        The positives are derived (a join over a join's output), so the
+        memo serves them; over base events the shape is factorised."""
         computer = ProbabilityComputer(events)
         first = computer.probability(
-            and_not(Var("a1"), lineage_or(Var("b1"), Var("b2")))
+            and_not(lineage_and(Var("a1"), Var("b3")), lineage_or(Var("b1"), Var("b2")))
         )
-        assert (computer.cache_hits, first) == (0, pytest.approx(0.7 * 0.1 * 0.4))
+        assert (computer.cache_hits, first) == (0, pytest.approx(0.7 * 0.7 * 0.1 * 0.4))
         second = computer.probability(
-            and_not(Var("a2"), lineage_or(Var("b1"), Var("b2")))
+            and_not(lineage_and(Var("a2"), Var("b3")), lineage_or(Var("b1"), Var("b2")))
         )
         assert computer.cache_hits >= 1
+        assert computer.factorised == 0
         assert second == ProbabilityComputer(events).probability(
-            and_not(Var("a2"), lineage_or(Var("b1"), Var("b2")))
+            and_not(lineage_and(Var("a2"), Var("b3")), lineage_or(Var("b1"), Var("b2")))
         )
 
     def test_forced_memo_reset_keeps_values_bitwise(self, events, monkeypatch):
@@ -125,8 +128,10 @@ class TestComputerAndHelpers:
         # The package re-exports the function ``probability`` over the module.
         module = sys.modules["repro.lineage.probability"]
         monkeypatch.setattr(module, "_MEMO_LIMIT", 3)
+        # Derived positives (and, with b3 among the negatives, a shared
+        # variable): none of these is factorised, the memo answers them all.
         lineages = [
-            and_not(Var(positive), lineage_or(*map(Var, negatives)))
+            and_not(lineage_and(Var(positive), Var("b3")), lineage_or(*map(Var, negatives)))
             for positive in ("a1", "a2")
             for negatives in (("b1", "b2"), ("b2", "b3"), ("b1", "b2", "b3"))
         ]
@@ -134,6 +139,7 @@ class TestComputerAndHelpers:
         for lineage in lineages + lineages:
             fresh = ProbabilityComputer(events).probability(lineage)
             assert computer.probability(lineage) == fresh  # bitwise
+        assert computer.factorised == 0
         # Without a reset the repeated pass would have been all hits.
         assert computer.cache_misses > 3 * len(lineages)
 

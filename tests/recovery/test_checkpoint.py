@@ -187,7 +187,8 @@ def _frame_bytes_after(groups: int) -> int:
     outputs = join.process(Tagged(RIGHT, Watermark(5000)))
     assert join.stats.groups_finalized == groups
     assert all(tp_tuple.probability is not None for tp_tuple in outputs)
-    assert join.maintainer.probability_counters()["probability_cache_misses"] >= groups
+    counters = join.maintainer.probability_counters()
+    assert counters["probability_factorised"] + counters["probability_cache_misses"] >= groups
     join.process(Tagged(LEFT, StreamEvent(still_open.tuples[0])))
     assert join.maintainer.open_positives == 1
     return len(pickle.dumps(encode_maintainer(join.maintainer)))
