@@ -39,7 +39,7 @@ from ..core.concat import (
     window_to_tuple,
 )
 from ..core.joins import swap_theta
-from ..core.overlap import overlap_join
+from ..core.overlap import overlap_join, overlapping_windows
 from ..core.windows import Window, WindowClass
 from ..lineage import disjunction_of
 from ..relation import TPRelation, TPTuple, ThetaCondition
@@ -98,11 +98,7 @@ def ta_overlapping_windows(
     approaches' dominant cost is "a conventional left join").
     """
     pairing_theta = _ForceNestedLoop(theta) if nested_loop else theta
-    windows: list[Window] = []
-    for group in overlap_join(positive, negative, pairing_theta):
-        for record in group.matches:
-            windows.append(record.to_window())
-    return windows
+    return overlapping_windows(positive, negative, pairing_theta)
 
 
 def ta_unmatched_windows(

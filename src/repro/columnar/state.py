@@ -26,7 +26,8 @@ those columns:
   compaction once dead rows dominate;
 * **finalization** — the combined watermark selects closable open rows
   with one mask per bucket; the completed groups then replay the
-  *unchanged* batch sweeps (:func:`repro.core.lawan.iter_lawan`), so
+  *unchanged* batch sweeps (:func:`repro.core.lawau.gap_sweep` and
+  :func:`repro.core.lawan.negating_sweep`), so
   window derivation — and therefore output — is identical by construction.
 
 Equivalence contract: for the same input sequence this class produces the

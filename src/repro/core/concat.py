@@ -12,6 +12,10 @@ the window's class (Section II of the paper):
 Output facts are padded with ``None`` on the side a window has no fact for
 (rendered as ``-`` in the paper's Fig. 1b); the anti join simply projects the
 padded side away.
+
+The NJ joins apply these rules inside :func:`repro.core.joins.group_tuples`,
+straight from the sweeps' spans; the window-level functions below state them
+class by class for the baselines and the tests that referee those joins.
 """
 
 from __future__ import annotations

@@ -15,30 +15,35 @@ inner join r ⋈ s                              ✓
 ===================  =========  =========  =========  =========  =========
 
 :data:`TABLE_II` is that table and :func:`group_tuples` the one place that
-reads it: it sweeps overlap groups, keeps the windows of the classes a kind
-wants and forms each output tuple with the class's lineage-concatenation
-function.  The batch joins (:func:`tp_join`), the continuous operators
-(:class:`repro.stream.ContinuousJoin` and its retractable subclass) and the
-engine's NJ operator all derive their tuples through it; the baselines under
-:mod:`repro.baselines` keep an independent class-by-class statement of the
-same table and are what the tests judge this one against.
+reads it: it sweeps overlap groups, keeps the spans of the classes a kind
+wants and forms each output tuple once, with the class's
+lineage-concatenation function and, when given a probability computer, the
+tuple's probability.  The batch joins (:func:`tp_join`), the continuous
+operators (:class:`repro.stream.ContinuousJoin` and its retractable
+subclass) and the engine's NJ operator all derive their tuples through it;
+the baselines under :mod:`repro.baselines` and the window-level path
+(:func:`~repro.core.concat.window_to_tuple` over :func:`lawan` windows, then
+:meth:`~repro.relation.TPRelation.with_probabilities`) keep an independent
+class-by-class statement of the same table and are what the tests judge this
+one against.
 
 Probabilities are computed from the shared event space unless the caller
-opts out (benchmarks measure window computation and probability computation
-separately, like the paper measures runtimes without final materialisation
-cost differences).
+opts out (Fig. 7 measures the joins without materialising them, like the
+paper).
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterable, Iterator, Optional
 
+from ..lineage import ProbabilityComputer, and_not, lineage_and
 from ..relation import Schema, TPRelation, TPTuple, ThetaCondition
-from .concat import combined_output_schema, window_to_positive_tuple, window_to_tuple
-from .lawan import iter_lawan, lawan, negating_windows
-from .lawau import iter_lawau, lawau
-from .overlap import OverlapGroup, iter_overlapping, overlap_join
+from .concat import combined_output_schema
+from .lawan import lawan, negating_sweep, negating_windows
+from .lawau import gap_sweep, lawau
+from .overlap import OverlapGroup, overlap_join, overlap_spans
 from .windows import Window, WindowClass, WindowSet
 
 _U, _N, _O = WindowClass.UNMATCHED, WindowClass.NEGATING, WindowClass.OVERLAPPING
@@ -145,33 +150,51 @@ def group_tuples(
     left_width: int,
     right_width: int,
     reverse: bool = False,
+    computer: Optional[ProbabilityComputer] = None,
 ) -> Iterator[TPTuple]:
     """The output tuples join ``kind`` forms from completed overlap groups.
 
     ``groups`` are overlap groups of ``r`` w.r.t. ``s`` — or, with
     ``reverse``, of ``s`` w.r.t. ``r`` (θ swapped), whose facts go into the
     right-hand columns.  Tuples are produced lazily, group by group: a
-    group's LAWAU windows first, then its negating windows.
+    group's LAWAU windows first, then its negating windows.  Each is formed
+    once, straight from the sweep's span: the class's concatenation
+    (``and`` / pass-through / ``andNot``), the padded fact, and — given a
+    ``computer`` — the probability of the lineage.
     """
     wanted = TABLE_II[kind][reverse]
     if not wanted:
         return
-    # LAWAN is LAWAU plus the negating sweep and LAWAU the overlap records
-    # plus the gaps between them: run no more of the pipeline than is kept.
-    if _N in wanted:
-        sweep = iter_lawan
-    elif _U in wanted:
-        sweep = iter_lawau
-    else:
-        sweep = iter_overlapping
-    for window in sweep(groups):
-        if window.window_class not in wanted:
-            continue
-        if kind == "anti":
-            yield window_to_positive_tuple(window)
+    keep_u, keep_n, keep_o = _U in wanted, _N in wanted, _O in wanted
+    positive_only = kind == "anti"
+    pad = (None,) * (left_width if reverse else right_width)
+    probability = None if computer is None else computer.probability
+    for group in groups:
+        r = group.r
+        fact_r, lineage_r = tuple(r.fact), r.lineage
+        padded = fact_r if positive_only else (pad + fact_r if reverse else fact_r + pad)
+        # LAWAN is LAWAU plus the negating sweep and LAWAU the overlap records
+        # plus the gaps between them: run no more of the pipeline than is kept.
+        if keep_n:
+            spans = chain(gap_sweep(group), negating_sweep(group))
+        elif keep_u:
+            spans = gap_sweep(group)
         else:
-            yield window_to_tuple(
-                window, left_width, right_width, left_is_positive=not reverse
+            spans = overlap_spans(group)
+        for window_class, interval, fact_s, lineage_s in spans:
+            if window_class is _N:
+                fact, lineage = padded, and_not(lineage_r, lineage_s)
+            elif window_class is _U:
+                if not keep_u:
+                    continue
+                fact, lineage = padded, lineage_r
+            elif keep_o:
+                # Only kept of r w.r.t. s, by a kind with the combined schema.
+                fact, lineage = fact_r + tuple(fact_s), lineage_and(lineage_r, lineage_s)
+            else:
+                continue
+            yield TPTuple(
+                fact, lineage, interval, None if probability is None else probability(lineage)
             )
 
 
@@ -204,14 +227,13 @@ def tp_join(
         left.schema, left.tuples, events, name=left.name, check_constraint=False
     )
     widths = len(left.schema), len(right.schema)
-    tuples = list(group_tuples(kind, overlap_join(merged, right, theta), *widths))
+    # One computer for both halves, consulted in output order.
+    computer = ProbabilityComputer(events) if compute_probabilities else None
+    tuples = list(group_tuples(kind, overlap_join(merged, right, theta), *widths, computer=computer))
     if kind in REVERSE_KINDS:
         reverse_groups = overlap_join(right, merged, swap_theta(theta))
-        tuples.extend(group_tuples(kind, reverse_groups, *widths, reverse=True))
-    result = merged.derived(
-        schema, tuples, name=f"{left.name} {JOIN_SYMBOLS[kind]} {right.name}"
-    )
-    return result.with_probabilities() if compute_probabilities else result
+        tuples.extend(group_tuples(kind, reverse_groups, *widths, reverse=True, computer=computer))
+    return merged.derived(schema, tuples, name=f"{left.name} {JOIN_SYMBOLS[kind]} {right.name}")
 
 
 def tp_anti_join(

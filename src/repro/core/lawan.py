@@ -20,23 +20,32 @@ The sweep follows the paper's description:
 * unmatched and overlapping windows of ``WUO`` are copied to the output
   unchanged, interleaved with the negating windows they give rise to.
 
+The sweep, :func:`negating_sweep`, is written once and yields bare
+:data:`~repro.core.windows.Span` records; :func:`iter_lawan` and
+:func:`negating_windows` wrap them in :class:`~repro.core.windows.Window`,
+while :func:`repro.core.joins.group_tuples` forms output tuples from them
+directly.
+
 The module also contains :func:`lawan_rescan`, a deliberately simpler variant
 that re-scans the active matches for every elementary segment instead of
 maintaining the priority queue.  It produces the same windows and exists only
-as the comparison point for the ablation benchmark (DESIGN.md, ablation A1).
+as the comparison point for the ablation benchmark
+(``benchmarks/bench_ablation_queue.py``).
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import count
+from itertools import chain, count
 from typing import Iterable, Iterator
 
 from ..lineage import LineageExpr, disjunction_of
 from ..temporal import Interval
 from .overlap import OverlapGroup
-from .lawau import iter_lawau
-from .windows import Window, WindowClass
+from .lawau import gap_sweep
+from .windows import Span, Window, WindowClass, span_windows
+
+_N = WindowClass.NEGATING
 
 
 def lawan(groups: Iterable[OverlapGroup]) -> list[Window]:
@@ -51,27 +60,23 @@ def lawan(groups: Iterable[OverlapGroup]) -> list[Window]:
 def iter_lawan(groups: Iterable[OverlapGroup]) -> Iterator[Window]:
     """Pipelined LAWAN: yield overlapping, unmatched and negating windows.
 
-    The unmatched and overlapping windows are produced by the embedded LAWAU
-    sweep (they must be copied to the output); negating windows are
-    interleaved per group, ordered by start.
+    Per group, the WUO windows of the LAWAU sweep come first (the paper:
+    "the unmatched and overlapping windows in WUO need to be also copied"),
+    then the group's negating windows, ordered by start.
     """
     for group in groups:
-        # Copy WUO windows of this group to the output (the paper: "the
-        # unmatched and overlapping windows in WUO need to be also copied").
-        yield from iter_lawau([group])
-        # Emit the group's negating windows from the priority-queue sweep.
-        yield from _negating_sweep(group)
+        yield from span_windows(group.r, chain(gap_sweep(group), negating_sweep(group)))
 
 
 def negating_windows(groups: Iterable[OverlapGroup]) -> list[Window]:
     """Only the negating windows ``WN(r; s, θ)`` (the paper's WN measurement)."""
     windows: list[Window] = []
     for group in groups:
-        windows.extend(_negating_sweep(group))
+        windows.extend(span_windows(group.r, negating_sweep(group)))
     return windows
 
 
-def _negating_sweep(group: OverlapGroup) -> Iterator[Window]:
+def negating_sweep(group: OverlapGroup) -> Iterator[Span]:
     """Priority-queue sweep over one group's overlapping windows.
 
     The queue holds ``(end, tiebreak, lineage)`` entries for the currently
@@ -83,7 +88,6 @@ def _negating_sweep(group: OverlapGroup) -> Iterator[Window]:
     matches = group.matches
     if not matches:
         return
-    r = group.r
     tiebreak = count()
     queue: list[tuple[int, int, LineageExpr]] = []
     index = 0
@@ -111,15 +115,7 @@ def _negating_sweep(group: OverlapGroup) -> Iterator[Window]:
         assert current_time is not None
         if boundary > current_time:
             lineage_s = disjunction_of(entry[2] for entry in queue)
-            yield Window(
-                fact_r=r.fact,
-                fact_s=None,
-                interval=Interval(current_time, boundary),
-                lineage_r=r.lineage,
-                lineage_s=lineage_s,
-                window_class=WindowClass.NEGATING,
-                source_interval=r.interval,
-            )
+            yield _N, Interval(current_time, boundary), None, lineage_s
             current_time = boundary
 
         # Admit windows starting at the boundary, then retire finished ones.

@@ -24,6 +24,11 @@ they collapse to the following three situations during the sweep:
 Existing windows (overlapping and fully-unmatched) are copied to the output
 unchanged, so the result ``WUO`` contains every overlapping and every
 unmatched window of ``r`` with respect to ``s`` — the input LAWAN expects.
+
+The sweep, :func:`gap_sweep`, is written once and yields bare
+:data:`~repro.core.windows.Span` records; :func:`iter_lawau` and friends
+wrap them in :class:`~repro.core.windows.Window`, while
+:func:`repro.core.joins.group_tuples` forms output tuples from them directly.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ from typing import Iterable, Iterator
 
 from ..temporal import Interval
 from .overlap import OverlapGroup
-from .windows import Window, WindowClass
+from .windows import Span, Window, WindowClass, span_windows
+
+_U, _O = WindowClass.UNMATCHED, WindowClass.OVERLAPPING
 
 
 def lawau(groups: Iterable[OverlapGroup]) -> list[Window]:
@@ -48,16 +55,16 @@ def lawau(groups: Iterable[OverlapGroup]) -> list[Window]:
 def iter_lawau(groups: Iterable[OverlapGroup]) -> Iterator[Window]:
     """Pipelined LAWAU: yield the windows of ``WUO`` group by group."""
     for group in groups:
-        yield from _sweep_group(group)
+        yield from span_windows(group.r, gap_sweep(group))
 
 
-def _sweep_group(group: OverlapGroup) -> Iterator[Window]:
-    """Sweep one ``r`` tuple's interval and emit its WUO windows in order."""
+def gap_sweep(group: OverlapGroup) -> Iterator[Span]:
+    """Sweep one ``r`` tuple's interval and yield its WUO spans in order."""
     r = group.r
     if not group.matches:
         # The conventional outer join already pads fully-unmatched tuples;
         # copy that padded row through as an unmatched window over r.T.
-        yield _unmatched(r.fact, r.lineage, r.interval, r.interval)
+        yield _U, r.interval, None, None
         return
 
     wind_ts = r.start
@@ -65,30 +72,19 @@ def _sweep_group(group: OverlapGroup) -> Iterator[Window]:
         overlap = record.interval
         if overlap.start > wind_ts:
             # Case 1/2: a gap before the next overlapping window.
-            yield _unmatched(r.fact, r.lineage, Interval(wind_ts, overlap.start), r.interval)
+            yield _U, Interval(wind_ts, overlap.start), None, None
             wind_ts = overlap.start
-        # Copy the overlapping window (enhanced with r's initial interval).
-        yield record.to_window()
+        # Copy the overlapping window.
+        s = record.s
+        yield _O, overlap, s.fact, s.lineage
         if overlap.end > wind_ts:
             # Case 3/4: advance the sweep past the covered part.
             wind_ts = overlap.end
     if wind_ts < r.end:
         # Case 5: the tail of r's interval after the last overlapping window.
-        yield _unmatched(r.fact, r.lineage, Interval(wind_ts, r.end), r.interval)
-
-
-def _unmatched(fact, lineage, interval: Interval, source: Interval) -> Window:
-    return Window(
-        fact_r=fact,
-        fact_s=None,
-        interval=interval,
-        lineage_r=lineage,
-        lineage_s=None,
-        window_class=WindowClass.UNMATCHED,
-        source_interval=source,
-    )
+        yield _U, Interval(wind_ts, r.end), None, None
 
 
 def unmatched_windows(groups: Iterable[OverlapGroup]) -> list[Window]:
     """Only the unmatched windows ``WU(r; s, θ)`` from a LAWAU run."""
-    return [w for w in iter_lawau(groups) if w.window_class is WindowClass.UNMATCHED]
+    return [w for w in iter_lawau(groups) if w.window_class is _U]

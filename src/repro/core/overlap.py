@@ -35,74 +35,37 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, groupby
-from typing import Hashable, Iterable, Iterator, Optional
+from typing import Hashable, Iterator
 
 from ..relation import TPRelation, TPTuple, ThetaCondition
 from ..temporal import Interval
-from .windows import Window, WindowClass
+from .windows import Span, Window, WindowClass, span_windows
 
 
 @dataclass(frozen=True, slots=True)
 class OverlapRecord:
-    """One row of the conventional outer join ``r ⟕_{θo ∧ θ} s``.
+    """One matched row of the conventional outer join ``r ⟕_{θo ∧ θ} s``.
 
-    ``s`` is ``None`` for the rows padded by the outer join (an ``r`` tuple
-    with no overlapping, θ-matching partner), in which case ``interval`` is
-    ``r``'s full interval.
+    ``interval`` is ``r.T ∩ s.T``.  The row the outer join pads for an
+    ``r`` tuple without partners is no record (see :class:`OverlapGroup`).
     """
 
     r: TPTuple
-    s: Optional[TPTuple]
+    s: TPTuple
     interval: Interval
-
-    @property
-    def is_unmatched(self) -> bool:
-        """Whether this record is an outer-join padded (unmatched) row."""
-        return self.s is None
-
-    def to_window(self) -> Window:
-        """Render the record as a generalized lineage-aware temporal window."""
-        if self.s is None:
-            return Window(
-                fact_r=self.r.fact,
-                fact_s=None,
-                interval=self.interval,
-                lineage_r=self.r.lineage,
-                lineage_s=None,
-                window_class=WindowClass.UNMATCHED,
-                source_interval=self.r.interval,
-            )
-        return Window(
-            fact_r=self.r.fact,
-            fact_s=self.s.fact,
-            interval=self.interval,
-            lineage_r=self.r.lineage,
-            lineage_s=self.s.lineage,
-            window_class=WindowClass.OVERLAPPING,
-            source_interval=self.r.interval,
-        )
 
 
 @dataclass(slots=True)
 class OverlapGroup:
     """All overlap records of one ``r`` tuple, ordered by overlap start.
 
-    ``matches`` is empty exactly when the ``r`` tuple is fully unmatched; in
-    that case the conventional outer join emits a single padded record, which
-    :meth:`records` reproduces.
+    ``matches`` is empty exactly when the ``r`` tuple is fully unmatched; the
+    single row the conventional outer join pads for it is the unmatched span
+    over ``r.T`` that :func:`repro.core.lawau.gap_sweep` yields.
     """
 
     r: TPTuple
     matches: list[OverlapRecord] = field(default_factory=list)
-
-    def records(self) -> list[OverlapRecord]:
-        """The outer-join rows for this group (padded row when no matches)."""
-        if not self.matches:
-            return [OverlapRecord(self.r, None, self.r.interval)]
-        return list(self.matches)
-
-    def match_count(self) -> int:
-        return len(self.matches)
 
 
 #: One partition of ``s``: its tuples sorted by ``(start, end)``, their
@@ -137,16 +100,6 @@ def overlap_join(
             _merge_bucket(group, bucket, theta)
             sort_matches(group.matches)
     return groups
-
-
-def iter_overlap_records(
-    positive: TPRelation,
-    negative: TPRelation,
-    theta: ThetaCondition,
-) -> Iterator[OverlapRecord]:
-    """Pipelined variant: yield the outer-join rows group by group."""
-    for group in overlap_join(positive, negative, theta):
-        yield from group.records()
 
 
 def _whole_relation(tp_tuple: TPTuple) -> Hashable:
@@ -224,11 +177,11 @@ def sort_matches(matches: list[OverlapRecord]) -> None:
         first = last
 
 
-def iter_overlapping(groups: Iterable[OverlapGroup]) -> Iterator[Window]:
-    """Pipelined WO: the overlap records themselves as windows, no sweep."""
-    for group in groups:
-        for record in group.matches:
-            yield record.to_window()
+def overlap_spans(group: OverlapGroup) -> Iterator[Span]:
+    """One group's WO spans: its overlap records themselves, no sweep."""
+    for record in group.matches:
+        s = record.s
+        yield WindowClass.OVERLAPPING, record.interval, s.fact, s.lineage
 
 
 def overlapping_windows(
@@ -237,4 +190,8 @@ def overlapping_windows(
     theta: ThetaCondition,
 ) -> list[Window]:
     """Only the overlapping windows ``WO(r; s, θ)``."""
-    return list(iter_overlapping(overlap_join(positive, negative, theta)))
+    return [
+        window
+        for group in overlap_join(positive, negative, theta)
+        for window in span_windows(group.r, overlap_spans(group))
+    ]

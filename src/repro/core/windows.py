@@ -14,6 +14,13 @@ into three disjoint classes (the paper's Table I):
   which the set of valid, θ-matching ``s`` tuples is constant and non-empty;
   ``Fs`` is null and ``λs`` is the disjunction of the matching lineages.
 
+The sweeps do not build a :class:`Window` per window: within one overlap
+group ``Fr``, ``λr`` and the source interval are the group's own, so a sweep
+yields a bare :data:`Span` — ``(window_class, interval, fact_s, lineage_s)``
+— and its consumer adds the group's part.  :func:`span_windows` does that
+for the window-level API; :func:`repro.core.joins.group_tuples` forms output
+tuples from the spans directly.
+
 Besides the :class:`Window` record used by the algorithms, this module also
 provides *declarative* predicates that restate Table I directly in terms of
 per-time-point matching lineages.  The algorithms never call them (they would
@@ -25,9 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
-from ..lineage import FALSE, LineageExpr, disjunction_of, equivalent
+from ..lineage import LineageExpr, disjunction_of, equivalent
 from ..relation import TPRelation, TPTuple, ThetaCondition
 from ..temporal import Interval
 
@@ -79,6 +86,18 @@ class Window:
             f"{self.window_class.value}({self.fact_r}, {fact_s}, {self.interval}, "
             f"{self.lineage_r}, {lineage_s})"
         )
+
+
+#: One window as a sweep yields it: ``(window_class, interval, fact_s,
+#: lineage_s)``, the window short of the positive tuple its group belongs to.
+Span = tuple[WindowClass, Interval, Optional[tuple], Optional[LineageExpr]]
+
+
+def span_windows(r: TPTuple, spans: Iterable[Span]) -> Iterator[Window]:
+    """The windows of positive tuple ``r`` that one group's ``spans`` describe."""
+    fact_r, lineage_r, source = r.fact, r.lineage, r.interval
+    for window_class, interval, fact_s, lineage_s in spans:
+        yield Window(fact_r, fact_s, interval, lineage_r, lineage_s, window_class, source)
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,8 +282,3 @@ def classify_window(
     if is_negating_window(window, positive, negative, theta):
         return WindowClass.NEGATING
     return None
-
-
-def negating_lineage(window: Window) -> LineageExpr:
-    """The negative-side lineage of a window, with null treated as ``false``."""
-    return window.lineage_s if window.lineage_s is not None else FALSE

@@ -14,8 +14,9 @@ and runs its strategy's batch join (:class:`repro.engine.physical.
 NJJoinOperator` calls :func:`repro.core.joins.tp_join`) before the first
 tuple leaves.  The pipelined form of the NJ derivation — nothing buffered
 beyond the current overlap group — is :func:`repro.core.joins.group_tuples`
-over ``iter_lawau`` / ``iter_lawan``, which is how the continuous operators
-consume it.
+over the one LAWAU and the one LAWAN sweep per group
+(:func:`repro.core.lawau.gap_sweep`, :func:`repro.core.lawan.negating_sweep`),
+which is how the continuous operators consume it.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ reporting module.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -23,7 +24,11 @@ from ..relation import EquiJoinCondition, TPRelation, ThetaCondition
 
 @dataclass(frozen=True, slots=True)
 class Measurement:
-    """One timed run: an approach on a dataset at one input size."""
+    """One timed run: an approach on a dataset at one input size.
+
+    ``collector_ms`` and ``gen2_collections`` are the cyclic collector's
+    share of ``seconds``: its time in any generation and its full passes.
+    """
 
     experiment: str
     dataset: str
@@ -31,6 +36,37 @@ class Measurement:
     size: int
     seconds: float
     output_count: int
+    collector_ms: float = 0.0
+    gen2_collections: int = 0
+
+
+class CollectorMeter:
+    """The cyclic collector's activity inside one ``with`` block.
+
+    A :data:`gc.callbacks` hook is registered for the block only; the
+    collector's policy (enabled, thresholds, frozen objects) is left as the
+    process set it.
+    """
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self.gen2_collections = 0
+        self._started = 0.0
+
+    def __enter__(self) -> "CollectorMeter":
+        gc.callbacks.append(self._observe)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        gc.callbacks.remove(self._observe)
+
+    def _observe(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        self.seconds += time.perf_counter() - self._started
+        if info["generation"] == 2:
+            self.gen2_collections += 1
 
 
 @dataclass(frozen=True)
@@ -67,9 +103,10 @@ class ExperimentSpec:
         for size in sizes if sizes is not None else self.default_sizes:
             positive, negative, theta = self.build_workload(size, seed)
             for series in self.series:
-                started = time.perf_counter()
-                result = series.run(positive, negative, theta)
-                elapsed = time.perf_counter() - started
+                with CollectorMeter() as collector:
+                    started = time.perf_counter()
+                    result = series.run(positive, negative, theta)
+                    elapsed = time.perf_counter() - started
                 measurements.append(
                     Measurement(
                         experiment=self.experiment_id,
@@ -78,6 +115,8 @@ class ExperimentSpec:
                         size=size,
                         seconds=elapsed,
                         output_count=len(result),
+                        collector_ms=collector.seconds * 1000,
+                        gen2_collections=collector.gen2_collections,
                     )
                 )
         return measurements

@@ -21,7 +21,11 @@ from .experiments import ExperimentSpec, Measurement
 
 
 def measurements_table(measurements: Sequence[Measurement]) -> str:
-    """Render measurements as a fixed-width table (size × series runtimes)."""
+    """Render measurements as a fixed-width table (size × series runtimes).
+
+    Beside each runtime stand the collector's milliseconds within it and
+    its full (generation-2) collections.
+    """
     if not measurements:
         return "(no measurements)"
     series_names = _series_order(measurements)
@@ -29,13 +33,18 @@ def measurements_table(measurements: Sequence[Measurement]) -> str:
     for measurement in measurements:
         by_size[measurement.size][measurement.series] = measurement
 
-    header = ["size", *(f"{name} [ms]" for name in series_names), *(f"{name} windows" for name in series_names)]
+    header = ["size"]
+    for name in series_names:
+        header += [f"{name} [ms]", f"{name} gc [ms]", f"{name} gen2"]
+    header += [f"{name} windows" for name in series_names]
     rows: list[list[str]] = []
     for size in sorted(by_size):
         row = [str(size)]
         for name in series_names:
             cell = by_size[size].get(name)
-            row.append("-" if cell is None else f"{cell.seconds * 1000:.1f}")
+            row += ["-"] * 3 if cell is None else [
+                f"{cell.seconds * 1000:.1f}", f"{cell.collector_ms:.1f}", str(cell.gen2_collections)
+            ]
         for name in series_names:
             cell = by_size[size].get(name)
             row.append("-" if cell is None else str(cell.output_count))
@@ -86,7 +95,10 @@ def write_csv(measurements: Iterable[Measurement], path: str | Path) -> None:
     destination.parent.mkdir(parents=True, exist_ok=True)
     with destination.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["experiment", "dataset", "series", "size", "seconds", "output_count"])
+        writer.writerow([
+            "experiment", "dataset", "series", "size", "seconds", "output_count",
+            "collector_ms", "gen2_collections",
+        ])
         for measurement in measurements:
             writer.writerow(
                 [
@@ -96,6 +108,8 @@ def write_csv(measurements: Iterable[Measurement], path: str | Path) -> None:
                     measurement.size,
                     f"{measurement.seconds:.6f}",
                     measurement.output_count,
+                    f"{measurement.collector_ms:.3f}",
+                    measurement.gen2_collections,
                 ]
             )
 
@@ -111,7 +125,9 @@ def bench_payload(
     ``seed`` is the workload-generator seed the run used; recording it makes
     every ``BENCH_*.json`` self-reproducing (re-run the same experiment with
     the recorded seed and sizes to regenerate the identical workload).
-    ``cpu_count`` and ``environment`` say what the seconds were measured on.
+    ``cpu_count`` and ``environment`` say what the seconds were measured on,
+    ``collector_ms`` and ``gen2_collections`` how much of them was the
+    cyclic collector.
     """
     return {
         "experiment": spec.experiment_id,
@@ -127,6 +143,8 @@ def bench_payload(
                 "size": m.size,
                 "seconds": round(m.seconds, 6),
                 "output_count": m.output_count,
+                "collector_ms": round(m.collector_ms, 3),
+                "gen2_collections": m.gen2_collections,
             }
             for m in measurements
         ],

@@ -41,7 +41,7 @@ positive event and the emission of its finalized outputs — is recorded in
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..columnar import maintainer_class
@@ -228,14 +228,12 @@ class ContinuousJoin:
         self, is_reverse: bool, group: OverlapGroup, key: Hashable
     ) -> Iterator[TPTuple]:
         """The output tuples of one group, with probabilities if materialized."""
-        tuples = group_tuples(self.kind, (group,), *self._widths, reverse=is_reverse)
-        if not self._materialize:
-            return tuples
-        maintainer = self._reverse if is_reverse else self._forward
-        computer = maintainer.computer_for(key)
-        return (
-            replace(tp_tuple, probability=computer.probability(tp_tuple.lineage))
-            for tp_tuple in tuples
+        computer = None
+        if self._materialize:
+            maintainer = self._reverse if is_reverse else self._forward
+            computer = maintainer.computer_for(key)
+        return group_tuples(
+            self.kind, (group,), *self._widths, reverse=is_reverse, computer=computer
         )
 
     # ------------------------------------------------------------------ #

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from repro import Schema, TPRelation, equi_join_on
-from repro.core import WindowClass, overlap_join, overlapping_windows
+from repro.core import WindowClass, lawau, overlap_join, overlapping_windows
+from repro.core.lawau import gap_sweep
 from repro.core.overlap import OverlapRecord, sort_matches
 from repro.relation import PredicateCondition, TPTuple, TrueCondition
 from repro.temporal import Interval
@@ -34,19 +35,19 @@ class TestPaperExample:
     ):
         groups = overlap_join(wants_to_visit, hotel_availability, loc_theta)
         jim = groups[1]
-        assert jim.match_count() == 0
-        records = jim.records()
-        assert len(records) == 1
-        assert records[0].is_unmatched
-        assert records[0].interval == Interval(7, 10)
+        assert not jim.matches
+        padded = list(gap_sweep(jim))
+        assert padded == [(WindowClass.UNMATCHED, Interval(7, 10), None, None)]
 
     def test_record_to_window_classes(self, wants_to_visit, hotel_availability, loc_theta):
         groups = overlap_join(wants_to_visit, hotel_availability, loc_theta)
-        ann_window = groups[0].matches[0].to_window()
+        ann_window = overlapping_windows(wants_to_visit, hotel_availability, loc_theta)[0]
         assert ann_window.window_class is WindowClass.OVERLAPPING
+        assert ann_window.interval == groups[0].matches[0].interval
         assert ann_window.source_interval == Interval(2, 8)
-        jim_window = groups[1].records()[0].to_window()
+        (jim_window,) = lawau(groups[1:])
         assert jim_window.window_class is WindowClass.UNMATCHED
+        assert jim_window.source_interval == jim_window.interval == Interval(7, 10)
 
     def test_overlapping_windows_helper(self, wants_to_visit, hotel_availability, loc_theta):
         windows = overlapping_windows(wants_to_visit, hotel_availability, loc_theta)
@@ -95,7 +96,7 @@ class TestPairingStrategies:
         positive, negative, _ = make_random_relations(3)
         never = PredicateCondition(lambda left, right: False, label="never")
         groups = overlap_join(positive, negative, never)
-        assert all(group.match_count() == 0 for group in groups)
+        assert not any(group.matches for group in groups)
 
     def test_adjacent_intervals_do_not_overlap(self):
         left = TPRelation.from_rows(Schema.of("K"), [("k", "l1", 1, 4, 0.5)])
@@ -107,7 +108,7 @@ class TestPairingStrategies:
         empty = TPRelation(Schema.of("Hotel", "Loc"), events=wants_to_visit.events)
         theta = equi_join_on(wants_to_visit.schema, empty.schema, [("Loc", "Loc")])
         groups = overlap_join(wants_to_visit, empty, theta)
-        assert all(group.match_count() == 0 for group in groups)
+        assert not any(group.matches for group in groups)
 
     def test_empty_positive_relation(self, hotel_availability):
         empty = TPRelation(Schema.of("Name", "Loc"), events=hotel_availability.events)

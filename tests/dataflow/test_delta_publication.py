@@ -36,8 +36,8 @@ from repro.stream import JOIN_KINDS, LEFT, RIGHT, Tagged, Watermark
 from tests.dataflow.conftest import make_stream_catalog
 from tests.dataflow.reference_publisher import ReferenceRevisionJoin
 
-#: The module, not the function ``repro.core`` re-exports under its name.
-lawan_module = importlib.import_module("repro.core.lawan")
+#: Where ``group_tuples`` looks up the one negating sweep it runs per group.
+joins_module = importlib.import_module("repro.core.joins")
 
 ON = (("Key", "Key"),)
 KINDS = sorted(JOIN_KINDS)
@@ -356,7 +356,7 @@ def test_finalizing_watermark_derives_nothing_in_early_mode(monkeypatch, kind):
         join.process(emit(RIGHT, tp_tuple))
     published = len(join.settled_outputs)
     # Every derivation of a group of these kinds runs LAWAN's sweep once.
-    sweeps = counting(monkeypatch, lawan_module, "_negating_sweep")
+    sweeps = counting(monkeypatch, joins_module, "negating_sweep")
     out = join.process(Tagged(LEFT, Watermark(9))) + join.process(
         Tagged(RIGHT, Watermark(9))
     )

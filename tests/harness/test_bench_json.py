@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
+from repro.core import tp_join
 from repro.harness import (
     EXPERIMENTS,
     Measurement,
@@ -12,6 +14,7 @@ from repro.harness import (
     write_bench_json,
 )
 from repro.harness.__main__ import main as harness_main
+from repro.harness.experiments import CollectorMeter
 
 
 def _tiny_measurements(spec):
@@ -55,6 +58,35 @@ def test_real_run_produces_valid_json(tmp_path):
     loaded = json.loads(path.read_text())
     assert all(m["seconds"] >= 0 for m in loaded["measurements"])
     assert {m["series"] for m in loaded["measurements"]} == {"NJ", "TA"}
+
+
+def test_collector_activity_is_recorded_beside_each_runtime(tmp_path, capsys):
+    callbacks = list(gc.callbacks)
+    exit_code = harness_main(["fig5a", "--sizes", "60", "--json-dir", str(tmp_path)])
+    assert exit_code == 0
+    assert gc.callbacks == callbacks, "the hook lives for the timed call only"
+    assert "NJ gc [ms]" in capsys.readouterr().out
+    loaded = json.loads((tmp_path / "BENCH_fig5a.json").read_text())
+    for measurement in loaded["measurements"]:
+        assert measurement["collector_ms"] >= 0
+        assert measurement["gen2_collections"] >= 0
+
+
+def test_collector_meter_sees_a_full_collection():
+    with CollectorMeter() as meter:
+        gc.collect()
+    assert meter.gen2_collections == 1 and meter.seconds > 0
+    assert meter._observe not in gc.callbacks
+
+
+def test_library_joins_leave_the_collector_alone(
+    wants_to_visit, hotel_availability, loc_theta
+):
+    state = (gc.isenabled(), gc.get_threshold(), list(gc.callbacks), gc.get_freeze_count())
+    tp_join("full_outer", wants_to_visit, hotel_availability, loc_theta)
+    assert (
+        gc.isenabled(), gc.get_threshold(), list(gc.callbacks), gc.get_freeze_count()
+    ) == state
 
 
 def test_harness_cli_writes_bench_files(tmp_path, capsys):
