@@ -41,7 +41,7 @@ def naive_windows(
         matching = [
             s
             for s in negative
-            if theta.evaluate(r, s) and r.interval.overlaps(s.interval)
+            if theta.evaluate(r, s) and r.start < s.end and s.start < r.end
         ]
         # Overlapping windows: one per matching pair, spanning the intersection.
         for s in matching:
@@ -51,11 +51,13 @@ def naive_windows(
                 Window(
                     fact_r=r.fact,
                     fact_s=s.fact,
-                    interval=overlap,
+                    start=overlap.start,
+                    end=overlap.end,
                     lineage_r=r.lineage,
                     lineage_s=s.lineage,
                     window_class=WindowClass.OVERLAPPING,
-                    source_interval=r.interval,
+                    source_start=r.start,
+                    source_end=r.end,
                 )
             )
         # Unmatched and negating windows: partition r's interval into maximal
@@ -67,11 +69,13 @@ def naive_windows(
                     Window(
                         fact_r=r.fact,
                         fact_s=None,
-                        interval=segment,
+                        start=segment.start,
+                        end=segment.end,
                         lineage_r=r.lineage,
                         lineage_s=None,
                         window_class=WindowClass.UNMATCHED,
-                        source_interval=r.interval,
+                        source_start=r.start,
+                        source_end=r.end,
                     )
                 )
             else:
@@ -79,11 +83,13 @@ def naive_windows(
                     Window(
                         fact_r=r.fact,
                         fact_s=None,
-                        interval=segment,
+                        start=segment.start,
+                        end=segment.end,
                         lineage_r=r.lineage,
                         lineage_s=disjunction_of(matching[i].lineage for i in active),
                         window_class=WindowClass.NEGATING,
-                        source_interval=r.interval,
+                        source_start=r.start,
+                        source_end=r.end,
                     )
                 )
 

@@ -31,7 +31,7 @@ computations — which is precisely the overhead the paper's approach removes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..core.concat import (
     combined_output_schema,
@@ -74,7 +74,7 @@ def align(
         partner_intervals = [
             s.interval
             for s in negative
-            if theta.evaluate(r, s) and r.interval.overlaps(s.interval)
+            if theta.evaluate(r, s) and r.start < s.end and s.start < r.end
         ]
         for segment in segments_within(r.interval, partner_intervals):
             fragments.append(AlignedFragment(r, segment))
@@ -130,11 +130,13 @@ def ta_unmatched_windows(
                 Window(
                     fact_r=r.fact,
                     fact_s=None,
-                    interval=segment,
+                    start=segment.start,
+                    end=segment.end,
                     lineage_r=r.lineage,
                     lineage_s=None,
                     window_class=WindowClass.UNMATCHED,
-                    source_interval=r.interval,
+                    source_start=r.start,
+                    source_end=r.end,
                 )
             )
     return _merge_adjacent_unmatched(windows)
@@ -172,11 +174,12 @@ def ta_negating_windows(
     negative_sorted = sorted(negative, key=lambda t: (t.start, t.end))
     for fragment in fragments:
         r = fragment.origin
+        start, end = fragment.interval.start, fragment.interval.end
         partner_lineages = []
         for s in negative_sorted:
-            if s.start >= fragment.interval.end:
+            if s.start >= end:
                 break
-            if not s.interval.contains_interval(fragment.interval):
+            if not (s.start <= start and end <= s.end):
                 continue
             if theta.evaluate(r, s):
                 partner_lineages.append(s.lineage)
@@ -186,11 +189,13 @@ def ta_negating_windows(
             Window(
                 fact_r=r.fact,
                 fact_s=None,
-                interval=fragment.interval,
+                start=start,
+                end=end,
                 lineage_r=r.lineage,
                 lineage_s=disjunction_of(partner_lineages),
                 window_class=WindowClass.NEGATING,
-                source_interval=r.interval,
+                source_start=r.start,
+                source_end=r.end,
             )
         )
     return windows
@@ -325,7 +330,7 @@ def ta_right_outer_join(
     mirrored = ta_left_outer_join(right, left, swap_theta(theta), False, nested_loop)
     right_width = len(right.schema)
     tuples = [
-        TPTuple(t.fact[right_width:] + t.fact[:right_width], t.lineage, t.interval)
+        TPTuple.from_bounds(t.fact[right_width:] + t.fact[:right_width], t.lineage, t.start, t.end)
         for t in mirrored
     ]
     schema = combined_output_schema(left.schema, right.schema, right.name)
@@ -376,7 +381,7 @@ def _merge_adjacent_unmatched(windows: list[Window]) -> list[Window]:
     merged: list[Window] = []
     ordered = sorted(
         windows,
-        key=lambda w: (w.fact_r, str(w.lineage_r), w.interval.start, w.interval.end),
+        key=lambda w: (w.fact_r, str(w.lineage_r), w.start, w.end),
     )
     for window in ordered:
         previous = merged[-1] if merged else None
@@ -385,17 +390,9 @@ def _merge_adjacent_unmatched(windows: list[Window]) -> list[Window]:
             and previous.fact_r == window.fact_r
             and previous.lineage_r == window.lineage_r
             and previous.source_interval == window.source_interval
-            and previous.interval.end == window.interval.start
+            and previous.end == window.start
         ):
-            merged[-1] = Window(
-                fact_r=previous.fact_r,
-                fact_s=None,
-                interval=Interval(previous.interval.start, window.interval.end),
-                lineage_r=previous.lineage_r,
-                lineage_s=None,
-                window_class=WindowClass.UNMATCHED,
-                source_interval=previous.source_interval,
-            )
+            merged[-1] = replace(previous, end=window.end)
         else:
             merged.append(window)
     return merged
@@ -406,7 +403,7 @@ def _deduplicate(tuples: list[TPTuple]) -> list[TPTuple]:
     seen: set[tuple] = set()
     unique: list[TPTuple] = []
     for tp_tuple in sorted(tuples, key=lambda t: t.key()):
-        identity = (tp_tuple.fact, tp_tuple.interval, str(tp_tuple.lineage))
+        identity = (tp_tuple.fact, tp_tuple.start, tp_tuple.end, str(tp_tuple.lineage))
         if identity in seen:
             continue
         seen.add(identity)

@@ -119,7 +119,7 @@ def window_to_tuple(
         left_fact = fact_negative if fact_negative is not None else (None,) * left_width
         right_fact = fact_positive
     combined = tuple(left_fact) + tuple(right_fact)
-    return TPTuple(combined, output_lineage(window), window.interval)
+    return TPTuple.from_bounds(combined, output_lineage(window), window.start, window.end)
 
 
 def window_to_positive_tuple(window: Window) -> TPTuple:
@@ -128,4 +128,6 @@ def window_to_positive_tuple(window: Window) -> TPTuple:
     Used by the anti join, whose output schema is the positive relation's
     schema.
     """
-    return TPTuple(tuple(window.fact_r), output_lineage(window), window.interval)
+    return TPTuple.from_bounds(
+        tuple(window.fact_r), output_lineage(window), window.start, window.end
+    )

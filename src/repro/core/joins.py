@@ -169,6 +169,7 @@ def group_tuples(
     positive_only = kind == "anti"
     pad = (None,) * (left_width if reverse else right_width)
     probability = None if computer is None else computer.probability
+    make = TPTuple.from_bounds
     for group in groups:
         r = group.r
         fact_r, lineage_r = tuple(r.fact), r.lineage
@@ -181,7 +182,7 @@ def group_tuples(
             spans = gap_sweep(group)
         else:
             spans = overlap_spans(group)
-        for window_class, interval, fact_s, lineage_s in spans:
+        for window_class, start, end, fact_s, lineage_s in spans:
             if window_class is _N:
                 fact, lineage = padded, and_not(lineage_r, lineage_s)
             elif window_class is _U:
@@ -193,8 +194,8 @@ def group_tuples(
                 fact, lineage = fact_r + tuple(fact_s), lineage_and(lineage_r, lineage_s)
             else:
                 continue
-            yield TPTuple(
-                fact, lineage, interval, None if probability is None else probability(lineage)
+            yield make(
+                fact, lineage, start, end, None if probability is None else probability(lineage)
             )
 
 

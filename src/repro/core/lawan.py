@@ -21,7 +21,8 @@ The sweep follows the paper's description:
   unchanged, interleaved with the negating windows they give rise to.
 
 The sweep, :func:`negating_sweep`, is written once and yields bare
-:data:`~repro.core.windows.Span` records; :func:`iter_lawan` and
+:data:`~repro.core.windows.Span` records ``(window_class, start, end,
+fact_s, lineage_s)``, bounds as ints; :func:`iter_lawan` and
 :func:`negating_windows` wrap them in :class:`~repro.core.windows.Window`,
 while :func:`repro.core.joins.group_tuples` forms output tuples from them
 directly.
@@ -40,7 +41,6 @@ from itertools import chain, count
 from typing import Iterable, Iterator
 
 from ..lineage import LineageExpr, disjunction_of
-from ..temporal import Interval
 from .overlap import OverlapGroup
 from .lawau import gap_sweep
 from .windows import Span, Window, WindowClass, span_windows
@@ -98,14 +98,14 @@ def negating_sweep(group: OverlapGroup) -> Iterator[Span]:
         if not queue:
             # Case 3 of Fig. 4: a new (sub-)group of overlapping windows
             # starts; jump the sweep position to its first start point.
-            current_time = matches[index].interval.start
-            while index < total and matches[index].interval.start == current_time:
+            current_time = matches[index].start
+            while index < total and matches[index].start == current_time:
                 record = matches[index]
-                heapq.heappush(queue, (record.interval.end, next(tiebreak), record.s.lineage))
+                heapq.heappush(queue, (record.end, next(tiebreak), record.s.lineage))
                 index += 1
             continue
 
-        next_start = matches[index].interval.start if index < total else None
+        next_start = matches[index].start if index < total else None
         smallest_end = queue[0][0]
         if next_start is not None and next_start < smallest_end:
             boundary = next_start
@@ -115,13 +115,13 @@ def negating_sweep(group: OverlapGroup) -> Iterator[Span]:
         assert current_time is not None
         if boundary > current_time:
             lineage_s = disjunction_of(entry[2] for entry in queue)
-            yield _N, Interval(current_time, boundary), None, lineage_s
+            yield _N, current_time, boundary, None, lineage_s
             current_time = boundary
 
         # Admit windows starting at the boundary, then retire finished ones.
-        while index < total and matches[index].interval.start == boundary:
+        while index < total and matches[index].start == boundary:
             record = matches[index]
-            heapq.heappush(queue, (record.interval.end, next(tiebreak), record.s.lineage))
+            heapq.heappush(queue, (record.end, next(tiebreak), record.s.lineage))
             index += 1
         while queue and queue[0][0] <= current_time:
             heapq.heappop(queue)
@@ -144,15 +144,14 @@ def lawan_rescan(groups: Iterable[OverlapGroup]) -> list[Window]:
         r = group.r
         boundaries: set[int] = set()
         for record in group.matches:
-            boundaries.add(record.interval.start)
-            boundaries.add(record.interval.end)
+            boundaries.add(record.start)
+            boundaries.add(record.end)
         ordered = sorted(boundaries)
         for start, end in zip(ordered, ordered[1:]):
-            segment = Interval(start, end)
             active = [
                 record.s.lineage
                 for record in group.matches
-                if record.interval.contains_interval(segment)
+                if record.start <= start and end <= record.end
             ]
             if not active:
                 continue
@@ -160,11 +159,13 @@ def lawan_rescan(groups: Iterable[OverlapGroup]) -> list[Window]:
                 Window(
                     fact_r=r.fact,
                     fact_s=None,
-                    interval=segment,
+                    start=start,
+                    end=end,
                     lineage_r=r.lineage,
                     lineage_s=disjunction_of(active),
                     window_class=WindowClass.NEGATING,
-                    source_interval=r.interval,
+                    source_start=r.start,
+                    source_end=r.end,
                 )
             )
     return windows

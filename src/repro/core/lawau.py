@@ -26,8 +26,9 @@ unchanged, so the result ``WUO`` contains every overlapping and every
 unmatched window of ``r`` with respect to ``s`` — the input LAWAN expects.
 
 The sweep, :func:`gap_sweep`, is written once and yields bare
-:data:`~repro.core.windows.Span` records; :func:`iter_lawau` and friends
-wrap them in :class:`~repro.core.windows.Window`, while
+:data:`~repro.core.windows.Span` records ``(window_class, start, end,
+fact_s, lineage_s)``, bounds as ints; :func:`iter_lawau` and friends wrap
+them in :class:`~repro.core.windows.Window`, while
 :func:`repro.core.joins.group_tuples` forms output tuples from them directly.
 """
 
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from ..temporal import Interval
 from .overlap import OverlapGroup
 from .windows import Span, Window, WindowClass, span_windows
 
@@ -64,25 +64,25 @@ def gap_sweep(group: OverlapGroup) -> Iterator[Span]:
     if not group.matches:
         # The conventional outer join already pads fully-unmatched tuples;
         # copy that padded row through as an unmatched window over r.T.
-        yield _U, r.interval, None, None
+        yield _U, r.start, r.end, None, None
         return
 
     wind_ts = r.start
     for record in group.matches:
-        overlap = record.interval
-        if overlap.start > wind_ts:
+        start, end = record.start, record.end
+        if start > wind_ts:
             # Case 1/2: a gap before the next overlapping window.
-            yield _U, Interval(wind_ts, overlap.start), None, None
-            wind_ts = overlap.start
+            yield _U, wind_ts, start, None, None
+            wind_ts = start
         # Copy the overlapping window.
         s = record.s
-        yield _O, overlap, s.fact, s.lineage
-        if overlap.end > wind_ts:
+        yield _O, start, end, s.fact, s.lineage
+        if end > wind_ts:
             # Case 3/4: advance the sweep past the covered part.
-            wind_ts = overlap.end
+            wind_ts = end
     if wind_ts < r.end:
         # Case 5: the tail of r's interval after the last overlapping window.
-        yield _U, Interval(wind_ts, r.end), None, None
+        yield _U, wind_ts, r.end, None, None
 
 
 def unmatched_windows(groups: Iterable[OverlapGroup]) -> list[Window]:

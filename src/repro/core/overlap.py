@@ -12,7 +12,7 @@ join condition θ on the non-temporal attributes.  Its result contains
 and, crucially, every window is "enhanced with the initial time-interval of
 the tuple of r valid over [it]" so the later sweeps can work with it without
 going back to the base relation.  In this implementation the enhancement is
-the :attr:`Window.source_interval` field, and windows are additionally kept
+the window's ``source_start``/``source_end`` fields, and windows are additionally kept
 grouped per originating ``r`` tuple (the paper's grouping by ``Fr`` and the
 initial interval), which is what both LAWAU and LAWAN consume.
 
@@ -39,20 +39,44 @@ from typing import Hashable, Iterator
 
 from ..relation import TPRelation, TPTuple, ThetaCondition
 from ..temporal import Interval
+from ..values import reduce_fields, writer
 from .windows import Span, Window, WindowClass, span_windows
 
+_new = object.__new__
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class OverlapRecord:
     """One matched row of the conventional outer join ``r ⟕_{θo ∧ θ} s``.
 
-    ``interval`` is ``r.T ∩ s.T``.  The row the outer join pads for an
-    ``r`` tuple without partners is no record (see :class:`OverlapGroup`).
+    ``[start, end)`` is ``r.T ∩ s.T``, which its builders have already
+    found non-empty.  The row the outer join pads for an ``r`` tuple without
+    partners is no record (see :class:`OverlapGroup`).
     """
 
     r: TPTuple
     s: TPTuple
-    interval: Interval
+    start: int
+    end: int
+
+    def __new__(cls, r: TPTuple, s: TPTuple, start: int, end: int) -> "OverlapRecord":
+        self = _new(_RecordWriter)
+        self.r = r
+        self.s = s
+        self.start = start
+        self.end = end
+        self.__class__ = OverlapRecord
+        return self
+
+    __reduce__ = reduce_fields
+
+    @property
+    def interval(self) -> Interval:
+        """The overlap ``[start, end)``, built on each access."""
+        return Interval(self.start, self.end)
+
+
+_RecordWriter = writer(OverlapRecord)
 
 
 @dataclass(slots=True)
@@ -108,15 +132,14 @@ def _whole_relation(tp_tuple: TPTuple) -> Hashable:
 
 def _bounds(item: TPTuple | OverlapRecord) -> tuple[int, int]:
     """The sort key both orders start from: the item's ``(start, end)``."""
-    interval = item.interval
-    return (interval.start, interval.end)
+    return (item.start, item.end)
 
 
 def _index_bucket(bucket: list[TPTuple]) -> _Bucket:
     """Sort one partition by ``(start, end)`` and build its two columns."""
     bucket.sort(key=_bounds)
-    starts = [s.interval.start for s in bucket]
-    reach = list(accumulate((s.interval.end for s in bucket), max))
+    starts = [s.start for s in bucket]
+    reach = list(accumulate((s.end for s in bucket), max))
     return bucket, starts, reach
 
 
@@ -124,11 +147,11 @@ def _merge_bucket(group: OverlapGroup, bucket: _Bucket, theta: ThetaCondition) -
     """Collect the overlaps of ``group.r`` within one indexed partition."""
     tuples, starts, reach = bucket
     r = group.r
-    r_start, r_end = _bounds(r)
+    r_start, r_end = r.start, r.end
     matches = group.matches
     for index in range(bisect_right(reach, r_start), bisect_left(starts, r_end)):
         s = tuples[index]
-        s_end = s.interval.end
+        s_end = s.end
         # Inside the slice a tuple starts before r ends; it may still have
         # ended before r starts (the reach is a maximum, not its own end).
         if s_end <= r_start:
@@ -142,10 +165,8 @@ def _merge_bucket(group: OverlapGroup, bucket: _Bucket, theta: ThetaCondition) -
                 OverlapRecord(
                     r,
                     s,
-                    Interval(
-                        s_start if s_start > r_start else r_start,
-                        s_end if s_end < r_end else r_end,
-                    ),
+                    s_start if s_start > r_start else r_start,
+                    s_end if s_end < r_end else r_end,
                 )
             )
 
@@ -181,7 +202,7 @@ def overlap_spans(group: OverlapGroup) -> Iterator[Span]:
     """One group's WO spans: its overlap records themselves, no sweep."""
     for record in group.matches:
         s = record.s
-        yield WindowClass.OVERLAPPING, record.interval, s.fact, s.lineage
+        yield WindowClass.OVERLAPPING, record.start, record.end, s.fact, s.lineage
 
 
 def overlapping_windows(

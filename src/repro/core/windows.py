@@ -16,10 +16,11 @@ into three disjoint classes (the paper's Table I):
 
 The sweeps do not build a :class:`Window` per window: within one overlap
 group ``Fr``, ``λr`` and the source interval are the group's own, so a sweep
-yields a bare :data:`Span` — ``(window_class, interval, fact_s, lineage_s)``
-— and its consumer adds the group's part.  :func:`span_windows` does that
-for the window-level API; :func:`repro.core.joins.group_tuples` forms output
-tuples from the spans directly.
+yields a bare :data:`Span` — ``(window_class, start, end, fact_s,
+lineage_s)``, the interval as its two bounds — and its consumer adds the
+group's part.  :func:`span_windows` does that for the window-level API;
+:func:`repro.core.joins.group_tuples` forms output tuples from the spans
+directly.
 
 Besides the :class:`Window` record used by the algorithms, this module also
 provides *declarative* predicates that restate Table I directly in terms of
@@ -37,6 +38,9 @@ from typing import Iterable, Iterator, Optional
 from ..lineage import LineageExpr, disjunction_of, equivalent
 from ..relation import TPRelation, TPTuple, ThetaCondition
 from ..temporal import Interval
+from ..values import reduce_fields, writer
+
+_new = object.__new__
 
 
 class WindowClass(str, Enum):
@@ -47,57 +51,108 @@ class WindowClass(str, Enum):
     NEGATING = "negating"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Window:
     """A generalized lineage-aware temporal window ``(Fr, Fs, T, λr, λs)``.
+
+    Intervals are stored as their bounds; :attr:`interval` and
+    :attr:`source_interval` build :class:`~repro.temporal.Interval` objects
+    on access.  A window is derived from valid tuples, so its bounds are not
+    checked again.
 
     Attributes:
         fact_r: the fact of the positive-relation tuple the window belongs to.
         fact_s: the fact of the matching negative-relation tuple for
             overlapping windows; ``None`` for unmatched and negating windows.
-        interval: the window's interval ``T``.
+        start, end: the window's interval ``T = [start, end)``.
         lineage_r: the lineage ``λr`` contributed by the positive relation.
         lineage_s: the lineage ``λs`` contributed by the negative relation;
             ``None`` for unmatched windows, the matching tuple's lineage for
             overlapping windows, and the disjunction of all matching lineages
             for negating windows.
         window_class: which of the three classes the window belongs to.
-        source_interval: the full validity interval of the positive-relation
-            tuple the window was derived from.  Not part of the paper's
-            window schema, but the overlap join "enhances every window with
-            the initial time-interval of the tuple of r valid over each
-            window" precisely so that LAWAU can fill the gaps; it is carried
-            here for the same purpose (and dropped when output tuples are
-            formed).
+        source_start, source_end: the full validity interval of the
+            positive-relation tuple the window was derived from.  Not part of
+            the paper's window schema, but the overlap join "enhances every
+            window with the initial time-interval of the tuple of r valid
+            over each window" precisely so that LAWAU can fill the gaps; it
+            is carried here for the same purpose (and dropped when output
+            tuples are formed).
     """
 
     fact_r: tuple
     fact_s: Optional[tuple]
-    interval: Interval
+    start: int
+    end: int
     lineage_r: LineageExpr
     lineage_s: Optional[LineageExpr]
     window_class: WindowClass
-    source_interval: Optional[Interval] = None
+    source_start: Optional[int] = None
+    source_end: Optional[int] = None
+
+    def __new__(
+        cls,
+        fact_r: tuple,
+        fact_s: Optional[tuple],
+        start: int,
+        end: int,
+        lineage_r: LineageExpr,
+        lineage_s: Optional[LineageExpr],
+        window_class: WindowClass,
+        source_start: Optional[int] = None,
+        source_end: Optional[int] = None,
+    ) -> "Window":
+        self = _new(_WindowWriter)
+        self.fact_r = fact_r
+        self.fact_s = fact_s
+        self.start = start
+        self.end = end
+        self.lineage_r = lineage_r
+        self.lineage_s = lineage_s
+        self.window_class = window_class
+        self.source_start = source_start
+        self.source_end = source_end
+        self.__class__ = Window
+        return self
+
+    __reduce__ = reduce_fields
+
+    @property
+    def interval(self) -> Interval:
+        """The window's interval ``T``, built on each access."""
+        return Interval(self.start, self.end)
+
+    @property
+    def source_interval(self) -> Optional[Interval]:
+        """The source tuple's interval, built on each access (``None`` if unset)."""
+        if self.source_start is None:
+            return None
+        return Interval(self.source_start, self.source_end)
 
     def __str__(self) -> str:
         fact_s = "null" if self.fact_s is None else str(self.fact_s)
         lineage_s = "null" if self.lineage_s is None else str(self.lineage_s)
         return (
-            f"{self.window_class.value}({self.fact_r}, {fact_s}, {self.interval}, "
+            f"{self.window_class.value}({self.fact_r}, {fact_s}, [{self.start},{self.end}), "
             f"{self.lineage_r}, {lineage_s})"
         )
 
 
-#: One window as a sweep yields it: ``(window_class, interval, fact_s,
+_WindowWriter = writer(Window)
+
+
+#: One window as a sweep yields it: ``(window_class, start, end, fact_s,
 #: lineage_s)``, the window short of the positive tuple its group belongs to.
-Span = tuple[WindowClass, Interval, Optional[tuple], Optional[LineageExpr]]
+Span = tuple[WindowClass, int, int, Optional[tuple], Optional[LineageExpr]]
 
 
 def span_windows(r: TPTuple, spans: Iterable[Span]) -> Iterator[Window]:
     """The windows of positive tuple ``r`` that one group's ``spans`` describe."""
-    fact_r, lineage_r, source = r.fact, r.lineage, r.interval
-    for window_class, interval, fact_s, lineage_s in spans:
-        yield Window(fact_r, fact_s, interval, lineage_r, lineage_s, window_class, source)
+    fact_r, lineage_r, source_start, source_end = r.fact, r.lineage, r.start, r.end
+    for window_class, start, end, fact_s, lineage_s in spans:
+        yield Window(
+            fact_r, fact_s, start, end, lineage_r, lineage_s, window_class, source_start, source_end
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,7 +202,7 @@ def matching_lineage_at(
     matching = [
         s.lineage
         for s in negative
-        if time_point in s.interval and theta.evaluate(positive_tuple, s)
+        if s.start <= time_point < s.end and theta.evaluate(positive_tuple, s)
     ]
     if not matching:
         return None

@@ -21,6 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
+from ..values import reduce_fields, writer
+
+_new = object.__new__
+
 
 class LineageError(ValueError):
     """Raised for malformed lineage expressions or evaluation errors."""
@@ -109,15 +113,21 @@ TRUE = _Const(True)
 FALSE = _Const(False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Var(LineageExpr):
     """An event variable, identified by its name (e.g. ``"a1"``)."""
 
     name: str
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(cls, name: str) -> "Var":
+        if not name:
             raise LineageError("event variable name must be non-empty")
+        self = _new(_VarWriter)
+        self.name = name
+        self.__class__ = Var
+        return self
+
+    __reduce__ = reduce_fields
 
     def variables(self) -> frozenset[str]:
         return frozenset({self.name})
@@ -132,11 +142,19 @@ class Var(LineageExpr):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Not(LineageExpr):
     """Negation of a sub-expression."""
 
     child: LineageExpr
+
+    def __new__(cls, child: LineageExpr) -> "Not":
+        self = _new(_NotWriter)
+        self.child = child
+        self.__class__ = Not
+        return self
+
+    __reduce__ = reduce_fields
 
     def variables(self) -> frozenset[str]:
         return self.child.variables()
@@ -151,15 +169,21 @@ class Not(LineageExpr):
         return f"¬{_wrap(self.child)}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class And(LineageExpr):
     """Conjunction of two or more sub-expressions."""
 
     operands: tuple[LineageExpr, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.operands) < 2:
+    def __new__(cls, operands: tuple[LineageExpr, ...]) -> "And":
+        if len(operands) < 2:
             raise LineageError("And requires at least two operands")
+        self = _new(_AndWriter)
+        self.operands = operands
+        self.__class__ = And
+        return self
+
+    __reduce__ = reduce_fields
 
     def variables(self) -> frozenset[str]:
         names: frozenset[str] = frozenset()
@@ -177,15 +201,21 @@ class And(LineageExpr):
         return " ∧ ".join(_wrap(operand) for operand in self.operands)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Or(LineageExpr):
     """Disjunction of two or more sub-expressions."""
 
     operands: tuple[LineageExpr, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.operands) < 2:
+    def __new__(cls, operands: tuple[LineageExpr, ...]) -> "Or":
+        if len(operands) < 2:
             raise LineageError("Or requires at least two operands")
+        self = _new(_OrWriter)
+        self.operands = operands
+        self.__class__ = Or
+        return self
+
+    __reduce__ = reduce_fields
 
     def variables(self) -> frozenset[str]:
         names: frozenset[str] = frozenset()
@@ -201,6 +231,9 @@ class Or(LineageExpr):
 
     def __str__(self) -> str:
         return " ∨ ".join(_wrap(operand) for operand in self.operands)
+
+
+_VarWriter, _NotWriter, _AndWriter, _OrWriter = (writer(cls) for cls in (Var, Not, And, Or))
 
 
 def _wrap(expr: LineageExpr) -> str:

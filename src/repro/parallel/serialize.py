@@ -3,7 +3,7 @@
 Shards cross the process boundary many times per query (inputs out, outputs
 back), so the wire format matters.  Pickling the object graph directly works
 — every core type is a picklable dataclass — but ships class metadata and
-per-object headers for each tuple, lineage node and interval.  This module
+per-object headers for each tuple and lineage node.  This module
 flattens everything into nested tuples of primitives instead:
 
 * a lineage expression becomes a prefix-encoded tuple tree
@@ -26,7 +26,6 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from ..lineage import FALSE, TRUE, And, EventSpace, LineageExpr, Not, Or, Var
 from ..relation import TPTuple
 from ..stream.elements import LEFT, RIGHT, StreamEvent, Tagged, Watermark
-from ..temporal import Interval
 
 #: Revision kinds by wire code (index = code), derived from the enum itself
 #: so the wire order can never drift from RevisionKind's definition order.
@@ -107,7 +106,7 @@ def encode_tuple(tp_tuple: TPTuple) -> tuple:
 def decode_tuple(code: tuple) -> TPTuple:
     """Rebuild one TP tuple from its encoding."""
     fact, lineage_code, start, end, probability = code
-    return TPTuple(tuple(fact), decode_lineage(lineage_code), Interval(start, end), probability)
+    return TPTuple.from_bounds(tuple(fact), decode_lineage(lineage_code), start, end, probability)
 
 
 def encode_tuples(tuples: Iterable[TPTuple]) -> List[tuple]:

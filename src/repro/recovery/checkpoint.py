@@ -49,7 +49,6 @@ from ..parallel.serialize import (
 )
 from ..stream.elements import LEFT, RIGHT
 from ..stream.incremental import IncrementalWindowMaintainer, OpenPositive
-from ..temporal import Interval
 
 #: Bumped whenever the payload shape changes; restore rejects mismatches
 #: loudly instead of mis-decoding a stale frame.
@@ -87,7 +86,7 @@ def encode_maintainer(maintainer: IncrementalWindowMaintainer) -> tuple:
                     entry.ingest_clock,
                     entry.serial,
                     [
-                        (encode_tuple(record.s), record.interval.start, record.interval.end)
+                        (encode_tuple(record.s), record.start, record.end)
                         for record in entry.matches
                     ],
                 )
@@ -165,11 +164,7 @@ def restore_maintainer(maintainer: IncrementalWindowMaintainer, code: tuple) -> 
             )
             for s_code, overlap_start, overlap_end in match_codes:
                 entry.matches.append(
-                    OverlapRecord(
-                        positive,
-                        decode_tuple(s_code),
-                        Interval(overlap_start, overlap_end),
-                    )
+                    OverlapRecord(positive, decode_tuple(s_code), overlap_start, overlap_end)
                 )
             entries.append(entry)
         maintainer.load_open_entries(key, entries)

@@ -171,7 +171,7 @@ class TPRelation:
         """Return a copy in which every tuple's probability is filled in."""
         computer = ProbabilityComputer(self._events)
         updated = [
-            TPTuple(t.fact, t.lineage, t.interval, computer.probability(t.lineage))
+            TPTuple.from_bounds(t.fact, t.lineage, t.start, t.end, computer.probability(t.lineage))
             for t in self._tuples
         ]
         return TPRelation(

@@ -5,27 +5,38 @@ validity interval and the marginal probability of the lineage.  Base tuples
 carry a fresh event variable as their lineage and their probability is given;
 derived tuples (join results) carry composite lineages and their probability
 is computed from the event space.
+
+The interval is stored as its two bounds, ``start`` and ``end``; the
+:attr:`TPTuple.interval` property builds an :class:`~repro.temporal.Interval`
+only when asked for one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..lineage import EventSpace, LineageExpr, ProbabilityComputer, Var
-from ..temporal import Interval
+from ..temporal import Interval, IntervalError
+from ..values import writer
+
+_new = object.__new__
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TPTuple:
     """One temporal-probabilistic tuple.
+
+    Constructed as ``TPTuple(fact, lineage, interval, probability=None)``, or
+    from the bounds by :meth:`from_bounds`, which every construction ends in.
 
     Attributes:
         fact: the non-temporal attribute values, in schema order.  Outer-join
             results use ``None`` for the padded attributes of the unmatched
             side, mirroring the ``-`` entries in the paper's Fig. 1b.
         lineage: Boolean lineage over independent base events.
-        interval: half-open validity interval.
+        start: inclusive start of the half-open validity interval.
+        end: exclusive end of the validity interval, greater than ``start``.
         probability: marginal probability of the lineage, if already known.
             ``None`` means "not yet computed"; use :meth:`with_probability`
             or :class:`TPRelation.with_probabilities` to fill it in.
@@ -33,8 +44,51 @@ class TPTuple:
 
     fact: tuple
     lineage: LineageExpr
-    interval: Interval
+    start: int
+    end: int
     probability: Optional[float] = None
+
+    def __new__(
+        cls,
+        fact: tuple,
+        lineage: LineageExpr,
+        interval: Optional[Interval] = None,
+        probability: Optional[float] = None,
+        *,
+        start: Optional[int] = None,
+        end: Optional[int] = None,
+    ) -> "TPTuple":
+        # ``start``/``end`` by keyword is the form ``dataclasses.replace`` uses.
+        if interval is not None:
+            start, end = interval.start, interval.end
+        elif start is None or end is None:
+            raise TypeError("TPTuple needs an interval, or start and end")
+        return TPTuple.from_bounds(fact, lineage, start, end, probability)
+
+    @staticmethod
+    def from_bounds(
+        fact: tuple,
+        lineage: LineageExpr,
+        start: int,
+        end: int,
+        probability: Optional[float] = None,
+    ) -> "TPTuple":
+        """The tuple valid over ``[start, end)``, with no interval object."""
+        if end <= start:
+            raise IntervalError.empty(start, end)
+        self = _new(_Writer)
+        self.fact = fact
+        self.lineage = lineage
+        self.start = start
+        self.end = end
+        self.probability = probability
+        self.__class__ = TPTuple
+        return self
+
+    def __reduce__(self):
+        return TPTuple.from_bounds, (
+            self.fact, self.lineage, self.start, self.end, self.probability
+        )
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -53,11 +107,13 @@ class TPTuple:
     def with_probability(self, events: EventSpace) -> "TPTuple":
         """Return a copy with the probability computed from ``events``."""
         computer = ProbabilityComputer(events)
-        return replace(self, probability=computer.probability(self.lineage))
+        return TPTuple.from_bounds(
+            self.fact, self.lineage, self.start, self.end, computer.probability(self.lineage)
+        )
 
     def with_interval(self, interval: Interval) -> "TPTuple":
         """Return a copy valid over a different interval (same fact/lineage)."""
-        return replace(self, interval=interval)
+        return TPTuple(self.fact, self.lineage, interval, self.probability)
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -67,14 +123,9 @@ class TPTuple:
         return self.fact[schema_index]
 
     @property
-    def start(self) -> int:
-        """Inclusive start of the validity interval."""
-        return self.interval.start
-
-    @property
-    def end(self) -> int:
-        """Exclusive end of the validity interval."""
-        return self.interval.end
+    def interval(self) -> Interval:
+        """The validity interval ``[start, end)``, built on each access."""
+        return Interval(self.start, self.end)
 
     def identity(self) -> tuple:
         """The tuple's structural identity ``(fact, start, end, lineage)``.
@@ -85,8 +136,7 @@ class TPTuple:
         lineage and takes no part.  :meth:`key` is the *ordering* and is
         paid where a deterministic order is needed.
         """
-        interval = self.interval
-        return (self.fact, interval.start, interval.end, self.lineage)
+        return (self.fact, self.start, self.end, self.lineage)
 
     def key(self) -> tuple:
         """A deterministic sort/identity key (fact, interval, lineage text).
@@ -95,7 +145,7 @@ class TPTuple:
         keys stay comparable across padded and non-padded tuples.
         """
         fact_key = tuple((value is None, "" if value is None else str(value)) for value in self.fact)
-        return (fact_key, self.interval.start, self.interval.end, str(self.lineage))
+        return (fact_key, self.start, self.end, str(self.lineage))
 
     def key_prefix(self) -> tuple:
         """:meth:`key` short of its last component, the rendered lineage.
@@ -104,9 +154,12 @@ class TPTuple:
         key (see :func:`repro.parallel.batch.canonical_order`).
         """
         fact_key = tuple((value is None, "" if value is None else str(value)) for value in self.fact)
-        return (fact_key, self.interval.start, self.interval.end)
+        return (fact_key, self.start, self.end)
 
     def __str__(self) -> str:
         fact = ", ".join("-" if value is None else str(value) for value in self.fact)
         probability = "?" if self.probability is None else f"{self.probability:.4g}"
-        return f"({fact} | {self.lineage} | {self.interval} | {probability})"
+        return f"({fact} | {self.lineage} | [{self.start},{self.end}) | {probability})"
+
+
+_Writer = writer(TPTuple)

@@ -81,7 +81,7 @@ class ResultCache:
         interval end the watermark has passed is in fact settled.
         """
         for key, (tp_tuple, provisional) in self._entries.items():
-            if provisional and tp_tuple.interval.end <= watermark:
+            if provisional and tp_tuple.end <= watermark:
                 self._entries[key] = (tp_tuple, False)
 
     def snapshot(self, settled_only: bool = False) -> List[TPTuple]:

@@ -38,7 +38,7 @@ Three extensions serve the retractable dataflow subsystem
   consuming a *revision stream* (provisional upstream output that may be
   retracted) keeps state identical to a run that never saw the retracted
   tuple.  The tuple to unwind is found by its structural identity
-  (:meth:`~repro.relation.TPTuple.identity`: fact, interval and lineage
+  (:meth:`~repro.relation.TPTuple.identity`: fact, bounds and lineage
   compared as objects, nothing rendered to text).  The ingestion and
   removal methods return the open entries they touched, which is what
   early emission needs to republish exactly the affected groups.
@@ -260,22 +260,30 @@ class IncrementalWindowMaintainer:
         behind the left watermark and was dropped.
         """
         self.stats.positives_in += 1
-        if tp_tuple.start < self._watermark_left:
+        start, end = tp_tuple.start, tp_tuple.end
+        if start < self._watermark_left:
             self.stats.late_positives_dropped += 1
             return None
         key = self._positive_key(tp_tuple)
         self._serial += 1
         entry = OpenPositive(tp_tuple, ingest_clock=ingest_clock, key=key, serial=self._serial)
         for negative in self._negatives.get(key, ()):
-            overlap = tp_tuple.interval.intersect(negative.interval)
-            if overlap is not None and self._theta.evaluate(tp_tuple, negative):
-                entry.matches.append(OverlapRecord(tp_tuple, negative, overlap))
+            n_start, n_end = negative.start, negative.end
+            if n_start < end and start < n_end and self._theta.evaluate(tp_tuple, negative):
+                entry.matches.append(
+                    OverlapRecord(
+                        tp_tuple,
+                        negative,
+                        n_start if n_start > start else start,
+                        n_end if n_end < end else end,
+                    )
+                )
         self._open.setdefault(key, []).append(entry)
         self._open_count += 1
         if self._open_starts is not None:
             self._open_starts.add(entry)
-        if tp_tuple.end < self._min_open_end:
-            self._min_open_end = tp_tuple.end
+        if end < self._min_open_end:
+            self._min_open_end = end
         if self._open_count > self.stats.peak_open_positives:
             self.stats.peak_open_positives = self._open_count
         return entry
@@ -288,21 +296,30 @@ class IncrementalWindowMaintainer:
         provisional windows an early-emitting operator must republish.
         """
         self.stats.negatives_in += 1
-        if tp_tuple.start < self._watermark_right:
+        start, end = tp_tuple.start, tp_tuple.end
+        if start < self._watermark_right:
             self.stats.late_negatives_dropped += 1
             return []
         key = self._negative_key(tp_tuple)
         self._negatives.setdefault(key, []).append(tp_tuple)
         self._negative_count += 1
-        if tp_tuple.end < self._min_negative_end:
-            self._min_negative_end = tp_tuple.end
+        if end < self._min_negative_end:
+            self._min_negative_end = end
         if self._negative_count > self.stats.peak_indexed_negatives:
             self.stats.peak_indexed_negatives = self._negative_count
         affected: List[OpenPositive] = []
         for entry in self._open.get(key, ()):
-            overlap = entry.tuple.interval.intersect(tp_tuple.interval)
-            if overlap is not None and self._theta.evaluate(entry.tuple, tp_tuple):
-                entry.matches.append(OverlapRecord(entry.tuple, tp_tuple, overlap))
+            positive = entry.tuple
+            p_start, p_end = positive.start, positive.end
+            if p_start < end and start < p_end and self._theta.evaluate(positive, tp_tuple):
+                entry.matches.append(
+                    OverlapRecord(
+                        positive,
+                        tp_tuple,
+                        start if start > p_start else p_start,
+                        end if end < p_end else p_end,
+                    )
+                )
                 affected.append(entry)
         return affected
 

@@ -15,12 +15,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
+from ..values import reduce_fields, writer
+
 
 class IntervalError(ValueError):
     """Raised when an interval is constructed or combined incorrectly."""
 
+    @classmethod
+    def empty(cls, start, end) -> "IntervalError":
+        """The error for bounds ``[start, end)`` that hold no time point."""
+        return cls(f"interval end must be greater than start, got [{start}, {end})")
 
-@dataclass(frozen=True, slots=True, order=True)
+
+_new = object.__new__
+
+
+@dataclass(frozen=True, slots=True, order=True, init=False)
 class Interval:
     """A half-open interval ``[start, end)`` over a discrete time domain.
 
@@ -37,11 +47,16 @@ class Interval:
     start: int
     end: int
 
-    def __post_init__(self) -> None:
-        if self.end <= self.start:
-            raise IntervalError(
-                f"interval end must be greater than start, got [{self.start}, {self.end})"
-            )
+    def __new__(cls, start: int, end: int) -> "Interval":
+        if end <= start:
+            raise IntervalError.empty(start, end)
+        self = _new(_Writer)
+        self.start = start
+        self.end = end
+        self.__class__ = Interval
+        return self
+
+    __reduce__ = reduce_fields
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -154,6 +169,9 @@ class Interval:
 
     def __repr__(self) -> str:
         return f"Interval({self.start}, {self.end})"
+
+
+_Writer = writer(Interval)
 
 
 def span(intervals: Iterable[Interval]) -> Optional[Interval]:

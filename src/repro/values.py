@@ -1,0 +1,46 @@
+"""Frozen value types that are cheap to construct.
+
+The data model's values — :class:`~repro.temporal.Interval`,
+:class:`~repro.relation.TPTuple`, the lineage nodes, and the join's
+:class:`~repro.core.overlap.OverlapRecord` and
+:class:`~repro.core.windows.Window` records — are frozen, slotted
+dataclasses: immutable, and compared and hashed by value.  The ``__init__``
+a frozen dataclass generates has to write every field through
+``object.__setattr__``, because the class's own ``__setattr__`` refuses; for
+a five-field tuple that is most of the cost of the object.
+
+So none of them uses a generated ``__init__``.  Each has one constructor,
+its ``__new__`` (for :class:`~repro.relation.TPTuple`, the factory its
+``__new__`` calls), which validates the fields, writes them with plain
+attribute stores on an instance of the type's :func:`writer` and hands that
+instance out as the frozen type with one ``__class__`` assignment.  ``==``,
+``hash``, ``repr`` and the refusal to assign stay the dataclass's own, and
+each type's ``__reduce__`` (:func:`reduce_fields` where the constructor
+takes the fields in order) unpickles and copies through the same
+constructor.
+"""
+
+from __future__ import annotations
+
+from dataclasses import fields
+
+
+def writer(frozen: type) -> type:
+    """A subclass of ``frozen`` whose instances accept attribute stores.
+
+    It adds no slots, so once its fields are written an instance can take
+    ``frozen`` as its class.  ``__delattr__`` is reset too: the two share
+    one type slot, which only becomes the plain attribute store when
+    neither is overridden.
+    """
+    namespace = {
+        "__slots__": (),
+        "__setattr__": object.__setattr__,
+        "__delattr__": object.__delattr__,
+    }
+    return type(f"_{frozen.__name__}Writer", (frozen,), namespace)
+
+
+def reduce_fields(value) -> tuple:
+    """``__reduce__`` of a value type whose constructor takes its fields in order."""
+    return type(value), tuple(getattr(value, field.name) for field in fields(value))

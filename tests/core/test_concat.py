@@ -23,11 +23,13 @@ def _window(window_class: WindowClass, lineage_s=None, fact_s=None) -> Window:
     return Window(
         fact_r=("Ann", "ZAK"),
         fact_s=fact_s,
-        interval=Interval(4, 6),
+        start=4,
+        end=6,
         lineage_r=Var("a1"),
         lineage_s=lineage_s,
         window_class=window_class,
-        source_interval=Interval(2, 8),
+        source_start=2,
+        source_end=8,
     )
 
 

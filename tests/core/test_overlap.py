@@ -37,7 +37,7 @@ class TestPaperExample:
         jim = groups[1]
         assert not jim.matches
         padded = list(gap_sweep(jim))
-        assert padded == [(WindowClass.UNMATCHED, Interval(7, 10), None, None)]
+        assert padded == [(WindowClass.UNMATCHED, 7, 10, None, None)]
 
     def test_record_to_window_classes(self, wants_to_visit, hotel_availability, loc_theta):
         groups = overlap_join(wants_to_visit, hotel_availability, loc_theta)
@@ -235,11 +235,11 @@ def test_sort_matches_leaves_what_a_stable_sort_by_the_full_key_leaves():
     records = []
     for serial in range(40):
         start = rng.randrange(0, 3)
-        overlap = Interval(start, start + rng.randrange(1, 3))
+        end = start + rng.randrange(1, 3)
         # Four facts over forty records: full-key ties are the rule.
         fact = ("k", f"s{rng.randrange(4)}")
         s = TPTuple.base(fact, "s", Interval(0, 10), 0.5)
-        records.append(OverlapRecord(r, s, overlap))
+        records.append(OverlapRecord(r, s, start, end))
     expected = sorted(records, key=_match_order)
     assert len({_match_order(record) for record in records}) < len(records) / 2
     sort_matches(records)

@@ -201,6 +201,28 @@ def test_checkpoint_size_follows_the_open_state_not_the_run_length():
     assert _frame_bytes_after(200) <= _frame_bytes_after(20)
 
 
+def test_an_open_entry_frames_as_primitives_with_overlap_bounds():
+    """The frame shape of ``CHECKPOINT_VERSION`` 2, pinned literally: per
+    key, each open entry is its tuple code, ingest clock, serial and one
+    ``(negative code, overlap start, overlap end)`` per match."""
+
+    def base(name, start, end):
+        return TPRelation.from_rows(
+            Schema.of("Key", "Serial"), [("k", name, name, start, end, 0.5)], name=name
+        )
+
+    left, right = base("l0", 2, 8), base("r0", 4, 10)
+    join = continuous_join(
+        "left_outer", left.schema, right.schema, ON, clock=lambda: 1.5
+    )
+    join.process(Tagged(LEFT, StreamEvent(left.tuples[0])))
+    join.process(Tagged(RIGHT, StreamEvent(right.tuples[0])))
+    frame = encode_maintainer(join.maintainer)
+    l0 = (("k", "l0"), ("v", "l0"), 2, 8, 0.5)
+    r0 = (("k", "r0"), ("v", "r0"), 4, 10, 0.5)
+    assert frame[7:] == ([(("k",), [(l0, 1.5, 1, [(r0, 4, 8)])])], [(("k",), [r0])])
+
+
 def test_non_collecting_workers_are_not_checkpointable():
     """Dataflow node workers (peer edges, no locally collected outputs)
     must be refused — a single-worker snapshot cannot capture in-flight
