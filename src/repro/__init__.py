@@ -96,7 +96,7 @@ from .stream import (
     StreamQuery,
     StreamSource,
 )
-from .temporal import Interval, IntervalSet
+from .temporal import Interval
 
 __version__ = "1.0.0"
 
@@ -110,7 +110,6 @@ __all__ = [
     "NodeSpec",
     "Revision",
     "RevisionKind",
-    "IntervalSet",
     "LineageExpr",
     "MonteCarloEstimator",
     "ParallelConfig",

@@ -47,7 +47,6 @@ from .query import (
 )
 from .revision import (
     Revision,
-    RevisionCounters,
     RevisionElement,
     RevisionKind,
     as_revision,
@@ -66,7 +65,6 @@ __all__ = [
     "NodeResult",
     "NodeSpec",
     "Revision",
-    "RevisionCounters",
     "RevisionElement",
     "RevisionJoin",
     "RevisionJoinStats",

@@ -77,34 +77,3 @@ RevisionElement = Union[Revision, Watermark]
 def as_revision(element: StreamEvent) -> Revision:
     """Adapt a base-source event into its revision-stream form (a plain emit)."""
     return Revision(RevisionKind.EMIT, element.tuple)
-
-
-@dataclass
-class RevisionCounters:
-    """Observer-side tally of one edge's revision traffic."""
-
-    emits: int = 0
-    retracts: int = 0
-    refines: int = 0
-    provisional: int = 0
-
-    def record(self, revision: Revision) -> None:
-        if revision.kind is RevisionKind.EMIT:
-            self.emits += 1
-        elif revision.kind is RevisionKind.RETRACT:
-            self.retracts += 1
-        else:
-            self.refines += 1
-        if revision.provisional:
-            self.provisional += 1
-
-    @property
-    def additions(self) -> int:
-        return self.emits + self.refines
-
-    @property
-    def retraction_rate(self) -> float:
-        """Retractions per addition (0 when nothing was added)."""
-        if not self.additions:
-            return 0.0
-        return self.retracts / self.additions

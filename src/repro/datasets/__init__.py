@@ -13,7 +13,6 @@ from .replay import (
     ReplayConfig,
     arrival_order,
     meteo_stream_pair,
-    replay_elements,
     replay_source,
     stream_def,
     webkit_stream_pair,
@@ -36,7 +35,6 @@ __all__ = [
     "meteo_config",
     "meteo_pair",
     "meteo_stream_pair",
-    "replay_elements",
     "replay_source",
     "stream_def",
     "uniform_subset",

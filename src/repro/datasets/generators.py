@@ -75,10 +75,6 @@ class WorkloadConfig:
     payload_attribute: str = "Payload"
     seed: int = 0
 
-    def with_size(self, size: int) -> "WorkloadConfig":
-        """A copy of the config with a different cardinality."""
-        return replace(self, size=size)
-
     def with_seed(self, seed: int) -> "WorkloadConfig":
         """A copy of the config with a different RNG seed."""
         return replace(self, seed=seed)

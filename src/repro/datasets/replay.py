@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from ..relation import TPRelation, TPTuple
-from ..stream import StreamDef, StreamElement, StreamSource, StreamStats
+from ..stream import StreamDef, StreamSource, StreamStats
 from .meteo import meteo_pair
 from .webkit import webkit_pair
 
@@ -53,10 +53,6 @@ class ReplayConfig:
     def effective_lateness(self) -> int:
         """The source's lateness bound (defaults to the disorder)."""
         return self.disorder if self.lateness is None else self.lateness
-
-    def with_disorder(self, disorder: int) -> "ReplayConfig":
-        """A copy of the config with a different disorder bound."""
-        return replace(self, disorder=disorder)
 
 
 def arrival_order(
@@ -91,13 +87,6 @@ def replay_source(
         watermark_every=config.watermark_every,
         name=name or relation.name,
     )
-
-
-def replay_elements(
-    relation: TPRelation, config: ReplayConfig | None = None
-) -> Iterator[StreamElement]:
-    """One replay pass over the relation's element stream."""
-    return iter(replay_source(relation, config))
 
 
 def stream_def(

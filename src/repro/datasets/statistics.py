@@ -1,9 +1,9 @@
 """Descriptive statistics of TP workloads.
 
-Used by the harness to document the generated datasets in EXPERIMENTS.md and
-by tests to verify that the WebKit-like and Meteo-like generators actually
-exhibit the properties the paper attributes to the real datasets (different
-join selectivity, different overlap density).
+Used by the WebKit example to describe its workload and by tests to verify
+that the WebKit-like and Meteo-like generators actually exhibit the
+properties the paper attributes to the real datasets (different join
+selectivity, different overlap density).
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from .physical import (
     TimesliceOperator,
 )
 from .planner import Planner, PlannerConfig
-from .sql import JoinClause, ParsedQuery, parse_plan, parse_query, tokenize
+from .sql import JoinClause, ParsedQuery, parse_query, tokenize
 
 __all__ = [
     "Catalog",
@@ -76,7 +76,6 @@ __all__ = [
     "explain_physical",
     "find_scans",
     "find_stream_scans",
-    "parse_plan",
     "parse_query",
     "tokenize",
     "walk",

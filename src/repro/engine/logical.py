@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..temporal import Interval
 
@@ -154,11 +154,3 @@ def find_scans(plan: LogicalPlan) -> list[Scan]:
 def find_stream_scans(plan: LogicalPlan) -> list[StreamScan]:
     """All stream-scan leaves of a plan."""
     return [node for node in walk(plan) if isinstance(node, StreamScan)]
-
-
-def pinned_strategy(plan: LogicalPlan) -> Optional[JoinStrategy]:
-    """The explicitly pinned join strategy of the topmost TP join, if any."""
-    for node in walk(plan):
-        if isinstance(node, TPJoin) and node.strategy is not JoinStrategy.AUTO:
-            return node.strategy
-    return None

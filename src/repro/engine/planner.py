@@ -21,7 +21,6 @@ from typing import Optional
 
 from ..core.joins import join_output_schema
 from ..parallel.plan import ParallelConfig, choose_partitions
-from ..relation import TPRelation
 from ..options import ExecutionOptions
 from .catalog import Catalog
 from .continuous import ContinuousJoinOperator, ContinuousScanOperator
@@ -431,8 +430,3 @@ def merged_event_space(catalog: Catalog, plan: LogicalPlan):
     for space in spaces[1:]:
         events = events.merge(space)
     return events
-
-
-def base_relation(catalog: Catalog, name: str) -> TPRelation:
-    """Convenience lookup used by the executor and tests."""
-    return catalog.lookup(name)

@@ -388,8 +388,3 @@ def parse_query(text: str) -> ParsedQuery:
     """Parse a query string into a :class:`ParsedQuery`."""
     parsed = _Parser(tokenize(text)).parse()
     return parsed
-
-
-def parse_plan(text: str) -> LogicalPlan:
-    """Parse a query string and return only its logical plan."""
-    return parse_query(text).plan

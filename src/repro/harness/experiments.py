@@ -4,8 +4,8 @@ Every experiment knows how to build its workload (WebKit-like or Meteo-like
 synthetic data), which measurements (approach × input size) it performs and
 what series the paper plots, so the harness can print the same rows/series
 the paper reports.  The expected *shape* of each figure (who wins, by what
-rough factor) is recorded alongside and written into EXPERIMENTS.md by the
-reporting module.
+rough factor) is recorded alongside; the reporting module prints it beside
+the measurements and writes it into each figure's JSON report.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The harness prints, for every figure, the same series the paper plots —
 runtime per input size per approach — plus the NJ-vs-TA speedup factors so
 the "shape" claims of the paper (who wins, by roughly how much) can be read
-off directly and copied into EXPERIMENTS.md.
+off directly.
 """
 
 from __future__ import annotations

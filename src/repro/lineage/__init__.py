@@ -18,16 +18,7 @@ from .probability import (
     probability,
 )
 from .sampling import Estimate, MonteCarloEstimator
-from .simplify import (
-    canonical,
-    equivalent,
-    implies,
-    is_contradiction,
-    is_read_once,
-    is_tautology,
-    restrict,
-    to_nnf,
-)
+from .simplify import canonical, equivalent, is_read_once, restrict
 
 __all__ = [
     "And",
@@ -50,16 +41,12 @@ __all__ = [
     "conjunction_of",
     "disjunction_of",
     "equivalent",
-    "implies",
-    "is_contradiction",
     "is_read_once",
-    "is_tautology",
     "lineage_and",
     "lineage_not",
     "lineage_or",
     "probabilities",
     "probability",
     "restrict",
-    "to_nnf",
     "var",
 ]

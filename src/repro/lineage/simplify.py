@@ -41,16 +41,6 @@ def restrict(expr: LineageExpr, assignment: Mapping[str, bool]) -> LineageExpr:
     raise TypeError(f"unsupported lineage node {type(expr).__name__}")
 
 
-def is_tautology(expr: LineageExpr) -> bool:
-    """Return ``True`` if the expression is true under every assignment."""
-    return _all_models(expr, value=True)
-
-
-def is_contradiction(expr: LineageExpr) -> bool:
-    """Return ``True`` if the expression is false under every assignment."""
-    return _all_models(expr, value=False)
-
-
 def equivalent(left: LineageExpr, right: LineageExpr) -> bool:
     """Semantic equivalence of two lineage expressions.
 
@@ -76,36 +66,6 @@ def _equivalent_rec(left: LineageExpr, right: LineageExpr, variables: list[str])
         if not _equivalent_rec(left_cofactor, right_cofactor, rest):
             return False
     return True
-
-
-def implies(antecedent: LineageExpr, consequent: LineageExpr) -> bool:
-    """Return ``True`` if every model of ``antecedent`` satisfies ``consequent``."""
-    return is_contradiction(lineage_and(antecedent, lineage_not(consequent)))
-
-
-def to_nnf(expr: LineageExpr) -> LineageExpr:
-    """Rewrite into negation normal form (negations only on variables)."""
-    if isinstance(expr, (Var,)) or expr == TRUE or expr == FALSE:
-        return expr
-    if isinstance(expr, And):
-        return lineage_and(*(to_nnf(operand) for operand in expr.operands))
-    if isinstance(expr, Or):
-        return lineage_or(*(to_nnf(operand) for operand in expr.operands))
-    if isinstance(expr, Not):
-        child = expr.child
-        if isinstance(child, Var):
-            return expr
-        if child == TRUE:
-            return FALSE
-        if child == FALSE:
-            return TRUE
-        if isinstance(child, Not):
-            return to_nnf(child.child)
-        if isinstance(child, And):
-            return lineage_or(*(to_nnf(lineage_not(operand)) for operand in child.operands))
-        if isinstance(child, Or):
-            return lineage_and(*(to_nnf(lineage_not(operand)) for operand in child.operands))
-    raise TypeError(f"unsupported lineage node {type(expr).__name__}")
 
 
 def canonical(expr: LineageExpr) -> LineageExpr:
@@ -146,26 +106,6 @@ def is_read_once(expr: LineageExpr) -> bool:
             if node.name in seen:
                 return False
             seen.add(node.name)
-    return True
-
-
-def _all_models(expr: LineageExpr, value: bool) -> bool:
-    variables = sorted(expr.variables())
-    return _check_all(expr, variables, value)
-
-
-def _check_all(expr: LineageExpr, variables: list[str], value: bool) -> bool:
-    if not variables:
-        return _constant_value(expr) == value
-    simplified = expr
-    if simplified == TRUE:
-        return value is True
-    if simplified == FALSE:
-        return value is False
-    name, rest = variables[0], variables[1:]
-    for truth in (True, False):
-        if not _check_all(restrict(simplified, {name: truth}), rest, value):
-            return False
     return True
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable
 
 from ..lineage import EventSpace
 from .relation import TPRelation
@@ -97,12 +96,3 @@ def write_result_csv(relation: TPRelation, path: str | Path) -> None:
                     "" if tp_tuple.probability is None else tp_tuple.probability,
                 ]
             )
-
-
-def relation_from_tuples(
-    schema: Schema,
-    facts_and_rows: Iterable[tuple],
-    name: str = "",
-) -> TPRelation:
-    """Shorthand used in tests/examples: rows as ``(fact..., event, ts, te, p)``."""
-    return TPRelation.from_rows(schema, list(facts_and_rows), name=name)

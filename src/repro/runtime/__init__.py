@@ -44,7 +44,6 @@ _LAZY_EXPORTS = {
     "Transport": "transport",
     "TransportSession": "transport",
     "WorkerStartError": "transport",
-    "available_cpus": "transport",
     "get_transport": "transport",
     "preferred_context": "transport",
     "Stage": "driver",
@@ -80,7 +79,6 @@ __all__ = [
     "Worker",
     "WorkerReport",
     "WorkerStartError",
-    "available_cpus",
     "decode_report",
     "encode_report",
     "get_transport",

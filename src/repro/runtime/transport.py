@@ -71,14 +71,6 @@ def preferred_context() -> multiprocessing.context.BaseContext:
         return multiprocessing.get_context("spawn")
 
 
-def available_cpus() -> int:
-    """Best-effort CPU count (1 when undeterminable)."""
-    try:
-        return multiprocessing.cpu_count()
-    except NotImplementedError:  # pragma: no cover - exotic platforms
-        return 1
-
-
 @dataclass(frozen=True)
 class RuntimeJob:
     """Everything a transport needs to wire one topology of workers."""

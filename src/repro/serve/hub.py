@@ -221,11 +221,6 @@ class FanoutHub:
         """The hub lock; snapshots of hub-maintained state take it."""
         return self._cond
 
-    @property
-    def subscriber_count(self) -> int:
-        with self._cond:
-            return self._live
-
     def ring_size(self) -> int:
         with self._cond:
             return len(self._ring)

@@ -230,10 +230,6 @@ class ServingSubscription:
         self._closed = False
 
     @property
-    def query_name(self) -> str:
-        return self._record.name
-
-    @property
     def snapshot(self) -> Optional[List[TPTuple]]:
         """The atomically consistent snapshot taken at subscribe time."""
         return self._inner.snapshot

@@ -44,11 +44,6 @@ class StreamEvent:
     tuple: TPTuple
     sequence: int = 0
 
-    @property
-    def event_start(self) -> int:
-        """Event-time start of the carried tuple (watermarks compare to this)."""
-        return self.tuple.start
-
 
 @dataclass(frozen=True, slots=True)
 class Watermark:

@@ -1,38 +1,16 @@
-"""Temporal substrate: intervals, interval sets, timelines and coalescing."""
+"""Temporal substrate: half-open intervals, the segmentation used by the
+baselines, and the interval sets the window tests check coverage with."""
 
-from .allen import AllenRelation, allen_relation, intervals_overlap, inverse
-from .coalesce import coalesce_annotated, coalesce_intervals, is_coalesced
-from .interval import Interval, IntervalError, intersect_all, span, total_duration
+from .interval import Interval, IntervalError
 from .intervalset import IntervalSet
-from .timeline import (
-    Timeline,
-    TimelineEvent,
-    change_points,
-    partition_by_validity,
-    segments,
-    segments_within,
-    sweep_events,
-)
+from .timeline import Timeline, partition_by_validity, segments, segments_within
 
 __all__ = [
-    "AllenRelation",
     "Interval",
     "IntervalError",
     "IntervalSet",
     "Timeline",
-    "TimelineEvent",
-    "allen_relation",
-    "change_points",
-    "coalesce_annotated",
-    "coalesce_intervals",
-    "intersect_all",
-    "intervals_overlap",
-    "inverse",
-    "is_coalesced",
     "partition_by_validity",
     "segments",
     "segments_within",
-    "span",
-    "total_duration",
-    "sweep_events",
 ]

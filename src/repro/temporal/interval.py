@@ -82,27 +82,12 @@ class Interval:
         return iter(range(self.start, self.end))
 
     # ------------------------------------------------------------------ #
-    # relationships
+    # relationships and combination
     # ------------------------------------------------------------------ #
     def overlaps(self, other: "Interval") -> bool:
         """Return ``True`` if the two intervals share at least one time point."""
         return self.start < other.end and other.start < self.end
 
-    def meets(self, other: "Interval") -> bool:
-        """Return ``True`` if this interval ends exactly where ``other`` starts."""
-        return self.end == other.start
-
-    def adjacent(self, other: "Interval") -> bool:
-        """Return ``True`` if the intervals touch without overlapping."""
-        return self.end == other.start or other.end == self.start
-
-    def before(self, other: "Interval") -> bool:
-        """Return ``True`` if this interval ends at or before ``other`` starts."""
-        return self.end <= other.start
-
-    # ------------------------------------------------------------------ #
-    # combination
-    # ------------------------------------------------------------------ #
     def intersect(self, other: "Interval") -> Optional["Interval"]:
         """Return the intersection, or ``None`` if the intervals are disjoint."""
         start = max(self.start, other.start)
@@ -110,17 +95,6 @@ class Interval:
         if start < end:
             return Interval(start, end)
         return None
-
-    def union(self, other: "Interval") -> "Interval":
-        """Return the union of two overlapping or adjacent intervals.
-
-        Raises:
-            IntervalError: if the intervals are neither overlapping nor
-                adjacent (their union would not be an interval).
-        """
-        if not (self.overlaps(other) or self.adjacent(other)):
-            raise IntervalError(f"union of disjoint intervals {self} and {other}")
-        return Interval(min(self.start, other.start), max(self.end, other.end))
 
     def difference(self, other: "Interval") -> list["Interval"]:
         """Return the parts of this interval not covered by ``other``.
@@ -136,16 +110,6 @@ class Interval:
         if overlap.end < self.end:
             pieces.append(Interval(overlap.end, self.end))
         return pieces
-
-    def split_at(self, time_point: int) -> tuple["Interval", ...]:
-        """Split the interval at an interior time point.
-
-        Splitting at a point outside the interval, or at its start, returns
-        the interval unchanged (as a 1-tuple).
-        """
-        if self.start < time_point < self.end:
-            return (Interval(self.start, time_point), Interval(time_point, self.end))
-        return (self,)
 
     def split_at_points(self, points: Iterable[int]) -> list["Interval"]:
         """Split the interval at every interior point of ``points``.
@@ -172,45 +136,3 @@ class Interval:
 
 
 _Writer = writer(Interval)
-
-
-def span(intervals: Iterable[Interval]) -> Optional[Interval]:
-    """Return the smallest interval covering all of ``intervals``.
-
-    Returns ``None`` for an empty input.
-    """
-    items = list(intervals)
-    if not items:
-        return None
-    return Interval(min(i.start for i in items), max(i.end for i in items))
-
-
-def intersect_all(intervals: Iterable[Interval]) -> Optional[Interval]:
-    """Return the common intersection of all intervals, or ``None``."""
-    items = list(intervals)
-    if not items:
-        return None
-    start = max(i.start for i in items)
-    end = min(i.end for i in items)
-    if start < end:
-        return Interval(start, end)
-    return None
-
-
-def total_duration(intervals: Iterable[Interval]) -> int:
-    """Total number of time points covered, counting overlaps only once."""
-    ordered = sorted(intervals)
-    covered = 0
-    current: Optional[Interval] = None
-    for interval in ordered:
-        if current is None:
-            current = interval
-        elif interval.start <= current.end:
-            if interval.end > current.end:
-                current = Interval(current.start, interval.end)
-        else:
-            covered += current.duration
-            current = interval
-    if current is not None:
-        covered += current.duration
-    return covered

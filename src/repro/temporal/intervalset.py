@@ -4,8 +4,8 @@ An :class:`IntervalSet` maintains a canonical (sorted, coalesced) collection
 of disjoint intervals.  The LAWAU algorithm conceptually computes, per input
 tuple of the positive relation, the complement of the union of its overlapping
 windows within the tuple's own interval — exactly the ``complement_within``
-operation provided here.  The class is also used by the naive baseline and by
-the dataset statistics.
+operation provided here.  The window tests use the class as a referee for
+coverage.
 """
 
 from __future__ import annotations

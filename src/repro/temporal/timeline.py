@@ -13,13 +13,12 @@ the Temporal Alignment baseline and several tests.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .interval import Interval
 
 
-def change_points(intervals: Iterable[Interval]) -> list[int]:
+def _change_points(intervals: Iterable[Interval]) -> list[int]:
     """Return the sorted, de-duplicated start and end points of ``intervals``."""
     points: set[int] = set()
     for interval in intervals:
@@ -35,7 +34,7 @@ def segments(intervals: Iterable[Interval]) -> list[Interval]:
     the latest end such that no interval starts or ends strictly inside a
     segment.
     """
-    points = change_points(intervals)
+    points = _change_points(intervals)
     return [Interval(a, b) for a, b in zip(points, points[1:])]
 
 
@@ -47,36 +46,7 @@ def segments_within(frame: Interval, intervals: Iterable[Interval]) -> list[Inte
     windows: the interval of a tuple of the positive relation is split at
     every start or end of a matching tuple of the negative relation.
     """
-    return frame.split_at_points(change_points(intervals))
-
-
-@dataclass(frozen=True, slots=True)
-class TimelineEvent:
-    """A sweep event: an interval either starts or ends at ``time``."""
-
-    time: int
-    is_start: bool
-    payload: object
-
-    @property
-    def is_end(self) -> bool:
-        return not self.is_start
-
-
-def sweep_events(items: Iterable[tuple[Interval, object]]) -> list[TimelineEvent]:
-    """Turn ``(interval, payload)`` pairs into a sorted event list.
-
-    End events are ordered before start events at equal time so that a
-    half-open interval ending at *t* is no longer active when another one
-    starting at *t* is processed — matching the half-open semantics used
-    throughout the paper.
-    """
-    events: list[TimelineEvent] = []
-    for interval, payload in items:
-        events.append(TimelineEvent(interval.start, True, payload))
-        events.append(TimelineEvent(interval.end, False, payload))
-    events.sort(key=lambda event: (event.time, event.is_start))
-    return events
+    return frame.split_at_points(_change_points(intervals))
 
 
 class Timeline:

@@ -14,15 +14,22 @@ its ``__new__`` (for :class:`~repro.relation.TPTuple`, the factory its
 ``__new__`` calls), which validates the fields, writes them with plain
 attribute stores on an instance of the type's :func:`writer` and hands that
 instance out as the frozen type with one ``__class__`` assignment.  ``==``,
-``hash``, ``repr`` and the refusal to assign stay the dataclass's own, and
-each type's ``__reduce__`` (:func:`reduce_fields` where the constructor
-takes the fields in order) unpickles and copies through the same
-constructor.
+``hash`` and ``repr`` stay the dataclass's own, and each type's
+``__reduce__`` (:func:`reduce_fields` where the constructor takes the
+fields in order) unpickles and copies through the same constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
+
+
+def _refuse_assignment(self, name: str, value) -> None:
+    raise FrozenInstanceError(f"cannot assign to {name!r}")
+
+
+def _refuse_deletion(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete {name!r}")
 
 
 def writer(frozen: type) -> type:
@@ -32,7 +39,15 @@ def writer(frozen: type) -> type:
     ``frozen`` as its class.  ``__delattr__`` is reset too: the two share
     one type slot, which only becomes the plain attribute store when
     neither is overridden.
+
+    ``frozen`` itself is made to refuse every assignment and deletion with
+    :class:`~dataclasses.FrozenInstanceError`.  The dataclass's own refusal
+    covers only the fields: for any other name, such as a derived
+    ``interval`` property, it calls ``super()`` on the class that
+    ``slots=True`` replaced and fails with a ``TypeError``.
     """
+    frozen.__setattr__ = _refuse_assignment
+    frozen.__delattr__ = _refuse_deletion
     namespace = {
         "__slots__": (),
         "__setattr__": object.__setattr__,

@@ -13,7 +13,6 @@ from repro.engine import (
     SQLSyntaxError,
     Timeslice,
     TPJoin,
-    parse_plan,
     parse_query,
     tokenize,
 )
@@ -39,56 +38,56 @@ class TestTokenizer:
 
 class TestParsing:
     def test_simple_scan(self):
-        plan = parse_plan("SELECT * FROM a")
+        plan = parse_query("SELECT * FROM a").plan
         assert plan == Scan("a")
 
     def test_left_outer_join(self):
-        plan = parse_plan("SELECT * FROM a TP LEFT OUTER JOIN b ON a.Loc = b.Loc")
+        plan = parse_query("SELECT * FROM a TP LEFT OUTER JOIN b ON a.Loc = b.Loc").plan
         assert isinstance(plan, TPJoin)
         assert plan.kind is JoinKind.LEFT_OUTER
         assert plan.on == (("Loc", "Loc"),)
         assert plan.left == Scan("a") and plan.right == Scan("b")
 
     def test_anti_join(self):
-        plan = parse_plan("SELECT * FROM a TP ANTI JOIN b ON a.Loc = b.Loc")
+        plan = parse_query("SELECT * FROM a TP ANTI JOIN b ON a.Loc = b.Loc").plan
         assert isinstance(plan, TPJoin)
         assert plan.kind is JoinKind.ANTI
 
     def test_right_and_full_outer_joins(self):
-        assert parse_plan("SELECT * FROM a TP RIGHT OUTER JOIN b ON a.X = b.Y").kind is JoinKind.RIGHT_OUTER
-        assert parse_plan("SELECT * FROM a TP FULL OUTER JOIN b ON a.X = b.Y").kind is JoinKind.FULL_OUTER
+        assert parse_query("SELECT * FROM a TP RIGHT OUTER JOIN b ON a.X = b.Y").plan.kind is JoinKind.RIGHT_OUTER
+        assert parse_query("SELECT * FROM a TP FULL OUTER JOIN b ON a.X = b.Y").plan.kind is JoinKind.FULL_OUTER
 
     def test_inner_join(self):
-        assert parse_plan("SELECT * FROM a TP INNER JOIN b ON a.X = b.Y").kind is JoinKind.INNER
+        assert parse_query("SELECT * FROM a TP INNER JOIN b ON a.X = b.Y").plan.kind is JoinKind.INNER
 
     def test_reversed_condition_order_is_normalised(self):
-        plan = parse_plan("SELECT * FROM a TP LEFT OUTER JOIN b ON b.Loc = a.Place")
+        plan = parse_query("SELECT * FROM a TP LEFT OUTER JOIN b ON b.Loc = a.Place").plan
         assert plan.on == (("Place", "Loc"),)
 
     def test_multiple_join_conditions(self):
-        plan = parse_plan(
+        plan = parse_query(
             "SELECT * FROM a TP LEFT OUTER JOIN b ON a.X = b.Y AND a.Z = b.W"
-        )
+        ).plan
         assert plan.on == (("X", "Y"), ("Z", "W"))
 
     def test_where_clause_wraps_plan_in_select(self):
-        plan = parse_plan("SELECT * FROM a TP ANTI JOIN b ON a.X = b.Y WHERE Name = 'Ann'")
+        plan = parse_query("SELECT * FROM a TP ANTI JOIN b ON a.X = b.Y WHERE Name = 'Ann'").plan
         assert isinstance(plan, Select)
         assert plan.attribute == "Name"
         assert plan.value == "Ann"
 
     def test_where_with_numeric_literal(self):
-        plan = parse_plan("SELECT * FROM a WHERE Count = 3")
+        plan = parse_query("SELECT * FROM a WHERE Count = 3").plan
         assert isinstance(plan, Select)
         assert plan.value == 3
 
     def test_during_clause(self):
-        plan = parse_plan("SELECT * FROM a DURING [4, 8)")
+        plan = parse_query("SELECT * FROM a DURING [4, 8)").plan
         assert isinstance(plan, Timeslice)
         assert plan.interval == Interval(4, 8)
 
     def test_projection(self):
-        plan = parse_plan("SELECT Name, Loc FROM a")
+        plan = parse_query("SELECT Name, Loc FROM a").plan
         assert isinstance(plan, Project)
         assert plan.attributes == ("Name", "Loc")
 
@@ -127,4 +126,4 @@ class TestSyntaxErrors:
     )
     def test_malformed_queries_raise(self, text):
         with pytest.raises(SQLSyntaxError):
-            parse_plan(text)
+            parse_query(text)

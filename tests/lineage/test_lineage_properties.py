@@ -25,7 +25,6 @@ from repro.lineage import (
     lineage_or,
     probability,
     restrict,
-    to_nnf,
 )
 
 VARIABLE_NAMES = ["v0", "v1", "v2", "v3", "v4"]
@@ -98,8 +97,7 @@ def test_inclusion_exclusion(left, right):
 
 @given(expressions())
 @settings(max_examples=80)
-def test_nnf_and_canonical_preserve_semantics(expr):
-    assert equivalent(expr, to_nnf(expr))
+def test_canonical_preserves_semantics(expr):
     assert equivalent(expr, canonical(expr))
 
 

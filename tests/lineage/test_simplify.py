@@ -5,20 +5,15 @@ from __future__ import annotations
 from repro.lineage import (
     FALSE,
     TRUE,
-    Not,
     Var,
     and_not,
     canonical,
     equivalent,
-    implies,
-    is_contradiction,
     is_read_once,
-    is_tautology,
     lineage_and,
     lineage_not,
     lineage_or,
     restrict,
-    to_nnf,
 )
 
 
@@ -43,16 +38,6 @@ class TestRestrict:
 
 
 class TestSemanticChecks:
-    def test_tautology(self):
-        assert is_tautology(lineage_or(Var("a"), lineage_not(Var("a"))))
-        assert not is_tautology(Var("a"))
-        assert is_tautology(TRUE)
-
-    def test_contradiction(self):
-        assert is_contradiction(lineage_and(Var("a"), lineage_not(Var("a"))))
-        assert not is_contradiction(Var("a"))
-        assert is_contradiction(FALSE)
-
     def test_equivalent_structural_shortcut(self):
         assert equivalent(Var("a"), Var("a"))
 
@@ -72,30 +57,8 @@ class TestSemanticChecks:
         left = lineage_or(Var("a"), lineage_and(Var("a"), Var("b")))
         assert equivalent(left, Var("a"))
 
-    def test_implies(self):
-        assert implies(lineage_and(Var("a"), Var("b")), Var("a"))
-        assert not implies(Var("a"), lineage_and(Var("a"), Var("b")))
-        assert implies(FALSE, Var("a"))
-        assert implies(Var("a"), TRUE)
-
 
 class TestNormalForms:
-    def test_to_nnf_pushes_negation_inward(self):
-        expr = lineage_not(lineage_and(Var("a"), Var("b")))
-        nnf = to_nnf(expr)
-        assert nnf == lineage_or(lineage_not(Var("a")), lineage_not(Var("b")))
-        assert equivalent(expr, nnf)
-
-    def test_to_nnf_double_negation(self):
-        assert to_nnf(lineage_not(lineage_not(Var("a")))) == Var("a")
-
-    def test_to_nnf_keeps_literal_negations(self):
-        assert to_nnf(lineage_not(Var("a"))) == Not(Var("a"))
-
-    def test_to_nnf_preserves_semantics_on_nested_expression(self):
-        expr = lineage_not(lineage_or(lineage_and(Var("a"), Var("b")), lineage_not(Var("c"))))
-        assert equivalent(expr, to_nnf(expr))
-
     def test_canonical_sorts_commutative_operands(self):
         assert canonical(lineage_or(Var("b3"), Var("b2"))) == canonical(
             lineage_or(Var("b2"), Var("b3"))

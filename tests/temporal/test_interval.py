@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.temporal import Interval, IntervalError, intersect_all, span, total_duration
+from repro.temporal import Interval, IntervalError
 
 
 class TestConstruction:
@@ -77,19 +77,6 @@ class TestRelationships:
     def test_overlaps_is_symmetric(self):
         assert Interval(5, 10).overlaps(Interval(2, 8))
 
-    def test_meets(self):
-        assert Interval(2, 5).meets(Interval(5, 8))
-        assert not Interval(2, 5).meets(Interval(6, 8))
-
-    def test_adjacent_both_directions(self):
-        assert Interval(2, 5).adjacent(Interval(5, 8))
-        assert Interval(5, 8).adjacent(Interval(2, 5))
-
-    def test_before(self):
-        assert Interval(1, 3).before(Interval(3, 5))
-        assert Interval(1, 3).before(Interval(4, 5))
-        assert not Interval(1, 4).before(Interval(3, 5))
-
 
 class TestCombination:
     def test_intersect_overlapping(self):
@@ -104,16 +91,6 @@ class TestCombination:
     def test_intersect_adjacent_is_none(self):
         assert Interval(2, 4).intersect(Interval(4, 8)) is None
 
-    def test_union_overlapping(self):
-        assert Interval(2, 6).union(Interval(4, 9)) == Interval(2, 9)
-
-    def test_union_adjacent(self):
-        assert Interval(2, 4).union(Interval(4, 9)) == Interval(2, 9)
-
-    def test_union_disjoint_raises(self):
-        with pytest.raises(IntervalError):
-            Interval(2, 4).union(Interval(6, 9))
-
     def test_difference_no_overlap(self):
         assert Interval(2, 4).difference(Interval(6, 8)) == [Interval(2, 4)]
 
@@ -126,13 +103,6 @@ class TestCombination:
     def test_difference_prefix(self):
         assert Interval(2, 8).difference(Interval(1, 5)) == [Interval(5, 8)]
 
-    def test_split_at_interior_point(self):
-        assert Interval(2, 8).split_at(5) == (Interval(2, 5), Interval(5, 8))
-
-    def test_split_at_boundary_is_noop(self):
-        assert Interval(2, 8).split_at(2) == (Interval(2, 8),)
-        assert Interval(2, 8).split_at(8) == (Interval(2, 8),)
-
     def test_split_at_points(self):
         pieces = Interval(2, 10).split_at_points([4, 7, 0, 12, 4])
         assert pieces == [Interval(2, 4), Interval(4, 7), Interval(7, 10)]
@@ -140,22 +110,5 @@ class TestCombination:
     def test_split_at_points_none_interior(self):
         assert Interval(2, 5).split_at_points([0, 7]) == [Interval(2, 5)]
 
-
-class TestAggregates:
-    def test_span(self):
-        assert span([Interval(4, 6), Interval(1, 3), Interval(5, 9)]) == Interval(1, 9)
-
-    def test_span_empty(self):
-        assert span([]) is None
-
-    def test_intersect_all(self):
-        assert intersect_all([Interval(1, 8), Interval(3, 9), Interval(2, 6)]) == Interval(3, 6)
-
-    def test_intersect_all_disjoint(self):
-        assert intersect_all([Interval(1, 3), Interval(5, 7)]) is None
-
-    def test_total_duration_counts_overlap_once(self):
-        assert total_duration([Interval(1, 5), Interval(3, 7), Interval(10, 12)]) == 8
-
-    def test_total_duration_empty(self):
-        assert total_duration([]) == 0
+    def test_split_at_points_on_the_boundaries_is_noop(self):
+        assert Interval(2, 8).split_at_points([2, 8]) == [Interval(2, 8)]

@@ -5,14 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.temporal import (
-    Interval,
-    IntervalSet,
-    allen_relation,
-    intervals_overlap,
-    partition_by_validity,
-    segments_within,
-)
+from repro.temporal import Interval, IntervalSet, partition_by_validity, segments_within
 
 interval_strategy = st.builds(
     lambda start, length: Interval(start, start + length),
@@ -45,12 +38,6 @@ def test_difference_and_intersection_partition_the_interval(a, b):
     assert total == a.duration
 
 
-@given(interval_strategy, interval_strategy)
-def test_allen_relation_overlap_consistency(a, b):
-    assert intervals_overlap(a, b) == a.overlaps(b)
-    assert allen_relation(a, b) == allen_relation(a, b)  # deterministic
-
-
 @given(interval_lists, interval_strategy)
 def test_complement_within_is_disjoint_from_the_set(others, frame):
     covered = IntervalSet(others)
@@ -59,6 +46,16 @@ def test_complement_within_is_disjoint_from_the_set(others, frame):
     # gaps together with the covered-part-in-frame tile the frame
     inside = covered.intersect(IntervalSet([frame]))
     assert inside.duration + gaps.duration == frame.duration
+
+
+@given(interval_lists, interval_strategy)
+def test_interval_set_queries_agree_with_time_points(others, query):
+    covered = IntervalSet(others)
+    points = {point for other in others for point in other.time_points()}
+    inside = [point in points for point in query.time_points()]
+    assert covered.duration == len(points)
+    assert covered.covers(query) == all(inside)
+    assert covered.overlaps(query) == any(inside)
 
 
 @given(interval_lists, interval_strategy)

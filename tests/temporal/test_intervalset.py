@@ -85,6 +85,9 @@ class TestAlgebra:
         assert interval_set.covers(Interval(2, 8))
         assert not interval_set.covers(Interval(2, 10))
 
+    def test_covers_not_across_a_gap(self):
+        assert not IntervalSet([Interval(1, 3), Interval(4, 9)]).covers(Interval(2, 5))
+
     def test_overlaps(self):
         interval_set = IntervalSet([Interval(1, 3)])
         assert interval_set.overlaps(Interval(2, 8))
@@ -92,6 +95,9 @@ class TestAlgebra:
 
     def test_duration_sums_disjoint_pieces(self):
         assert IntervalSet([Interval(1, 3), Interval(5, 9)]).duration == 6
+
+    def test_duration_counts_overlap_once(self):
+        assert IntervalSet([Interval(1, 5), Interval(3, 7), Interval(10, 12)]).duration == 8
 
     def test_span_covers_gaps(self):
         assert IntervalSet([Interval(1, 3), Interval(8, 9)]).span() == Interval(1, 9)

@@ -5,26 +5,19 @@ from __future__ import annotations
 from repro.temporal import (
     Interval,
     Timeline,
-    change_points,
     partition_by_validity,
     segments,
     segments_within,
-    sweep_events,
 )
 
 
-class TestChangePoints:
-    def test_collects_all_endpoints(self):
-        assert change_points([Interval(1, 4), Interval(3, 6)]) == [1, 3, 4, 6]
-
-    def test_deduplicates(self):
-        assert change_points([Interval(1, 4), Interval(4, 6)]) == [1, 4, 6]
+class TestSegments:
+    def test_shared_endpoints_split_once(self):
+        assert segments([Interval(1, 4), Interval(4, 6)]) == [Interval(1, 4), Interval(4, 6)]
 
     def test_empty(self):
-        assert change_points([]) == []
+        assert segments([]) == []
 
-
-class TestSegments:
     def test_elementary_segments(self):
         assert segments([Interval(1, 4), Interval(3, 6)]) == [
             Interval(1, 3),
@@ -46,18 +39,6 @@ class TestSegments:
         assert pieces[-1].end == frame.end
         for left, right in zip(pieces, pieces[1:]):
             assert left.end == right.start
-
-
-class TestSweepEvents:
-    def test_events_sorted_with_end_before_start_at_ties(self):
-        events = sweep_events([(Interval(1, 4), "x"), (Interval(4, 6), "y")])
-        times_and_kinds = [(event.time, event.is_start) for event in events]
-        assert times_and_kinds == [(1, True), (4, False), (4, True), (6, False)]
-
-    def test_payloads_preserved(self):
-        events = sweep_events([(Interval(1, 2), "p")])
-        assert {event.payload for event in events} == {"p"}
-        assert events[0].is_start and events[1].is_end
 
 
 class TestTimeline:

@@ -59,10 +59,33 @@ class TestFrozen:
     def test_every_field_refuses_assignment_and_deletion(self, named):
         _cls, value = named
         for field in dataclasses.fields(value):
-            with pytest.raises(AttributeError):
+            with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(value, field.name, getattr(value, field.name))
-            with pytest.raises(AttributeError):
+            with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(value, field.name)
+
+    @pytest.mark.parametrize(
+        ("name", "attribute"),
+        [
+            ("tptuple", "interval"),
+            ("record", "interval"),
+            ("window", "interval"),
+            ("window", "source_interval"),
+        ],
+    )
+    def test_derived_intervals_refuse_assignment_and_deletion(self, name, attribute):
+        value = VALUES[name]
+        with pytest.raises(dataclasses.FrozenInstanceError, match=attribute):
+            setattr(value, attribute, Interval(1, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError, match=attribute):
+            delattr(value, attribute)
+
+    def test_names_that_are_not_fields_refuse_assignment(self, named):
+        _cls, value = named
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.extra = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del value.extra
 
     def test_a_built_value_is_exactly_its_type(self, named):
         cls, value = named
