@@ -11,10 +11,11 @@ watermarks — the multi-way, correction-tolerant layer above
   included).
 * :mod:`repro.dataflow.graph` — :class:`NodeSpec` / :class:`DataflowGraph`:
   DAG description, validation, schema and watermark topology.
-* :mod:`repro.dataflow.executor` — :func:`run_graph`: compiles the graph
-  into worker specs, source edges and routing stages for the runtime's one
-  router (:func:`repro.runtime.driver.run_job`) and merges the reports per
-  node in canonical order.
+* :mod:`repro.dataflow.compile` — the graph compiler: worker specs, routing
+  stages and source edges, and each node's operator picked from its shape.
+* :mod:`repro.dataflow.executor` — :func:`run_graph`: hands the compiled
+  graph to the runtime's one router (:func:`repro.runtime.driver.run_job`)
+  and gathers the reports per node.
 * :mod:`repro.dataflow.query` — :class:`DataflowQuery` /
   :class:`DataflowResult`, the registered executable form.
 * :mod:`repro.dataflow.convergence` — the batch re-run harness proving
@@ -30,13 +31,8 @@ from .convergence import (
     drained_relation,
     identity_rows,
 )
-from .executor import (
-    ChannelWatermarks,
-    GraphRunOutcome,
-    route_partition,
-    run_graph,
-    stage_watermark,
-)
+from ..runtime import ChannelWatermarks
+from .executor import GraphRunOutcome, run_graph
 from .graph import DataflowGraph, GraphError, NodeSpec
 from .operators import RevisionJoin, RevisionJoinStats
 from .query import (
@@ -74,7 +70,5 @@ __all__ = [
     "batch_rerun",
     "drained_relation",
     "identity_rows",
-    "route_partition",
     "run_graph",
-    "stage_watermark",
 ]

@@ -1,10 +1,10 @@
 """Dataflow graph execution over the unified runtime layer.
 
-:func:`run_graph` compiles the graph into worker specs — one per *(node,
-partition)* — plus the source edges and per-node routing stages, hands them
-to the one router (:func:`repro.runtime.driver.run_job`), and merges the
-worker reports per node in canonical order.  The transport decides where
-the workers live:
+:func:`run_graph` compiles the graph (:mod:`repro.dataflow.compile`) into
+worker specs — one per *(node, partition)* — plus the source edges and
+per-node routing stages, hands them to the one router
+(:func:`repro.runtime.driver.run_job`), and gathers the worker reports per
+node.  The transport decides where the workers live:
 
 * **inline** — every worker in the caller's thread, elements flowing
   depth-first: each output revision of a node is delivered to its consumers
@@ -48,30 +48,18 @@ close protocol hanging.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
-from ..parallel.batch import canonical_order
-from ..parallel.plan import stable_hash
+from ..recovery.types import RecoveryEvent
 from ..relation import TPTuple
-from ..runtime import SOURCE_CHANNEL, ChannelWatermarks
-from ..runtime.driver import SourceEdge, Stage, merge_edges, run_job
+from ..runtime.driver import merge_edges, run_job
 from ..runtime.transport import TRANSPORTS
-from ..stream.elements import LEFT, RIGHT, StreamEvent
+from ..stream.source import SourceStats
+from .compile import compile_graph, source_edges
 from .graph import DataflowGraph
-from .operators import RevisionJoin, RevisionJoinStats
-from .revision import Revision
+from .operators import RevisionJoinStats
 
-__all__ = [
-    "ChannelWatermarks",
-    "GraphRunOutcome",
-    "channel_topology",
-    "downstream_table",
-    "merge_edges",
-    "route_partition",
-    "run_graph",
-    "source_edges",
-    "stage_watermark",
-]
+__all__ = ["GraphRunOutcome", "merge_edges", "run_graph", "source_edges"]
 
 
 @dataclass
@@ -79,9 +67,8 @@ class GraphRunOutcome:
     """Per-node results of one graph execution, backend-independent.
 
     Partitioned stages are already merged: ``settled`` holds each node's
-    partition outputs in the canonical deterministic order (the order-stable
-    merge contract shared with :func:`repro.parallel.batch.canonical_order`),
-    ``stats`` the summed partition counters.
+    partition outputs concatenated in partition order, ``stats`` the summed
+    partition counters.
     """
 
     settled: Dict[str, List[TPTuple]]
@@ -91,86 +78,14 @@ class GraphRunOutcome:
     events_processed: int = 0
     backpressure_blocks: int = 0
     backend: str = "inline"
+    #: Events dropped late: evicted by a source at ingestion, or behind the
+    #: watermark at a node.
+    late_dropped: int = 0
     #: Final per-worker metrics snapshots (empty unless the run was
     #: instrumented via ``config.metrics`` or an attached collector).
     metrics: List[dict] = field(default_factory=list)
-
-
-def stage_watermark(partition_joins: Sequence[RevisionJoin]) -> float:
-    """A stage's output watermark: the min over its partitions' derived ones."""
-    return min(join.derived_watermark() for join in partition_joins)
-
-
-def route_partition(join: RevisionJoin, side: str, element, partitions: int) -> int:
-    """The partition a revision/event element routes to on one node input.
-
-    Uses the node θ's join key for the element's side and the stable
-    (PYTHONHASHSEED-independent) hash shared with the batch shard planner,
-    so all of an input key's elements — emits and the retractions that must
-    unwind them — land in the same partition, in channel order.
-    """
-    if partitions <= 1:
-        return 0
-    if isinstance(element, StreamEvent):
-        tp_tuple = element.tuple
-    elif isinstance(element, Revision):
-        tp_tuple = element.tuple
-    else:
-        raise TypeError(f"cannot key-route element {element!r}")
-    theta = join.theta
-    key = theta.left_key(tp_tuple) if side == LEFT else theta.right_key(tp_tuple)
-    return stable_hash(key) % partitions
-
-
-def source_edges(graph: DataflowGraph, node_index: Dict[str, int]) -> List[SourceEdge]:
-    """One fresh replay per (source → node input) edge of the graph."""
-    edges: List[SourceEdge] = []
-    for source in graph.source_names:
-        stream_def = graph.catalog.lookup_stream(source)
-        for consumer, side in graph.consumers_of(source):
-            edges.append((node_index[consumer], side, iter(stream_def.replay())))
-    return edges
-
-
-def downstream_table(graph: DataflowGraph, node_index: Dict[str, int]) -> List[List[Tuple[int, str]]]:
-    """Per node: the (consumer index, side) edges its output feeds."""
-    table: List[List[Tuple[int, str]]] = []
-    for spec in graph.nodes:
-        table.append(
-            [
-                (node_index[consumer], side)
-                for consumer, side in graph.consumers_of(spec.name)
-                if consumer in node_index
-            ]
-        )
-    return table
-
-
-def channel_topology(
-    graph: DataflowGraph, node_index: Dict[str, int]
-) -> List[Dict[str, List[Hashable]]]:
-    """Per node: the watermark channels feeding each input side.
-
-    A source edge contributes the one ``SOURCE_CHANNEL`` (a side has exactly
-    one input, so source edges never share a tracker); an upstream node
-    contributes one ``("node", index, partition)`` channel per partition.
-    Every partition of the consumer tracks the same channel set — watermarks
-    are broadcast.
-    """
-    channels: List[Dict[str, List[Hashable]]] = [
-        {LEFT: [], RIGHT: []} for _ in graph.nodes
-    ]
-    for source in graph.source_names:
-        for consumer, side in graph.consumers_of(source):
-            channels[node_index[consumer]][side].append(SOURCE_CHANNEL)
-    for index, spec in enumerate(graph.nodes):
-        for consumer, side in graph.consumers_of(spec.name):
-            if consumer in node_index:
-                for partition in range(spec.partitions):
-                    channels[node_index[consumer]][side].append(
-                        ("node", index, partition)
-                    )
-    return channels
+    #: Seats re-executed by a recovering socket run.
+    recoveries: List[RecoveryEvent] = field(default_factory=list)
 
 
 # --------------------------------------------------------------------------- #
@@ -186,15 +101,16 @@ def run_graph(
     cancel: Optional[object] = None,
     collector: Optional[object] = None,
     trace_collector: Optional[object] = None,
+    chaos: Optional[object] = None,
 ) -> GraphRunOutcome:
     """Execute a dataflow graph on one runtime transport.
 
     Compiles the graph into one worker spec per *(node, partition)* and one
     routing stage per node, lets the router
     (:func:`repro.runtime.driver.run_job`) drive the merged source edges
-    through them, and merges the workers' reports into a backend-independent
-    :class:`GraphRunOutcome` (canonical settled order, summed stats).
-    ``config`` is the run's :class:`repro.ExecutionOptions`.
+    through them, and gathers the workers' reports into a backend-independent
+    :class:`GraphRunOutcome` (partition outputs in partition order, summed
+    stats).  ``config`` is the run's :class:`repro.ExecutionOptions`.
 
     ``taps`` / ``probes`` map node names to observation callables — the
     serving layer's seam: a tap sees every output element of the node's
@@ -204,9 +120,9 @@ def run_graph(
     in-process transport (``inline`` / ``threads``).
 
     ``collector`` / ``trace_collector`` (:class:`repro.obs.MetricsCollector`
-    / :class:`repro.obs.TraceCollector`) and ``cancel`` are the router's:
-    unlike taps/probes, metrics snapshots and span shipments cross the
-    transport boundary inside the existing frame protocol, so they work
+    / :class:`repro.obs.TraceCollector`), ``cancel`` and ``chaos`` are the
+    router's: unlike taps/probes, metrics snapshots and span shipments cross
+    the transport boundary inside the existing frame protocol, so they work
     identically on all four transports; once ``cancel`` is set the graph
     settles early over what was already ingested — the cooperative stop
     used by standing-query lifecycle management.
@@ -215,11 +131,6 @@ def run_graph(
     the thread transport over the same untouched replays;
     ``GraphRunOutcome.backend`` records what actually ran.
     """
-    # Imported lazily: repro.parallel imports this module's graph helpers,
-    # so a top-level import here would be circular during package init.
-    from ..parallel.stream_exec import graph_node_specs
-    from ..stream.operators import theta_from_pairs
-
     if (taps or probes) and transport not in TRANSPORTS[:2]:
         raise ValueError(
             f"taps/probes are in-process callables and cannot cross the "
@@ -237,18 +148,11 @@ def run_graph(
         if unknown:
             raise ValueError(f"{label} name unknown graph nodes: {unknown}")
     node_index = {name: index for index, name in enumerate(graph.node_names)}
-    stages: List[Stage] = []
-    total = 0
-    for spec in graph.nodes:
-        theta = theta_from_pairs(
-            graph.schema_of(spec.left), graph.schema_of(spec.right), spec.on
-        )
-        # Every dataflow input is revisable, so both sides are stamped.
-        stages.append(Stage(total, spec.partitions, theta, True))
-        total += spec.partitions
-    reports, events_processed, blocks, backend, _recoveries = run_job(
-        graph_node_specs(graph, config, taps=taps, probes=probes),
-        source_edges(graph, node_index),
+    specs, stages = compile_graph(graph, config, taps=taps, probes=probes)
+    edges = source_edges(graph, node_index)
+    reports, events_processed, blocks, backend, recoveries = run_job(
+        specs,
+        edges,
         stages,
         config,
         transport,
@@ -256,7 +160,15 @@ def run_graph(
         collector=collector,
         trace_collector=trace_collector,
         cancel=cancel,
+        chaos=chaos,
     )
+    # Sources evict events beyond their lateness bound at ingestion (a
+    # replay that keeps counters, e.g. StreamSource, says how many).
+    late = sum(report.late_dropped for report in reports)
+    for _target, _side, replay in edges:
+        stats = getattr(replay, "stats", None)
+        if isinstance(stats, SourceStats):
+            late += stats.late_evicted
     settled: Dict[str, List[TPTuple]] = {}
     stats: Dict[str, RevisionJoinStats] = {}
     latencies: Dict[str, List[float]] = {}
@@ -271,9 +183,7 @@ def run_graph(
             node_stats.append(RevisionJoinStats(*report.stats))
             node_latencies.extend(report.emit_latencies)
             node_lags.extend(report.emit_event_lags)
-        # Canonical order-stable merge: key-disjoint partition outputs sort
-        # into the same sequence any partition count (or backend) produces.
-        settled[spec.name] = canonical_order(merged)
+        settled[spec.name] = merged
         stats[spec.name] = RevisionJoinStats.merged(node_stats)
         latencies[spec.name] = node_latencies
         lags[spec.name] = node_lags
@@ -285,5 +195,7 @@ def run_graph(
         events_processed=events_processed,
         backpressure_blocks=blocks,
         backend=backend,
+        late_dropped=late,
         metrics=[report.metrics for report in reports if report.metrics is not None],
+        recoveries=recoveries,
     )

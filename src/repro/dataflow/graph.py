@@ -7,8 +7,8 @@ stream of one lineage-aware operator feeds the next, with derived watermarks
 propagating progress along every edge.
 
 The graph is a pure description plus static validation and schema/θ
-inference; execution lives in :mod:`repro.dataflow.executor` and the
-process backend in :mod:`repro.parallel.stream_exec`.
+inference; :mod:`repro.dataflow.compile` turns it into runtime workers and
+:mod:`repro.dataflow.executor` runs them.
 """
 
 from __future__ import annotations

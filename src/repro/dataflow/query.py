@@ -10,11 +10,14 @@ unified :class:`repro.ExecutionOptions` for its knobs: ``transport`` picks
 the backend, ``buffer_capacity``/``micro_batch_size`` shape the
 backpressure seam, ``early_emit`` switches provisional publication on and
 ``materialize_probabilities`` computes output probabilities inline through
-the maintainer-owned per-key computers.  Graph runs are not yet
-recoverable — dataflow nodes exchange revisions over peer edges whose
-in-flight elements a per-seat snapshot cannot capture, so a dead node is not
-a self-contained shard: under ``restart_limit>0`` a socket run still runs,
-unrecovered, with a :class:`RuntimeWarning` saying so.
+the maintainer-owned per-key computers.  A one-node graph with early
+emission off is what a :class:`~repro.stream.StreamQuery` runs, and its
+socket runs recover dead seats like one.  Any other graph is not yet
+recoverable — nodes exchange revisions over peer edges whose in-flight
+elements a per-seat snapshot cannot capture, and revision-publishing
+operators keep state the checkpoint codec does not cover: under
+``restart_limit>0`` a socket run still runs, unrecovered, with a
+:class:`RuntimeWarning` saying so.
 """
 
 from __future__ import annotations
@@ -27,10 +30,12 @@ from typing import Dict, Iterator, List, Optional, Sequence
 from ..obs.collector import QueryTelemetry, RunIntrospection
 from ..options import ExecutionOptions
 from ..relation import TPRelation
-from ..runtime import Channel, ChannelClosed, ChannelWatermarks
+from ..runtime import Channel, ChannelClosed
+from ..runtime.driver import default_transport
 from ..runtime.transport import TRANSPORTS
 from ..stream.elements import Watermark
 from ..stream.query import summarize_latency_ms
+from .compile import output_watermarks
 from .executor import GraphRunOutcome, run_graph
 from .graph import DataflowGraph, NodeSpec
 from .operators import RevisionJoinStats
@@ -131,7 +136,9 @@ class DataflowQuery(QueryTelemetry):
         catalog: any object with ``lookup_stream`` (the engine catalog).
         nodes: node specs in topological order (see :class:`NodeSpec`).
         config: execution knobs; ``config.transport`` picks the default
-            backend (``"threads"`` maps to the node-per-thread pipeline).
+            backend (``"threads"`` maps to the node-per-thread pipeline) of
+            graphs with more than one worker — a one-worker graph runs
+            inline unless :meth:`run` names a backend.
     """
 
     def __init__(
@@ -170,7 +177,9 @@ class DataflowQuery(QueryTelemetry):
         self, merge_seed: Optional[int] = None, backend: Optional[str] = None
     ) -> DataflowResult:
         """Execute the graph over fresh source replays until settlement."""
-        chosen = backend or self._config.transport
+        chosen = backend or default_transport(
+            self._config.transport, sum(self._graph.partition_counts)
+        )
         if chosen not in TRANSPORTS:
             raise ValueError(f"backend must be one of {TRANSPORTS}, got {chosen!r}")
         started = time.perf_counter()
@@ -226,8 +235,6 @@ class DataflowQuery(QueryTelemetry):
             self._live_consumer = True
 
         sink = self._graph.sink
-        sink_index = self._graph.node_names.index(sink)
-        partitions = self._graph.partitions_of(sink)
         channel: Channel = Channel(self._config.buffer_capacity, producers=1)
         cancel = threading.Event()
         failures: List[BaseException] = []
@@ -262,9 +269,7 @@ class DataflowQuery(QueryTelemetry):
         )
 
         def iterate() -> Iterator[RevisionElement]:
-            tracker = ChannelWatermarks(
-                [("node", sink_index, partition) for partition in range(partitions)]
-            )
+            tracker = output_watermarks(self._graph, sink)
             thread.start()
             try:
                 while True:
@@ -295,7 +300,6 @@ class DataflowQuery(QueryTelemetry):
         for spec in self._graph.nodes:
             relation = TPRelation(
                 self._graph.schema_of(spec.name),
-                # run_graph returns each node's tuples in canonical order.
                 outcome.settled[spec.name],
                 events,
                 name=spec.name,

@@ -20,6 +20,7 @@ from typing import Iterator, Optional, Sequence
 from ..core.joins import join_output_schema
 from ..options import ExecutionOptions
 from ..relation import Schema, TPTuple
+from ..runtime.driver import recovery_blocker
 from ..stream import StreamDef, StreamEvent, StreamQuery, StreamQueryResult
 from .iterators import PhysicalOperator
 from .logical import JoinKind
@@ -157,6 +158,7 @@ class DataflowJoinOperator(PhysicalOperator):
     ) -> None:
         super().__init__()
         from ..dataflow import DataflowQuery
+        from ..dataflow.compile import compile_graph
 
         self._scans = scans
         self._query = DataflowQuery(catalog, nodes, config=config)
@@ -173,14 +175,17 @@ class DataflowJoinOperator(PhysicalOperator):
         self.trace_sample_rate = (
             self._query.config.trace_sample_rate if self._query.config.trace else None
         )
-        #: Dataflow nodes have peer edges, so a dead node is not a
-        #: self-contained shard — graph recovery is not supported yet.
-        #: EXPLAIN marks a plan whose options ask for seat recovery ``[not
-        #: recoverable: peer edges]`` (the run itself warns, see
-        #: ``runtime.driver.run_job``) and never ``[recoverable ...]``.
-        self.not_recoverable = (
-            "peer edges" if self._query.config.recovery_enabled else None
-        )
+        #: Read by EXPLAIN: under options that ask for seat recovery, a
+        #: graph whose workers are all self-contained renders
+        #: ``[recoverable ...]``; any other renders ``[not recoverable:
+        #: <cause>]`` (the run itself warns, see ``runtime.driver.run_job``).
+        config = self._query.config
+        self.not_recoverable = None
+        if config.recovery_enabled:
+            specs, _stages = compile_graph(self._query.graph, config)
+            self.not_recoverable = recovery_blocker(specs)
+        self.recoverable = config.recovery_enabled and self.not_recoverable is None
+        self.recovery_checkpoint_interval = config.checkpoint_interval
         self.last_result = None
 
     @property

@@ -24,8 +24,10 @@ enables span-per-element tracing carry ``[traced rate=R]``, read from
 ``trace_sample_rate`` (``None`` when tracing is off); plans whose options
 enable seat recovery carry ``[recoverable ckpt=Ns]`` (or ``[recoverable
 replay-from-zero]`` without checkpointing), read from ``recoverable`` /
-``recovery_checkpoint_interval``; a dataflow plan under such options is not
-recovered and carries ``[not recoverable: peer edges]`` (``not_recoverable``).
+``recovery_checkpoint_interval``; a dataflow plan under such options whose
+workers cannot be checkpointed seat by seat is not recovered and carries
+``[not recoverable: peer edges]`` (or ``early emission``), read from
+``not_recoverable``.
 """
 
 from __future__ import annotations
@@ -108,25 +110,9 @@ def explain_analyze(operator: PhysicalOperator) -> str:
 
 
 def _append_analysis(operator: PhysicalOperator, lines: list[str]) -> None:
-    result = getattr(operator, "last_result", None)
-    if result is not None:
-        analyze = getattr(result, "explain_analyze", None)
-        if analyze is not None:
-            lines.append("")
-            lines.append(analyze())
-        else:
-            # Foreign result types: accept raw snapshot lists under either
-            # the current field name or the pre-redesign ``metrics`` one
-            # (skipping bound methods — ``metrics()`` is an aggregate now).
-            snapshots = getattr(result, "metrics_snapshots", None)
-            if snapshots is None:
-                snapshots = getattr(result, "metrics", None)
-            if snapshots and not callable(snapshots):
-                from ..obs import MetricsAggregator
-
-                aggregator = MetricsAggregator()
-                aggregator.update_all(snapshots)
-                lines.append("")
-                lines.append(aggregator.render_report())
+    analyze = getattr(getattr(operator, "last_result", None), "explain_analyze", None)
+    if analyze is not None:
+        lines.append("")
+        lines.append(analyze())
     for child in operator.children():
         _append_analysis(child, lines)

@@ -160,9 +160,10 @@ class MetricsRegistry:
 def registry_for_spec(spec) -> MetricsRegistry:
     """Build a worker registry labelled from a runtime worker spec.
 
-    Works for both :class:`~repro.parallel.stream_exec.StreamShardSpec`
-    (``index``/``kind``) and dataflow node specs (``name``/``kind``/
-    ``partition``) — missing attributes are simply omitted as labels.
+    Labels come from the one worker spec
+    (:class:`~repro.dataflow.compile.DataflowNodeSpec`): its ``index``,
+    node ``name``, ``kind`` and ``partition``.  Missing attributes are
+    simply omitted as labels.
     """
     index = getattr(spec, "index", None)
     partition = getattr(spec, "partition", None)

@@ -27,23 +27,25 @@ __all__ = ["ExecutionOptions", "LAYOUTS"]
 class ExecutionOptions:
     """Every execution knob of a continuous/dataflow run, in one place.
 
-    ``transport`` picks where partitioned workers live: ``"threads"``
-    shares one interpreter (cheap, GIL-capped), ``"processes"`` runs one
-    OS process per partition (true multi-core speedup), ``"sockets"`` puts
-    each partition behind a TCP endpoint — locally spawned by default, or
-    on the hosts ``placement`` names (start them with ``python -m
-    repro.runtime.worker --listen HOST:PORT``).  Process and socket
-    transports degrade to threads with a warning when workers cannot
-    start.
+    ``transport`` picks where the workers of a multi-worker run live:
+    ``"threads"`` shares one interpreter (cheap, GIL-capped),
+    ``"processes"`` runs one OS process per partition (true multi-core
+    speedup), ``"sockets"`` puts each partition behind a TCP endpoint —
+    locally spawned by default, or on the hosts ``placement`` names (start
+    them with ``python -m repro.runtime.worker --listen HOST:PORT``).
+    Process and socket transports degrade to threads with a warning when
+    workers cannot start.  A run of one worker executes inline unless its
+    caller names a backend (:func:`repro.runtime.driver.default_transport`,
+    the one rule every query and the serving layer apply).
 
     ``materialize_probabilities`` computes output probabilities inline
     with the maintainer-owned per-key computers instead of
     leaving them for a later ``with_probabilities`` pass.
 
     ``early_emit`` publishes provisional windows before the watermark
-    closes them, retracting/refining on later data (honoured by the
-    dataflow executor; the planner routes stream joins through a dataflow
-    plan whenever it is set).
+    closes them, retracting/refining on later data (honoured by the one
+    dataflow executor every query runs on; the planner routes stream joins
+    through a dataflow plan whenever it is set).
 
     ``layout`` picks the window-maintainer state layout: ``"object"``
     (default) keeps per-tuple Python objects, ``"columnar"`` re-lays the
@@ -63,9 +65,11 @@ class ExecutionOptions:
     Fault tolerance (sockets transport only):
 
     * ``restart_limit`` — how many dead/timed-out seats one run may
-      recover by re-dispatching the shard spec to a fresh seat and
-      replaying that shard's elements.  ``0`` (default) disables
-      recovery: a dead seat fails the run, as before.
+      recover by re-dispatching the worker spec to a fresh seat and
+      replaying that seat's elements.  ``0`` (default) disables
+      recovery: a dead seat fails the run.  Only runs whose workers
+      collect their outputs (a stream query, a one-node graph with early
+      emission off) recover; any other runs unrecovered with a warning.
     * ``checkpoint_interval`` — seconds between worker state snapshots
       (open windows, counters, collected outputs) shipped to the driver
       as checkpoint frames; recovery then replays only the
@@ -101,8 +105,8 @@ class ExecutionOptions:
             raise ValueError("micro_batch_size must be positive")
         if self.buffer_capacity <= 0:
             raise ValueError("buffer_capacity must be positive")
-        # Single-partition runs execute inline regardless, so ``inline`` is
-        # not a value this knob takes.
+        # One-worker runs execute inline regardless (default_transport), so
+        # ``inline`` is not a value this knob takes.
         if self.transport not in TRANSPORTS[1:]:
             raise ValueError(
                 f"transport must be one of {TRANSPORTS[1:]}, got {self.transport!r}"

@@ -15,9 +15,6 @@ queries:
   available, inline fallback when processes cannot start).
 * :mod:`repro.parallel.batch` — :func:`parallel_tp_join`: any Table II join
   executed shard-wise with an order-stable canonical merge.
-* :mod:`repro.parallel.stream_exec` — the picklable worker specs every
-  runtime transport rebuilds its continuous-join and dataflow-node workers
-  from.
 
 Correctness invariant: with an equi-θ, every window of a tuple derives only
 from tuples sharing its join key, so key-disjoint shards never interact and
@@ -54,14 +51,12 @@ from .serialize import (
     encode_tuples,
     restricted_probabilities,
 )
-from .stream_exec import StreamShardSpec
 
 __all__ = [
     "BATCH_JOINS",
     "DEFAULT_MAX_WORKERS",
     "ParallelConfig",
     "ParallelJoinResult",
-    "StreamShardSpec",
     "balanced_key_assignment",
     "canonical_order",
     "choose_partitions",

@@ -3,8 +3,8 @@
 The socket transport makes worker *loss* an expected event.  This package
 turns a dead seat from a run-killing error into a recovered one:
 
-* :mod:`repro.recovery.checkpoint` — snapshot/restore of a stream-shard
-  worker's state (open windows, reverse maintainer, collected outputs;
+* :mod:`repro.recovery.checkpoint` — snapshot/restore of an
+  output-collecting worker's state (open windows, reverse maintainer, collected outputs;
   probability memos are recomputed, not shipped) through the compact codecs of
   :mod:`repro.parallel.serialize`;
 * :mod:`repro.recovery.driver` — the recovering session the one router

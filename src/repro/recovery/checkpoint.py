@@ -1,7 +1,7 @@
-"""Checkpoint codec: snapshot and restore one stream-shard worker's state.
+"""Checkpoint codec: snapshot and restore one collecting worker's state.
 
 A checkpoint captures everything a replacement worker needs to continue a
-continuous-join shard from a micro-batch boundary instead of from element
+continuous-join partition from a micro-batch boundary instead of from element
 zero: the collected settled outputs, the per-side channel-watermark merges,
 the operator's emit latencies and counters, and — the bulk — the forward
 (and, for right/full outer joins, the mirrored reverse)
@@ -23,10 +23,12 @@ because floats (watermarks, intervals, the collected outputs'
 probabilities) round-trip exactly through pickle and lineages decode to
 structurally equal expressions.
 
-Only output-collecting shard workers (``spec.collect_outputs``) are
-checkpointable: dataflow node workers have peer edges whose in-flight
-elements a single-worker snapshot cannot capture, so graph recovery is out
-of scope (see :mod:`repro.recovery`).
+Only output-collecting workers (``spec.collect_outputs``: the
+:class:`~repro.stream.ContinuousJoin` nodes the graph compiler picks for a
+stream query or a one-node early-off graph) are checkpointable: a worker with
+peer edges has in-flight elements a single-worker snapshot cannot capture,
+and a revision-publishing one keeps state this codec does not cover (see
+:func:`repro.runtime.driver.recovery_blocker`).
 
 The codec is *layout-independent*: maintainer state is read and written
 through the four accessor methods (``open_items`` / ``negative_items`` /
@@ -192,7 +194,7 @@ def _restore_trackers(worker, code: tuple) -> None:
 
 
 def snapshot_worker(worker, elements_seen: int) -> tuple:
-    """Capture one stream-shard worker's full state at a batch boundary.
+    """Capture one output-collecting worker's full state at a batch boundary.
 
     ``elements_seen`` is the count of delivered elements (events *and*
     watermarks, in per-seat send order) the worker has consumed; recovery
@@ -201,9 +203,9 @@ def snapshot_worker(worker, elements_seen: int) -> tuple:
     join = worker.join
     if worker._outputs is None:
         raise ValueError(
-            "only output-collecting stream shards are checkpointable; "
-            "dataflow node workers have peer edges a single-worker "
-            "snapshot cannot capture"
+            "only output-collecting workers are checkpointable; a worker "
+            "that publishes revisions has peer edges or operator state a "
+            "single-worker snapshot cannot capture"
         )
     reverse = join.reverse_maintainer
     return (

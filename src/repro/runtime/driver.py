@@ -1,10 +1,10 @@
 """The one source router: every continuous run drives the runtime through it.
 
-A continuous run — the K key-partitioned shards of a
-:class:`~repro.stream.StreamQuery`, the *(node, partition)* workers of a
-:class:`~repro.dataflow.DataflowGraph`, a recovering socket run — is a set
-of worker specs plus the source edges that feed them.  :func:`run_job` is
-the only place that
+A continuous run — the *(node, partition)* workers a
+:class:`~repro.dataflow.DataflowGraph` compiles to, a
+:class:`~repro.stream.StreamQuery` being a one-node graph, a recovering
+socket run — is a set of worker specs plus the source edges that feed them.
+:func:`run_job` is the only place that
 
 * builds the :class:`~repro.runtime.RuntimeJob` from
   :class:`repro.ExecutionOptions`,
@@ -16,7 +16,8 @@ the only place that
 * and completes the metrics/trace collectors.
 
 Callers differ only in what they compile (specs, edges, stages) and in how
-they merge the ordered worker reports.
+they merge the ordered worker reports.  :func:`default_transport` is the
+one rule for the transport of a run whose caller names none.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import random
 import warnings
 from dataclasses import replace
 from time import perf_counter
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..recovery.types import RecoveryEvent
 from ..relation import ThetaCondition, stable_key_hash
@@ -39,10 +40,17 @@ from .transport import (
 )
 from .worker import SOURCE_CHANNEL, WorkerReport
 
-__all__ = ["SourceEdge", "Stage", "merge_edges", "run_job"]
+__all__ = [
+    "SourceEdge",
+    "Stage",
+    "default_transport",
+    "merge_edges",
+    "recovery_blocker",
+    "run_job",
+]
 
-#: One source edge: ``(stage index, input side, element iterator)``.
-SourceEdge = Tuple[int, str, Iterator[StreamElement]]
+#: One source edge: ``(stage index, input side, element iterable)``.
+SourceEdge = Tuple[int, str, Iterable[StreamElement]]
 
 
 class Stage(NamedTuple):
@@ -52,7 +60,7 @@ class Stage(NamedTuple):
     contiguous indices from ``first_worker``; ``theta`` supplies the key an
     event is hash-routed by.  ``stamp_right`` says whether right-side events
     get an ingest clock too — true when the operator treats them as
-    positives (right/full outer, every dataflow node).
+    positives (right/full outer, every revision join).
     """
 
     first_worker: int
@@ -72,6 +80,7 @@ def merge_edges(
     require).
     """
     rng = random.Random(seed) if seed is not None else None
+    edges = [(target, side, iter(elements)) for target, side, elements in edges]
     open_edges = list(range(len(edges)))
     turn = 0
     while open_edges:
@@ -87,6 +96,31 @@ def merge_edges(
             open_edges.remove(slot)
             continue
         yield slot, target, side, element
+
+
+def default_transport(transport: str, workers: int) -> str:
+    """The transport of a run whose caller names no backend.
+
+    A one-worker run executes inline, in the calling thread, whatever
+    ``transport`` says: a hop to a single thread, process or seat buys no
+    parallelism and costs a channel crossing per element.
+    """
+    return transport if workers > 1 else "inline"
+
+
+def recovery_blocker(specs: Sequence) -> Optional[str]:
+    """Why these workers cannot be recovered seat by seat (``None``: they can).
+
+    Only output-collecting workers are checkpointable
+    (:func:`repro.recovery.checkpoint.snapshot_worker`): a worker with peer
+    edges has in-flight elements no per-seat snapshot captures, and a
+    revision-publishing one keeps state the checkpoint codec does not cover.
+    """
+    if any(spec.downstream for spec in specs):
+        return "peer edges"
+    if not all(spec.collect_outputs for spec in specs):
+        return "early emission"
+    return None
 
 
 def _start_session(
@@ -158,26 +192,25 @@ def run_job(
     dead seats; ``chaos`` is that session's failure-injection hook (see
     :class:`repro.recovery.chaos.ChaosInjector`) and is ignored everywhere
     else.  A socket run that asks for recovery with specs that are not
-    self-contained (dataflow nodes) still runs, unrecovered, and says so
-    with one :class:`RuntimeWarning`.
+    self-contained (see :func:`recovery_blocker`) still runs, unrecovered,
+    and says so with one :class:`RuntimeWarning`.
 
     Returns ``(reports, events_processed, backpressure_blocks, backend,
     recoveries)`` with reports in worker-index order and ``backend`` the
     transport that actually ran.
     """
     specs = tuple(specs)
-    # Only self-contained shards can be snapshotted and re-executed alone
-    # (dataflow node workers have peer edges; snapshot_worker rejects them),
+    # Only self-contained workers can be snapshotted and re-executed alone,
     # and only the recovering socket session ever reads a checkpoint — no
     # other run is told to take any.
     recover = transport == "sockets" and options.recovery_enabled
-    if recover and not all(spec.collect_outputs for spec in specs):
+    blocker = recovery_blocker(specs) if recover else None
+    if blocker is not None:
         recover = False
         warnings.warn(
             f"restart_limit={options.restart_limit} asks for seat recovery, but "
-            "these workers exchange elements over peer edges (dataflow nodes), "
-            "which a per-seat checkpoint cannot capture; the run continues "
-            "unrecovered and a dead seat fails it",
+            f"these workers cannot be checkpointed seat by seat ({blocker}); "
+            "the run continues unrecovered and a dead seat fails it",
             RuntimeWarning,
             stacklevel=4,
         )

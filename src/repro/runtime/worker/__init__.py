@@ -16,12 +16,12 @@ same four steps no matter which transport delivers its input:
    is closed, remaining outputs flushed, and one done sentinel sent per
    downstream (edge × partition) channel.
 
-Worker *specs* describe everything the loop needs — operator construction,
-watermark channels, producer counts, downstream routing entries — as plain
-picklable dataclasses (:class:`repro.parallel.StreamShardSpec`,
-:class:`repro.parallel.stream_exec.DataflowNodeSpec`), so the identical loop
-runs in the caller's thread, in a thread pool, in a forked process, or on a
-remote host behind the socket transport.
+A worker *spec* describes everything the loop needs — operator construction,
+watermark channels, producer counts, downstream routing entries — as one
+plain picklable dataclass (:class:`repro.dataflow.compile.DataflowNodeSpec`,
+compiled from a dataflow graph; a stream query is a one-node graph), so the
+identical loop runs in the caller's thread, in a thread pool, in a forked
+process, or on a remote host behind the socket transport.
 
 There is one loop, not an instrumented twin: a worker always counts what it
 routes, operates on and emits, and :func:`run_worker` always times its
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Hashable, List, Optional, Protocol, Sequence
+from typing import Callable, Hashable, List, Optional, Protocol, Sequence
 
 from ...obs.metrics import registry_for_spec
 from ...obs.trace import span_detail, tracer_for_spec
@@ -47,8 +47,7 @@ from ...relation import TPTuple, stable_key_hash
 from ...stream.elements import LEFT, RIGHT, Tagged, Watermark
 from ..channel import Channel, ChannelWatermarks
 
-#: The channel id the driver uses for source-edge watermarks of single-stage
-#: (stream shard) jobs.
+#: The channel id the driver uses for source-edge watermarks.
 SOURCE_CHANNEL = "src"
 
 
@@ -74,11 +73,11 @@ class WorkerSpec(Protocol):
     left_channels: Sequence[Hashable]
     right_channels: Sequence[Hashable]
     downstream: Sequence[tuple]
+    collect_outputs: bool
+    tap: Optional[Callable]
+    probe: Optional[Callable]
 
     def build_join(self): ...
-
-    @property
-    def collect_outputs(self) -> bool: ...
 
     @property
     def channel_id(self) -> Hashable: ...
@@ -90,10 +89,10 @@ class WorkerSpec(Protocol):
 class WorkerReport:
     """What one worker hands back to the driver after settling.
 
-    ``outputs`` is the worker's contribution to the settled result (collected
-    stream outputs, or a dataflow node's settled window tuples); ``stats`` is
-    the revision-counter tuple of a dataflow node (``None`` for stream
-    shards, which report ``late_dropped`` instead).
+    ``outputs`` is the worker's contribution to the settled result (its
+    collected outputs, or a revision join's settled window tuples);
+    ``stats`` is the node's revision-counter tuple and ``late_dropped`` the
+    events its maintainer dropped behind the watermark.
     """
 
     index: int
@@ -176,12 +175,11 @@ class Worker:
         # Optional in-process observation hooks (the serving layer's seam):
         # ``tap(channel_id, element)`` sees every output element live,
         # ``probe(channel_id, join)`` sees the operator instance at start-up.
-        # Read via getattr so specs without the fields keep working; both are
-        # callables and therefore only usable on in-process transports.
-        self._tap = getattr(spec, "tap", None)
-        probe = getattr(spec, "probe", None)
-        if probe is not None:
-            probe(spec.channel_id, self.join)
+        # Both are callables and therefore only usable on in-process
+        # transports.
+        self._tap = spec.tap
+        if spec.probe is not None:
+            spec.probe(spec.channel_id, self.join)
         self._trackers = {
             LEFT: ChannelWatermarks(spec.left_channels),
             RIGHT: ChannelWatermarks(spec.right_channels),

@@ -229,7 +229,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="keep a query running this long after its last subscriber detaches",
     )
     parser.add_argument(
-        "--transport", choices=("threads", "inline"), default="threads"
+        "--transport", choices=("threads", "inline"), default=None,
+        help="in-process transport of every plan group (default: inline for "
+        "a one-worker group, threads otherwise)",
     )
     parser.add_argument("--connect", metavar="HOST:PORT", help="run as a client")
     parser.add_argument("--subscribe", metavar="NAME", help="subscribe to a query")

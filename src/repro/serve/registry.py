@@ -23,9 +23,11 @@ first), and **detach**; the service owns everything in between:
   node, min-merges its per-partition watermarks, and publishes every element
   to the member hubs with the cache update applied atomically.
 
-Execution uses the in-process transports (taps are callables), defaulting
-to ``threads`` so hub backpressure under the ``block`` policy transfers to
-the graph workers and, transitively, the sources.
+Execution uses the in-process transports (taps are callables).  Unless the
+service names one, a plan group of one worker runs inline in its run thread
+and a larger one on ``threads``; either way hub backpressure under the
+``block`` policy transfers to the graph workers and, transitively, the
+sources.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
 
+from ..dataflow.compile import output_watermarks
 from ..dataflow.executor import run_graph
 from ..dataflow.graph import DataflowGraph, NodeSpec
 from ..dataflow.query import IN_PROCESS, DataflowQuery
 from ..relation import TPTuple
-from ..runtime import ChannelWatermarks
+from ..runtime.driver import default_transport
 from ..stream.elements import Watermark
 from ..options import ExecutionOptions
 from .cache import ResultCache
@@ -115,14 +118,10 @@ class PlanGroup:
 
     def start(self) -> None:
         """Tap every member sink, probe every node, run in a daemon thread."""
-        node_index = {name: idx for idx, name in enumerate(self.graph.node_names)}
         by_sink: Dict[str, List[StandingQuery]] = {}
         for member in self.members:
             by_sink.setdefault(member.sink_canonical, []).append(member)
-        taps = {
-            sink: self._make_tap(node_index[sink], self.graph.partitions_of(sink), records)
-            for sink, records in by_sink.items()
-        }
+        taps = {sink: self._make_tap(sink, records) for sink, records in by_sink.items()}
         probes = {name: self._make_probe(name) for name in self.graph.node_names}
         self._thread = threading.Thread(
             target=self._run,
@@ -132,13 +131,11 @@ class PlanGroup:
         )
         self._thread.start()
 
-    def _make_tap(self, sink_index: int, partitions: int, records: List[StandingQuery]):
+    def _make_tap(self, sink: str, records: List[StandingQuery]):
         # One watermark tracker per tapped node, shared by every member it
         # serves: per-partition sink watermarks min-merge into the node's
         # true output frontier before fan-out.
-        tracker = ChannelWatermarks(
-            [("node", sink_index, partition) for partition in range(partitions)]
-        )
+        tracker = output_watermarks(self.graph, sink)
         tracker_lock = threading.Lock()
 
         def tap(channel_id, element) -> None:
@@ -275,7 +272,9 @@ class StandingQueryService:
             (see :mod:`repro.serve.hub`).
         linger_seconds: how long a group keeps running after its last
             subscriber detaches (0 stops immediately).
-        transport: in-process runtime transport (``threads`` or ``inline``).
+        transport: in-process runtime transport (``threads`` or ``inline``);
+            ``None`` runs one-worker plan groups inline and larger ones on
+            ``threads``.
         merge_seed: source interleaving seed forwarded to every run.
     """
 
@@ -286,12 +285,12 @@ class StandingQueryService:
         hub_capacity: int = 256,
         policy: str = "block",
         linger_seconds: float = 0.0,
-        transport: str = "threads",
+        transport: Optional[str] = None,
         merge_seed: Optional[int] = None,
     ) -> None:
         if policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
-        if transport not in IN_PROCESS:
+        if transport is not None and transport not in IN_PROCESS:
             raise ValueError(
                 f"serving taps the graph in-process; transport must be one "
                 f"of {IN_PROCESS}, got {transport!r}"
@@ -429,9 +428,10 @@ class StandingQueryService:
         for member in members:
             wanted.update(member.canonical.values())
         graph = DataflowGraph(self._catalog, self._registry.plan_nodes(wanted))
-        group = PlanGroup(
-            members, graph, self._config, self._transport, self._merge_seed
+        transport = self._transport or default_transport(
+            "threads", sum(graph.partition_counts)
         )
+        group = PlanGroup(members, graph, self._config, transport, self._merge_seed)
         trace_on = getattr(self._config, "trace", False)
         for offset, member in enumerate(members):
             tracer = sampler = None

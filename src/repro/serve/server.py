@@ -286,34 +286,16 @@ class ServeServer:
     ) -> None:
         loop = asyncio.get_running_loop()
         interval = max(float(request.get("interval", 1.0)), 0.05)
-        stop = asyncio.Event()
-
-        async def watch_input() -> None:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                try:
-                    inner = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if inner.get("op") == "detach":
-                    break
-            stop.set()
-
-        watcher = asyncio.ensure_future(watch_input())
+        watcher = asyncio.ensure_future(_read_until_detach(reader))
         try:
             await self._send(
                 writer, {"type": "ok", "op": "watch", "interval": interval}
             )
-            while not stop.is_set():
+            while not watcher.done():
                 payload = await loop.run_in_executor(None, self._stats_payload)
                 payload["type"] = "stats"
                 await self._send(writer, payload)
-                try:
-                    await asyncio.wait_for(stop.wait(), interval)
-                except asyncio.TimeoutError:
-                    pass
+                await asyncio.wait((watcher,), timeout=interval)
             await self._send(writer, {"type": "end", "op": "watch", "reason": "detached"})
         except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
             _LOGGER.debug("watch client vanished mid-stream")
@@ -342,7 +324,10 @@ class ServeServer:
                     "tuples": tuples_payload(subscription.snapshot),
                 },
             )
-        watcher = asyncio.ensure_future(self._watch_for_detach(reader, subscription))
+        watcher = asyncio.ensure_future(_read_until_detach(reader))
+        # Closing the subscription fires the pump's waker and makes its next
+        # read raise ValueError, which ends the stream cleanly.
+        watcher.add_done_callback(lambda _watcher: subscription.close())
         wake = asyncio.Event()
 
         def waker() -> None:
@@ -391,22 +376,19 @@ class ServeServer:
             watcher.cancel()
             subscription.close()
 
-    async def _watch_for_detach(
-        self, reader: asyncio.StreamReader, subscription: ServingSubscription
-    ) -> None:
-        while True:
-            line = await reader.readline()
-            if not line:
-                break
-            try:
-                request = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if request.get("op") == "detach":
-                break
-        # Closing the subscription fires the pump's waker and makes its next
-        # read raise ValueError, which ends the stream cleanly.
-        subscription.close()
+
+async def _read_until_detach(reader: asyncio.StreamReader) -> None:
+    """Consume a streaming connection's input until a ``detach`` line or EOF."""
+    while True:
+        line = await reader.readline()
+        if not line:
+            return
+        try:
+            request = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if request.get("op") == "detach":
+            return
 
 
 # --------------------------------------------------------------------------- #

@@ -7,14 +7,15 @@ event is routed to a worker by the stable hash of its join key — all events
 that can ever form a window together share a key, so partitions are
 independent — and watermarks are broadcast to every worker.
 
-The query is a thin caller of the one router
-(:func:`repro.runtime.driver.run_job`): two source edges, K shard specs of
-one stage, reports concatenated in shard order.  ``ExecutionOptions.transport``
-decides where the shard workers live (``"threads"`` / ``"processes"`` /
-``"sockets"``, see :mod:`repro.runtime`); with ``partitions=1`` (or a
-non-equi θ, which cannot be key-partitioned) the query runs on the inline
-transport in the calling thread — the fast path for small streams and the
-engine's SQL entry point.
+The query is sugar for a one-node dataflow graph
+(:class:`~repro.dataflow.NodeSpec`): :meth:`StreamQuery.run` compiles that
+node and hands it to :func:`repro.dataflow.executor.run_graph`, the one
+executor of every continuous run.  ``ExecutionOptions.transport`` decides
+where the partition workers live (``"threads"`` / ``"processes"`` /
+``"sockets"``, see :mod:`repro.runtime`); with ``partitions=1`` (or an empty
+θ, which cannot be key-partitioned) the query runs on the inline transport
+in the calling thread — the fast path for small streams and the engine's
+SQL entry point.
 
 The module avoids importing :mod:`repro.engine`; the catalog is used through
 its ``lookup_stream`` method only, so the engine can depend on this package
@@ -24,19 +25,17 @@ without a cycle.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence
 
-from ..columnar import resolve_layout
-from ..core.joins import REVERSE_KINDS, join_output_schema
+from ..core.joins import join_output_schema
 from ..lineage import EventSpace
 from ..obs.collector import QueryTelemetry, RunIntrospection
 from ..options import ExecutionOptions
-from ..relation import Schema, TPRelation, TPTuple
-from ..runtime.driver import Stage, run_job
-from .elements import LEFT, RIGHT, StreamElement
-from .operators import continuous_join, theta_from_pairs
-from .source import SourceStats
+from ..relation import Schema, TPRelation
+from ..runtime.driver import default_transport
+from .elements import StreamElement
+from .operators import continuous_join
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,9 @@ class StreamQuery(QueryTelemetry):
         right: name of the negative (right) registered stream.
         on: ``(left_attribute, right_attribute)`` equality pairs (θ).
         config: :class:`repro.ExecutionOptions`; defaults to
-            single-partition inline runs.
+            single-partition inline runs.  Options apply as they do to the
+            one-node graph the query runs: with ``early_emit`` the node
+            publishes revisions and settles to the same relation.
     """
 
     def __init__(
@@ -162,10 +163,10 @@ class StreamQuery(QueryTelemetry):
         self._right_name = right
         self._on = tuple(on)
         self._config = config or ExecutionOptions()
-        # Validate eagerly: unknown streams and bad θ fail at registration.
+        # Validate eagerly: unknown streams, kinds and bad θ fail at
+        # registration.
         left_def = catalog.lookup_stream(left)
         right_def = catalog.lookup_stream(right)
-        self._theta = theta_from_pairs(left_def.schema, right_def.schema, self._on)
         continuous_join(kind, left_def.schema, right_def.schema, self._on)
         super().__init__(self._config)
 
@@ -187,40 +188,13 @@ class StreamQuery(QueryTelemetry):
     def effective_partitions(self) -> int:
         """The partition count a run will actually use.
 
-        Non-equi θ cannot be hash-partitioned by key: such queries run on
-        one partition regardless of the configured count.
+        The graph's rule: more than one partition needs an equi-join key to
+        route by, so a query with an empty θ runs on one partition
+        regardless of the configured count.
         """
-        if not self._theta.is_equi:
+        if not self._on:
             return 1
         return self._config.partitions
-
-    def _shard_spec(self):
-        """The picklable worker spec every transport rebuilds the join from."""
-        # Imported lazily: repro.parallel depends on stream submodules, so a
-        # top-level import here would be circular during package init.
-        from ..parallel.stream_exec import StreamShardSpec
-
-        left_def = self._catalog.lookup_stream(self._left_name)
-        right_def = self._catalog.lookup_stream(self._right_name)
-        event_probabilities = None
-        if self._config.materialize_probabilities:
-            merged_events = left_def.events.merge(right_def.events)
-            event_probabilities = {
-                name: merged_events.probability(name) for name in merged_events.names()
-            }
-        return StreamShardSpec(
-            kind=self._kind,
-            left_attributes=left_def.schema.attributes,
-            right_attributes=right_def.schema.attributes,
-            on=self._on,
-            left_name=left_def.name or self._left_name,
-            right_name=right_def.name or self._right_name,
-            event_probabilities=event_probabilities,
-            # Resolved here, driver-side, so a columnar request on a
-            # numpy-less host degrades (with a warning) before any worker
-            # spec ships.
-            layout=resolve_layout(self._config.layout),
-        )
 
     # ------------------------------------------------------------------ #
     # execution
@@ -235,38 +209,40 @@ class StreamQuery(QueryTelemetry):
         chaos tests to kill seats mid-run.  Ignored
         — no failure is injected — on every other execution path.
         """
-        left_def = self._catalog.lookup_stream(self._left_name)
-        right_def = self._catalog.lookup_stream(self._right_name)
-        left_elements = left_def.replay()
-        right_elements = right_def.replay()
+        # Imported here: repro.dataflow builds on this package.
+        from ..dataflow.executor import run_graph
+        from ..dataflow.graph import DataflowGraph, NodeSpec
+
         partitions = self.effective_partitions
-        spec = self._shard_spec()
+        name = f"{self._kind}({self._left_name},{self._right_name})"
+        graph = DataflowGraph(
+            self._catalog,
+            [
+                NodeSpec(
+                    name,
+                    self._kind,
+                    self._left_name,
+                    self._right_name,
+                    self._on,
+                    partitions,
+                )
+            ],
+        )
         started = time.perf_counter()
-        reports, events_processed, blocks, backend, recoveries = run_job(
-            tuple(replace(spec, index=index) for index in range(partitions)),
-            [(0, LEFT, iter(left_elements)), (0, RIGHT, iter(right_elements))],
-            # Right/full outer joins treat right events as positives too
-            # (mirrored maintainer), so both sides get an ingestion stamp
-            # for emit latency.
-            [Stage(0, partitions, self._theta, self._kind in REVERSE_KINDS)],
+        outcome = run_graph(
+            graph,
             self._config,
-            self._config.transport if partitions > 1 else "inline",
             merge_seed,
+            transport=default_transport(self._config.transport, partitions),
             collector=self._collector,
             trace_collector=self._trace_collector,
             chaos=chaos,
         )
         elapsed = time.perf_counter() - started
 
-        outputs: List[TPTuple] = []
-        latencies: List[float] = []
-        late = 0
-        for report in reports:
-            outputs.extend(report.outputs)
-            latencies.extend(report.emit_latencies)
-            late += report.late_dropped
-
-        events = left_def.events.merge(right_def.events)
+        left_def = self._catalog.lookup_stream(self._left_name)
+        right_def = self._catalog.lookup_stream(self._right_name)
+        outputs = outcome.settled[name]
         schema = join_output_schema(
             self._kind,
             left_def.schema,
@@ -274,27 +250,23 @@ class StreamQuery(QueryTelemetry):
             right_def.name or self._right_name,
         )
         relation = TPRelation(
-            schema, outputs, events, name=self.describe(), check_constraint=False
+            schema,
+            outputs,
+            left_def.events.merge(right_def.events),
+            name=self.describe(),
+            check_constraint=False,
         )
-        # Sources evict events beyond their lateness bound at ingestion;
-        # surface those too (a replay that exposes stats, e.g. StreamSource).
-        for elements in (left_elements, right_elements):
-            stats = getattr(elements, "stats", None)
-            if isinstance(stats, SourceStats):
-                late += stats.late_evicted
         return StreamQueryResult(
             relation=relation,
-            events_processed=events_processed,
+            events_processed=outcome.events_processed,
             outputs_emitted=len(outputs),
             elapsed_seconds=elapsed,
-            emit_latencies=latencies,
+            emit_latencies=outcome.emit_latencies[name],
             partitions=partitions,
-            late_dropped=late,
-            backpressure_blocks=blocks,
-            workers=backend,
-            metrics_snapshots=[
-                report.metrics for report in reports if report.metrics is not None
-            ],
+            late_dropped=outcome.late_dropped,
+            backpressure_blocks=outcome.backpressure_blocks,
+            workers=outcome.backend,
+            metrics_snapshots=outcome.metrics,
             trace_spans=self._run_spans(),
-            recovery_events=recoveries,
+            recovery_events=outcome.recoveries,
         )

@@ -23,11 +23,11 @@ require) while exercising arbitrary cross-source arrival interleavings.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from ..relation import TPTuple
+from ..runtime.driver import merge_edges
 from .elements import CLOSED, LEFT, RIGHT, StreamElement, StreamEvent, Tagged, Watermark
 
 
@@ -113,24 +113,12 @@ def merge_tagged(
 ) -> Iterator[Tagged]:
     """Interleave two element streams into one tagged sequence.
 
-    With ``seed=None`` the interleaving is round-robin; with a seed, each step
-    picks a random non-exhausted side, exercising arbitrary cross-source
-    arrival orders (each source's internal order is preserved, which is all
-    the watermark semantics require).
+    The two-edge case of the router's one interleaving rule
+    (:func:`repro.runtime.driver.merge_edges`): round-robin with
+    ``seed=None``; with a seed, each step picks a random non-exhausted side,
+    exercising arbitrary cross-source arrival orders (each source's internal
+    order is preserved, which is all the watermark semantics require).
     """
-    rng = random.Random(seed) if seed is not None else None
-    iterators = {LEFT: iter(left), RIGHT: iter(right)}
-    open_sides = [LEFT, RIGHT]
-    turn = 0
-    while open_sides:
-        if rng is None:
-            side = open_sides[turn % len(open_sides)]
-            turn += 1
-        else:
-            side = rng.choice(open_sides)
-        try:
-            element = next(iterators[side])
-        except StopIteration:
-            open_sides.remove(side)
-            continue
+    edges = [(0, LEFT, left), (0, RIGHT, right)]
+    for _edge, _target, side, element in merge_edges(edges, seed):
         yield Tagged(side, element)

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
 from repro import ExecutionOptions, Schema, TPRelation, equi_join_on
+from repro.dataflow import DataflowGraph, NodeSpec
+from repro.dataflow.compile import compile_graph, source_edges
 from repro.lineage import canonical
 from repro.relation import EquiJoinCondition
-from repro.runtime import Stage, run_job
-from repro.stream import LEFT, RIGHT
+from repro.runtime import run_job
 
 
 # --------------------------------------------------------------------------- #
@@ -129,30 +129,47 @@ def assert_same_result(left: TPRelation, right: TPRelation, with_probability: bo
 
 
 # --------------------------------------------------------------------------- #
-# stream shards through the one router
+# stream shards through the graph compiler and the one router
 # --------------------------------------------------------------------------- #
+SHARD_ON = (("Key", "Key"),)
+
+
+def shard_specs(
+    catalog,
+    kind: str = "left_outer",
+    options: ExecutionOptions | None = None,
+    partitions: int = 1,
+):
+    """What ``StreamQuery.run`` compiles for a ``kind`` join on ``Key`` of
+    the ``l`` / ``r`` streams of ``catalog``: its one-node graph, the
+    graph's worker specs and its routing stages."""
+    graph = DataflowGraph(
+        catalog, [NodeSpec("shard", kind, "l", "r", SHARD_ON, partitions)]
+    )
+    specs, stages = compile_graph(graph, options or ExecutionOptions())
+    return graph, specs, stages
+
+
 def run_shard_job(
     transport: str,
-    spec,
     catalog,
-    theta,
     options: ExecutionOptions | None = None,
     partitions: int = 2,
     wrap=iter,
+    edit=None,
     **collectors,
 ):
-    """Drive ``partitions`` copies of one stream shard spec over the ``l`` /
-    ``r`` streams of ``catalog`` — what ``StreamQuery.run`` hands the router,
-    for tests that need an arbitrary spec, transport or element pacing.
-    ``wrap`` decorates each replay (e.g. a throttle)."""
-    return run_job(
-        tuple(replace(spec, index=index) for index in range(partitions)),
-        [
-            (0, LEFT, wrap(catalog.lookup_stream("l").replay())),
-            (0, RIGHT, wrap(catalog.lookup_stream("r").replay())),
-        ],
-        [Stage(0, partitions, theta, False)],
-        options or ExecutionOptions(),
-        transport,
-        **collectors,
-    )
+    """Drive the compiled shards of a ``left_outer`` stream query over the
+    ``l`` / ``r`` streams of ``catalog`` through the router — what
+    ``StreamQuery.run`` does, for tests that need an arbitrary transport,
+    element pacing or spec.  ``wrap`` decorates each replay (e.g. a
+    throttle); ``edit`` rewrites each compiled spec."""
+    options = options or ExecutionOptions()
+    graph, specs, stages = shard_specs(catalog, options=options, partitions=partitions)
+    if edit is not None:
+        specs = [edit(spec) for spec in specs]
+    edges = [
+        (target, side, wrap(replay))
+        for target, side, replay in source_edges(graph, {"shard": 0})
+    ]
+    return run_job(specs, edges, stages, options, transport, **collectors)

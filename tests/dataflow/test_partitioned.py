@@ -3,8 +3,9 @@
 The partition axis must be *invisible* in the settled output: for any
 partition degree and backend, the same graph over the same replays settles
 to the identical canonical tuple sequence with bitwise-equal probabilities.
-These tests pin that, plus the two local rules the axis is built from —
-stable key routing and the min-over-partitions stage watermark.
+These tests pin that, plus the two rules the axis is built from — stable
+key routing and the min-over-partitions stage watermark — through
+:func:`~repro.dataflow.run_graph`.
 """
 
 from __future__ import annotations
@@ -15,24 +16,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ExecutionOptions
-from repro import Schema
 from repro.dataflow import (
     ChannelWatermarks,
     DataflowGraph,
     DataflowQuery,
     GraphError,
     NodeSpec,
-    RevisionJoin,
+    Revision,
+    RevisionKind,
     assert_converged,
     identity_rows,
-    route_partition,
-    stage_watermark,
+    run_graph,
 )
-from repro.parallel.plan import stable_hash
-from repro.stream import LEFT, RIGHT, Tagged, Watermark
-from repro.stream.elements import StreamEvent
+from repro.dataflow.compile import output_watermarks
+from repro.relation import stable_key_hash
+from repro.stream import Watermark
 
-from tests.dataflow.conftest import make_relation, make_stream_catalog
+from tests.dataflow.conftest import make_stream_catalog
 
 PARTITIONED_TREE = [
     NodeSpec("n1", "left_outer", "a", "b", (("Key", "Key"),), partitions=2),
@@ -71,38 +71,65 @@ def test_partition_counts_accessors(stream_catalog_factory):
 # --------------------------------------------------------------------------- #
 # key routing
 # --------------------------------------------------------------------------- #
-def test_routing_is_stable_and_key_consistent():
-    schema = Schema.of("Key", "Serial")
-    join = RevisionJoin("inner", schema, schema, (("Key", "Key"),))
-    relation = make_relation("x", 32, seed=5, num_keys=7)
-    for tp_tuple in relation:
-        event = StreamEvent(tp_tuple)
-        partition = route_partition(join, LEFT, event, 4)
-        # Emits and the retractions that must unwind them land together.
-        assert partition == route_partition(join, LEFT, event, 4)
-        assert partition == stable_hash((tp_tuple.fact[0],)) % 4
-    # A single partition never routes anywhere else.
-    assert route_partition(join, RIGHT, StreamEvent(next(iter(relation))), 1) == 0
+def test_routing_is_stable_and_key_consistent(stream_catalog_factory):
+    """Every revision of one key — emits, refines and the retractions that
+    must unwind them — reaches the one consumer partition its key hashes
+    to: what each partition of ``n2`` ingested is exactly its slice of
+    ``n1``'s revision stream."""
+    catalog, *_ = stream_catalog_factory(23, disorder=8)
+    tree = [
+        NodeSpec("n1", "left_outer", "a", "b", (("Key", "Key"),)),
+        NodeSpec("n2", "left_outer", "n1", "c", (("Key", "Key"),), partitions=3),
+    ]
+    graph = DataflowGraph(catalog, tree)
+    published: list = []
+    consumers: dict = {}
+    run_graph(
+        graph,
+        ExecutionOptions(early_emit=True),
+        merge_seed=3,
+        taps={"n1": lambda _channel, element: published.append(element)},
+        probes={"n2": lambda channel, join: consumers.__setitem__(channel[2], join)},
+    )
+    adds, retracts = [0, 0, 0], [0, 0, 0]
+    for element in published:
+        if isinstance(element, Revision):
+            partition = stable_key_hash((element.tuple.fact[0],)) % 3
+            counts = retracts if element.kind is RevisionKind.RETRACT else adds
+            counts[partition] += 1
+    assert sum(retracts) > 0, "early emission over disorder must retract"
+    for partition, join in consumers.items():
+        assert join.maintainer.stats.positives_in == adds[partition]
+        assert join.stats.inputs_retracted == retracts[partition]
 
 
 # --------------------------------------------------------------------------- #
 # stage watermark = min over partitions
 # --------------------------------------------------------------------------- #
-def test_stage_watermark_is_min_over_partition_watermarks():
-    schema = Schema.of("Key", "Serial")
-    partitions = [
-        RevisionJoin("inner", schema, schema, (("Key", "Key"),)) for _ in range(3)
-    ]
-    # No input yet: every derived watermark is -inf, so the stage's is too.
-    assert stage_watermark(partitions) == float("-inf")
-    for join, (left, right) in zip(partitions, ((10.0, 12.0), (5.0, 9.0), (7.0, 7.0))):
-        join.process(Tagged(LEFT, Watermark(left)))
-        join.process(Tagged(RIGHT, Watermark(right)))
-    assert [join.derived_watermark() for join in partitions] == [10.0, 5.0, 7.0]
-    assert stage_watermark(partitions) == 5.0
-    # Advancing the laggard partition advances the stage watermark.
-    partitions[1].process(Tagged(LEFT, Watermark(11.0)))
-    assert stage_watermark(partitions) == 7.0
+def test_a_tap_reads_the_stage_watermark_as_the_min_over_partitions(
+    stream_catalog_factory,
+):
+    catalog, *_ = stream_catalog_factory(7, sizes=(30, 30, 5))
+    graph = DataflowGraph(
+        catalog, [NodeSpec("n", "left_outer", "a", "b", (("Key", "Key"),), partitions=3)]
+    )
+    tracker = output_watermarks(graph, "n")
+    latest = {partition: -math.inf for partition in range(3)}
+    merged: list = []
+    behind = []
+
+    def tap(channel, element) -> None:
+        if isinstance(element, Watermark):
+            latest[channel[2]] = element.value
+            stage = tracker.update(channel, element.value)
+            if stage is not None:
+                assert stage == min(latest.values())
+                merged.append(stage)
+                behind.append(stage < max(latest.values()))
+
+    run_graph(graph, ExecutionOptions(), merge_seed=1, taps={"n": tap})
+    assert merged == sorted(set(merged)) and merged[-1] == math.inf
+    assert any(behind), "no partition ever ran ahead of the stage"
 
 
 def test_channel_watermarks_merge_min_and_ignore_regressions():

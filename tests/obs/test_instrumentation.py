@@ -229,8 +229,6 @@ def _shard_run(
     several metrics intervals."""
     from repro.datasets import ReplayConfig, stream_def
     from repro.engine import Catalog
-    from repro.parallel.stream_exec import StreamShardSpec
-    from repro.stream.operators import theta_from_pairs
     from tests.conftest import make_random_relations, run_shard_job
 
     left, right, _theta = make_random_relations(
@@ -241,17 +239,9 @@ def _shard_run(
     catalog.register_stream(
         "r", stream_def(right, ReplayConfig(disorder=3, seed=seed + 1))
     )
-    left_def = catalog.lookup_stream("l")
-    right_def = catalog.lookup_stream("r")
-    theta = theta_from_pairs(left_def.schema, right_def.schema, ON)
-    spec = StreamShardSpec(
-        "left_outer", left_def.schema.attributes, right_def.schema.attributes, ON
-    )
     return run_shard_job(
         transport,
-        spec,
         catalog,
-        theta,
         ExecutionOptions(
             # ``inline`` is a transport of the router, not a value of the knob.
             transport="threads" if transport == "inline" else transport,

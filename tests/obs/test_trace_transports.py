@@ -173,24 +173,15 @@ def test_explain_marks_traced_plans():
 def test_socket_reports_carry_clock_offsets():
     from repro.datasets import ReplayConfig, stream_def
     from repro.engine import Catalog
-    from repro.parallel.stream_exec import StreamShardSpec
-    from repro.stream.operators import theta_from_pairs
     from tests.conftest import make_random_relations, run_shard_job
 
     left, right, _theta = make_random_relations(seed=19, left_size=40, right_size=40)
     catalog = Catalog()
     catalog.register_stream("l", stream_def(left, ReplayConfig(disorder=3, seed=19)))
     catalog.register_stream("r", stream_def(right, ReplayConfig(disorder=3, seed=20)))
-    left_def, right_def = catalog.lookup_stream("l"), catalog.lookup_stream("r")
-    theta = theta_from_pairs(left_def.schema, right_def.schema, ON)
-    spec = StreamShardSpec(
-        "left_outer", left_def.schema.attributes, right_def.schema.attributes, ON
-    )
     reports, events, _blocks, ran, _recoveries = run_shard_job(
         "sockets",
-        spec,
         catalog,
-        theta,
         ExecutionOptions(trace=True, trace_sample_rate=1.0),
     )
     assert ran == "sockets" and events > 0
@@ -203,17 +194,22 @@ def test_socket_reports_carry_clock_offsets():
 
 
 def test_killed_socket_worker_yields_a_flight_dump():
+    from repro.datasets import ReplayConfig, stream_def
+    from repro.engine import Catalog
     from repro.relation import Schema, TPRelation
     from repro.runtime.sockets import SocketSession
     from repro.runtime.transport import RuntimeJob
-    from repro.parallel.stream_exec import StreamShardSpec
     from repro.stream.elements import LEFT, StreamEvent, Tagged
+    from tests.conftest import shard_specs
 
     relation = TPRelation.from_rows(
         Schema.of("Key", "Serial"),
         [(f"k{i % 3}", f"a{i}", f"a{i}", i, i + 4, 0.5) for i in range(12)],
     )
-    spec = StreamShardSpec("left_outer", ("Key", "Serial"), ("Key", "Serial"), ON)
+    catalog = Catalog()
+    for name in ("l", "r"):
+        catalog.register_stream(name, stream_def(relation, ReplayConfig()))
+    _graph, (spec,), _stages = shard_specs(catalog)
     job = RuntimeJob(
         (spec,),
         micro_batch_size=1,

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import ExecutionOptions
 from repro.core import tp_anti_join, tp_left_outer_join
 from repro.datasets import ReplayConfig, stream_def
 from repro.engine import Catalog
-from repro.parallel import StreamShardSpec
 from repro.stream import StreamQuery
 from tests.conftest import canonical_rows, make_random_relations, run_shard_job
 
@@ -82,18 +83,12 @@ def test_describe_mentions_process_backend_only_when_parallel():
 
 
 def test_worker_failure_is_reported_to_the_router():
-    catalog, _left, _right, theta = _register_pair(seed=3)
-    left_def = catalog.lookup_stream("l")
-    right_def = catalog.lookup_stream("r")
+    catalog, *_ = _register_pair(seed=3)
     # An invalid join kind makes every worker fail while building its join.
-    spec = StreamShardSpec(
-        "no_such_kind",
-        left_def.schema.attributes,
-        right_def.schema.attributes,
-        (("Key", "Key"),),
-    )
     with pytest.raises(RuntimeError, match="failed"):
-        run_shard_job("processes", spec, catalog, theta)
+        run_shard_job(
+            "processes", catalog, edit=lambda spec: replace(spec, kind="no_such_kind")
+        )
 
 
 def test_worker_start_failure_falls_back_to_threads(monkeypatch):

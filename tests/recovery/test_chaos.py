@@ -145,17 +145,15 @@ def test_restart_limit_exhaustion_raises_the_seat_failure():
     kill is detected at a controlled point."""
     from repro.recovery.driver import RecoveringSession
     from repro.runtime import SOURCE_CHANNEL, RuntimeJob
-    from repro.parallel.stream_exec import StreamShardSpec
     from repro.stream.elements import Watermark
     from repro.stream.source import merge_tagged
+    from tests.conftest import shard_specs
 
     catalog, _left, _right = query_catalog(SEED)
     left_def = catalog.lookup_stream("l")
     right_def = catalog.lookup_stream("r")
     elements = list(merge_tagged(left_def.replay(), right_def.replay(), seed=SEED))
-    spec = StreamShardSpec(
-        "left_outer", left_def.schema.attributes, right_def.schema.attributes, ON
-    )
+    _graph, (spec,), _stages = shard_specs(catalog)
     options = ExecutionOptions(
         transport="sockets", partitions=1, micro_batch_size=1, restart_limit=1
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.lineage import canonical
-from repro.parallel.stream_exec import StreamShardSpec
+from repro import ExecutionOptions
 from repro.recovery.checkpoint import (
     CHECKPOINT_VERSION,
     checkpoint_elements,
@@ -26,6 +26,7 @@ from repro.runtime.worker import SOURCE_CHANNEL, Worker
 from repro.stream import continuous_join
 from repro.stream.elements import LEFT, RIGHT, StreamEvent, Tagged, Watermark
 
+from tests.conftest import shard_specs
 from tests.recovery.conftest import query_catalog
 
 ON = (("Key", "Key"),)
@@ -55,22 +56,10 @@ def _elements(seed: int = SEED):
     return catalog, merged
 
 
-def _spec(catalog, kind: str, materialize: bool = False) -> StreamShardSpec:
-    left_def = catalog.lookup_stream("l")
-    right_def = catalog.lookup_stream("r")
-    event_probabilities = None
-    if materialize:
-        merged_events = left_def.events.merge(right_def.events)
-        event_probabilities = {
-            name: merged_events.probability(name) for name in merged_events.names()
-        }
-    return StreamShardSpec(
-        kind,
-        left_def.schema.attributes,
-        right_def.schema.attributes,
-        ON,
-        event_probabilities=event_probabilities,
-    )
+def _spec(catalog, kind: str, materialize: bool = False):
+    options = ExecutionOptions(materialize_probabilities=materialize)
+    _graph, (spec,), _stages = shard_specs(catalog, kind, options)
+    return spec
 
 
 def _feed(worker: Worker, elements) -> None:

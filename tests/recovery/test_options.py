@@ -157,17 +157,13 @@ def test_explain_has_no_marker_without_a_restart_budget():
 # configurable seat timeout
 # --------------------------------------------------------------------------- #
 def test_socket_seat_timeout_raises_with_the_seat_address():
-    from repro.parallel.stream_exec import StreamShardSpec
     from repro.recovery import SeatFailure
     from repro.runtime.sockets import SocketSession
     from repro.runtime.transport import RuntimeJob
+    from tests.conftest import shard_specs
 
     catalog, *_ = query_catalog(23, left_size=10, right_size=10)
-    left_def = catalog.lookup_stream("l")
-    right_def = catalog.lookup_stream("r")
-    spec = StreamShardSpec(
-        "left_outer", left_def.schema.attributes, right_def.schema.attributes, ON
-    )
+    _graph, (spec,), _stages = shard_specs(catalog)
     session = SocketSession(
         RuntimeJob((spec,), micro_batch_size=1, result_timeout=0.3)
     )

@@ -107,16 +107,21 @@ def test_stream_shard_job_mirrors_the_options(
     )
 
 
+#: Two nodes joined by a peer edge: ``m`` consumes ``n``'s revisions.
+CHAIN = [
+    NodeSpec("n", "full_outer", "l", "r", ON, partitions=2),
+    NodeSpec("m", "left_outer", "n", "r", ON),
+]
+
+
 def test_dataflow_job_mirrors_the_options_but_withholds_checkpoints(monkeypatch):
-    """Dataflow node workers cannot be snapshotted (peer edges), so the
-    checkpoint interval must never reach them — every other field, the
-    seat timeout included, must."""
+    """Workers with peer edges cannot be snapshotted, so the checkpoint
+    interval must never reach them — every other field, the seat timeout
+    included, must."""
     catalog, _left, _right = query_catalog(3, left_size=12, right_size=12)
-    query = DataflowQuery(
-        catalog, [NodeSpec("n", "left_outer", "l", "r", ON, partitions=2)], OPTIONS
-    )
+    query = DataflowQuery(catalog, CHAIN, OPTIONS)
     job = _captured_job(monkeypatch, query.run)
-    assert len(job.specs) == 2
+    assert len(job.specs) == 3
     assert not any(spec.collect_outputs for spec in job.specs)
     assert job.checkpoint_interval is None
 
@@ -130,7 +135,7 @@ def test_dataflow_socket_run_under_recovery_knobs_runs_unrecovered_and_says_so()
     from repro.engine.explain import explain_physical
 
     catalog, _left, _right = query_catalog(5, left_size=25, right_size=25)
-    nodes = [NodeSpec("n", "full_outer", "l", "r", ON, partitions=2)]
+    nodes = CHAIN
     inline = DataflowQuery(catalog, nodes, ExecutionOptions()).run(
         merge_seed=5, backend="inline"
     )
@@ -151,6 +156,30 @@ def test_dataflow_socket_run_under_recovery_knobs_runs_unrecovered_and_says_so()
         assert ("[not recoverable: peer edges]" in plan) is marked
         assert "[recoverable" not in plan
     assert identity_rows(sockets.relation) == identity_rows(inline.relation)
+
+
+@pytest.mark.parametrize(
+    "early, marker",
+    [(False, "[recoverable ckpt=0s]"), (True, "[not recoverable: early emission]")],
+)
+def test_a_one_node_graph_has_no_peer_edges(early, marker):
+    """Only a node-to-node edge is a peer edge: a one-node graph with early
+    emission off collects its outputs like a stream query and recovers like
+    one; an early-emitting one is refused for what it is."""
+    from repro.engine.continuous import ContinuousScanOperator, DataflowJoinOperator
+    from repro.engine.explain import explain_physical
+
+    catalog, _left, _right = query_catalog(5, left_size=12, right_size=12)
+    nodes = [NodeSpec("n", "full_outer", "l", "r", ON, partitions=2)]
+    options = ExecutionOptions(
+        transport="sockets", restart_limit=1, checkpoint_interval=0.0, early_emit=early
+    )
+    scans = tuple(
+        ContinuousScanOperator(catalog.lookup_stream(name), name) for name in "lr"
+    )
+    plan = explain_physical(DataflowJoinOperator(catalog, scans, nodes, options))
+    assert marker in plan
+    assert "peer edges" not in plan
 
 
 # --------------------------------------------------------------------------- #
@@ -200,3 +229,13 @@ def test_merge_tagged_is_the_two_edge_merge(left, right, seed):
     assert tagged == [
         (side, element) for _edge, _stage, side, element in merge_edges(edges, seed)
     ]
+
+
+@pytest.mark.parametrize("seed", [None, 0, 7])
+def test_merge_tagged_and_merge_edges_interleave_streams_alike(seed):
+    catalog, _left, _right = query_catalog(11, left_size=20, right_size=20)
+    left, right = (catalog.lookup_stream(name) for name in "lr")
+    tagged = merge_tagged(left.replay(), right.replay(), seed)
+    edges = [(0, LEFT, left.replay()), (0, RIGHT, right.replay())]
+    merged = merge_edges(edges, seed)
+    assert [item.side for item in tagged] == [side for _, _, side, _ in merged]

@@ -88,21 +88,16 @@ def test_stream_query_socket_backend_matches_batch(kind, batch_join):
 
 
 def test_socket_worker_failure_is_reported_to_the_driver():
-    from repro.parallel.stream_exec import StreamShardSpec
+    from dataclasses import replace
+
     from tests.conftest import run_shard_job
 
-    catalog, _left, _right, theta = _register_pair(seed=43)
-    left_def = catalog.lookup_stream("l")
-    right_def = catalog.lookup_stream("r")
+    catalog, *_ = _register_pair(seed=43)
     # An invalid join kind makes every worker fail while building its join.
-    spec = StreamShardSpec(
-        "no_such_kind",
-        left_def.schema.attributes,
-        right_def.schema.attributes,
-        (("Key", "Key"),),
-    )
     with pytest.raises(RuntimeError, match="failed"):
-        run_shard_job("sockets", spec, catalog, theta)
+        run_shard_job(
+            "sockets", catalog, edit=lambda spec: replace(spec, kind="no_such_kind")
+        )
 
 
 def test_socket_fallback_to_threads_warns():

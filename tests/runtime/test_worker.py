@@ -18,7 +18,7 @@ import pytest
 from repro import ExecutionOptions
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.parallel.stream_exec import DataflowNodeSpec
+from repro.dataflow.compile import DataflowNodeSpec
 from repro.runtime import Placement, merge_edges
 from repro.runtime.placement import parse_host_port
 from repro.runtime.sockets import recv_frame, send_frame, serve_listener

@@ -1,0 +1,127 @@
+"""A stream query is a one-node dataflow graph: one executor, two front doors.
+
+On every transport, ``StreamQuery`` and the one-node ``DataflowQuery`` with
+early emission off settle to the same relation (probabilities bitwise when
+materialized), and the stream query counts events and late drops exactly
+as a direct drive of the operator does.  The graph compiler picks the node's
+operator from its shape: a collecting ``ContinuousJoin`` for an untapped,
+early-off node fed by sources, a ``RevisionJoin`` otherwise.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import ExecutionOptions
+from repro.dataflow import DataflowGraph, DataflowQuery, NodeSpec, RevisionJoin, run_graph
+from repro.dataflow import executor as executor_module
+from repro.dataflow.convergence import identity_rows
+from repro.datasets import ReplayConfig, stream_def
+from repro.engine import Catalog
+from repro.stream import ContinuousJoin, StreamQuery, continuous_join, merge_tagged
+
+from tests.conftest import make_random_relations
+
+ON = (("Key", "Key"),)
+KIND = "full_outer"
+MERGE_SEED = 5
+
+#: (transport, partitions): a one-worker run is the inline one.
+TRANSPORTS = [("inline", 1), ("threads", 2), ("processes", 2), ("sockets", 2)]
+
+
+def _catalog():
+    """Streams whose sources evict some events: lateness below disorder."""
+    left, right, _theta = make_random_relations(
+        17, left_size=40, right_size=40, num_keys=4, time_span=60
+    )
+    catalog = Catalog()
+    for offset, (name, relation) in enumerate((("l", left), ("r", right))):
+        replay = ReplayConfig(disorder=12, lateness=3, watermark_every=4, seed=offset)
+        catalog.register_stream(name, stream_def(relation, replay))
+    return catalog
+
+
+def _direct_drive(catalog, materialize: bool) -> tuple:
+    """Events and late drops of the operator driven straight over the
+    router's interleaving: what a stream query has always reported."""
+    left, right = (catalog.lookup_stream(name) for name in "lr")
+    left_elements, right_elements = left.replay(), right.replay()
+    join = continuous_join(
+        KIND,
+        left.schema,
+        right.schema,
+        ON,
+        events=left.events.merge(right.events),
+        materialize_probabilities=materialize,
+    )
+    merged = list(merge_tagged(left_elements, right_elements, MERGE_SEED))
+    list(join.run(merged))
+    stats = join.maintainer.stats
+    late = stats.late_positives_dropped + stats.late_negatives_dropped
+    late += left_elements.stats.late_evicted + right_elements.stats.late_evicted
+    events = left_elements.stats.events_emitted + right_elements.stats.events_emitted
+    return events, late
+
+
+@pytest.mark.parametrize("materialize", [False, True])
+@pytest.mark.parametrize("transport, partitions", TRANSPORTS)
+def test_stream_query_settles_like_its_one_node_graph(transport, partitions, materialize):
+    catalog = _catalog()
+    options = ExecutionOptions(
+        transport="threads" if transport == "inline" else transport,
+        partitions=partitions,
+        materialize_probabilities=materialize,
+    )
+    stream = StreamQuery(catalog, KIND, "l", "r", ON, config=options).run(
+        merge_seed=MERGE_SEED
+    )
+    graph = DataflowQuery(
+        catalog, [NodeSpec("n", KIND, "l", "r", ON, partitions)], options
+    ).run(merge_seed=MERGE_SEED, backend=transport)
+    assert stream.workers == graph.backend == transport
+    assert identity_rows(stream.relation, materialize) == identity_rows(
+        graph.relation, materialize
+    )
+    assert len(stream.relation) > 0
+    events, late = _direct_drive(catalog, materialize)
+    assert stream.events_processed == graph.events_processed == events
+    assert stream.late_dropped == late > 0
+
+
+@pytest.mark.parametrize("transport", ["inline", "threads"])
+def test_the_compiler_picks_the_operator_from_the_node_shape(transport):
+    catalog = _catalog()
+    graph = DataflowGraph(catalog, [NodeSpec("n", KIND, "l", "r", ON, partitions=2)])
+
+    def operators(early: bool = False, **hooks) -> set:
+        seen: list = []
+        run_graph(
+            graph,
+            ExecutionOptions(early_emit=early),
+            transport=transport,
+            probes={"n": lambda _channel, join: seen.append(type(join))},
+            **hooks,
+        )
+        return set(seen)
+
+    assert operators() == {ContinuousJoin}
+    assert operators(taps={"n": lambda _channel, _element: None}) == {RevisionJoin}
+    assert operators(early=True) == {RevisionJoin}
+
+
+@pytest.mark.parametrize("transport", ["inline", "threads"])
+def test_a_stream_query_runs_the_collecting_operator(monkeypatch, transport):
+    """The node a stream query compiles is the checkpointable one."""
+    seen: list = []
+
+    def probed(graph, config, *args, **kwargs):
+        (name,) = graph.node_names
+        probes = {name: lambda _channel, join: seen.append(type(join))}
+        return run_graph(graph, config, *args, probes=probes, **kwargs)
+
+    monkeypatch.setattr(executor_module, "run_graph", probed)
+    options = ExecutionOptions(partitions=1 if transport == "inline" else 2)
+    result = StreamQuery(_catalog(), KIND, "l", "r", ON, config=options).run()
+    assert result.workers == transport
+    assert seen and set(seen) == {ContinuousJoin}

@@ -75,10 +75,32 @@ def test_non_equi_theta_forces_a_single_partition(random_relation_factory):
     query = StreamQuery(
         catalog, "anti", "l", "r", (), config=ExecutionOptions(partitions=8)
     )
-    # θ = true is an equi-join with an empty key: partitionable in principle,
-    # but every tuple shares the one key, so this exercises the skew path.
+    # θ = true has an empty key: every event would hash to one worker and the
+    # others would see watermarks only, so the graph's rule applies —
+    # partitions > 1 needs ``on``.
+    assert query.effective_partitions == 1
     result = query.run()
-    assert result.partitions == 8
+    assert result.partitions == 1
+    assert result.workers == "inline"
+
+
+def test_empty_theta_runs_one_worker_that_operates_every_element(
+    random_relation_factory,
+):
+    catalog, left, right, _ = _catalog(random_relation_factory, left_size=30, right_size=30)
+    query = StreamQuery(
+        catalog,
+        "left_outer",
+        "l",
+        "r",
+        (),
+        config=ExecutionOptions(partitions=3, metrics=True),
+    )
+    result = query.run(merge_seed=3)
+    (snapshot,) = result.metrics_snapshots
+    counters = snapshot["counters"]
+    assert counters["elements_operated"] == counters["elements_routed"] > len(left) + len(right)
+    assert result.events_processed == len(left) + len(right)
 
 
 def test_backpressure_engages_with_tiny_buffers(random_relation_factory):
@@ -124,9 +146,9 @@ def test_worker_failure_raises_instead_of_deadlocking(
     random_relation_factory, monkeypatch
 ):
     """A crashing worker must not leave the router blocked on a full buffer."""
-    # Workers build their joins from the shard spec (repro.parallel.stream_exec),
+    # Workers build their joins from the compiled spec (repro.dataflow.compile),
     # so the failure is injected at that seam.
-    import repro.parallel.stream_exec as spec_module
+    import repro.dataflow.compile as spec_module
 
     catalog, *_ = _catalog(random_relation_factory, seed=6, left_size=80, right_size=80)
     query = StreamQuery(
