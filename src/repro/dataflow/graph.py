@@ -7,7 +7,8 @@ stream of one lineage-aware operator feeds the next, with derived watermarks
 propagating progress along every edge.
 
 The graph is a pure description plus static validation and schema/θ
-inference; :mod:`repro.dataflow.compile` turns it into runtime workers and
+inference — an unknown input, kind or θ attribute fails at construction;
+:mod:`repro.dataflow.compile` turns it into runtime workers and
 :mod:`repro.dataflow.executor` runs them.
 """
 
@@ -19,7 +20,9 @@ from typing import Dict, List, Sequence, Tuple
 from ..core.joins import JOIN_KINDS, join_output_schema
 from ..lineage import EventSpace
 from ..relation import Schema
+from ..relation.errors import SchemaError
 from ..stream.elements import LEFT, RIGHT
+from ..stream.operators import theta_from_pairs
 
 
 class GraphError(ValueError):
@@ -109,6 +112,10 @@ class DataflowGraph:
                 self._consumers.setdefault(input_name, []).append((spec.name, side))
             left_schema = self._schemas[spec.left]
             right_schema = self._schemas[spec.right]
+            try:
+                theta_from_pairs(left_schema, right_schema, spec.on)
+            except SchemaError as error:
+                raise GraphError(f"node {spec.name!r}: bad θ {spec.on!r}: {error}") from error
             self._schemas[spec.name] = join_output_schema(
                 spec.kind, left_schema, right_schema, spec.right
             )

@@ -1,23 +1,24 @@
 """DataflowQuery: the registered, executable form of a dataflow graph.
 
-Mirrors :class:`repro.stream.StreamQuery` one level up: where a stream query
-binds one continuous join to two registered streams, a dataflow query binds
-a whole operator *graph* to the catalog and executes it to settlement on a
-chosen runtime transport — ``inline``, ``threads``, ``processes`` or
-``sockets`` (:mod:`repro.runtime`), the out-of-process ones degrading to
-threads with a warning when their workers cannot start.  It takes the same
-unified :class:`repro.ExecutionOptions` for its knobs: ``transport`` picks
-the backend, ``buffer_capacity``/``micro_batch_size`` shape the
-backpressure seam, ``early_emit`` switches provisional publication on and
+A dataflow query binds an operator *graph* to the catalog and executes it
+to settlement on a chosen runtime transport — ``inline``, ``threads``,
+``processes`` or ``sockets`` (:mod:`repro.runtime`), the out-of-process
+ones degrading to threads with a warning when their workers cannot start.
+It is the one continuous query class: :class:`repro.stream.StreamQuery` is
+a subclass that builds a one-node graph and shapes its own result, and the
+engine's stream joins plan to one.  It takes the unified
+:class:`repro.ExecutionOptions` for its knobs: ``transport`` picks the
+backend, ``buffer_capacity``/``micro_batch_size`` shape the backpressure
+seam, ``early_emit`` switches provisional publication on and
 ``materialize_probabilities`` computes output probabilities inline through
-the maintainer-owned per-key computers.  A one-node graph with early
-emission off is what a :class:`~repro.stream.StreamQuery` runs, and its
-socket runs recover dead seats like one.  Any other graph is not yet
-recoverable — nodes exchange revisions over peer edges whose in-flight
-elements a per-seat snapshot cannot capture, and revision-publishing
-operators keep state the checkpoint codec does not cover: under
-``restart_limit>0`` a socket run still runs, unrecovered, with a
-:class:`RuntimeWarning` saying so.
+the maintainer-owned per-key computers; each node's degree is its
+``NodeSpec.partitions``.  A one-node graph with early emission off
+recovers dead socket seats.  Any other graph is not yet recoverable —
+nodes exchange revisions over peer edges whose in-flight elements a
+per-seat snapshot cannot capture, and revision-publishing operators keep
+state the checkpoint codec does not cover: under ``restart_limit>0`` a
+socket run still runs, unrecovered, with a :class:`RuntimeWarning` saying
+so.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from ..runtime import Channel, ChannelClosed
 from ..runtime.driver import default_transport
 from ..runtime.transport import TRANSPORTS
 from ..stream.elements import Watermark
-from ..stream.query import summarize_latency_ms
 from .compile import output_watermarks
 from .executor import GraphRunOutcome, run_graph
 from .graph import DataflowGraph, NodeSpec
@@ -57,6 +57,24 @@ class MultipleConsumerError(RuntimeError):
     query with :class:`repro.serve.StandingQueryService`, whose fan-out hub
     gives every subscriber its own cursor over one shared execution.
     """
+
+
+def summarize_latency_ms(samples: Sequence[float]) -> dict:
+    """Mean / p50 / p95 / max of a latency sample list, in milliseconds.
+
+    Shared by :class:`NodeResult` and :class:`repro.stream.StreamQueryResult`,
+    so both report identically computed percentiles.
+    """
+    if not samples:
+        return {"mean_ms": 0.0, "p50_ms": 0.0, "p95_ms": 0.0, "max_ms": 0.0}
+    ordered = sorted(samples)
+    count = len(ordered)
+    return {
+        "mean_ms": 1000.0 * sum(ordered) / count,
+        "p50_ms": 1000.0 * ordered[count // 2],
+        "p95_ms": 1000.0 * ordered[min(count - 1, (95 * count) // 100)],
+        "max_ms": 1000.0 * ordered[-1],
+    }
 
 
 @dataclass
@@ -108,6 +126,7 @@ class DataflowResult(RunIntrospection):
             f"events={self.events_processed} "
             f"elapsed={self.elapsed_seconds:.3f}s "
             f"({self.events_per_second:.0f} ev/s) "
+            f"late_dropped={self.late_dropped} "
             f"backpressure_blocks={self.backpressure_blocks}"
         ]
         for name, node in self.nodes.items():
@@ -138,7 +157,8 @@ class DataflowQuery(QueryTelemetry):
         config: execution knobs; ``config.transport`` picks the default
             backend (``"threads"`` maps to the node-per-thread pipeline) of
             graphs with more than one worker — a one-worker graph runs
-            inline unless :meth:`run` names a backend.
+            inline unless :meth:`run` names a backend.  Node degrees come
+            from each ``NodeSpec.partitions``, not ``config.partitions``.
     """
 
     def __init__(
@@ -162,24 +182,37 @@ class DataflowQuery(QueryTelemetry):
     def config(self) -> ExecutionOptions:
         return self._config
 
+    @property
+    def transport(self) -> str:
+        """The transport :meth:`run` uses when the caller names no backend."""
+        return default_transport(
+            self._config.transport, sum(self._graph.partition_counts)
+        )
+
     def describe(self) -> str:
         mode = "early-emit" if self._config.early_emit else "watermark-only"
         parts = "/".join(str(count) for count in self._graph.partition_counts)
         return (
             f"DataflowQuery[{len(self._graph.nodes)} nodes, sink={self._graph.sink}, "
-            f"parts={parts}, {mode}, workers={self._config.transport}]"
+            f"parts={parts}, {mode}, workers={self.transport}]"
         )
 
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
     def run(
-        self, merge_seed: Optional[int] = None, backend: Optional[str] = None
+        self,
+        merge_seed: Optional[int] = None,
+        backend: Optional[str] = None,
+        chaos: Optional[object] = None,
     ) -> DataflowResult:
-        """Execute the graph over fresh source replays until settlement."""
-        chosen = backend or default_transport(
-            self._config.transport, sum(self._graph.partition_counts)
-        )
+        """Execute the graph over fresh source replays until settlement.
+
+        ``chaos`` is the failure-injection seam of recovering socket runs
+        (see :class:`repro.recovery.chaos.ChaosInjector`), used by the
+        chaos tests to kill seats mid-run; every other run ignores it.
+        """
+        chosen = backend or self.transport
         if chosen not in TRANSPORTS:
             raise ValueError(f"backend must be one of {TRANSPORTS}, got {chosen!r}")
         started = time.perf_counter()
@@ -190,6 +223,7 @@ class DataflowQuery(QueryTelemetry):
             transport=chosen,
             collector=self._collector,
             trace_collector=self._trace_collector,
+            chaos=chaos,
         )
         elapsed = time.perf_counter() - started
         return self._build_result(outcome, elapsed)
@@ -316,10 +350,18 @@ class DataflowQuery(QueryTelemetry):
         return DataflowResult(
             nodes=nodes,
             sink=self._graph.sink,
-            events_processed=outcome.events_processed,
-            elapsed_seconds=elapsed,
             backend=outcome.backend,
-            backpressure_blocks=outcome.backpressure_blocks,
-            metrics_snapshots=outcome.metrics,
-            trace_spans=self._run_spans(),
+            **self._introspection(outcome, elapsed),
         )
+
+    def _introspection(self, outcome: GraphRunOutcome, elapsed: float) -> dict:
+        """The :class:`RunIntrospection` fields of a finished run."""
+        return {
+            "events_processed": outcome.events_processed,
+            "elapsed_seconds": elapsed,
+            "backpressure_blocks": outcome.backpressure_blocks,
+            "late_dropped": outcome.late_dropped,
+            "metrics_snapshots": outcome.metrics,
+            "trace_spans": self._run_spans(),
+            "recovery_events": outcome.recoveries,
+        }

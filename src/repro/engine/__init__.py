@@ -1,11 +1,7 @@
 """Pipelined query engine: catalog, plans, planner, executor and SQL front end."""
 
 from .catalog import Catalog, RelationStats
-from .continuous import (
-    ContinuousJoinOperator,
-    ContinuousScanOperator,
-    DataflowJoinOperator,
-)
+from .continuous import ContinuousScanOperator, DataflowJoinOperator
 from .errors import CatalogError, EngineError, PlanError, SQLSyntaxError
 from .executor import Engine, execute_sql
 from .explain import explain_analyze, explain_logical, explain_physical
@@ -40,7 +36,6 @@ from .sql import JoinClause, ParsedQuery, parse_query, tokenize
 __all__ = [
     "Catalog",
     "CatalogError",
-    "ContinuousJoinOperator",
     "ContinuousScanOperator",
     "DataflowJoinOperator",
     "Engine",

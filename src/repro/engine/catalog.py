@@ -6,7 +6,8 @@ instances and exposes the statistics the planner consults (cardinalities,
 distinct join-key counts) when choosing between the NJ and TA physical
 operators.  Registered *streams* (:class:`repro.stream.StreamDef`) live in a
 separate namespace — a scan says ``STREAM name`` to target one — and named
-continuous queries can be registered alongside them so long-running
+continuous queries live in a third, one namespace for every kind of query
+(engine, dataflow and served standing queries alike), so long-running
 deployments address queries, not plans.
 """
 
@@ -20,7 +21,7 @@ from .errors import CatalogError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..dataflow import DataflowQuery
-    from ..stream import StreamDef, StreamQuery
+    from ..stream import StreamDef
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,22 +40,13 @@ class RelationStats:
 class Catalog:
     """A named collection of TP relations and streams, with statistics."""
 
-    __slots__ = (
-        "_relations",
-        "_stats",
-        "_streams",
-        "_continuous_queries",
-        "_dataflows",
-        "_standing_queries",
-    )
+    __slots__ = ("_relations", "_stats", "_streams", "_queries")
 
     def __init__(self) -> None:
         self._relations: Dict[str, TPRelation] = {}
         self._stats: Dict[str, RelationStats] = {}
         self._streams: Dict[str, "StreamDef"] = {}
-        self._continuous_queries: Dict[str, "StreamQuery"] = {}
-        self._dataflows: Dict[str, "DataflowQuery"] = {}
-        self._standing_queries: Dict[str, "DataflowQuery"] = {}
+        self._queries: Dict[str, "DataflowQuery"] = {}
 
     def register(self, name: str, relation: TPRelation, replace: bool = False) -> None:
         """Register a relation under ``name``.
@@ -96,7 +88,7 @@ class Catalog:
         return sorted(self._relations)
 
     # ------------------------------------------------------------------ #
-    # streams and continuous queries
+    # streams
     # ------------------------------------------------------------------ #
     def register_stream(self, name: str, stream: "StreamDef", replace: bool = False) -> None:
         """Register a stream definition under ``name`` (separate namespace).
@@ -210,81 +202,45 @@ class Catalog:
         )
         return state, left_cardinality, right_distinct
 
-    def register_continuous_query(
-        self, name: str, query: "StreamQuery", replace: bool = False
-    ) -> None:
-        """Register a continuous query under ``name`` for later execution."""
-        if name in self._continuous_queries and not replace:
-            raise CatalogError(f"continuous query {name!r} already registered")
-        self._continuous_queries[name] = query
-
-    def lookup_continuous_query(self, name: str) -> "StreamQuery":
-        """Return the continuous query registered under ``name``."""
-        try:
-            return self._continuous_queries[name]
-        except KeyError as exc:
-            raise CatalogError(
-                f"unknown continuous query {name!r}; registered: "
-                f"{sorted(self._continuous_queries)}"
-            ) from exc
-
-    def register_dataflow(
+    # ------------------------------------------------------------------ #
+    # named queries
+    # ------------------------------------------------------------------ #
+    def register_query(
         self, name: str, query: "DataflowQuery", replace: bool = False
     ) -> None:
-        """Register a dataflow graph query under ``name`` for later execution.
+        """Register a named continuous query for later execution.
 
-        Dataflow queries live in their own namespace, like continuous
-        queries: long-running deployments address graphs by name, not by
-        re-supplying node specs.
+        One namespace holds every kind: a :class:`repro.stream.StreamQuery`
+        (a one-node dataflow query), a :class:`repro.dataflow.DataflowQuery`
+        and a standing query of :class:`repro.serve.StandingQueryService`.
+
+        Raises:
+            CatalogError: if the name is taken and ``replace`` is not set.
         """
-        if name in self._dataflows and not replace:
-            raise CatalogError(f"dataflow {name!r} already registered")
-        self._dataflows[name] = query
+        if name in self._queries and not replace:
+            raise CatalogError(f"query {name!r} already registered")
+        self._queries[name] = query
 
-    def lookup_dataflow(self, name: str) -> "DataflowQuery":
-        """Return the dataflow query registered under ``name``."""
+    def lookup_query(self, name: str) -> "DataflowQuery":
+        """Return the query registered under ``name``.
+
+        Raises:
+            CatalogError: if the name is unknown.
+        """
         try:
-            return self._dataflows[name]
+            return self._queries[name]
         except KeyError as exc:
             raise CatalogError(
-                f"unknown dataflow {name!r}; registered: {sorted(self._dataflows)}"
+                f"unknown query {name!r}; registered: {sorted(self._queries)}"
             ) from exc
 
-    def dataflow_names(self) -> list[str]:
-        """All registered dataflow names, sorted."""
-        return sorted(self._dataflows)
+    def unregister_query(self, name: str) -> None:
+        """Drop a query's catalog entry (missing names are ignored)."""
+        self._queries.pop(name, None)
 
-    def register_standing_query(
-        self, name: str, query: "DataflowQuery", replace: bool = False
-    ) -> None:
-        """Register a served standing query under ``name``.
-
-        Standing queries are the serving layer's namespace
-        (:class:`repro.serve.StandingQueryService`): dataflow queries that
-        clients subscribe to by name, with lifecycle and fan-out managed by
-        the service rather than run once by the engine.
-        """
-        if name in self._standing_queries and not replace:
-            raise CatalogError(f"standing query {name!r} already registered")
-        self._standing_queries[name] = query
-
-    def lookup_standing_query(self, name: str) -> "DataflowQuery":
-        """Return the standing query registered under ``name``."""
-        try:
-            return self._standing_queries[name]
-        except KeyError as exc:
-            raise CatalogError(
-                f"unknown standing query {name!r}; registered: "
-                f"{sorted(self._standing_queries)}"
-            ) from exc
-
-    def unregister_standing_query(self, name: str) -> None:
-        """Drop a standing query's catalog entry (missing names are ignored)."""
-        self._standing_queries.pop(name, None)
-
-    def standing_query_names(self) -> list[str]:
-        """All registered standing-query names, sorted."""
-        return sorted(self._standing_queries)
+    def query_names(self) -> list[str]:
+        """All registered query names, sorted."""
+        return sorted(self._queries)
 
 
 def _compute_stats(relation: TPRelation) -> RelationStats:

@@ -2,28 +2,29 @@
 
 The paper's claim that the NJ window pipeline "integrates into the executor
 of a DBMS" extends here to *continuous* execution: a registered stream can be
-scanned, and a TP anti / left outer join over two registered streams is
-evaluated by the watermark-driven operators of :mod:`repro.stream` — emitting
-each output tuple exactly once, when the combined watermark finalizes it.
+scanned, and every TP join tree over registered streams — one join or a
+chain, with early emission on or off — is one :class:`DataflowJoinOperator`
+running a :class:`repro.dataflow.DataflowQuery`, whose settled output equals
+the batch join.
 
 Within the Volcano executor these operators are sources: a query over
-streams runs the continuous pipeline to *completion* (both streams' closing
-watermarks) and then streams the finalized result out, so the same
+streams runs the continuous pipeline to *completion* (every stream's closing
+watermark) and then streams the settled result out, so the same
 ``execute_sql`` entry point serves both stored relations and streams.  Live,
-never-ending deployments use :class:`repro.stream.StreamQuery` directly.
+never-ending deployments use the query classes directly.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
-from ..core.joins import join_output_schema
+from ..dataflow import DataflowQuery
+from ..dataflow.compile import compile_graph
 from ..options import ExecutionOptions
 from ..relation import Schema, TPTuple
 from ..runtime.driver import recovery_blocker
-from ..stream import StreamDef, StreamEvent, StreamQuery, StreamQueryResult
+from ..stream import StreamDef, StreamEvent
 from .iterators import PhysicalOperator
-from .logical import JoinKind
 
 
 class ContinuousScanOperator(PhysicalOperator):
@@ -59,87 +60,11 @@ class ContinuousScanOperator(PhysicalOperator):
                 yield element.tuple
 
 
-class ContinuousJoinOperator(PhysicalOperator):
-    """Watermark-driven TP join over two registered streams.
-
-    The operator delegates to :class:`repro.stream.StreamQuery`; the child
-    scans appear in the plan tree for EXPLAIN but are not pulled from — the
-    join consumes the streams' own replays, interleaved and watermarked.
-    """
-
-    is_continuous = True
-
-    def __init__(
-        self,
-        catalog,
-        left: ContinuousScanOperator,
-        right: ContinuousScanOperator,
-        left_name: str,
-        right_name: str,
-        kind: JoinKind,
-        on: tuple[tuple[str, str], ...],
-        config: ExecutionOptions | None = None,
-    ) -> None:
-        super().__init__()
-        self._left = left
-        self._right = right
-        self._query = StreamQuery(
-            catalog,
-            kind.value,
-            left_name,
-            right_name,
-            on,
-            config=config,
-        )
-        self._kind = kind
-        self._on = on
-        #: Read by EXPLAIN to render the ``[parallel n=K]`` annotation.
-        self.parallel_workers = self._query.effective_partitions
-        #: Runtime transport the partitions run on; EXPLAIN appends
-        #: ``transport=...`` when it is not the default thread transport.
-        self.parallel_transport = self._query.config.transport
-        #: Read by EXPLAIN to render the ``[traced rate=...]`` marker
-        #: (``None`` when the config leaves tracing off).
-        self.trace_sample_rate = (
-            self._query.config.trace_sample_rate if self._query.config.trace else None
-        )
-        #: Read by EXPLAIN to render the ``[recoverable ckpt=Ns]`` marker
-        #: (``False``/``None`` when the options leave seat recovery off).
-        self.recoverable = self._query.config.recovery_enabled
-        self.recovery_checkpoint_interval = self._query.config.checkpoint_interval
-        self.last_result: Optional[StreamQueryResult] = None
-
-    def children(self) -> tuple[PhysicalOperator, ...]:
-        return (self._left, self._right)
-
-    def output_schema(self) -> Schema:
-        return join_output_schema(
-            self._kind.value,
-            self._left.output_schema(),
-            self._right.output_schema(),
-            self._right.input_name(),
-        )
-
-    def describe(self) -> str:
-        condition = " AND ".join(f"{left} = {right}" for left, right in self._on) or "true"
-        return (
-            f"ContinuousNJJoin [{self._kind.value}] on {condition} "
-            f"(watermark-driven, partitions={self._query.config.partitions})"
-        )
-
-    def estimated_cost(self) -> float:
-        return self._left.estimated_cost() + self._right.estimated_cost()
-
-    def _produce(self) -> Iterator[TPTuple]:
-        self.last_result = self._query.run()
-        yield from self.last_result.relation
-
-
 class DataflowJoinOperator(PhysicalOperator):
-    """A multi-way (or early-emitting) stream join tree as one physical node.
+    """A stream join tree — one join or a chain — as one physical node.
 
-    The planner compiles a TP join tree whose leaves are all stream scans
-    into a :class:`repro.dataflow.DataflowQuery`; within the Volcano
+    The planner compiles every TP join tree whose leaves are all stream
+    scans into a :class:`repro.dataflow.DataflowQuery`; within the Volcano
     executor this operator runs the graph to settlement and streams the sink
     node's settled relation out.  The child scans appear in the plan tree
     for EXPLAIN but are not pulled from — each graph edge consumes its own
@@ -157,29 +82,24 @@ class DataflowJoinOperator(PhysicalOperator):
         config: ExecutionOptions | None = None,
     ) -> None:
         super().__init__()
-        from ..dataflow import DataflowQuery
-        from ..dataflow.compile import compile_graph
-
         self._scans = scans
         self._query = DataflowQuery(catalog, nodes, config=config)
+        config = self._query.config
         #: Read by EXPLAIN to render the ``[dataflow k-node]`` annotation.
         self.dataflow_nodes = len(self._query.graph.nodes)
         #: Per-node partition degrees; EXPLAIN appends ``parts=K1/K2/...``
         #: when any stage fans out.
         self.dataflow_partitions = tuple(self._query.graph.partition_counts)
-        #: Runtime transport the graph workers run on; EXPLAIN appends
-        #: ``transport=...`` when it is not the default thread transport.
-        self.dataflow_transport = self._query.config.transport
+        #: The transport a run uses (a one-worker plan runs inline); EXPLAIN
+        #: appends ``transport=...`` when it is an out-of-process one.
+        self.dataflow_transport = self._query.transport
         #: Read by EXPLAIN to render the ``[traced rate=...]`` marker
         #: (``None`` when the config leaves tracing off).
-        self.trace_sample_rate = (
-            self._query.config.trace_sample_rate if self._query.config.trace else None
-        )
+        self.trace_sample_rate = config.trace_sample_rate if config.trace else None
         #: Read by EXPLAIN: under options that ask for seat recovery, a
         #: graph whose workers are all self-contained renders
         #: ``[recoverable ...]``; any other renders ``[not recoverable:
         #: <cause>]`` (the run itself warns, see ``runtime.driver.run_job``).
-        config = self._query.config
         self.not_recoverable = None
         if config.recovery_enabled:
             specs, _stages = compile_graph(self._query.graph, config)
@@ -189,7 +109,7 @@ class DataflowJoinOperator(PhysicalOperator):
         self.last_result = None
 
     @property
-    def query(self):
+    def query(self) -> DataflowQuery:
         """The compiled dataflow query (exposed for registration/monitoring)."""
         return self._query
 
@@ -211,7 +131,7 @@ class DataflowJoinOperator(PhysicalOperator):
             )
         return (
             f"DataflowJoin [{chain}] sink={graph.sink}{parts} "
-            f"(revision streams, {mode}, workers={self._query.config.transport})"
+            f"({mode}, workers={self.dataflow_transport})"
         )
 
     def estimated_cost(self) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ..dataflow import DataflowQuery
 from ..options import ExecutionOptions
 from ..parallel.plan import ParallelConfig
 from ..relation import TPRelation
@@ -82,7 +83,7 @@ class Engine:
         query = StreamQuery(
             self._catalog, kind, left, right, on, config=config or self._options
         )
-        self._catalog.register_continuous_query(name, query, replace=replace)
+        self._catalog.register_query(name, query, replace=replace)
         return query
 
     def dataflow_query(
@@ -91,18 +92,14 @@ class Engine:
         nodes: Sequence,
         config: ExecutionOptions | None = None,
         replace: bool = False,
-    ):
+    ) -> DataflowQuery:
         """Build a :class:`repro.dataflow.DataflowQuery` and register it.
 
         ``nodes`` is a sequence of :class:`repro.dataflow.NodeSpec` in
         topological order over this engine's registered streams.
         """
-        from ..dataflow import DataflowQuery
-
-        query = DataflowQuery(
-            self._catalog, nodes, config=config or self._options
-        )
-        self._catalog.register_dataflow(name, query, replace=replace)
+        query = DataflowQuery(self._catalog, nodes, config=config or self._options)
+        self._catalog.register_query(name, query, replace=replace)
         return query
 
     # ------------------------------------------------------------------ #

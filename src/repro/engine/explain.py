@@ -5,18 +5,18 @@ marker instead of a cost estimate: their inputs are unbounded, so a
 cardinality-based cost is meaningless — progress is driven by watermarks,
 not by cardinalities.
 
-Operators executing across more than one shard (the process-parallel batch
-join, or a continuous join with multiple partitions) additionally carry a
-``[parallel n=K]`` marker, read from their ``parallel_workers`` attribute.
-A compiled dataflow graph (multi-way or early-emitting stream join tree)
-carries ``[dataflow k-node]``, read from ``dataflow_nodes``; when the
-partition planner fanned stages out, the marker grows the per-node degrees
-as ``[dataflow k-node, parts=K1/K2/...]`` from ``dataflow_partitions``.
-Plans pinned to a non-default runtime transport (``processes`` or
-``sockets``, via ``ExecutionOptions(transport=...)``) render it too:
-``[dataflow k-node, parts=..., transport=sockets]`` and
-``[parallel n=K, transport=sockets]``, read from ``dataflow_transport`` /
-``parallel_transport``.  Standing queries served through
+The process-parallel batch join additionally carries a ``[parallel n=K]``
+marker, read from its ``parallel_workers`` attribute.  Every stream join
+tree — one join or a chain — is one compiled dataflow graph and carries
+``[dataflow k-node]``, read from ``dataflow_nodes``; when any node runs
+more than one partition (``ExecutionOptions.partitions``, or the partition
+planner's per-stage choice) the marker grows the per-node degrees as
+``[dataflow k-node, parts=K1/K2/...]`` from ``dataflow_partitions``.  A
+plan whose run leaves the process (``processes`` or ``sockets``) renders
+the transport too — ``[dataflow k-node, parts=..., transport=sockets]``,
+read from ``dataflow_transport``, which is the transport the run uses: a
+one-worker plan runs inline whatever ``ExecutionOptions.transport`` says,
+so it renders none.  Standing queries served through
 :class:`repro.serve.StandingQueryService` mark subplans shared with other
 standing queries as ``shared=n1/n2`` (read from ``dataflow_shared``): those
 nodes execute once per plan group, not once per query.  Plans whose config
@@ -63,9 +63,7 @@ def _render_physical(operator: PhysicalOperator, depth: int, lines: list[str]) -
         annotation = f"(cost≈{operator.estimated_cost():.0f})"
     workers = getattr(operator, "parallel_workers", 1)
     if workers > 1:
-        transport = getattr(operator, "parallel_transport", "threads")
-        detail = f", transport={transport}" if transport != "threads" else ""
-        annotation += f" [parallel n={workers}{detail}]"
+        annotation += f" [parallel n={workers}]"
     dataflow_nodes = getattr(operator, "dataflow_nodes", 0)
     if dataflow_nodes:
         details = [f"dataflow {dataflow_nodes}-node"]
@@ -73,7 +71,7 @@ def _render_physical(operator: PhysicalOperator, depth: int, lines: list[str]) -
         if any(count > 1 for count in partitions):
             details.append("parts=" + "/".join(str(count) for count in partitions))
         transport = getattr(operator, "dataflow_transport", "threads")
-        if transport != "threads":
+        if transport not in ("inline", "threads"):
             details.append(f"transport={transport}")
         shared = getattr(operator, "dataflow_shared", ())
         if shared:

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..core.joins import join_output_schema
+from ..dataflow import NodeSpec
 from ..parallel.plan import ParallelConfig, choose_partitions
 from ..options import ExecutionOptions
 from .catalog import Catalog
-from .continuous import ContinuousJoinOperator, ContinuousScanOperator
+from .continuous import ContinuousScanOperator, DataflowJoinOperator
 from .errors import PlanError
 from .iterators import PhysicalOperator
 from .logical import (
@@ -173,19 +174,6 @@ class Planner:
                             "on a stream join: continuous execution always uses the "
                             "NJ pipeline"
                         )
-                early = (
-                    self._config.stream_config is not None
-                    and self._config.stream_config.early_emit
-                )
-                if (
-                    isinstance(plan.left, StreamScan)
-                    and isinstance(plan.right, StreamScan)
-                    and not early
-                ):
-                    # A single binary stream join without early emission keeps
-                    # the direct continuous operator; join *trees* (and any
-                    # early-emitting query) compile to a dataflow graph.
-                    return self._continuous_join(plan)
                 return self._dataflow_join(plan)
             strategy = self.resolve_strategy(plan.strategy)
             workers = self._parallel_workers(plan, strategy)
@@ -311,16 +299,9 @@ class Planner:
         return "relation"
 
     def _dataflow_join(self, plan: TPJoin) -> PhysicalOperator:
-        """Compile a stream join tree into a retractable dataflow graph.
-
-        With a :class:`~repro.parallel.plan.ParallelConfig`, every node also
-        gets a partition degree from the stream-statistics state model: hot
-        stages (large expected window state) fan out into more key-routed
-        workers than cold ones, multiplying the pipeline axis.
-        """
-        from ..dataflow import NodeSpec
-        from .continuous import DataflowJoinOperator
-
+        """Compile a stream join tree — one join or a chain — into a dataflow
+        graph, one node per join, each with its degree from
+        :meth:`_dataflow_partitions`."""
         nodes: list[NodeSpec] = []
         scans: list[ContinuousScanOperator] = []
 
@@ -367,15 +348,21 @@ class Planner:
     ) -> int:
         """Partition degree for one dataflow stage (1 means a single worker).
 
-        Considered only when the planner carries a
-        :class:`~repro.parallel.plan.ParallelConfig` and the stage has an
-        equi-θ to route by.  The estimate sums the expected statistics of
-        the source streams under each input subtree; the distinct-key cap
-        applies only when the right input is a single stream whose key
-        selectivity is actually known.
+        The one partition rule of stream joins.  A stage needs an equi-θ to
+        route by, else it runs one worker.  With a
+        :class:`~repro.parallel.plan.ParallelConfig` the degree comes from
+        the stream-statistics state model: hot stages (large expected window
+        state) fan out into more key-routed workers than cold ones.  The
+        estimate sums the expected statistics of the source streams under
+        each input subtree; the distinct-key cap applies only when the right
+        input is a single stream whose key selectivity is actually known.
+        Without one, every stage takes ``stream_config.partitions``.
         """
-        if self._config.parallel is None or not on:
+        if not on:
             return 1
+        if self._config.parallel is None:
+            stream_config = self._config.stream_config
+            return 1 if stream_config is None else stream_config.partitions
         state, left_cardinality, right_distinct = (
             self._catalog.stream_join_state_estimate(
                 list(left_streams), list(right_streams), on
@@ -384,26 +371,6 @@ class Planner:
         distinct = right_distinct if right_is_stream and right_distinct > 0 else None
         return choose_partitions(
             state, left_cardinality, self._config.parallel, distinct_keys=distinct
-        )
-
-    def _continuous_join(self, plan: TPJoin) -> PhysicalOperator:
-        """Fuse two stream scans under a TP join into a continuous join."""
-        assert isinstance(plan.left, StreamScan) and isinstance(plan.right, StreamScan)
-        left_scan = ContinuousScanOperator(
-            self._catalog.lookup_stream(plan.left.stream_name), plan.left.stream_name
-        )
-        right_scan = ContinuousScanOperator(
-            self._catalog.lookup_stream(plan.right.stream_name), plan.right.stream_name
-        )
-        return ContinuousJoinOperator(
-            self._catalog,
-            left_scan,
-            right_scan,
-            plan.left.stream_name,
-            plan.right.stream_name,
-            plan.kind,
-            plan.on,
-            config=self._config.stream_config,
         )
 
     def _merged_events(self, plan: LogicalPlan):

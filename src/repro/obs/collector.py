@@ -77,10 +77,10 @@ class MetricsCollector:
 class QueryTelemetry:
     """The collectors a query owns, created from its options.
 
-    Base of :class:`repro.stream.StreamQuery` and
-    :class:`repro.dataflow.DataflowQuery`: both hand the collectors to the
-    router and answer ``metrics()`` / ``trace()`` from them, live during a
-    run and final after it.
+    Base of :class:`repro.dataflow.DataflowQuery` (and so of its one-node
+    subclass :class:`repro.stream.StreamQuery`): it hands the collectors to
+    the router and answers ``metrics()`` / ``trace()`` from them, live
+    during a run and final after it.
     """
 
     def __init__(self, options) -> None:
@@ -126,13 +126,16 @@ class RunIntrospection:
     events_processed: int
     elapsed_seconds: float
     backpressure_blocks: int = 0
+    #: Events dropped late: evicted by a source at ingestion, or behind the
+    #: watermark at a node.
+    late_dropped: int = 0
     #: Final per-worker metrics snapshots (empty unless ``options.metrics``).
     metrics_snapshots: List[dict] = field(default_factory=list)
     #: Every span the run recorded (empty unless ``options.trace``).
     trace_spans: List[dict] = field(default_factory=list)
     #: Seat recoveries the run performed: empty on an unfailed run, and
     #: always empty unless ``options.restart_limit`` enabled recovery on a
-    #: run of self-contained socket shards (dataflow graphs never are).
+    #: run of self-contained socket shards (a one-node, early-off graph).
     recovery_events: List[RecoveryEvent] = field(default_factory=list)
 
     @property

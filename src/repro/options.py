@@ -42,10 +42,15 @@ class ExecutionOptions:
     with the maintainer-owned per-key computers instead of
     leaving them for a later ``with_probabilities`` pass.
 
+    ``partitions`` is the degree of a :class:`~repro.stream.StreamQuery`
+    and of every node the planner builds for a SQL stream join (unless a
+    ``ParallelConfig`` sizes the nodes); a hand-built
+    :class:`~repro.dataflow.DataflowQuery` takes each node's degree from
+    its ``NodeSpec.partitions`` instead.
+
     ``early_emit`` publishes provisional windows before the watermark
     closes them, retracting/refining on later data (honoured by the one
-    dataflow executor every query runs on; the planner routes stream joins
-    through a dataflow plan whenever it is set).
+    dataflow executor every query runs on).
 
     ``layout`` picks the window-maintainer state layout: ``"object"``
     (default) keeps per-tuple Python objects, ``"columnar"`` re-lays the

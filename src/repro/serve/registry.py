@@ -264,7 +264,7 @@ class StandingQueryService:
 
     Args:
         catalog: the engine catalog holding the source streams (and, when it
-            supports it, the standing-query namespace).
+            has one, the query namespace standing queries register in).
         config: execution knobs for every plan group (members share
             operators, so they necessarily share knobs); defaults to
             early-emitting so subscribers see provisional revisions.
@@ -318,8 +318,10 @@ class StandingQueryService:
     ) -> StandingQuery:
         """Register a standing query under ``name``.
 
-        Also records it in the catalog's standing-query namespace when the
-        catalog supports one, so ``EXPLAIN``/tooling can address it.
+        Also records it in the catalog's query namespace when the catalog
+        has one, so ``EXPLAIN``/tooling can address it.  That namespace is
+        shared with the engine's queries: a name an engine query holds
+        raises :class:`~repro.engine.CatalogError` unless ``replace``.
         """
         with self._lock:
             if name in self._queries:
@@ -327,11 +329,11 @@ class StandingQueryService:
                     raise ServeError(f"standing query {name!r} already registered")
                 self.unregister(name)
             query = DataflowQuery(self._catalog, nodes, self._config)
+            if hasattr(self._catalog, "register_query"):
+                self._catalog.register_query(name, query, replace=replace)
             canonical = self._registry.acquire(query.graph)
             record = StandingQuery(name, query, canonical)
             self._queries[name] = record
-            if hasattr(self._catalog, "register_standing_query"):
-                self._catalog.register_standing_query(name, query, replace=replace)
             return record
 
     def unregister(self, name: str) -> None:
@@ -343,8 +345,8 @@ class StandingQueryService:
             if record.group is not None and not record.group.finished.is_set():
                 record.group.stop()
             self._registry.release(record.query.graph)
-            if hasattr(self._catalog, "unregister_standing_query"):
-                self._catalog.unregister_standing_query(name)
+            if hasattr(self._catalog, "unregister_query"):
+                self._catalog.unregister_query(name)
 
     def names(self) -> List[str]:
         with self._lock:

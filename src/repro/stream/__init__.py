@@ -9,9 +9,9 @@ Layers, bottom to top:
   watermark-driven, retraction-free window finalization.
 * :mod:`repro.stream.operators` — :class:`ContinuousJoin`, one operator
   class for the five join kinds of :data:`repro.core.joins.TABLE_II`.
-* :mod:`repro.stream.query` — the :class:`StreamQuery` API: K
-  key-partitioned shards driven by the runtime's one router
-  (:func:`repro.runtime.driver.run_job`).
+* :mod:`repro.stream.query` — registered streams and the
+  :class:`StreamQuery` API, a one-node
+  :class:`~repro.dataflow.DataflowQuery` of K key-partitioned workers.
 """
 
 from ..core.joins import JOIN_KINDS, REVERSE_KINDS

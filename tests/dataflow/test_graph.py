@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dataflow import DataflowGraph, GraphError, NodeSpec
-from repro.stream import LEFT, RIGHT
+from repro.dataflow import DataflowGraph, DataflowQuery, GraphError, NodeSpec
+from repro.stream import LEFT, RIGHT, StreamQuery
 
 
 NODES = [
@@ -42,6 +42,16 @@ def test_unknown_kind_rejected(stream_catalog_factory):
     catalog, *_ = stream_catalog_factory(4)
     with pytest.raises(GraphError):
         DataflowGraph(catalog, [NodeSpec("n1", "semi", "a", "b", ())])
+
+
+def test_unknown_theta_attribute_rejected_at_construction(stream_catalog_factory):
+    """Both query classes validate θ when built, not when run."""
+    catalog, *_ = stream_catalog_factory(11)
+    bad = (("Nope", "Key"),)
+    with pytest.raises(GraphError, match="Nope"):
+        DataflowQuery(catalog, [NodeSpec("n1", "anti", "a", "b", bad)])
+    with pytest.raises(GraphError, match="Nope"):
+        StreamQuery(catalog, "anti", "a", "b", bad)
 
 
 def test_duplicate_node_name_rejected(stream_catalog_factory):

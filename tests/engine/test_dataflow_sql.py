@@ -149,14 +149,14 @@ def test_dataflow_query_registration_round_trips(dataflow_engine, triple):
         NodeSpec("n2", "right_outer", "n1", "sc", (("Key", "Key"),)),
     ]
     query = dataflow_engine.dataflow_query("monitor", nodes)
-    assert dataflow_engine.catalog.lookup_dataflow("monitor") is query
-    assert dataflow_engine.catalog.dataflow_names() == ["monitor"]
+    assert dataflow_engine.catalog.lookup_query("monitor") is query
+    assert dataflow_engine.catalog.query_names() == ["monitor"]
     result = query.run(merge_seed=1)
     assert rows(result.relation) == rows(chain_batch(a, b, c))
     with pytest.raises(CatalogError):
         dataflow_engine.dataflow_query("monitor", nodes)
     with pytest.raises(CatalogError):
-        dataflow_engine.catalog.lookup_dataflow("nope")
+        dataflow_engine.catalog.lookup_query("nope")
 
 
 def test_chained_on_clause_qualifier_binds_to_the_named_relation():

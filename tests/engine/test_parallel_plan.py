@@ -92,7 +92,7 @@ def test_parallel_operator_validates_construction(workload):
         )
 
 
-def test_continuous_explain_carries_parallel_marker(workload):
+def test_continuous_explain_carries_the_partition_degree(workload):
     from repro.datasets import ReplayConfig, stream_def
     from repro import ExecutionOptions
 
@@ -102,4 +102,4 @@ def test_continuous_explain_carries_parallel_marker(workload):
     text = engine.explain_sql(
         "SELECT * FROM STREAM sa TP ANTI JOIN STREAM sb ON sa.Metric = sb.Metric"
     )
-    assert "[continuous] [parallel n=3]" in text
+    assert "[continuous] [dataflow 1-node, parts=3]" in text

@@ -135,9 +135,9 @@ def test_explain_renders_continuous_plan(stream_engine):
         "SELECT * FROM STREAM sa TP ANTI JOIN STREAM sb ON sa.Loc = sb.Loc"
     )
     assert "StreamScan(sa)" in text
-    assert "ContinuousNJJoin [anti]" in text
-    assert "watermark-driven" in text
-    assert "[continuous]" in text
+    assert "DataflowJoin [anti]" in text
+    assert "watermark-only, workers=inline" in text
+    assert "[continuous] [dataflow 1-node]" in text
     assert "cost" not in text.split("Physical plan:")[1]
 
 
@@ -147,7 +147,7 @@ def test_registered_continuous_query_round_trips(
     query = stream_engine.continuous_query(
         "monitor", "anti", "sa", "sb", [("Loc", "Loc")]
     )
-    assert stream_engine.catalog.lookup_continuous_query("monitor") is query
+    assert stream_engine.catalog.lookup_query("monitor") is query
     batch = tp_anti_join(
         wants_to_visit, hotel_availability, loc_theta, compute_probabilities=False
     )

@@ -10,6 +10,7 @@ import pytest
 from repro import ExecutionOptions
 from repro.dataflow import DataflowQuery, NodeSpec
 from repro.dataflow.revision import Revision, RevisionKind
+from repro.engine import CatalogError
 from repro.relation import TPTuple
 from repro.serve import END_OF_STREAM, ServeError, StandingQueryService
 from repro.stream.elements import Watermark
@@ -244,16 +245,29 @@ def test_register_conflicts_and_unregister():
     assert service.names() == []
 
 
-def test_catalog_standing_query_namespace():
+def test_standing_queries_register_in_the_catalog_query_namespace():
     catalog = make_stream_catalog(seed=5)
     service = StandingQueryService(catalog)
     service.register("q1", [JOIN])
-    assert catalog.standing_query_names() == ["q1"]
-    assert catalog.lookup_standing_query("q1") is service.lookup("q1").query
+    assert catalog.query_names() == ["q1"]
+    assert catalog.lookup_query("q1") is service.lookup("q1").query
     service.unregister("q1")
-    assert catalog.standing_query_names() == []
-    with pytest.raises(Exception, match="q1"):
-        catalog.lookup_standing_query("q1")
+    assert catalog.query_names() == []
+    with pytest.raises(CatalogError, match="q1"):
+        catalog.lookup_query("q1")
+
+
+def test_a_standing_query_cannot_take_an_engine_query_name():
+    """One namespace: the catalog refuses the clash, and the refused
+    registration leaves the service as it was."""
+    catalog = make_stream_catalog(seed=5)
+    engine_query = DataflowQuery(catalog, [JOIN])
+    catalog.register_query("q1", engine_query)
+    service = StandingQueryService(catalog)
+    with pytest.raises(CatalogError, match="q1"):
+        service.register("q1", [JOIN])
+    assert service.names() == [] and len(service.subplans) == 0
+    assert catalog.lookup_query("q1") is engine_query
 
 
 def test_service_rejects_bad_policy_and_transport():

@@ -14,7 +14,7 @@ import pytest
 
 from repro import ExecutionOptions
 from repro.dataflow import DataflowGraph, DataflowQuery, NodeSpec, RevisionJoin, run_graph
-from repro.dataflow import executor as executor_module
+from repro.dataflow import query as query_module
 from repro.dataflow.convergence import identity_rows
 from repro.datasets import ReplayConfig, stream_def
 from repro.engine import Catalog
@@ -86,7 +86,25 @@ def test_stream_query_settles_like_its_one_node_graph(transport, partitions, mat
     assert len(stream.relation) > 0
     events, late = _direct_drive(catalog, materialize)
     assert stream.events_processed == graph.events_processed == events
-    assert stream.late_dropped == late > 0
+    assert stream.late_dropped == graph.late_dropped == late > 0
+
+
+@pytest.mark.parametrize("early", [False, True])
+def test_both_queries_report_late_drops(early):
+    """A late-dropping replay: the stream query and its one-node graph count
+    the same drops, and both EXPLAIN ANALYZE reports print them."""
+    catalog = _catalog()
+    options = ExecutionOptions(early_emit=early)
+    stream = StreamQuery(catalog, KIND, "l", "r", ON, config=options).run(
+        merge_seed=MERGE_SEED
+    )
+    graph = DataflowQuery(catalog, [NodeSpec("n", KIND, "l", "r", ON)], options).run(
+        merge_seed=MERGE_SEED
+    )
+    _events, late = _direct_drive(catalog, materialize=False)
+    assert stream.late_dropped == graph.late_dropped == late > 0
+    for result in (stream, graph):
+        assert f"late_dropped={late} " in result.explain_analyze()
 
 
 @pytest.mark.parametrize("transport", ["inline", "threads"])
@@ -120,7 +138,9 @@ def test_a_stream_query_runs_the_collecting_operator(monkeypatch, transport):
         probes = {name: lambda _channel, join: seen.append(type(join))}
         return run_graph(graph, config, *args, probes=probes, **kwargs)
 
-    monkeypatch.setattr(executor_module, "run_graph", probed)
+    # StreamQuery has no run path of its own: patching DataflowQuery's
+    # reaches it.
+    monkeypatch.setattr(query_module, "run_graph", probed)
     options = ExecutionOptions(partitions=1 if transport == "inline" else 2)
     result = StreamQuery(_catalog(), KIND, "l", "r", ON, config=options).run()
     assert result.workers == transport
