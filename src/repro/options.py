@@ -48,6 +48,18 @@ class ExecutionOptions:
     :class:`~repro.dataflow.DataflowQuery` takes each node's degree from
     its ``NodeSpec.partitions`` instead.
 
+    ``micro_batch_size`` is how many elements a worker drains per step and,
+    on the processes and sockets transports, how many elements one message
+    or frame carries.  ``buffer_capacity`` bounds each worker's inbox: the
+    in-process channel on threads, the seat's inbox on sockets (a frame is
+    taken whole, so it can overshoot by less than one micro-batch), and
+    ``buffer_capacity // micro_batch_size`` messages (at least two) on a
+    process queue.  On sockets the driver also keeps at most four
+    micro-batches uncredited per seat, so a driver→seat edge holds at most
+    ``buffer_capacity`` plus ``4 × micro_batch_size`` elements; worker→worker
+    socket edges are bounded by TCP flow control alone.  Inline runs
+    buffer nothing.
+
     ``early_emit`` publishes provisional windows before the watermark
     closes them, retracting/refining on later data (honoured by the one
     dataflow executor every query runs on).

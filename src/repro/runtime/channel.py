@@ -7,7 +7,8 @@ primitives:
   draining and multi-producer close bookkeeping.  ``put`` blocks once the
   channel is full, so a slow consumer transparently backpressures its
   producers (and, transitively, the sources) instead of letting queues grow
-  without bound; ``take_batch`` drains up to a micro-batch of elements in one
+  without bound; ``put_all`` takes a whole micro-batch the same way under
+  one lock; ``take_batch`` drains up to a micro-batch of elements in one
   lock acquisition, amortising synchronisation the way micro-batching stream
   engines do.  A channel created with ``producers=N`` closes itself after the
   N-th :meth:`Channel.producer_done` call — the done-sentinel close protocol
@@ -66,6 +67,16 @@ class Channel(Generic[T]):
 
     def put(self, item: T) -> None:
         """Append one element; blocks while the channel is full (backpressure)."""
+        self.put_all((item,))
+
+    def put_all(self, items: Sequence[T]) -> None:
+        """Append a whole micro-batch under one lock and one wake.
+
+        Blocks while the channel is full, then takes every item at once, so
+        the depth can overshoot ``capacity`` by less than one batch — the
+        socket seat's frame-at-a-time intake, which credits a frame only
+        once all of it is in.
+        """
         with self._not_full:
             if self._closed:
                 raise ChannelClosed("cannot put into a closed channel")
@@ -75,8 +86,8 @@ class Channel(Generic[T]):
                     self._not_full.wait()
                 if self._closed:
                     raise ChannelClosed("channel closed while waiting for space")
-            self._items.append(item)
-            self.total_put += 1
+            self._items.extend(items)
+            self.total_put += len(items)
             if len(self._items) > self.high_watermark:
                 self.high_watermark = len(self._items)
             self._not_empty.notify()

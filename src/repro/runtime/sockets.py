@@ -19,10 +19,23 @@ with the ``multiprocessing`` queues swapped for TCP connections:
   checkpoints — rides its driver connection as ``(kind, job, index,
   payload)`` frames; one result (or marshalled traceback) frame ends it.
 
-Backpressure survives the boundary: a server connection feeds a bounded
-:class:`~repro.runtime.channel.Channel`; when it fills, the reader stops
-reading, the kernel's TCP window closes, and the sender's ``sendall``
-blocks — the socket edition of a full queue.
+Backpressure survives the boundary through credits, not the kernel's socket
+buffers (which would absorb a whole run before ``sendall`` ever blocked).
+A seat's reader feeds each frame from the driver into its bounded
+:class:`~repro.runtime.channel.Channel` inbox in one ``put_all`` — which
+waits while the inbox is full — and then answers ``("credit", job, index,
+n)``.  The driver keeps at most ``4 × micro_batch_size`` uncredited
+elements per seat: a send that would exceed that parks until credits come
+back, the seat's connection ends, or ``result_timeout`` passes without one.
+An edge with nothing outstanding always takes the frame, and done frames
+need no credit.  So a driver→seat edge holds at most ``buffer_capacity``
+elements in the inbox plus four micro-batches on the wire.  Seat→seat
+(peer) edges are uncredited: there a full inbox stops the reader and plain
+TCP flow control blocks the sending seat.
+
+Connections block once connected.  The only deadline on a live seat is
+``result_timeout``; a slow seat is otherwise waited on without limit, and
+a dead one is noticed by its reader thread seeing the connection end.
 
 Emit latencies and trace-span timestamps stay directly comparable across
 *local* socket workers because ``time.perf_counter`` reads the system-wide
@@ -38,9 +51,11 @@ from __future__ import annotations
 
 import logging
 import pickle
+import selectors
 import socket
 import struct
 import threading
+import time
 import traceback
 import uuid
 from typing import Dict, Hashable, List, Optional
@@ -68,8 +83,11 @@ _HEADER = struct.Struct("!I")
 #: giving up (the driver sends every job frame before routing any element,
 #: so in practice this only trips on abandoned runs).
 _JOB_WAIT_SECONDS = 60.0
-#: How long the driver waits for spawned local workers to report their port.
+#: How long the driver waits for spawned local workers to report their port
+#: and for each connection to be accepted.
 _SPAWN_WAIT_SECONDS = 30.0
+#: Uncredited elements the driver keeps in flight per seat, in micro-batches.
+_CREDIT_BATCHES = 4
 
 
 # --------------------------------------------------------------------------- #
@@ -84,6 +102,20 @@ def send_frame(sock: socket.socket, payload: object) -> None:
 def send_raw_frame(sock: socket.socket, data: bytes) -> None:
     """Ship one length-prefixed pre-encoded frame (binary wire payloads)."""
     sock.sendall(_HEADER.pack(len(data)) + data)
+
+
+def _connect(address: str) -> socket.socket:
+    """A blocking connection to ``address``; only the connect has a deadline.
+
+    ``create_connection``'s timeout would otherwise stay on the socket, and a
+    seat silent for that long — busy, not dead — would read as a lost
+    connection.
+    """
+    connection = socket.create_connection(
+        parse_host_port(address), timeout=_SPAWN_WAIT_SECONDS
+    )
+    connection.settimeout(None)
+    return connection
 
 
 def _is_columnar(spec) -> bool:
@@ -160,10 +192,7 @@ class _PeerPutter:
     def _connection(self, target: int) -> socket.socket:
         connection = self._connections.get(target)
         if connection is None:
-            connection = socket.create_connection(
-                parse_host_port(self._addresses[target]), timeout=_JOB_WAIT_SECONDS
-            )
-            self._connections[target] = connection
+            connection = self._connections[target] = _connect(self._addresses[target])
         return connection
 
     def put(self, target: int, batch) -> None:
@@ -256,10 +285,14 @@ class _ServerJob:
             putter.close()
             self.done_event.set()
 
-    def feed(self, frame) -> None:
+    def feed(self, frame, credit: bool = False) -> None:
+        """Take one frame into the inbox; with ``credit`` (the driver's
+        connection), answer an accepted batch with a credit frame."""
         if frame[0] == "batch":
-            for entry in frame[2]:
-                self.inbox.put(entry)
+            entries = frame[2]
+            self.inbox.put_all(entries)
+            if credit:
+                self._reply.send(("credit", self.key, self.spec.index, len(entries)))
         elif frame[0] == "done":
             self.inbox.producer_done()
 
@@ -325,22 +358,23 @@ class _JobRegistry:
             return snapshots
 
 
-def _read_into_job(file, job: _ServerJob, abort_on_eof: bool) -> None:
+def _read_into_job(file, job: _ServerJob, driver: bool) -> None:
     """Pump frames from one connection into a job until EOF.
 
-    A *peer* connection closing mid-job is normal — peers disconnect right
-    after their done sentinel.  Only the driver connection's EOF means the
-    run was abandoned, in which case the inbox is closed so the worker
-    thread cannot wait forever on sentinels that will never come.
+    Only the ``driver`` connection is credited.  A *peer* connection
+    closing mid-job is normal — peers disconnect right after their done
+    sentinel.  Only the driver connection's EOF means the run was
+    abandoned, in which case the inbox is closed so the worker thread
+    cannot wait forever on sentinels that will never come.
     """
     while True:
         frame = recv_frame(file)
         if frame is None:
-            if abort_on_eof and not job.done_event.is_set():
+            if driver and not job.done_event.is_set():
                 job.abort()
             return
         try:
-            job.feed(frame)
+            job.feed(frame, credit=driver)
         except ChannelClosed:
             # The job was aborted (driver vanished) while this producer was
             # still sending; drain and discard the rest of the connection.
@@ -354,6 +388,9 @@ def _handle_connection(connection: socket.socket, registry: _JobRegistry, served
         if first is None:
             return
         if first[0] == "job":
+            # Credits are tiny frames the driver may be parked on: Nagle
+            # must not hold one back waiting for the previous one's ACK.
+            connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             reply = _ReplySender(connection)
             if len(first) != 6 or not isinstance(first[4], RuntimeJob):
                 # Driver and workers ship from one checkout, so another shape
@@ -415,49 +452,80 @@ def serve_listener(
     ``python -m repro.runtime.worker``.  ``idle_timeout`` exits the same
     way once no connection has been active for that many seconds, so a
     launch script's spare workers reap themselves instead of lingering.
-    """
-    import time
 
+    The loop polls nothing: it sleeps in ``select`` until a connection
+    arrives or one of the things it waits for happens — a handler ends (a
+    ``once`` seat has served its job; the idle clock restarts) or
+    ``shutdown`` is set — each of which writes a byte to a socket pair.
+    """
     if registry is None:
         registry = _JobRegistry()
     served = threading.Event()
-    listener.settimeout(0.5)
-    handlers: List[threading.Thread] = []
+    wake_reader, wake_writer = socket.socketpair()
+    wake_reader.setblocking(False)
+    # Handler threads still running; each removes itself, then wakes the loop.
+    active: set = set()
+
+    def wake() -> None:
+        try:
+            wake_writer.send(b"\0")
+        except OSError:  # the loop has already closed the pair
+            pass
+
+    def handle(connection: socket.socket) -> None:
+        try:
+            _handle_connection(connection, registry, served)
+        finally:
+            active.discard(threading.current_thread())
+            wake()
+
+    def wake_on_shutdown() -> None:
+        shutdown.wait()
+        wake()
+
+    if shutdown is not None:
+        threading.Thread(target=wake_on_shutdown, daemon=True).start()
+    listener.setblocking(False)
+    selector = selectors.DefaultSelector()
+    selector.register(listener, selectors.EVENT_READ)
+    selector.register(wake_reader, selectors.EVENT_READ)
     last_activity = time.monotonic()
     try:
-        while True:
-            if once and served.is_set():
-                break
-            if shutdown is not None and shutdown.is_set():
-                break
-            handlers = [handler for handler in handlers if handler.is_alive()]
-            if handlers:
+        while not (once and served.is_set()) and not (
+            shutdown is not None and shutdown.is_set()
+        ):
+            timeout = None
+            if idle_timeout is not None and not active:
+                timeout = last_activity + idle_timeout - time.monotonic()
+                if timeout <= 0:
+                    break
+            if selector.select(timeout):
                 last_activity = time.monotonic()
-            elif (
-                idle_timeout is not None
-                and time.monotonic() - last_activity > idle_timeout
-            ):
-                break
+            try:
+                wake_reader.recv(4096)
+            except BlockingIOError:
+                pass
             try:
                 connection, _address = listener.accept()
-            except socket.timeout:
+            except BlockingIOError:
                 continue
             except OSError:  # pragma: no cover - listener closed underneath
                 break
-            last_activity = time.monotonic()
-            handler = threading.Thread(
-                target=_handle_connection,
-                args=(connection, registry, served),
-                daemon=True,
-            )
+            # Some platforms hand out accepted sockets as non-blocking as
+            # the listener; a seat connection must block.
+            connection.setblocking(True)
+            handler = threading.Thread(target=handle, args=(connection,), daemon=True)
+            active.add(handler)
             handler.start()
-            handlers.append(handler)
     finally:
+        selector.close()
         listener.close()
+        wake_reader.close()
+        wake_writer.close()
     # Graceful drain: in-flight jobs (and their result frames) finish before
     # the server returns, so a driver never loses a settled result to a
     # shutdown signal.
-    for handler in handlers:
+    for handler in list(active):
         handler.join(timeout=5.0)
 
 
@@ -520,6 +588,7 @@ class _DriverSocketPutter:
 
     def put(self, target: int, batch) -> None:
         session = self._session
+        session.take_credit(target, len(batch))
         binary = _is_columnar(session._job.specs[target])
         self._send(target, send_batch, session.job_key, batch, binary)
 
@@ -561,6 +630,14 @@ class SocketSession(TransportSession):
             threading.Event() for _ in range(count)
         ]
         self._clock_offsets: Dict[int, float] = {}
+        # Flow control: elements sent to each seat and not yet credited back.
+        # The reader threads credit and notify; the routing thread parks.
+        self._window = _CREDIT_BATCHES * job.micro_batch_size
+        self._outstanding: List[int] = [0] * count
+        self._credit = threading.Condition()
+        self._parks = 0
+        #: Per seat, the most elements ever in flight at once.
+        self.outstanding_high_watermark: List[int] = [0] * count
         try:
             context = preferred_context()
             ready_queue = context.Queue()
@@ -579,10 +656,8 @@ class SocketSession(TransportSession):
                 seat, port = ready_queue.get(timeout=_SPAWN_WAIT_SECONDS)
                 addresses[seat] = f"127.0.0.1:{port}"
             self.addresses = tuple(addresses)
-            for index, address in enumerate(self.addresses):
-                connection = socket.create_connection(
-                    parse_host_port(address), timeout=_SPAWN_WAIT_SECONDS
-                )
+            for address in self.addresses:
+                connection = _connect(address)
                 connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 self.connections.append(connection)
                 self._files.append(connection.makefile("rb"))
@@ -617,6 +692,11 @@ class SocketSession(TransportSession):
                 if frame is None:
                     break
                 kind, payload = frame[0], frame[3]
+                if kind == "credit":
+                    with self._credit:
+                        self._outstanding[index] -= payload
+                        self._credit.notify()
+                    continue
                 if kind in ("result", "error"):
                     result = frame
                     break
@@ -632,7 +712,48 @@ class SocketSession(TransportSession):
             pass
         finally:
             self._result_frames[index] = result
-            self._result_events[index].set()
+            # Under the credit lock, so a send parked on this seat wakes.
+            with self._credit:
+                self._result_events[index].set()
+                self._credit.notify()
+
+    def take_credit(self, target: int, count: int) -> None:
+        """Reserve ``count`` in-flight elements on seat ``target``'s edge.
+
+        Parks while the seat already holds uncredited elements and
+        ``count`` more would pass the window.  The park ends when credits
+        return; when the reader sees the seat's connection end, where a dead
+        seat raises :class:`~repro.recovery.types.SeatFailure` instead of
+        hanging the run; or, with ``result_timeout``, once that many seconds
+        pass without room.
+        """
+        outstanding = self._outstanding
+        ended = self._result_events[target]
+
+        def room() -> bool:
+            held = outstanding[target]
+            return not held or held + count <= self._window or ended.is_set()
+
+        with self._credit:
+            if not room():
+                self._parks += 1
+                timeout = self._job.result_timeout
+                if not self._credit.wait_for(room, timeout):
+                    address = self.addresses[target]
+                    raise SeatFailure(
+                        target,
+                        address,
+                        "timeout",
+                        f"worker {target} ({address}) took no input for {timeout}s",
+                    )
+                self._check_seat_alive(target)
+            outstanding[target] += count
+            if outstanding[target] > self.outstanding_high_watermark[target]:
+                self.outstanding_high_watermark[target] = outstanding[target]
+
+    @property
+    def backpressure_blocks(self) -> int:
+        return self._parks
 
     def _flight_dump(self, index: int) -> str:
         """Render the dead/stuck worker's last-known telemetry, if any."""

@@ -517,7 +517,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     def request_shutdown(signum, _frame) -> None:
         # Signal-handler safe: just record and set the event; the serve
-        # loop notices within its accept timeout and drains.  (Printing
+        # loop wakes on it and drains.  (Printing
         # here could re-enter a stdout write interrupted by the signal.)
         received.append(signum)
         shutdown.set()

@@ -36,8 +36,11 @@ def test_serve_listener_stops_on_shutdown_event():
     time.sleep(0.1)
     assert thread.is_alive()
     shutdown.set()
+    asked = time.monotonic()
     thread.join(timeout=5.0)
     assert not thread.is_alive()
+    # The request itself wakes the loop; nothing waits for a poll tick.
+    assert time.monotonic() - asked < 0.1
 
 
 def test_serve_listener_reaps_itself_after_idle_timeout():
@@ -45,7 +48,7 @@ def test_serve_listener_reaps_itself_after_idle_timeout():
     started = time.monotonic()
     serve_listener(listener, idle_timeout=0.6)
     elapsed = time.monotonic() - started
-    assert 0.4 <= elapsed < 10.0
+    assert 0.6 <= elapsed < 0.75
 
 
 def worker_process(listen: str, *extra: str) -> subprocess.Popen:
