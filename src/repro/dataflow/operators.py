@@ -13,23 +13,29 @@ step — whose inputs and outputs are *revision streams*
   group).  The upstream watermark contract guarantees a retractable tuple's
   group is still open here, so unwinding is always possible.
 * In **early-emission** mode the operator publishes each open group's
-  current windows as *provisional* revisions — on the positive's arrival and
-  again whenever the group's match list changes — instead of waiting for the
-  watermark.  A change republishes the group as a *delta*: its windows are
-  derived again and compared, by structural identity ``(fact, interval,
-  lineage)``, with the list the group published last; stale windows are
-  retracted, new ones arrive as ``Refine`` elements, unchanged ones stay the
-  objects they were and are not mentioned.  Emit latency is recorded at the
-  group's first publication, which is what drops it below the watermark
-  lag.
-* Watermark finalization *settles* a group.  In early mode every change of
-  a match list has already republished the group, so what it has published
-  *is* final: the list moves to the settled output as it stands — nothing
-  is derived, nothing is compared, nothing is emitted.  With early emission
-  off nothing was published, so the group is derived once, here, and
-  emitted (the path of ``ContinuousJoin._emit`` plus the ``Revision``
-  wrapper).  Either way the derived watermark moving past the group then
-  guarantees downstream that none of its tuples will ever be revised again.
+  current windows as *provisional* revisions instead of waiting for the
+  watermark — once per micro-batch.  A new positive and every change of a
+  match list only mark the group *dirty*; :meth:`RevisionJoin.end_batch`,
+  which the worker loop calls at each micro-batch boundary (after every
+  element on the inline transport), publishes each dirty group once, in the
+  order the groups were first dirtied.  A republication is a *delta*: the
+  group's windows are derived again and compared, by structural identity
+  ``(fact, interval, lineage)``, with the list the group published last;
+  stale windows are retracted, new ones arrive as ``Refine`` elements,
+  unchanged ones stay the objects they were and are not mentioned.  Emit
+  latency is recorded at the group's first publication, which is what drops
+  it below the watermark lag.  Deferring is safe for the watermark
+  contract: a dirty group is open, so its tuples start at or after its
+  positive's start, which no derived watermark passes.
+* Watermark finalization *settles* a group.  In early mode a dirty group is
+  published first — its revisions precede the watermark that passes it —
+  and what the group has published then *is* final: the list moves to the
+  settled output as it stands, nothing derived again, nothing compared.
+  With early emission off nothing was published, so the group is derived
+  once, here, and emitted (the path of ``ContinuousJoin._emit`` plus the
+  ``Revision`` wrapper).  Either way the derived watermark moving past the
+  group then guarantees downstream that none of its tuples will ever be
+  revised again.
 
 Nothing on this path renders a lineage to text: windows and retracted
 inputs are recognised structurally, sweep order asks for a negative's
@@ -67,6 +73,11 @@ from .revision import Revision, RevisionElement, RevisionKind
 
 #: Identity of one open group across both maintainers: (is_reverse, serial).
 GroupId = Tuple[bool, int]
+
+#: What :meth:`RevisionJoin.end_batch` returns: runs of revisions, each under
+#: the trace context (``None`` when untraced) of the elements that last
+#: dirtied its groups.
+BatchRuns = List[Tuple[Optional[tuple], List[RevisionElement]]]
 
 
 @dataclass
@@ -119,6 +130,15 @@ class RevisionJoin(ContinuousJoin):
         #: derivation order.  A group enters with its first non-empty
         #: publication and leaves when it settles or is retracted.
         self._published: Dict[GroupId, List[TPTuple]] = {}
+        #: Early mode: the open groups changed since the last batch end, in
+        #: first-dirtied order, each with its entry and the trace context of
+        #: the element that last dirtied it.
+        self._dirty: Dict[GroupId, Tuple[OpenPositive, Optional[tuple]]] = {}
+        #: ``(start, stop, trace)``: the slices of the last ``process`` or
+        #: ``close`` output that a settling dirty group published, with the
+        #: trace context that dirtied it (traced groups only), so the worker
+        #: can dispatch them under that context.
+        self.settle_traces: List[Tuple[int, int, tuple]] = []
         #: The tuples of settled groups, in settle order: never revised again.
         self._settled: List[TPTuple] = []
         self.stats = RevisionJoinStats()
@@ -179,7 +199,8 @@ class RevisionJoin(ContinuousJoin):
 
         The returned sequence always lists revisions first and, when the
         node's derived watermark advanced, a trailing :class:`Watermark`
-        covering them.
+        covering them.  In early mode an addition or retraction only marks
+        the groups it changed dirty; :meth:`end_batch` publishes them.
         """
         element = tagged.element
         out: List[RevisionElement] = []
@@ -187,14 +208,15 @@ class RevisionJoin(ContinuousJoin):
             element = Revision(RevisionKind.EMIT, element.tuple)
         if isinstance(element, Revision):
             if element.kind is RevisionKind.RETRACT:
-                self._retract(tagged.side, element.tuple, out)
+                self._retract(tagged.side, element.tuple, tagged.trace, out)
                 # Dropping an open group can raise the min open start.
                 self._advance_watermark(out)
             else:
                 if element.tuple.start > self._frontier:
                     self._frontier = element.tuple.start
-                self._add(tagged.side, element.tuple, tagged.ingest_clock, out)
+                self._add(tagged.side, element.tuple, tagged.ingest_clock, tagged.trace)
         elif isinstance(element, Watermark):
+            self.settle_traces.clear()
             finalized, finalized_reverse = self._advance(tagged.side, element.value)
             for group in finalized:
                 self._settle(False, group, out)
@@ -207,6 +229,7 @@ class RevisionJoin(ContinuousJoin):
 
     def close(self) -> List[RevisionElement]:
         """Force both sides closed, settling every remaining group."""
+        self.settle_traces.clear()
         out: List[RevisionElement] = []
         for group in self._forward.close():
             self._settle(False, group, out)
@@ -216,15 +239,49 @@ class RevisionJoin(ContinuousJoin):
         self._advance_watermark(out)
         return out
 
+    def end_batch(self) -> BatchRuns:
+        """Publish every group dirtied since the last call, once each.
+
+        The worker loop calls this at each micro-batch boundary of an
+        early-emitting operator.  Groups go in the order they were first
+        dirtied; their revisions come back in runs, consecutive groups last
+        dirtied under the same trace context sharing one, so an untraced
+        batch is a single run.
+        """
+        runs: BatchRuns = []
+        dirty = self._dirty
+        if not dirty:
+            return runs
+        self._dirty = {}
+        out: List[RevisionElement] = []
+        context = None
+        for (is_reverse, _serial), (entry, trace) in dirty.items():
+            if trace is not context:
+                if out:
+                    runs.append((context, out))
+                    out = []
+                context = trace
+            self._publish(is_reverse, entry, out)
+        if out:
+            runs.append((context, out))
+        return runs
+
     # ------------------------------------------------------------------ #
     # additions and retractions
     # ------------------------------------------------------------------ #
+    def _mark_dirty(
+        self, affected: List[Tuple[bool, OpenPositive]], trace: Optional[tuple]
+    ) -> None:
+        dirty = self._dirty
+        for is_reverse, entry in affected:
+            dirty[(is_reverse, entry.serial)] = (entry, trace)
+
     def _add(
         self,
         side: str,
         tp_tuple: TPTuple,
         ingest_clock: Optional[float],
-        out: List[RevisionElement],
+        trace: Optional[tuple],
     ) -> None:
         now = ingest_clock if ingest_clock is not None else self._clock()
         affected: List[Tuple[bool, OpenPositive]] = []
@@ -247,11 +304,14 @@ class RevisionJoin(ContinuousJoin):
         else:
             raise ValueError(f"unknown stream side {side!r}")
         if self._early:
-            for is_reverse, entry in affected:
-                self._publish(is_reverse, entry, out)
+            self._mark_dirty(affected, trace)
 
     def _retract(
-        self, side: str, tp_tuple: TPTuple, out: List[RevisionElement]
+        self,
+        side: str,
+        tp_tuple: TPTuple,
+        trace: Optional[tuple],
+        out: List[RevisionElement],
     ) -> None:
         self.stats.inputs_retracted += 1
         affected: List[Tuple[bool, OpenPositive]] = []
@@ -274,8 +334,7 @@ class RevisionJoin(ContinuousJoin):
         else:
             raise ValueError(f"unknown stream side {side!r}")
         if self._early:
-            for is_reverse, entry in affected:
-                self._publish(is_reverse, entry, out)
+            self._mark_dirty(affected, trace)
 
     # ------------------------------------------------------------------ #
     # publication
@@ -285,9 +344,10 @@ class RevisionJoin(ContinuousJoin):
     ) -> None:
         """Publish one open group's current windows (early mode).
 
-        Called for a new positive and after every change of a group's match
-        list, so what a group has published is always what its matches
-        derive — which is why :meth:`_settle` has nothing left to compute.
+        Called once per micro-batch for every group a new positive or a
+        match-list change dirtied, and for a dirty group about to settle,
+        so a settling group has published what its matches derive — which
+        is why :meth:`_settle` has nothing left to compute.
         """
         gid: GroupId = (is_reverse, entry.serial)
         # In place: the next publication then sorts an almost sorted list,
@@ -340,13 +400,15 @@ class RevisionJoin(ContinuousJoin):
     ) -> None:
         """Finalize one group: its tuples become settled output.
 
-        In early mode the group's published tuples *are* the final ones and
-        move over as they stand; nothing is derived and nothing is emitted.
-        Otherwise the group is derived once, here, and emitted.
+        In early mode a dirty group publishes its pending change first; its
+        published tuples then *are* the final ones and move over as they
+        stand.  Otherwise the group is derived once, here, and emitted.
         """
         self.stats.groups_settled += 1
         if self._early:
-            tuples = self._published.pop((is_reverse, finalized.serial), None)
+            gid: GroupId = (is_reverse, finalized.serial)
+            self._publish_dirty(gid, out)
+            tuples = self._published.pop(gid, None)
             if tuples is None:
                 # Never had a window to publish, so it has none now either.
                 self._record_latency(finalized.ingest_clock, finalized.group.r.end)
@@ -359,8 +421,22 @@ class RevisionJoin(ContinuousJoin):
             self._record_latency(finalized.ingest_clock, finalized.group.r.end)
         self._settled.extend(tuples)
 
+    def _publish_dirty(self, gid: GroupId, out: List[RevisionElement]) -> None:
+        """Publish ``gid`` now if it is dirty: a settling group says its last
+        word before the watermark that passes it."""
+        dirty = self._dirty.pop(gid, None)
+        if dirty is None:
+            return
+        entry, trace = dirty
+        start = len(out)
+        self._publish(gid[0], entry, out)
+        if trace is not None and len(out) > start:
+            self.settle_traces.append((start, len(out), trace))
+
     def _unpublish(self, gid: GroupId, out: List[RevisionElement]) -> None:
-        """Retract everything a removed group had published."""
+        """Retract everything a removed group had published; a change it
+        had pending dies with it."""
+        self._dirty.pop(gid, None)
         self._announce(RevisionKind.RETRACT, self._published.pop(gid, ()), True, out)
 
     def _announce(

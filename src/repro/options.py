@@ -62,7 +62,9 @@ class ExecutionOptions:
 
     ``early_emit`` publishes provisional windows before the watermark
     closes them, retracting/refining on later data (honoured by the one
-    dataflow executor every query runs on).
+    dataflow executor every query runs on).  Each changed group is
+    published once per micro-batch, at its end; inline runs end a batch
+    after every element.
 
     ``layout`` picks the window-maintainer state layout: ``"object"``
     (default) keeps per-tuple Python objects, ``"columnar"`` re-lays the

@@ -921,6 +921,11 @@ class SocketSession(TransportSession):
         for reader in self._readers:
             reader.join(timeout=5.0)
         self._readers = []
+        # The readers are done with their files: closing them drops the
+        # last reference to each connection's fd.
+        for file in self._files:
+            file.close()
+        self._files = []
         for process in self._processes:
             process.join(timeout=5.0)
         for process in self._processes:

@@ -224,6 +224,11 @@ class _InlineEmitter:
         pass
 
 
+def _accept_batch_of_one(worker: Worker, channel: Hashable, tagged: Tagged) -> None:
+    worker.accept(channel, tagged)
+    worker.end_batch()
+
+
 class InlineSession(TransportSession):
     """Synchronous depth-first delivery in the caller's thread.
 
@@ -238,11 +243,17 @@ class InlineSession(TransportSession):
     def __init__(self, job: RuntimeJob) -> None:
         emitter = _InlineEmitter(self)
         self._workers = [Worker.for_job(spec, emitter, job) for spec in job.specs]
+        # Each element is a batch of one: a batched worker ends its batch
+        # after every accept, any other worker is called straight.
+        self._deliver = [
+            partial(_accept_batch_of_one, worker) if worker.batched else worker.accept
+            for worker in self._workers
+        ]
         self._remaining = [spec.producers for spec in job.specs]
         self._reports: List[Optional[WorkerReport]] = [None] * len(job.specs)
 
     def send(self, target: int, channel: Hashable, tagged: Tagged) -> None:
-        self._workers[target].accept(channel, tagged)
+        self._deliver[target](channel, tagged)
 
     def done(self, target: int) -> None:
         self._remaining[target] -= 1

@@ -8,7 +8,9 @@ same four steps no matter which transport delivers its input:
    (:class:`~repro.runtime.channel.ChannelWatermarks`: the stage output
    watermark is the min over upstream partitions), events and revisions pass
    through;
-2. **operate** — the element is fed to the operator (``join.process``);
+2. **operate** — the element is fed to the operator (``join.process``); an
+   early-emitting operator publishes what it changed at the micro-batch
+   end (:meth:`Worker.end_batch`);
 3. **emit** — operator outputs are key-routed to downstream workers (one
    stable-hash partition per revision, watermarks broadcast) or collected
    locally when the spec has no downstream;
@@ -158,6 +160,16 @@ class Worker:
         self.spec = spec
         self.emitter = emitter
         self.join = spec.build_join()
+        #: Whether the operator defers publication to micro-batch ends (an
+        #: early-emitting revision join): the transport then calls
+        #: :meth:`end_batch` at every boundary.  Nothing else pays for it.
+        self.batched = getattr(self.join, "early_emit", False)
+        #: Batched and traced: deferred revisions are dispatched under the
+        #: trace context of the element that dirtied their group, parented on
+        #: its operate span — kept here for the current batch, by the trace
+        #: context the element arrived with.
+        self._traced_batches = self.batched and tracer is not None
+        self._operate_spans: dict = {}
         # Flow counts are always kept: three plain ints cost less than asking
         # per element whether anyone wants them.  ``metrics_snapshot`` copies
         # them into the registry when the job has one.
@@ -219,7 +231,10 @@ class Worker:
             start = perf_counter()
         outputs = self.join.process(tagged)
         if start is None:
-            self._dispatch(outputs)
+            if self._traced_batches:
+                self._dispatch_settled(outputs, None)
+            else:
+                self._dispatch(outputs)
             return
         end = perf_counter()
         trace_id, parent = tagged.trace
@@ -235,15 +250,62 @@ class Worker:
         operate = self.tracer.record(
             "operate", trace_id, parent, start, end, **span_detail(tagged.element)
         )
-        self._active_trace = (trace_id, operate)
+        context = (trace_id, operate)
+        if self._traced_batches:
+            self._operate_spans[tagged.trace] = operate
+            self._dispatch_settled(outputs, context)
+        else:
+            self._dispatch_under(outputs, context)
+
+    def end_batch(self) -> None:
+        """Dispatch what a batched operator deferred to this boundary.
+
+        Each run of revisions goes out under the trace context of the
+        element that last dirtied its groups, parented on that element's
+        operate span, so a stitched timeline still runs source to sink.
+        """
+        if not self._traced_batches:
+            for _trace, revisions in self.join.end_batch():
+                self._dispatch(revisions)
+            return
+        for trace, revisions in self.join.end_batch():
+            self._dispatch_under(revisions, self._dirtied_by(trace))
+        self._operate_spans.clear()
+
+    def _dirtied_by(self, trace: Optional[tuple]) -> Optional[tuple]:
+        """The dispatch context for revisions of groups an element carrying
+        ``trace`` dirtied: that element's operate span, in its trace."""
+        if trace is None:
+            return None
+        return (trace[0], self._operate_spans.get(trace, trace[1]))
+
+    def _dispatch_settled(self, outputs, context: Optional[tuple]) -> None:
+        """Dispatch ``outputs`` under ``context``, except the slices a
+        settling dirty group published (batched, traced workers): those go
+        under the context that dirtied the group."""
+        settled = self.join.settle_traces
+        done = 0
+        for begin, stop, trace in settled:
+            self._dispatch_under(outputs[done:begin], context)
+            self._dispatch_under(outputs[begin:stop], self._dirtied_by(trace))
+            done = stop
+        self._dispatch_under(outputs[done:], context)
+        settled.clear()
+
+    def _dispatch_under(self, elements, context: Optional[tuple]) -> None:
+        self._active_trace = context
         try:
-            self._dispatch(outputs)
+            self._dispatch(elements)
         finally:
             self._active_trace = None
 
     def finish(self) -> WorkerReport:
         """Close the operator, flush, send done sentinels, build the report."""
-        self._dispatch(self.join.close())
+        outputs = self.join.close()
+        if self._traced_batches:
+            self._dispatch_settled(outputs, None)
+        else:
+            self._dispatch(outputs)
         self._finished = True
         # One done sentinel per (edge × consumer partition), matching the
         # producer counts compiled into the specs (duplicate edges to one
@@ -342,7 +404,9 @@ def run_worker(
 
     The loop every pull transport (threads, processes, sockets) runs: drain
     micro-batches until the inbox reports all producers done (``None``),
-    flushing buffered downstream sends after each batch, then close.  It
+    ending the operator's batch (:meth:`Worker.end_batch`, batched workers
+    only) and flushing buffered downstream sends after each one, then
+    close.  It
     always times idle (blocked in ``take_batch``) vs busy seconds and counts
     the elements consumed: three clock reads per micro-batch, none per
     element.
@@ -384,6 +448,7 @@ def run_worker(
         if restore is not None:
             elements_seen = restore_worker(worker, restore)
     shipping = upstream is not None and (job.metrics or job.trace)
+    end_batch = worker.end_batch if worker.batched else None
     idle = busy = 0.0
     last_shipment = last_checkpoint = perf_counter()
     while True:
@@ -395,6 +460,8 @@ def run_worker(
             break
         for channel, tagged in batch:
             worker.accept(channel, tagged)
+        if end_batch is not None:
+            end_batch()
         elements_seen += len(batch)
         emitter.flush()
         done = perf_counter()

@@ -7,9 +7,12 @@ dicts; finalization derived the group once more and diffed it against what
 was published.  It is slow and obviously right, which is what a referee
 should be.  :class:`ReferenceRevisionJoin` inherits everything the two
 publishers share (the maintainers, ``process``, ``_add``, ``_retract``, the
-derived watermark) and replaces only the output half with the old code,
-verbatim, so ``tests/dataflow/test_delta_publication.py`` can drive both
-over the same inputs and compare them element by element.
+dirty set and ``end_batch``, the derived watermark) and replaces only the
+output half with the old code — plus the one rule the batch boundary adds:
+a group withdrawn or settled inside a batch leaves the dirty set, a settling
+one after publishing its pending change — so
+``tests/dataflow/test_delta_publication.py`` can drive both over the same
+inputs and compare them batch by batch.
 """
 
 from __future__ import annotations
@@ -82,8 +85,13 @@ class ReferenceRevisionJoin(RevisionJoin):
     def _settle(
         self, is_reverse: bool, finalized: FinalizedGroup, out: List[RevisionElement]
     ) -> None:
-        """Finalize one group: publish the settled diff, drop its bookkeeping."""
+        """Finalize one group: publish the settled diff, drop its bookkeeping.
+
+        A dirty group first publishes its pending change, as the operator's
+        does, so the settled diff finds nothing left to say.
+        """
         gid: GroupId = (is_reverse, finalized.serial)
+        self._publish_dirty(gid, out)
         final = self._group_tuples(is_reverse, finalized.group, finalized.key)
         previous = self._published.pop(gid, {})
         self._diff(gid, previous, final, provisional=False, out=out)
@@ -128,6 +136,7 @@ class ReferenceRevisionJoin(RevisionJoin):
 
     def _unpublish(self, gid: GroupId, out: List[RevisionElement]) -> None:
         """Retract everything a removed group had published."""
+        self._dirty.pop(gid, None)
         for old in self._published.pop(gid, {}).values():
             out.append(Revision(RevisionKind.RETRACT, old, provisional=True))
             self.stats.retracts += 1

@@ -1,15 +1,15 @@
-"""Delta publication against the derive-and-diff referee, element by element.
+"""Delta publication against the derive-and-diff referee, batch by batch.
 
 :class:`~repro.dataflow.operators.RevisionJoin` publishes deltas: settle
 moves what is already published, identities are structural, the derived
 watermark comes from a heap.  The publisher it replaced — derive every
 window of the group, key by the rendered ``key()``, diff two dicts, derive
 once more at settle — lives on in ``reference_publisher.py``.  Here both are
-driven over the same tagged inputs and must say the same thing after every
-single element: the same revisions (kind, tuple with its lineage operand for
-operand and its probability bitwise, ``provisional``), retractions before
-additions, the covering watermark last, the same counters, and at the end
-the same net output.
+driven over the same tagged inputs and batch boundaries and must say the
+same thing after every element and every batch end: the same revisions
+(kind, tuple with its lineage operand for operand and its probability
+bitwise, ``provisional``), retractions before additions, the covering
+watermark last, the same counters, and at the end the same net output.
 
 The pins at the bottom fail on the old publisher: a finalizing watermark
 derives nothing in early mode, and no element renders a lineage to text.
@@ -17,6 +17,7 @@ derives nothing in early mode, and no element renders a lineage to text.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 from collections import Counter
 from itertools import count
@@ -58,6 +59,11 @@ def row(tp_tuple: TPTuple) -> tuple:
     )
 
 
+def flatten(runs) -> List:
+    """The revisions of :meth:`RevisionJoin.end_batch`'s runs, in order."""
+    return [element for _trace, run in runs for element in run]
+
+
 def revisions(elements: Sequence) -> List[tuple]:
     return [
         (element.kind, row(element.tuple), element.provisional)
@@ -69,8 +75,8 @@ def revisions(elements: Sequence) -> List[tuple]:
 def assert_same_output(got: List, want: List, net: set, context: str) -> None:
     """Same revisions in the same order, applying cleanly, watermark last.
 
-    The order is part of the contract: a downstream node republishes after
-    every element, so its retract/refine counts depend on the order in which
+    The order is part of the contract: a downstream node republishes once
+    per batch, so its retract/refine counts depend on the order in which
     this node's revisions reach it.  ``net`` is the consumer's view: a group
     retracts its stale windows before it adds the corrected ones, so every
     retraction finds its tuple and every addition finds its place free.
@@ -112,10 +118,21 @@ class Pair:
         assert self.new.derived_watermark() == self.old.derived_watermark(), context
         return got
 
-    def process(self, tagged: Tagged) -> List:
+    def feed(self, tagged: Tagged) -> List:
+        """One element inside a batch: what ``process`` returns."""
         return self._compare(
             self.new.process(tagged), self.old.process(tagged), repr(tagged)
         )
+
+    def end_batch(self) -> List:
+        """The batch boundary: both publish their dirty groups."""
+        return self._compare(
+            flatten(self.new.end_batch()), flatten(self.old.end_batch()), "batch end"
+        )
+
+    def process(self, tagged: Tagged) -> List:
+        """One element as a batch of one, as the inline transport runs it."""
+        return self.feed(tagged) + self.end_batch()
 
     def close(self) -> List:
         got = self._compare(self.new.close(), self.old.close(), "close")
@@ -136,12 +153,14 @@ class Pair:
         return got
 
 
-def drive_chain(catalog, tree, merge_seed, **options) -> List[Pair]:
-    """Feed a join tree depth-first, as the inline executor does.
+def drive_chain(catalog, tree, merge_seed, batch=1, **options) -> List[Pair]:
+    """Feed a join tree depth-first, every node ending a batch after each
+    ``batch`` source elements.
 
     Each node is a :class:`Pair`; what flows downstream is the delta
     publisher's output, so both operators of a node always see the same
-    inputs and any divergence is pinned to the element that caused it.
+    inputs and batch boundaries, and any divergence is pinned to the
+    element or batch end that caused it.
     """
     graph = DataflowQuery(catalog, tree, ExecutionOptions()).graph
     index_of = {name: index for index, name in enumerate(graph.node_names)}
@@ -165,12 +184,21 @@ def drive_chain(catalog, tree, merge_seed, **options) -> List[Pair]:
     def deliver(producer: int, emitted: List) -> None:
         for element in emitted:
             for consumer, side in consumers[producer]:
-                deliver(consumer, pairs[consumer].process(Tagged(side, element)))
+                deliver(consumer, pairs[consumer].feed(Tagged(side, element)))
 
-    for _slot, target, side, element in merge_edges(
-        source_edges(graph, index_of), merge_seed
+    def end_batches() -> None:
+        # Index order is topological: a node's batch-end revisions reach its
+        # consumers before they end theirs.
+        for index, pair in enumerate(pairs):
+            deliver(index, pair.end_batch())
+
+    for position, (_slot, target, side, element) in enumerate(
+        merge_edges(source_edges(graph, index_of), merge_seed), start=1
     ):
-        deliver(target, pairs[target].process(Tagged(side, element)))
+        deliver(target, pairs[target].feed(Tagged(side, element)))
+        if position % batch == 0:
+            end_batches()
+    end_batches()
     for index, pair in enumerate(pairs):
         deliver(index, pair.close())
     return pairs
@@ -191,10 +219,11 @@ def drive_chain(catalog, tree, merge_seed, **options) -> List[Pair]:
     watermark_every=st.integers(min_value=1, max_value=6),
     merge_seed=st.one_of(st.none(), st.integers(min_value=0, max_value=100)),
     layout=st.sampled_from(LAYOUTS),
+    batch=st.sampled_from([1, 3, 16]),
 )
 def test_delta_publisher_says_what_the_referee_says(
     seed, first, second, derived_is_left, early, materialize, disorder,
-    watermark_every, merge_seed, layout,
+    watermark_every, merge_seed, layout, batch,
 ):
     # A small time span over few keys: abutting and tied overlaps are common.
     catalog, *_ = make_stream_catalog(
@@ -206,7 +235,7 @@ def test_delta_publisher_says_what_the_referee_says(
     left, right = ("n1", "c") if derived_is_left else ("c", "n1")
     tree = [NodeSpec("n1", first, "a", "b", ON), NodeSpec("n2", second, left, right, ON)]
     pairs = drive_chain(
-        catalog, tree, merge_seed,
+        catalog, tree, merge_seed, batch,
         early_emit=early, materialize_probabilities=materialize, layout=layout,
     )
     assert pairs[1].new.stats.inputs_retracted == pairs[0].new.stats.retracts
@@ -237,6 +266,11 @@ def retract(side, tp_tuple):
 
 def kinds_of(elements):
     return [e.kind for e in elements if isinstance(e, Revision)]
+
+
+def step(join, tagged):
+    """One element as a batch of one, as the inline transport runs it."""
+    return join.process(tagged) + flatten(join.end_batch())
 
 
 @pytest.mark.parametrize("kind", ["left_outer", "anti", "full_outer"])
@@ -345,15 +379,70 @@ def counting(monkeypatch, owner, name) -> List[int]:
     return calls
 
 
+def test_overlapping_negatives_in_one_batch_republish_their_group_once(monkeypatch):
+    left = relation("l", [(2, 20)])
+    right = relation("r", [(3, 6), (5, 9), (8, 12), (11, 15)])
+    join = RevisionJoin("left_outer", SCHEMA, SCHEMA, ON, early_emit=True)
+    assert kinds_of(step(join, emit(LEFT, left.tuples[0]))) == [RevisionKind.EMIT]
+    # Every derivation of a left outer group runs LAWAN's sweep once.
+    sweeps = counting(monkeypatch, joins_module, "negating_sweep")
+    for tp_tuple in right.tuples:
+        assert join.process(emit(RIGHT, tp_tuple)) == []
+    assert sweeps[0] == 0
+    out = flatten(join.end_batch())
+    assert sweeps[0] == 1
+    # One delta: the unmatched window goes once, the new windows arrive once.
+    assert kinds_of(out).count(RevisionKind.RETRACT) == 1
+    assert set(kinds_of(out)) == {RevisionKind.RETRACT, RevisionKind.REFINE}
+    assert join.end_batch() == []
+    expected = BATCH_JOINS["left_outer"](left, right, theta_or_true(SCHEMA, SCHEMA, ON))
+    assert Counter(row(t)[:3] for t in join.settled_outputs.values()) == Counter(
+        row(t)[:3] for t in expected.tuples
+    )
+
+
+def test_group_settled_inside_its_batch_publishes_before_the_watermark():
+    left = relation("l", [(2, 8)])
+    right = relation("r", [(4, 6)])
+    pair = Pair("left_outer", SCHEMA, SCHEMA, early_emit=True)
+    assert kinds_of(pair.process(emit(LEFT, left.tuples[0]))) == [RevisionKind.EMIT]
+    assert pair.feed(emit(RIGHT, right.tuples[0])) == []
+    assert pair.feed(Tagged(LEFT, Watermark(9))) == []
+    out = pair.feed(Tagged(RIGHT, Watermark(9)))
+    # The pending delta, then the watermark that passes the group.
+    assert kinds_of(out)[0] is RevisionKind.RETRACT
+    assert set(kinds_of(out)[1:]) == {RevisionKind.REFINE}
+    assert out[-1] == Watermark(9)
+    assert all(isinstance(element, Revision) for element in out[:-1])
+    assert pair.new.stats.groups_settled == 1
+    # Settled, so the batch end has nothing left to say about it.
+    assert pair.end_batch() == []
+    pair.close()
+
+
+@pytest.mark.parametrize("kind", ["left_outer", "full_outer"])
+def test_positive_added_and_retracted_in_one_batch_publishes_nothing(kind):
+    left = relation("l", [(2, 8)])
+    right = relation("r", [(4, 6)])
+    pair = Pair(kind, SCHEMA, SCHEMA, early_emit=True)
+    pair.process(emit(RIGHT, right.tuples[0]))
+    before = dataclasses.replace(pair.new.stats)
+    assert pair.feed(emit(LEFT, left.tuples[0])) == []
+    assert pair.feed(retract(LEFT, left.tuples[0])) == []
+    assert pair.end_batch() == []
+    assert pair.new.stats == dataclasses.replace(before, inputs_retracted=1)
+    pair.close()
+
+
 @pytest.mark.parametrize("kind", ["left_outer", "full_outer"])
 def test_finalizing_watermark_derives_nothing_in_early_mode(monkeypatch, kind):
     left = relation("l", [(2, 8), (3, 9), (10, 14)])
     right = relation("r", [(4, 6), (5, 12)])
     join = RevisionJoin(kind, SCHEMA, SCHEMA, ON, early_emit=True)
     for tp_tuple in left.tuples:
-        join.process(emit(LEFT, tp_tuple))
+        step(join, emit(LEFT, tp_tuple))
     for tp_tuple in right.tuples:
-        join.process(emit(RIGHT, tp_tuple))
+        step(join, emit(RIGHT, tp_tuple))
     published = len(join.settled_outputs)
     # Every derivation of a group of these kinds runs LAWAN's sweep once.
     sweeps = counting(monkeypatch, joins_module, "negating_sweep")
@@ -390,14 +479,14 @@ def test_process_renders_no_key_on_tie_free_input(monkeypatch, kind, early):
     join = RevisionJoin(kind, SCHEMA, SCHEMA, ON, early_emit=early)
     rendered = counting(monkeypatch, TPTuple, "key")
     for tp_tuple in left.tuples:
-        join.process(emit(LEFT, tp_tuple))
+        step(join, emit(LEFT, tp_tuple))
     for tp_tuple in right.tuples:
-        join.process(emit(RIGHT, tp_tuple))
-    join.process(retract(RIGHT, right.tuples[1]))
-    join.process(retract(LEFT, left.tuples[3]))
-    join.process(emit(RIGHT, right.tuples[1]))
-    join.process(Tagged(LEFT, Watermark(12)))
-    join.process(Tagged(RIGHT, Watermark(12)))
+        step(join, emit(RIGHT, tp_tuple))
+    step(join, retract(RIGHT, right.tuples[1]))
+    step(join, retract(LEFT, left.tuples[3]))
+    step(join, emit(RIGHT, right.tuples[1]))
+    step(join, Tagged(LEFT, Watermark(12)))
+    step(join, Tagged(RIGHT, Watermark(12)))
     assert join.stats.groups_settled >= 2 and join.stats.inputs_retracted == 2
     join.close()
     assert rendered[0] == 0

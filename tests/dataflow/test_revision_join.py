@@ -28,6 +28,13 @@ def retract(side, tp_tuple):
     return Tagged(side, Revision(RevisionKind.RETRACT, tp_tuple))
 
 
+def step(join, tagged):
+    """One element as a batch of one, as the inline transport runs it."""
+    return join.process(tagged) + [
+        element for _trace, run in join.end_batch() for element in run
+    ]
+
+
 def additions(elements):
     return [e for e in elements if isinstance(e, Revision) and e.adds]
 
@@ -64,18 +71,18 @@ def test_early_emit_publishes_provisionally_then_refines(tiny):
     )
     l0 = left.tuples[0]
     r0 = right.tuples[0]
-    first = join.process(emit(LEFT, l0))
+    first = step(join, emit(LEFT, l0))
     # The whole interval is published provisionally as a single unmatched window.
     assert [r.kind for r in additions(first)] == [RevisionKind.EMIT]
     assert additions(first)[0].provisional
     assert additions(first)[0].tuple.interval == l0.interval
     # The matching negative splits the window: stale retracted, refined emitted.
-    second = join.process(emit(RIGHT, r0))
+    second = step(join, emit(RIGHT, r0))
     assert retractions(second), "stale provisional window must be retracted"
     assert all(r.kind is RevisionKind.REFINE for r in additions(second))
     # Settlement produces no further change: provisional state was already exact.
-    final = join.process(Tagged(LEFT, Watermark(20))) + join.process(
-        Tagged(RIGHT, Watermark(20))
+    final = step(join, Tagged(LEFT, Watermark(20))) + step(
+        join, Tagged(RIGHT, Watermark(20))
     )
     assert not retractions(final)
     assert join.stats.groups_settled >= 1
@@ -88,13 +95,13 @@ def test_input_retraction_unwinds_published_windows(tiny):
     )
     l0 = left.tuples[0]
     r0 = right.tuples[0]
-    join.process(emit(LEFT, l0))
-    join.process(emit(RIGHT, r0))
+    step(join, emit(LEFT, l0))
+    step(join, emit(RIGHT, r0))
     before = dict(join.settled_outputs)
     # Two unmatched segments, the overlapping window and the negating window.
     assert len(before) == 4
     # Retracting the negative restores the single unmatched window.
-    out = join.process(retract(RIGHT, r0))
+    out = step(join, retract(RIGHT, r0))
     assert retractions(out)
     assert len(join.settled_outputs) == 1
     only = next(iter(join.settled_outputs.values()))
@@ -108,9 +115,9 @@ def test_positive_retraction_withdraws_the_whole_group(tiny):
         "anti", left.schema, right.schema, [("Key", "Key")], early_emit=True
     )
     l0 = left.tuples[0]
-    join.process(emit(LEFT, l0))
+    step(join, emit(LEFT, l0))
     assert join.settled_outputs
-    out = join.process(retract(LEFT, l0))
+    out = step(join, retract(LEFT, l0))
     assert retractions(out)
     assert not join.settled_outputs
     assert join.maintainer.open_positives == 0
@@ -148,9 +155,9 @@ def test_close_settles_everything(tiny):
         "full_outer", left.schema, right.schema, [("Key", "Key")], early_emit=True
     )
     for tp_tuple in left.tuples:
-        join.process(emit(LEFT, tp_tuple))
+        step(join, emit(LEFT, tp_tuple))
     for tp_tuple in right.tuples:
-        join.process(emit(RIGHT, tp_tuple))
+        step(join, emit(RIGHT, tp_tuple))
     out = join.close()
     assert watermarks(out)[-1].value == float("inf")
     assert join.maintainer.open_positives == 0

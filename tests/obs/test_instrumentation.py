@@ -31,12 +31,6 @@ TREE = [
 ]
 TRANSPORTS = ("inline", "threads", "processes", "sockets")
 
-#: Deterministic counters compared across transports (histograms and the
-#: loop gauges legitimately differ between carriers).
-_FLOW = ("elements_routed", "elements_operated", "elements_emitted")
-_REVISIONS = ("revision_emits", "revision_retracts", "revision_refines",
-              "groups_settled")
-
 
 def _run_with_metrics(backend: str, seed: int = 11):
     catalog, *_ = make_stream_catalog(seed, sizes=(25, 25, 20), disorder=4)
@@ -74,12 +68,17 @@ def test_counters_match_final_stats_on_every_transport(backend):
 
 def test_counter_totals_identical_across_transports():
     """A single-node graph has one producer per inbox, so every carrier
-    sees the identical element sequence and the totals match bit-for-bit.
+    sees the identical element sequence: what the worker routes and
+    operates on, and the groups it settles, match bit-for-bit.
 
-    (Multi-node pipelines interleave an internal edge with driver-routed
-    source events, so their provisional-churn counters are legitimately
-    timing-dependent on the threaded transports — the per-run invariants
-    for those are covered above.)
+    Revision traffic does not: an early-emitting operator publishes each
+    changed group once per micro-batch, and where the batches end depends
+    on the carrier (every element on inline, whatever the inbox held on
+    the queued transports).  What holds on every carrier is that the
+    revisions add up to the settled output, emits + refines − retracts =
+    settled.  (Multi-node pipelines also interleave an internal edge with
+    driver-routed source events — the per-run invariants for those are
+    covered above.)
     """
     single = [NodeSpec("n1", "left_outer", "a", "b", ON)]
     baseline = None
@@ -88,9 +87,18 @@ def test_counter_totals_identical_across_transports():
         query = DataflowQuery(
             catalog, single, ExecutionOptions(early_emit=True, metrics=True)
         )
-        query.run(backend=backend, merge_seed=11)
+        result = query.run(backend=backend, merge_seed=11)
         totals = query.metrics().totals()
-        reading = {name: totals[name] for name in _FLOW + _REVISIONS}
+        reading = {
+            name: totals[name]
+            for name in ("elements_routed", "elements_operated", "groups_settled")
+        }
+        net = (
+            totals["revision_emits"]
+            + totals["revision_refines"]
+            - totals["revision_retracts"]
+        )
+        assert net == len(result.nodes["n1"].relation) > 0, backend
         if baseline is None:
             baseline = reading
         else:

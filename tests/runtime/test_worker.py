@@ -85,6 +85,7 @@ def _drive(worker: Worker, traced: bool = False) -> None:
         else:
             context = (next(trace_ids), "driver:0") if traced else None
             worker.accept(None, Tagged(side, element, None, context))
+        worker.end_batch()
     worker.finish()
 
 
@@ -110,6 +111,11 @@ def test_traced_worker_sends_what_an_untraced_worker_sends():
     spans = {span["span"]: span for span in tracer.dump()}
     carried = [context for context in traced.contexts if context is not None]
     assert carried and all(spans[span]["name"] == "emit" for _trace, span in carried)
+    # Revisions published at a batch end hang off the operate span of the
+    # element that dirtied their group, in that element's trace.
+    for trace_id, span in carried:
+        parent = spans[spans[span]["parent"]]
+        assert parent["name"] == "operate" and parent["trace"] == trace_id
     assert all(
         (context is None) == isinstance(entry[3], Watermark)
         for entry, context in zip(traced.sent, traced.contexts)
