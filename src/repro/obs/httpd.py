@@ -27,9 +27,10 @@ def start_metrics_http_server(
     liveness probe target, and must stay cheap and dependable even when
     a metrics render would fail.  Unknown paths get a plain-text 404
     body (the stdlib HTML error page confuses text-oriented probes).
-    The caller shuts the server down with ``server.shutdown()``; the
-    listening port (useful with ``port=0``) is
-    ``server.server_address[1]``.
+    The caller stops the server with ``server.shutdown()`` and then
+    closes its listening socket with ``server.server_close()`` (shutdown
+    alone leaves the socket open); the listening port (useful with
+    ``port=0``) is ``server.server_address[1]``.
     """
 
     class _Handler(BaseHTTPRequestHandler):

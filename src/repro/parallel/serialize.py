@@ -27,19 +27,26 @@ from ..lineage import FALSE, TRUE, And, EventSpace, LineageExpr, Not, Or, Var
 from ..relation import TPTuple
 from ..stream.elements import LEFT, RIGHT, StreamEvent, Tagged, Watermark
 
-#: Revision kinds by wire code (index = code), derived from the enum itself
-#: so the wire order can never drift from RevisionKind's definition order.
-#: Populated lazily: repro.dataflow imports this package's stream codecs, so
-#: a module-level import here would be circular during package init.
-_REVISION_KINDS: list = []
+#: ``(Revision, kinds by wire code, wire code by kind)``.  Codes are enum
+#: definition order, so the wire order can never drift from RevisionKind's
+#: definition.  Resolved once per process on first use: repro.dataflow
+#: imports this package's stream codecs, so a module-level import here would
+#: be circular during package init.
+_REVISION_CODEC: tuple = ()
 
 
-def _revision_kinds() -> list:
-    if not _REVISION_KINDS:
-        from ..dataflow.revision import RevisionKind
+def _revision_codec() -> tuple:
+    global _REVISION_CODEC
+    if not _REVISION_CODEC:
+        from ..dataflow.revision import Revision, RevisionKind
 
-        _REVISION_KINDS.extend(RevisionKind)
-    return _REVISION_KINDS
+        kinds = tuple(RevisionKind)
+        _REVISION_CODEC = (
+            Revision,
+            kinds,
+            {kind: code for code, kind in enumerate(kinds)},
+        )
+    return _REVISION_CODEC
 
 
 def revision_kind_codes() -> int:
@@ -49,7 +56,7 @@ def revision_kind_codes() -> int:
     revision row's kind byte against this count so a corrupt frame raises a
     clean error instead of failing later inside ``decode_revision_tagged``.
     """
-    return len(_revision_kinds())
+    return len(_revision_codec()[1])
 
 # --------------------------------------------------------------------------- #
 # lineage codec
@@ -164,15 +171,14 @@ def encode_revision_tagged(tagged: Tagged) -> tuple:
     sampled; events and watermarks keep the stream-element encoding, so a
     source edge and a node edge share one wire format.
     """
-    from ..dataflow.revision import Revision
-
+    revision_class, _kinds, codes = _revision_codec()
     element = tagged.element
-    if isinstance(element, Revision):
+    if isinstance(element, revision_class):
         side_code = 0 if tagged.side == LEFT else 1
         code = (
             "r",
             side_code,
-            _revision_kinds().index(element.kind),
+            codes[element.kind],
             element.provisional,
             encode_tuple(element.tuple),
             tagged.ingest_clock,
@@ -185,13 +191,12 @@ def decode_revision_tagged(code: tuple) -> Tagged:
     """Rebuild one tagged dataflow element from its encoding."""
     if code[0] != "r":
         return decode_tagged(code)
-    from ..dataflow.revision import Revision
-
+    revision_class, kinds, _codes = _revision_codec()
     _tag, side_code, kind_code, provisional, tuple_code, clock = code[:6]
     trace = code[6] if len(code) > 6 else None
     side = LEFT if side_code == 0 else RIGHT
-    revision = Revision(
-        _revision_kinds()[kind_code],
+    revision = revision_class(
+        kinds[kind_code],
         decode_tuple(tuple_code),
         provisional=provisional,
     )

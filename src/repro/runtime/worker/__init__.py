@@ -602,6 +602,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     if metrics_server is not None:
         metrics_server.shutdown()
+        metrics_server.server_close()
     if received:
         logger.info(
             "repro runtime worker shut down cleanly "

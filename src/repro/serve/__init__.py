@@ -15,9 +15,10 @@ Pieces, bottom-up:
 * :mod:`repro.serve.hub` — the bounded shared-ring fan-out hub with
   per-subscriber cursors and the three slow-subscriber policies
   (``block`` / ``drop_provisional`` / ``disconnect``);
-* :mod:`repro.serve.cache` — the materialized result cache a standing query
-  maintains from its Emit/Retract/Refine stream, so late joiners get a
-  snapshot plus live tail instead of a replay;
+* :mod:`repro.serve.cache` — the materialized result cache each tapped sink
+  maintains from its Emit/Retract/Refine stream (shared by the queries
+  reading that sink), so late joiners get a snapshot plus live tail instead
+  of a replay;
 * :mod:`repro.serve.registry` — :class:`StandingQueryService`: register /
   subscribe / snapshot / detach plus query lifecycle (start on first
   subscriber, linger, stop on last detach) over merged shared plans;

@@ -157,6 +157,7 @@ async def _serve(
     _LOGGER.info("repro serve shutting down")
     if metrics_server is not None:
         metrics_server.shutdown()
+        metrics_server.server_close()
     await server.close()
     service.shutdown()
     if trace_out is not None:

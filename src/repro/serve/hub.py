@@ -5,7 +5,12 @@ each a private queue copies every element N times and lets one stalled
 client buffer without bound.  The hub instead keeps **one** bounded ring of
 ``(sequence, element)`` entries and gives each subscriber a monotone cursor
 into it; an entry is retired once every live cursor has passed it, so the
-memory cost of fan-out is one ring plus N integers.
+memory cost of fan-out is one ring plus N integers.  The CPU cost is per
+element, not per subscriber: the serving layer keeps one hub per tapped
+sink node, so standing queries sharing that sink publish into the same
+ring, and a ring entry carries its wire encoding once the first reader that
+needs one (:meth:`FanoutHub.read_encoded`) has computed it — every further
+TCP pump reuses the bytes, and the encoding goes when the entry does.
 
 When the ring fills — the slowest subscriber is ``capacity`` elements
 behind — the configured policy decides, in publisher context:
@@ -107,13 +112,18 @@ def droppable(item: Any) -> bool:
 
 
 class _SubscriberState:
-    __slots__ = ("cursor", "disconnected", "waker")
+    __slots__ = ("cursor", "disconnected", "waker", "owner", "reads")
 
-    def __init__(self, cursor: int) -> None:
+    def __init__(self, cursor: int, owner: Any, reads: List[int]) -> None:
         self.cursor = cursor
         self.disconnected = False
         #: One-shot callback armed by a ``read_batch`` that found nothing.
         self.waker: Optional[Callable[[], None]] = None
+        #: Who attached it (a standing query's name), and that owner's
+        #: ``[read_batches, elements_read]`` counters, shared by its
+        #: subscribers.
+        self.owner = owner
+        self.reads = reads
 
 
 class HubSubscription:
@@ -140,6 +150,15 @@ class HubSubscription:
     ):
         """Up to ``limit`` elements; see :meth:`FanoutHub.read_batch`."""
         return self._hub.read_batch(self.id, limit, timeout, waker)
+
+    def read_encoded(
+        self,
+        limit: int,
+        encode: Callable[[Any], bytes],
+        waker: Optional[Callable[[], None]] = None,
+    ):
+        """Up to ``limit`` encodings; see :meth:`FanoutHub.read_encoded`."""
+        return self._hub.read_encoded(self.id, limit, encode, waker)
 
     def read(self, timeout: Optional[float] = None):
         """Next element; ``END_OF_STREAM`` when done, ``None`` on timeout."""
@@ -184,11 +203,14 @@ class FanoutHub:
         # Invariant (lock held, between operations): the ring holds no entry
         # below the slowest live cursor, and is empty when nobody is live —
         # every cursor move, detach and disconnect evicts, so ``publish``
-        # never has to look at the subscribers.
-        self._ring: Deque[Tuple[int, Any]] = deque()
+        # never has to look at the subscribers.  An entry is a
+        # ``[sequence, element, encoding]`` list: the encoding slot starts
+        # empty and is filled by the first ``read_encoded`` to reach it.
+        self._ring: Deque[list] = deque()
         self._cond = threading.Condition()
         self._next_seq = 0
         self._states: Dict[int, _SubscriberState] = {}
+        self._reads: Dict[Any, List[int]] = {}  # owner -> [batches, elements]
         self._live = 0  # attached and not disconnected
         self._waiting = 0  # threads parked on the condition
         self._armed: List[_SubscriberState] = []  # states holding a waker
@@ -200,8 +222,6 @@ class FanoutHub:
         self.publish_blocks = 0
         self.disconnects = 0
         self.max_ring = 0
-        self.read_batches = 0
-        self.elements_read = 0
 
     @property
     def capacity(self) -> int:
@@ -232,40 +252,39 @@ class FanoutHub:
         with self._cond:
             return self._tracer.dump()
 
-    def subscriber_lags(self) -> Dict[int, int]:
+    def subscriber_lags(self, owner: Any = None) -> Dict[int, int]:
         """Per-subscriber cursor lag: elements published but not yet read.
 
         A stalled client shows up here long before any policy fires — its
         lag climbs toward ``capacity`` while everyone else's hovers near 0.
-        Disconnected subscribers are excluded (their cursor is dead).
+        Disconnected subscribers are excluded (their cursor is dead).  Given
+        an ``owner``, only the subscribers it attached are listed.
         """
         with self._cond:
-            return {
-                subscriber_id: self._next_seq - state.cursor
-                for subscriber_id, state in self._states.items()
-                if not state.disconnected
-            }
+            return self._lags(owner)
 
-    def metrics(self) -> Dict[str, float]:
+    def metrics(self, owner: Any = None) -> Dict[str, float]:
         """One consistent reading of the hub's counters and occupancy.
 
         ``elements_read / read_batches`` is the mean delivery batch: near 1
         the hub is ping-ponging with its readers, near ``DELIVERY_BATCH``
-        the readers are the bottleneck.
+        the readers are the bottleneck.  Given an ``owner``, the subscriber
+        and read figures count only the subscribers it attached; the
+        publish-side and ring figures are the hub's either way.
         """
         with self._cond:
-            lags = [
-                self._next_seq - state.cursor
-                for state in self._states.values()
-                if not state.disconnected
-            ]
+            lags = list(self._lags(owner).values())
+            if owner is None:
+                reads = [sum(column) for column in zip(*self._reads.values())] or [0, 0]
+            else:
+                reads = self._reads.get(owner, [0, 0])
             return {
                 "published": self.published,
                 "dropped_provisional": self.dropped_provisional,
                 "publish_blocks": self.publish_blocks,
                 "disconnects": self.disconnects,
-                "read_batches": self.read_batches,
-                "elements_read": self.elements_read,
+                "read_batches": reads[0],
+                "elements_read": reads[1],
                 "ring_size": len(self._ring),
                 "ring_high_watermark": self.max_ring,
                 "capacity": self._capacity,
@@ -277,7 +296,7 @@ class FanoutHub:
     # subscriber side
     # ------------------------------------------------------------------ #
     def attach(
-        self, snapshot_fn: Optional[Callable[[], list]] = None
+        self, snapshot_fn: Optional[Callable[[], list]] = None, owner: Any = None
     ) -> HubSubscription:
         """Attach a subscriber at the current tail.
 
@@ -285,10 +304,13 @@ class FanoutHub:
         lock, atomically with the cursor placement: the returned
         subscription's ``snapshot`` plus its future tail is exactly the
         element-for-element state a from-start subscriber accumulated.
+        ``owner`` labels the subscriber for :meth:`metrics` and
+        :meth:`subscriber_lags` (the serving layer passes the query name).
         """
         with self._cond:
             subscriber_id = next(self._ids)
-            self._states[subscriber_id] = _SubscriberState(self._next_seq)
+            reads = self._reads.setdefault(owner, [0, 0])
+            self._states[subscriber_id] = _SubscriberState(self._next_seq, owner, reads)
             self._live += 1
             subscription = HubSubscription(self, subscriber_id)
             if snapshot_fn is not None:
@@ -324,6 +346,45 @@ class FanoutHub:
         Raises :class:`SlowSubscriberDisconnected` if the disconnect policy
         evicted this subscriber, ``ValueError`` after an explicit detach.
         """
+        entries = self._read_entries(subscriber_id, limit, timeout, waker)
+        if entries is END_OF_STREAM:
+            return entries
+        return [entry[1] for entry in entries]
+
+    def read_encoded(
+        self,
+        subscriber_id: int,
+        limit: int,
+        encode: Callable[[Any], bytes],
+        waker: Optional[Callable[[], None]] = None,
+    ):
+        """A :meth:`read_batch` that returns ``encode(element)`` per element.
+
+        Each ring entry keeps the first encoding any reader computed for it,
+        so an element costs one ``encode`` however many subscribers read it
+        this way; the bytes live exactly as long as the entry.  Encoding
+        runs outside the hub lock — readers sharing a hub pass the same
+        ``encode`` (the TCP pumps of one server, all on its event loop).
+        """
+        entries = self._read_entries(subscriber_id, limit, None, waker)
+        if entries is END_OF_STREAM:
+            return entries
+        bodies = []
+        for entry in entries:
+            body = entry[2]
+            if body is None:
+                body = entry[2] = encode(entry[1])
+            bodies.append(body)
+        return bodies
+
+    def _read_entries(
+        self,
+        subscriber_id: int,
+        limit: int,
+        timeout: Optional[float],
+        waker: Optional[Callable[[], None]],
+    ):
+        """The ring entries behind :meth:`read_batch` / :meth:`read_encoded`."""
         if limit <= 0:
             raise ValueError("batch limit must be positive")
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -414,7 +475,7 @@ class FanoutHub:
                     self._wait()
             if update is not None:
                 update(item)
-            self._ring.append((self._next_seq, item))
+            self._ring.append([self._next_seq, item, None])
             self._next_seq += 1
             self.published += 1
             if self._sampler is not None:
@@ -469,15 +530,24 @@ class FanoutHub:
                 waker, state.waker = state.waker, None
                 waker()
 
+    def _lags(self, owner: Any) -> Dict[int, int]:
+        return {
+            subscriber_id: self._next_seq - state.cursor
+            for subscriber_id, state in self._states.items()
+            if not state.disconnected and (owner is None or state.owner == owner)
+        }
+
     def _take(self, subscriber_id: int, state: _SubscriberState, limit: int) -> list:
         """Advance ``state`` over up to ``limit`` entries (one is readable)."""
         first = self._position(state.cursor)
         entries = list(itertools.islice(self._ring, first, first + limit))
         state.cursor = entries[-1][0] + 1  # monotone: every sequence >= cursor
-        self.read_batches += 1
-        self.elements_read += len(entries)
+        reads = state.reads
+        reads[0] += 1
+        reads[1] += len(entries)
         if self._traced:
-            for sequence, _item in entries:
+            for entry in entries:
+                sequence = entry[0]
                 traced = self._traced.get(sequence)
                 if traced is not None:
                     now = time.perf_counter()
@@ -491,7 +561,7 @@ class FanoutHub:
             self._evict_consumed()
             if self._waiting:
                 self._cond.notify_all()
-        return [item for _sequence, item in entries]
+        return entries
 
     def _position(self, cursor: int) -> int:
         """Ring index of the first entry at or after ``cursor`` (one exists).
@@ -520,8 +590,8 @@ class FanoutHub:
             ring.popleft()
 
     def _evict_droppable(self) -> bool:
-        for index, (_sequence, item) in enumerate(self._ring):
-            if droppable(item):
+        for index, entry in enumerate(self._ring):
+            if droppable(entry[1]):
                 del self._ring[index]
                 self.dropped_provisional += 1
                 return True

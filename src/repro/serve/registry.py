@@ -18,10 +18,16 @@ first), and **detach**; the service owns everything in between:
   (:meth:`~repro.dataflow.operators.RevisionJoin.maintainer`).  One query's
   sink may be another's interior node; its tap observes the shared node's
   live output either way.
-* **Fan-out** — each member query owns a :class:`~repro.serve.hub.FanoutHub`
-  and a :class:`~repro.serve.cache.ResultCache`; the group taps each sink
-  node, min-merges its per-partition watermarks, and publishes every element
-  to the member hubs with the cache update applied atomically.
+* **Fan-out** — each tapped sink node has one
+  :class:`~repro.serve.hub.FanoutHub` and one
+  :class:`~repro.serve.cache.ResultCache`, shared by every member query
+  whose sink it is; the group taps each sink node, min-merges its
+  per-partition watermarks, and publishes every element once, with the
+  cache update applied atomically.  A published element therefore costs one
+  publish, one cache update and (over TCP) one encoding per sink, however
+  many queries and subscribers read it; :meth:`StandingQueryService.stats`
+  and :meth:`~StandingQueryService.metrics` still report per query, each
+  query's subscribers attaching under its name.
 
 Execution uses the in-process transports (taps are callables).  Unless the
 service names one, a plan group of one worker runs inline in its run thread
@@ -33,7 +39,7 @@ sources.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..dataflow.compile import output_watermarks
 from ..dataflow.executor import run_graph
@@ -44,7 +50,7 @@ from ..runtime.driver import default_transport
 from ..stream.elements import Watermark
 from ..options import ExecutionOptions
 from .cache import ResultCache
-from .hub import POLICIES, FanoutHub, HubSubscription
+from .hub import HUB_TRACE_ID_BASE, POLICIES, FanoutHub, HubSubscription
 from .subplan import SubplanRegistry
 
 
@@ -60,6 +66,8 @@ class StandingQuery:
         self.query = query
         #: Own node name → canonical subplan name (:class:`SubplanRegistry`).
         self.canonical = canonical
+        #: The hub and cache of this query's sink, shared with every query
+        #: of its plan group that has the same sink.
         self.hub: Optional[FanoutHub] = None
         self.cache: ResultCache = ResultCache()
         self.subscribers = 0
@@ -81,12 +89,24 @@ class PlanGroup:
         config: ExecutionOptions,
         transport: str,
         merge_seed: Optional[int],
+        hub_capacity: int,
+        policy: str,
     ) -> None:
         self.members = list(members)
         self.graph = graph
         self.config = config
         self.transport = transport
         self.merge_seed = merge_seed
+        #: Canonical sink name → the one hub and cache every member query
+        #: with that sink reads.
+        self.sinks: Dict[str, Tuple[FanoutHub, ResultCache]] = {}
+        for member in self.members:
+            sink = member.sink_canonical
+            if sink not in self.sinks:
+                self.sinks[sink] = (
+                    FanoutHub(hub_capacity, policy, *self._hub_tracing(sink)),
+                    ResultCache(),
+                )
         #: Live/final worker metrics for this group's run (populated only
         #: when the shared config enables metrics; ``None`` otherwise).
         self.collector = None
@@ -116,12 +136,33 @@ class PlanGroup:
     def names(self) -> List[str]:
         return [member.name for member in self.members]
 
+    @property
+    def hubs(self) -> List[FanoutHub]:
+        return [hub for hub, _cache in self.sinks.values()]
+
+    def _hub_tracing(self, sink: str) -> tuple:
+        """``(tracer, sampler)`` for the next hub, ``(None, None)`` untraced.
+
+        Hub traces are rooted at the hub — taps strip the worker context —
+        so each hub samples its own published elements at the shared rate.
+        Ids are offset into the hub id space, one disjoint block per hub, so
+        no two hubs (and no hub and the driver sampler) ever share a
+        timeline.
+        """
+        if not getattr(self.config, "trace", False):
+            return None, None
+        from ..obs.trace import DEFAULT_TRACE_SAMPLE_RATE, Tracer, TraceSampler
+
+        readers = [member.name for member in self.members if member.sink_canonical == sink]
+        sampler = TraceSampler(
+            getattr(self.config, "trace_sample_rate", DEFAULT_TRACE_SAMPLE_RATE),
+            first_id=HUB_TRACE_ID_BASE + len(self.sinks) * 100_000,
+        )
+        return Tracer(f"hub/{'+'.join(readers)}"), sampler
+
     def start(self) -> None:
         """Tap every member sink, probe every node, run in a daemon thread."""
-        by_sink: Dict[str, List[StandingQuery]] = {}
-        for member in self.members:
-            by_sink.setdefault(member.sink_canonical, []).append(member)
-        taps = {sink: self._make_tap(sink, records) for sink, records in by_sink.items()}
+        taps = {sink: self._make_tap(sink, *pair) for sink, pair in self.sinks.items()}
         probes = {name: self._make_probe(name) for name in self.graph.node_names}
         self._thread = threading.Thread(
             target=self._run,
@@ -131,12 +172,14 @@ class PlanGroup:
         )
         self._thread.start()
 
-    def _make_tap(self, sink: str, records: List[StandingQuery]):
-        # One watermark tracker per tapped node, shared by every member it
-        # serves: per-partition sink watermarks min-merge into the node's
-        # true output frontier before fan-out.
+    def _make_tap(self, sink: str, hub: FanoutHub, cache: ResultCache):
+        # One watermark tracker per tapped node: per-partition sink
+        # watermarks min-merge into the node's true output frontier before
+        # fan-out.
         tracker = output_watermarks(self.graph, sink)
         tracker_lock = threading.Lock()
+        publish = hub.publish
+        update = cache.apply
 
         def tap(channel_id, element) -> None:
             if isinstance(element, Watermark):
@@ -145,8 +188,7 @@ class PlanGroup:
                 if merged is None:
                     return
                 element = Watermark(merged)
-            for record in records:
-                record.hub.publish(element, update=record.cache.apply)
+            publish(element, update)
 
         return tap
 
@@ -173,13 +215,12 @@ class PlanGroup:
         except BaseException as error:  # noqa: BLE001 - surfaced via failure
             self.failure = error
         finally:
-            for member in self.members:
-                if member.hub is not None:
-                    member.hub.close()
+            for hub in self.hubs:
+                hub.close()
             self.finished.set()
 
     def stop(self) -> None:
-        """Cancel cooperatively and close the member hubs.
+        """Cancel cooperatively and close the group's hubs.
 
         Closing the hubs first guarantees progress: a publisher parked on a
         full ring (``block`` policy, stalled subscriber) wakes and returns,
@@ -190,9 +231,8 @@ class PlanGroup:
             timer.cancel()
             self._linger_timer = None
         self.cancel.set()
-        for member in self.members:
-            if member.hub is not None:
-                member.hub.close()
+        for hub in self.hubs:
+            hub.close()
 
     def join(self, timeout: Optional[float] = None) -> bool:
         """Wait for the group's run thread; returns whether it finished."""
@@ -244,6 +284,16 @@ class ServingSubscription:
         """Up to ``limit`` elements the ring already holds (the unit of
         delivery); see :meth:`repro.serve.hub.FanoutHub.read_batch`."""
         return self._inner.read_batch(limit, timeout, waker)
+
+    def read_encoded(
+        self,
+        limit: int,
+        encode: Callable[[object], bytes],
+        waker: Optional[Callable[[], None]] = None,
+    ):
+        """Up to ``limit`` encodings, one ``encode`` per element per hub;
+        see :meth:`repro.serve.hub.FanoutHub.read_encoded`."""
+        return self._inner.read_encoded(limit, encode, waker)
 
     def read(self, timeout: Optional[float] = None):
         """Next element; ``END_OF_STREAM`` when done, ``None`` on timeout."""
@@ -381,7 +431,9 @@ class StandingQueryService:
             started = self._prepare_group(record)
             group = record.group
             group.cancel_linger_stop()
-            inner = record.hub.attach(record.cache.snapshot if snapshot else None)
+            inner = record.hub.attach(
+                record.cache.snapshot if snapshot else None, owner=name
+            )
             record.subscribers += 1
             group.subscribers += 1
             if started:
@@ -433,34 +485,12 @@ class StandingQueryService:
         transport = self._transport or default_transport(
             "threads", sum(graph.partition_counts)
         )
-        group = PlanGroup(members, graph, self._config, transport, self._merge_seed)
-        trace_on = getattr(self._config, "trace", False)
-        for offset, member in enumerate(members):
-            tracer = sampler = None
-            if trace_on:
-                # Hub traces are rooted at the hub — taps strip the worker
-                # context — so each hub samples its own published elements
-                # at the shared rate.  Ids are offset into the hub id space,
-                # one disjoint block per member, so no two hubs (and no hub
-                # and the driver sampler) ever share a timeline.
-                from ..obs.trace import (
-                    DEFAULT_TRACE_SAMPLE_RATE,
-                    Tracer,
-                    TraceSampler,
-                )
-                from .hub import HUB_TRACE_ID_BASE
-
-                tracer = Tracer(f"hub/{member.name}")
-                sampler = TraceSampler(
-                    getattr(
-                        self._config, "trace_sample_rate", DEFAULT_TRACE_SAMPLE_RATE
-                    ),
-                    first_id=HUB_TRACE_ID_BASE + offset * 100_000,
-                )
-            member.hub = FanoutHub(
-                self._hub_capacity, self._policy, tracer=tracer, sampler=sampler
-            )
-            member.cache = ResultCache()
+        group = PlanGroup(
+            members, graph, self._config, transport, self._merge_seed,
+            self._hub_capacity, self._policy,
+        )
+        for member in members:
+            member.hub, member.cache = group.sinks[member.sink_canonical]
             member.group = group
         return True
 
@@ -552,10 +582,13 @@ class StandingQueryService:
         """Per-query telemetry: hub ring/cursor metrics + worker snapshots.
 
         Each entry carries the query's fan-out hub reading (occupancy,
-        per-subscriber cursor lags, drop/block counters) and, when the
-        shared config enables metrics, the plan group's aggregated worker
-        view (counters summed, watermarks min-merged).  Everything is
-        plain builtins, so the serve front end ships it as one JSON reply.
+        per-subscriber cursor lags, drop/block counters) — the hub of its
+        sink, shared with any query of its group with the same sink, but
+        with subscriber, lag and read figures for this query's own
+        subscribers only — and, when the shared config enables metrics, the
+        plan group's aggregated worker view (counters summed, watermarks
+        min-merged).  Everything is plain builtins, so the serve front end
+        ships it as one JSON reply.
         """
         with self._lock:
             records = list(self._queries.items())
@@ -563,10 +596,10 @@ class StandingQueryService:
         for name, record in records:
             hub = record.hub
             entry: Dict[str, object] = {
-                "hub": None if hub is None else hub.metrics(),
+                "hub": None if hub is None else hub.metrics(owner=name),
                 "cursor_lags": (
                     {} if hub is None
-                    else {str(k): v for k, v in hub.subscriber_lags().items()}
+                    else {str(k): v for k, v in hub.subscriber_lags(owner=name).items()}
                 ),
                 "workers": None,
             }
@@ -583,25 +616,25 @@ class StandingQueryService:
         return report
 
     def trace_spans(self) -> List[dict]:
-        """Every span across running plan groups and member fan-out hubs.
+        """Every span across running plan groups and their fan-out hubs.
 
         Worker/driver spans come from each group's trace collector (live
         mid-run, final after); ``hub_publish``/``cursor_advance`` spans
-        from each member hub's own tracer.  Empty unless the shared config
-        enables tracing.  Spans carry unique ids, so feeding repeated
-        readings into one :class:`repro.obs.TraceAggregator` is safe.
+        from each hub's own tracer, each hub visited once.  Empty unless
+        the shared config enables tracing.  Spans carry unique ids, so
+        feeding repeated readings into one :class:`repro.obs.TraceAggregator`
+        is safe.
         """
         with self._lock:
-            records = list(self._queries.values())
-        groups = {}
+            groups = {
+                id(record.group): record.group
+                for record in self._queries.values()
+                if record.group is not None and record.group.trace_collector is not None
+            }
         spans: List[dict] = []
-        for record in records:
-            group = record.group
-            if group is not None and group.trace_collector is not None:
-                groups[id(group)] = group
-            if record.hub is not None:
-                spans.extend(record.hub.trace_spans())
         for group in groups.values():
+            for hub in group.hubs:
+                spans.extend(hub.trace_spans())
             spans.extend(group.trace_collector.spans())
         return spans
 

@@ -35,12 +35,20 @@ accepts it (the protocol is NDJSON between Python peers, not strict JSON).
 
 The serving runtime is threaded; the bridge into asyncio is a wake-up, not
 a thread.  A subscription's pump takes whatever its hub ring holds (up to
-``DELIVERY_BATCH`` elements) without blocking, encodes the batch and hands
-it to the socket in one write and one ``drain()`` — TCP backpressure is what
-makes a slow client's cursor lag and the hub's policy fire.  When the ring
-is empty the read arms a one-shot waker under the hub lock, and the next
-``publish``/``close``/detach schedules the pump again through
-``loop.call_soon_threadsafe``; no pool thread is parked per subscriber.
+``DELIVERY_BATCH`` elements) without blocking and hands the batch to the
+socket in one write and one ``drain()`` — TCP backpressure is what makes a
+slow client's cursor lag and the hub's policy fire.  An element is encoded
+once per hub, not once per pump: the first pump to reach a ring entry
+stores its line body (:func:`element_body`, everything but the closing
+``, "name": …}``) on the entry, and every pump appends its own name suffix
+to the shared bytes.  When the ring is empty the read arms a one-shot waker
+under the hub lock, and the next ``publish``/``close``/detach schedules the
+pump again through ``loop.call_soon_threadsafe``; no pool thread is parked
+per subscriber.
+
+:class:`ServeClient` reads the socket into its own buffer and decodes every
+complete line it holds with one ``json.loads``; it never blocks while a
+complete line is in hand.
 """
 
 from __future__ import annotations
@@ -49,7 +57,8 @@ import asyncio
 import json
 import logging
 import socket
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from collections import deque
+from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence
 
 from ..dataflow.graph import NodeSpec
 from ..dataflow.revision import Revision, RevisionKind
@@ -103,13 +112,44 @@ def element_payload(element: Any) -> dict:
     raise TypeError(f"cannot encode hub element {element!r}")
 
 
+#: The opening of a revision line up to its tuple, by ``(kind, provisional)``.
+_REVISION_OPENINGS = {
+    (kind, provisional): (
+        f'{{"type": "revision", "kind": {json.dumps(kind.value)}, '
+        f'"provisional": {json.dumps(provisional)}, "tuple": '
+    )
+    for kind in RevisionKind
+    for provisional in (False, True)
+}
+
+_KINDS = {kind.value: kind for kind in RevisionKind}
+
+
+def element_body(element: Any) -> bytes:
+    """``json.dumps(element_payload(element))`` without its closing ``}``.
+
+    A subscriber's line is this body plus ``, "name": <name>}`` and a
+    newline — byte for byte ``json.dumps({**element_payload(element),
+    "name": name})`` — so one body serves every subscription of a hub.
+    """
+    if isinstance(element, Revision):
+        opening = _REVISION_OPENINGS[element.kind, element.provisional]
+        return (opening + json.dumps(encode_tuple(element.tuple))).encode()
+    if isinstance(element, Watermark):
+        return ('{"type": "watermark", "value": ' + json.dumps(element.value)).encode()
+    raise TypeError(f"cannot encode hub element {element!r}")
+
+
 def element_from_payload(payload: dict) -> Any:
     """Rebuild a hub element from its wire object."""
     if payload["type"] == "watermark":
         return Watermark(payload["value"])
     if payload["type"] == "revision":
+        kind = _KINDS.get(payload["kind"])
+        if kind is None:
+            raise ValueError(f"unknown revision kind {payload['kind']!r}")
         return Revision(
-            RevisionKind(payload["kind"]),
+            kind,
             decode_tuple(payload["tuple"]),
             provisional=bool(payload.get("provisional", False)),
         )
@@ -324,6 +364,8 @@ class ServeServer:
                     "tuples": tuples_payload(subscription.snapshot),
                 },
             )
+        # Every line is a shared body (encoded once per hub) plus this.
+        suffix = f', "name": {json.dumps(name)}}}\n'.encode()
         watcher = asyncio.ensure_future(_read_until_detach(reader))
         # Closing the subscription fires the pump's waker and makes its next
         # read raise ValueError, which ends the stream cleanly.
@@ -340,7 +382,9 @@ class ServeServer:
         try:
             while True:
                 try:
-                    batch = subscription.read_batch(DELIVERY_BATCH, waker=waker)
+                    batch = subscription.read_encoded(
+                        DELIVERY_BATCH, element_body, waker=waker
+                    )
                 except ValueError:
                     # Detached (client asked, or the connection vanished).
                     await self._send(writer, {"type": "end", "name": name, "reason": "detached"})
@@ -359,12 +403,7 @@ class ServeServer:
                     await wake.wait()
                     wake.clear()
                     continue
-                lines = []
-                for item in batch:
-                    payload = element_payload(item)
-                    payload["name"] = name
-                    lines.append(json.dumps(payload) + "\n")
-                writer.write("".join(lines).encode())
+                writer.write(suffix.join(batch) + suffix)
                 await writer.drain()
                 # drain() returns without suspending while the socket keeps
                 # up; yield anyway so a pump whose ring never runs dry cannot
@@ -394,18 +433,36 @@ async def _read_until_detach(reader: asyncio.StreamReader) -> None:
 # --------------------------------------------------------------------------- #
 # blocking client
 # --------------------------------------------------------------------------- #
+#: Most bytes one socket read asks for.
+_READ_SIZE = 1 << 16
+
+
 class ServeClient:
-    """A small blocking NDJSON client (tests, benchmarks, the CLI)."""
+    """A small blocking NDJSON client (tests, benchmarks, the CLI).
+
+    Responses are decoded a chunk at a time: every complete line the
+    receive buffer holds goes through one ``json.loads``, and the messages
+    wait in a queue; a partial trailing line stays buffered for the next
+    read.  ``recv`` reads the socket only when that queue is empty.
+    """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._file = self._sock.makefile("rwb")
+        self._adopt(socket.create_connection((host, port), timeout=timeout))
+
+    @classmethod
+    def from_socket(cls, sock: socket.socket) -> "ServeClient":
+        """A client over an already connected socket (which it then owns)."""
+        client = cls.__new__(cls)
+        client._adopt(sock)
+        return client
+
+    def _adopt(self, sock: socket.socket) -> None:
+        self._sock = sock
+        self._buffer = bytearray()
+        self._messages: Deque[dict] = deque()
 
     def close(self) -> None:
-        try:
-            self._file.close()
-        finally:
-            self._sock.close()
+        self._sock.close()
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -414,18 +471,40 @@ class ServeClient:
         self.close()
 
     def send(self, payload: dict) -> None:
-        self._file.write(json.dumps(payload).encode() + b"\n")
-        self._file.flush()
+        self._sock.sendall(json.dumps(payload).encode() + b"\n")
 
     def recv(self) -> Optional[dict]:
         """One response line (``None`` on EOF); raises on ``error`` lines."""
-        line = self._file.readline()
-        if not line:
+        if not self._messages and not self._fill():
             return None
-        response = json.loads(line)
+        response = self._messages.popleft()
         if response.get("type") == "error":
             raise ServeError(response.get("message", "server error"))
         return response
+
+    def _fill(self) -> bool:
+        """Read until the buffer holds a complete line, then decode them all.
+
+        Returns ``False`` on EOF with nothing left to decode; an unterminated
+        last line before EOF is decoded as a line of its own.
+        """
+        buffer = self._buffer  # holds no newline between fills
+        end = -1
+        while end < 0:
+            data = self._sock.recv(_READ_SIZE)
+            if not data:
+                if not buffer:
+                    return False
+                end = len(buffer)
+                break
+            newline = data.rfind(b"\n")
+            if newline >= 0:
+                end = len(buffer) + newline
+            buffer += data
+        chunk = buffer[:end].replace(b"\n", b",")
+        del buffer[: end + 1]
+        self._messages.extend(json.loads(b"[" + chunk + b"]"))
+        return True
 
     def request(self, payload: dict) -> dict:
         self.send(payload)

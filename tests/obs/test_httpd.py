@@ -17,6 +17,7 @@ def endpoint():
     port = server.server_address[1]
     yield f"http://127.0.0.1:{port}", state
     server.shutdown()
+    server.server_close()
 
 
 def _get(url: str):
@@ -52,6 +53,7 @@ def test_unknown_path_is_a_plain_text_404(endpoint):
     assert error.headers["Content-Type"] == "text/plain; charset=utf-8"
     # Text body, not the stdlib HTML error page.
     assert error.read() == b"not found: /nope\n"
+    error.close()
 
 
 def test_render_failure_is_a_500_but_healthz_still_works(endpoint):
@@ -60,5 +62,6 @@ def test_render_failure_is_a_500_but_healthz_still_works(endpoint):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         _get(base + "/metrics")
     assert excinfo.value.code == 500
+    excinfo.value.close()
     status, _headers, body = _get(base + "/healthz")
     assert status == 200 and body == b"ok\n"

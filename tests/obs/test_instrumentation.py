@@ -382,3 +382,4 @@ def test_live_metrics_from_remote_entrypoint_workers():
             worker.terminate()
         for worker in workers:
             worker.wait(timeout=10)
+            worker.stdout.close()

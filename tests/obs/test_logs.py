@@ -117,3 +117,4 @@ def test_worker_entrypoint_honours_log_mode(json_mode):
     finally:
         worker.terminate()
         worker.wait(timeout=10)
+        worker.stdout.close()

@@ -219,3 +219,4 @@ def test_placement_runs_on_external_entrypoint_workers():
             worker.terminate()
         for worker in workers:
             worker.wait(timeout=10)
+            worker.stdout.close()

@@ -88,6 +88,7 @@ def test_worker_process_exits_zero_on_sigterm():
     finally:
         process.kill()
         process.wait(timeout=5.0)
+        process.stdout.close()
 
 
 def test_worker_process_exits_zero_after_idle_timeout():
@@ -98,3 +99,4 @@ def test_worker_process_exits_zero_after_idle_timeout():
     finally:
         process.kill()
         process.wait(timeout=5.0)
+        process.stdout.close()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import dataclasses
 import random
 import threading
@@ -11,6 +13,7 @@ import pytest
 from repro import Schema, TPRelation
 from repro.datasets import ReplayConfig, stream_def
 from repro.engine import Catalog
+from repro.serve import ServeServer
 
 
 def make_relation(
@@ -86,6 +89,39 @@ def make_gated_catalog(seed: int, gate: threading.Event):
             name, dataclasses.replace(definition, replay=gated_replay), replace=True
         )
     return catalog
+
+
+@contextlib.contextmanager
+def hosted(service):
+    """``service`` behind a live TCP server on a loopback port."""
+    server = ServeServer(service)
+    loop = asyncio.new_event_loop()
+    ready = threading.Event()
+
+    def host():
+        asyncio.set_event_loop(loop)
+        loop.run_until_complete(server.start())
+        ready.set()
+        loop.run_forever()
+        # Unwind the connection handlers still parked on a read or a
+        # wake-up, so none is torn down by the garbage collector after the
+        # loop is closed.
+        handlers = asyncio.all_tasks(loop)
+        for task in handlers:
+            task.cancel()
+        loop.run_until_complete(asyncio.gather(*handlers, return_exceptions=True))
+        loop.run_until_complete(server.close())
+        loop.close()
+
+    thread = threading.Thread(target=host, name="serve-test-loop", daemon=True)
+    thread.start()
+    assert ready.wait(timeout=10.0)
+    try:
+        yield server
+    finally:
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=10.0)
+        service.shutdown()
 
 
 @pytest.fixture()

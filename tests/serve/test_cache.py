@@ -10,6 +10,9 @@ from __future__ import annotations
 import json
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.dataflow.revision import Revision, RevisionKind
 from repro.lineage import Var
 from repro.parallel.batch import canonical_order
@@ -121,3 +124,60 @@ def test_snapshot_plus_tail_equals_the_from_start_state():
             for element in stream:
                 from_start.apply(element)
         assert late.snapshot() == from_start.snapshot() == keyed_reference(stream)
+
+
+class FullScanCache:
+    """The settle rule before the heap: every increasing watermark rescans
+    the whole state and settles each provisional entry it has passed."""
+
+    def __init__(self) -> None:
+        self.entries = {}
+        self.last_watermark = float("-inf")
+
+    def apply(self, element) -> None:
+        if isinstance(element, Watermark):
+            if element.value > self.last_watermark:
+                self.last_watermark = element.value
+                for key, (tp_tuple, provisional) in self.entries.items():
+                    if provisional and tp_tuple.end <= element.value:
+                        self.entries[key] = (tp_tuple, False)
+        elif element.kind is RevisionKind.RETRACT:
+            self.entries.pop(element.tuple.identity(), None)
+        else:
+            self.entries[element.tuple.identity()] = (element.tuple, element.provisional)
+
+    def snapshot(self, settled_only: bool = False) -> list:
+        return canonical_order(
+            [t for t, provisional in self.entries.values() if not (settled_only and provisional)]
+        )
+
+
+#: Six tuples over a few ends, so emits, retracts and re-emits collide.
+POOL = [output_tuple(serial % 3, start=serial) for serial in range(6)]
+
+steps = st.one_of(
+    st.tuples(
+        st.sampled_from(tuple(RevisionKind)),
+        st.integers(0, len(POOL) - 1),
+        st.booleans(),
+    ),
+    # Non-monotone on purpose: regressions must be ignored.
+    st.integers(-1, 10),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(steps, max_size=60))
+def test_heap_settle_equals_the_full_scan_rule(sequence):
+    cache, reference = ResultCache(), FullScanCache()
+    for step in sequence:
+        if isinstance(step, int):
+            element = Watermark(step)
+        else:
+            kind, index, provisional = step
+            element = Revision(kind, POOL[index], provisional=provisional)
+        cache.apply(element)
+        reference.apply(element)
+        assert cache.snapshot() == reference.snapshot()
+        assert cache.snapshot(settled_only=True) == reference.snapshot(settled_only=True)
+    assert cache.last_watermark == reference.last_watermark

@@ -8,6 +8,7 @@ dropped and cursors never regress.
 from __future__ import annotations
 
 import itertools
+import sys
 import threading
 
 import pytest
@@ -455,3 +456,40 @@ def test_no_wakeup_is_lost_when_publish_races_the_arm():
     assert stranded == [], f"reader stranded after {stranded} elements"
     assert received == list(range(rounds))
     assert time.monotonic() - started < 30.0
+
+
+def test_read_encoded_under_contention_encodes_correctly_and_counts_every_read():
+    # More readers than cores, switching threads as often as possible: each
+    # reader must get exactly the bodies of the elements in order, and the
+    # per-owner read counters (updated under the hub lock) lose nothing.
+    readers, count = 6, 1500
+    hub = FanoutHub(capacity=32)
+    subscriptions = [hub.attach(owner=f"q{index % 2}") for index in range(readers)]
+    got = [[] for _ in range(readers)]
+
+    def read(index: int) -> None:
+        while True:
+            batch = subscriptions[index].read_encoded(7, lambda e: repr(e).encode())
+            if batch is END_OF_STREAM:
+                return
+            got[index].extend(batch)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(index,)) for index in range(readers)]
+        for thread in threads:
+            thread.start()
+        elements = [revision(serial) for serial in range(count)]
+        for element in elements:
+            hub.publish(element)
+        hub.close()
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    want = [repr(element).encode() for element in elements]
+    assert all(bodies == want for bodies in got)
+    assert hub.metrics()["elements_read"] == readers * count
+    assert hub.metrics(owner="q0")["elements_read"] == readers // 2 * count

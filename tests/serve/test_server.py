@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import os
 import statistics
@@ -14,46 +13,13 @@ import pytest
 from repro.dataflow import NodeSpec
 from repro.dataflow.revision import Revision, RevisionKind
 from repro.relation import TPTuple
-from repro.serve import ResultCache, ServeClient, ServeError, ServeServer, StandingQueryService
+from repro.serve import ResultCache, ServeClient, ServeError, StandingQueryService
 from repro.serve.server import element_from_payload, node_from_payload, node_payload
 
-from tests.serve.conftest import make_gated_catalog, make_stream_catalog
+from tests.serve.conftest import hosted, make_gated_catalog, make_stream_catalog
 
 ON = (("Key", "Key"),)
 JOIN = NodeSpec("j1", "left_outer", "a", "b", ON)
-
-
-@contextlib.contextmanager
-def hosted(service):
-    """``service`` behind a live TCP server on a loopback port."""
-    server = ServeServer(service)
-    loop = asyncio.new_event_loop()
-    ready = threading.Event()
-
-    def host():
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(server.start())
-        ready.set()
-        loop.run_forever()
-        # Unwind the connection handlers still parked on a read or a
-        # wake-up, so none is torn down by the garbage collector after the
-        # loop is closed.
-        handlers = asyncio.all_tasks(loop)
-        for task in handlers:
-            task.cancel()
-        loop.run_until_complete(asyncio.gather(*handlers, return_exceptions=True))
-        loop.run_until_complete(server.close())
-        loop.close()
-
-    thread = threading.Thread(target=host, name="serve-test-loop", daemon=True)
-    thread.start()
-    assert ready.wait(timeout=10.0)
-    try:
-        yield server
-    finally:
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=10.0)
-        service.shutdown()
 
 
 @pytest.fixture()
