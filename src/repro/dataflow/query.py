@@ -8,8 +8,9 @@ It is the one continuous query class: :class:`repro.stream.StreamQuery` is
 a subclass that builds a one-node graph and shapes its own result, and the
 engine's stream joins plan to one.  It takes the unified
 :class:`repro.ExecutionOptions` for its knobs: ``transport`` picks the
-backend, ``buffer_capacity``/``micro_batch_size`` shape the backpressure
-seam, ``early_emit`` switches provisional publication on and
+backend, ``micro_batch_size`` sizes the backpressure seam (every inbox,
+and the revision stream's consumer channel, holds one micro-batch),
+``early_emit`` switches provisional publication on and
 ``materialize_probabilities`` computes output probabilities inline through
 the maintainer-owned per-key computers; each node's degree is its
 ``NodeSpec.partitions``.  A one-node graph with early emission off
@@ -269,7 +270,7 @@ class DataflowQuery(QueryTelemetry):
             self._live_consumer = True
 
         sink = self._graph.sink
-        channel: Channel = Channel(self._config.buffer_capacity, producers=1)
+        channel: Channel = Channel(self._config.micro_batch_size, producers=1)
         cancel = threading.Event()
         failures: List[BaseException] = []
 

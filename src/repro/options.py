@@ -48,17 +48,22 @@ class ExecutionOptions:
     :class:`~repro.dataflow.DataflowQuery` takes each node's degree from
     its ``NodeSpec.partitions`` instead.
 
-    ``micro_batch_size`` is how many elements a worker drains per step and,
-    on the processes and sockets transports, how many elements one message
-    or frame carries.  ``buffer_capacity`` bounds each worker's inbox: the
-    in-process channel on threads, the seat's inbox on sockets (a frame is
-    taken whole, so it can overshoot by less than one micro-batch), and
-    ``buffer_capacity // micro_batch_size`` messages (at least two) on a
-    process queue.  On sockets the driver also keeps at most four
+    ``micro_batch_size`` is how many elements a worker drains per step and
+    one message or frame carries, and it sizes every queue by one rule: a
+    worker inbox holds one micro-batch.  That is the in-process channel on
+    threads and the seat's inbox on sockets (a batch is taken whole, so
+    either can overshoot by less than one micro-batch), and two messages on
+    a process queue.  On sockets the driver also keeps at most four
     micro-batches uncredited per seat, so a driver→seat edge holds at most
-    ``buffer_capacity`` plus ``4 × micro_batch_size`` elements; worker→worker
-    socket edges are bounded by TCP flow control alone.  Inline runs
-    buffer nothing.
+    five micro-batches; worker→worker socket edges are bounded by TCP flow
+    control alone.  Inline runs buffer nothing.  A deeper thread inbox would
+    not drain any faster — its consumer shares the GIL with the producer —
+    so it would only let the producer run ahead while every queued element
+    waits.  A producer parks on a full inbox until its consumer takes a
+    batch; ``backpressure_blocks`` counts those parks, which are the flow
+    control at work, not faults.  (``buffer_capacity`` is a read-only
+    property kept for readers of the old field; it equals
+    ``micro_batch_size``.)
 
     ``early_emit`` publishes provisional windows before the watermark
     closes them, retracting/refining on later data (honoured by the one
@@ -104,7 +109,6 @@ class ExecutionOptions:
     transport: str = "threads"
     partitions: int = 1
     micro_batch_size: int = 64
-    buffer_capacity: int = 1024
     materialize_probabilities: bool = False
     early_emit: bool = False
     placement: Optional[Placement] = None
@@ -122,8 +126,6 @@ class ExecutionOptions:
             raise ValueError("partitions must be positive")
         if self.micro_batch_size <= 0:
             raise ValueError("micro_batch_size must be positive")
-        if self.buffer_capacity <= 0:
-            raise ValueError("buffer_capacity must be positive")
         # One-worker runs execute inline regardless (default_transport), so
         # ``inline`` is not a value this knob takes.
         if self.transport not in TRANSPORTS[1:]:
@@ -148,6 +150,14 @@ class ExecutionOptions:
                 f"seat_timeout must be positive seconds or None, "
                 f"got {self.seat_timeout}"
             )
+
+    @property
+    def buffer_capacity(self) -> int:
+        """Elements a thread or socket-seat inbox holds: one micro-batch.
+
+        Read-only; the queue depth is not a knob of its own.
+        """
+        return self.micro_batch_size
 
     @property
     def recovery_enabled(self) -> bool:

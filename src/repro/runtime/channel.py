@@ -39,7 +39,7 @@ class ChannelClosed(RuntimeError):
 class Channel(Generic[T]):
     """A bounded, closable, thread-safe FIFO with micro-batch draining."""
 
-    def __init__(self, capacity: int = 1024, producers: int = 1) -> None:
+    def __init__(self, capacity: int, producers: int = 1) -> None:
         if capacity <= 0:
             raise ValueError("channel capacity must be positive")
         if producers <= 0:
@@ -56,10 +56,6 @@ class Channel(Generic[T]):
         self.put_blocks = 0
         self.total_batches = 0
         self.total_batch_elements = 0
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
 
     def __len__(self) -> int:
         with self._lock:

@@ -167,12 +167,13 @@ def run_job(
     target stage (the stable, ``PYTHONHASHSEED``-independent hash shared
     with the batch shard planner), watermarks are broadcast to every
     partition of the stage, per-worker element order is preserved by the
-    transport's FIFO channels, and the bounded channels backpressure this
-    loop.  Ingest clocks are stamped before an element can sit in any
-    queue, so emit latency includes queueing (and, on the serialized
-    transports, encoding) time; the inline transport stamps at processing
-    time instead, where the two coincide.  After the edges drain, one done
-    sentinel per (edge × partition) closes the cascade.
+    transport's FIFO channels, and the bounded inboxes (one micro-batch
+    each) backpressure this loop.  Ingest clocks are stamped before an
+    element can sit in any queue, so emit latency includes queueing (and,
+    on the serialized transports, encoding) time; the inline transport
+    stamps at processing time instead, where the two coincide.  After the
+    edges drain, one done sentinel per (edge × partition) closes the
+    cascade.
 
     ``collector`` / ``trace_collector`` (:class:`repro.obs.MetricsCollector`
     / :class:`repro.obs.TraceCollector`) see the live session mid-run and
@@ -217,7 +218,6 @@ def run_job(
     job = RuntimeJob(
         specs,
         micro_batch_size=options.micro_batch_size,
-        buffer_capacity=options.buffer_capacity,
         metrics=options.metrics or collector is not None,
         metrics_interval=options.metrics_interval,
         trace=options.trace or trace_collector is not None,

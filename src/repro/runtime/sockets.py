@@ -21,17 +21,19 @@ with the ``multiprocessing`` queues swapped for TCP connections:
 
 Backpressure survives the boundary through credits, not the kernel's socket
 buffers (which would absorb a whole run before ``sendall`` ever blocked).
-A seat's reader feeds each frame from the driver into its bounded
-:class:`~repro.runtime.channel.Channel` inbox in one ``put_all`` — which
-waits while the inbox is full — and then answers ``("credit", job, index,
-n)``.  The driver keeps at most ``4 × micro_batch_size`` uncredited
-elements per seat: a send that would exceed that parks until credits come
-back, the seat's connection ends, or ``result_timeout`` passes without one.
-An edge with nothing outstanding always takes the frame, and done frames
-need no credit.  So a driver→seat edge holds at most ``buffer_capacity``
-elements in the inbox plus four micro-batches on the wire.  Seat→seat
-(peer) edges are uncredited: there a full inbox stops the reader and plain
-TCP flow control blocks the sending seat.
+A seat's inbox is a :class:`~repro.runtime.channel.Channel` of one
+micro-batch, the rule every worker inbox follows.  Its reader feeds each
+frame from the driver into it in one ``put_all`` — which waits while the
+inbox is full — and then answers ``("credit", job, index, n)``.  The
+driver keeps at most ``4 × micro_batch_size`` uncredited elements per
+seat: a send that would exceed that parks until credits come back, the
+seat's connection ends, or ``result_timeout`` passes without one.  An edge
+with nothing outstanding always takes the frame, and done frames need no
+credit.  So a driver→seat edge holds one micro-batch in the inbox (plus
+less than one frame taken whole) and four on the wire.  Those parks are
+the session's ``backpressure_blocks``: flow control at work, not faults.
+Seat→seat (peer) edges are uncredited: there a full inbox stops the reader
+and plain TCP flow control blocks the sending seat.
 
 Connections block once connected.  The only deadline on a live seat is
 ``result_timeout``; a slow seat is otherwise waited on without limit, and
@@ -239,7 +241,7 @@ class _ServerJob:
     ) -> None:
         self.key = key
         self.spec = spec
-        self.inbox: Channel = Channel(job.buffer_capacity, producers=spec.producers)
+        self.inbox: Channel = Channel(job.micro_batch_size, producers=spec.producers)
         self.done_event = threading.Event()
         self.result: tuple = ("error", key, spec.index, "worker never ran")
         #: Most recent metrics snapshot per worker index, read by the

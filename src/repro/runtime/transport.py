@@ -1,8 +1,8 @@
 """Transports: how runtime workers are placed and wired together.
 
-A *transport* turns a :class:`RuntimeJob` — worker specs plus channel
-capacity / micro-batch knobs — into a live :class:`TransportSession` the
-driver routes source elements into.  Four transports share the one worker
+A *transport* turns a :class:`RuntimeJob` — worker specs plus the
+micro-batch size and telemetry knobs — into a live :class:`TransportSession`
+the driver routes source elements into.  Four transports share the one worker
 loop of :mod:`repro.runtime.worker`:
 
 * ``inline`` — every worker lives in the caller's thread; delivery is a
@@ -25,6 +25,17 @@ channel, element)``, ``done(worker)`` once per producer edge, ``finish()``
 for the ordered :class:`~repro.runtime.worker.WorkerReport` list — so the
 one router loop (:func:`repro.runtime.driver.run_job`) drives all four
 backends.
+
+One queue rule bounds every queued edge: a worker inbox holds one
+micro-batch (``micro_batch_size`` elements on threads and socket seats,
+:data:`QUEUE_MESSAGES` messages of up to one micro-batch each on a process
+queue), and a socket edge also keeps at most four micro-batches on the
+wire.  A deeper thread inbox buys nothing: under the GIL the consumer
+drains no faster for having more queued, so the extra depth only lets the
+producer run ahead and every element wait longer before it is operated
+on.  A producer that finds its consumer's inbox full parks until the
+consumer takes a batch; ``backpressure_blocks`` counts those parks — the
+flow control working, not a fault.
 """
 
 from __future__ import annotations
@@ -53,6 +64,10 @@ TRANSPORTS = ("inline", "threads", "processes", "sockets")
 #: worker aborts the run.
 _POLL_INTERVAL = 1.0
 
+#: Messages a process-transport queue holds: one micro-batch being taken
+#: while the next is put.
+QUEUE_MESSAGES = 2
+
 
 class WorkerStartError(RuntimeError):
     """Transport workers could not be started (sandbox, unreachable host).
@@ -76,8 +91,9 @@ class RuntimeJob:
     """Everything a transport needs to wire one topology of workers."""
 
     specs: tuple
+    #: Elements a worker drains per step, one process message or socket
+    #: frame carries, and a thread or seat inbox holds.
     micro_batch_size: int = 64
-    buffer_capacity: int = 1024
     #: Give every worker a metrics registry (see :mod:`repro.obs`): workers
     #: sample their counts and operator state into it and ship periodic
     #: snapshots to the driver.  Counting itself is always on.
@@ -99,12 +115,6 @@ class RuntimeJob:
     #: recovery, when enabled, then replays the failed shard from zero.
     #: The router sets it only for the recovering session, the one reader.
     checkpoint_interval: Optional[float] = None
-
-    @property
-    def queue_batches(self) -> int:
-        """Queue capacity in micro-batches: the element budget a bounded
-        in-process :class:`Channel` of ``buffer_capacity`` provides."""
-        return max(2, self.buffer_capacity // max(1, self.micro_batch_size))
 
     def settings(self) -> "RuntimeJob":
         """This job without its specs: the record that crosses a process or
@@ -210,20 +220,6 @@ class Transport:
 # --------------------------------------------------------------------------- #
 # inline
 # --------------------------------------------------------------------------- #
-class _InlineEmitter:
-    def __init__(self, session: "InlineSession") -> None:
-        self._session = session
-
-    def send(self, target: int, channel: Hashable, tagged: Tagged) -> None:
-        self._session.send(target, channel, tagged)
-
-    def done(self, target: int) -> None:
-        self._session.done(target)
-
-    def flush(self) -> None:
-        pass
-
-
 def _accept_batch_of_one(worker: Worker, channel: Hashable, tagged: Tagged) -> None:
     worker.accept(channel, tagged)
     worker.end_batch()
@@ -234,15 +230,15 @@ class InlineSession(TransportSession):
 
     Each element pushed with :meth:`send` is fully processed — including
     every transitive downstream output — before the call returns, which is
-    exactly the depth-first order the original inline executors used.
+    exactly the depth-first order the original inline executors used.  The
+    session is its workers' emitter: a send is the delivery.
     """
 
     name = "inline"
     stamps_ingest = False
 
     def __init__(self, job: RuntimeJob) -> None:
-        emitter = _InlineEmitter(self)
-        self._workers = [Worker.for_job(spec, emitter, job) for spec in job.specs]
+        self._workers = [Worker.for_job(spec, self, job) for spec in job.specs]
         # Each element is a batch of one: a batched worker ends its batch
         # after every accept, any other worker is called straight.
         self._deliver = [
@@ -259,6 +255,9 @@ class InlineSession(TransportSession):
         self._remaining[target] -= 1
         if self._remaining[target] == 0 and self._reports[target] is None:
             self._reports[target] = self._workers[target].finish()
+
+    def flush(self) -> None:
+        pass
 
     def finish(self) -> List[WorkerReport]:
         # Sources close with CLOSED watermarks and the driver sends one done
@@ -295,33 +294,70 @@ class InlineTransport(Transport):
 
 
 # --------------------------------------------------------------------------- #
-# threads
+# micro-batched sends (threads, processes, sockets)
 # --------------------------------------------------------------------------- #
-class _ThreadEmitter:
-    def __init__(self, inboxes: List[Channel]) -> None:
-        self._inboxes = inboxes
+class BatchingEmitter:
+    """Micro-batch downstream sends, encoding them for a serialized boundary.
+
+    ``putter`` is the transport-specific delivery half: ``put(target,
+    batch)`` ships one micro-batch, ``put_done(target)`` one done sentinel.
+    With ``encoded`` (processes, sockets) every element is codec-encoded
+    first; thread workers hand their elements over as they are.  Watermarks
+    count toward the micro-batch budget too: a partition receiving few
+    events must still ship its broadcast watermarks (bounding pending growth
+    and letting an otherwise-idle worker finalize windows).
+    """
+
+    def __init__(self, putter, micro_batch_size: int, encoded: bool = True) -> None:
+        self._encode = None
+        if encoded:
+            from ..parallel.serialize import encode_revision_tagged
+
+            self._encode = encode_revision_tagged
+        self._putter = putter
+        self._micro = micro_batch_size
+        self._pending: Dict[int, list] = {}
 
     def send(self, target: int, channel: Hashable, tagged: Tagged) -> None:
-        self._inboxes[target].put((channel, tagged))
+        entries = self._pending.setdefault(target, [])
+        entries.append((channel, tagged if self._encode is None else self._encode(tagged)))
+        if len(entries) >= self._micro:
+            self._putter.put(target, self._pending.pop(target))
 
     def done(self, target: int) -> None:
-        self._inboxes[target].producer_done()
+        self.flush_target(target)
+        self._putter.put_done(target)
+
+    def flush_target(self, target: int) -> None:
+        entries = self._pending.pop(target, None)
+        if entries:
+            self._putter.put(target, entries)
 
     def flush(self) -> None:
-        pass
+        for target in list(self._pending):
+            self.flush_target(target)
 
 
+# --------------------------------------------------------------------------- #
+# threads
+# --------------------------------------------------------------------------- #
 class ThreadSession(TransportSession):
-    """One worker thread per spec over bounded channel inboxes."""
+    """One worker thread per spec over bounded channel inboxes.
+
+    Workers send micro-batches, like every queued transport, through a
+    :class:`BatchingEmitter` of their own (no codec: elements stay
+    objects) that the worker loop flushes at each batch end; the session
+    is the putter it delivers through.  The driver puts element by element:
+    a partial batch held back in the driver would only add wait.
+    """
 
     name = "threads"
 
     def __init__(self, job: RuntimeJob) -> None:
         super().__init__(job)
         self._inboxes: List[Channel] = [
-            Channel(job.buffer_capacity, producers=spec.producers) for spec in job.specs
+            Channel(job.micro_batch_size, producers=spec.producers) for spec in job.specs
         ]
-        self._emitter = _ThreadEmitter(self._inboxes)
         self._failures: List[BaseException] = []
         self._reports: List[Optional[WorkerReport]] = [None] * len(job.specs)
         self._threads = [
@@ -342,7 +378,7 @@ class ThreadSession(TransportSession):
             self._reports[index] = run_worker(
                 spec,
                 self._inboxes[index],
-                self._emitter,
+                BatchingEmitter(self, self._job.micro_batch_size, encoded=False),
                 self._job,
                 upstream=partial(self._file, index),
             )
@@ -367,6 +403,11 @@ class ThreadSession(TransportSession):
 
     def done(self, target: int) -> None:
         self._inboxes[target].producer_done()
+
+    def put(self, target: int, batch: list) -> None:
+        self._inboxes[target].put_all(batch)
+
+    put_done = done
 
     def finish(self) -> List[WorkerReport]:
         for thread in self._threads:
@@ -397,45 +438,6 @@ class ThreadTransport(Transport):
 # --------------------------------------------------------------------------- #
 # processes
 # --------------------------------------------------------------------------- #
-class BatchingEmitter:
-    """Encode + micro-batch downstream sends for a serialized boundary.
-
-    ``putter`` is the transport-specific delivery half: ``put(target,
-    batch)`` ships one encoded micro-batch, ``put_done(target)`` one done
-    sentinel.  Watermarks count toward the micro-batch budget too: a
-    partition receiving few events must still ship its broadcast watermarks
-    (bounding pending growth and letting an otherwise-idle worker finalize
-    windows).
-    """
-
-    def __init__(self, putter, micro_batch_size: int) -> None:
-        from ..parallel.serialize import encode_revision_tagged
-
-        self._encode = encode_revision_tagged
-        self._putter = putter
-        self._micro = micro_batch_size
-        self._pending: Dict[int, list] = {}
-
-    def send(self, target: int, channel: Hashable, tagged: Tagged) -> None:
-        entries = self._pending.setdefault(target, [])
-        entries.append((channel, self._encode(tagged)))
-        if len(entries) >= self._micro:
-            self._putter.put(target, self._pending.pop(target))
-
-    def done(self, target: int) -> None:
-        self.flush_target(target)
-        self._putter.put_done(target)
-
-    def flush_target(self, target: int) -> None:
-        entries = self._pending.pop(target, None)
-        if entries:
-            self._putter.put(target, entries)
-
-    def flush(self) -> None:
-        for target in list(self._pending):
-            self.flush_target(target)
-
-
 class _QueueInbox:
     """Worker-side inbox over one multiprocessing queue.
 
@@ -542,14 +544,39 @@ class _DriverQueuePutter:
         self._put(target, None)
 
 
+def _close_queue(queue, failed: bool) -> None:
+    """Release one ``multiprocessing`` queue's resources in this process.
+
+    ``close`` stops the feeder thread this process's first put started, and
+    the feeder closes both pipe ends on its way out: ``join_thread`` waits
+    for that after a clean run, while after a failure nothing waits for
+    messages a dead worker will never read.  A queue this process never put
+    into has no feeder, so its pipe ends are closed here.
+    """
+    if failed:
+        queue.cancel_join_thread()
+    queue.close()
+    if not failed:
+        queue.join_thread()
+    if queue._thread is None:
+        queue._reader.close()
+        queue._writer.close()
+
+
 class ProcessSession(TransportSession):
-    """One forked OS process per worker over bounded queues."""
+    """One forked OS process per worker over bounded queues.
+
+    The session owns its queues and processes: :meth:`finish` (or leaving
+    the ``with`` block) joins the workers and releases every queue's
+    feeder thread and pipe and every process's sentinel pipe.
+    """
 
     name = "processes"
 
     def __init__(self, job: RuntimeJob) -> None:
         super().__init__(job)
         self.blocks = 0
+        self._released = False
         self._results: Dict[int, tuple] = {}
         self._failure: Optional[BaseException] = None
         context = preferred_context()
@@ -559,7 +586,7 @@ class ProcessSession(TransportSession):
             # Queue construction can itself fail in sandboxes (sem_open
             # denied), so it sits under the same fallback guard as process
             # start-up.
-            self.queues = [context.Queue(maxsize=job.queue_batches) for _ in job.specs]
+            self.queues = [context.Queue(maxsize=QUEUE_MESSAGES) for _ in job.specs]
             self._out_queue = context.Queue()
             self._abort = context.Event()
             self.workers = [
@@ -609,6 +636,8 @@ class ProcessSession(TransportSession):
                 return
 
     def _drain_quietly(self) -> None:
+        if self._released:
+            return
         try:
             self.drain_results()
         except RuntimeError:
@@ -624,12 +653,10 @@ class ProcessSession(TransportSession):
 
     def finish(self) -> List[WorkerReport]:
         self._emitter.flush()
-        if self._failure is not None:
-            self._abort.set()
-            self._join_workers()
-            raise self._failure
         count = len(self._job.specs)
         try:
+            if self._failure is not None:
+                raise self._failure
             grace_polls = 5
             while len(self._results) < count:
                 try:
@@ -651,28 +678,36 @@ class ProcessSession(TransportSession):
                     continue
                 self._take_result(message)
         except BaseException:
-            # Unblock any worker parked on a full queue of a dead consumer.
-            self._abort.set()
+            self._release(failed=True)
             raise
-        finally:
-            self._join_workers()
+        self._release(failed=False)
         return [decode_report(self._results[index]) for index in range(count)]
 
-    def _join_workers(self) -> None:
+    def _release(self, failed: bool) -> None:
+        """Join the workers, then free what the session holds in this
+        process; idempotent.  After a failure the abort flag first unblocks
+        any worker parked on a full queue of a dead consumer."""
+        if self._released:
+            return
+        self._released = True
+        if failed:
+            self._abort.set()
         for worker in self.workers:
             worker.join(timeout=5.0)
         for worker in self.workers:
             if worker.is_alive():  # pragma: no cover - defensive cleanup
                 worker.terminate()
+                worker.join()
+            worker.close()
+        for queue in (*self.queues, self._out_queue):
+            _close_queue(queue, failed)
 
     @property
     def backpressure_blocks(self) -> int:
         return self.blocks
 
     def _cleanup(self, failed: bool) -> None:
-        if failed:
-            self._abort.set()
-        self._join_workers()
+        self._release(failed)
 
 
 class ProcessTransport(Transport):

@@ -15,6 +15,33 @@ from repro.runtime import run_job
 
 
 # --------------------------------------------------------------------------- #
+# leak gate: a ResourceWarning fails the run
+# --------------------------------------------------------------------------- #
+#: Every ResourceWarning the session saw, as ``"<test id>: <message>"``.
+#: Python emits them only in development mode (``python -X dev``), and
+#: pytest's ``-W error::ResourceWarning`` cannot fail a run on one raised in
+#: a destructor, so these hooks record them and fail the session instead.
+RESOURCE_WARNINGS: list[str] = []
+
+
+def pytest_warning_recorded(warning_message, when, nodeid, location):
+    if issubclass(warning_message.category, ResourceWarning):
+        RESOURCE_WARNINGS.append(f"{nodeid or when}: {warning_message.message}")
+
+
+def pytest_terminal_summary(terminalreporter):
+    if RESOURCE_WARNINGS:
+        terminalreporter.section("leaked resources")
+        for line in RESOURCE_WARNINGS:
+            terminalreporter.write_line(line)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    if RESOURCE_WARNINGS and exitstatus == pytest.ExitCode.OK:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+# --------------------------------------------------------------------------- #
 # the paper's running example (Fig. 1a)
 # --------------------------------------------------------------------------- #
 @pytest.fixture()

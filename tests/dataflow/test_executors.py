@@ -68,9 +68,7 @@ def test_early_emission_retracts_and_still_converges(stream_catalog_factory):
 
 def test_tiny_buffers_backpressure_without_deadlock(stream_catalog_factory):
     catalog, *_ = stream_catalog_factory(24, sizes=(40, 40, 30))
-    config = ExecutionOptions(
-        early_emit=True, buffer_capacity=4, micro_batch_size=2
-    )
+    config = ExecutionOptions(early_emit=True, micro_batch_size=2)
     query = DataflowQuery(catalog, TREE, config)
     result = query.run(merge_seed=1, backend="threads")
     assert_converged(result, catalog, TREE)

@@ -125,9 +125,7 @@ def test_bounded_queues_backpressure_the_router():
         "l",
         "r",
         [("Key", "Key")],
-        config=ExecutionOptions(
-            partitions=2, transport="processes", micro_batch_size=1, buffer_capacity=1
-        ),
+        config=ExecutionOptions(partitions=2, transport="processes", micro_batch_size=1),
     )
     result = query.run()
     assert result.workers == "processes"

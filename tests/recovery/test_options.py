@@ -40,7 +40,6 @@ def test_options_defaults_are_the_historical_ones():
         {"transport": "carrier-pigeons"},
         {"partitions": 0},
         {"micro_batch_size": 0},
-        {"buffer_capacity": -1},
         {"trace_sample_rate": 1.5},
         {"checkpoint_interval": -0.1},
         {"restart_limit": -1},

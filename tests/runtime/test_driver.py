@@ -48,7 +48,6 @@ OPTIONS = ExecutionOptions(
     transport="threads",
     partitions=2,
     micro_batch_size=7,
-    buffer_capacity=33,
     placement=Placement(("127.0.0.1:1", "127.0.0.1:2")),
     metrics=True,
     metrics_interval=0.25,
@@ -75,7 +74,6 @@ def _captured_job(monkeypatch, run, options=OPTIONS) -> tuple:
     ((job, placement),) = captured
     assert placement is options.placement
     assert job.micro_batch_size == options.micro_batch_size
-    assert job.buffer_capacity == options.buffer_capacity
     assert job.metrics is options.metrics
     assert job.metrics_interval == options.metrics_interval
     assert job.trace is options.trace

@@ -99,9 +99,7 @@ def test_parallel_partitions_match_batch(seed, random_relation_factory):
             "l",
             "r",
             [("Key", "Key")],
-            config=ExecutionOptions(
-                partitions=partitions, micro_batch_size=8, buffer_capacity=16
-            ),
+            config=ExecutionOptions(partitions=partitions, micro_batch_size=8),
         )
         result = query.run(merge_seed=seed)
         assert finalized_rows(result.relation) == finalized_rows(batch)

@@ -113,7 +113,7 @@ def test_backpressure_engages_with_tiny_buffers(random_relation_factory):
         "l",
         "r",
         [("Key", "Key")],
-        config=ExecutionOptions(partitions=2, micro_batch_size=1, buffer_capacity=1),
+        config=ExecutionOptions(partitions=2, micro_batch_size=1),
     )
     result = query.run(merge_seed=2)
     # Watermarks are broadcast to both workers, so with capacity 1 the router
@@ -157,7 +157,7 @@ def test_worker_failure_raises_instead_of_deadlocking(
         "l",
         "r",
         [("Key", "Key")],
-        config=ExecutionOptions(partitions=2, micro_batch_size=1, buffer_capacity=2),
+        config=ExecutionOptions(partitions=2, micro_batch_size=2),
     )
 
     real_factory = spec_module.continuous_join
