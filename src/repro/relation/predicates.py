@@ -41,6 +41,21 @@ def stable_key_hash(key: Hashable) -> int:
     return zlib.crc32(repr(_normalize_key(key)).encode("utf-8", "backslashreplace"))
 
 
+class StableKeyHashes(dict):
+    """:func:`stable_key_hash` of each key, computed once per key.
+
+    A router keeps one per run (or per worker): ``hashes[key]`` is one dict
+    lookup after a key's first event.  Keys that compare equal share one
+    entry, which is sound because the hash is equality-invariant.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: Hashable) -> int:
+        value = self[key] = stable_key_hash(key)
+        return value
+
+
 def _normalize_key(value) -> object:
     """Map a key to an address-free form on which ``repr`` is stable."""
     if value is None or isinstance(value, (str, bytes)):

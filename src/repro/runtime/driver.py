@@ -29,7 +29,8 @@ from time import perf_counter
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..recovery.types import RecoveryEvent
-from ..relation import ThetaCondition, stable_key_hash
+from ..relation import ThetaCondition
+from ..relation.predicates import StableKeyHashes
 from ..stream.elements import LEFT, StreamElement, StreamEvent, Tagged
 from .channel import ChannelClosed
 from .transport import (
@@ -237,6 +238,7 @@ def run_job(
     if trace_collector is not None:
         trace_collector.attach(session)
     events_processed = 0
+    key_hashes = StableKeyHashes()
     with session:
         stamp = session.stamps_ingest
         send = session.send
@@ -273,7 +275,7 @@ def run_job(
                             if side == LEFT
                             else theta.right_key(element.tuple)
                         )
-                        worker += stable_key_hash(key) % partitions
+                        worker += key_hashes[key] % partitions
                     send(worker, None, Tagged(side, element, clock, context))
                 else:
                     tagged = Tagged(side, element)

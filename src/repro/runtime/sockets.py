@@ -60,6 +60,7 @@ import threading
 import time
 import traceback
 import uuid
+from contextlib import nullcontext
 from typing import Dict, Hashable, List, Optional
 
 from ..obs.trace import clock_anchor, estimate_clock_offset, shift_spans
@@ -67,6 +68,7 @@ from ..recovery.types import SeatFailure
 from ..stream.elements import Tagged
 from . import wire
 from .channel import Channel, ChannelClosed
+from .collector import CollectorPolicy, own_collector
 from .placement import Placement, parse_host_port
 from .transport import (
     BatchingEmitter,
@@ -383,47 +385,61 @@ def _read_into_job(file, job: _ServerJob, driver: bool) -> None:
             return
 
 
-def _handle_connection(connection: socket.socket, registry: _JobRegistry, served) -> None:
+def _serve_job(connection: socket.socket, file, first, registry: _JobRegistry) -> bool:
+    """Run the job a driver connection's first frame ships, up to its
+    result frame; ``False`` for a malformed job frame.  The job's state
+    dies with this call's locals."""
+    # Credits are tiny frames the driver may be parked on: Nagle must not
+    # hold one back waiting for the previous one's ACK.
+    connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    reply = _ReplySender(connection)
+    if len(first) != 6 or not isinstance(first[4], RuntimeJob):
+        # Driver and workers ship from one checkout, so another shape is a
+        # mismatched deployment: refuse it by name rather than run the job
+        # with whatever fields happen to line up.
+        reply.send(
+            (
+                "error",
+                first[1] if len(first) > 1 else None,
+                None,
+                f"malformed job frame of {len(first)} field(s): expected "
+                "('job', key, spec, addresses, RuntimeJob settings, restore)",
+            )
+        )
+        return False
+    _kind, key, spec, addresses, settings, restore = first
+    job = _ServerJob(key, spec, addresses, settings, reply, restore)
+    registry.add(job)
+    reader = threading.Thread(target=_read_into_job, args=(file, job, True), daemon=True)
+    reader.start()
+    _LOGGER.debug("job %s started (worker %s)", key, spec.index)
+    job.done_event.wait()
+    if not reply.send(job.result):
+        _LOGGER.warning("job %s: driver gone before the result frame", key)
+    # The reader holds the job until the driver hangs up; the sent report
+    # need not wait with it.
+    job.result = None
+    registry.remove(key)
+    _LOGGER.debug("job %s finished (worker %s)", key, spec.index)
+    return True
+
+
+def _handle_connection(
+    connection: socket.socket,
+    registry: _JobRegistry,
+    served,
+    collector: Optional[CollectorPolicy] = None,
+) -> None:
     file = connection.makefile("rb")
     try:
         first = recv_frame(file)
         if first is None:
             return
         if first[0] == "job":
-            # Credits are tiny frames the driver may be parked on: Nagle
-            # must not hold one back waiting for the previous one's ACK.
-            connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            reply = _ReplySender(connection)
-            if len(first) != 6 or not isinstance(first[4], RuntimeJob):
-                # Driver and workers ship from one checkout, so another shape
-                # is a mismatched deployment: refuse it by name rather than
-                # run the job with whatever fields happen to line up.
-                reply.send(
-                    (
-                        "error",
-                        first[1] if len(first) > 1 else None,
-                        None,
-                        f"malformed job frame of {len(first)} field(s): expected "
-                        "('job', key, spec, addresses, RuntimeJob settings, restore)",
-                    )
-                )
-                return
-            _kind, key, spec, addresses, settings, restore = first
-            job = _ServerJob(key, spec, addresses, settings, reply, restore)
-            registry.add(job)
-            reader = threading.Thread(
-                target=_read_into_job, args=(file, job, True), daemon=True
-            )
-            reader.start()
-            _LOGGER.debug("job %s started (worker %s)", key, spec.index)
-            job.done_event.wait()
-            if not reply.send(job.result):
-                _LOGGER.warning(
-                    "job %s: driver gone before the result frame", key
-                )
-            registry.remove(key)
-            served.set()
-            _LOGGER.debug("job %s finished (worker %s)", key, spec.index)
+            with collector or nullcontext():
+                ran = _serve_job(connection, file, first, registry)
+            if ran:
+                served.set()
         else:
             job = registry.wait_for(first[1])
             try:
@@ -445,6 +461,7 @@ def serve_listener(
     shutdown: Optional[threading.Event] = None,
     idle_timeout: Optional[float] = None,
     registry: Optional[_JobRegistry] = None,
+    collector: Optional[CollectorPolicy] = None,
 ) -> None:
     """Accept and serve connections on an already-bound listener socket.
 
@@ -459,6 +476,10 @@ def serve_listener(
     arrives or one of the things it waits for happens — a handler ends (a
     ``once`` seat has served its job; the idle clock restarts) or
     ``shutdown`` is set — each of which writes a byte to a socket pair.
+
+    ``collector`` is the policy of a process that owns its collector (see
+    :mod:`repro.runtime.collector`): every job runs under it.  Without one
+    the collector is left alone.
     """
     if registry is None:
         registry = _JobRegistry()
@@ -476,7 +497,7 @@ def serve_listener(
 
     def handle(connection: socket.socket) -> None:
         try:
-            _handle_connection(connection, registry, served)
+            _handle_connection(connection, registry, served, collector)
         finally:
             active.discard(threading.current_thread())
             wake()
@@ -547,7 +568,8 @@ def serve(
     message-only stdout handler, so the line is byte-identical to the old
     ``print``).  Stops when ``shutdown`` is set (draining in-flight jobs
     first) or after ``idle_timeout`` seconds without activity; with
-    neither, it serves until killed.
+    neither, it serves until killed.  The process's collector is this
+    server's: jobs run under :class:`~repro.runtime.collector.CollectorPolicy`.
     """
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -555,22 +577,27 @@ def serve(
     listener.listen(128)
     bound_host, bound_port = listener.getsockname()[:2]
     _LOGGER.info("repro runtime worker listening on %s:%s", bound_host, bound_port)
+    # After the readiness line: a connection arriving meanwhile waits in the
+    # listen backlog, while a launch script waits on nothing.
+    collector = own_collector()
     serve_listener(
         listener,
         once=once,
         shutdown=shutdown,
         idle_timeout=idle_timeout,
         registry=registry,
+        collector=collector,
     )
 
 
 def _local_worker_main(ready_queue, seat: int) -> None:
     """Driver-spawned local worker: bind an ephemeral port, report, serve one job."""
+    collector = own_collector(forked=True)
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
     listener.listen(128)
     ready_queue.put((seat, listener.getsockname()[1]))
-    serve_listener(listener, once=True)
+    serve_listener(listener, once=True, collector=collector)
 
 
 # --------------------------------------------------------------------------- #
@@ -875,6 +902,9 @@ class SocketSession(TransportSession):
                 f"worker {index} ({address}) failed:\n{frame[3]}",
             )
         report = decode_report(frame[3])
+        # The kind is all a later liveness check reads: the encoded report
+        # need not outlive its decoding.
+        self._result_frames[index] = frame[:3]
         offset = self._clock_offsets.get(index)
         if offset is not None:
             # Normalize the worker's perf-counter readings onto the
@@ -908,6 +938,9 @@ class SocketSession(TransportSession):
         self._release()
 
     def _release(self) -> None:
+        # The emitter's putter points back at this session: drop the cycle
+        # so a finished run is freed by reference counting.
+        self._emitter = None
         for connection in self.connections:
             # shutdown() delivers EOF to a reader thread blocked in recv
             # (close() alone keeps the fd alive while the makefile holds a

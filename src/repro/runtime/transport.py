@@ -51,6 +51,7 @@ from typing import Dict, Hashable, List, Optional
 from ..obs.metrics import DEFAULT_METRICS_INTERVAL
 from ..stream.elements import Tagged
 from .channel import Channel, ChannelClosed
+from .collector import own_collector
 from .placement import Placement
 from .worker import Worker, WorkerReport, decode_report, encode_report, run_worker
 
@@ -285,6 +286,12 @@ class InlineSession(TransportSession):
             for span in worker.tracer.dump()
         ]
 
+    def _cleanup(self, failed: bool) -> None:
+        # Every worker's emitter is this session: break the cycle, so the
+        # run's state is freed by reference counting once the run is done.
+        for worker in self._workers:
+            worker.emitter = None
+
 
 class InlineTransport(Transport):
     name = "inline"
@@ -490,7 +497,14 @@ class _WorkerQueuePutter:
 
 
 def _process_worker_main(spec, worker_queues, out_queue, abort, job: RuntimeJob) -> None:
-    """Process-transport worker entry point: run the loop, report once.
+    """Process-transport worker entry point: the process owns its collector
+    (:mod:`repro.runtime.collector`) and runs one job under it."""
+    with own_collector(forked=True):
+        _process_worker_job(spec, worker_queues, out_queue, abort, job)
+
+
+def _process_worker_job(spec, worker_queues, out_queue, abort, job: RuntimeJob) -> None:
+    """Run the loop, report once.
 
     Everything the worker sends before its report rides the result queue
     under its own message kind; the driver files it as it drains.
@@ -681,7 +695,7 @@ class ProcessSession(TransportSession):
             self._release(failed=True)
             raise
         self._release(failed=False)
-        return [decode_report(self._results[index]) for index in range(count)]
+        return [decode_report(self._results.pop(index)) for index in range(count)]
 
     def _release(self, failed: bool) -> None:
         """Join the workers, then free what the session holds in this
@@ -690,6 +704,8 @@ class ProcessSession(TransportSession):
         if self._released:
             return
         self._released = True
+        # The emitter's putter points back at this session: drop the cycle.
+        self._emitter = None
         if failed:
             self._abort.set()
         for worker in self.workers:

@@ -45,7 +45,8 @@ from typing import Callable, Hashable, List, Optional, Protocol, Sequence
 
 from ...obs.metrics import registry_for_spec
 from ...obs.trace import span_detail, tracer_for_spec
-from ...relation import TPTuple, stable_key_hash
+from ...relation import TPTuple
+from ...relation.predicates import StableKeyHashes
 from ...stream.elements import LEFT, RIGHT, Tagged, Watermark
 from ..channel import Channel, ChannelWatermarks
 
@@ -197,6 +198,7 @@ class Worker:
             RIGHT: ChannelWatermarks(spec.right_channels),
         }
         self._outputs: Optional[List[TPTuple]] = [] if spec.collect_outputs else None
+        self._key_hashes = StableKeyHashes()
         self._finished = False
 
     @classmethod
@@ -369,6 +371,7 @@ class Worker:
             return
         channel = self.spec.channel_id
         send = self.emitter.send
+        key_hashes = self._key_hashes
         for element in elements:
             if isinstance(element, Watermark):
                 for first, consumer_parts, side, _key_indices in self.spec.downstream:
@@ -385,7 +388,7 @@ class Worker:
             for first, consumer_parts, side, key_indices in self.spec.downstream:
                 if consumer_parts > 1:
                     key = tuple(element.tuple.fact[i] for i in key_indices)
-                    offset = stable_key_hash(key) % consumer_parts
+                    offset = key_hashes[key] % consumer_parts
                 else:
                     offset = 0
                 send(first + offset, None, Tagged(side, element, None, context))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.lineage import FALSE, TRUE, EventSpace, Var, lineage_and, lineage_not, lineage_or
@@ -87,3 +89,65 @@ def test_restricted_probabilities_only_ships_mentioned_events():
     ]
     shipped = restricted_probabilities(events, tuples)
     assert shipped == {"a1": 0.5, "b1": 0.7}
+
+
+def _windows_of_one_positive() -> list:
+    """Four windows over one positive, as a negating join builds them: they
+    share ``λr`` and the negated disjunction object, and two more tuples
+    bring their own equal-but-unshared nodes."""
+    r = Var("r1")
+    negated = lineage_not(lineage_or(Var("s1"), Var("s2")))
+    shared = [
+        TPTuple(("r1", None), r, Interval(0, 2), 0.1 + 0.2),
+        TPTuple(("r1", None), lineage_and(r, negated), Interval(2, 4), 1 / 3),
+        TPTuple(("r1", "s1"), lineage_and(r, Var("s1")), Interval(4, 6), 0.7),
+        TPTuple(("r1", None), lineage_and(r, negated), Interval(6, 9), None),
+    ]
+    unshared = [
+        TPTuple(("r2", None), lineage_and(Var("r2"), lineage_not(Var("s3"))), Interval(1, 3), 0.3),
+        TPTuple(("r2", None), lineage_and(Var("r2"), lineage_not(Var("s3"))), Interval(3, 5), 0.3),
+    ]
+    return shared + unshared
+
+
+def test_batch_codes_equal_the_per_tuple_codes_and_ship_shared_nodes_once():
+    tuples = _windows_of_one_positive()
+    codes = encode_tuples(tuples)
+    assert codes == [encode_tuple(tp_tuple) for tp_tuple in tuples]
+    # λr and ¬(s1 ∨ s2) are one object each in the batch's codes...
+    assert codes[1][1][1] is codes[0][1] is codes[2][1][1]
+    assert codes[1][1][2] is codes[3][1][2]
+    # ...but equal nodes of distinct objects keep distinct codes.
+    assert codes[4][1] == codes[5][1] and codes[4][1] is not codes[5][1]
+    per_tuple = pickle.dumps([encode_tuple(tp_tuple) for tp_tuple in tuples])
+    assert len(pickle.dumps(codes)) < len(per_tuple)
+
+
+def test_batch_round_trip_through_pickle_is_exact_and_rebuilds_shared_nodes_once():
+    tuples = _windows_of_one_positive()
+    decoded = decode_tuples(pickle.loads(pickle.dumps(encode_tuples(tuples))))
+    assert decoded == tuples
+    assert [tp_tuple.probability.hex() for tp_tuple in decoded if tp_tuple.probability] == [
+        tp_tuple.probability.hex() for tp_tuple in tuples if tp_tuple.probability
+    ]
+    assert decoded[1].lineage.operands[0] is decoded[0].lineage
+    assert decoded[1].lineage.operands[1] is decoded[3].lineage.operands[1]
+    assert decoded[4].lineage is not decoded[5].lineage
+
+
+def test_batch_codecs_take_one_shot_iterables_of_fresh_objects():
+    """Nodes and codes are known by ``id``: a generator's items must stay
+    alive, or a later item could reuse a dead one's id and its code."""
+    def fresh():
+        for index in range(200):
+            yield TPTuple(
+                (f"f{index}",),
+                lineage_and(Var(f"r{index}"), lineage_not(Var(f"s{index}"))),
+                Interval(index, index + 1),
+                0.5,
+            )
+
+    expected = list(fresh())
+    codes = encode_tuples(fresh())
+    assert codes == [encode_tuple(tp_tuple) for tp_tuple in expected]
+    assert decode_tuples(tuple(code) for code in codes) == expected

@@ -1,10 +1,11 @@
 """The one source router (``repro.runtime.driver.run_job``).
 
-Three pins: the single job builder mirrors ``ExecutionOptions`` field for
+Four pins: the single job builder mirrors ``ExecutionOptions`` field for
 field (so a knob cannot go silently inert on one kind of run again — the
 ``seat_timeout`` bug), a stream query and its one-node dataflow twin drive
-the router to the same settled answer as the batch join, and the two merge
-helpers produce the same sequence.
+the router to the same settled answer as the batch join, the two merge
+helpers produce the same sequence, and the router's memoised key hashes
+route every key to the partition ``stable_key_hash`` gives it.
 """
 
 from __future__ import annotations
@@ -18,12 +19,17 @@ from hypothesis import strategies as st
 from repro import ExecutionOptions
 from repro.dataflow import BATCH_JOINS, DataflowQuery, NodeSpec, drained_relation
 from repro.dataflow.convergence import identity_rows
+from repro.datasets import ReplayConfig, stream_def
+from repro.engine import Catalog
+from repro.relation import Schema, TPRelation, stable_key_hash
+from repro.relation.predicates import StableKeyHashes
 from repro.runtime import Placement, merge_edges
 from repro.recovery import driver as recovery_driver
 from repro.runtime import driver as driver_module
 from repro.runtime.transport import InlineSession, InlineTransport
 from repro.stream import LEFT, RIGHT, StreamQuery, merge_tagged, theta_from_pairs
 
+from tests.conftest import run_shard_job
 from tests.recovery.conftest import query_catalog
 
 ON = (("Key", "Key"),)
@@ -237,3 +243,58 @@ def test_merge_tagged_and_merge_edges_interleave_streams_alike(seed):
     edges = [(0, LEFT, left.replay()), (0, RIGHT, right.replay())]
     merged = merge_edges(edges, seed)
     assert [item.side for item in tagged] == [side for _, _, side, _ in merged]
+
+
+# --------------------------------------------------------------------------- #
+# memoised key hashes
+# --------------------------------------------------------------------------- #
+#: Keys from str, int/float/bool and None; ``1 == 1.0 == True`` and
+#: ``0 == 0.0 == False``, so those share one memo entry.
+MIXED_KEYS = [
+    ("k",),
+    (1,),
+    (1.0,),
+    (True,),
+    (0,),
+    (0.0,),
+    (False,),
+    (2.5,),
+    (None,),
+    ("k", 1),
+    ("k", True),
+    (None, 2.0),
+    ("",),
+]
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_memoised_key_hashes_assign_the_partitions_stable_key_hash_does(order):
+    hashes = StableKeyHashes()
+    for key in MIXED_KEYS[::order]:
+        assert hashes[key] == stable_key_hash(key)
+    for key in MIXED_KEYS:
+        for partitions in (2, 3, 7):
+            assert hashes[key] % partitions == stable_key_hash(key) % partitions
+    assert len(hashes) == len(set(MIXED_KEYS))
+
+
+def test_the_router_sends_mixed_type_keys_to_their_stable_hash_partition():
+    values = [key[0] for key in MIXED_KEYS if len(key) == 1]
+
+    def relation(name: str) -> TPRelation:
+        rows = [
+            (value, f"{name}{index}", f"{name}{index}", 3 * index, 3 * index + 5, 0.5)
+            for index, value in enumerate(values)
+        ]
+        return TPRelation.from_rows(Schema.of("Key", "Serial"), rows, name=name)
+
+    catalog = Catalog()
+    catalog.register_stream("l", stream_def(relation("l"), ReplayConfig(seed=1)))
+    catalog.register_stream("r", stream_def(relation("r"), ReplayConfig(seed=2)))
+    reports, *_ = run_shard_job("inline", catalog, partitions=3)
+    routed = 0
+    for report in reports:
+        for tp_tuple in report.outputs:
+            assert stable_key_hash((tp_tuple.fact[0],)) % 3 == report.index
+            routed += 1
+    assert routed >= len(values)
