@@ -5,8 +5,7 @@
 constructor, same ingestion/retraction/watermark methods, same
 :class:`~repro.stream.incremental.OpenPositive` /
 :class:`~repro.stream.incremental.FinalizedGroup` entry types, same stats
-counters — so both the continuous-join operators and the retractable
-dataflow operators run on either implementation unchanged.
+counters — so the same driver code runs either implementation unchanged.
 
 What changes is the state layout.  Open positives and indexed negatives
 live in *per-key* :class:`_ColumnStore` blocks: int64 ``start`` / ``end``

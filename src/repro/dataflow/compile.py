@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
-from ..columnar import resolve_layout
 from ..core.joins import REVERSE_KINDS
 from ..parallel.serialize import events_from_probabilities
 from ..relation import Schema, TPTuple
@@ -77,10 +76,7 @@ class DataflowNodeSpec:
 
     ``event_probabilities`` ships the marginal probabilities of the base
     events when the run materializes probabilities inline: workers rebuild
-    an event space from it.  ``layout`` is the window-maintainer state
-    layout, resolved driver-side so a numpy-less worker is never asked for
-    columns (``"columnar"`` also switches socket micro-batch frames to the
-    binary wire codec, :mod:`repro.runtime.wire`).
+    an event space from it.
 
     ``tap`` / ``probe`` are optional in-process observation hooks (the
     serving layer's seam): ``tap(channel_id, element)`` is called with every
@@ -108,7 +104,6 @@ class DataflowNodeSpec:
     early_emit: bool = False
     collect_outputs: bool = False
     event_probabilities: Optional[dict] = None
-    layout: str = "object"
     tap: Optional[Callable] = dataclass_field(default=None, repr=False, compare=False)
     probe: Optional[Callable] = dataclass_field(default=None, repr=False, compare=False)
 
@@ -127,7 +122,6 @@ class DataflowNodeSpec:
             if materialize
             else None,
             materialize_probabilities=materialize,
-            layout=self.layout,
         )
         schemas = Schema(tuple(self.left_attributes)), Schema(tuple(self.right_attributes))
         if self.collect_outputs:
@@ -285,7 +279,6 @@ def compile_graph(
         for target, _side in edges:
             producers[target] += parts[index]
     channels = _channel_topology(graph, node_index)
-    layout = resolve_layout(config.layout)
     specs: List[DataflowNodeSpec] = []
     stages: List[Stage] = []
     for index, spec in enumerate(graph.nodes):
@@ -341,7 +334,6 @@ def compile_graph(
                     early_emit=config.early_emit,
                     collect_outputs=collect,
                     event_probabilities=event_probabilities,
-                    layout=layout,
                     tap=taps.get(spec.name),
                     probe=probes.get(spec.name),
                 )

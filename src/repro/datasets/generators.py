@@ -95,7 +95,7 @@ def generate_relation(
     private timeline, drawing a duration and a gap for every tuple, so tuples
     sharing a fact never overlap (the TP duplicate-free constraint holds by
     construction).  The payload attribute is a per-tuple serial number, so
-    facts are unique per tuple — which mirrors the WebKit/Meteo layout where
+    facts are unique per tuple — which mirrors the WebKit/Meteo schemas, where
     the joined attribute (file, station/metric) is one of several columns.
     """
     if config.size <= 0:

@@ -168,7 +168,7 @@ def write_bench_json(
 ) -> Path:
     """Write one experiment's measurements as ``BENCH_<experiment>.json``.
 
-    The fixed prefix and stable key layout make the files greppable and
+    The fixed prefix and stable key order make the files greppable and
     diffable from one run to the next.
     """
     destination = Path(directory) / f"BENCH_{spec.experiment_id}.json"

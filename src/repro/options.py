@@ -1,7 +1,7 @@
 """The unified execution-knob surface: one frozen :class:`ExecutionOptions`.
 
 Every knob a continuous run composes from — transport, placement,
-partitions, batching, telemetry, state layout and the recovery knobs
+partitions, batching, telemetry and the recovery knobs
 (``checkpoint_interval``, ``restart_limit``, ``seat_timeout``) — lives on
 this one object, accepted uniformly by :class:`repro.Engine`,
 :class:`repro.stream.StreamQuery`, :class:`repro.dataflow.DataflowQuery`
@@ -14,13 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .columnar import LAYOUTS
 from .obs.metrics import DEFAULT_METRICS_INTERVAL
 from .obs.trace import DEFAULT_TRACE_SAMPLE_RATE
 from .runtime.placement import Placement
 from .runtime.transport import TRANSPORTS
 
-__all__ = ["ExecutionOptions", "LAYOUTS"]
+__all__ = ["ExecutionOptions"]
 
 
 @dataclass(frozen=True)
@@ -71,16 +70,6 @@ class ExecutionOptions:
     published once per micro-batch, at its end; inline runs end a batch
     after every element.
 
-    ``layout`` picks the window-maintainer state layout: ``"object"``
-    (default) keeps per-tuple Python objects, ``"columnar"`` re-lays the
-    hot state as struct-of-arrays numpy columns with vectorized
-    probe/evict/finalize sweeps (:mod:`repro.columnar`) and, on the
-    sockets transport, ships micro-batches as fixed-layout binary frames
-    (:mod:`repro.runtime.wire`) instead of pickles.  Settled output is
-    tuple-for-tuple, bitwise-probability identical across layouts; when
-    numpy is not installed a columnar request degrades to ``"object"``
-    with a :class:`RuntimeWarning`.
-
     ``metrics`` / ``metrics_interval`` sample every worker's always-on
     counts and operator state into per-worker registries and ship them
     (:mod:`repro.obs`); ``trace`` / ``trace_sample_rate`` record
@@ -119,7 +108,6 @@ class ExecutionOptions:
     checkpoint_interval: Optional[float] = None
     restart_limit: int = 0
     seat_timeout: Optional[float] = None
-    layout: str = "object"
 
     def __post_init__(self) -> None:
         if self.partitions <= 0:
@@ -132,8 +120,6 @@ class ExecutionOptions:
             raise ValueError(
                 f"transport must be one of {TRANSPORTS[1:]}, got {self.transport!r}"
             )
-        if self.layout not in LAYOUTS:
-            raise ValueError(f"layout must be one of {LAYOUTS}, got {self.layout!r}")
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ValueError(
                 f"trace_sample_rate must be in [0, 1], got {self.trace_sample_rate}"

@@ -52,7 +52,7 @@ def _revision_codec() -> tuple:
 def revision_kind_codes() -> int:
     """How many revision kinds exist: valid wire codes are ``0..count-1``.
 
-    The binary wire codec (:mod:`repro.runtime.wire`) validates a decoded
+    The benchmark-only binary codec (:mod:`repro.runtime.wire`) validates a decoded
     revision row's kind byte against this count so a corrupt frame raises a
     clean error instead of failing later inside ``decode_revision_tagged``.
     """

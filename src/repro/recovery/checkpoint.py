@@ -30,12 +30,12 @@ peer edges has in-flight elements a single-worker snapshot cannot capture,
 and a revision-publishing one keeps state this codec does not cover (see
 :func:`repro.runtime.driver.recovery_blocker`).
 
-The codec is *layout-independent*: maintainer state is read and written
-through the four accessor methods (``open_items`` / ``negative_items`` /
-``load_open_entries`` / ``load_negatives``) both maintainer implementations
-provide, never through the storage layout.  A snapshot taken under the
-columnar layout (:mod:`repro.columnar`) therefore restores into an object
-worker and vice versa, through the same ``CHECKPOINT_VERSION`` frames.
+Maintainer state is read and written only through the
+:class:`~repro.stream.incremental.IncrementalWindowMaintainer` accessor
+methods (``open_items`` / ``negative_items`` / ``load_open_entries`` /
+``load_negatives``), never through its internal fields, so a change to how
+the maintainer stores its state cannot change a ``CHECKPOINT_VERSION``
+frame.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Reading and writing TP relations as CSV files.
 
-The on-disk layout mirrors the paper's table layout: one column per fact
+The on-disk format mirrors the paper's tables: one column per fact
 attribute, then ``event``, ``ts``, ``te`` and ``p``.  Only base relations
 (single-variable lineages) round-trip through CSV; derived relations can be
 exported with :func:`write_result_csv`, which serialises the lineage as text
@@ -21,7 +21,7 @@ RESERVED_COLUMNS = ("event", "ts", "te", "p")
 
 
 def write_relation_csv(relation: TPRelation, path: str | Path) -> None:
-    """Write a base relation to ``path`` in the canonical CSV layout.
+    """Write a base relation to ``path`` in the canonical CSV format.
 
     Raises:
         ValueError: if a tuple's lineage is not a single event variable

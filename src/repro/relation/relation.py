@@ -56,7 +56,7 @@ class TPRelation:
 
         Each row lists the fact values in schema order, followed by the event
         variable name, the interval bounds and the marginal probability — the
-        same column layout as the paper's Fig. 1a tables.  The events are
+        same column order as the paper's Fig. 1a tables.  The events are
         registered in the relation's event space.
         """
         space = events if events is not None else EventSpace()

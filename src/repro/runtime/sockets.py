@@ -66,7 +66,6 @@ from typing import Dict, Hashable, List, Optional
 from ..obs.trace import clock_anchor, estimate_clock_offset, shift_spans
 from ..recovery.types import SeatFailure
 from ..stream.elements import Tagged
-from . import wire
 from .channel import Channel, ChannelClosed
 from .collector import CollectorPolicy, own_collector
 from .placement import Placement, parse_host_port
@@ -76,6 +75,7 @@ from .transport import (
     Transport,
     TransportSession,
     WorkerStartError,
+    _close_queue,
     preferred_context,
 )
 from .worker import WorkerReport, decode_report, encode_report, run_worker
@@ -103,11 +103,6 @@ def send_frame(sock: socket.socket, payload: object) -> None:
     sock.sendall(_HEADER.pack(len(data)) + data)
 
 
-def send_raw_frame(sock: socket.socket, data: bytes) -> None:
-    """Ship one length-prefixed pre-encoded frame (binary wire payloads)."""
-    sock.sendall(_HEADER.pack(len(data)) + data)
-
-
 def _connect(address: str) -> socket.socket:
     """A blocking connection to ``address``; only the connect has a deadline.
 
@@ -122,38 +117,8 @@ def _connect(address: str) -> socket.socket:
     return connection
 
 
-def _is_columnar(spec) -> bool:
-    return getattr(spec, "layout", "object") == "columnar"
-
-
-def send_batch(sock: socket.socket, job_key: str, batch, binary: bool) -> None:
-    """Ship one micro-batch of codec-encoded elements.
-
-    With ``binary`` (the receiving spec is columnar) the batch ships as a
-    binary column frame — no pickle on the element hot path.  A batch the
-    fixed layout cannot express, like every batch of an object-layout job,
-    is one pickled ``batch`` frame; the receiver dispatches per frame, so
-    the mix is safe.
-    """
-    if binary:
-        try:
-            data = wire.encode_batch_frame(job_key, batch)
-        except wire.WireFormatError:
-            pass
-        else:
-            send_raw_frame(sock, data)
-            return
-    send_frame(sock, ("batch", job_key, batch))
-
-
 def recv_frame(file) -> Optional[object]:
-    """Read one frame from a buffered socket file; ``None`` on EOF.
-
-    Frames self-identify by first byte: binary column frames
-    (:mod:`repro.runtime.wire`, columnar-layout micro-batches) decode
-    through the wire codec, everything else unpickles — both peers of a
-    connection can mix the two freely.
-    """
+    """Read one pickled frame from a buffered socket file; ``None`` on EOF."""
     header = file.read(_HEADER.size)
     if len(header) < _HEADER.size:
         return None
@@ -161,7 +126,7 @@ def recv_frame(file) -> Optional[object]:
     data = file.read(length)
     if len(data) < length:
         return None
-    return wire.decode_payload(data)
+    return pickle.loads(data)
 
 
 # --------------------------------------------------------------------------- #
@@ -187,10 +152,9 @@ class _EncodedChannelInbox:
 class _PeerPutter:
     """Worker-side delivery to downstream peers over cached connections."""
 
-    def __init__(self, addresses, job_key: str, binary: bool) -> None:
+    def __init__(self, addresses, job_key: str) -> None:
         self._addresses = addresses
         self._job_key = job_key
-        self._binary = binary
         self._connections: Dict[int, socket.socket] = {}
 
     def _connection(self, target: int) -> socket.socket:
@@ -200,7 +164,7 @@ class _PeerPutter:
         return connection
 
     def put(self, target: int, batch) -> None:
-        send_batch(self._connection(target), self._job_key, batch, self._binary)
+        send_frame(self._connection(target), ("batch", self._job_key, batch))
 
     def put_done(self, target: int) -> None:
         send_frame(self._connection(target), ("done", self._job_key))
@@ -267,7 +231,7 @@ class _ServerJob:
         self._reply.send((kind, self.key, self.spec.index, payload))
 
     def _run(self, addresses, job: RuntimeJob, restore) -> None:
-        putter = _PeerPutter(addresses, self.key, _is_columnar(self.spec))
+        putter = _PeerPutter(addresses, self.key)
         try:
             # Handshake anchor: a (wall_clock, perf_counter) pair the driver
             # uses to map this worker's timestamps onto its own clock scale
@@ -609,20 +573,19 @@ class _DriverSocketPutter:
     def __init__(self, session: "SocketSession") -> None:
         self._session = session
 
-    def _send(self, target: int, send, *payload) -> None:
+    def _send(self, target: int, frame: tuple) -> None:
         try:
-            send(self._session.connections[target], *payload)
+            send_frame(self._session.connections[target], frame)
         except OSError as error:
             raise self._session.connection_failure(target, error) from error
 
     def put(self, target: int, batch) -> None:
         session = self._session
         session.take_credit(target, len(batch))
-        binary = _is_columnar(session._job.specs[target])
-        self._send(target, send_batch, session.job_key, batch, binary)
+        self._send(target, ("batch", session.job_key, batch))
 
     def put_done(self, target: int) -> None:
-        self._send(target, send_frame, ("done", self._session.job_key))
+        self._send(target, ("done", self._session.job_key))
 
 
 class SocketSession(TransportSession):
@@ -644,6 +607,7 @@ class SocketSession(TransportSession):
             for index in range(count)
         ]
         self._processes: List = []
+        self._ready_queue = None
         #: Seat index → spawned local worker process (empty entries for
         #: placement-named remote seats).  The chaos harness kills these.
         self.seat_processes: Dict[int, object] = {}
@@ -669,7 +633,7 @@ class SocketSession(TransportSession):
         self.outstanding_high_watermark: List[int] = [0] * count
         try:
             context = preferred_context()
-            ready_queue = context.Queue()
+            ready_queue = self._ready_queue = context.Queue()
             seats = [index for index, address in enumerate(addresses) if address is None]
             for seat in seats:
                 process = context.Process(
@@ -966,8 +930,15 @@ class SocketSession(TransportSession):
         for process in self._processes:
             if process.is_alive():  # pragma: no cover - defensive cleanup
                 process.terminate()
+                process.join()
+            process.close()
+        # The driver only reads the spawn queue, so no feeder thread waits.
+        if self._ready_queue is not None:
+            _close_queue(self._ready_queue, failed=False)
+            self._ready_queue = None
         self.connections = []
         self._processes = []
+        self.seat_processes.clear()
 
     def _cleanup(self, failed: bool) -> None:
         self._release()

@@ -1,49 +1,34 @@
-"""Fixed-layout binary wire codec for socket micro-batch frames.
+"""Fixed-layout binary codec for socket micro-batch frames: a benchmark-only referee.
 
-The socket transport historically pickled every frame.  Control frames
-(job dispatch, reports, metrics, checkpoints) are rare and structurally
-rich — pickle is the right tool there and they keep using it.  Element
-micro-batches are the opposite: thousands per run, each a list of
-near-identical compact codes (:mod:`repro.parallel.serialize` shapes).
-Under the columnar layout those batches ship as *column blocks* instead:
+No run path imports this module: every socket frame is a pickle
+(:mod:`repro.runtime.sockets`).  tpbench's layer replay times this codec
+against pickle on the same batches (its ``runtime.wire.*`` rows), and the
+module goes together with those rows.
 
-``encode_batch_frame`` lays a batch out as a fixed header plus dtype-tagged
-numeric columns — one u8/i64/f64 buffer per field across all rows (element
-tag, side, revision kind, flags, sequence, interval start/end, probability,
-ingest clock) — followed by a variable-length section for the few
-genuinely dynamic values (channel ids, facts, lineage codes, watermark
-values, trace contexts).  ``decode_batch_frame`` reads the numeric columns straight out
-of the frame with ``numpy.frombuffer`` (zero-copy views over the received
-bytes; a pure-``struct`` fallback keeps numpy optional) and rebuilds the
-exact ``("e", ...)`` / ``("r", ...)`` / ``("w", ...)`` code tuples the
-pickle path would have carried — the codec is a bijection on the element
-codes, property-tested round-trip.
+``encode_batch_frame`` lays a batch of element codes
+(:mod:`repro.parallel.serialize` shapes) out as a fixed header plus
+dtype-tagged numeric columns — one u8/i64/f64 buffer per field across all
+rows (element tag, side, revision kind, flags, sequence, interval
+start/end, probability, ingest clock) — followed by a variable-length
+section for the dynamic values (channel ids, facts, lineage codes,
+watermark values, trace contexts).  ``decode_batch_frame`` reads the
+numeric columns with ``numpy.frombuffer`` (a pure-``struct`` fallback
+keeps numpy optional) and rebuilds the exact code tuples that went in —
+the codec is a bijection on the element codes, property-tested round-trip.
 
 Every read is bounds-checked: a truncated or corrupt frame raises
-:class:`WireFormatError` with a reason, never ``frombuffer`` garbage.
-
-Frames self-identify: byte 0 is :data:`WIRE_MAGIC` (``0x43``), which can
-never open a pickle stream (protocol ≥ 2 pickles start ``0x80``; protocol
-0/1 opcodes for the tuple payloads sent here start ``(`` or ``]``), so
-:func:`decode_payload` dispatches per frame and binary and pickled traffic
-coexist on one connection — an object-layout peer and a columnar peer
-interoperate.
-
-Not every batch is binary-encodable (an exotic fact value, an int-typed
-clock).  ``encode_batch_frame`` raises :class:`WireFormatError` on the
-first such row and the sender falls back to pickling that batch — the
-fast path stays exact, the slow path stays universal.
+:class:`WireFormatError` with a reason.  A batch the fixed layout cannot
+express (an exotic fact value, an int-typed clock) raises it on encode.
 """
 
 from __future__ import annotations
 
-import pickle
 import struct
 from typing import Any, List, Tuple
 
-try:  # pragma: no cover - exercised by the numpy-less CI leg
+try:  # pragma: no cover - numpy is optional
     import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the numpy-less CI leg
+except ImportError:  # pragma: no cover - numpy is optional
     _np = None
 
 __all__ = [
@@ -51,14 +36,10 @@ __all__ = [
     "WIRE_VERSION",
     "WireFormatError",
     "decode_batch_frame",
-    "decode_payload",
     "encode_batch_frame",
-    "is_wire_frame",
 ]
 
-#: First byte of every binary frame.  Pickle streams can never start with
-#: it: protocol ≥ 2 begins with 0x80, and the protocol 0/1 opcodes that can
-#: open the tuple payloads this transport sends are ``(`` and ``]``.
+#: First byte of every binary frame; decoding rejects any other.
 WIRE_MAGIC = 0x43  # 'C' for column
 
 #: Bumped whenever the frame layout changes; decoding rejects mismatches.
@@ -133,8 +114,7 @@ def _pack_value(value: Any, out: List[bytes], memo: dict) -> None:
 
     Covers exactly the types that appear in element codes: ``None``, bools,
     ints, floats, strings, bytes, and tuples/lists/dicts of the same.
-    Anything else raises :class:`WireFormatError` so the sender can fall
-    back to pickle for the whole batch.
+    Anything else raises :class:`WireFormatError` for the whole batch.
 
     Strings and tuples are memoized per frame: repeats (channel ids every
     row, the few distinct join-key strings of a batch) encode as a 5-byte
@@ -340,8 +320,7 @@ def encode_batch_frame(job_key: str, entries: list) -> bytes:
     value)``, ``("e", side, sequence, tuple_code, clock)`` or ``("r", side,
     kind, provisional, tuple_code, clock)``, each optionally with one
     trailing trace-context field.  Raises :class:`WireFormatError` when any
-    entry falls outside the fixed layout (the caller then pickles the batch
-    instead).
+    entry falls outside the fixed layout.
     """
     rows = len(entries)
     etags: List[int] = []
@@ -462,11 +441,6 @@ def _checked_side(side: Any) -> int:
     return side
 
 
-def is_wire_frame(data: bytes) -> bool:
-    """Whether a received payload is a binary column frame (vs a pickle)."""
-    return len(data) > 0 and data[0] == WIRE_MAGIC
-
-
 def decode_batch_frame(data: bytes) -> Tuple[str, list]:
     """Decode one binary column frame back into ``(job_key, entries)``.
 
@@ -558,15 +532,3 @@ def _revision_kind_count() -> int:
 
     return revision_kind_codes()
 
-
-def decode_payload(data: bytes) -> Any:
-    """Decode one received socket payload, binary or pickled.
-
-    Binary column frames come back as the same ``("batch", job_key,
-    entries)`` message the pickle path carries, so the receiving loop is
-    codec-agnostic.
-    """
-    if is_wire_frame(data):
-        job_key, entries = decode_batch_frame(data)
-        return ("batch", job_key, entries)
-    return pickle.loads(data)

@@ -29,7 +29,7 @@ request and response is one JSON object per line.  Requests:
 
 TP tuples travel in the compact primitive encoding of
 :mod:`repro.parallel.serialize` (``[fact, lineage, start, end, p]``), so
-the NDJSON protocol and the binary runtime codecs share one tuple wire
+the NDJSON protocol and the runtime's socket frames share one tuple wire
 shape.  Watermark values may be ``Infinity`` — Python's ``json`` emits and
 accepts it (the protocol is NDJSON between Python peers, not strict JSON).
 

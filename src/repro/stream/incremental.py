@@ -453,14 +453,12 @@ class IncrementalWindowMaintainer:
         return finalized
 
     # ------------------------------------------------------------------ #
-    # checkpoint accessors (layout-independent state export/import)
+    # checkpoint accessors (state export/import)
     # ------------------------------------------------------------------ #
     # The recovery codec (repro.recovery.checkpoint) snapshots and restores
     # maintainer state through these four methods rather than reaching into
-    # the storage layout, so the columnar maintainer
-    # (repro.columnar.state.ColumnarWindowMaintainer) checkpoints through
-    # the same versioned frames and a snapshot taken under one layout
-    # restores under the other.
+    # the fields above, so the versioned frames do not depend on how the
+    # state is stored.
     def open_items(self) -> List[Tuple[Hashable, List[OpenPositive]]]:
         """Open entries grouped per key, keys in first-seen order."""
         return [(key, list(entries)) for key, entries in self._open.items()]

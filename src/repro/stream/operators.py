@@ -44,7 +44,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..columnar import maintainer_class
 from ..core.joins import (
     JOIN_SYMBOLS,
     REVERSE_KINDS,
@@ -89,7 +88,6 @@ class ContinuousJoin:
             (required for ``materialize_probabilities``).
         materialize_probabilities: compute output tuples' probabilities
             inline via the maintainer-owned per-key computers.
-        layout: resolved window-maintainer state layout.
     """
 
     def __init__(
@@ -104,7 +102,6 @@ class ContinuousJoin:
         events: Optional[EventSpace] = None,
         materialize_probabilities: bool = False,
         clock: Callable[[], float] = time.perf_counter,
-        layout: str = "object",
     ) -> None:
         if materialize_probabilities and events is None:
             raise ValueError("materialize_probabilities requires an event space")
@@ -117,10 +114,9 @@ class ContinuousJoin:
         self._right_name = right_name
         self._clock = clock
         self._materialize = materialize_probabilities
-        maintainer_cls = maintainer_class(layout)
-        self._forward = maintainer_cls(self._theta, events=events)
+        self._forward = IncrementalWindowMaintainer(self._theta, events=events)
         self._reverse: Optional[IncrementalWindowMaintainer] = (
-            maintainer_cls(swap_theta(self._theta), events=events)
+            IncrementalWindowMaintainer(swap_theta(self._theta), events=events)
             if kind in REVERSE_KINDS
             else None
         )

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.columnar import HAS_NUMPY, maintainer_class, resolve_layout
+from repro.columnar import HAS_NUMPY, maintainer_class
 from repro.core.joins import swap_theta
 from repro.lineage import Var
 from repro.relation import (
@@ -253,18 +253,6 @@ def test_checkpoint_accessors_group_per_key_in_arrival_order():
     assert [entry.tuple.start for entry in open_items[("a",)]] == [0, 5, 9]
     assert [entry.tuple.start for entry in open_items[("b",)]] == [2, 7]
     assert [negative.start for negative in negative_items[("a",)]] == [0, 5, 9]
-
-
-def test_resolve_layout_validates_and_degrades(monkeypatch):
-    assert resolve_layout("object") == "object"
-    assert resolve_layout("columnar") == "columnar"
-    with pytest.raises(ValueError, match="layout must be one of"):
-        resolve_layout("rowwise")
-    import repro.columnar as columnar
-
-    monkeypatch.setattr(columnar, "HAS_NUMPY", False)
-    with pytest.warns(RuntimeWarning, match="numpy"):
-        assert resolve_layout("columnar") == "object"
 
 
 def test_compaction_preserves_arrival_order_and_results():

@@ -66,16 +66,13 @@ def test_a_batch_join_builds_no_interval(kind, dataset, built):
     assert len(joined) > 0
 
 
-@pytest.mark.parametrize("layout", ["object", "columnar"])
-def test_a_continuous_join_builds_no_interval(layout, built):
-    if layout == "columnar":
-        pytest.importorskip("numpy")
+@pytest.mark.parametrize("kind", sorted(JOIN_KINDS))
+def test_a_continuous_join_builds_no_interval(kind, built):
     left, right, key, _theta = inputs("meteo")
     operator = continuous_join(
-        "full_outer", left.schema, right.schema, [(key, key)],
+        kind, left.schema, right.schema, [(key, key)],
         left_name=left.name, right_name=right.name,
         events=left.events.merge(right.events), materialize_probabilities=True,
-        layout=layout,
     )
     elements = list(
         merge_tagged(
@@ -90,5 +87,7 @@ def test_a_continuous_join_builds_no_interval(layout, built):
     outputs = list(operator.run(elements))
     assert built.intervals == 0
     assert outputs
-    assert operator.maintainer.stats.groups_finalized > 0
-    assert operator.reverse_maintainer.stats.groups_finalized > 0
+    maintainers = [operator.maintainer, operator.reverse_maintainer]
+    assert (maintainers[1] is not None) == (kind in ("right_outer", "full_outer"))
+    for maintainer in filter(None, maintainers):
+        assert maintainer.stats.groups_finalized > 0

@@ -27,7 +27,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ExecutionOptions, Schema, TPRelation
-from repro.columnar import HAS_NUMPY
 from repro.dataflow import DataflowQuery, NodeSpec, Revision, RevisionJoin, RevisionKind
 from repro.dataflow.executor import merge_edges, source_edges
 from repro.core.joins import BATCH_JOINS
@@ -42,7 +41,6 @@ joins_module = importlib.import_module("repro.core.joins")
 
 ON = (("Key", "Key"),)
 KINDS = sorted(JOIN_KINDS)
-LAYOUTS = ["object", "columnar"] if HAS_NUMPY else ["object"]
 
 
 # --------------------------------------------------------------------------- #
@@ -218,12 +216,11 @@ def drive_chain(catalog, tree, merge_seed, batch=1, **options) -> List[Pair]:
     disorder=st.integers(min_value=0, max_value=12),
     watermark_every=st.integers(min_value=1, max_value=6),
     merge_seed=st.one_of(st.none(), st.integers(min_value=0, max_value=100)),
-    layout=st.sampled_from(LAYOUTS),
     batch=st.sampled_from([1, 3, 16]),
 )
 def test_delta_publisher_says_what_the_referee_says(
     seed, first, second, derived_is_left, early, materialize, disorder,
-    watermark_every, merge_seed, layout, batch,
+    watermark_every, merge_seed, batch,
 ):
     # A small time span over few keys: abutting and tied overlaps are common.
     catalog, *_ = make_stream_catalog(
@@ -236,7 +233,7 @@ def test_delta_publisher_says_what_the_referee_says(
     tree = [NodeSpec("n1", first, "a", "b", ON), NodeSpec("n2", second, left, right, ON)]
     pairs = drive_chain(
         catalog, tree, merge_seed, batch,
-        early_emit=early, materialize_probabilities=materialize, layout=layout,
+        early_emit=early, materialize_probabilities=materialize,
     )
     assert pairs[1].new.stats.inputs_retracted == pairs[0].new.stats.retracts
 

@@ -75,14 +75,17 @@ def _rows(report) -> list[str]:
     )
 
 
-@pytest.mark.parametrize("kind", ("anti", "left_outer", "full_outer"))
+KINDS = ("inner", "left_outer", "right_outer", "full_outer", "anti")
+
+
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("cut_fraction", (0.25, 0.5, 0.9))
 def test_snapshot_plus_suffix_equals_uninterrupted_run(kind, cut_fraction):
     """Snapshot at any boundary, restore into a fresh worker, feed the
     suffix: settled output and stats match the straight-through run.
-    full_outer covers the mirrored reverse maintainer; probabilities are
-    materialized, so the restored worker recomputes them with a cold memo
-    and must land on the same floats."""
+    right_outer and full_outer cover the mirrored reverse maintainer;
+    probabilities are materialized, so the restored worker recomputes them
+    with a cold memo and must land on the same floats."""
     catalog, merged = _elements()
     spec = _spec(catalog, kind, materialize=True)
     cut = int(len(merged) * cut_fraction)
@@ -122,6 +125,31 @@ def test_snapshot_is_picklable_and_made_of_primitives():
     clone = pickle.loads(pickle.dumps(payload))
     assert clone == payload
     assert clone[0] == CHECKPOINT_VERSION
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_snapshot_payload_holds_only_primitives(kind):
+    """Every value in a mid-stream snapshot, nested at any depth, is a
+    primitive: the frame carries no class of the maintainer's own."""
+    catalog, merged = _elements()
+    worker = Worker(_spec(catalog, kind, materialize=True), _NullEmitter())
+    _feed(worker, merged[: len(merged) // 2])
+    payload = snapshot_worker(worker, len(merged) // 2)
+
+    def assert_primitive(value):
+        if isinstance(value, (tuple, list)):
+            for item in value:
+                assert_primitive(item)
+        elif isinstance(value, dict):
+            for key, item in value.items():
+                assert_primitive(key)
+                assert_primitive(item)
+        else:
+            assert value is None or isinstance(value, (bool, int, float, str)), (
+                f"non-primitive {type(value).__name__} in checkpoint payload"
+            )
+
+    assert_primitive(payload)
 
 
 @pytest.mark.parametrize("version", (1, CHECKPOINT_VERSION + 1))

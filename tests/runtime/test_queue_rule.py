@@ -4,7 +4,8 @@ A thread or socket-seat inbox is a channel of ``micro_batch_size``
 elements; a producer puts a whole batch at once, so the depth can reach one
 batch plus less than one more — below ``2 × micro_batch_size``.  A process
 queue holds two messages, and a processes run leaves no queue behind: no
-feeder thread and no file descriptor outlive its session.
+feeder thread and no file descriptor outlive its session.  Neither do a
+sockets run's spawn queue and seat processes.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 from repro import ExecutionOptions
 from repro.dataflow import DataflowQuery, NodeSpec, assert_converged
 from repro.dataflow.operators import RevisionJoin
+from repro.runtime.sockets import SocketTransport
 from repro.stream.operators import ContinuousJoin
 from tests.conftest import run_shard_job
 from tests.dataflow.conftest import make_stream_catalog
@@ -141,3 +143,25 @@ def test_a_failed_processes_run_leaves_no_queue_behind(processes_catalog, monkey
     with pytest.raises(RuntimeError, match="injected worker failure"):
         run_shard_job("processes", catalog, options, partitions=2)
     _assert_released(before)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_a_sockets_run_releases_its_spawn_queue_and_seats(monkeypatch):
+    """A finished run frees its descriptors while its session is still
+    referenced: nothing waits for the session to be collected."""
+    catalog, _left, _right = query_catalog(47, left_size=30, right_size=30)
+    options = ExecutionOptions(partitions=2)
+    run_shard_job("sockets", catalog, options, partitions=2)
+    sessions = []
+    start = SocketTransport.start
+
+    def recording(self, job, placement=None):
+        sessions.append(start(self, job, placement))
+        return sessions[-1]
+
+    monkeypatch.setattr(SocketTransport, "start", recording)
+    before = len(os.listdir("/proc/self/fd"))
+    *_, backend, _recoveries = run_shard_job("sockets", catalog, options, partitions=2)
+    assert backend == "sockets"
+    assert len(sessions) == 1 and not sessions[0].seat_processes
+    assert len(os.listdir("/proc/self/fd")) == before
