@@ -60,8 +60,8 @@ class DataflowNodeSpec:
 
     ``downstream`` lists ``(first worker index, consumer partitions, side,
     key indices)`` routing entries: revisions go to ``first +
-    stable_hash(key) % partitions`` (the key is the output fact projected on
-    ``key indices`` — the consumer θ's attributes for that side), watermarks
+    stable_key_hash(key) % partitions`` (the key is the output fact projected
+    on ``key indices`` — the consumer θ's attributes for that side), watermarks
     are broadcast to all of the consumer's partitions.  ``producers`` is the
     number of incoming FIFO channels (parent source edges plus upstream
     partition workers) — the count of done sentinels to await before

@@ -24,7 +24,7 @@ The graph parallelises along **two independent axes**:
 * *pipeline* — chained operators run concurrently (one worker set per node);
 * *partition* — a node with ``NodeSpec.partitions = K`` fans out into K
   key-partitioned workers.  Revision elements are routed by the stable hash
-  of the node's equi-join key (:func:`repro.parallel.plan.stable_hash`, so
+  of the node's equi-join key (:func:`repro.relation.stable_key_hash`, so
   routing is reproducible across runs and interpreters), watermarks are
   broadcast to every partition of the stage, and the stage's *output*
   watermark is the min over its partitions' derived watermarks.

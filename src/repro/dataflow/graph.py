@@ -44,8 +44,8 @@ class NodeSpec:
             node out into this many key-partitioned workers.  More than one
             partition requires a non-empty equi-θ: revision elements are
             routed by the stable hash of their join key, so key-disjoint
-            partitions never interact (the same shared-nothing property the
-            batch shard planner relies on).
+            partitions never interact (the shared-nothing property of
+            equi-θ TP joins).
     """
 
     name: str

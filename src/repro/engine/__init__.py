@@ -24,7 +24,6 @@ from .physical import (
     FilterOperator,
     NaiveJoinOperator,
     NJJoinOperator,
-    ParallelNJJoinOperator,
     ProjectOperator,
     ScanOperator,
     TAJoinOperator,
@@ -47,7 +46,6 @@ __all__ = [
     "LogicalPlan",
     "NJJoinOperator",
     "NaiveJoinOperator",
-    "ParallelNJJoinOperator",
     "ParsedQuery",
     "PhysicalOperator",
     "PlanError",

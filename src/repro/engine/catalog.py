@@ -124,56 +124,27 @@ class Catalog:
     # ------------------------------------------------------------------ #
     # planner estimates
     # ------------------------------------------------------------------ #
-    def join_state_estimate(
-        self,
-        left_names: Sequence[str],
-        right_names: Sequence[str],
-        on: tuple[tuple[str, str], ...],
-    ) -> tuple[float, int, int]:
-        """Estimate a TP join's state size for the shard planner.
-
-        Implements the ROADMAP cost model: the state a join holds is
-        ``open positives × matches per positive``, where the match count is
-        estimated from the negative side's key selectivity (cardinality over
-        distinct join-key values).  Returns ``(state_estimate,
-        left_cardinality, right_distinct_keys)`` — everything the partition
-        chooser needs, including the key-count cap (a single key can never
-        be split across shards).
-        """
-        from ..parallel.plan import estimate_join_state
-
-        left_cardinality = sum(self.stats(name).cardinality for name in left_names)
-        right_cardinality = sum(self.stats(name).cardinality for name in right_names)
-        right_distinct = 1
-        if on:
-            key_attribute = on[0][1]
-            right_distinct = max(
-                1,
-                sum(self.stats(name).distinct(key_attribute) for name in right_names),
-            )
-        state = estimate_join_state(left_cardinality, right_cardinality, right_distinct)
-        return state, left_cardinality, right_distinct
-
     def stream_join_state_estimate(
         self,
         left_names: Sequence[str],
         right_names: Sequence[str],
         on: tuple[tuple[str, str], ...],
     ) -> tuple[float, int, int]:
-        """The :meth:`join_state_estimate` cost model over registered streams.
+        """Estimate a stream join stage's state size for the partition planner.
 
-        Dataflow nodes join streams (or other nodes, whose inputs bottom out
-        in streams), so the partition planner consults the streams' expected
-        statistics (:class:`repro.stream.StreamStats`) instead of relation
-        stats.  Streams without statistics contribute zero cardinality — an
-        unknown input never justifies fanning a stage out.
+        Implements the cost model of :func:`repro.parallel.estimate_join_state`
+        (``open positives × matches per positive``, matches from the negative
+        side's key selectivity) over the streams' expected statistics
+        (:class:`repro.stream.StreamStats`).  Dataflow nodes join streams (or
+        other nodes, whose inputs bottom out in streams).  Streams without
+        statistics contribute zero cardinality — an unknown input never
+        justifies fanning a stage out.
 
-        Unlike :meth:`join_state_estimate`, the returned
-        ``right_distinct_keys`` is **0 when the key selectivity is
-        unknown** (no stats, or stats without the join attribute), so the
-        planner can distinguish "one distinct key, never split" from "no
-        idea, don't cap"; the state estimate itself still assumes at least
-        one key.
+        Returns ``(state_estimate, left_cardinality, right_distinct_keys)``.
+        ``right_distinct_keys`` is **0 when the key selectivity is unknown**
+        (no stats, or stats without the join attribute), so the planner can
+        distinguish "one distinct key, never split" from "no idea, don't
+        cap"; the state estimate itself still assumes at least one key.
         """
         from ..parallel.plan import estimate_join_state
 

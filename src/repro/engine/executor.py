@@ -33,7 +33,8 @@ class Engine:
     telemetry and the recovery knobs, applied to every continuous,
     dataflow and planner-routed stream query the engine runs.
     ``parallel_config`` keeps the planner *policy* knobs (worker ceiling,
-    state-size targets).
+    state-size targets) that size stream-join stages; joins of stored
+    relations always run serially.
     """
 
     def __init__(

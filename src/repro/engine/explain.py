@@ -5,8 +5,7 @@ marker instead of a cost estimate: their inputs are unbounded, so a
 cardinality-based cost is meaningless — progress is driven by watermarks,
 not by cardinalities.
 
-The process-parallel batch join additionally carries a ``[parallel n=K]``
-marker, read from its ``parallel_workers`` attribute.  Every stream join
+Joins of stored relations always run serially.  Every stream join
 tree — one join or a chain — is one compiled dataflow graph and carries
 ``[dataflow k-node]``, read from ``dataflow_nodes``; when any node runs
 more than one partition (``ExecutionOptions.partitions``, or the partition
@@ -61,9 +60,6 @@ def _render_physical(operator: PhysicalOperator, depth: int, lines: list[str]) -
         annotation = "[continuous]"
     else:
         annotation = f"(cost≈{operator.estimated_cost():.0f})"
-    workers = getattr(operator, "parallel_workers", 1)
-    if workers > 1:
-        annotation += f" [parallel n={workers}]"
     dataflow_nodes = getattr(operator, "dataflow_nodes", 0)
     if dataflow_nodes:
         details = [f"dataflow {dataflow_nodes}-node"]

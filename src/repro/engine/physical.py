@@ -229,61 +229,6 @@ class NJJoinOperator(_JoinOperatorBase):
         return left + right + (left + right)
 
 
-class ParallelNJJoinOperator(_JoinOperatorBase):
-    """NJ join sharded across worker processes (shared-nothing execution).
-
-    The operator hash-partitions both inputs on the equi-join key, runs the
-    unchanged NJ window pipeline per shard in a process pool and merges the
-    shard outputs in canonical order (:mod:`repro.parallel.batch`).  The
-    planner instantiates it instead of :class:`NJJoinOperator` when the
-    state-size cost model says the join is large enough to amortise process
-    start-up; ``EXPLAIN`` renders it with a ``[parallel n=K]`` marker.
-    """
-
-    label = "ParallelNJJoin"
-    joins = BATCH_JOINS
-
-    def __init__(
-        self,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        kind: JoinKind,
-        on: tuple[tuple[str, str], ...],
-        events,
-        workers: int,
-    ) -> None:
-        super().__init__(left, right, kind, on, events)
-        if workers < 2:
-            raise PlanError("a parallel join needs at least two workers")
-        if not on:
-            raise PlanError("a parallel join requires an equi-join condition")
-        #: Read by EXPLAIN to render the ``[parallel n=K]`` annotation.
-        self.parallel_workers = workers
-        self.last_result = None
-
-    def estimated_cost(self) -> float:
-        # The NJ work divided across workers, plus a merge/serialization toll.
-        left = self._left.estimated_cost()
-        right = self._right.estimated_cost()
-        serial = left + right + (left + right)
-        return serial / self.parallel_workers + 0.1 * (left + right)
-
-    def _produce(self) -> Iterator[TPTuple]:
-        from ..parallel.batch import parallel_tp_join
-
-        left_relation = self._materialise(self._left, "left")
-        right_relation = self._materialise(self._right, "right")
-        self.last_result = parallel_tp_join(
-            self._kind.value,
-            left_relation,
-            right_relation,
-            self._on,
-            workers=self.parallel_workers,
-            compute_probabilities=False,
-        )
-        yield from self.last_result.relation
-
-
 class TAJoinOperator(_JoinOperatorBase):
     """TP join evaluated with the Temporal Alignment baseline."""
 

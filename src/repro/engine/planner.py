@@ -41,7 +41,6 @@ from .logical import (
 )
 from .physical import (
     FilterOperator,
-    ParallelNJJoinOperator,
     ProjectOperator,
     ScanOperator,
     TimesliceOperator,
@@ -58,8 +57,9 @@ class PlannerConfig:
     #: Execution knobs handed to continuous (stream) joins; ``None`` means
     #: single-partition inline execution.
     stream_config: Optional[ExecutionOptions] = None
-    #: Shard-planner knobs for process-parallel batch joins; ``None`` (the
-    #: default) disables parallel planning and every join runs serially.
+    #: Partition-planner knobs for stream-join stages; ``None`` (the
+    #: default) gives every stage ``stream_config.partitions``.  Joins of
+    #: stored relations always run serially.
     parallel: Optional[ParallelConfig] = None
 
 
@@ -176,21 +176,11 @@ class Planner:
                         )
                 return self._dataflow_join(plan)
             strategy = self.resolve_strategy(plan.strategy)
-            workers = self._parallel_workers(plan, strategy)
             left_operator = self._physicalise(plan.left)
             right_operator = self._physicalise(plan.right)
             on = self._resolve_on(
                 plan.on, left_operator.output_schema(), right_operator.output_schema()
             )
-            if workers > 1:
-                return ParallelNJJoinOperator(
-                    left_operator,
-                    right_operator,
-                    plan.kind,
-                    on,
-                    self._merged_events(plan),
-                    workers,
-                )
             return join_operator_for(
                 strategy,
                 left_operator,
@@ -200,34 +190,6 @@ class Planner:
                 self._merged_events(plan),
             )
         raise PlanError(f"unsupported logical node {type(plan).__name__}")
-
-    def _parallel_workers(self, plan: TPJoin, strategy: JoinStrategy) -> int:
-        """Partition count for a stored-relation TP join (1 means serial).
-
-        Parallel plans are considered only when the planner was configured
-        with a :class:`~repro.parallel.plan.ParallelConfig`, the join runs
-        the NJ pipeline (TA and the naive oracle are baselines measured
-        as-is) and an equi-θ provides a partitioning key.  The count comes
-        from the catalog's state-size estimate (open positives × matches).
-        """
-        if self._config.parallel is None or strategy is not JoinStrategy.NJ:
-            return 1
-        if not plan.on:
-            return 1
-        from .logical import find_scans
-
-        left_scans = find_scans(plan.left)
-        right_scans = find_scans(plan.right)
-        if not left_scans or not right_scans:
-            return 1
-        state, left_cardinality, right_distinct = self._catalog.join_state_estimate(
-            [scan.relation_name for scan in left_scans],
-            [scan.relation_name for scan in right_scans],
-            plan.on,
-        )
-        return choose_partitions(
-            state, left_cardinality, self._config.parallel, distinct_keys=right_distinct
-        )
 
     @staticmethod
     def _resolve_reference(schema, name: str) -> str:

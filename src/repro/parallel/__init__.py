@@ -1,24 +1,22 @@
-"""Shared-nothing parallel execution across worker processes.
+"""Key-partitioned parallelism: the cost model, the codecs, the batch name.
 
 The temporal-probabilistic window and probability computations are CPU-bound
-pure Python, so thread parallelism is GIL-capped at one core.  This package
-shards work across *processes* instead, for both batch and continuous TP
-queries:
+pure Python, so thread parallelism is GIL-capped at one core.  Running a
+join on K processes is one thing: a K-partition stream query on the runtime
+(``StreamQuery(..., ExecutionOptions(partitions=K, transport="sockets"))``).
+This package holds what that path and its batch-shaped name share:
 
-* :mod:`repro.parallel.plan` — hash partitioning on the equi-join key and
-  the state-size cost model (open positives × matches) that picks partition
-  counts.
+* :mod:`repro.parallel.plan` — :class:`ParallelConfig` and the state-size
+  cost model (open positives × matches) that sizes stream-join stages.
 * :mod:`repro.parallel.serialize` — compact codecs for tuples, lineages and
-  stream elements, plus per-shard event-space restriction, so IPC volume
-  scales with shard size.
-* :mod:`repro.parallel.pool` — the worker-pool runtime (fork when
-  available, inline fallback when processes cannot start).
+  stream elements, which the process and socket transports ship.
 * :mod:`repro.parallel.batch` — :func:`parallel_tp_join`: any Table II join
-  executed shard-wise with an order-stable canonical merge.
+  on relations, serial for one worker and a K-partition stream query for
+  more, returned in the canonical order of :func:`canonical_order`.
 
 Correctness invariant: with an equi-θ, every window of a tuple derives only
-from tuples sharing its join key, so key-disjoint shards never interact and
-shard outputs merge without reconciliation.
+from tuples sharing its join key, so key-disjoint partitions never interact
+and their outputs merge without reconciliation.
 """
 
 from .batch import (
@@ -26,20 +24,13 @@ from .batch import (
     ParallelJoinResult,
     canonical_order,
     parallel_tp_join,
-    plan_workers,
 )
 from .plan import (
     DEFAULT_MAX_WORKERS,
     ParallelConfig,
-    balanced_key_assignment,
     choose_partitions,
     estimate_join_state,
-    partition_pair,
-    partition_tuples,
-    shardable,
-    stable_hash,
 )
-from .pool import imap_tasks, run_tasks
 from .serialize import (
     decode_lineage,
     decode_tagged,
@@ -49,7 +40,6 @@ from .serialize import (
     encode_tagged,
     encode_tuple,
     encode_tuples,
-    restricted_probabilities,
 )
 
 __all__ = [
@@ -57,7 +47,6 @@ __all__ = [
     "DEFAULT_MAX_WORKERS",
     "ParallelConfig",
     "ParallelJoinResult",
-    "balanced_key_assignment",
     "canonical_order",
     "choose_partitions",
     "decode_lineage",
@@ -69,13 +58,5 @@ __all__ = [
     "encode_tuple",
     "encode_tuples",
     "estimate_join_state",
-    "imap_tasks",
     "parallel_tp_join",
-    "partition_pair",
-    "partition_tuples",
-    "plan_workers",
-    "restricted_probabilities",
-    "run_tasks",
-    "shardable",
-    "stable_hash",
 ]

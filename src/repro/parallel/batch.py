@@ -1,22 +1,18 @@
-"""Shared-nothing parallel execution of batch TP set operations.
+"""Batch TP joins on K processes, and the canonical output order.
 
-:func:`parallel_tp_join` evaluates any of the paper's TP joins (Table II) by
-
-1. **planning** — choosing a partition count from the state-size cost model
-   (or honouring an explicit one) and hash-partitioning both inputs on the
-   equi-join key (:mod:`repro.parallel.plan`);
-2. **executing** — shipping each shard, compactly serialized with only the
-   slice of the event space its lineages mention, to a worker process that
-   runs the unchanged window pipeline (overlap join → LAWAU → LAWAN →
-   lineage → probability) on its shard alone (:mod:`repro.parallel.pool`);
-3. **merging** — decoding shard outputs and producing them in the canonical
-   deterministic order, so the result is identical tuple-for-tuple across
-   any partition count, including the serial fallback.
+:func:`parallel_tp_join` evaluates any of the paper's TP joins (Table II).
+One worker runs the serial batch join.  K workers replay both relations in
+event-time order into a K-partition :class:`~repro.stream.StreamQuery` on
+the sockets transport: the runtime routes every tuple by the stable hash of
+its join key, each seat runs the unchanged window pipeline (overlap join →
+LAWAU → LAWAN → lineage → probability) on its key slice, and the settled
+output is returned in the canonical order, so the result is identical
+tuple-for-tuple to the serial join for any partition count.
 
 Correctness rests on the shared-nothing property of equi-θ TP joins: every
 window of a tuple is derived exclusively from tuples with the same join key,
-so key-disjoint shards never interact.  Non-equi conditions (and the
-always-true θ, whose single key defeats partitioning) run serially.
+so key-disjoint partitions never interact.  A join without an equality
+condition has no key to route by and runs on one worker.
 """
 
 from __future__ import annotations
@@ -24,24 +20,18 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import groupby
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from ..core.joins import BATCH_JOINS, join_output_schema
-from ..relation import Schema, TPRelation, TPTuple, theta_or_true
-from .plan import (
-    ParallelConfig,
-    choose_partitions,
-    estimate_join_state,
-    partition_pair,
-    shardable,
-)
-from .pool import imap_tasks
-from .serialize import (
-    decode_tuples,
-    encode_tuples,
-    events_from_probabilities,
-    restricted_probabilities,
-)
+from ..core.joins import BATCH_JOINS
+from ..relation import TPRelation, TPTuple, theta_or_true
+
+#: Elements per micro-batch, and events per source watermark, of a K-worker
+#: run.  A batch replay has no emit latency to keep, so one watermark per
+#: micro-batch cuts the per-frame and finalisation-sweep cost: at WebKit
+#: 64000 ``left_outer`` on two seats of a 2-CPU host a call took a median
+#: 7.4 s, against 9.5 s with the streaming defaults (64 and 8).
+_REPLAY_BATCH = 1024
+
 
 @dataclass(frozen=True)
 class ParallelJoinResult:
@@ -49,13 +39,11 @@ class ParallelJoinResult:
 
     relation: TPRelation
     workers: int
-    shard_input_sizes: tuple[tuple[int, int], ...]
-    shard_output_sizes: tuple[int, ...]
     elapsed_seconds: float
 
     @property
     def ran_parallel(self) -> bool:
-        """Whether the run actually fanned out to more than one shard."""
+        """Whether the run actually fanned out to more than one partition."""
         return self.workers > 1
 
 
@@ -80,69 +68,15 @@ def canonical_order(tuples: Sequence[TPTuple]) -> List[TPTuple]:
     return ordered
 
 
-def _shard_worker(task: tuple) -> List[tuple]:
-    """Execute one shard's join in a worker process (module-level: picklable)."""
-    (
-        kind,
-        left_attributes,
-        right_attributes,
-        left_name,
-        right_name,
-        on,
-        left_codes,
-        right_codes,
-        probabilities,
-        compute_probabilities,
-    ) = task
-    events = events_from_probabilities(probabilities)
-    left = TPRelation(
-        Schema(tuple(left_attributes)),
-        decode_tuples(left_codes),
-        events,
-        name=left_name,
-        check_constraint=False,
-    )
-    right = TPRelation(
-        Schema(tuple(right_attributes)),
-        decode_tuples(right_codes),
-        events,
-        name=right_name,
-        check_constraint=False,
-    )
-    theta = theta_or_true(left.schema, right.schema, on)
-    result = BATCH_JOINS[kind](
-        left, right, theta, compute_probabilities=compute_probabilities
-    )
-    return encode_tuples(result)
-
-
-def plan_workers(
-    kind: str,
-    left: TPRelation,
-    right: TPRelation,
-    on: Sequence[tuple[str, str]],
-    config: ParallelConfig | None = None,
-) -> int:
-    """Choose the partition count for a join via the state-size cost model."""
-    theta = theta_or_true(left.schema, right.schema, on)
-    if not shardable(theta):
-        return 1
-    key_attribute = on[0][1]
-    distinct = len(set(right.attribute_values(key_attribute))) if len(right) else 1
-    state = estimate_join_state(len(left), len(right), distinct)
-    return choose_partitions(state, len(left), config, distinct_keys=distinct)
-
-
 def parallel_tp_join(
     kind: str,
     left: TPRelation,
     right: TPRelation,
     on: Sequence[tuple[str, str]] = (),
-    workers: Optional[int] = None,
-    config: ParallelConfig | None = None,
+    workers: int = 1,
     compute_probabilities: bool = True,
 ) -> ParallelJoinResult:
-    """Evaluate a TP join across shared-nothing worker processes.
+    """Evaluate a TP join on ``workers`` key-partitioned processes.
 
     Args:
         kind: one of ``anti`` / ``left_outer`` / ``right_outer`` /
@@ -150,12 +84,11 @@ def parallel_tp_join(
         left, right: the input relations (``left`` is the positive relation
             for anti and left outer joins, as in the batch operators).
         on: ``(left_attr, right_attr)`` equality pairs; an empty θ means a
-            pure temporal join, which cannot be sharded and runs serially.
-        workers: explicit partition count; ``None`` lets the state-size
-            cost model decide (see :func:`plan_workers`).
-        config: cost-model knobs used when ``workers`` is ``None``.
-        compute_probabilities: materialise output probabilities inside the
-            workers (the CPU-bound part that scales with cores).
+            pure temporal join, which has no key and runs on one worker.
+        workers: the partition count; ``1`` runs the serial batch join, more
+            run a ``StreamQuery`` with that many socket seats.
+        compute_probabilities: materialise output probabilities (inside the
+            seats when ``workers > 1``).
 
     Returns:
         :class:`ParallelJoinResult` whose relation holds the canonical-order
@@ -163,76 +96,42 @@ def parallel_tp_join(
     """
     if kind not in BATCH_JOINS:
         raise ValueError(f"unknown join kind {kind!r}; supported: {sorted(BATCH_JOINS)}")
-    theta = theta_or_true(left.schema, right.schema, tuple(on))
-    if workers is None:
-        workers = plan_workers(kind, left, right, tuple(on), config)
     if workers <= 0:
         raise ValueError("workers must be positive")
-    if workers > 1 and not shardable(theta):
-        workers = 1
-
     started = time.perf_counter()
     if workers == 1:
-        serial = BATCH_JOINS[kind](
+        theta = theta_or_true(left.schema, right.schema, tuple(on))
+        result = BATCH_JOINS[kind](
             left, right, theta, compute_probabilities=compute_probabilities
         )
-        relation = TPRelation(
-            serial.schema,
-            canonical_order(serial.tuples),
-            serial.events,
-            name=serial.name,
-            check_constraint=False,
-        )
-        return ParallelJoinResult(
-            relation=relation,
-            workers=1,
-            shard_input_sizes=((len(left), len(right)),),
-            shard_output_sizes=(len(relation),),
-            elapsed_seconds=time.perf_counter() - started,
-        )
+    else:
+        from ..datasets import ReplayConfig, stream_def
+        from ..engine import Catalog
+        from ..options import ExecutionOptions
+        from ..stream import StreamQuery
 
-    left_shards, right_shards = partition_pair(
-        left.tuples, right.tuples, theta, workers
-    )
-    events = left.events.merge(right.events)
-    left_name = left.name or "r"
-    right_name = right.name or "s"
-    tasks = []
-    for left_shard, right_shard in zip(left_shards, right_shards):
-        tasks.append(
-            (
-                kind,
-                left.schema.attributes,
-                right.schema.attributes,
-                left_name,
-                right_name,
-                tuple(on),
-                encode_tuples(left_shard),
-                encode_tuples(right_shard),
-                restricted_probabilities(events, [*left_shard, *right_shard]),
-                compute_probabilities,
-            )
+        # The right name prefixes clashing output attributes, as in the
+        # serial join; the left name only has to differ from it.
+        right_name = right.name or "s"
+        left_name = "r" if right_name != "r" else "l"
+        catalog = Catalog()
+        replay = ReplayConfig(watermark_every=_REPLAY_BATCH)
+        catalog.register_stream(left_name, stream_def(left, replay, name=left_name))
+        catalog.register_stream(right_name, stream_def(right, replay, name=right_name))
+        options = ExecutionOptions(
+            partitions=workers,
+            transport="sockets",
+            micro_batch_size=_REPLAY_BATCH,
+            materialize_probabilities=compute_probabilities,
         )
-    # imap (not map) so each shard's output is decoded while later shards
-    # are still computing — the decode cost hides behind worker compute.
-    merged: List[TPTuple] = []
-    shard_output_sizes: List[int] = []
-    for codes in imap_tasks(_shard_worker, tasks, workers):
-        shard_output_sizes.append(len(codes))
-        merged.extend(decode_tuples(codes))
+        query = StreamQuery(catalog, kind, left_name, right_name, on, options)
+        workers = query.effective_partitions
+        result = query.run().relation
     relation = TPRelation(
-        join_output_schema(kind, left.schema, right.schema, right_name),
-        canonical_order(merged),
-        events,
-        name=f"{left_name} {kind} {right_name} [parallel n={workers}]",
+        result.schema,
+        canonical_order(result.tuples),
+        result.events,
+        name=result.name,
         check_constraint=False,
     )
-    return ParallelJoinResult(
-        relation=relation,
-        workers=workers,
-        shard_input_sizes=tuple(
-            (len(ls), len(rs)) for ls, rs in zip(left_shards, right_shards)
-        ),
-        shard_output_sizes=tuple(shard_output_sizes),
-        elapsed_seconds=time.perf_counter() - started,
-    )
+    return ParallelJoinResult(relation, workers, time.perf_counter() - started)

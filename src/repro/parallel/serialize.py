@@ -1,7 +1,7 @@
-"""Compact partition serialization for cross-process shard shipping.
+"""Compact codecs for tuples and stream elements that leave the process.
 
-Shards cross the process boundary many times per query (inputs out, outputs
-back), so the wire format matters.  Pickling the object graph directly works
+The process and socket transports ship every routed element to a worker
+and every settled output back, so the wire format matters.  Pickling the object graph directly works
 — every core type is a picklable dataclass — but ships class metadata and
 per-object headers for each tuple and lineage node.  This module
 flattens everything into nested tuples of primitives instead:
@@ -14,14 +14,14 @@ flattens everything into nested tuples of primitives instead:
 * stream elements become ``("e", side, sequence, tuple_code, clock)`` and
   ``("w", side, value)`` records.
 
-Schemas and event-space restrictions travel as plain tuples/dicts.  Decoding
+Schemas and event probabilities travel as plain tuples/dicts.  Decoding
 rebuilds the exact original values — codecs are inverse bijections, tested
-round-trip — so shard workers operate on full-fidelity TP tuples.
+round-trip — so workers operate on full-fidelity TP tuples.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from ..lineage import FALSE, TRUE, And, EventSpace, LineageExpr, Not, Or, Var
 from ..relation import TPTuple
@@ -245,25 +245,8 @@ def decode_revision_tagged(code: tuple) -> Tagged:
 
 
 # --------------------------------------------------------------------------- #
-# event-space restriction
+# event spaces
 # --------------------------------------------------------------------------- #
-def restricted_probabilities(
-    events: EventSpace, tuples: Sequence[TPTuple]
-) -> Dict[str, float]:
-    """The marginal probabilities a shard needs: the events its lineages mention.
-
-    Shipping the full event space to every worker would make IPC cost grow
-    with the *total* input size instead of the shard size; restricting to the
-    shard's own variables keeps shards genuinely shared-nothing.
-    """
-    needed: Dict[str, float] = {}
-    for tp_tuple in tuples:
-        for name in tp_tuple.lineage.variables():
-            if name not in needed:
-                needed[name] = events.probability(name)
-    return needed
-
-
 def events_from_probabilities(probabilities: Optional[Dict[str, float]]) -> EventSpace:
     """Rebuild an event space from a shipped probability mapping."""
     return EventSpace(probabilities or {})

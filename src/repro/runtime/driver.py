@@ -165,8 +165,8 @@ def run_job(
     """Route the merged source edges into a session of ``specs`` workers.
 
     Events are hash-routed to the worker owning their join key within the
-    target stage (the stable, ``PYTHONHASHSEED``-independent hash shared
-    with the batch shard planner), watermarks are broadcast to every
+    target stage (the stable, ``PYTHONHASHSEED``-independent
+    :func:`repro.relation.stable_key_hash`), watermarks are broadcast to every
     partition of the stage, per-worker element order is preserved by the
     transport's FIFO channels, and the bounded inboxes (one micro-batch
     each) backpressure this loop.  Ingest clocks are stamped before an

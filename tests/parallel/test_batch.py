@@ -1,4 +1,4 @@
-"""Parallel batch joins: equality with serial runs, fallbacks, metadata."""
+"""Parallel batch joins: equality with serial runs and fallbacks."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro.core import (
     tp_left_outer_join,
     tp_right_outer_join,
 )
-from repro.parallel import ParallelConfig, canonical_order, parallel_tp_join, plan_workers
+from repro.parallel import canonical_order, parallel_tp_join
 from repro.relation import PredicateCondition
 from tests.conftest import canonical_rows, make_random_relations
 
@@ -33,12 +33,22 @@ def tuple_rows(relation, with_probability=True):
     ]
 
 
+@pytest.mark.parametrize("probabilities", [True, False])
+@pytest.mark.parametrize("workers", [2, 3, 4])
 @pytest.mark.parametrize("kind", sorted(SERIAL_JOINS))
-def test_parallel_join_matches_serial_for_every_kind(kind):
+def test_parallel_join_matches_serial_for_every_kind(kind, workers, probabilities):
     left, right, theta = make_random_relations(seed=11, left_size=24, right_size=24)
-    serial = SERIAL_JOINS[kind](left, right, theta, compute_probabilities=True)
-    result = parallel_tp_join(kind, left, right, [("Key", "Key")], workers=3)
-    assert result.workers == 3
+    serial = SERIAL_JOINS[kind](left, right, theta, compute_probabilities=probabilities)
+    result = parallel_tp_join(
+        kind,
+        left,
+        right,
+        [("Key", "Key")],
+        workers=workers,
+        compute_probabilities=probabilities,
+    )
+    assert result.workers == workers
+    assert result.relation.schema == serial.schema
     assert tuple_rows(result.relation) == tuple_rows(serial)
 
 
@@ -55,6 +65,7 @@ def test_workers_one_is_canonically_ordered_serial_run():
     serial = tp_anti_join(left, right, theta)
     assert result.workers == 1
     assert not result.ran_parallel
+    assert parallel_tp_join("anti", left, right, [("Key", "Key")]).workers == 1
     assert [t.key() for t in result.relation] == [t.key() for t in canonical_order(serial.tuples)]
 
 
@@ -74,36 +85,3 @@ def test_unknown_kind_and_bad_workers_are_rejected():
         parallel_tp_join("semi", left, right, [("Key", "Key")])
     with pytest.raises(ValueError):
         parallel_tp_join("anti", left, right, [("Key", "Key")], workers=0)
-
-
-def test_shard_metadata_accounts_for_every_tuple():
-    left, right, _theta = make_random_relations(seed=6, left_size=40, right_size=32)
-    result = parallel_tp_join("left_outer", left, right, [("Key", "Key")], workers=4)
-    assert len(result.shard_input_sizes) == 4
-    assert sum(l for l, _ in result.shard_input_sizes) == len(left)
-    assert sum(r for _, r in result.shard_input_sizes) == len(right)
-    assert sum(result.shard_output_sizes) == len(result.relation)
-
-
-def test_plan_workers_uses_cost_model():
-    left, right, _theta = make_random_relations(
-        seed=8, left_size=60, right_size=60, num_keys=8
-    )
-    eager = ParallelConfig(max_workers=4, state_per_worker=10.0, min_tuples=10)
-    lazy = ParallelConfig(max_workers=4, state_per_worker=1e12, min_tuples=10)
-    assert plan_workers("left_outer", left, right, (("Key", "Key"),), eager) == 4
-    assert plan_workers("left_outer", left, right, (("Key", "Key"),), lazy) == 1
-    # Non-shardable θ (no pairs) always plans serial.
-    assert plan_workers("left_outer", left, right, (), eager) == 1
-    # Worker count never exceeds the distinct join keys (one key, one shard).
-    few_keys, few_negatives, _ = make_random_relations(
-        seed=8, left_size=60, right_size=60, num_keys=1
-    )
-    assert plan_workers("left_outer", few_keys, few_negatives, (("Key", "Key"),), eager) == 1
-
-
-def test_cost_model_choice_applied_when_workers_omitted():
-    left, right, _theta = make_random_relations(seed=8, left_size=60, right_size=60)
-    config = ParallelConfig(max_workers=2, state_per_worker=10.0, min_tuples=10)
-    result = parallel_tp_join("anti", left, right, [("Key", "Key")], config=config)
-    assert result.workers == 2

@@ -1,4 +1,4 @@
-"""Shard planner tests: stable hashing, co-partitioning, cost model."""
+"""Partition planner tests: stable key hashing and the state-size cost model."""
 
 from __future__ import annotations
 
@@ -7,24 +7,8 @@ import sys
 
 import pytest
 
-from repro.parallel import (
-    ParallelConfig,
-    choose_partitions,
-    estimate_join_state,
-    partition_pair,
-    partition_tuples,
-    shardable,
-    stable_hash,
-)
-from repro.relation import (
-    EquiJoinCondition,
-    PredicateCondition,
-    Schema,
-    TPTuple,
-    TrueCondition,
-)
-from repro.temporal import Interval
-from tests.conftest import make_random_relations
+from repro.parallel import ParallelConfig, choose_partitions, estimate_join_state
+from repro.relation import stable_key_hash
 
 
 def test_stable_hash_is_stable_across_interpreter_processes():
@@ -35,8 +19,8 @@ def test_stable_hash_is_stable_across_interpreter_processes():
             [
                 sys.executable,
                 "-c",
-                "from repro.parallel import stable_hash; "
-                "print(stable_hash(('ZAK', 3)))",
+                "from repro.relation import stable_key_hash; "
+                "print(stable_key_hash(('ZAK', 3)))",
             ],
             capture_output=True,
             text=True,
@@ -44,72 +28,7 @@ def test_stable_hash_is_stable_across_interpreter_processes():
             env={"PYTHONPATH": "src", "PYTHONHASHSEED": "random"},
         )
         values.append(output.stdout.strip())
-    assert values[0] == values[1] == str(stable_hash(("ZAK", 3)))
-
-
-def test_partition_tuples_preserves_per_shard_order_and_covers_all():
-    left, _right, theta = make_random_relations(seed=5, left_size=40)
-    shards = partition_tuples(left.tuples, theta.left_key, 4)
-    assert sum(len(shard) for shard in shards) == len(left)
-    # Within a shard, tuples keep their input order.
-    positions = {id(t): i for i, t in enumerate(left.tuples)}
-    for shard in shards:
-        indexes = [positions[id(t)] for t in shard]
-        assert indexes == sorted(indexes)
-
-
-def test_partition_pair_keeps_each_key_in_exactly_one_shard():
-    left, right, theta = make_random_relations(seed=9, left_size=30, right_size=30)
-    left_shards, right_shards = partition_pair(left.tuples, right.tuples, theta, 3)
-    key_shard: dict = {}
-    for index, (left_shard, right_shard) in enumerate(zip(left_shards, right_shards)):
-        for tp_tuple in left_shard:
-            key = theta.left_key(tp_tuple)
-            assert key_shard.setdefault(key, index) == index
-        for tp_tuple in right_shard:
-            key = theta.right_key(tp_tuple)
-            assert key_shard.setdefault(key, index) == index
-    assert sum(len(shard) for shard in left_shards) == len(left)
-    assert sum(len(shard) for shard in right_shards) == len(right)
-
-
-def test_partition_pair_hash_mode_matches_stream_router():
-    left, right, theta = make_random_relations(seed=9, left_size=30, right_size=30)
-    left_shards, right_shards = partition_pair(
-        left.tuples, right.tuples, theta, 3, balance=False
-    )
-    for index, (left_shard, right_shard) in enumerate(zip(left_shards, right_shards)):
-        for tp_tuple in left_shard:
-            assert stable_hash(theta.left_key(tp_tuple)) % 3 == index
-        for tp_tuple in right_shard:
-            assert stable_hash(theta.right_key(tp_tuple)) % 3 == index
-
-
-def test_balanced_assignment_spreads_load_better_than_worst_case():
-    from repro.parallel import balanced_key_assignment
-
-    left, right, theta = make_random_relations(
-        seed=17, left_size=80, right_size=80, num_keys=5
-    )
-    assignment = balanced_key_assignment(left.tuples, right.tuples, theta, 4)
-    assert set(assignment.values()) <= {0, 1, 2, 3}
-    # Deterministic across calls.
-    again = balanced_key_assignment(left.tuples, right.tuples, theta, 4)
-    assert assignment == again
-
-
-def test_partition_pair_rejects_non_equi_theta():
-    left, right, _theta = make_random_relations(seed=1)
-    predicate = PredicateCondition(lambda left, right: True)
-    with pytest.raises(ValueError):
-        partition_pair(left.tuples, right.tuples, predicate, 2)
-
-
-def test_shardable_conditions():
-    schema_l, schema_r = Schema.of("K", "V"), Schema.of("K", "W")
-    assert shardable(EquiJoinCondition(schema_l, schema_r, (("K", "K"),)))
-    assert not shardable(TrueCondition())
-    assert not shardable(PredicateCondition(lambda left, right: True))
+    assert values[0] == values[1] == str(stable_key_hash(("ZAK", 3)))
 
 
 def test_estimate_join_state_uses_key_selectivity():
@@ -147,11 +66,12 @@ def test_stable_hash_is_equality_invariant_across_numeric_types():
     from decimal import Decimal
     from fractions import Fraction
 
-    assert stable_hash((1,)) == stable_hash((1.0,)) == stable_hash((True,))
-    assert stable_hash((1,)) == stable_hash((Decimal(1),)) == stable_hash((Fraction(1),))
-    assert stable_hash(("ZAK", 2)) == stable_hash(("ZAK", 2.0))
+    one = stable_key_hash((1,))
+    assert one == stable_key_hash((1.0,)) == stable_key_hash((True,))
+    assert one == stable_key_hash((Decimal(1),)) == stable_key_hash((Fraction(1),))
+    assert stable_key_hash(("ZAK", 2)) == stable_key_hash(("ZAK", 2.0))
     # And stays discriminating for genuinely different keys.
-    assert stable_hash((1,)) != stable_hash((2,))
+    assert stable_key_hash((1,)) != stable_key_hash((2,))
 
 
 def test_cross_type_equal_keys_join_identically_in_parallel():
@@ -176,9 +96,3 @@ def test_cross_type_equal_keys_join_identically_in_parallel():
     for workers in (2, 4):
         result = parallel_tp_join("left_outer", left, right, [("K", "K")], workers=workers)
         assert canonical_rows(result.relation) == canonical_rows(serial)
-
-
-def test_partition_tuples_rejects_nonpositive_counts():
-    tuples = [TPTuple(("x",), None, Interval(0, 1))]
-    with pytest.raises(ValueError):
-        partition_tuples(tuples, lambda t: t.fact, 0)

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.lineage import FALSE, TRUE, EventSpace, Var, lineage_and, lineage_not, lineage_or
+from repro.lineage import FALSE, TRUE, Var, lineage_and, lineage_not, lineage_or
 from repro.parallel import (
     decode_lineage,
     decode_tagged,
@@ -16,7 +16,6 @@ from repro.parallel import (
     encode_tagged,
     encode_tuple,
     encode_tuples,
-    restricted_probabilities,
 )
 from repro.relation import TPTuple
 from repro.stream import CLOSED, LEFT, RIGHT, StreamEvent, Tagged, Watermark
@@ -80,15 +79,6 @@ def test_tagged_watermark_roundtrip_including_closed():
         assert decoded.side == RIGHT
         assert decoded.element.value == value
         assert decoded.ingest_clock is None
-
-
-def test_restricted_probabilities_only_ships_mentioned_events():
-    events = EventSpace({"a1": 0.5, "a2": 0.6, "b1": 0.7})
-    tuples = [
-        TPTuple(("x",), lineage_and(Var("a1"), lineage_not(Var("b1"))), Interval(0, 2))
-    ]
-    shipped = restricted_probabilities(events, tuples)
-    assert shipped == {"a1": 0.5, "b1": 0.7}
 
 
 def _windows_of_one_positive() -> list:

@@ -1,10 +1,10 @@
 """Property-based shard determinism: parallel ≡ serial across 1/2/4 shards.
 
 Hypothesis generates random constraint-valid TP relation pairs; for every
-generated workload the hash-partitioned runs (batch process pool, stream
-thread partitions, stream process partitions) must produce output
-**tuple-for-tuple equal** — in canonical order — to the single-process run,
-for partition counts 1, 2 and 4.
+generated workload the hash-partitioned runs (``parallel_tp_join`` on socket
+seats, stream thread partitions, stream process and socket partitions) must
+produce output **tuple-for-tuple equal** — in canonical order — to the
+single-process run, for partition counts 1, 2 and 4.
 """
 
 from __future__ import annotations
@@ -41,18 +41,25 @@ def identity_rows(tuples, with_probability):
 
 
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(workloads, st.sampled_from(["anti", "left_outer"]))
-def test_batch_parallel_equals_serial_across_partition_counts(workload, kind):
+@given(workloads, st.sampled_from(["anti", "left_outer"]), st.booleans())
+def test_batch_parallel_equals_serial_across_partition_counts(
+    workload, kind, probabilities
+):
     seed, left_size, right_size, keys = workload
     left, right, theta = make_random_relations(
         seed=seed, left_size=left_size, right_size=right_size, num_keys=keys
     )
     serial_join = tp_anti_join if kind == "anti" else tp_left_outer_join
-    serial = serial_join(left, right, theta, compute_probabilities=True)
+    serial = serial_join(left, right, theta, compute_probabilities=probabilities)
     expected = identity_rows(serial, with_probability=True)
     for partitions in PARTITION_COUNTS:
         result = parallel_tp_join(
-            kind, left, right, [("Key", "Key")], workers=partitions
+            kind,
+            left,
+            right,
+            [("Key", "Key")],
+            workers=partitions,
+            compute_probabilities=probabilities,
         )
         assert identity_rows(result.relation, with_probability=True) == expected, (
             f"kind={kind} partitions={partitions} diverged"
