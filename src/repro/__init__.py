@@ -78,7 +78,7 @@ from .lineage import (
 )
 from .dataflow import DataflowQuery, NodeSpec, Revision, RevisionKind
 from .options import ExecutionOptions
-from .parallel import ParallelConfig, parallel_tp_join
+from .parallel import parallel_tp_join
 from .recovery import RecoveryEvent
 from .relation import (
     EquiJoinCondition,
@@ -112,7 +112,6 @@ __all__ = [
     "RevisionKind",
     "LineageExpr",
     "MonteCarloEstimator",
-    "ParallelConfig",
     "PredicateCondition",
     "ProbabilityComputer",
     "RecoveryEvent",

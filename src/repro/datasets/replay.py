@@ -114,21 +114,12 @@ def stream_def(
             name=label,
         )
 
-    # A replay stream knows its content exactly: record the cardinality and
-    # per-attribute key selectivity so the partition planner can size
-    # per-stage worker counts (live sources would estimate these instead).
-    distinct_counts = {
-        attribute: len({tp_tuple.fact[index] for tp_tuple in relation})
-        for index, attribute in enumerate(relation.schema.attributes)
-    }
     return StreamDef(
         schema=relation.schema,
         events=relation.events,
         replay=fresh_replay,
         name=label,
-        stats=StreamStats(
-            cardinality=len(relation), attribute_distinct_counts=distinct_counts
-        ),
+        stats=StreamStats(cardinality=len(relation)),
     )
 
 

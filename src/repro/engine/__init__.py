@@ -1,6 +1,6 @@
 """Pipelined query engine: catalog, plans, planner, executor and SQL front end."""
 
-from .catalog import Catalog, RelationStats
+from .catalog import Catalog
 from .continuous import ContinuousScanOperator, DataflowJoinOperator
 from .errors import CatalogError, EngineError, PlanError, SQLSyntaxError
 from .executor import Engine, execute_sql
@@ -53,7 +53,6 @@ __all__ = [
     "PlannerConfig",
     "Project",
     "ProjectOperator",
-    "RelationStats",
     "SQLSyntaxError",
     "Scan",
     "ScanOperator",

@@ -50,10 +50,6 @@ class ContinuousScanOperator(PhysicalOperator):
     def describe(self) -> str:
         return f"ContinuousScan {self._label} (watermarked replay)"
 
-    def estimated_cost(self) -> float:
-        # Stream cardinality is unknown to the planner by definition.
-        return 1.0
-
     def _produce(self) -> Iterator[TPTuple]:
         for element in self._stream_def.replay():
             if isinstance(element, StreamEvent):
@@ -133,9 +129,6 @@ class DataflowJoinOperator(PhysicalOperator):
             f"DataflowJoin [{chain}] sink={graph.sink}{parts} "
             f"({mode}, workers={self.dataflow_transport})"
         )
-
-    def estimated_cost(self) -> float:
-        return float(len(self._scans))
 
     def _produce(self) -> Iterator[TPTuple]:
         self.last_result = self._query.run()

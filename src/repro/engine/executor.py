@@ -15,12 +15,11 @@ from typing import Sequence
 
 from ..dataflow import DataflowQuery
 from ..options import ExecutionOptions
-from ..parallel.plan import ParallelConfig
 from ..relation import TPRelation
 from ..stream import StreamDef, StreamQuery
 from .catalog import Catalog
 from .explain import explain_logical, explain_physical
-from .logical import JoinStrategy, LogicalPlan
+from .logical import LogicalPlan
 from .planner import Planner, PlannerConfig, merged_event_space
 from .sql import parse_query
 
@@ -31,27 +30,14 @@ class Engine:
     ``options`` is the one execution-knob surface
     (:class:`repro.ExecutionOptions`): transport, placement, partitions,
     telemetry and the recovery knobs, applied to every continuous,
-    dataflow and planner-routed stream query the engine runs.
-    ``parallel_config`` keeps the planner *policy* knobs (worker ceiling,
-    state-size targets) that size stream-join stages; joins of stored
-    relations always run serially.
+    dataflow and planner-routed stream query the engine runs.  Joins of
+    stored relations run serially with NJ unless a query pins another
+    strategy (``USING TA`` / ``USING NAIVE``).
     """
 
-    def __init__(
-        self,
-        default_strategy: JoinStrategy = JoinStrategy.NJ,
-        parallel_config: ParallelConfig | None = None,
-        options: ExecutionOptions | None = None,
-    ) -> None:
+    def __init__(self, options: ExecutionOptions | None = None) -> None:
         self._catalog = Catalog()
-        self._planner = Planner(
-            self._catalog,
-            PlannerConfig(
-                default_strategy=default_strategy,
-                stream_config=options,
-                parallel=parallel_config,
-            ),
-        )
+        self._planner = Planner(self._catalog, PlannerConfig(stream_config=options))
         self._options = options
 
     # ------------------------------------------------------------------ #
@@ -145,11 +131,10 @@ class Engine:
 def execute_sql(
     sql: str,
     relations: dict[str, TPRelation],
-    default_strategy: JoinStrategy = JoinStrategy.NJ,
     compute_probabilities: bool = True,
 ) -> TPRelation:
     """One-shot convenience: build an engine, register ``relations``, run ``sql``."""
-    engine = Engine(default_strategy=default_strategy)
+    engine = Engine()
     for name, relation in relations.items():
         engine.register(name, relation)
     return engine.execute_sql(sql, compute_probabilities=compute_probabilities)

@@ -1,21 +1,22 @@
 """EXPLAIN output for logical and physical plans.
 
-Continuous (stream-backed) operators are rendered with a ``[continuous]``
-marker instead of a cost estimate: their inputs are unbounded, so a
-cardinality-based cost is meaningless — progress is driven by watermarks,
-not by cardinalities.
+EXPLAIN shows operators, one per line, and no costs: the planner decides by
+rule (:mod:`repro.engine.planner`), so there is no estimate to show.
+Continuous (stream-backed) operators carry a ``[continuous]`` marker: their
+inputs are unbounded and progress is driven by watermarks.
 
 Joins of stored relations always run serially.  Every stream join
 tree — one join or a chain — is one compiled dataflow graph and carries
 ``[dataflow k-node]``, read from ``dataflow_nodes``; when any node runs
-more than one partition (``ExecutionOptions.partitions``, or the partition
-planner's per-stage choice) the marker grows the per-node degrees as
-``[dataflow k-node, parts=K1/K2/...]`` from ``dataflow_partitions``.  A
-plan whose run leaves the process (``processes`` or ``sockets``) renders
-the transport too — ``[dataflow k-node, parts=..., transport=sockets]``,
-read from ``dataflow_transport``, which is the transport the run uses: a
-one-worker plan runs inline whatever ``ExecutionOptions.transport`` says,
-so it renders none.  Standing queries served through
+more than one partition (``ExecutionOptions.partitions`` on every node with
+an equi-θ, or a hand-built ``NodeSpec.partitions``) the marker grows the
+per-node degrees as ``[dataflow k-node, parts=K1/K2/...]`` from
+``dataflow_partitions``.  A plan whose run leaves the process
+(``processes`` or ``sockets``) renders the transport too —
+``[dataflow k-node, parts=..., transport=sockets]``, read from
+``dataflow_transport``, which is the transport the run uses: a one-worker
+plan runs inline whatever ``ExecutionOptions.transport`` says, so it
+renders none.  Standing queries served through
 :class:`repro.serve.StandingQueryService` mark subplans shared with other
 standing queries as ``shared=n1/n2`` (read from ``dataflow_shared``): those
 nodes execute once per plan group, not once per query.  Plans whose config
@@ -49,17 +50,16 @@ def _render_logical(plan: LogicalPlan, depth: int, lines: list[str]) -> None:
 
 
 def explain_physical(operator: PhysicalOperator) -> str:
-    """Render a physical plan as an indented tree with cost estimates."""
+    """Render a physical plan as an indented tree, markers after each line."""
     lines: list[str] = []
     _render_physical(operator, 0, lines)
     return "\n".join(lines)
 
 
 def _render_physical(operator: PhysicalOperator, depth: int, lines: list[str]) -> None:
+    markers: list[str] = []
     if getattr(operator, "is_continuous", False):
-        annotation = "[continuous]"
-    else:
-        annotation = f"(cost≈{operator.estimated_cost():.0f})"
+        markers.append("[continuous]")
     dataflow_nodes = getattr(operator, "dataflow_nodes", 0)
     if dataflow_nodes:
         details = [f"dataflow {dataflow_nodes}-node"]
@@ -72,18 +72,19 @@ def _render_physical(operator: PhysicalOperator, depth: int, lines: list[str]) -
         shared = getattr(operator, "dataflow_shared", ())
         if shared:
             details.append("shared=" + "/".join(shared))
-        annotation += f" [{', '.join(details)}]"
+        markers.append(f"[{', '.join(details)}]")
     trace_rate = getattr(operator, "trace_sample_rate", None)
     if trace_rate is not None:
-        annotation += f" [traced rate={trace_rate:g}]"
+        markers.append(f"[traced rate={trace_rate:g}]")
     if getattr(operator, "recoverable", False):
         interval = getattr(operator, "recovery_checkpoint_interval", None)
         mode = f"ckpt={interval:g}s" if interval is not None else "replay-from-zero"
-        annotation += f" [recoverable {mode}]"
+        markers.append(f"[recoverable {mode}]")
     cause = getattr(operator, "not_recoverable", None)
     if cause is not None:
-        annotation += f" [not recoverable: {cause}]"
-    lines.append("  " * depth + f"{operator.describe()}  {annotation}")
+        markers.append(f"[not recoverable: {cause}]")
+    line = "  " * depth + operator.describe()
+    lines.append(f"{line}  {' '.join(markers)}" if markers else line)
     for child in operator.children():
         _render_physical(child, depth + 1, lines)
 

@@ -96,10 +96,6 @@ class PhysicalOperator:
         """One-line description used by EXPLAIN."""
         return type(self).__name__
 
-    def estimated_cost(self) -> float:
-        """A unit-less cost estimate used by EXPLAIN (not for optimisation)."""
-        return sum(child.estimated_cost() for child in self.children())
-
     def _on_open(self) -> None:
         """Hook for subclass open-time initialisation."""
 

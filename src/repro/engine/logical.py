@@ -147,7 +147,8 @@ def walk(plan: LogicalPlan) -> Sequence[LogicalPlan]:
 
 
 def find_scans(plan: LogicalPlan) -> list[Scan]:
-    """All relation-scan leaves of a plan (used by the planner for statistics)."""
+    """All relation-scan leaves of a plan (their event spaces merge into the
+    result's)."""
     return [node for node in walk(plan) if isinstance(node, Scan)]
 
 

@@ -61,9 +61,6 @@ class ScanOperator(PhysicalOperator):
     def describe(self) -> str:
         return f"Scan {self._label} ({len(self._relation)} tuples)"
 
-    def estimated_cost(self) -> float:
-        return float(len(self._relation))
-
     def _produce(self) -> Iterator[TPTuple]:
         yield from self._relation
 
@@ -204,9 +201,6 @@ class _JoinOperatorBase(PhysicalOperator):
         condition = " AND ".join(f"{left} = {right}" for left, right in self._on) or "true"
         return f"{self.label} [{self._kind.value}] on {condition}"
 
-    def estimated_cost(self) -> float:
-        return self._left.estimated_cost() + self._right.estimated_cost()
-
     def _produce(self) -> Iterator[TPTuple]:
         left = self._materialise(self._left, "left")
         right = self._materialise(self._right, "right")
@@ -222,12 +216,6 @@ class NJJoinOperator(_JoinOperatorBase):
     label = "NJJoin"
     joins = BATCH_JOINS
 
-    def estimated_cost(self) -> float:
-        # NJ: one conventional join plus linear sweeps.
-        left = self._left.estimated_cost()
-        right = self._right.estimated_cost()
-        return left + right + (left + right)
-
 
 class TAJoinOperator(_JoinOperatorBase):
     """TP join evaluated with the Temporal Alignment baseline."""
@@ -235,23 +223,12 @@ class TAJoinOperator(_JoinOperatorBase):
     label = "TAJoin"
     joins = TA_JOINS
 
-    def estimated_cost(self) -> float:
-        # TA: repeated conventional joins with replication → quadratic-ish.
-        left = self._left.estimated_cost()
-        right = self._right.estimated_cost()
-        return left + right + 2.0 * left * max(right, 1.0)
-
 
 class NaiveJoinOperator(_JoinOperatorBase):
     """TP join evaluated with the naive per-time-point oracle (small inputs)."""
 
     label = "NaiveJoin"
     joins = NAIVE_JOINS
-
-    def estimated_cost(self) -> float:
-        left = self._left.estimated_cost()
-        right = self._right.estimated_cost()
-        return left * max(right, 1.0) * 10.0
 
 
 def join_operator_for(

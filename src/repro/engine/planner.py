@@ -1,17 +1,24 @@
 """Rule-based planner: logical plans → physical plans.
 
 The planner mirrors, at small scale, the role of PostgreSQL's
-optimizer in the paper's implementation: it decides which physical join
-operator evaluates a TP join.  The default policy is
+optimizer in the paper's implementation, but decides by rule, not by a
+cost model — one rule per decision:
 
-* honour an explicitly pinned strategy (``USING NJ`` / ``USING TA`` /
-  ``USING NAIVE`` in the SQL front end) — the benchmarks use this to compare
-  the implementations on identical plans;
-* otherwise pick NJ, the paper's approach, unless the planner is constructed
-  with ``prefer_ta=True`` (useful for demonstrating the baseline end-to-end).
+* the join strategy is NJ, the paper's approach, unless the query pins
+  another (``USING NJ`` / ``USING TA`` / ``USING NAIVE`` in the SQL front
+  end) — the benchmarks use this to compare the implementations on
+  identical plans;
+* a stream-join stage with an equi-θ runs ``ExecutionOptions.partitions``
+  workers, and a stage without one runs one worker (it has no key to route
+  by); joins of stored relations run serially;
+* an equality selection above a join of stored relations moves into the
+  input that owns its attribute where that cannot change the answer
+  (Galindo-Legaria & Rosenthal, TODS 1997): a left attribute into anti,
+  inner and left outer joins, a right attribute into inner and right outer
+  joins.  The other kinds pad that input's columns with nulls, or derive
+  the other input's windows from its tuples, so the filter stays above.
 
-Pushing selections below joins is the only rewrite performed; it is enough
-for the example workloads and keeps the planner easy to reason about.
+Pushing selections below joins is the only rewrite performed.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from typing import Optional
 
 from ..core.joins import join_output_schema
 from ..dataflow import NodeSpec
-from ..parallel.plan import ParallelConfig, choose_partitions
 from ..options import ExecutionOptions
 from .catalog import Catalog
 from .continuous import ContinuousScanOperator, DataflowJoinOperator
@@ -50,17 +56,18 @@ from .physical import (
 
 @dataclass(frozen=True)
 class PlannerConfig:
-    """Planner policy knobs."""
+    """What the planner hands to the plans it builds."""
 
-    default_strategy: JoinStrategy = JoinStrategy.NJ
-    push_down_selections: bool = True
     #: Execution knobs handed to continuous (stream) joins; ``None`` means
     #: single-partition inline execution.
     stream_config: Optional[ExecutionOptions] = None
-    #: Partition-planner knobs for stream-join stages; ``None`` (the
-    #: default) gives every stage ``stream_config.partitions``.  Joins of
-    #: stored relations always run serially.
-    parallel: Optional[ParallelConfig] = None
+
+
+#: The kinds a filter on a left (right) attribute may move into the left
+#: (right) input of: that input's columns are never padded with nulls, and
+#: no window of the other input is derived from the tuples it drops.
+_LEFT_PUSHABLE = (JoinKind.ANTI, JoinKind.INNER, JoinKind.LEFT_OUTER)
+_RIGHT_PUSHABLE = (JoinKind.INNER, JoinKind.RIGHT_OUTER)
 
 
 class Planner:
@@ -75,14 +82,12 @@ class Planner:
     # ------------------------------------------------------------------ #
     def plan(self, logical: LogicalPlan) -> PhysicalOperator:
         """Produce the physical plan for a logical plan."""
-        rewritten = self._push_down(logical) if self._config.push_down_selections else logical
-        return self._physicalise(rewritten)
+        return self._physicalise(self._push_down(logical))
 
-    def resolve_strategy(self, requested: JoinStrategy) -> JoinStrategy:
-        """Resolve AUTO to the planner's default strategy."""
-        if requested is JoinStrategy.AUTO:
-            return self._config.default_strategy
-        return requested
+    @staticmethod
+    def resolve_strategy(requested: JoinStrategy) -> JoinStrategy:
+        """Resolve AUTO to NJ; a pinned strategy stays."""
+        return JoinStrategy.NJ if requested is JoinStrategy.AUTO else requested
 
     # ------------------------------------------------------------------ #
     # rewriting
@@ -120,14 +125,14 @@ class Planner:
         # The physical operators own the schema rule (clash prefixes included).
         left_schema = self._physicalise(join.left).output_schema()
         right_schema = self._physicalise(join.right).output_schema()
+        # A clashing right column is prefixed in the output, so a name both
+        # inputs carry means the left one.
         if select.attribute in left_schema:
+            if join.kind not in _LEFT_PUSHABLE:
+                return None
             new_left = Select(join.left, select.attribute, select.value)
             return TPJoin(new_left, join.right, join.kind, join.on, join.strategy)
-        if select.attribute in right_schema and join.kind in (
-            JoinKind.INNER,
-            JoinKind.LEFT_OUTER,
-        ):
-            # Safe only for the sides whose tuples cannot be padded with nulls.
+        if select.attribute in right_schema and join.kind in _RIGHT_PUSHABLE:
             new_right = Select(join.right, select.attribute, select.value)
             return TPJoin(join.left, new_right, join.kind, join.on, join.strategy)
         return None
@@ -262,78 +267,35 @@ class Planner:
 
     def _dataflow_join(self, plan: TPJoin) -> PhysicalOperator:
         """Compile a stream join tree — one join or a chain — into a dataflow
-        graph, one node per join, each with its degree from
-        :meth:`_dataflow_partitions`."""
+        graph, one node per join.  A node with an equi-θ runs
+        ``stream_config.partitions`` workers, one without runs one."""
         nodes: list[NodeSpec] = []
         scans: list[ContinuousScanOperator] = []
+        stream_config = self._config.stream_config
+        degree = 1 if stream_config is None else stream_config.partitions
 
         def build(subtree: LogicalPlan):
             if isinstance(subtree, StreamScan):
                 stream_def = self._catalog.lookup_stream(subtree.stream_name)
                 scans.append(ContinuousScanOperator(stream_def, subtree.stream_name))
-                return subtree.stream_name, stream_def.schema, (subtree.stream_name,)
+                return subtree.stream_name, stream_def.schema
             assert isinstance(subtree, TPJoin)
-            left_name, left_schema, left_streams = build(subtree.left)
-            right_name, right_schema, right_streams = build(subtree.right)
+            left_name, left_schema = build(subtree.left)
+            right_name, right_schema = build(subtree.right)
             name = f"node{len(nodes) + 1}"
             kind = subtree.kind.value
             # Qualified references from chained ON clauses resolve against
             # the accumulated left schema (prefixed name when it clashed,
             # bare name when it never did).
             on = self._resolve_on(subtree.on, left_schema, right_schema)
-            partitions = self._dataflow_partitions(
-                left_streams,
-                right_streams,
-                on,
-                right_is_stream=isinstance(subtree.right, StreamScan),
-            )
+            partitions = degree if on else 1
             nodes.append(
                 NodeSpec(name, kind, left_name, right_name, on, partitions=partitions)
             )
-            return (
-                name,
-                join_output_schema(kind, left_schema, right_schema, right_name),
-                left_streams + right_streams,
-            )
+            return name, join_output_schema(kind, left_schema, right_schema, right_name)
 
         build(plan)
-        return DataflowJoinOperator(
-            self._catalog, tuple(scans), nodes, config=self._config.stream_config
-        )
-
-    def _dataflow_partitions(
-        self,
-        left_streams: tuple[str, ...],
-        right_streams: tuple[str, ...],
-        on: tuple[tuple[str, str], ...],
-        right_is_stream: bool,
-    ) -> int:
-        """Partition degree for one dataflow stage (1 means a single worker).
-
-        The one partition rule of stream joins.  A stage needs an equi-θ to
-        route by, else it runs one worker.  With a
-        :class:`~repro.parallel.plan.ParallelConfig` the degree comes from
-        the stream-statistics state model: hot stages (large expected window
-        state) fan out into more key-routed workers than cold ones.  The
-        estimate sums the expected statistics of the source streams under
-        each input subtree; the distinct-key cap applies only when the right
-        input is a single stream whose key selectivity is actually known.
-        Without one, every stage takes ``stream_config.partitions``.
-        """
-        if not on:
-            return 1
-        if self._config.parallel is None:
-            stream_config = self._config.stream_config
-            return 1 if stream_config is None else stream_config.partitions
-        state, left_cardinality, right_distinct = (
-            self._catalog.stream_join_state_estimate(
-                list(left_streams), list(right_streams), on
-            )
-        )
-        distinct = right_distinct if right_is_stream and right_distinct > 0 else None
-        return choose_partitions(
-            state, left_cardinality, self._config.parallel, distinct_keys=distinct
-        )
+        return DataflowJoinOperator(self._catalog, tuple(scans), nodes, config=stream_config)
 
     def _merged_events(self, plan: LogicalPlan):
         return merged_event_space(self._catalog, plan)

@@ -42,10 +42,10 @@ class ExecutionOptions:
     leaving them for a later ``with_probabilities`` pass.
 
     ``partitions`` is the degree of a :class:`~repro.stream.StreamQuery`
-    and of every node the planner builds for a SQL stream join (unless a
-    ``ParallelConfig`` sizes the nodes); a hand-built
-    :class:`~repro.dataflow.DataflowQuery` takes each node's degree from
-    its ``NodeSpec.partitions`` instead.
+    and of every node with an equi-θ the planner builds for a SQL stream
+    join; a node without one runs one worker, since it has no key to
+    route by.  A hand-built :class:`~repro.dataflow.DataflowQuery` takes
+    each node's degree from its ``NodeSpec.partitions`` instead.
 
     ``micro_batch_size`` is how many elements a worker drains per step and
     one message or frame carries, and it sizes every queue by one rule: a

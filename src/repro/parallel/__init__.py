@@ -1,4 +1,4 @@
-"""Key-partitioned parallelism: the cost model, the codecs, the batch name.
+"""Key-partitioned parallelism: the codecs and the batch name.
 
 The temporal-probabilistic window and probability computations are CPU-bound
 pure Python, so thread parallelism is GIL-capped at one core.  Running a
@@ -6,13 +6,14 @@ join on K processes is one thing: a K-partition stream query on the runtime
 (``StreamQuery(..., ExecutionOptions(partitions=K, transport="sockets"))``).
 This package holds what that path and its batch-shaped name share:
 
-* :mod:`repro.parallel.plan` — :class:`ParallelConfig` and the state-size
-  cost model (open positives × matches) that sizes stream-join stages.
 * :mod:`repro.parallel.serialize` — compact codecs for tuples, lineages and
   stream elements, which the process and socket transports ship.
 * :mod:`repro.parallel.batch` — :func:`parallel_tp_join`: any Table II join
   on relations, serial for one worker and a K-partition stream query for
   more, returned in the canonical order of :func:`canonical_order`.
+
+The degree is the caller's: ``workers=`` here, ``ExecutionOptions.partitions``
+for a SQL stream join; nothing sizes it from statistics.
 
 Correctness invariant: with an equi-θ, every window of a tuple derives only
 from tuples sharing its join key, so key-disjoint partitions never interact
@@ -24,12 +25,6 @@ from .batch import (
     ParallelJoinResult,
     canonical_order,
     parallel_tp_join,
-)
-from .plan import (
-    DEFAULT_MAX_WORKERS,
-    ParallelConfig,
-    choose_partitions,
-    estimate_join_state,
 )
 from .serialize import (
     decode_lineage,
@@ -44,11 +39,8 @@ from .serialize import (
 
 __all__ = [
     "BATCH_JOINS",
-    "DEFAULT_MAX_WORKERS",
-    "ParallelConfig",
     "ParallelJoinResult",
     "canonical_order",
-    "choose_partitions",
     "decode_lineage",
     "decode_tagged",
     "decode_tuple",
@@ -57,6 +49,5 @@ __all__ = [
     "encode_tagged",
     "encode_tuple",
     "encode_tuples",
-    "estimate_join_state",
     "parallel_tp_join",
 ]

@@ -39,20 +39,14 @@ from .elements import StreamElement
 
 @dataclass(frozen=True)
 class StreamStats:
-    """Planner-visible statistics of one registered stream.
+    """The expected size of one registered stream.
 
-    A stream is unbounded in principle, so these are *expected* figures —
-    replay sources derived from a finite relation know them exactly; live
-    sources may estimate or omit them.  The shard/partition planners treat a
-    missing value as "unknown, do not parallelise".
+    A stream is unbounded in principle, so ``cardinality`` is an *expected*
+    figure — a replay of a finite relation knows it exactly.  The planner
+    does not read it.
     """
 
     cardinality: int
-    attribute_distinct_counts: dict
-
-    def distinct(self, attribute: str) -> int:
-        """Expected distinct-value count of one attribute (0 when unknown)."""
-        return self.attribute_distinct_counts.get(attribute, 0)
 
 
 @dataclass(frozen=True)
@@ -61,8 +55,7 @@ class StreamDef:
 
     ``replay`` returns a *fresh* iterator of stream elements each time it is
     called, so the same registered stream can serve several queries.
-    ``stats`` optionally carries the expected cardinality / key selectivity
-    the partition planner consults when choosing per-stage worker counts.
+    ``stats`` optionally carries the expected cardinality.
     """
 
     schema: Schema

@@ -88,22 +88,16 @@ def test_explain_marks_dataflow_node_count(dataflow_engine):
 
 
 def test_explain_marks_partition_degrees(triple):
-    """With a ParallelConfig the planner fans hot stages out and EXPLAIN
-    renders the per-node degrees."""
-    from repro.parallel import ParallelConfig
-
+    """Every equi-θ node of a SQL stream join runs
+    ``ExecutionOptions.partitions`` workers and EXPLAIN renders the
+    per-node degrees."""
     a, b, c = triple
-    engine = Engine(
-        parallel_config=ParallelConfig(max_workers=4, state_per_worker=1.0, min_tuples=1)
-    )
+    engine = Engine(options=ExecutionOptions(partitions=3, transport="threads"))
     for offset, (name, relation) in enumerate((("sa", a), ("sb", b), ("sc", c))):
         engine.register_stream(
             name, stream_def(relation, ReplayConfig(disorder=4, seed=offset))
         )
-    text = engine.explain_sql(CHAIN_SQL)
-    assert "[dataflow 2-node, parts=" in text
-    # Three distinct keys cap the first stage at 3 workers.
-    assert "parts=3/3" in text
+    assert "[dataflow 2-node, parts=3/3]" in engine.explain_sql(CHAIN_SQL)
     result = engine.execute_sql(CHAIN_SQL, compute_probabilities=False)
     assert rows(result) == rows(chain_batch(a, b, c))
 

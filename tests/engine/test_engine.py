@@ -14,7 +14,6 @@ from repro.engine import (
     NJJoinOperator,
     PlanError,
     Planner,
-    PlannerConfig,
     Project,
     Scan,
     ScanOperator,
@@ -56,18 +55,10 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             Catalog().lookup("missing")
 
-    def test_statistics(self, wants_to_visit):
-        catalog = Catalog()
-        catalog.register("a", wants_to_visit)
-        stats = catalog.stats("a")
-        assert stats.cardinality == 2
-        assert stats.distinct("Loc") == 2
-        assert stats.timespan_length == 8
-
 
 class TestPlanner:
-    def test_resolves_auto_to_default_strategy(self, engine):
-        planner = Planner(engine.catalog, PlannerConfig(default_strategy=JoinStrategy.NJ))
+    def test_resolves_auto_to_nj(self, engine):
+        planner = Planner(engine.catalog)
         assert planner.resolve_strategy(JoinStrategy.AUTO) is JoinStrategy.NJ
         assert planner.resolve_strategy(JoinStrategy.TA) is JoinStrategy.TA
 
@@ -163,11 +154,10 @@ class TestExecutor:
         )
         assert len(result) == 7
 
-    def test_default_strategy_override(self, wants_to_visit, hotel_availability):
+    def test_pinned_strategy(self, wants_to_visit, hotel_availability):
         result = execute_sql(
-            "SELECT * FROM a TP LEFT OUTER JOIN b ON a.Loc = b.Loc",
+            "SELECT * FROM a TP LEFT OUTER JOIN b ON a.Loc = b.Loc USING TA",
             {"a": wants_to_visit, "b": hotel_availability},
-            default_strategy=JoinStrategy.TA,
         )
         assert len(result) == 7
 

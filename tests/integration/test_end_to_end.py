@@ -14,7 +14,7 @@ from repro import (
     tp_left_outer_join,
 )
 from repro.datasets import meteo_pair, uniform_subset, webkit_pair
-from repro.engine import Engine, JoinStrategy
+from repro.engine import Engine
 from repro.lineage import MonteCarloEstimator
 from repro.relation import EquiJoinCondition, read_relation_csv, write_relation_csv
 from tests.conftest import canonical_rows
@@ -104,7 +104,7 @@ class TestProbabilitySemanticsEndToEnd:
 class TestEngineStrategiesOnGeneratedData:
     def test_nj_and_ta_strategies_agree_via_sql(self):
         positive, negative = meteo_pair(40, seed=9)
-        engine = Engine(default_strategy=JoinStrategy.NJ)
+        engine = Engine()
         engine.register("r", positive)
         engine.register("s", negative)
         nj = engine.execute_sql(

@@ -12,7 +12,7 @@ import pytest
 
 from repro import ExecutionOptions
 from repro.dataflow import DataflowQuery, NodeSpec
-from repro.engine import Engine, JoinStrategy
+from repro.engine import Engine
 from repro.stream import StreamQuery
 
 from tests.dataflow.conftest import make_stream_catalog
@@ -125,7 +125,7 @@ def _explain_with(options) -> str:
     from repro.datasets import ReplayConfig, stream_def
 
     catalog, left, right = query_catalog(23, left_size=20, right_size=20)
-    engine = Engine(default_strategy=JoinStrategy.NJ, options=options)
+    engine = Engine(options=options)
     engine.register_stream("sl", stream_def(left, ReplayConfig(disorder=3, seed=23)))
     engine.register_stream("sr", stream_def(right, ReplayConfig(disorder=3, seed=24)))
     return engine.explain_sql(SQL)

@@ -1,13 +1,16 @@
-"""Partition planner tests: stable key hashing and the state-size cost model."""
+"""The stable key hash that routes a join's partitions.
+
+Every path that splits a join by key — a K-partition stream query, a
+dataflow node's partitions, ``parallel_tp_join`` — routes a tuple by
+:func:`repro.relation.stable_key_hash` of its key, so the hash must agree
+across interpreters and with the serial join's ``==``.
+"""
 
 from __future__ import annotations
 
 import subprocess
 import sys
 
-import pytest
-
-from repro.parallel import ParallelConfig, choose_partitions, estimate_join_state
 from repro.relation import stable_key_hash
 
 
@@ -29,32 +32,6 @@ def test_stable_hash_is_stable_across_interpreter_processes():
         )
         values.append(output.stdout.strip())
     assert values[0] == values[1] == str(stable_key_hash(("ZAK", 3)))
-
-
-def test_estimate_join_state_uses_key_selectivity():
-    # 1000 positives, 500 negatives over 10 distinct keys → 50 matches each.
-    assert estimate_join_state(1000, 500, 10) == 1000 * 50.0
-    # A selective key (all distinct) bottoms out at one match per positive.
-    assert estimate_join_state(1000, 500, 500) == 1000.0
-
-
-def test_choose_partitions_scales_with_state_and_respects_bounds():
-    config = ParallelConfig(max_workers=4, state_per_worker=1000.0, min_tuples=100)
-    assert choose_partitions(500.0, 1000, config) == 1
-    assert choose_partitions(1500.0, 1000, config) == 2
-    assert choose_partitions(1_000_000.0, 1000, config) == 4  # capped
-    # Small inputs never shard, whatever the state estimate says.
-    assert choose_partitions(1_000_000.0, 50, config) == 1
-    # A single join key cannot be split: extra workers would only idle.
-    assert choose_partitions(1_000_000.0, 1000, config, distinct_keys=1) == 1
-    assert choose_partitions(1_000_000.0, 1000, config, distinct_keys=3) == 3
-
-
-def test_parallel_config_validation():
-    with pytest.raises(ValueError):
-        ParallelConfig(max_workers=0)
-    with pytest.raises(ValueError):
-        ParallelConfig(state_per_worker=0.0)
 
 
 def test_stable_hash_is_equality_invariant_across_numeric_types():
