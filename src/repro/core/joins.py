@@ -18,9 +18,18 @@ inner join r ⋈ s                              ✓
 reads it: it sweeps overlap groups, keeps the spans of the classes a kind
 wants and forms each output tuple once, with the class's
 lineage-concatenation function and, when given a probability computer, the
-tuple's probability.  The batch joins (:func:`tp_join`), the continuous
-operators (:class:`repro.stream.ContinuousJoin` and its retractable
-subclass) and the engine's NJ operator all derive their tuples through it;
+tuple's probability.  A group in the NJ base shape — ``λr`` and every
+negative's lineage distinct event variables, the negatives pairwise
+disjoint in time — is answered there without the LAWAN sweep: each overlap
+record is exactly one negating window, and every lineage it forms is
+``λr``, ``λr ∧ λs`` or ``λr ∧ ¬λs``, whose probabilities
+:func:`~repro.lineage.and_probability` and
+:func:`~repro.lineage.and_not_probability` state from ``p(r)``, looked up
+once per group.  Every other group runs the sweep and the
+:class:`~repro.lineage.ProbabilityComputer`.  The batch joins
+(:func:`tp_join`), the continuous operators
+(:class:`repro.stream.ContinuousJoin` and its retractable subclass) and the
+engine's NJ operator all derive their tuples through it;
 the baselines under :mod:`repro.baselines` and the window-level path
 (:func:`~repro.core.concat.window_to_tuple` over :func:`lawan` windows, then
 :meth:`~repro.relation.TPRelation.with_probabilities`) keep an independent
@@ -38,12 +47,22 @@ from functools import partial
 from itertools import chain
 from typing import Iterable, Iterator, Optional
 
-from ..lineage import ProbabilityComputer, and_not, lineage_and
+from ..lineage import (
+    And,
+    LineageExpr,
+    Not,
+    ProbabilityComputer,
+    Var,
+    and_not,
+    and_not_probability,
+    and_probability,
+    lineage_and,
+)
 from ..relation import Schema, TPRelation, TPTuple, ThetaCondition
 from .concat import combined_output_schema
 from .lawan import lawan, negating_sweep, negating_windows
 from .lawau import gap_sweep, lawau
-from .overlap import OverlapGroup, overlap_join, overlap_spans
+from .overlap import OverlapGroup, OverlapRecord, overlap_join, overlap_spans
 from .windows import Window, WindowClass, WindowSet
 
 _U, _N, _O = WindowClass.UNMATCHED, WindowClass.NEGATING, WindowClass.OVERLAPPING
@@ -161,6 +180,11 @@ def group_tuples(
     once, straight from the sweep's span: the class's concatenation
     (``and`` / pass-through / ``andNot``), the padded fact, and — given a
     ``computer`` — the probability of the lineage.
+
+    A group in the NJ base shape (:func:`_base_shape`) skips the LAWAN
+    sweep: each of its overlap records is exactly one negating window, whose
+    lineage and probability are formed directly, as the builders and the
+    computer would form them, bit for bit.
     """
     wanted = TABLE_II[kind][reverse]
     if not wanted:
@@ -168,7 +192,11 @@ def group_tuples(
     keep_u, keep_n, keep_o = _U in wanted, _N in wanted, _O in wanted
     positive_only = kind == "anti"
     pad = (None,) * (left_width if reverse else right_width)
-    probability = None if computer is None else computer.probability
+    if computer is None:
+        probability = events = marginal = None
+    else:
+        probability, events = computer.probability, computer.events
+        marginal = events.probability
     make = TPTuple.from_bounds
     for group in groups:
         r = group.r
@@ -176,12 +204,37 @@ def group_tuples(
         padded = fact_r if positive_only else (pad + fact_r if reverse else fact_r + pad)
         # LAWAN is LAWAU plus the negating sweep and LAWAU the overlap records
         # plus the gaps between them: run no more of the pipeline than is kept.
+        spans = gap_sweep(group) if keep_u or keep_n else overlap_spans(group)
+        if _base_shape(lineage_r, group.matches) and (
+            events is None or lineage_r.name in events
+        ):
+            # Every window is λr, λr ∧ λs or λr ∧ ¬λs: p(r) is looked up once.
+            p_r = None if marginal is None else marginal(lineage_r.name)
+            for window_class, start, end, fact_s, lineage_s in spans:
+                if window_class is _U:
+                    if not keep_u:
+                        continue
+                    fact, lineage, p = padded, lineage_r, p_r
+                elif keep_o:
+                    fact, lineage = fact_r + tuple(fact_s), And((lineage_r, lineage_s))
+                    p = None if marginal is None else and_probability(p_r, marginal(lineage_s.name))
+                else:
+                    continue
+                if marginal is not None:
+                    computer.factorised += 1
+                yield make(fact, lineage, start, end, p)
+            if keep_n:
+                for record in group.matches:
+                    lineage_s = record.s.lineage
+                    p = None
+                    if marginal is not None:
+                        p = and_not_probability(p_r, marginal(lineage_s.name))
+                        computer.factorised += 1
+                    lineage = And((lineage_r, Not(lineage_s)))
+                    yield make(padded, lineage, record.start, record.end, p)
+            continue
         if keep_n:
-            spans = chain(gap_sweep(group), negating_sweep(group))
-        elif keep_u:
-            spans = gap_sweep(group)
-        else:
-            spans = overlap_spans(group)
+            spans = chain(spans, negating_sweep(group))
         for window_class, start, end, fact_s, lineage_s in spans:
             if window_class is _N:
                 fact, lineage = padded, and_not(lineage_r, lineage_s)
@@ -197,6 +250,29 @@ def group_tuples(
             yield make(
                 fact, lineage, start, end, None if probability is None else probability(lineage)
             )
+
+
+def _base_shape(lineage_r: LineageExpr, matches: list[OverlapRecord]) -> bool:
+    """Whether one overlap group is in the NJ base shape.
+
+    ``λr`` is an event variable, every negative's lineage is another one,
+    and the records (sorted by start) are pairwise disjoint: each starts at
+    or after the previous one ends.  Then every active set of the LAWAN
+    sweep holds exactly one negative, so each record is one negating window
+    ``λr ∧ ¬λs``, and every lineage the group forms is one of the shapes
+    :func:`~repro.lineage.and_probability` and
+    :func:`~repro.lineage.and_not_probability` answer.
+    """
+    if type(lineage_r) is not Var:
+        return False
+    name = lineage_r.name
+    previous_end = matches[0].start if matches else None
+    for record in matches:
+        lineage_s = record.s.lineage
+        if type(lineage_s) is not Var or lineage_s.name == name or record.start < previous_end:
+            return False
+        previous_end = record.end
+    return True
 
 
 def join_output_schema(

@@ -263,10 +263,7 @@ def compile_graph(
         total += count
     event_probabilities = None
     if config.materialize_probabilities:
-        events = graph.merged_events()
-        event_probabilities = {
-            name: events.probability(name) for name in events.names()
-        }
+        event_probabilities = graph.merged_events().as_dict()
     # Producer channels per node: one per incoming source edge, plus one per
     # upstream partition worker per edge (every partition of the consumer
     # receives broadcast watermarks from each of them).

@@ -14,9 +14,10 @@ and runs its strategy's batch join (:class:`repro.engine.physical.
 NJJoinOperator` calls :func:`repro.core.joins.tp_join`) before the first
 tuple leaves.  The pipelined form of the NJ derivation — nothing buffered
 beyond the current overlap group — is :func:`repro.core.joins.group_tuples`
-over the one LAWAU and the one LAWAN sweep per group
-(:func:`repro.core.lawau.gap_sweep`, :func:`repro.core.lawan.negating_sweep`),
-which is how the continuous operators consume it.
+over the one LAWAU sweep per group (:func:`repro.core.lawau.gap_sweep`) and,
+unless the group's negatives never overlap one another, the one LAWAN sweep
+(:func:`repro.core.lawan.negating_sweep`), which is how the continuous
+operators consume it.
 """
 
 from __future__ import annotations

@@ -13,6 +13,8 @@ from .events import EventSpace, InvalidProbabilityError, UnknownEventError
 from .expr import FALSE, TRUE, And, LineageError, LineageExpr, Not, Or, Var
 from .probability import (
     ProbabilityComputer,
+    and_not_probability,
+    and_probability,
     conditional_probability,
     probabilities,
     probability,
@@ -36,6 +38,8 @@ __all__ = [
     "UnknownEventError",
     "Var",
     "and_not",
+    "and_not_probability",
+    "and_probability",
     "canonical",
     "conditional_probability",
     "conjunction_of",

@@ -57,17 +57,23 @@ class EventSpace:
             )
         existing = self._probabilities.get(name)
         if existing is not None and existing != probability:
-            raise ValueError(
-                f"event {name!r} already registered with probability {existing}, "
-                f"refusing to overwrite with {probability}"
-            )
+            raise _conflict(name, existing, probability)
         self._probabilities[name] = probability
 
     def merge(self, other: "EventSpace") -> "EventSpace":
-        """Return a new space containing the events of both spaces."""
-        merged = EventSpace(self._probabilities)
-        for name, probability in other._probabilities.items():
-            merged.register(name, probability)
+        """Return a new space containing the events of both spaces.
+
+        Both spaces validated their values when they registered them, so
+        only the names they share are checked, and the first that
+        conflicts, in ``other``'s order, raises as :meth:`register` does.
+        """
+        mine, theirs = self._probabilities, other._probabilities
+        for name in mine.keys() & theirs.keys():
+            if mine[name] != theirs[name]:
+                name = next(n for n in theirs if n in mine and mine[n] != theirs[n])
+                raise _conflict(name, mine[name], theirs[name])
+        merged = EventSpace()
+        merged._probabilities = mine | theirs
         return merged
 
     # ------------------------------------------------------------------ #
@@ -113,3 +119,11 @@ class EventSpace:
         for name in names:
             subset[name] = self.probability(name)
         return EventSpace(subset)
+
+
+def _conflict(name: str, existing: float, probability: float) -> ValueError:
+    """The error for an event re-registered with a different probability."""
+    return ValueError(
+        f"event {name!r} already registered with probability {existing}, "
+        f"refusing to overwrite with {probability}"
+    )

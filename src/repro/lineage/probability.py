@@ -21,6 +21,12 @@ produced by temporal-probabilistic joins have a lot of exploitable structure:
   to the next.  Anything else — a repeated name, a derived ``λr``, a third
   conjunct, an event the space does not know — takes the general path
   below, which stays the referee the shapes are property-tested against.
+  The two one-negative operations are stated once, as
+  :func:`and_probability` and :func:`and_not_probability`:
+  :func:`repro.core.joins.group_tuples` calls them directly for an overlap
+  group of base events whose negatives never overlap (there every window is
+  ``λr``, ``λr ∧ λs`` or ``λr ∧ ¬λs``, and ``p(r)`` is looked up once per
+  group), and ``_factorised`` calls them for a lineage handed in alone.
 * **Independent decomposition** — if the operands of a conjunction
   (disjunction) mention pairwise disjoint sets of variables, the probability
   factorises.  A join over derived inputs — ``(a1 ∧ c1) ∧ ¬(b3 ∨ b2)`` —
@@ -49,6 +55,20 @@ from .simplify import restrict
 #: evaluated; clearing is always safe because a memoised float is exactly
 #: the value the uncached path recomputes.
 _MEMO_LIMIT = 250_000
+
+
+def and_probability(p_r: float, p_s: float) -> float:
+    """``P(λr ∧ λs)`` of two distinct base events, from their marginals.
+
+    The general product starts from ``1.0``, so two int marginals (certain
+    base tuples) still answer a float.
+    """
+    return 1.0 * p_r * p_s
+
+
+def and_not_probability(p_r: float, p_s: float) -> float:
+    """``P(λr ∧ ¬λs)`` of two distinct base events, from their marginals."""
+    return p_r * (1.0 - p_s)
 
 
 class ProbabilityComputer:
@@ -116,16 +136,14 @@ class ProbabilityComputer:
             if type(other) is Var:
                 if other.name == name:
                     return None
-                # The general product starts from 1.0, so two int marginals
-                # (certain base tuples) still answer a float.
-                return 1.0 * marginal(name) * marginal(other.name)
+                return and_probability(marginal(name), marginal(other.name))
             if type(other) is not Not:
                 return None
             negated = other.child
             if type(negated) is Var:
                 if negated.name == name:
                     return None
-                return marginal(name) * (1.0 - marginal(negated.name))
+                return and_not_probability(marginal(name), marginal(negated.name))
             if type(negated) is not Or:
                 return None
             names = {name}

@@ -20,9 +20,8 @@ matching against late-arriving positives.  Every arriving event touches only
 the tuples of its own key that it actually overlaps — the incremental
 counterpart of the paper's no-replication property — and every watermark
 advance finalizes exactly the positive tuples whose intervals it passed,
-replaying the unchanged batch sweeps (:func:`repro.core.lawau.gap_sweep`
-and :func:`repro.core.lawan.negating_sweep`, through
-:func:`repro.core.joins.group_tuples`) over their completed groups.  Batch/stream equivalence is therefore by
+replaying the unchanged batch derivation (:func:`repro.core.joins.group_tuples`)
+over their completed groups.  Batch/stream equivalence is therefore by
 construction, and is additionally asserted by randomized tests.
 
 State is bounded by eviction: finalized positives are dropped immediately,

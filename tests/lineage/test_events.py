@@ -59,8 +59,25 @@ class TestOperations:
         assert merged.probability("b1") == 0.2
 
     def test_merge_conflicting_probability_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as failure:
             EventSpace({"a1": 0.7}).merge(EventSpace({"a1": 0.2}))
+        assert str(failure.value) == (
+            "event 'a1' already registered with probability 0.7, "
+            "refusing to overwrite with 0.2"
+        )
+
+    def test_merge_reports_the_first_conflict_in_the_other_spaces_order(self):
+        mine = EventSpace({"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.4})
+        theirs = EventSpace({"e": 0.5, "d": 0.9, "a": 0.1, "b": 0.8})
+        with pytest.raises(ValueError, match="^event 'd' already registered with probability 0.4,"):
+            mine.merge(theirs)
+        with pytest.raises(ValueError, match="^event 'b' already registered with probability 0.8,"):
+            theirs.merge(mine)
+
+    def test_merge_keeps_both_orders_and_the_other_spaces_values(self):
+        merged = EventSpace({"a": 0.5, "b": 1.0}).merge(EventSpace({"c": 0.2, "b": 1}))
+        assert list(merged) == ["a", "b", "c"]
+        assert type(merged.probability("b")) is int
 
     def test_merge_does_not_mutate_inputs(self):
         left = EventSpace({"a1": 0.7})
