@@ -71,7 +71,6 @@ from .core import (
 from .lineage import (
     EventSpace,
     LineageExpr,
-    MonteCarloEstimator,
     ProbabilityComputer,
     probability,
     var,
@@ -111,7 +110,6 @@ __all__ = [
     "Revision",
     "RevisionKind",
     "LineageExpr",
-    "MonteCarloEstimator",
     "PredicateCondition",
     "ProbabilityComputer",
     "RecoveryEvent",

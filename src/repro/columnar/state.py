@@ -49,7 +49,7 @@ import numpy as np
 from ..core.overlap import OverlapGroup, OverlapRecord, sort_matches
 from ..lineage import EventSpace, ProbabilityComputer
 from ..relation import TPTuple, ThetaCondition
-from ..relation.predicates import TrueCondition
+from ..relation.predicates import TrueCondition, matchable
 from ..stream.elements import CLOSED
 from ..stream.incremental import (
     _WHOLE_STREAM,
@@ -285,7 +285,7 @@ class ColumnarWindowMaintainer:
             tp_tuple, ingest_clock=ingest_clock, key=key, serial=self._serial
         )
         end = tp_tuple.end
-        bucket = self._negatives.get(key)
+        bucket = self._negatives.get(key) if matchable(key) else None
         if bucket is not None:
             rows = bucket.probe_rows(start, end)
             if len(rows):
@@ -330,7 +330,7 @@ class ColumnarWindowMaintainer:
         if self._negative_count > self.stats.peak_indexed_negatives:
             self.stats.peak_indexed_negatives = self._negative_count
         affected: List[OpenPositive] = []
-        bucket = self._open.get(key)
+        bucket = self._open.get(key) if matchable(key) else None
         if bucket is not None:
             rows = bucket.probe_rows(start, end)
             if len(rows):

@@ -300,17 +300,15 @@ def tp_join(
     """The TP join ``kind`` of ``left`` (``r``, positive) and ``right`` (``s``)."""
     schema = join_output_schema(kind, left.schema, right.schema, right.name)
     events = left.events.merge(right.events)
-    merged = TPRelation(
-        left.schema, left.tuples, events, name=left.name, check_constraint=False
-    )
     widths = len(left.schema), len(right.schema)
     # One computer for both halves, consulted in output order.
     computer = ProbabilityComputer(events) if compute_probabilities else None
-    tuples = list(group_tuples(kind, overlap_join(merged, right, theta), *widths, computer=computer))
+    tuples = list(group_tuples(kind, overlap_join(left, right, theta), *widths, computer=computer))
     if kind in REVERSE_KINDS:
-        reverse_groups = overlap_join(right, merged, swap_theta(theta))
+        reverse_groups = overlap_join(right, left, swap_theta(theta))
         tuples.extend(group_tuples(kind, reverse_groups, *widths, reverse=True, computer=computer))
-    return merged.derived(schema, tuples, name=f"{left.name} {JOIN_SYMBOLS[kind]} {right.name}")
+    name = f"{left.name} {JOIN_SYMBOLS[kind]} {right.name}"
+    return TPRelation(schema, tuples, events, name=name, check_constraint=False)
 
 
 def tp_anti_join(
@@ -377,7 +375,7 @@ BATCH_JOINS = {kind: partial(tp_join, kind) for kind in TABLE_II}
 
 
 # --------------------------------------------------------------------------- #
-# measurement entry points used by the figures' benchmarks
+# measurement entry points of the figures' series (``repro.harness``)
 # --------------------------------------------------------------------------- #
 def nj_wuo(positive: TPRelation, negative: TPRelation, theta: ThetaCondition) -> list[Window]:
     """NJ's WUO computation (overlap join + LAWAU) — the Fig. 5 measurement."""
@@ -388,7 +386,7 @@ def nj_wn(positive: TPRelation, negative: TPRelation, theta: ThetaCondition) -> 
     """NJ's negating windows only — the Fig. 6 WN series.
 
     The overlap join plus the negating sweep: no LAWAU gaps, no copy of WUO.
-    Both the harness and ``benchmarks/bench_fig6_negating.py`` time this call.
+    ``python -m repro.harness fig6`` times this call.
     """
     return negating_windows(overlap_join(positive, negative, theta))
 

@@ -26,12 +26,6 @@ fact_s, lineage_s)``, bounds as ints; :func:`iter_lawan` and
 :func:`negating_windows` wrap them in :class:`~repro.core.windows.Window`,
 while :func:`repro.core.joins.group_tuples` forms output tuples from them
 directly.
-
-The module also contains :func:`lawan_rescan`, a deliberately simpler variant
-that re-scans the active matches for every elementary segment instead of
-maintaining the priority queue.  It produces the same windows and exists only
-as the comparison point for the ablation benchmark
-(``benchmarks/bench_ablation_queue.py``).
 """
 
 from __future__ import annotations
@@ -125,47 +119,3 @@ def negating_sweep(group: OverlapGroup) -> Iterator[Span]:
             index += 1
         while queue and queue[0][0] <= current_time:
             heapq.heappop(queue)
-
-
-def lawan_rescan(groups: Iterable[OverlapGroup]) -> list[Window]:
-    """Ablation variant of LAWAN without the priority queue.
-
-    For every elementary segment of an ``r`` tuple's interval (split at every
-    start and end of a matching overlapping window) the active matches are
-    re-scanned from scratch.  Asymptotically this is quadratic in the number
-    of concurrent matches per tuple, whereas the queue-based sweep is
-    log-linear; the ablation benchmark measures the difference.  The output
-    windows are identical.
-    """
-    windows: list[Window] = []
-    for group in groups:
-        if not group.matches:
-            continue
-        r = group.r
-        boundaries: set[int] = set()
-        for record in group.matches:
-            boundaries.add(record.start)
-            boundaries.add(record.end)
-        ordered = sorted(boundaries)
-        for start, end in zip(ordered, ordered[1:]):
-            active = [
-                record.s.lineage
-                for record in group.matches
-                if record.start <= start and end <= record.end
-            ]
-            if not active:
-                continue
-            windows.append(
-                Window(
-                    fact_r=r.fact,
-                    fact_s=None,
-                    start=start,
-                    end=end,
-                    lineage_r=r.lineage,
-                    lineage_s=disjunction_of(active),
-                    window_class=WindowClass.NEGATING,
-                    source_start=r.start,
-                    source_end=r.end,
-                )
-            )
-    return windows

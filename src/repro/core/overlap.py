@@ -17,17 +17,19 @@ grouped per originating ``r`` tuple (the paper's grouping by ``Fr`` and the
 initial interval), which is what both LAWAU and LAWAN consume.
 
 For equi-join conditions the pairing uses hash partitioning on the join key
-followed by a per-partition sort-merge over interval start points; a general
-θ is the same merge over one partition holding all of ``s``.  A partition is
-sorted by ``(start, end)`` once and indexed by two columns: its **starts**,
-and its **reach** — the running maximum of the ends, which unlike the ends
-themselves is non-decreasing.  For an ``r`` tuple, every ``s`` before
-``bisect_right(reach, r.start)`` has ended by ``r.start`` and every ``s``
-from ``bisect_left(starts, r.end)`` on starts at or after ``r.end``; only the
-slice between the two is looked at, so a pass costs the partition's sort plus
-the candidates that can overlap, not a prefix scan of the partition per ``r``
-tuple.  Either way the produced window stream per ``r`` tuple is ordered by
-overlap start (:func:`sort_matches`), the order required by the sweeps.
+followed by a per-partition sort-merge over interval start points, and the
+key decides θ (a key holding ``nan`` is never indexed or probed); a general
+θ is the same merge over one partition holding all of ``s``, evaluating θ on
+every candidate.  A partition is sorted by ``(start, end)`` once and indexed
+by two columns: its **starts**, and its **reach** — the running maximum of
+the ends, which unlike the ends themselves is non-decreasing.  For an ``r``
+tuple, every ``s`` before ``bisect_right(reach, r.start)`` has ended by
+``r.start`` and every ``s`` from ``bisect_left(starts, r.end)`` on starts at
+or after ``r.end``; only the slice between the two is looked at, so a pass
+costs the partition's sort plus the candidates that can overlap, not a
+prefix scan of the partition per ``r`` tuple.  Either way the produced
+window stream per ``r`` tuple is ordered by overlap start
+(:func:`sort_matches`), the order required by the sweeps.
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, groupby
-from typing import Hashable, Iterator
+from typing import Callable, Hashable, Iterator
 
 from ..relation import TPRelation, TPTuple, ThetaCondition
+from ..relation.predicates import matchable
 from ..temporal import Interval
 from ..values import reduce_fields, writer
 from .windows import Span, Window, WindowClass, span_windows
@@ -109,25 +112,30 @@ def overlap_join(
     negative tuple's fact) — the order LAWAU and LAWAN require.
     """
     if theta.is_equi:
-        left_key, right_key = theta.left_key, theta.right_key
+        left_key, right_key, check = theta.left_key, theta.right_key, None
     else:
-        # General θ: every pair is a candidate, so all of s is one partition.
+        # General θ: every pair is a candidate, so all of s is one partition
+        # and θ decides each pair.
         left_key = right_key = _whole_relation
+        check = theta.evaluate
     partitions: dict[Hashable, list[TPTuple]] = {}
     for s in negative:
-        partitions.setdefault(right_key(s), []).append(s)
+        key = right_key(s)
+        if matchable(key):
+            partitions.setdefault(key, []).append(s)
     buckets = {key: _index_bucket(bucket) for key, bucket in partitions.items()}
     groups = [OverlapGroup(r) for r in positive]
     for group in groups:
-        bucket = buckets.get(left_key(group.r))
+        key = left_key(group.r)
+        bucket = buckets.get(key) if matchable(key) else None
         if bucket is not None:
-            _merge_bucket(group, bucket, theta)
+            _merge_bucket(group, bucket, check)
             sort_matches(group.matches)
     return groups
 
 
-def _whole_relation(tp_tuple: TPTuple) -> Hashable:
-    return None
+def _whole_relation(tp_tuple: TPTuple) -> tuple:
+    return ()
 
 
 def _bounds(item: TPTuple | OverlapRecord) -> tuple[int, int]:
@@ -143,8 +151,16 @@ def _index_bucket(bucket: list[TPTuple]) -> _Bucket:
     return bucket, starts, reach
 
 
-def _merge_bucket(group: OverlapGroup, bucket: _Bucket, theta: ThetaCondition) -> None:
-    """Collect the overlaps of ``group.r`` within one indexed partition."""
+def _merge_bucket(
+    group: OverlapGroup,
+    bucket: _Bucket,
+    check: Callable[[TPTuple, TPTuple], bool] | None,
+) -> None:
+    """Collect the overlaps of ``group.r`` within one indexed partition.
+
+    ``check`` is a general θ's test of each candidate pair; ``None`` when
+    the partition key has decided θ already.
+    """
     tuples, starts, reach = bucket
     r = group.r
     r_start, r_end = r.start, r.end
@@ -156,10 +172,7 @@ def _merge_bucket(group: OverlapGroup, bucket: _Bucket, theta: ThetaCondition) -
         # ended before r starts (the reach is a maximum, not its own end).
         if s_end <= r_start:
             continue
-        # The key already guarantees an equi-θ, except where dictionary
-        # lookup and ``==`` disagree (a ``nan`` is found by identity but
-        # equals nothing), and a general θ decides nothing before this.
-        if theta.evaluate(r, s):
+        if check is None or check(r, s):
             s_start = starts[index]
             matches.append(
                 OverlapRecord(

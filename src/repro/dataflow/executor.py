@@ -81,8 +81,8 @@ class GraphRunOutcome:
     #: Events dropped late: evicted by a source at ingestion, or behind the
     #: watermark at a node.
     late_dropped: int = 0
-    #: Final per-worker metrics snapshots (empty unless the run was
-    #: instrumented via ``config.metrics`` or an attached collector).
+    #: Final metrics snapshots, one per worker plus the recovering
+    #: session's own after a recovery (empty unless ``config.metrics``).
     metrics: List[dict] = field(default_factory=list)
     #: Seats re-executed by a recovering socket run.
     recoveries: List[RecoveryEvent] = field(default_factory=list)
@@ -138,10 +138,9 @@ def run_graph(
             "'inline' or 'threads' transport for live element observation, "
             "or — for instrumentation that *does* cross every transport "
             "boundary, including remote socket workers — enable the metrics "
-            "subsystem instead: set metrics=True on the query config (or "
-            "pass a repro.obs.MetricsCollector as `collector`) and read "
-            "DataflowQuery.metrics() / StreamQuery.metrics() live or the "
-            "outcome's metrics snapshots after the run"
+            "subsystem instead: set metrics=True on the query config and "
+            "read DataflowQuery.metrics() / StreamQuery.metrics() live or "
+            "the outcome's metrics snapshots after the run"
         )
     for label, hooks in (("taps", taps), ("probes", probes)):
         unknown = sorted(set(hooks or ()) - set(graph.node_names))
@@ -150,7 +149,7 @@ def run_graph(
     node_index = {name: index for index, name in enumerate(graph.node_names)}
     specs, stages = compile_graph(graph, config, taps=taps, probes=probes)
     edges = source_edges(graph, node_index)
-    reports, events_processed, blocks, backend, recoveries = run_job(
+    reports, events_processed, blocks, backend, recoveries, snapshots = run_job(
         specs,
         edges,
         stages,
@@ -196,6 +195,6 @@ def run_graph(
         backpressure_blocks=blocks,
         backend=backend,
         late_dropped=late,
-        metrics=[report.metrics for report in reports if report.metrics is not None],
+        metrics=snapshots,
         recoveries=recoveries,
     )

@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--paper-scale",
         action="store_true",
-        help="use the paper's original input sizes (50K-200K tuples; slow)",
+        help="use the paper's original input sizes (40K-200K tuples; slow, "
+        "as every series runs three times per size)",
     )
     parser.add_argument("--csv", default=None, help="also write measurements to this CSV file")
     parser.add_argument(

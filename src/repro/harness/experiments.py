@@ -11,9 +11,10 @@ the measurements and writes it into each figure's JSON report.
 from __future__ import annotations
 
 import gc
-import time
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
+from time import perf_counter
 from typing import Callable, Sequence
 
 from ..baselines.temporal_alignment import ta_left_outer_join, ta_wuo, ta_wuon
@@ -21,13 +22,17 @@ from ..core.joins import nj_wn, nj_wuo, nj_wuon, tp_left_outer_join
 from ..datasets import meteo_pair, webkit_pair
 from ..relation import EquiJoinCondition, TPRelation, ThetaCondition
 
+#: Runs of each series at each size; a measurement is the fastest of them.
+ROUNDS = 3
+
 
 @dataclass(frozen=True, slots=True)
 class Measurement:
-    """One timed run: an approach on a dataset at one input size.
+    """An approach on a dataset at one input size: its fastest timed run.
 
     ``collector_ms`` and ``gen2_collections`` are the cyclic collector's
-    share of ``seconds``: its time in any generation and its full passes.
+    share of that run's ``seconds``: its time in any generation and its
+    full passes.
     """
 
     experiment: str
@@ -62,9 +67,9 @@ class CollectorMeter:
 
     def _observe(self, phase: str, info: dict) -> None:
         if phase == "start":
-            self._started = time.perf_counter()
+            self._started = perf_counter()
             return
-        self.seconds += time.perf_counter() - self._started
+        self.seconds += perf_counter() - self._started
         if info["generation"] == 2:
             self.gen2_collections += 1
 
@@ -98,28 +103,35 @@ class ExperimentSpec:
         return positive, negative, theta
 
     def run(self, sizes: Sequence[int] | None = None, seed: int = 0) -> list[Measurement]:
-        """Run every series at every size and return the measurements."""
+        """Run every series at every size and return the measurements.
+
+        Each series runs :data:`ROUNDS` times per size and reports its
+        fastest run, collector figures included.
+        """
         measurements: list[Measurement] = []
         for size in sizes if sizes is not None else self.default_sizes:
             positive, negative, theta = self.build_workload(size, seed)
             for series in self.series:
-                with CollectorMeter() as collector:
-                    started = time.perf_counter()
-                    result = series.run(positive, negative, theta)
-                    elapsed = time.perf_counter() - started
-                measurements.append(
-                    Measurement(
-                        experiment=self.experiment_id,
-                        dataset=self.dataset,
-                        series=series.name,
-                        size=size,
-                        seconds=elapsed,
-                        output_count=len(result),
-                        collector_ms=collector.seconds * 1000,
-                        gen2_collections=collector.gen2_collections,
-                    )
-                )
+                runs = [self._time(series, size, positive, negative, theta) for _ in range(ROUNDS)]
+                measurements.append(min(runs, key=attrgetter("seconds")))
         return measurements
+
+    def _time(self, series: SeriesSpec, size: int, positive, negative, theta) -> Measurement:
+        """One timed run of ``series`` on the workload of one size."""
+        with CollectorMeter() as collector:
+            started = perf_counter()
+            result = series.run(positive, negative, theta)
+            elapsed = perf_counter() - started
+        return Measurement(
+            experiment=self.experiment_id,
+            dataset=self.dataset,
+            series=series.name,
+            size=size,
+            seconds=elapsed,
+            output_count=len(result),
+            collector_ms=collector.seconds * 1000,
+            gen2_collections=collector.gen2_collections,
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -140,8 +152,7 @@ def _spec(experiment_id, title, dataset, series, default_sizes, paper_sizes, sha
 
 _WUO_SERIES = (SeriesSpec("NJ", nj_wuo), SeriesSpec("TA", ta_wuo))
 # A series times the whole call, so NJ-WN is the overlap join plus the
-# negating sweep (no LAWAU gaps, no copy of WUO) — the same computation
-# ``benchmarks/bench_fig6_negating.py`` times.
+# negating sweep (no LAWAU gaps, no copy of WUO).
 _NEGATING_SERIES = (
     SeriesSpec("NJ-WN", nj_wn),
     SeriesSpec("NJ-WUON", nj_wuon),

@@ -19,18 +19,15 @@ from .probability import (
     probabilities,
     probability,
 )
-from .sampling import Estimate, MonteCarloEstimator
-from .simplify import canonical, equivalent, is_read_once, restrict
+from .simplify import canonical, equivalent, restrict
 
 __all__ = [
     "And",
-    "Estimate",
     "EventSpace",
     "FALSE",
     "InvalidProbabilityError",
     "LineageError",
     "LineageExpr",
-    "MonteCarloEstimator",
     "Not",
     "Or",
     "ProbabilityComputer",
@@ -45,7 +42,6 @@ __all__ = [
     "conjunction_of",
     "disjunction_of",
     "equivalent",
-    "is_read_once",
     "lineage_and",
     "lineage_not",
     "lineage_or",

@@ -91,24 +91,6 @@ def canonical(expr: LineageExpr) -> LineageExpr:
     raise TypeError(f"unsupported lineage node {type(expr).__name__}")
 
 
-def is_read_once(expr: LineageExpr) -> bool:
-    """Return ``True`` if no variable occurs more than once in the expression.
-
-    Read-once lineages admit linear-time exact probability computation via
-    the independence fast path; the ablation benchmark uses this predicate to
-    report how often join lineages are read-once (for the joins of the paper:
-    always, because the two input relations have disjoint event variables and
-    each relation contributes each variable at most once per window).
-    """
-    seen: set[str] = set()
-    for node in expr.walk():
-        if isinstance(node, Var):
-            if node.name in seen:
-                return False
-            seen.add(node.name)
-    return True
-
-
 def _constant_value(expr: LineageExpr) -> bool:
     if expr == TRUE:
         return True

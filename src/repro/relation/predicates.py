@@ -71,6 +71,19 @@ def _normalize_key(value) -> object:
     return ("obj", hash(value))
 
 
+def matchable(key: tuple) -> bool:
+    """Whether an equi-join key can equal any key under ``==``.
+
+    A dictionary finds a key holding ``nan`` by identity, but ``nan`` equals
+    nothing, itself included.  The joins neither index nor probe such a key,
+    so hash lookup alone decides an equi-θ.
+    """
+    for value in key:
+        if value != value:
+            return False
+    return True
+
+
 class ThetaCondition:
     """A join condition between a tuple of ``r`` and a tuple of ``s``."""
 

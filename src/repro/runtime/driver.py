@@ -161,7 +161,7 @@ def run_job(
     trace_collector: Optional[object] = None,
     cancel: Optional[object] = None,
     chaos: Optional[object] = None,
-) -> tuple[List[WorkerReport], int, int, str, List[RecoveryEvent]]:
+) -> tuple[List[WorkerReport], int, int, str, List[RecoveryEvent], List[dict]]:
     """Route the merged source edges into a session of ``specs`` workers.
 
     Events are hash-routed to the worker owning their join key within the
@@ -178,8 +178,9 @@ def run_job(
 
     ``collector`` / ``trace_collector`` (:class:`repro.obs.MetricsCollector`
     / :class:`repro.obs.TraceCollector`) see the live session mid-run and
-    the final worker telemetry afterwards; either one — or the matching
-    ``options`` flag — switches the instrumentation on.  With tracing on
+    the final telemetry afterwards; ``options.metrics`` / ``options.trace``
+    switch that instrumentation on, and a collector of a switched-off kind
+    completes empty.  With tracing on
     this loop is the trace *source*: it samples events deterministically,
     records the root ``source`` span, and attaches the trace context the
     workers propagate.
@@ -198,8 +199,10 @@ def run_job(
     and says so with one :class:`RuntimeWarning`.
 
     Returns ``(reports, events_processed, backpressure_blocks, backend,
-    recoveries)`` with reports in worker-index order and ``backend`` the
-    transport that actually ran.
+    recoveries, metrics)`` with reports in worker-index order, ``backend``
+    the transport that actually ran and ``metrics`` the final snapshots the
+    collector completes with: one per worker, plus the recovering session's
+    own after a recovery (empty unless ``options.metrics``).
     """
     specs = tuple(specs)
     # Only self-contained workers can be snapshotted and re-executed alone,
@@ -219,9 +222,9 @@ def run_job(
     job = RuntimeJob(
         specs,
         micro_batch_size=options.micro_batch_size,
-        metrics=options.metrics or collector is not None,
+        metrics=options.metrics,
         metrics_interval=options.metrics_interval,
-        trace=options.trace or trace_collector is not None,
+        trace=options.trace,
         result_timeout=options.seat_timeout,
         checkpoint_interval=options.checkpoint_interval if recover else None,
     )
@@ -292,19 +295,18 @@ def run_job(
         reports = session.finish()
         blocks = session.backpressure_blocks
         recoveries = session.recoveries
+    snapshots = [report.metrics for report in reports if report.metrics is not None]
+    if recoveries and job.metrics:
+        # Only a RecoveringSession reports recoveries: its driver-side
+        # registry (and tracer, below) join the worker telemetry.
+        snapshots.append(session.registry.snapshot())
     if collector is not None:
-        snapshots = [
-            report.metrics for report in reports if report.metrics is not None
-        ]
-        if recoveries:
-            # Only a RecoveringSession reports recoveries: its driver-side
-            # registry (and tracer, below) join the worker telemetry.
-            snapshots.append(session.registry.snapshot())
         collector.complete(snapshots)
     if trace_collector is not None:
         span_lists = [report.spans for report in reports if report.spans]
-        span_lists.append(driver_tracer.dump())
-        if recoveries:
-            span_lists.append(session.tracer.dump())
+        if job.trace:
+            span_lists.append(driver_tracer.dump())
+            if recoveries:
+                span_lists.append(session.tracer.dump())
         trace_collector.complete(span_lists)
-    return reports, events_processed, blocks, session.name, recoveries
+    return reports, events_processed, blocks, session.name, recoveries, snapshots

@@ -64,6 +64,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 from ..core.overlap import OverlapGroup, OverlapRecord, sort_matches
 from ..lineage import EventSpace, ProbabilityComputer
 from ..relation import TPTuple, ThetaCondition
+from ..relation.predicates import matchable
 from .elements import CLOSED
 
 #: Partition key used when θ is not an equi-join (single partition).
@@ -156,6 +157,9 @@ class IncrementalWindowMaintainer:
     def __init__(self, theta: ThetaCondition, events: Optional[EventSpace] = None) -> None:
         self._theta = theta
         self._partitioned = theta.is_equi
+        # An equi key decides θ (see ``matchable``); any other θ is tested
+        # on every interval-overlapping candidate.
+        self._check = None if theta.is_equi else theta.evaluate
         self._open: Dict[Hashable, List[OpenPositive]] = {}
         self._negatives: Dict[Hashable, List[TPTuple]] = {}
         self._watermark_left: float = float("-inf")
@@ -266,9 +270,10 @@ class IncrementalWindowMaintainer:
         key = self._positive_key(tp_tuple)
         self._serial += 1
         entry = OpenPositive(tp_tuple, ingest_clock=ingest_clock, key=key, serial=self._serial)
-        for negative in self._negatives.get(key, ()):
+        check = self._check
+        for negative in self._negatives.get(key, ()) if matchable(key) else ():
             n_start, n_end = negative.start, negative.end
-            if n_start < end and start < n_end and self._theta.evaluate(tp_tuple, negative):
+            if n_start < end and start < n_end and (check is None or check(tp_tuple, negative)):
                 entry.matches.append(
                     OverlapRecord(
                         tp_tuple,
@@ -307,10 +312,11 @@ class IncrementalWindowMaintainer:
         if self._negative_count > self.stats.peak_indexed_negatives:
             self.stats.peak_indexed_negatives = self._negative_count
         affected: List[OpenPositive] = []
-        for entry in self._open.get(key, ()):
+        check = self._check
+        for entry in self._open.get(key, ()) if matchable(key) else ():
             positive = entry.tuple
             p_start, p_end = positive.start, positive.end
-            if p_start < end and start < p_end and self._theta.evaluate(positive, tp_tuple):
+            if p_start < end and start < p_end and (check is None or check(positive, tp_tuple)):
                 entry.matches.append(
                     OverlapRecord(
                         positive,

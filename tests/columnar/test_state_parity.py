@@ -152,6 +152,25 @@ def test_randomized_operation_parity(theta_kind, seed):
     assert object_trace == columnar_trace
 
 
+@pytest.mark.parametrize("layout", ("object", "columnar"))
+def test_a_shared_nan_key_matches_nothing(layout):
+    """A dictionary finds a shared ``nan`` key by identity; θ's ``==`` rejects it."""
+    nan = float("nan")
+
+    def nan_tuple(name, start, end):
+        return TPTuple((nan, name), Var(name), Interval(start, end), None)
+
+    operations = [
+        ("add_neg", nan_tuple("n0", 0, 8)),
+        ("add_pos", nan_tuple("p0", 2, 10), 0.0),
+        ("add_neg", nan_tuple("n1", 4, 6)),
+        ("close",),
+    ]
+    trace = _drive(maintainer_class(layout)(_theta("equi")), operations)
+    assert trace[2][1][3] == []  # the positive found no stored negative
+    assert trace[4] == ("add_neg", [])  # the later negative found no positive
+
+
 class _Unscannable(dict):
     """The open-entry dict, refusing to be walked (lookups still work)."""
 

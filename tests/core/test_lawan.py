@@ -1,16 +1,16 @@
-"""Tests for LAWAN (negating-window computation) and its ablation variant."""
+"""Tests for LAWAN (negating-window computation), refereed by a queue-free re-scan."""
 
 from __future__ import annotations
 
 from repro import Schema, TPRelation, equi_join_on
 from repro.core import (
+    Window,
     WindowClass,
     lawan,
-    lawan_rescan,
     negating_windows,
     overlap_join,
 )
-from repro.lineage import canonical
+from repro.lineage import canonical, disjunction_of
 from repro.temporal import Interval
 from tests.conftest import make_random_relations
 
@@ -22,6 +22,48 @@ def _setup(positive_rows, negative_rows):
     )
     theta = equi_join_on(positive.schema, negative.schema, [("K", "K")])
     return positive, negative, theta
+
+
+def lawan_rescan(groups):
+    """LAWAN without the priority queue: the referee for the queue-based sweep.
+
+    For every elementary segment of an ``r`` tuple's interval (split at every
+    start and end of a matching overlapping window) the active matches are
+    re-scanned from scratch.  This is quadratic in the number of concurrent
+    matches per tuple, but obviously correct; its windows must equal LAWAN's.
+    """
+    windows = []
+    for group in groups:
+        if not group.matches:
+            continue
+        r = group.r
+        boundaries = set()
+        for record in group.matches:
+            boundaries.add(record.start)
+            boundaries.add(record.end)
+        ordered = sorted(boundaries)
+        for start, end in zip(ordered, ordered[1:]):
+            active = [
+                record.s.lineage
+                for record in group.matches
+                if record.start <= start and end <= record.end
+            ]
+            if not active:
+                continue
+            windows.append(
+                Window(
+                    fact_r=r.fact,
+                    fact_s=None,
+                    start=start,
+                    end=end,
+                    lineage_r=r.lineage,
+                    lineage_s=disjunction_of(active),
+                    window_class=WindowClass.NEGATING,
+                    source_start=r.start,
+                    source_end=r.end,
+                )
+            )
+    return windows
 
 
 def _negating(positive_rows, negative_rows):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+from dataclasses import replace
+
 import pytest
 
 from repro.harness import (
@@ -16,7 +19,9 @@ from repro.harness import (
     speedup_summary,
     write_csv,
 )
+from repro.harness import experiments
 from repro.harness.__main__ import build_parser, main
+from repro.harness.experiments import SeriesSpec
 
 
 class TestRegistry:
@@ -56,10 +61,44 @@ class TestRunner:
         assert all(m.seconds >= 0 for m in result.measurements)
         assert all(m.output_count > 0 for m in result.measurements)
 
-    def test_nj_and_ta_report_the_same_window_counts_for_fig5(self):
-        result = run_experiment(EXPERIMENTS["fig5a"], sizes=[150])
+    @pytest.mark.parametrize(
+        "experiment, nj_series",
+        [
+            ("fig5a", "NJ"),
+            ("fig5b", "NJ"),
+            ("fig6a", "NJ-WUON"),
+            ("fig6b", "NJ-WUON"),
+            ("fig7a", "NJ"),
+            ("fig7b", "NJ"),
+        ],
+    )
+    def test_nj_and_ta_report_the_same_output_counts(self, experiment, nj_series):
+        result = run_experiment(EXPERIMENTS[experiment], sizes=[150])
         by_series = {m.series: m for m in result.measurements}
-        assert by_series["NJ"].output_count == by_series["TA"].output_count
+        assert by_series[nj_series].output_count == by_series["TA"].output_count
+
+    def test_each_series_reports_its_fastest_of_three_runs(self, monkeypatch):
+        durations = [0.5, 0.2, 0.3, 0.4, 0.6, 0.1]
+        calls = []
+
+        def counting(positive, negative, theta):
+            calls.append(len(positive))
+            return [None] * len(positive)
+
+        # Every run reads the clock twice; each run's duration comes from the
+        # list.  Automatic collection is off, so the collector meter reads no
+        # clock value.
+        clock = iter([value for duration in durations for value in (0.0, duration)])
+        monkeypatch.setattr(experiments, "perf_counter", lambda: next(clock))
+        spec = replace(EXPERIMENTS["fig5a"], series=(SeriesSpec("count", counting),))
+        gc.disable()
+        try:
+            measurements = spec.run(sizes=[20, 30])
+        finally:
+            gc.enable()
+        assert experiments.ROUNDS == 3
+        assert calls == [20, 20, 20, 30, 30, 30]
+        assert [(m.size, m.seconds) for m in measurements] == [(20, 0.2), (30, 0.1)]
 
     def test_run_by_name_group(self):
         results = run_by_name("fig5", sizes=[80])

@@ -15,9 +15,9 @@ from repro import (
 )
 from repro.datasets import meteo_pair, uniform_subset, webkit_pair
 from repro.engine import Engine
-from repro.lineage import MonteCarloEstimator
 from repro.relation import EquiJoinCondition, read_relation_csv, write_relation_csv
 from tests.conftest import canonical_rows
+from tests.lineage.test_lineage_properties import brute_force_probability
 
 
 class TestGeneratedWorkloadsEndToEnd:
@@ -66,14 +66,13 @@ class TestCsvToEngineRoundTrip:
 
 
 class TestProbabilitySemanticsEndToEnd:
-    def test_exact_probabilities_agree_with_monte_carlo_on_join_results(
+    def test_exact_probabilities_agree_with_possible_worlds_on_join_results(
         self, wants_to_visit, hotel_availability, loc_theta
     ):
         result = tp_left_outer_join(wants_to_visit, hotel_availability, loc_theta)
-        estimator = MonteCarloEstimator(result.events, seed=123)
         for tp_tuple in result:
-            estimate = estimator.estimate(tp_tuple.lineage, samples=20_000)
-            assert estimate.contains(tp_tuple.probability)
+            expected = brute_force_probability(tp_tuple.lineage, result.events)
+            assert abs(tp_tuple.probability - expected) < 1e-9
 
     def test_snapshot_semantics_match_a_manual_possible_worlds_computation(self):
         """At one time point, the join result's marginals must match brute force.

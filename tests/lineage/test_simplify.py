@@ -9,7 +9,6 @@ from repro.lineage import (
     and_not,
     canonical,
     equivalent,
-    is_read_once,
     lineage_and,
     lineage_not,
     lineage_or,
@@ -73,12 +72,3 @@ class TestNormalForms:
         expr = lineage_or(lineage_and(Var("c"), Var("a")), lineage_not(Var("b")))
         assert equivalent(expr, canonical(expr))
 
-
-class TestReadOnce:
-    def test_join_lineages_are_read_once(self):
-        assert is_read_once(and_not(Var("a1"), lineage_or(Var("b3"), Var("b2"))))
-        assert is_read_once(lineage_and(Var("a1"), Var("b3")))
-
-    def test_repeated_variable_is_not_read_once(self):
-        expr = lineage_or(lineage_and(Var("a"), Var("b")), lineage_and(Var("a"), Var("c")))
-        assert not is_read_once(expr)

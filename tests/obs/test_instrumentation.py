@@ -184,7 +184,7 @@ def test_taps_coexist_with_metrics_and_read_them_live():
 
     outcome = run_graph(
         graph,
-        ExecutionOptions(early_emit=True),
+        ExecutionOptions(early_emit=True, metrics=True),
         11,
         transport="inline",
         taps={"n2": tap},
@@ -213,7 +213,7 @@ def test_tap_error_message_points_at_metrics():
             taps={"n2": lambda *args: None},
         )
     assert "in-process callables" in str(excinfo.value)
-    assert "MetricsCollector" in str(excinfo.value)
+    assert "StreamQuery.metrics()" in str(excinfo.value)
 
 
 # --------------------------------------------------------------------------- #
@@ -254,6 +254,7 @@ def _shard_run(
             # ``inline`` is a transport of the router, not a value of the knob.
             transport="threads" if transport == "inline" else transport,
             placement=placement,
+            metrics=True,
             metrics_interval=metrics_interval,
         ),
         wrap=wrap,
@@ -277,7 +278,7 @@ def test_live_metrics_mid_run(transport):
     poller = threading.Thread(target=poll)
     poller.start()
     try:
-        _reports, events, _blocks, ran, _recoveries = _shard_run(transport, collector)
+        _reports, events, _blocks, ran, *_ = _shard_run(transport, collector)
     finally:
         done.set()
         poller.join()
@@ -307,7 +308,7 @@ def test_session_serves_final_snapshots_once_results_arrived(transport):
     once a worker's result is in, the session itself must still serve that
     worker's final one — on every transport alike."""
     collector = _SessionKeepingCollector()
-    reports, events, _blocks, ran, _recoveries = _shard_run(
+    reports, events, _blocks, ran, *_ = _shard_run(
         transport, collector, metrics_interval=60, wrap=iter
     )
     assert ran == transport and events > 0
@@ -366,7 +367,7 @@ def test_live_metrics_from_remote_entrypoint_workers():
         poller = threading.Thread(target=poll)
         poller.start()
         try:
-            _reports, _events, _blocks, ran, _recoveries = _shard_run(
+            _reports, _events, _blocks, ran, *_ = _shard_run(
                 "sockets", collector, placement=placement
             )
         finally:

@@ -179,7 +179,7 @@ def test_socket_reports_carry_clock_offsets():
     catalog = Catalog()
     catalog.register_stream("l", stream_def(left, ReplayConfig(disorder=3, seed=19)))
     catalog.register_stream("r", stream_def(right, ReplayConfig(disorder=3, seed=20)))
-    reports, events, _blocks, ran, _recoveries = run_shard_job(
+    reports, events, _blocks, ran, *_ = run_shard_job(
         "sockets",
         catalog,
         ExecutionOptions(trace=True, trace_sample_rate=1.0),

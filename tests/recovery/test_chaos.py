@@ -91,6 +91,20 @@ def test_from_zero_recovery_settles_bitwise_identical():
     assert "recoveries: 2" in report and "from-zero" in report
 
 
+def test_a_recovered_run_reports_its_recovery_in_every_telemetry_view():
+    """The recovering session's own counters and span join the workers'
+    telemetry in the live collector and in the run result alike."""
+    catalog, _left, _right = query_catalog(SEED)
+    query = StreamQuery(
+        catalog, "left_outer", "l", "r", ON, config=_options(metrics=True, trace=True)
+    )
+    result = query.run(merge_seed=SEED, chaos=ChaosInjector([(13, 0)]))
+    assert len(result.recoveries()) == 1
+    assert query.metrics().totals()["recoveries"] == 1
+    assert result.metrics().totals()["recoveries"] == 1
+    assert "recovery" in {span["name"] for span in result.trace().spans()}
+
+
 def test_checkpointed_recovery_replays_only_the_suffix():
     """checkpoint_interval=0.0 snapshots at every micro-batch boundary, so
     a late kill restores a non-empty checkpoint and replays strictly less

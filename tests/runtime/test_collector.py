@@ -183,7 +183,7 @@ def test_a_listen_seat_collects_between_jobs_never_during_one():
         )
         jobs = []
         for _ in range(2):
-            reports, _events, _blocks, backend, _recoveries = run_shard_job(
+            reports, _events, _blocks, backend, *_ = run_shard_job(
                 "sockets", catalog, options, edit=probed
             )
             assert backend == "sockets"

@@ -73,7 +73,7 @@ def test_seat_inboxes_hold_one_micro_batch(monkeypatch):
     slow_operator(monkeypatch, ContinuousJoin, 0.002)
     catalog, _left, _right = query_catalog(43, left_size=40, right_size=40)
     options = ExecutionOptions(metrics=True, micro_batch_size=MICRO)
-    reports, _events, _blocks, backend, _recoveries = run_shard_job(
+    reports, _events, _blocks, backend, *_ = run_shard_job(
         "sockets", catalog, options, partitions=2
     )
     assert backend == "sockets"
@@ -121,7 +121,9 @@ def test_a_processes_run_leaves_no_queue_behind(processes_catalog):
     catalog, options = processes_catalog
     assert _feeder_threads() == []
     before = _descriptors()
-    *_, backend, _recoveries = run_shard_job("processes", catalog, options, partitions=2)
+    _reports, _events, _blocks, backend, *_ = run_shard_job(
+        "processes", catalog, options, partitions=2
+    )
     assert backend == "processes"
     _assert_released(before)
 
@@ -161,7 +163,9 @@ def test_a_sockets_run_releases_its_spawn_queue_and_seats(monkeypatch):
 
     monkeypatch.setattr(SocketTransport, "start", recording)
     before = len(os.listdir("/proc/self/fd"))
-    *_, backend, _recoveries = run_shard_job("sockets", catalog, options, partitions=2)
+    _reports, _events, _blocks, backend, *_ = run_shard_job(
+        "sockets", catalog, options, partitions=2
+    )
     assert backend == "sockets"
     assert len(sessions) == 1 and not sessions[0].seat_processes
     assert len(os.listdir("/proc/self/fd")) == before

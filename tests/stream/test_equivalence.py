@@ -17,7 +17,7 @@ from repro.core import BATCH_JOINS, tp_left_outer_join
 from repro.datasets import ReplayConfig, arrival_order, stream_def
 from repro.engine import Catalog
 from repro.lineage import canonical
-from repro.relation import TPRelation
+from repro.relation import Schema, TPRelation, equi_join_on
 from repro.stream import (
     ContinuousJoin,
     StreamQuery,
@@ -143,3 +143,24 @@ def test_insufficient_lateness_drops_late_events_without_crashing(
     assert operator.maintainer.stats.groups_finalized == delivered
     assert len(operator.emit_latencies) == delivered
     assert all(t.interval.duration > 0 for t in outputs)
+
+
+@pytest.mark.parametrize("path", ["batch", "stream"])
+def test_a_nan_key_shared_by_both_sides_matches_nothing(path):
+    """A dictionary finds a shared ``nan`` key by identity; θ's ``==`` rejects it."""
+    nan = float("nan")
+    left = TPRelation.from_rows(Schema.of("Key"), [(nan, "a1", 0, 10, 0.5)], name="l")
+    right = TPRelation.from_rows(
+        Schema.of("Key"), [(nan, "b1", 2, 6, 0.5)], events=left.events, name="r"
+    )
+    if path == "batch":
+        theta = equi_join_on(left.schema, right.schema, ON)
+        result = tp_left_outer_join(left, right, theta)
+    else:
+        catalog = Catalog()
+        catalog.register_stream("l", stream_def(left, ReplayConfig()))
+        catalog.register_stream("r", stream_def(right, ReplayConfig()))
+        result = StreamQuery(catalog, "left_outer", "l", "r", ON).run().relation
+    rows = [(t.fact[0] is nan, t.fact[1], t.start, t.end, str(t.lineage)) for t in result]
+    # The left tuple comes out unmatched over its whole interval, null-padded.
+    assert rows == [(True, None, 0, 10, "a1")]
