@@ -39,7 +39,7 @@ from ..core.concat import (
     window_to_tuple,
 )
 from ..core.joins import swap_theta
-from ..core.overlap import overlap_join, overlapping_windows
+from ..core.overlap import iter_overlap_join, overlapping_windows
 from ..core.windows import Window, WindowClass
 from ..lineage import disjunction_of
 from ..relation import TPRelation, TPTuple, ThetaCondition
@@ -117,7 +117,7 @@ def ta_unmatched_windows(
     pairing_theta = _ForceNestedLoop(theta) if nested_loop else theta
     windows: list[Window] = []
     # Second execution of the conventional join, as an alignment pass.
-    for group in overlap_join(positive, negative, pairing_theta):
+    for group in iter_overlap_join(positive, negative, pairing_theta):
         r = group.r
         partner_intervals = [record.interval for record in group.matches]
         for segment in segments_within(r.interval, partner_intervals):

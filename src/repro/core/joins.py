@@ -36,9 +36,13 @@ the baselines under :mod:`repro.baselines` and the window-level path
 class-by-class statement of the same table and are what the tests judge this
 one against.
 
-Probabilities are computed from the shared event space unless the caller
-opts out (Fig. 7 measures the joins without materialising them, like the
-paper).
+:func:`tp_join` feeds :func:`group_tuples` straight from
+:func:`~repro.core.overlap.iter_overlap_join`, so each overlap group is freed
+once its outputs are formed, and it builds the result relation without
+re-validating the output facts, each formed from facts of two validated
+inputs.  Probabilities are computed from the shared event space unless the
+caller opts out (Fig. 7 measures the joins without materialising them, like
+the paper).
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from ..relation import Schema, TPRelation, TPTuple, ThetaCondition
 from .concat import combined_output_schema
 from .lawan import lawan, negating_sweep, negating_windows
 from .lawau import gap_sweep, lawau
-from .overlap import OverlapGroup, OverlapRecord, overlap_join, overlap_spans
+from .overlap import OverlapGroup, OverlapRecord, iter_overlap_join, overlap_spans
 from .windows import Window, WindowClass, WindowSet
 
 _U, _N, _O = WindowClass.UNMATCHED, WindowClass.NEGATING, WindowClass.OVERLAPPING
@@ -112,8 +116,7 @@ def compute_windows(
     (they are needed by right and full outer joins; the overlapping windows
     are shared since ``WO(r;s,θ) = WO(s;r,θ)``).
     """
-    groups = overlap_join(positive, negative, theta)
-    windows = lawan(groups)
+    windows = lawan(iter_overlap_join(positive, negative, theta))
     overlapping = tuple(w for w in windows if w.window_class is WindowClass.OVERLAPPING)
     unmatched_r = tuple(w for w in windows if w.window_class is WindowClass.UNMATCHED)
     negating_r = tuple(w for w in windows if w.window_class is WindowClass.NEGATING)
@@ -121,8 +124,7 @@ def compute_windows(
     negating_s: tuple[Window, ...] = ()
     if include_reverse:
         reverse_theta = _SwappedTheta(theta)
-        reverse_groups = overlap_join(negative, positive, reverse_theta)
-        reverse_windows = lawan(reverse_groups)
+        reverse_windows = lawan(iter_overlap_join(negative, positive, reverse_theta))
         unmatched_s = tuple(
             w for w in reverse_windows if w.window_class is WindowClass.UNMATCHED
         )
@@ -198,6 +200,8 @@ def group_tuples(
         probability, events = computer.probability, computer.events
         marginal = events.probability
     make = TPTuple.from_bounds
+    # One ¬λs per negative event, shared by every record of it in this call.
+    negations: dict[str, Not] = {}
     for group in groups:
         r = group.r
         fact_r, lineage_r = tuple(r.fact), r.lineage
@@ -226,11 +230,15 @@ def group_tuples(
             if keep_n:
                 for record in group.matches:
                     lineage_s = record.s.lineage
+                    name_s = lineage_s.name
                     p = None
                     if marginal is not None:
-                        p = and_not_probability(p_r, marginal(lineage_s.name))
+                        p = and_not_probability(p_r, marginal(name_s))
                         computer.factorised += 1
-                    lineage = And((lineage_r, Not(lineage_s)))
+                    negated = negations.get(name_s)
+                    if negated is None:
+                        negated = negations[name_s] = Not(lineage_s)
+                    lineage = And((lineage_r, negated))
                     yield make(padded, lineage, record.start, record.end, p)
             continue
         if keep_n:
@@ -303,12 +311,14 @@ def tp_join(
     widths = len(left.schema), len(right.schema)
     # One computer for both halves, consulted in output order.
     computer = ProbabilityComputer(events) if compute_probabilities else None
-    tuples = list(group_tuples(kind, overlap_join(left, right, theta), *widths, computer=computer))
+    groups = iter_overlap_join(left, right, theta)
+    tuples = list(group_tuples(kind, groups, *widths, computer=computer))
     if kind in REVERSE_KINDS:
-        reverse_groups = overlap_join(right, left, swap_theta(theta))
+        reverse_groups = iter_overlap_join(right, left, swap_theta(theta))
         tuples.extend(group_tuples(kind, reverse_groups, *widths, reverse=True, computer=computer))
     name = f"{left.name} {JOIN_SYMBOLS[kind]} {right.name}"
-    return TPRelation(schema, tuples, events, name=name, check_constraint=False)
+    # Every output fact joins facts of two validated inputs: none is re-checked.
+    return TPRelation._trusted(schema, tuples, events, name)
 
 
 def tp_anti_join(
@@ -379,7 +389,7 @@ BATCH_JOINS = {kind: partial(tp_join, kind) for kind in TABLE_II}
 # --------------------------------------------------------------------------- #
 def nj_wuo(positive: TPRelation, negative: TPRelation, theta: ThetaCondition) -> list[Window]:
     """NJ's WUO computation (overlap join + LAWAU) — the Fig. 5 measurement."""
-    return lawau(overlap_join(positive, negative, theta))
+    return lawau(iter_overlap_join(positive, negative, theta))
 
 
 def nj_wn(positive: TPRelation, negative: TPRelation, theta: ThetaCondition) -> list[Window]:
@@ -388,9 +398,9 @@ def nj_wn(positive: TPRelation, negative: TPRelation, theta: ThetaCondition) -> 
     The overlap join plus the negating sweep: no LAWAU gaps, no copy of WUO.
     ``python -m repro.harness fig6`` times this call.
     """
-    return negating_windows(overlap_join(positive, negative, theta))
+    return negating_windows(iter_overlap_join(positive, negative, theta))
 
 
 def nj_wuon(positive: TPRelation, negative: TPRelation, theta: ThetaCondition) -> list[Window]:
     """NJ's full window pipeline WUON (WUO + WN) — the Fig. 6 WUON series."""
-    return lawan(overlap_join(positive, negative, theta))
+    return lawan(iter_overlap_join(positive, negative, theta))

@@ -16,6 +16,14 @@ the window's ``source_start``/``source_end`` fields, and windows are additionall
 grouped per originating ``r`` tuple (the paper's grouping by ``Fr`` and the
 initial interval), which is what both LAWAU and LAWAN consume.
 
+LAWAU and LAWAN consume one group at a time, so the groups are yielded as
+they are formed (:func:`iter_overlap_join`): ``s`` is partitioned and
+indexed up front, then each ``r`` tuple's group is merged, sorted and handed
+on before the next ``r`` tuple is read.  A consumer that drops each group
+once its outputs are formed keeps one group's records alive, not the whole
+join's; :func:`overlap_join` lists every group, for callers that need them
+all at once.
+
 For equi-join conditions the pairing uses hash partitioning on the join key
 followed by a per-partition sort-merge over interval start points, and the
 key decides θ (a key holding ``nan`` is never indexed or probed); a general
@@ -37,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, groupby
-from typing import Callable, Hashable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from ..relation import TPRelation, TPTuple, ThetaCondition
 from ..relation.predicates import matchable
@@ -105,11 +113,24 @@ def overlap_join(
     negative: TPRelation,
     theta: ThetaCondition,
 ) -> list[OverlapGroup]:
+    """Every group of :func:`iter_overlap_join`, materialised in one list."""
+    return list(iter_overlap_join(positive, negative, theta))
+
+
+def iter_overlap_join(
+    positive: Iterable[TPTuple],
+    negative: TPRelation,
+    theta: ThetaCondition,
+) -> Iterator[OverlapGroup]:
     """Compute the conventional outer join ``r ⟕_{θo ∧ θ} s`` grouped by ``r`` tuple.
 
-    Groups preserve the iteration order of ``positive``; matches within a
-    group are ordered by overlap start (ties broken by overlap end and the
-    negative tuple's fact) — the order LAWAU and LAWAN require.
+    ``negative`` is partitioned and indexed up front; ``positive`` is then
+    read one tuple at a time, and each group is yielded as soon as its
+    records are merged and sorted, so a consumer that drops a group frees
+    its records before the next one is built.  Groups preserve the
+    iteration order of ``positive``; matches within a group are ordered by
+    overlap start (ties broken by overlap end and the negative tuple's
+    fact) — the order LAWAU and LAWAN require.
     """
     if theta.is_equi:
         left_key, right_key, check = theta.left_key, theta.right_key, None
@@ -124,14 +145,14 @@ def overlap_join(
         if matchable(key):
             partitions.setdefault(key, []).append(s)
     buckets = {key: _index_bucket(bucket) for key, bucket in partitions.items()}
-    groups = [OverlapGroup(r) for r in positive]
-    for group in groups:
-        key = left_key(group.r)
+    for r in positive:
+        group = OverlapGroup(r)
+        key = left_key(r)
         bucket = buckets.get(key) if matchable(key) else None
         if bucket is not None:
             _merge_bucket(group, bucket, check)
             sort_matches(group.matches)
-    return groups
+        yield group
 
 
 def _whole_relation(tp_tuple: TPTuple) -> tuple:
@@ -226,6 +247,6 @@ def overlapping_windows(
     """Only the overlapping windows ``WO(r; s, θ)``."""
     return [
         window
-        for group in overlap_join(positive, negative, theta)
+        for group in iter_overlap_join(positive, negative, theta)
         for window in span_windows(group.r, overlap_spans(group))
     ]

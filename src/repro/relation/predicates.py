@@ -13,6 +13,7 @@ from __future__ import annotations
 import numbers
 import zlib
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Hashable, Optional, Sequence
 
 from .schema import Schema
@@ -139,7 +140,11 @@ class EquiJoinCondition(ThetaCondition):
     """Equality of one or more attribute pairs (``r.A = s.B ∧ ...``).
 
     The attribute names are resolved to fact positions once, at
-    construction (which is also where an unknown name raises).
+    construction (which is also where an unknown name raises), and each
+    side's key function is built there too: :attr:`left_key` and
+    :attr:`right_key` are per-instance callables that form a tuple's key
+    with one call.  A condition pickles and copies as its three fields and
+    rebuilds the key functions on the way back.
     """
 
     left_schema: Schema
@@ -148,6 +153,8 @@ class EquiJoinCondition(ThetaCondition):
     _positions: tuple[tuple[int, int], ...] = field(
         init=False, repr=False, compare=False
     )
+    left_key: Callable[[TPTuple], tuple] = field(init=False, repr=False, compare=False)
+    right_key: Callable[[TPTuple], tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         positions = tuple(
@@ -155,6 +162,11 @@ class EquiJoinCondition(ThetaCondition):
             for left_name, right_name in self.pairs
         )
         object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "left_key", _key_function([i for i, _ in positions]))
+        object.__setattr__(self, "right_key", _key_function([i for _, i in positions]))
+
+    def __reduce__(self):
+        return type(self), (self.left_schema, self.right_schema, self.pairs)
 
     @classmethod
     def on(
@@ -173,20 +185,34 @@ class EquiJoinCondition(ThetaCondition):
             for left_index, right_index in self._positions
         )
 
-    def left_key(self, left: TPTuple) -> Hashable:
-        fact = left.fact
-        return tuple(fact[index] for index, _ in self._positions)
-
-    def right_key(self, right: TPTuple) -> Hashable:
-        fact = right.fact
-        return tuple(fact[index] for _, index in self._positions)
-
     @property
     def is_equi(self) -> bool:
         return True
 
     def describe(self) -> str:
         return " AND ".join(f"r.{left} = s.{right}" for left, right in self.pairs)
+
+
+def _key_function(indexes: Sequence[int]) -> Callable[[TPTuple], tuple]:
+    """The key of a tuple on its fact positions ``indexes``, as a tuple."""
+    if len(indexes) == 1:
+        (index,) = indexes
+
+        def key(tp_tuple: TPTuple) -> tuple:
+            return (tp_tuple.fact[index],)
+
+    elif indexes:
+        getter = itemgetter(*indexes)
+
+        def key(tp_tuple: TPTuple) -> tuple:
+            return getter(tp_tuple.fact)
+
+    else:
+
+        def key(tp_tuple: TPTuple) -> tuple:
+            return ()
+
+    return key
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,22 @@ class TPRelation:
             )
         return cls(schema, tuples, space, name=name)
 
+    @classmethod
+    def _trusted(
+        cls, schema: Schema, tuples: list[TPTuple], events: EventSpace, name: str
+    ) -> "TPRelation":
+        """A relation that owns ``tuples`` and checks none of them.
+
+        For an operator whose every output fact is formed from facts of
+        relations that were already validated (the batch joins).
+        """
+        self = object.__new__(cls)
+        self._schema = schema
+        self._tuples = tuples
+        self._events = events
+        self._name = name
+        return self
+
     def derived(
         self,
         schema: Schema,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro import (
@@ -14,7 +16,10 @@ from repro import (
     tp_left_outer_join,
     tp_right_outer_join,
 )
-from repro.core import nj_wn, nj_wuo, nj_wuon, swap_theta
+from repro.core import TABLE_II, nj_wn, nj_wuo, nj_wuon, swap_theta, tp_join
+from repro.core import joins
+from repro.core.overlap import OverlapRecord
+from repro.datasets import webkit_pair
 from repro.relation import TrueCondition
 from repro.temporal import Interval
 from tests.conftest import canonical_rows, make_random_relations
@@ -162,3 +167,53 @@ class TestMeasurementEntryPoints:
             w.window_class is WindowClass.NEGATING
             for w in nj_wn(wants_to_visit, hotel_availability, loc_theta)
         )
+
+
+class TestWhatABatchJoinKeepsAlive:
+    """``tp_join`` consumes overlap groups as they are formed and trusts its facts."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        left, right = webkit_pair(200, seed=3)
+        return left, right, equi_join_on(left.schema, right.schema, [("File", "File")])
+
+    @pytest.mark.parametrize("kind", ["anti", "left_outer", "full_outer"])
+    def test_at_most_one_groups_records_are_alive(self, pair, kind, monkeypatch):
+        """When the join asks for the next group, the records alive are the
+        finished group's own, plus at most one of the group before it (a
+        loop variable of the consumer may still name its last record)."""
+        streamed = joins.iter_overlap_join
+        readings = []
+
+        def live_records():
+            return [o for o in gc.get_objects() if type(o) is OverlapRecord]
+
+        def watched(positive, negative, theta):
+            for group in streamed(positive, negative, theta):
+                yield group
+                others = sum(record.r is not group.r for record in live_records())
+                readings.append((others - baseline, len(group.matches)))
+
+        monkeypatch.setattr(joins, "iter_overlap_join", watched)
+        gc.collect()
+        baseline = len(live_records())
+        left, right, theta = pair
+        tp_join(kind, left, right, theta)
+        groups = len(left) + (len(right) if kind == "full_outer" else 0)
+        assert len(readings) == groups
+        assert max(records for _, records in readings) > 1
+        assert max(others for others, _ in readings) <= 1, readings
+
+    @pytest.mark.parametrize("kind", sorted(TABLE_II))
+    def test_outputs_are_not_revalidated(self, pair, kind, monkeypatch):
+        left, right, theta = pair
+        validated = []
+        check = Schema.validate_fact
+
+        def counting(schema, fact):
+            validated.append(fact)
+            return check(schema, fact)
+
+        monkeypatch.setattr(Schema, "validate_fact", counting)
+        result = tp_join(kind, left, right, theta)
+        assert len(result) > 0 and validated == []

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro import Schema, TPRelation, equi_join_on
-from repro.core import WindowClass, lawau, overlap_join, overlapping_windows
+from repro.core import WindowClass, iter_overlap_join, lawau, overlap_join, overlapping_windows
 from repro.core.lawau import gap_sweep
 from repro.core.overlap import OverlapRecord, sort_matches
 from repro.relation import PredicateCondition, TPTuple, TrueCondition
@@ -200,6 +200,7 @@ def test_overlap_join_finds_exactly_the_pairs_a_brute_force_finds(seed, make_the
     positive, negative = hard_relations(seed)
     theta = make_theta(positive, negative)
     groups = overlap_join(positive, negative, theta)
+    assert isinstance(groups, list)
     assert [group.r for group in groups] == list(positive)
     found = [
         [(m.interval.start, m.interval.end, m.s.fact) for m in group.matches]
@@ -207,6 +208,24 @@ def test_overlap_join_finds_exactly_the_pairs_a_brute_force_finds(seed, make_the
     ]
     assert found == all_pairs(positive, negative, theta)
     assert any(len(matches) > 2 for matches in found)
+
+
+def test_iter_overlap_join_pulls_positive_one_tuple_at_a_time():
+    """Each group is yielded before the next positive tuple is read."""
+    positive, negative = hard_relations(3)
+    theta = equi_join_on(positive.schema, negative.schema, [("Key", "Key")])
+    pulled = []
+
+    def reading(relation):
+        for tp_tuple in relation:
+            pulled.append(tp_tuple)
+            yield tp_tuple
+
+    groups = iter_overlap_join(reading(positive), negative, theta)
+    assert pulled == []
+    for count, group in enumerate(groups, start=1):
+        assert len(pulled) == count and group.r is pulled[-1]
+    assert pulled == list(positive)
 
 
 def test_a_long_early_negative_is_found_behind_short_later_ones():

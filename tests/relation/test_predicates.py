@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro.relation import (
@@ -78,6 +81,53 @@ class TestEquiJoinCondition:
     def test_describe(self):
         condition = equi_join_on(LEFT_SCHEMA, RIGHT_SCHEMA, [("Loc", "Loc")])
         assert condition.describe() == "r.Loc = s.Loc"
+
+
+class TestEquiJoinKeys:
+    """Each side's key is one call and the tuple the attribute positions select."""
+
+    SCHEMA = Schema.of("A", "B", "C")
+    ONE = (("B", "C"),)
+    TWO = (("C", "A"), ("A", "B"))
+
+    def facts(self):
+        return [("x", 1, 2.5), (None, "y", "z"), (float("nan"), 0, -1)]
+
+    @pytest.mark.parametrize("pairs", [ONE, TWO], ids=["one", "two"])
+    def test_keys_equal_the_positions_generator_expression(self, pairs):
+        condition = EquiJoinCondition(self.SCHEMA, self.SCHEMA, pairs)
+        positions = [
+            (self.SCHEMA.index(left), self.SCHEMA.index(right)) for left, right in pairs
+        ]
+        for index, fact in enumerate(self.facts()):
+            tp_tuple = TPTuple.base(fact, f"e{index}", Interval(1, 2), 0.5)
+            left_key = condition.left_key(tp_tuple)
+            right_key = condition.right_key(tp_tuple)
+            assert type(left_key) is tuple and type(right_key) is tuple
+            assert repr(left_key) == repr(tuple(fact[i] for i, _ in positions))
+            assert repr(right_key) == repr(tuple(fact[i] for _, i in positions))
+
+    def test_a_condition_without_pairs_keys_everything_alike(self):
+        condition = EquiJoinCondition(self.SCHEMA, self.SCHEMA, ())
+        tp_tuple = TPTuple.base(("x", 1, 2), "e1", Interval(1, 2), 0.5)
+        assert condition.left_key(tp_tuple) == condition.right_key(tp_tuple) == ()
+
+    @pytest.mark.parametrize("pairs", [ONE, TWO], ids=["one", "two"])
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda c: pickle.loads(pickle.dumps(c)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_survives_pickle_and_copy(self, pairs, clone):
+        condition = EquiJoinCondition(self.SCHEMA, self.SCHEMA, pairs)
+        cloned = clone(condition)
+        assert cloned == condition and hash(cloned) == hash(condition)
+        assert repr(cloned) == repr(condition)
+        left = TPTuple.base(("x", 1, 1), "e1", Interval(1, 2), 0.5)
+        right = TPTuple.base((1, "x", 1), "e2", Interval(1, 2), 0.5)
+        assert cloned.left_key(left) == condition.left_key(left)
+        assert cloned.right_key(right) == condition.right_key(right)
+        assert cloned.evaluate(left, right) == condition.evaluate(left, right)
 
 
 class TestPredicateCondition:

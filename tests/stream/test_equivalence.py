@@ -164,3 +164,24 @@ def test_a_nan_key_shared_by_both_sides_matches_nothing(path):
     rows = [(t.fact[0] is nan, t.fact[1], t.start, t.end, str(t.lineage)) for t in result]
     # The left tuple comes out unmatched over its whole interval, null-padded.
     assert rows == [(True, None, 0, 10, "a1")]
+
+
+@pytest.mark.parametrize("path", ["batch", "stream"])
+def test_a_two_attribute_key_holding_nan_matches_nothing(path):
+    """The same for a key on two attributes, ``nan`` in one of them."""
+    nan = float("nan")
+    schema = Schema.of("Key", "Tag")
+    left = TPRelation.from_rows(schema, [(nan, "x", "a1", 0, 10, 0.5)], name="l")
+    right = TPRelation.from_rows(
+        schema, [(nan, "x", "b1", 2, 6, 0.5)], events=left.events, name="r"
+    )
+    on = [("Key", "Key"), ("Tag", "Tag")]
+    if path == "batch":
+        result = tp_left_outer_join(left, right, equi_join_on(schema, schema, on))
+    else:
+        catalog = Catalog()
+        catalog.register_stream("l", stream_def(left, ReplayConfig()))
+        catalog.register_stream("r", stream_def(right, ReplayConfig()))
+        result = StreamQuery(catalog, "left_outer", "l", "r", on).run().relation
+    rows = [(t.fact[0] is nan, t.fact[1:], t.start, t.end, str(t.lineage)) for t in result]
+    assert rows == [(True, ("x", None, None), 0, 10, "a1")]
