@@ -240,6 +240,9 @@ def group_tuples(
                         negated = negations[name_s] = Not(lineage_s)
                     lineage = And((lineage_r, negated))
                     yield make(padded, lineage, record.start, record.end, p)
+                # The loop variable would keep this group's last record alive
+                # through the next group's build when that one has none.
+                record = None
             continue
         if keep_n:
             spans = chain(spans, negating_sweep(group))

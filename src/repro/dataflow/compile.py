@@ -17,7 +17,9 @@ fed by source streams only, with no downstream node, no tap and early
 emission off runs :class:`~repro.stream.ContinuousJoin` and collects its
 finalized outputs, which is what makes its workers checkpointable
 (:mod:`repro.recovery`).  Every other node runs
-:class:`~repro.dataflow.RevisionJoin` and publishes revisions.
+:class:`~repro.dataflow.RevisionJoin` and publishes revisions; with early
+emission on, one that no downstream node and no tap reads
+(:attr:`DataflowNodeSpec.read`) publishes each group once, settled.
 
 Emit latencies remain comparable across the process boundary because
 ``time.perf_counter`` reads ``CLOCK_MONOTONIC``, which is system-wide on the
@@ -112,8 +114,18 @@ class DataflowNodeSpec:
         """The watermark channel this worker's outputs arrive on downstream."""
         return _node_channel(self.node_index, self.partition)
 
+    @property
+    def read(self) -> bool:
+        """Whether anything reads this partition's revisions as they leave
+        it: a downstream node, or a tap (a serve hub, ``iter_revisions``)."""
+        return bool(self.downstream) or self.tap is not None
+
     def build_join(self):
-        """Instantiate the operator this spec describes."""
+        """Instantiate the operator this spec describes.
+
+        An early-emitting node nothing reads (:attr:`read`) is told so and
+        derives each group once, at settlement.
+        """
         materialize = self.event_probabilities is not None
         core = dict(
             left_name=self.left_name,
@@ -127,7 +139,12 @@ class DataflowNodeSpec:
         if self.collect_outputs:
             return continuous_join(self.kind, *schemas, self.on, **core)
         return RevisionJoin(
-            self.kind, *schemas, self.on, early_emit=self.early_emit, **core
+            self.kind,
+            *schemas,
+            self.on,
+            early_emit=self.early_emit,
+            read=self.read,
+            **core,
         )
 
     def report(self, join, outputs: Optional[List[TPTuple]]) -> WorkerReport:
@@ -136,7 +153,10 @@ class DataflowNodeSpec:
         ``stats`` is the revision-counter tuple of
         :class:`~repro.dataflow.RevisionJoinStats`; a collecting partition
         emitted each output once, at settlement, and reports the same
-        counters a watermark-only revision join would.
+        counters a watermark-only revision join would.  So does an
+        early-emitting partition nothing reads (:attr:`read`): it sent each
+        group once, settled, and only its ``groups_published_early``, emit
+        latencies and event lags record when the group first had windows.
         """
         stats = join.stats
         if self.collect_outputs:

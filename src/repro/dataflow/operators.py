@@ -27,15 +27,24 @@ step — whose inputs and outputs are *revision streams*
   it below the watermark lag.  Deferring is safe for the watermark
   contract: a dirty group is open, so its tuples start at or after its
   positive's start, which no derived watermark passes.
+* Provisional windows are published only where something reads them.  An
+  early-emitting node with no downstream node and no tap (``read=False``,
+  as :mod:`repro.dataflow.compile` builds an unread sink) keeps the batch
+  ends but publishes nothing at them: a dirty group is only *stamped* the
+  first time it has windows — every group of a side that keeps unmatched
+  windows, a group of an overlapping-only side once it has a match — which
+  records its latency and counts it in ``groups_published_early``.  It is
+  derived once, when it settles, as with early emission off, so the node's
+  ``emits``/``refines``/``retracts`` read as a watermark-only node's.
 * Watermark finalization *settles* a group.  In early mode a dirty group is
   published first — its revisions precede the watermark that passes it —
   and what the group has published then *is* final: the list moves to the
   settled output as it stands, nothing derived again, nothing compared.
-  With early emission off nothing was published, so the group is derived
-  once, here, and emitted (the path of ``ContinuousJoin._emit`` plus the
-  ``Revision`` wrapper).  Either way the derived watermark moving past the
-  group then guarantees downstream that none of its tuples will ever be
-  revised again.
+  With early emission off, or on an unread node, nothing was published, so
+  the group is derived once, here, and emitted (the path of
+  ``ContinuousJoin._emit`` plus the ``Revision`` wrapper).  Either way the
+  derived watermark moving past the group then guarantees downstream that
+  none of its tuples will ever be revised again.
 
 Nothing on this path renders a lineage to text: windows and retracted
 inputs are recognised structurally, sweep order asks for a negative's
@@ -64,7 +73,9 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..core.joins import TABLE_II
 from ..core.overlap import OverlapGroup, sort_matches
+from ..core.windows import WindowClass
 from ..relation import Schema, TPTuple
 from ..stream.elements import LEFT, RIGHT, StreamEvent, Tagged, Watermark
 from ..stream.incremental import FinalizedGroup, OpenPositive
@@ -112,6 +123,11 @@ class RevisionJoin(ContinuousJoin):
 
     Args:
         early_emit: publish provisional windows before finalization.
+        read: whether anything reads the revisions as they leave (a
+            downstream node, a tap).  An early-emitting node nothing reads
+            only stamps the batch end at which each group first has
+            windows, for its latency counters, and derives the group once,
+            when it settles.
     """
 
     def __init__(
@@ -122,13 +138,23 @@ class RevisionJoin(ContinuousJoin):
         on: Sequence[tuple[str, str]] = (),
         *,
         early_emit: bool = False,
+        read: bool = True,
         **core,
     ) -> None:
         super().__init__(kind, left_schema, right_schema, on, **core)
         self._early = early_emit
+        #: Early mode: publish provisional windows (``True``) or only stamp.
+        self._read = read
+        #: Per side (forward, reverse): whether every positive has windows —
+        #: the side keeps unmatched (and negating) windows — rather than
+        #: only the overlapping windows of its matches.
+        self._always_windowed = tuple(
+            WindowClass.UNMATCHED in kept for kept in TABLE_II[kind]
+        )
         #: Early mode: the tuples each open group has published, in
         #: derivation order.  A group enters with its first non-empty
-        #: publication and leaves when it settles or is retracted.
+        #: publication and leaves when it settles or is retracted.  On an
+        #: unread node every list stays empty: an entry is the group's stamp.
         self._published: Dict[GroupId, List[TPTuple]] = {}
         #: Early mode: the open groups changed since the last batch end, in
         #: first-dirtied order, each with its entry and the trace context of
@@ -172,7 +198,9 @@ class RevisionJoin(ContinuousJoin):
         }
 
     def describe(self) -> str:
-        mode = "early-emit" if self._early else "watermark-only"
+        mode = "watermark-only"
+        if self._early:
+            mode = "early-emit" if self._read else "early-emit, unread"
         return (
             f"RevisionJoin[{self.kind}] {self._left_name} × {self._right_name} "
             f"on {self._theta.describe()} ({mode})"
@@ -347,9 +375,19 @@ class RevisionJoin(ContinuousJoin):
         Called once per micro-batch for every group a new positive or a
         match-list change dirtied, and for a dirty group about to settle,
         so a settling group has published what its matches derive — which
-        is why :meth:`_settle` has nothing left to compute.
+        is why :meth:`_settle` has nothing left to compute.  An unread node
+        derives nothing here: it stamps the group's first windows, for the
+        latency counters, and derives the group when it settles.
         """
         gid: GroupId = (is_reverse, entry.serial)
+        if not self._read:
+            if gid not in self._published and (
+                self._always_windowed[is_reverse] or entry.matches
+            ):
+                self.stats.groups_published_early += 1
+                self._record_latency(entry.ingest_clock, entry.tuple.end)
+                self._published[gid] = []
+            return
         # In place: the next publication then sorts an almost sorted list,
         # and finalization sorts into this same order anyway.
         sort_matches(entry.matches)
@@ -402,7 +440,8 @@ class RevisionJoin(ContinuousJoin):
 
         In early mode a dirty group publishes its pending change first; its
         published tuples then *are* the final ones and move over as they
-        stand.  Otherwise the group is derived once, here, and emitted.
+        stand.  Otherwise — or on an unread node, which only stamped the
+        group — the group is derived once, here, and emitted.
         """
         self.stats.groups_settled += 1
         if self._early:
@@ -413,13 +452,20 @@ class RevisionJoin(ContinuousJoin):
                 # Never had a window to publish, so it has none now either.
                 self._record_latency(finalized.ingest_clock, finalized.group.r.end)
                 return
+            if not self._read:
+                tuples = self._emit_settled(is_reverse, finalized, out)
         else:
-            tuples = list(
-                self._group_outputs(is_reverse, finalized.group, finalized.key)
-            )
-            self._announce(RevisionKind.EMIT, tuples, False, out)
+            tuples = self._emit_settled(is_reverse, finalized, out)
             self._record_latency(finalized.ingest_clock, finalized.group.r.end)
         self._settled.extend(tuples)
+
+    def _emit_settled(
+        self, is_reverse: bool, finalized: FinalizedGroup, out: List[RevisionElement]
+    ) -> List[TPTuple]:
+        """Derive a settling group's tuples, once, and emit them as final."""
+        tuples = list(self._group_outputs(is_reverse, finalized.group, finalized.key))
+        self._announce(RevisionKind.EMIT, tuples, False, out)
+        return tuples
 
     def _publish_dirty(self, gid: GroupId, out: List[RevisionElement]) -> None:
         """Publish ``gid`` now if it is dirty: a settling group says its last

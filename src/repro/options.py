@@ -68,7 +68,13 @@ class ExecutionOptions:
     closes them, retracting/refining on later data (honoured by the one
     dataflow executor every query runs on).  Each changed group is
     published once per micro-batch, at its end; inline runs end a batch
-    after every element.
+    after every element.  Only nodes something reads publish
+    provisionally — one feeding another node, a serve tap or
+    ``iter_revisions``.  A sink nothing reads stamps when each group first
+    had windows (its emit latencies, event lags and
+    ``groups_published_early`` keep their early meaning) and derives each
+    group once, at settlement, so its emit/refine/retract counters read as
+    a watermark-only node's.
 
     ``metrics`` / ``metrics_interval`` sample every worker's always-on
     counts and operator state into per-worker registries and ship them

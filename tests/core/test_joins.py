@@ -179,9 +179,9 @@ class TestWhatABatchJoinKeepsAlive:
 
     @pytest.mark.parametrize("kind", ["anti", "left_outer", "full_outer"])
     def test_at_most_one_groups_records_are_alive(self, pair, kind, monkeypatch):
-        """When the join asks for the next group, the records alive are the
-        finished group's own, plus at most one of the group before it (a
-        loop variable of the consumer may still name its last record)."""
+        """When the join asks for the next group, the only records alive are
+        the finished group's own: none of an earlier group survives, not
+        even one a loop variable of the consumer last named."""
         streamed = joins.iter_overlap_join
         readings = []
 
@@ -202,7 +202,7 @@ class TestWhatABatchJoinKeepsAlive:
         groups = len(left) + (len(right) if kind == "full_outer" else 0)
         assert len(readings) == groups
         assert max(records for _, records in readings) > 1
-        assert max(others for others, _ in readings) <= 1, readings
+        assert max(others for others, _ in readings) == 0, readings
 
     @pytest.mark.parametrize("kind", sorted(TABLE_II))
     def test_outputs_are_not_revalidated(self, pair, kind, monkeypatch):
