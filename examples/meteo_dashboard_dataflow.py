@@ -12,10 +12,10 @@ emits, refines and retracts it prints are the ones this reader received.
 Provisional windows are published only where something reads them.  The
 example then runs the same query with nobody reading the dashboard
 (``query.run()``): the ``stable`` node still publishes provisionally, since
-the dashboard node reads it, but the unread dashboard settles each group
-once — its counters read like a watermark-only node's (no refines, no
-retracts), while its first-publication latency still says when each group
-first had windows.
+the dashboard node reads it, but the unread dashboard derives each group
+once, when it closes — its counters read like a watermark-only node's (no
+refines, no retracts), while its first-publication latency still says when
+each group first had windows.
 
 The example shows
 

@@ -19,7 +19,8 @@ finalized outputs, which is what makes its workers checkpointable
 (:mod:`repro.recovery`).  Every other node runs
 :class:`~repro.dataflow.RevisionJoin` and publishes revisions; with early
 emission on, one that no downstream node and no tap reads
-(:attr:`DataflowNodeSpec.read`) publishes each group once, settled.
+(:attr:`DataflowNodeSpec.read`) publishes each group once, settled, when
+it closes.
 
 Emit latencies remain comparable across the process boundary because
 ``time.perf_counter`` reads ``CLOCK_MONOTONIC``, which is system-wide on the
@@ -124,7 +125,7 @@ class DataflowNodeSpec:
         """Instantiate the operator this spec describes.
 
         An early-emitting node nothing reads (:attr:`read`) is told so and
-        derives each group once, at settlement.
+        derives each group once, when it closes.
         """
         materialize = self.event_probabilities is not None
         core = dict(
@@ -155,8 +156,9 @@ class DataflowNodeSpec:
         emitted each output once, at settlement, and reports the same
         counters a watermark-only revision join would.  So does an
         early-emitting partition nothing reads (:attr:`read`): it sent each
-        group once, settled, and only its ``groups_published_early``, emit
-        latencies and event lags record when the group first had windows.
+        group once, settled, when it closed, and only its
+        ``groups_published_early``, emit latencies and event lags record
+        when the group first had windows.
         """
         stats = join.stats
         if self.collect_outputs:

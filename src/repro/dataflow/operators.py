@@ -33,18 +33,23 @@ step — whose inputs and outputs are *revision streams*
   ends but publishes nothing at them: a dirty group is only *stamped* the
   first time it has windows — every group of a side that keeps unmatched
   windows, a group of an overlapping-only side once it has a match — which
-  records its latency and counts it in ``groups_published_early``.  It is
-  derived once, when it settles, as with early emission off, so the node's
-  ``emits``/``refines``/``retracts`` read as a watermark-only node's.
+  records its latency and counts it in ``groups_published_early``.  A
+  stamped group is derived once, when the node closes, in settle order: no
+  one reads it sooner, and deriving every group a watermark settles at
+  once would hold the interpreter for milliseconds while the upstream node
+  waits on this node's inbox, which spreads the upstream's emit latency.
+  The node's ``emits``/``refines``/``retracts`` then read as a
+  watermark-only node's.
 * Watermark finalization *settles* a group.  In early mode a dirty group is
   published first — its revisions precede the watermark that passes it —
   and what the group has published then *is* final: the list moves to the
   settled output as it stands, nothing derived again, nothing compared.
-  With early emission off, or on an unread node, nothing was published, so
-  the group is derived once, here, and emitted (the path of
-  ``ContinuousJoin._emit`` plus the ``Revision`` wrapper).  Either way the
-  derived watermark moving past the group then guarantees downstream that
-  none of its tuples will ever be revised again.
+  With early emission off nothing was published, so the group is derived
+  once, here, and emitted (the path of ``ContinuousJoin._emit`` plus the
+  ``Revision`` wrapper); an unread node keeps it for
+  :meth:`RevisionJoin.close`.  Either way the derived watermark moving past
+  the group then guarantees downstream that none of its tuples will ever be
+  revised again.
 
 Nothing on this path renders a lineage to text: windows and retracted
 inputs are recognised structurally, sweep order asks for a negative's
@@ -127,7 +132,7 @@ class RevisionJoin(ContinuousJoin):
             downstream node, a tap).  An early-emitting node nothing reads
             only stamps the batch end at which each group first has
             windows, for its latency counters, and derives the group once,
-            when it settles.
+            when the node closes.
     """
 
     def __init__(
@@ -167,6 +172,9 @@ class RevisionJoin(ContinuousJoin):
         self.settle_traces: List[Tuple[int, int, tuple]] = []
         #: The tuples of settled groups, in settle order: never revised again.
         self._settled: List[TPTuple] = []
+        #: Unread early mode: settled groups that had windows, in settle
+        #: order, not yet derived; :meth:`close` derives them.
+        self._underived: List[Tuple[bool, FinalizedGroup]] = []
         self.stats = RevisionJoinStats()
         #: Event-time emit lag per group: how far the input frontier (max
         #: event start seen) had progressed past the group's interval end at
@@ -189,7 +197,9 @@ class RevisionJoin(ContinuousJoin):
 
         Keyed by :meth:`~repro.relation.TPTuple.identity` and assembled on
         read from the settled groups' tuples and the open groups' published
-        ones; the operator itself keeps no global index.
+        ones; the operator itself keeps no global index.  An unread
+        early-emitting node derives its settled groups when it closes, so
+        its output is complete only then.
         """
         published = chain.from_iterable(self._published.values())
         return {
@@ -256,7 +266,8 @@ class RevisionJoin(ContinuousJoin):
         return out
 
     def close(self) -> List[RevisionElement]:
-        """Force both sides closed, settling every remaining group."""
+        """Force both sides closed, settling every remaining group; an
+        unread node then derives and emits every group it settled."""
         self.settle_traces.clear()
         out: List[RevisionElement] = []
         for group in self._forward.close():
@@ -264,6 +275,9 @@ class RevisionJoin(ContinuousJoin):
         if self._reverse is not None:
             for group in self._reverse.close():
                 self._settle(True, group, out)
+        underived, self._underived = self._underived, []
+        for is_reverse, finalized in underived:
+            self._settled.extend(self._emit_settled(is_reverse, finalized, out))
         self._advance_watermark(out)
         return out
 
@@ -377,7 +391,7 @@ class RevisionJoin(ContinuousJoin):
         so a settling group has published what its matches derive — which
         is why :meth:`_settle` has nothing left to compute.  An unread node
         derives nothing here: it stamps the group's first windows, for the
-        latency counters, and derives the group when it settles.
+        latency counters, and derives the group when the node closes.
         """
         gid: GroupId = (is_reverse, entry.serial)
         if not self._read:
@@ -440,8 +454,9 @@ class RevisionJoin(ContinuousJoin):
 
         In early mode a dirty group publishes its pending change first; its
         published tuples then *are* the final ones and move over as they
-        stand.  Otherwise — or on an unread node, which only stamped the
-        group — the group is derived once, here, and emitted.
+        stand.  An unread node only stamped the group and leaves its
+        derivation to :meth:`close`.  Otherwise the group is derived once,
+        here, and emitted.
         """
         self.stats.groups_settled += 1
         if self._early:
@@ -453,7 +468,8 @@ class RevisionJoin(ContinuousJoin):
                 self._record_latency(finalized.ingest_clock, finalized.group.r.end)
                 return
             if not self._read:
-                tuples = self._emit_settled(is_reverse, finalized, out)
+                self._underived.append((is_reverse, finalized))
+                return
         else:
             tuples = self._emit_settled(is_reverse, finalized, out)
             self._record_latency(finalized.ingest_clock, finalized.group.r.end)
@@ -462,7 +478,7 @@ class RevisionJoin(ContinuousJoin):
     def _emit_settled(
         self, is_reverse: bool, finalized: FinalizedGroup, out: List[RevisionElement]
     ) -> List[TPTuple]:
-        """Derive a settling group's tuples, once, and emit them as final."""
+        """Derive a settled group's tuples, once, and emit them as final."""
         tuples = list(self._group_outputs(is_reverse, finalized.group, finalized.key))
         self._announce(RevisionKind.EMIT, tuples, False, out)
         return tuples

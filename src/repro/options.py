@@ -73,8 +73,8 @@ class ExecutionOptions:
     ``iter_revisions``.  A sink nothing reads stamps when each group first
     had windows (its emit latencies, event lags and
     ``groups_published_early`` keep their early meaning) and derives each
-    group once, at settlement, so its emit/refine/retract counters read as
-    a watermark-only node's.
+    group once, when it closes, so its emit/refine/retract counters read
+    as a watermark-only node's.
 
     ``metrics`` / ``metrics_interval`` sample every worker's always-on
     counts and operator state into per-worker registries and ship them

@@ -3,7 +3,7 @@
 A sink with no downstream node, no tap and no revision iterator has no
 reader for provisional windows, so its :class:`~repro.dataflow.RevisionJoin`
 only stamps the batch end at which each group first has windows and derives
-the group once, at settlement.  What it reports must still mean what an
+the group once, when it closes.  What it reports must still mean what an
 early-emitting node's report means: the same settled relation (probabilities
 bitwise), the same ``emit_event_lags`` and ``groups_published_early`` as the
 same sink tapped, and — since it sent nothing provisional — the revision
@@ -194,7 +194,7 @@ def test_unread_sink_counters_are_a_watermark_only_sinks(backend, sink_partition
     ],
     ids=["left_outer", "right_outer"],
 )
-def test_unread_sink_derives_each_group_once_at_settlement(nodes):
+def test_unread_sink_derives_each_group_once_when_it_closes(nodes):
     catalog, *_ = make_stream_catalog(32, disorder=8)
     graph = DataflowGraph(catalog, nodes)
     derived: list = []
@@ -202,22 +202,19 @@ def test_unread_sink_derives_each_group_once_at_settlement(nodes):
 
     def probe(_channel_id, join) -> None:
         joins.append(join)
-        group_outputs, end_batch = join._group_outputs, join.end_batch
-        in_batch_end = []
+        group_outputs, close = join._group_outputs, join.close
+        closing = []
 
         def counted(is_reverse, group, key):
-            assert not in_batch_end, "an unread sink derived at a batch end"
+            assert closing, "an unread sink derived before it closed"
             derived.append((is_reverse, group.r))  # kept alive: ids stay unique
             return group_outputs(is_reverse, group, key)
 
-        def guarded_end_batch():
-            in_batch_end.append(True)
-            try:
-                return end_batch()
-            finally:
-                in_batch_end.pop()
+        def guarded_close():
+            closing.append(True)
+            return close()
 
-        join._group_outputs, join.end_batch = counted, guarded_end_batch
+        join._group_outputs, join.close = counted, guarded_close
 
     outcome = run_graph(graph, EARLY, 7, transport="inline", probes={graph.sink: probe})
     (join,) = joins
@@ -249,7 +246,7 @@ def test_directly_constructed_revision_join_still_publishes():
     assert join.stats.groups_published_early == 1
 
 
-def test_unread_join_stamps_at_batch_end_and_emits_at_settlement():
+def test_unread_join_stamps_at_batch_end_and_emits_when_it_closes():
     left, right = one_match()
     join = RevisionJoin(
         "left_outer",
@@ -267,7 +264,10 @@ def test_unread_join_stamps_at_batch_end_and_emits_at_settlement():
     out = join.process(Tagged(LEFT, Watermark(9))) + join.process(
         Tagged(RIGHT, Watermark(9))
     )
-    settled = additions(out)
+    # Settled, but nothing reads it before it closes: nothing derived yet.
+    assert additions(out) == []
+    assert join.stats.groups_settled == 1 and join.stats.emits == 0
+    settled = additions(join.close())
     # l0 [2, 8) minus r0 [4, 6): unmatched, overlapping, negating, unmatched.
     assert len(settled) == 4 and not any(r.provisional for r in settled)
     assert join.stats.emits == 4 and join.stats.groups_settled == 1
