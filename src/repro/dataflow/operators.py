@@ -46,8 +46,10 @@ step — whose inputs and outputs are *revision streams*
   settled output as it stands, nothing derived again, nothing compared.
   With early emission off nothing was published, so the group is derived
   once, here, and emitted (the path of ``ContinuousJoin._emit`` plus the
-  ``Revision`` wrapper); an unread node keeps it for
-  :meth:`RevisionJoin.close`.  Either way the derived watermark moving past
+  ``Revision`` wrapper: the groups one watermark settles on a side are
+  derived in one pass); an unread node keeps it for
+  :meth:`RevisionJoin.close`, which derives each run of same-side groups
+  in one pass.  Either way the derived watermark moving past
   the group then guarantees downstream that none of its tuples will ever be
   revised again.
 
@@ -66,16 +68,18 @@ inputs, tuple for tuple — the convergence harness in
 bitwise.
 
 With ``materialize_probabilities`` the operator computes each published
-tuple's probability through the maintainer-owned per-key
-:class:`~repro.lineage.ProbabilityComputer`; a refined window's probability
-is recomputed through the same computer, whose memo answers the
-sub-expressions the group's earlier revisions already evaluated.
+tuple's probability through the maintainer-owned
+:class:`~repro.lineage.ProbabilityComputer`, one computer per maintainer; a
+refined window's probability is recomputed through the same computer,
+whose memo answers the sub-expressions the group's earlier revisions
+already evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.joins import TABLE_II
@@ -256,10 +260,8 @@ class RevisionJoin(ContinuousJoin):
         elif isinstance(element, Watermark):
             self.settle_traces.clear()
             finalized, finalized_reverse = self._advance(tagged.side, element.value)
-            for group in finalized:
-                self._settle(False, group, out)
-            for group in finalized_reverse:
-                self._settle(True, group, out)
+            self._settle(False, finalized, out)
+            self._settle(True, finalized_reverse, out)
             self._advance_watermark(out)
         else:
             raise TypeError(f"unsupported dataflow element {element!r}")
@@ -270,14 +272,13 @@ class RevisionJoin(ContinuousJoin):
         unread node then derives and emits every group it settled."""
         self.settle_traces.clear()
         out: List[RevisionElement] = []
-        for group in self._forward.close():
-            self._settle(False, group, out)
+        self._settle(False, self._forward.close(), out)
         if self._reverse is not None:
-            for group in self._reverse.close():
-                self._settle(True, group, out)
+            self._settle(True, self._reverse.close(), out)
         underived, self._underived = self._underived, []
-        for is_reverse, finalized in underived:
-            self._settled.extend(self._emit_settled(is_reverse, finalized, out))
+        for is_reverse, run in groupby(underived, key=itemgetter(0)):
+            groups = [finalized for _side, finalized in run]
+            self._settled.extend(self._emit_settled(is_reverse, groups, out))
         self._advance_watermark(out)
         return out
 
@@ -406,9 +407,7 @@ class RevisionJoin(ContinuousJoin):
         # and finalization sorts into this same order anyway.
         sort_matches(entry.matches)
         current = list(
-            self._group_outputs(
-                is_reverse, OverlapGroup(entry.tuple, entry.matches), entry.key
-            )
+            self._derive(is_reverse, (OverlapGroup(entry.tuple, entry.matches),))
         )
         previous = self._published.get(gid)
         if previous is None:
@@ -448,38 +447,49 @@ class RevisionJoin(ContinuousJoin):
         return current
 
     def _settle(
-        self, is_reverse: bool, finalized: FinalizedGroup, out: List[RevisionElement]
+        self,
+        is_reverse: bool,
+        groups: Sequence[FinalizedGroup],
+        out: List[RevisionElement],
     ) -> None:
-        """Finalize one group: its tuples become settled output.
+        """Finalize one side's groups, in order: their tuples become settled
+        output.
 
         In early mode a dirty group publishes its pending change first; its
         published tuples then *are* the final ones and move over as they
         stand.  An unread node only stamped the group and leaves its
-        derivation to :meth:`close`.  Otherwise the group is derived once,
-        here, and emitted.
+        derivation to :meth:`close`.  Otherwise the groups are derived once,
+        here, in one pass, and emitted.
         """
-        self.stats.groups_settled += 1
-        if self._early:
+        if not groups:
+            return
+        self.stats.groups_settled += len(groups)
+        if not self._early:
+            for finalized in groups:
+                self._record_latency(finalized.ingest_clock, finalized.group.r.end)
+            self._settled.extend(self._emit_settled(is_reverse, groups, out))
+            return
+        for finalized in groups:
             gid: GroupId = (is_reverse, finalized.serial)
             self._publish_dirty(gid, out)
             tuples = self._published.pop(gid, None)
             if tuples is None:
                 # Never had a window to publish, so it has none now either.
                 self._record_latency(finalized.ingest_clock, finalized.group.r.end)
-                return
-            if not self._read:
+            elif self._read:
+                self._settled.extend(tuples)
+            else:
                 self._underived.append((is_reverse, finalized))
-                return
-        else:
-            tuples = self._emit_settled(is_reverse, finalized, out)
-            self._record_latency(finalized.ingest_clock, finalized.group.r.end)
-        self._settled.extend(tuples)
 
     def _emit_settled(
-        self, is_reverse: bool, finalized: FinalizedGroup, out: List[RevisionElement]
+        self,
+        is_reverse: bool,
+        groups: Sequence[FinalizedGroup],
+        out: List[RevisionElement],
     ) -> List[TPTuple]:
-        """Derive a settled group's tuples, once, and emit them as final."""
-        tuples = list(self._group_outputs(is_reverse, finalized.group, finalized.key))
+        """Derive settled groups of one side, once and in one pass, and emit
+        their tuples as final."""
+        tuples = list(self._derive(is_reverse, [finalized.group for finalized in groups]))
         self._announce(RevisionKind.EMIT, tuples, False, out)
         return tuples
 

@@ -12,7 +12,7 @@ backend, ``micro_batch_size`` sizes the backpressure seam (every inbox,
 and the revision stream's consumer channel, holds one micro-batch),
 ``early_emit`` switches provisional publication on and
 ``materialize_probabilities`` computes output probabilities inline through
-the maintainer-owned per-key computers; each node's degree is its
+the maintainer-owned computers, one per maintainer; each node's degree is its
 ``NodeSpec.partitions``.  A one-node graph with early emission off
 recovers dead socket seats.  Any other graph is not yet recoverable —
 nodes exchange revisions over peer edges whose in-flight elements a
@@ -333,12 +333,10 @@ class DataflowQuery(QueryTelemetry):
         events = self._graph.merged_events()
         nodes: Dict[str, NodeResult] = {}
         for spec in self._graph.nodes:
-            relation = TPRelation(
-                self._graph.schema_of(spec.name),
-                outcome.settled[spec.name],
-                events,
-                name=spec.name,
-                check_constraint=False,
+            # Every settled fact joins facts of validated inputs: none is
+            # re-checked.
+            relation = TPRelation._trusted(
+                self._graph.schema_of(spec.name), outcome.settled[spec.name], events, spec.name
             )
             nodes[spec.name] = NodeResult(
                 name=spec.name,

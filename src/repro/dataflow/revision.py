@@ -39,6 +39,9 @@ from typing import Union
 
 from ..relation import TPTuple
 from ..stream.elements import StreamEvent, Watermark
+from ..values import reduce_fields, writer
+
+_new = object.__new__
 
 
 class RevisionKind(str, Enum):
@@ -49,9 +52,11 @@ class RevisionKind(str, Enum):
     REFINE = "refine"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Revision:
     """One change to an operator's published output set.
+
+    Built by one ``__new__`` (see :mod:`repro.values`).
 
     Attributes:
         kind: emit / retract / refine (see module docstring).
@@ -64,11 +69,25 @@ class Revision:
     tuple: TPTuple
     provisional: bool = False
 
+    def __new__(
+        cls, kind: RevisionKind, tuple: TPTuple, provisional: bool = False
+    ) -> "Revision":
+        self = _new(_RevisionWriter)
+        self.kind = kind
+        self.tuple = tuple
+        self.provisional = provisional
+        self.__class__ = Revision
+        return self
+
+    __reduce__ = reduce_fields
+
     @property
     def adds(self) -> bool:
         """Whether this revision adds the tuple to the consumer's state."""
         return self.kind is not RevisionKind.RETRACT
 
+
+_RevisionWriter = writer(Revision)
 
 #: Anything a dataflow edge carries.
 RevisionElement = Union[Revision, Watermark]

@@ -38,7 +38,7 @@ class ExecutionOptions:
     the one rule every query and the serving layer apply).
 
     ``materialize_probabilities`` computes output probabilities inline
-    with the maintainer-owned per-key computers instead of
+    with the maintainer-owned computers, one per maintainer, instead of
     leaving them for a later ``with_probabilities`` pass.
 
     ``partitions`` is the degree of a :class:`~repro.stream.StreamQuery`

@@ -7,8 +7,8 @@ the operator's emit latencies and counters, and — the bulk — the forward
 (and, for right/full outer joins, the mirrored reverse)
 :class:`~repro.stream.incremental.IncrementalWindowMaintainer`: open
 positives with their accrued overlap records, indexed negatives, watermark
-horizons, serial counter and stats.  The per-key probability memos are not
-part of it: a restored worker recomputes, and a recomputed probability is
+horizons, serial counter and stats.  The probability computers' memos (one computer
+per maintainer) are not part of it: a restored worker recomputes, and a recomputed probability is
 bitwise the memoised one, so a frame's size follows the open state, not the
 length of the run.
 

@@ -40,7 +40,7 @@ worker server that joins a placement map (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
+from time import perf_counter, thread_time
 from typing import Callable, Hashable, List, Optional, Protocol, Sequence
 
 from ...obs.metrics import registry_for_spec
@@ -410,9 +410,11 @@ def run_worker(
     ending the operator's batch (:meth:`Worker.end_batch`, batched workers
     only) and flushing buffered downstream sends after each one, then
     close.  It
-    always times idle (blocked in ``take_batch``) vs busy seconds and counts
-    the elements consumed: three clock reads per micro-batch, none per
-    element.
+    always times idle seconds (wall time blocked in ``take_batch``) and busy
+    seconds (the worker thread's CPU time, :func:`time.thread_time`, from
+    a batch's arrival to its flush, so time spent waiting for the GIL or
+    another node's work is not counted), and counts the elements consumed:
+    five clock reads per micro-batch, none per element.
 
     ``job`` is the :class:`~repro.runtime.transport.RuntimeJob` (its specs
     are not read): ``metrics`` gives the worker a registry, ``trace`` a
@@ -457,18 +459,18 @@ def run_worker(
     while True:
         mark = perf_counter()
         batch = inbox.take_batch(job.micro_batch_size)
-        now = perf_counter()
-        idle += now - mark
+        idle += perf_counter() - mark
         if batch is None:
             break
+        cpu = thread_time()
         for channel, tagged in batch:
             worker.accept(channel, tagged)
         if end_batch is not None:
             end_batch()
         elements_seen += len(batch)
         emitter.flush()
+        busy += thread_time() - cpu
         done = perf_counter()
-        busy += done - now
         if registry is not None:
             batch_sizes.observe(len(batch))
             batches.inc()

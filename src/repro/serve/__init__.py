@@ -2,8 +2,8 @@
 
 The serving layer sits in front of the dataflow engine and turns it into a
 service: clients address **named standing queries** instead of supplying
-graphs, overlapping queries share operators (and their per-key
-probability memos) through a structural common-subplan registry, and every
+graphs, overlapping queries share operators (and their probability
+computers, one per maintainer) through a structural common-subplan registry, and every
 subscriber reads the shared revision stream through a cursor over one
 bounded fan-out ring instead of a private copy.
 

@@ -14,7 +14,7 @@ first), and **detach**; the service owns everything in between:
   it (:mod:`repro.serve.subplan`) and launches them as **one** merged
   :class:`~repro.dataflow.DataflowGraph`: a subplan referenced by Q queries
   is one physical operator set — same worker instances, same channels, same
-  per-key probability memos
+  probability computers, one per maintainer
   (:meth:`~repro.dataflow.operators.RevisionJoin.maintainer`).  One query's
   sink may be another's interior node; its tap observes the shared node's
   live output either way.

@@ -17,8 +17,8 @@ Each distinct key owns one reference-counted :class:`SubplanEntry` holding a
 canonical names.  A plan group (:mod:`repro.serve.registry`) executes the
 entries' specs directly: overlapping standing queries become one merged
 :class:`~repro.dataflow.DataflowGraph` in which every shared subplan is one
-physical operator set — same workers, same channels, same per-key
-probability memos.
+physical operator set — same workers, same channels, same probability
+computers, one per maintainer.
 """
 
 from __future__ import annotations

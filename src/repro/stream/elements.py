@@ -17,6 +17,11 @@ element flow through the subsystem:
 The special value :data:`CLOSED` (+inf) closes a stream: it finalizes every
 remaining window and is emitted automatically when a finite replay source is
 exhausted.
+
+The element types are frozen values built by one ``__new__`` each, the
+pattern of :mod:`repro.values`: an element is made for every event and
+watermark that crosses the runtime, so the frozen dataclass ``__init__``
+would be a measurable share of its cost.
 """
 
 from __future__ import annotations
@@ -26,12 +31,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
 from ..relation import TPTuple
+from ..values import reduce_fields, writer
+
+_new = object.__new__
 
 #: Watermark value that closes a stream (no further events, ever).
 CLOSED: float = math.inf
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class StreamEvent:
     """One TP tuple arriving on a stream.
 
@@ -44,18 +52,40 @@ class StreamEvent:
     tuple: TPTuple
     sequence: int = 0
 
+    def __new__(cls, tuple: TPTuple, sequence: int = 0) -> "StreamEvent":
+        self = _new(_EventWriter)
+        self.tuple = tuple
+        self.sequence = sequence
+        self.__class__ = StreamEvent
+        return self
 
-@dataclass(frozen=True, slots=True)
+    __reduce__ = reduce_fields
+
+
+_EventWriter = writer(StreamEvent)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Watermark:
     """A source's promise: no future event has ``tuple.start < value``."""
 
     value: float
+
+    def __new__(cls, value: float) -> "Watermark":
+        self = _new(_WatermarkWriter)
+        self.value = value
+        self.__class__ = Watermark
+        return self
+
+    __reduce__ = reduce_fields
 
     @property
     def closes(self) -> bool:
         """Whether this watermark closes the stream."""
         return self.value == CLOSED
 
+
+_WatermarkWriter = writer(Watermark)
 
 #: Anything a stream source yields.
 StreamElement = Union[StreamEvent, Watermark]
@@ -65,7 +95,7 @@ LEFT = "left"
 RIGHT = "right"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Tagged:
     """A stream element labelled with the join side it belongs to.
 
@@ -86,6 +116,26 @@ class Tagged:
     element: StreamElement
     ingest_clock: Optional[float] = None
     trace: Optional[tuple] = None
+
+    def __new__(
+        cls,
+        side: str,
+        element: StreamElement,
+        ingest_clock: Optional[float] = None,
+        trace: Optional[tuple] = None,
+    ) -> "Tagged":
+        self = _new(_TaggedWriter)
+        self.side = side
+        self.element = element
+        self.ingest_clock = ingest_clock
+        self.trace = trace
+        self.__class__ = Tagged
+        return self
+
+    __reduce__ = reduce_fields
+
+
+_TaggedWriter = writer(Tagged)
 
 
 def tag(side: str, elements: Iterable[StreamElement]) -> Iterator[Tagged]:

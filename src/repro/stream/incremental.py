@@ -44,15 +44,22 @@ Three extensions serve the retractable dataflow subsystem
 * **Derived watermark** — :meth:`IncrementalWindowMaintainer.min_open_start`
   answers from an :class:`OpenStarts` index (a lazily-deleted heap) that is
   built at the first call, so runs that never ask for it never maintain it.
-* **Per-key probability computers** — when constructed with an event space,
-  the maintainer owns one :class:`~repro.lineage.ProbabilityComputer` per
-  join key, carried across *all* windows of a live continuous query.
-  Over base events every window lineage has one of the NJ shapes and is
-  answered from the marginals; over a derived input the windows of one key
-  share memoised sub-expression probabilities.  Either way the values are
+* **One probability computer per maintainer** — when constructed with an
+  event space, the maintainer owns one
+  :class:`~repro.lineage.ProbabilityComputer`, carried across *all* windows
+  of a live continuous query, whatever their key, so the groups one
+  watermark finalizes are derived in one pass.  Over base events every
+  window lineage has one of the NJ shapes and is answered from the
+  marginals; over a derived input the windows share memoised
+  sub-expression probabilities.  Either way the values are
   bitwise-identical to a fresh computation (the factorised path performs
   the general path's float operations, and the memo only ever returns a
   value it previously computed the uncached way).
+
+A watermark walks only the keys it can touch: each key keeps a lower bound
+on the smallest end among its open positives and among its indexed
+negatives, and finalization and eviction rebuild the lists of just the keys
+whose bound the watermark reached, in key order.
 """
 
 from __future__ import annotations
@@ -65,7 +72,11 @@ from ..core.overlap import OverlapGroup, OverlapRecord, sort_matches
 from ..lineage import EventSpace, ProbabilityComputer
 from ..relation import TPTuple, ThetaCondition
 from ..relation.predicates import matchable
+from ..values import reduce_fields, writer
 from .elements import CLOSED
+
+_new = object.__new__
+_INF = float("inf")
 
 #: Partition key used when θ is not an equi-join (single partition).
 _WHOLE_STREAM: Tuple = ("<all>",)
@@ -103,21 +114,38 @@ class OpenPositive:
     serial: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FinalizedGroup:
     """A completed overlap group, ready for the LAWAU/LAWAN sweeps.
 
     ``ingest_clock`` is the wall-clock reading recorded when the positive
     tuple was ingested; operators subtract it from the emission clock to
     report per-tuple emit latency.  ``key`` and ``serial`` identify the
-    originating open entry (join key for the per-key probability computer,
-    serial for provisional-publication bookkeeping).
+    originating open entry (its join key, and the serial that
+    provisional-publication bookkeeping goes by).  Built by one ``__new__``
+    (see :mod:`repro.values`).
     """
 
     group: OverlapGroup
     ingest_clock: float
     key: Hashable = None
     serial: int = 0
+
+    def __new__(
+        cls, group: OverlapGroup, ingest_clock: float, key: Hashable = None, serial: int = 0
+    ) -> "FinalizedGroup":
+        self = _new(_FinalizedWriter)
+        self.group = group
+        self.ingest_clock = ingest_clock
+        self.key = key
+        self.serial = serial
+        self.__class__ = FinalizedGroup
+        return self
+
+    __reduce__ = reduce_fields
+
+
+_FinalizedWriter = writer(FinalizedGroup)
 
 
 class OpenStarts:
@@ -162,6 +190,12 @@ class IncrementalWindowMaintainer:
         self._check = None if theta.is_equi else theta.evaluate
         self._open: Dict[Hashable, List[OpenPositive]] = {}
         self._negatives: Dict[Hashable, List[TPTuple]] = {}
+        # Per key, in the order of the dicts above: a lower bound on the
+        # smallest interval end among its open positives / indexed
+        # negatives.  Tightened on insert and made exact for every key a
+        # watermark walks; a watermark below a key's bound skips the key.
+        self._open_ends: Dict[Hashable, float] = {}
+        self._negative_ends: Dict[Hashable, float] = {}
         self._watermark_left: float = float("-inf")
         self._watermark_right: float = float("-inf")
         self._finalized_through: float = float("-inf")
@@ -169,17 +203,16 @@ class IncrementalWindowMaintainer:
         self._open_count = 0
         self._negative_count = 0
         self._serial = 0
-        # Per-key probability computers (requires an event space): each
-        # computer's memo persists across the windows of its key.
-        self._events = events
-        self._computers: Dict[Hashable, ProbabilityComputer] = {}
+        # One probability computer (requires an event space), its memo
+        # persisting across every window the maintainer finalizes.
+        self._computer = None if events is None else ProbabilityComputer(events)
         # Smallest interval end among open positives / indexed negatives:
-        # lets watermark advances skip the state scan entirely when nothing
+        # lets watermark advances skip the key walk entirely when nothing
         # can finalize or be evicted yet (the common case with frequent
         # watermarks).  Maintained as a lower bound: tightened on insert,
-        # recomputed exactly during the scans that do run.
-        self._min_open_end: float = float("inf")
-        self._min_negative_end: float = float("inf")
+        # the minimum of the per-key bounds after each walk.
+        self._min_open_end: float = _INF
+        self._min_negative_end: float = _INF
         # Built by the first min_open_start() call, maintained from then on.
         self._open_starts: Optional[OpenStarts] = None
 
@@ -217,32 +250,40 @@ class IncrementalWindowMaintainer:
             )
         return self._open_starts.minimum()
 
-    def computer_for(self, key: Hashable) -> ProbabilityComputer:
-        """The persistent per-key probability computer (requires events).
+    @property
+    def computer(self) -> Optional[ProbabilityComputer]:
+        """The maintainer's one probability computer (``None`` without events).
 
-        One computer per join key, owned by the maintainer and carried
-        across all windows of a live continuous query, so the windows of a
-        key share memoised sub-expression probabilities.
+        Owned by the maintainer and carried across all windows of a live
+        continuous query, so every window shares its memoised
+        sub-expression probabilities, and the groups of many keys can be
+        derived in one pass.
         """
-        if self._events is None:
+        return self._computer
+
+    def computer_for(self, key: Hashable) -> ProbabilityComputer:
+        """The probability computer for ``key``'s windows: :attr:`computer`,
+        whatever the key (requires events)."""
+        if self._computer is None:
             raise ValueError(
                 "maintainer was built without an event space; "
                 "pass events= to materialize probabilities"
             )
-        computer = self._computers.get(key)
-        if computer is None:
-            computer = ProbabilityComputer(self._events)
-            self._computers[key] = computer
-        return computer
+        return self._computer
 
     def probability_counters(self) -> Dict[str, int]:
-        """Summed telemetry across all per-key computers: memo lookups, and
-        the lineages answered factorised without consulting it."""
-        computers = self._computers.values()
+        """The computer's telemetry: memo lookups, and the lineages answered
+        factorised without consulting it (zeros without events)."""
+        computer = self._computer
+        if computer is None:
+            return dict.fromkeys(
+                ("probability_cache_hits", "probability_cache_misses", "probability_factorised"),
+                0,
+            )
         return {
-            "probability_cache_hits": sum(c.cache_hits for c in computers),
-            "probability_cache_misses": sum(c.cache_misses for c in computers),
-            "probability_factorised": sum(c.factorised for c in computers),
+            "probability_cache_hits": computer.cache_hits,
+            "probability_cache_misses": computer.cache_misses,
+            "probability_factorised": computer.factorised,
         }
 
     # ------------------------------------------------------------------ #
@@ -282,7 +323,14 @@ class IncrementalWindowMaintainer:
                         n_end if n_end < end else end,
                     )
                 )
-        self._open.setdefault(key, []).append(entry)
+        entries = self._open.get(key)
+        if entries is None:
+            self._open[key] = [entry]
+            self._open_ends[key] = end
+        else:
+            entries.append(entry)
+            if end < self._open_ends[key]:
+                self._open_ends[key] = end
         self._open_count += 1
         if self._open_starts is not None:
             self._open_starts.add(entry)
@@ -305,7 +353,14 @@ class IncrementalWindowMaintainer:
             self.stats.late_negatives_dropped += 1
             return []
         key = self._negative_key(tp_tuple)
-        self._negatives.setdefault(key, []).append(tp_tuple)
+        bucket = self._negatives.get(key)
+        if bucket is None:
+            self._negatives[key] = [tp_tuple]
+            self._negative_ends[key] = end
+        else:
+            bucket.append(tp_tuple)
+            if end < self._negative_ends[key]:
+                self._negative_ends[key] = end
         self._negative_count += 1
         if end < self._min_negative_end:
             self._min_negative_end = end
@@ -348,13 +403,14 @@ class IncrementalWindowMaintainer:
             if entry.tuple.identity() == identity:
                 del entries[index]
                 if not entries:
-                    self._open.pop(key, None)
+                    del self._open[key]
+                    del self._open_ends[key]
                 self._open_count -= 1
                 self.stats.positives_retracted += 1
                 if self._open_starts is not None:
                     self._open_starts.discard(entry)
-                # _min_open_end is a lower bound; removal only raises the
-                # true minimum, so the bound stays valid as-is.
+                # The end bounds are lower bounds; removal only raises the
+                # true minimum, so they stay valid as they are.
                 return entry
         return None
 
@@ -374,7 +430,8 @@ class IncrementalWindowMaintainer:
                 if negative.identity() == identity:
                     del bucket[index]
                     if not bucket:
-                        self._negatives.pop(key, None)
+                        del self._negatives[key]
+                        del self._negative_ends[key]
                     self._negative_count -= 1
                     break
         self.stats.negatives_retracted += 1
@@ -426,34 +483,47 @@ class IncrementalWindowMaintainer:
             return []
         finalized: List[FinalizedGroup] = []
         emptied: List[Hashable] = []
-        min_end: float = float("inf")
-        for key, entries in self._open.items():
+        open_ends = self._open_ends
+        open_starts = self._open_starts
+        min_end = _INF
+        # Only a key whose bound the horizon reached can finalize anything.
+        for key, bound in open_ends.items():
+            if bound > horizon:
+                if bound < min_end:
+                    min_end = bound
+                continue
             remaining: List[OpenPositive] = []
-            for entry in entries:
-                if entry.tuple.end <= horizon:
+            key_end = _INF
+            for entry in self._open[key]:
+                end = entry.tuple.end
+                if end <= horizon:
                     sort_matches(entry.matches)
-                    self.stats.groups_finalized += 1
-                    self._open_count -= 1
-                    if self._open_starts is not None:
-                        self._open_starts.discard(entry)
+                    if open_starts is not None:
+                        open_starts.discard(entry)
                     finalized.append(
                         FinalizedGroup(
                             OverlapGroup(entry.tuple, entry.matches),
                             entry.ingest_clock,
-                            key=entry.key,
-                            serial=entry.serial,
+                            entry.key,
+                            entry.serial,
                         )
                     )
                 else:
-                    if entry.tuple.end < min_end:
-                        min_end = entry.tuple.end
+                    if end < key_end:
+                        key_end = end
                     remaining.append(entry)
             if remaining:
                 self._open[key] = remaining
+                open_ends[key] = key_end
+                if key_end < min_end:
+                    min_end = key_end
             else:
                 emptied.append(key)
         for key in emptied:
             del self._open[key]
+            del open_ends[key]
+        self.stats.groups_finalized += len(finalized)
+        self._open_count -= len(finalized)
         self._min_open_end = min_end
         return finalized
 
@@ -475,10 +545,15 @@ class IncrementalWindowMaintainer:
     def load_open_entries(self, key: Hashable, entries: List[OpenPositive]) -> None:
         """Checkpoint restore: adopt pre-built open entries for one key.
 
-        Structural load only — counts are updated, but watermarks, bounds
+        Structural load: counts and end bounds are updated, but watermarks
         and stats are restored separately by the checkpoint codec.
         """
+        if not entries:
+            return
         self._open.setdefault(key, []).extend(entries)
+        bound = min(entry.tuple.end for entry in entries)
+        self._open_ends[key] = min(bound, self._open_ends.get(key, _INF))
+        self._min_open_end = min(bound, self._min_open_end)
         self._open_count += len(entries)
         if self._open_starts is not None:
             for entry in entries:
@@ -486,7 +561,12 @@ class IncrementalWindowMaintainer:
 
     def load_negatives(self, key: Hashable, bucket: List[TPTuple]) -> None:
         """Checkpoint restore: adopt one key's indexed negatives."""
+        if not bucket:
+            return
         self._negatives.setdefault(key, []).extend(bucket)
+        bound = min(negative.end for negative in bucket)
+        self._negative_ends[key] = min(bound, self._negative_ends.get(key, _INF))
+        self._min_negative_end = min(bound, self._min_negative_end)
         self._negative_count += len(bucket)
 
     def _evict_negatives(self) -> None:
@@ -501,20 +581,29 @@ class IncrementalWindowMaintainer:
         if horizon < self._min_negative_end:
             return
         emptied: List[Hashable] = []
-        min_end: float = float("inf")
-        for key, bucket in self._negatives.items():
+        negative_ends = self._negative_ends
+        min_end = _INF
+        evicted = 0
+        # Only a key whose bound the horizon reached has anything to evict.
+        for key, bound in negative_ends.items():
+            if bound > horizon:
+                if bound < min_end:
+                    min_end = bound
+                continue
+            bucket = self._negatives[key]
             kept = [negative for negative in bucket if negative.end > horizon]
-            evicted = len(bucket) - len(kept)
-            if evicted:
-                self.stats.negatives_evicted += evicted
-                self._negative_count -= evicted
+            evicted += len(bucket) - len(kept)
             if kept:
-                bucket_min = min(negative.end for negative in kept)
-                if bucket_min < min_end:
-                    min_end = bucket_min
+                key_end = min(negative.end for negative in kept)
                 self._negatives[key] = kept
+                negative_ends[key] = key_end
+                if key_end < min_end:
+                    min_end = key_end
             else:
                 emptied.append(key)
         for key in emptied:
             del self._negatives[key]
+            del negative_ends[key]
+        self.stats.negatives_evicted += evicted
+        self._negative_count -= evicted
         self._min_negative_end = min_end

@@ -28,10 +28,12 @@ the routing of watermarks into them and the group → tuples → probabilities
 step, and replaces only the output half.
 
 With ``materialize_probabilities=True`` (requires the merged event space)
-output probabilities are computed inline by the maintainer-owned per-key
-:class:`~repro.lineage.ProbabilityComputer`, whose memo is shared by all
-windows of a key; the values stay bitwise-identical to a fresh per-tuple
-computation.
+output probabilities are computed inline by the maintainer-owned
+:class:`~repro.lineage.ProbabilityComputer` — one computer per maintainer,
+whose memo is shared by all its windows; the values stay bitwise-identical
+to a fresh per-tuple computation.  That is what lets one watermark's
+finalized groups of one side, whatever their keys, be derived by a single
+:func:`~repro.core.joins.group_tuples` call.
 
 Per-tuple emit latency — the wall-clock span between the ingestion of a
 positive event and the emission of its finalized outputs — is recorded in
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.joins import (
     JOIN_SYMBOLS,
@@ -87,7 +89,7 @@ class ContinuousJoin:
         events: merged event space of every source feeding this operator
             (required for ``materialize_probabilities``).
         materialize_probabilities: compute output tuples' probabilities
-            inline via the maintainer-owned per-key computers.
+            inline via the maintainer-owned computers, one per maintainer.
     """
 
     def __init__(
@@ -220,16 +222,14 @@ class ContinuousJoin:
             )
         raise ValueError(f"unknown stream side {side!r}")
 
-    def _group_outputs(
-        self, is_reverse: bool, group: OverlapGroup, key: Hashable
-    ) -> Iterator[TPTuple]:
-        """The output tuples of one group, with probabilities if materialized."""
+    def _derive(self, is_reverse: bool, groups: Iterable[OverlapGroup]) -> Iterator[TPTuple]:
+        """The output tuples of one side's ``groups``, group by group, with
+        probabilities if materialized: one :func:`group_tuples` pass."""
         computer = None
         if self._materialize:
-            maintainer = self._reverse if is_reverse else self._forward
-            computer = maintainer.computer_for(key)
+            computer = (self._reverse if is_reverse else self._forward).computer
         return group_tuples(
-            self.kind, (group,), *self._widths, reverse=is_reverse, computer=computer
+            self.kind, groups, *self._widths, reverse=is_reverse, computer=computer
         )
 
     # ------------------------------------------------------------------ #
@@ -244,11 +244,14 @@ class ContinuousJoin:
         if not finalized and not finalized_reverse:
             return outputs
         emit_clock = self._clock()
+        latencies = self.emit_latencies
         for is_reverse, groups in ((False, finalized), (True, finalized_reverse)):
+            if not groups:
+                continue
             for group in groups:
-                self.stats.groups_finalized += 1
-                self.emit_latencies.append(max(0.0, emit_clock - group.ingest_clock))
-                outputs.extend(self._group_outputs(is_reverse, group.group, group.key))
+                latencies.append(max(0.0, emit_clock - group.ingest_clock))
+            self.stats.groups_finalized += len(groups)
+            outputs.extend(self._derive(is_reverse, [group.group for group in groups]))
         self.stats.outputs_emitted += len(outputs)
         return outputs
 

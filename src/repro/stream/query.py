@@ -162,12 +162,12 @@ class StreamQuery(DataflowQuery):
     def _build_result(self, outcome: GraphRunOutcome, elapsed: float) -> StreamQueryResult:
         (node,) = self.graph.nodes
         outputs = outcome.settled[node.name]
-        relation = TPRelation(
+        # Every output fact joins facts of two validated inputs: none is re-checked.
+        relation = TPRelation._trusted(
             self.graph.schema_of(node.name),
             outputs,
             self.graph.merged_events(),
-            name=self.describe(),
-            check_constraint=False,
+            self.describe(),
         )
         return StreamQueryResult(
             relation=relation,

@@ -3,7 +3,12 @@
 The data model's values — :class:`~repro.temporal.Interval`,
 :class:`~repro.relation.TPTuple`, the lineage nodes, and the join's
 :class:`~repro.core.overlap.OverlapRecord` and
-:class:`~repro.core.windows.Window` records — are frozen, slotted
+:class:`~repro.core.windows.Window` records — and the runtime's elements —
+:class:`~repro.stream.elements.StreamEvent`,
+:class:`~repro.stream.elements.Watermark`,
+:class:`~repro.stream.elements.Tagged`,
+:class:`~repro.dataflow.revision.Revision` and
+:class:`~repro.stream.incremental.FinalizedGroup` — are frozen, slotted
 dataclasses: immutable, and compared and hashed by value.  The ``__init__``
 a frozen dataclass generates has to write every field through
 ``object.__setattr__``, because the class's own ``__setattr__`` refuses; for

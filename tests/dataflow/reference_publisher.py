@@ -17,7 +17,7 @@ inputs and compare them batch by batch.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List
+from typing import Dict, Hashable, List, Sequence
 
 from repro.core.overlap import OverlapGroup, OverlapRecord
 from repro.dataflow.operators import GroupId, RevisionJoin
@@ -62,7 +62,7 @@ class ReferenceRevisionJoin(RevisionJoin):
     ) -> Dict[tuple, TPTuple]:
         return {
             tp_tuple.key(): tp_tuple
-            for tp_tuple in self._group_outputs(is_reverse, group, key)
+            for tp_tuple in self._derive(is_reverse, (group,))
         }
 
     def _publish(
@@ -83,6 +83,16 @@ class ReferenceRevisionJoin(RevisionJoin):
             self._record_latency(gid, entry.ingest_clock, entry.tuple.end)
 
     def _settle(
+        self,
+        is_reverse: bool,
+        groups: Sequence[FinalizedGroup],
+        out: List[RevisionElement],
+    ) -> None:
+        """Finalize one side's groups, one by one."""
+        for finalized in groups:
+            self._settle_one(is_reverse, finalized, out)
+
+    def _settle_one(
         self, is_reverse: bool, finalized: FinalizedGroup, out: List[RevisionElement]
     ) -> None:
         """Finalize one group: publish the settled diff, drop its bookkeeping.

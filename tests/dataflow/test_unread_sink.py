@@ -202,19 +202,21 @@ def test_unread_sink_derives_each_group_once_when_it_closes(nodes):
 
     def probe(_channel_id, join) -> None:
         joins.append(join)
-        group_outputs, close = join._group_outputs, join.close
+        derive, close = join._derive, join.close
         closing = []
 
-        def counted(is_reverse, group, key):
+        def counted(is_reverse, groups):
             assert closing, "an unread sink derived before it closed"
-            derived.append((is_reverse, group.r))  # kept alive: ids stay unique
-            return group_outputs(is_reverse, group, key)
+            groups = list(groups)
+            # Kept alive: ids stay unique.
+            derived.extend((is_reverse, group.r) for group in groups)
+            return derive(is_reverse, groups)
 
         def guarded_close():
             closing.append(True)
             return close()
 
-        join._group_outputs, join.close = counted, guarded_close
+        join._derive, join.close = counted, guarded_close
 
     outcome = run_graph(graph, EARLY, 7, transport="inline", probes={graph.sink: probe})
     (join,) = joins

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import socket
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,7 +23,8 @@ from repro.dataflow.compile import DataflowNodeSpec
 from repro.runtime import Placement, merge_edges
 from repro.runtime.placement import parse_host_port
 from repro.runtime.sockets import recv_frame, send_frame, serve_listener
-from repro.runtime.worker import SOURCE_CHANNEL, Worker
+import repro.runtime.worker as worker_module
+from repro.runtime.worker import SOURCE_CHANNEL, Worker, run_worker
 from repro.stream import LEFT, RIGHT, StreamQuery
 from repro.stream.elements import Tagged, Watermark
 
@@ -120,6 +122,74 @@ def test_traced_worker_sends_what_an_untraced_worker_sends():
         (context is None) == isinstance(entry[3], Watermark)
         for entry, context in zip(traced.sent, traced.contexts)
     )
+
+
+class _Clocks:
+    """A wall clock and a CPU clock the test advances by hand."""
+
+    def __init__(self) -> None:
+        self.wall = 1000.0
+        self.cpu = 50.0
+
+    def advance(self, wall: float, cpu: float) -> None:
+        self.wall += wall
+        self.cpu += cpu
+
+
+class _SlowInbox:
+    """Hands out fixed batches; each take blocks 10 s of wall, 0.5 s of CPU."""
+
+    def __init__(self, batches, clocks: _Clocks) -> None:
+        self._batches = list(batches)
+        self._clocks = clocks
+
+    def take_batch(self, max_size):
+        self._clocks.advance(10.0, 0.5)
+        return self._batches.pop(0) if self._batches else None
+
+
+class _SharedCpuEmitter(_RecordingEmitter):
+    """Each flush takes 5 s of wall but only 1 s of this thread's CPU, as
+    when another node's thread holds the interpreter meanwhile."""
+
+    def __init__(self, clocks: _Clocks) -> None:
+        super().__init__()
+        self._clocks = clocks
+
+    def flush(self) -> None:
+        self._clocks.advance(5.0, 1.0)
+
+
+def test_busy_seconds_count_the_worker_threads_cpu_and_idle_seconds_wall(monkeypatch):
+    clocks = _Clocks()
+    monkeypatch.setattr(worker_module, "perf_counter", lambda: clocks.wall)
+    monkeypatch.setattr(worker_module, "thread_time", lambda: clocks.cpu)
+    catalog, _left, _right = query_catalog(7, left_size=10, right_size=10, num_keys=4)
+    edges = [
+        (0, LEFT, iter(catalog.lookup_stream("l").replay())),
+        (0, RIGHT, iter(catalog.lookup_stream("r").replay())),
+    ]
+    elements = [
+        (SOURCE_CHANNEL if isinstance(element, Watermark) else None, Tagged(side, element))
+        for _edge, _stage, side, element in merge_edges(edges, 7)
+    ]
+    batches = [elements[index : index + 8] for index in range(0, len(elements), 8)]
+    job = SimpleNamespace(
+        metrics=True,
+        trace=False,
+        checkpoint_interval=None,
+        micro_batch_size=8,
+        metrics_interval=3600.0,
+    )
+    emitter = _SharedCpuEmitter(clocks)
+    report = run_worker(NODE, _SlowInbox(batches, clocks), emitter, job)
+    gauges = report.metrics["gauges"]
+    # Busy: one CPU second per batch, none of the flush's wall time, none
+    # of the CPU spent blocked in the inbox.
+    assert gauges["busy_seconds"] == pytest.approx(1.0 * len(batches))
+    # Idle: the wall time of every take, the last (``None``) one included.
+    assert gauges["idle_seconds"] == pytest.approx(10.0 * (len(batches) + 1))
+    assert any(entry[1] is None for entry in emitter.sent)
 
 
 def test_always_on_counts_are_the_counters_metrics_would_report():

@@ -158,11 +158,12 @@ def test_two_queries_sharing_a_subplan_execute_it_once():
     # Both subscribers observed the identical (non-empty) revision stream.
     state_one = net_settled_state(elements_one)
     assert state_one and state_one == net_settled_state(elements_two)
-    # The per-key probability memos are shared: the same key resolves to
-    # the same computer object through either query.
+    # The probability computers (one per maintainer) are shared: a key
+    # resolves to the same computer object through either query.
     maintainer = ops_one[0].maintainer
     key = next(iter(service.snapshot("q1"))).fact[0]
     assert maintainer.computer_for((key,)) is ops_two[0].maintainer.computer_for((key,))
+    assert maintainer.computer_for((key,)) is maintainer.computer
     service.shutdown()
 
 

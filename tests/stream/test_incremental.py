@@ -108,3 +108,109 @@ def test_close_finalizes_everything():
     finalized = maintainer.close()
     assert len(finalized) == 1
     assert maintainer.open_positives == 0
+
+
+# --------------------------------------------------------------------------- #
+# a watermark walks only the keys it can touch
+# --------------------------------------------------------------------------- #
+def _keyed_relation(name, keys, spans):
+    """One tuple per (key, span), keys outermost: every key holds ``spans``."""
+    return _relation(name, *[(key, start, end) for key in keys for start, end in spans])
+
+
+def _lists(state):
+    """The list object each key currently holds."""
+    return {key: id(entries) for key, entries in state.items()}
+
+
+def test_a_finalizing_watermark_rebuilds_only_the_keys_it_finalizes():
+    keys = [f"k{index}" for index in range(12)]
+    left = _keyed_relation("l", keys, [(20, 40), (30, 60)])
+    early = _relation("e", ("k3", 0, 5), ("k3", 1, 9), ("k7", 2, 8), ("k10", 0, 6))
+    maintainer = IncrementalWindowMaintainer(_theta(left, left))
+    for tp_tuple in list(early) + list(left):
+        maintainer.add_positive(tp_tuple)
+    before = _lists(maintainer._open)
+    maintainer.advance_right(10)
+    finalized = maintainer.advance_left(10)
+    # Key order, then entry order, as the keys were first seen.
+    assert [(g.group.r.fact[0], g.group.r.start) for g in finalized] == [
+        ("k3", 0), ("k3", 1), ("k7", 2), ("k10", 0),
+    ]
+    after = _lists(maintainer._open)
+    rebuilt = {key for key in before if after.get(key) != before[key]}
+    assert rebuilt == {("k3",), ("k7",), ("k10",)}
+    # Every key still holds its two late entries, and its exact bound.
+    assert list(after) == list(before)
+    assert maintainer._open_ends == {(key,): 40 for key in keys}
+
+
+def test_an_evicting_watermark_rebuilds_only_the_keys_it_evicts_from():
+    keys = [f"k{index}" for index in range(12)]
+    right = _keyed_relation("r", keys, [(20, 40), (30, 60)])
+    early = _relation("e", ("k1", 0, 5), ("k8", 2, 8), ("k8", 3, 4))
+    maintainer = IncrementalWindowMaintainer(_theta(right, right))
+    for tp_tuple in list(early) + list(right):
+        maintainer.add_negative(tp_tuple)
+    before = _lists(maintainer._negatives)
+    maintainer.advance_left(10)
+    assert maintainer.stats.negatives_evicted == 3
+    after = _lists(maintainer._negatives)
+    assert {key for key in before if after[key] != before[key]} == {("k1",), ("k8",)}
+    assert maintainer._negative_ends == {(key,): 40 for key in keys}
+
+
+def test_a_key_emptied_and_seen_again_moves_to_the_end_of_the_walk():
+    left = _relation("l", ("a", 0, 4), ("b", 0, 20), ("a", 12, 14), ("b", 13, 30))
+    maintainer = IncrementalWindowMaintainer(_theta(left, left))
+    maintainer.add_positive(left.tuples[0])
+    maintainer.add_positive(left.tuples[1])
+    maintainer.advance_right(10)
+    assert [g.group.r.fact[0] for g in maintainer.advance_left(10)] == ["a"]
+    maintainer.add_positive(left.tuples[2])
+    maintainer.add_positive(left.tuples[3])
+    maintainer.advance_right(100)
+    finalized = maintainer.advance_left(100)
+    assert [(g.group.r.fact[0], g.group.r.end) for g in finalized] == [
+        ("b", 20), ("b", 30), ("a", 14),
+    ]
+
+
+def test_a_retraction_leaves_a_bound_the_next_walk_tightens():
+    left = _relation("l", ("k", 0, 5), ("k", 3, 30), ("j", 4, 40))
+    maintainer = IncrementalWindowMaintainer(_theta(left, left))
+    for tp_tuple in left:
+        maintainer.add_positive(tp_tuple)
+    assert maintainer.remove_positive(left.tuples[0]) is not None
+    assert maintainer._open_ends == {("k",): 5, ("j",): 40}  # a lower bound still
+    maintainer.advance_right(10)
+    assert maintainer.advance_left(10) == []
+    assert maintainer._open_ends == {("k",): 30, ("j",): 40}
+    assert maintainer.remove_positive(left.tuples[1]) is not None
+    assert maintainer._open_ends == {("j",): 40}
+
+
+def test_loading_entries_and_negatives_sets_their_keys_bounds():
+    left = _relation("l", ("k", 5, 30), ("k", 4, 12), ("j", 6, 40))
+    right = _relation("r", ("k", 7, 22), ("k", 9, 15), ("j", 8, 50))
+    source = IncrementalWindowMaintainer(_theta(left, right))
+    for tp_tuple in left:
+        source.add_positive(tp_tuple)
+    for tp_tuple in right:
+        source.add_negative(tp_tuple)
+    restored = IncrementalWindowMaintainer(_theta(left, right))
+    for key, entries in source.open_items():
+        restored.load_open_entries(key, entries)
+    for key, bucket in source.negative_items():
+        restored.load_negatives(key, bucket)
+    restored.load_open_entries(("k",), [])
+    restored.load_negatives(("z",), [])
+    assert restored._open_ends == {("k",): 12, ("j",): 40}
+    assert restored._negative_ends == {("k",): 15, ("j",): 50}
+    assert (restored.open_positives, restored.indexed_negatives) == (3, 3)
+    # The bounds drive the walks as the ingested ones do.
+    for maintainer in (source, restored):
+        maintainer.advance_right(13)
+    finalized = [restored.advance_left(16), source.advance_left(16)]
+    assert [[g.group.r for g in groups] for groups in finalized] == [[left.tuples[1]]] * 2
+    assert restored.indexed_negatives == source.indexed_negatives == 2

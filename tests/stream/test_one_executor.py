@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ExecutionOptions
+from repro import ExecutionOptions, Schema
+from repro.core import TABLE_II
 from repro.dataflow import DataflowGraph, DataflowQuery, NodeSpec, RevisionJoin, run_graph
 from repro.dataflow import query as query_module
 from repro.dataflow.convergence import identity_rows
@@ -145,3 +146,32 @@ def test_a_stream_query_runs_the_collecting_operator(monkeypatch, transport):
     result = StreamQuery(_catalog(), KIND, "l", "r", ON, config=options).run()
     assert result.workers == transport
     assert seen and set(seen) == {ContinuousJoin}
+
+
+@pytest.mark.parametrize("transport", ["inline", "threads"])
+@pytest.mark.parametrize("kind", sorted(TABLE_II))
+@pytest.mark.parametrize("query", ["stream", "dataflow"])
+def test_results_are_not_revalidated(monkeypatch, query, kind, transport):
+    """Every settled fact joins facts of validated inputs, so neither
+    query type checks a fact again when it builds its result."""
+    catalog = _catalog()
+    validated = []
+    check = Schema.validate_fact
+
+    def counting(schema, fact):
+        validated.append(fact)
+        return check(schema, fact)
+
+    monkeypatch.setattr(Schema, "validate_fact", counting)
+    partitions = 1 if transport == "inline" else 2
+    options = ExecutionOptions(partitions=partitions)
+    if query == "stream":
+        result = StreamQuery(catalog, kind, "l", "r", ON, config=options).run(
+            merge_seed=MERGE_SEED
+        )
+        assert result.workers == transport
+    else:
+        nodes = [NodeSpec("n", kind, "l", "r", ON, partitions)]
+        result = DataflowQuery(catalog, nodes, options).run(merge_seed=MERGE_SEED)
+        assert result.backend == transport
+    assert len(result.relation) > 0 and validated == []

@@ -1,8 +1,8 @@
 """Reverse-window continuous operators (inner / right / full outer).
 
 Equivalence contract of PR 1, extended to the three kinds the mirrored
-maintainer enables, plus the carried-across-windows per-key probability
-computers (incremental probabilities, step two).
+maintainer enables, plus the carried-across-windows probability computers,
+one per maintainer (incremental probabilities, step two).
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def test_partitioned_reverse_kinds_match_batch(kind, random_relation_factory):
 
 @pytest.mark.parametrize("kind", ["anti", "left_outer", "full_outer"])
 def test_materialized_probabilities_bitwise_equal_fresh(kind, random_relation_factory):
-    """Per-key computers carried across windows stay bitwise-exact."""
+    """The maintainers' computers, carried across windows, stay bitwise-exact."""
     left, right, theta = random_relation_factory(11, left_size=20, right_size=20)
     events = left.events.merge(right.events)
     operator = continuous_join(

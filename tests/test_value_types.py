@@ -1,8 +1,9 @@
 """The value types' contract, whatever their constructor does inside.
 
-``Interval``, ``TPTuple``, ``OverlapRecord``, ``Window`` and the lineage
-nodes each have one constructor that writes their slots directly
-(:mod:`repro.values`).  What callers rely on is pinned here: assignment
+``Interval``, ``TPTuple``, ``OverlapRecord``, ``Window``, the lineage
+nodes and the runtime's elements (``StreamEvent``, ``Watermark``,
+``Tagged``, ``Revision``, ``FinalizedGroup``) each have one constructor
+that writes their slots directly (:mod:`repro.values`).  What callers rely on is pinned here: assignment
 raises, construction validates, lineage hashes are ``hash((fields…))`` (the
 first-occurrence order of ``lineage.builders._dedupe``'s set depends on
 nothing else), values pickle and copy, the ``TPTuple(fact, lineage,
@@ -18,10 +19,13 @@ import pickle
 
 import pytest
 
-from repro.core.overlap import OverlapRecord
+from repro.core.overlap import OverlapGroup, OverlapRecord
 from repro.core.windows import Window, WindowClass
+from repro.dataflow.revision import Revision, RevisionKind
 from repro.lineage import And, LineageError, Not, Or, Var
 from repro.relation import TPTuple
+from repro.stream.elements import StreamEvent, Tagged, Watermark
+from repro.stream.incremental import FinalizedGroup
 from repro.temporal import Interval, IntervalError
 
 A, B, C = Var("a1"), Var("b3"), Var("b2")
@@ -37,6 +41,10 @@ VALUES = {
     "not": Not(B),
     "and": And((A, Not(B))),
     "or": Or((B, C)),
+    "event": StreamEvent(R, 3),
+    "watermark": Watermark(6.5),
+    "tagged": Tagged("left", StreamEvent(R, 3), 1.25, (7, "driver:0")),
+    "revision": Revision(RevisionKind.REFINE, R, True),
 }
 TYPES = {
     "interval": Interval,
@@ -47,6 +55,10 @@ TYPES = {
     "not": Not,
     "and": And,
     "or": Or,
+    "event": StreamEvent,
+    "watermark": Watermark,
+    "tagged": Tagged,
+    "revision": Revision,
 }
 
 
@@ -198,3 +210,40 @@ class TestIntervalOnDemand:
     def test_a_window_without_a_source_has_no_source_interval(self):
         window = Window(R.fact, None, 2, 8, A, None, WindowClass.UNMATCHED)
         assert window.source_interval is None
+
+
+class TestRuntimeElements:
+    def test_defaults_are_the_dataclass_defaults(self):
+        assert StreamEvent(R) == StreamEvent(R, 0)
+        assert Tagged("right", Watermark(1)) == Tagged("right", Watermark(1), None, None)
+        assert Revision(RevisionKind.EMIT, R).provisional is False
+        assert Watermark(float("inf")).closes and not Watermark(3).closes
+
+    def test_replace_takes_any_field_by_keyword(self):
+        tagged = VALUES["tagged"]
+        replaced = dataclasses.replace(tagged, trace=None, ingest_clock=None)
+        assert replaced == Tagged("left", StreamEvent(R, 3))
+        revision = dataclasses.replace(VALUES["revision"], kind=RevisionKind.RETRACT)
+        assert revision == Revision(RevisionKind.RETRACT, R, True)
+
+    def test_a_finalized_group_is_a_frozen_value_over_a_mutable_group(self):
+        group = FinalizedGroup(OverlapGroup(R, [OverlapRecord(R, S, 4, 6)]), 0.5, ("ZAK",), 9)
+        assert type(group) is FinalizedGroup
+        assert FinalizedGroup(OverlapGroup(R), 0.5) == FinalizedGroup(OverlapGroup(R), 0.5, None, 0)
+        for field in dataclasses.fields(group):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(group, field.name, getattr(group, field.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            group.extra = 1
+        for copied in (
+            pickle.loads(pickle.dumps(group)),
+            copy.deepcopy(group),
+            dataclasses.replace(group, serial=9),
+        ):
+            assert type(copied) is FinalizedGroup
+            assert copied == group
+        assert dataclasses.replace(group, serial=10).serial == 10
+        # Hashing hashes the fields, as the generated ``__hash__`` always
+        # did, and an overlap group is a mutable, unhashable list holder.
+        with pytest.raises(TypeError, match="OverlapGroup"):
+            hash(group)
