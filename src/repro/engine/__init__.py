@@ -1,12 +1,11 @@
-"""Pipelined query engine: catalog, plans, planner, executor and SQL front end."""
+"""Query engine: catalog, plans, planner, evaluator, EXPLAIN and SQL front end."""
 
 from .catalog import Catalog
-from .continuous import ContinuousScanOperator, DataflowJoinOperator
 from .errors import CatalogError, EngineError, PlanError, SQLSyntaxError
-from .executor import Engine, execute_sql
-from .explain import explain_analyze, explain_logical, explain_physical
-from .iterators import PhysicalOperator
+from .executor import Engine, evaluate, execute_sql
+from .explain import explain_dataflow, explain_logical, explain_plan
 from .logical import (
+    DataflowJoin,
     JoinKind,
     JoinStrategy,
     LogicalPlan,
@@ -20,52 +19,35 @@ from .logical import (
     find_stream_scans,
     walk,
 )
-from .physical import (
-    FilterOperator,
-    NaiveJoinOperator,
-    NJJoinOperator,
-    ProjectOperator,
-    ScanOperator,
-    TAJoinOperator,
-    TimesliceOperator,
-)
 from .planner import Planner, PlannerConfig
 from .sql import JoinClause, ParsedQuery, parse_query, tokenize
 
 __all__ = [
     "Catalog",
     "CatalogError",
-    "ContinuousScanOperator",
-    "DataflowJoinOperator",
+    "DataflowJoin",
     "Engine",
-    "JoinClause",
     "EngineError",
-    "FilterOperator",
+    "JoinClause",
     "JoinKind",
     "JoinStrategy",
     "LogicalPlan",
-    "NJJoinOperator",
-    "NaiveJoinOperator",
     "ParsedQuery",
-    "PhysicalOperator",
     "PlanError",
     "Planner",
     "PlannerConfig",
     "Project",
-    "ProjectOperator",
     "SQLSyntaxError",
     "Scan",
-    "ScanOperator",
     "Select",
     "StreamScan",
-    "TAJoinOperator",
     "TPJoin",
     "Timeslice",
-    "TimesliceOperator",
+    "evaluate",
     "execute_sql",
-    "explain_analyze",
+    "explain_dataflow",
     "explain_logical",
-    "explain_physical",
+    "explain_plan",
     "find_scans",
     "find_stream_scans",
     "parse_query",

@@ -12,7 +12,7 @@ class CatalogError(EngineError):
 
 
 class PlanError(EngineError):
-    """Raised when a logical plan is malformed or cannot be physicalised."""
+    """Raised when a logical plan is malformed or cannot be planned."""
 
 
 class SQLSyntaxError(EngineError):

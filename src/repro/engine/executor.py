@@ -3,10 +3,10 @@
 :class:`Engine` bundles a catalog, a planner and an executor behind a small
 API mirroring how the paper's implementation sits inside PostgreSQL: register
 relations, then run TP queries — either as logical plans built
-programmatically or as SQL-ish strings — and get TP relations back.  The
-engine evaluates physical plans by pulling tuples through the Volcano
-operators, so NJ joins stream their windows exactly as the paper's pipelined
-integration does.
+programmatically or as SQL-ish strings — and get TP relations back.
+:func:`evaluate` maps each node of the planned tree onto the relation
+operators, the strategy's batch join or one dataflow run; each node's
+result is a whole relation, as every join materialises both of its inputs.
 """
 
 from __future__ import annotations
@@ -15,12 +15,23 @@ from typing import Sequence
 
 from ..dataflow import DataflowQuery
 from ..options import ExecutionOptions
-from ..relation import TPRelation
-from ..stream import StreamDef, StreamQuery
+from ..relation import TPRelation, theta_or_true
+from ..relation.operators import project, select_eq, timeslice
+from ..stream import StreamDef, StreamEvent, StreamQuery
 from .catalog import Catalog
-from .explain import explain_logical, explain_physical
-from .logical import LogicalPlan
-from .planner import Planner, PlannerConfig, merged_event_space
+from .errors import PlanError
+from .explain import explain_logical, explain_plan
+from .logical import (
+    DataflowJoin,
+    LogicalPlan,
+    Project,
+    Scan,
+    Select,
+    StreamScan,
+    Timeslice,
+    TPJoin,
+)
+from .planner import STRATEGY_JOINS, Planner, PlannerConfig, input_name, merged_event_space
 from .sql import parse_query
 
 
@@ -94,12 +105,11 @@ class Engine:
     # ------------------------------------------------------------------ #
     def execute(self, plan: LogicalPlan, compute_probabilities: bool = True) -> TPRelation:
         """Execute a logical plan and return the result as a TP relation."""
-        physical = self._planner.plan(plan)
-        events = self._merged_events(plan)
-        with physical:
-            tuples = list(physical)
+        planned = self._planner.plan(plan)
+        events = merged_event_space(self._catalog, plan)
+        relation = evaluate(planned, self._catalog)
         result = TPRelation(
-            physical.output_schema(), tuples, events, name="result", check_constraint=False
+            relation.schema, relation, events, name="result", check_constraint=False
         )
         return result.with_probabilities() if compute_probabilities else result
 
@@ -109,23 +119,54 @@ class Engine:
 
     def explain(self, plan: LogicalPlan) -> str:
         """Return the logical and physical EXPLAIN text for a plan."""
-        physical = self._planner.plan(plan)
         return (
             "Logical plan:\n"
             + explain_logical(plan)
             + "\nPhysical plan:\n"
-            + explain_physical(physical)
+            + explain_plan(self._planner.plan(plan), self._catalog)
         )
 
     def explain_sql(self, sql: str) -> str:
         """Parse a query and return its EXPLAIN text."""
         return self.explain(parse_query(sql).plan)
 
-    # ------------------------------------------------------------------ #
-    # helpers
-    # ------------------------------------------------------------------ #
-    def _merged_events(self, plan: LogicalPlan):
-        return merged_event_space(self._catalog, plan)
+
+def evaluate(plan: LogicalPlan, catalog: Catalog) -> TPRelation:
+    """Evaluate a planned tree (:meth:`Planner.plan`) over ``catalog``.
+
+    Probabilities stay unset: the caller computes them once, over the
+    merged event space of the whole query.  A join's right input takes the
+    name the schema rule gives it (:func:`~repro.engine.planner.input_name`),
+    so the join's own output schema is the rule's.
+    """
+    if isinstance(plan, Scan):
+        return catalog.lookup(plan.relation_name)
+    if isinstance(plan, StreamScan):
+        stream = catalog.lookup_stream(plan.stream_name)
+        tuples = [
+            element.tuple for element in stream.replay() if isinstance(element, StreamEvent)
+        ]
+        return TPRelation(
+            stream.schema, tuples, stream.events, plan.stream_name, check_constraint=False
+        )
+    if isinstance(plan, Select):
+        return select_eq(evaluate(plan.child, catalog), plan.attribute, plan.value)
+    if isinstance(plan, Timeslice):
+        return timeslice(evaluate(plan.child, catalog), plan.interval)
+    if isinstance(plan, Project):
+        return project(evaluate(plan.child, catalog), plan.attributes)
+    if isinstance(plan, TPJoin):
+        left = evaluate(plan.left, catalog)
+        right = evaluate(plan.right, catalog)
+        name = input_name(plan.right)
+        if right.name != name:
+            right = TPRelation._trusted(right.schema, list(right), right.events, name)
+        theta = theta_or_true(left.schema, right.schema, plan.on)
+        join = STRATEGY_JOINS[plan.strategy][plan.kind.value]
+        return join(left, right, theta, compute_probabilities=False)
+    if isinstance(plan, DataflowJoin):
+        return DataflowQuery(catalog, plan.nodes, config=plan.options).run().relation
+    raise PlanError(f"unsupported plan node {type(plan).__name__}")
 
 
 def execute_sql(

@@ -3,8 +3,10 @@
 The engine models a small but complete algebra over TP relations: scans,
 selections, projections, timeslices and the TP joins of the paper.  A logical
 plan is a tree of the dataclasses below; it says *what* to compute.  The
-planner (:mod:`repro.engine.planner`) turns it into a physical plan that says
-*how* — in particular which join implementation (NJ or TA) runs the TP joins.
+planner (:mod:`repro.engine.planner`) rewrites it into the tree of the same
+dataclasses that the engine evaluates and EXPLAIN renders: selections pushed
+down, every join of stored relations with its strategy and θ resolved, and
+every stream join tree replaced by one :class:`DataflowJoin`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
+from ..options import ExecutionOptions
 from ..temporal import Interval
 
 
@@ -27,7 +30,7 @@ class JoinKind(str, Enum):
 
 
 class JoinStrategy(str, Enum):
-    """Which physical implementation evaluates a TP join."""
+    """Which implementation evaluates a TP join."""
 
     AUTO = "auto"
     NJ = "nj"
@@ -136,6 +139,21 @@ class TPJoin(LogicalPlan):
     def describe(self) -> str:
         condition = " AND ".join(f"{left} = {right}" for left, right in self.on) or "true"
         return f"TPJoin[{self.kind.value}] on {condition} ({self.strategy.value})"
+
+
+@dataclass(frozen=True)
+class DataflowJoin(LogicalPlan):
+    """A stream join tree — one join or a chain — compiled for the dataflow
+    runtime (planner output only).
+
+    ``nodes`` are its :class:`repro.dataflow.NodeSpec`, one per join in
+    topological order; ``sources`` the streams its leaves scan, left to
+    right; ``options`` the knobs of its run.
+    """
+
+    nodes: tuple
+    sources: tuple[str, ...]
+    options: ExecutionOptions
 
 
 def walk(plan: LogicalPlan) -> Sequence[LogicalPlan]:

@@ -1,4 +1,4 @@
-"""Rule-based planner: logical plans → physical plans.
+"""Rule-based planner: logical plans → the plans the engine evaluates.
 
 The planner mirrors, at small scale, the role of PostgreSQL's
 optimizer in the paper's implementation, but decides by rule, not by a
@@ -19,21 +19,28 @@ cost model — one rule per decision:
   the other input's windows from its tuples, so the filter stays above.
 
 Pushing selections below joins is the only rewrite performed.
+:meth:`Planner.plan` returns a tree of the logical dataclasses in which
+every join of stored relations carries its resolved strategy and θ, and
+every stream join tree is one :class:`~repro.engine.logical.DataflowJoin`;
+:func:`repro.engine.executor.evaluate` evaluates that tree and
+:func:`repro.engine.explain.explain_plan` renders it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..core.joins import join_output_schema
-from ..dataflow import NodeSpec
+from ..baselines.naive import NAIVE_JOINS
+from ..baselines.temporal_alignment import TA_JOINS
+from ..core.joins import BATCH_JOINS, join_output_schema
+from ..dataflow import DataflowGraph, NodeSpec
 from ..options import ExecutionOptions
+from ..relation import Schema
 from .catalog import Catalog
-from .continuous import ContinuousScanOperator, DataflowJoinOperator
 from .errors import PlanError
-from .iterators import PhysicalOperator
 from .logical import (
+    DataflowJoin,
     JoinKind,
     JoinStrategy,
     LogicalPlan,
@@ -43,15 +50,23 @@ from .logical import (
     StreamScan,
     Timeslice,
     TPJoin,
+    find_scans,
+    find_stream_scans,
     walk,
 )
-from .physical import (
-    FilterOperator,
-    ProjectOperator,
-    ScanOperator,
-    TimesliceOperator,
-    join_operator_for,
-)
+
+#: Resolved strategy → its table of joins (join-kind name → join function).
+STRATEGY_JOINS = {
+    JoinStrategy.NJ: BATCH_JOINS,
+    JoinStrategy.TA: TA_JOINS,
+    JoinStrategy.NAIVE: NAIVE_JOINS,
+}
+#: Resolved strategy → the join's name in EXPLAIN and in error messages.
+JOIN_LABELS = {
+    JoinStrategy.NJ: "NJJoin",
+    JoinStrategy.TA: "TAJoin",
+    JoinStrategy.NAIVE: "NaiveJoin",
+}
 
 
 @dataclass(frozen=True)
@@ -71,7 +86,7 @@ _RIGHT_PUSHABLE = (JoinKind.INNER, JoinKind.RIGHT_OUTER)
 
 
 class Planner:
-    """Turn logical plans into physical operator trees over a catalog."""
+    """Turn logical plans into the plans the engine evaluates, over a catalog."""
 
     def __init__(self, catalog: Catalog, config: PlannerConfig | None = None) -> None:
         self._catalog = catalog
@@ -80,9 +95,9 @@ class Planner:
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
-    def plan(self, logical: LogicalPlan) -> PhysicalOperator:
-        """Produce the physical plan for a logical plan."""
-        return self._physicalise(self._push_down(logical))
+    def plan(self, logical: LogicalPlan) -> LogicalPlan:
+        """The plan the engine evaluates for ``logical`` (and EXPLAIN renders)."""
+        return self._resolve(self._push_down(logical))
 
     @staticmethod
     def resolve_strategy(requested: JoinStrategy) -> JoinStrategy:
@@ -100,61 +115,46 @@ class Planner:
                 pushed = self._try_push_into_join(plan, child)
                 if pushed is not None:
                     return pushed
-            return Select(child, plan.attribute, plan.value)
-        if isinstance(plan, Project):
-            return Project(self._push_down(plan.child), plan.attributes)
-        if isinstance(plan, Timeslice):
-            return Timeslice(self._push_down(plan.child), plan.interval)
+            return replace(plan, child=child)
+        if isinstance(plan, (Project, Timeslice)):
+            return replace(plan, child=self._push_down(plan.child))
         if isinstance(plan, TPJoin):
-            return TPJoin(
-                self._push_down(plan.left),
-                self._push_down(plan.right),
-                plan.kind,
-                plan.on,
-                plan.strategy,
+            return replace(
+                plan, left=self._push_down(plan.left), right=self._push_down(plan.right)
             )
         return plan
 
     def _try_push_into_join(self, select: Select, join: TPJoin) -> LogicalPlan | None:
-        from .logical import find_stream_scans
-
         if find_stream_scans(join):
             # A continuous join (or dataflow tree) consumes the streams' own
             # replays; selections stay above it and filter settled output.
             return None
-        # The physical operators own the schema rule (clash prefixes included).
-        left_schema = self._physicalise(join.left).output_schema()
-        right_schema = self._physicalise(join.right).output_schema()
+        left_schema = output_schema(self._catalog, join.left)
+        right_schema = output_schema(self._catalog, join.right)
         # A clashing right column is prefixed in the output, so a name both
         # inputs carry means the left one.
         if select.attribute in left_schema:
             if join.kind not in _LEFT_PUSHABLE:
                 return None
-            new_left = Select(join.left, select.attribute, select.value)
-            return TPJoin(new_left, join.right, join.kind, join.on, join.strategy)
+            return replace(join, left=replace(select, child=join.left))
         if select.attribute in right_schema and join.kind in _RIGHT_PUSHABLE:
-            new_right = Select(join.right, select.attribute, select.value)
-            return TPJoin(join.left, new_right, join.kind, join.on, join.strategy)
+            return replace(join, right=replace(select, child=join.right))
         return None
 
     # ------------------------------------------------------------------ #
-    # physicalisation
+    # resolution
     # ------------------------------------------------------------------ #
-    def _physicalise(self, plan: LogicalPlan) -> PhysicalOperator:
+    def _resolve(self, plan: LogicalPlan) -> LogicalPlan:
+        """Check the scans and resolve every join: a stored one's strategy
+        and θ, a stream join tree into one :class:`DataflowJoin`."""
         if isinstance(plan, Scan):
-            return ScanOperator(self._catalog.lookup(plan.relation_name), plan.relation_name)
+            self._catalog.lookup(plan.relation_name)
+            return plan
         if isinstance(plan, StreamScan):
-            return ContinuousScanOperator(
-                self._catalog.lookup_stream(plan.stream_name), plan.stream_name
-            )
-        if isinstance(plan, Select):
-            return FilterOperator(self._physicalise(plan.child), plan.attribute, plan.value)
-        if isinstance(plan, Timeslice):
-            return TimesliceOperator(self._physicalise(plan.child), plan.interval)
-        if isinstance(plan, Project):
-            return ProjectOperator(
-                self._physicalise(plan.child), plan.attributes, self._merged_events(plan)
-            )
+            self._catalog.lookup_stream(plan.stream_name)
+            return plan
+        if isinstance(plan, (Select, Timeslice, Project)):
+            return replace(plan, child=self._resolve(plan.child))
         if isinstance(plan, TPJoin):
             left_streamness = self._streamness(plan.left)
             right_streamness = self._streamness(plan.right)
@@ -181,19 +181,20 @@ class Planner:
                         )
                 return self._dataflow_join(plan)
             strategy = self.resolve_strategy(plan.strategy)
-            left_operator = self._physicalise(plan.left)
-            right_operator = self._physicalise(plan.right)
+            left = self._resolve(plan.left)
+            right = self._resolve(plan.right)
             on = self._resolve_on(
-                plan.on, left_operator.output_schema(), right_operator.output_schema()
+                plan.on,
+                output_schema(self._catalog, left),
+                output_schema(self._catalog, right),
             )
-            return join_operator_for(
-                strategy,
-                left_operator,
-                right_operator,
-                plan.kind,
-                on,
-                self._merged_events(plan),
-            )
+            joins = STRATEGY_JOINS[strategy]
+            if plan.kind.value not in joins:
+                raise PlanError(
+                    f"{JOIN_LABELS[strategy]} evaluates {sorted(joins)} joins, "
+                    f"not {plan.kind.value}"
+                )
+            return TPJoin(left, right, plan.kind, on, strategy)
         raise PlanError(f"unsupported logical node {type(plan).__name__}")
 
     @staticmethod
@@ -265,19 +266,18 @@ class Planner:
             return "relation"
         return "relation"
 
-    def _dataflow_join(self, plan: TPJoin) -> PhysicalOperator:
-        """Compile a stream join tree — one join or a chain — into a dataflow
-        graph, one node per join.  A node with an equi-θ runs
+    def _dataflow_join(self, plan: TPJoin) -> DataflowJoin:
+        """Compile a stream join tree — one join or a chain — into dataflow
+        node specs, one node per join.  A node with an equi-θ runs
         ``stream_config.partitions`` workers, one without runs one."""
         nodes: list[NodeSpec] = []
-        scans: list[ContinuousScanOperator] = []
-        stream_config = self._config.stream_config
-        degree = 1 if stream_config is None else stream_config.partitions
+        sources: list[str] = []
+        options = self._config.stream_config or ExecutionOptions()
 
         def build(subtree: LogicalPlan):
             if isinstance(subtree, StreamScan):
                 stream_def = self._catalog.lookup_stream(subtree.stream_name)
-                scans.append(ContinuousScanOperator(stream_def, subtree.stream_name))
+                sources.append(subtree.stream_name)
                 return subtree.stream_name, stream_def.schema
             assert isinstance(subtree, TPJoin)
             left_name, left_schema = build(subtree.left)
@@ -288,27 +288,62 @@ class Planner:
             # the accumulated left schema (prefixed name when it clashed,
             # bare name when it never did).
             on = self._resolve_on(subtree.on, left_schema, right_schema)
-            partitions = degree if on else 1
+            partitions = options.partitions if on else 1
             nodes.append(
                 NodeSpec(name, kind, left_name, right_name, on, partitions=partitions)
             )
             return name, join_output_schema(kind, left_schema, right_schema, right_name)
 
         build(plan)
-        return DataflowJoinOperator(self._catalog, tuple(scans), nodes, config=stream_config)
+        return DataflowJoin(tuple(nodes), tuple(sources), options)
 
-    def _merged_events(self, plan: LogicalPlan):
-        return merged_event_space(self._catalog, plan)
+
+def output_schema(catalog: Catalog, plan: LogicalPlan) -> Schema:
+    """The schema ``plan`` produces: the engine's one schema rule.
+
+    A join's clashing right columns take the right input's name
+    (:func:`input_name`).  Push-down, θ resolution and (through the
+    joins' own schemas) the evaluator agree on it.
+    """
+    if isinstance(plan, Scan):
+        return catalog.lookup(plan.relation_name).schema
+    if isinstance(plan, StreamScan):
+        return catalog.lookup_stream(plan.stream_name).schema
+    if isinstance(plan, (Select, Timeslice)):
+        return output_schema(catalog, plan.child)
+    if isinstance(plan, Project):
+        return output_schema(catalog, plan.child).project(plan.attributes)
+    if isinstance(plan, TPJoin):
+        return join_output_schema(
+            plan.kind.value,
+            output_schema(catalog, plan.left),
+            output_schema(catalog, plan.right),
+            input_name(plan.right),
+        )
+    if isinstance(plan, DataflowJoin):
+        graph = DataflowGraph(catalog, plan.nodes)
+        return graph.schema_of(graph.sink)
+    raise PlanError(f"unsupported logical node {type(plan).__name__}")
+
+
+def input_name(plan: LogicalPlan) -> str:
+    """The name a join's right input lends its clashing columns: a scan's
+    label, through any selections and timeslices above it; a derived input
+    has none (``""``)."""
+    while isinstance(plan, (Select, Timeslice)):
+        plan = plan.child
+    if isinstance(plan, Scan):
+        return plan.relation_name
+    if isinstance(plan, StreamScan):
+        return plan.stream_name
+    return ""
 
 
 def merged_event_space(catalog: Catalog, plan: LogicalPlan):
     """Merge the event spaces of every relation/stream scanned below ``plan``.
 
-    Shared by the planner (for operators that need the space at build time)
-    and the executor (for wrapping results); both must agree on it.
+    The executor wraps every result in it.
     """
-    from .logical import find_scans, find_stream_scans
-
     scans = find_scans(plan)
     stream_scans = find_stream_scans(plan)
     if not scans and not stream_scans:

@@ -17,7 +17,9 @@ socket run — is a set of worker specs plus the source edges that feed them.
 
 Callers differ only in what they compile (specs, edges, stages) and in how
 they merge the ordered worker reports.  :func:`default_transport` is the
-one rule for the transport of a run whose caller names none.
+one rule for the transport of a run whose caller names none, and
+:func:`recovery_decision` the one rule for whether a run recovers dead
+seats (EXPLAIN renders its marker from the same call).
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "default_transport",
     "merge_edges",
     "recovery_blocker",
+    "recovery_decision",
     "run_job",
 ]
 
@@ -122,6 +125,22 @@ def recovery_blocker(specs: Sequence) -> Optional[str]:
     if not all(spec.collect_outputs for spec in specs):
         return "early emission"
     return None
+
+
+def recovery_decision(
+    transport: str, specs: Sequence, options
+) -> tuple[bool, Optional[str]]:
+    """``(recover, blocker)`` of a run of ``specs`` on ``transport``.
+
+    Only the recovering socket session ever reads a checkpoint, so a run
+    recovers when it runs on sockets, ``options`` ask for recovery and the
+    workers are self-contained; ``blocker`` names why a socket run that asks
+    for recovery cannot have it (``None`` otherwise).
+    """
+    if transport != "sockets" or not options.recovery_enabled:
+        return False, None
+    blocker = recovery_blocker(specs)
+    return blocker is None, blocker
 
 
 def _start_session(
@@ -205,13 +224,8 @@ def run_job(
     own after a recovery (empty unless ``options.metrics``).
     """
     specs = tuple(specs)
-    # Only self-contained workers can be snapshotted and re-executed alone,
-    # and only the recovering socket session ever reads a checkpoint — no
-    # other run is told to take any.
-    recover = transport == "sockets" and options.recovery_enabled
-    blocker = recovery_blocker(specs) if recover else None
+    recover, blocker = recovery_decision(transport, specs, options)
     if blocker is not None:
-        recover = False
         warnings.warn(
             f"restart_limit={options.restart_limit} asks for seat recovery, but "
             f"these workers cannot be checkpointed seat by seat ({blocker}); "

@@ -478,13 +478,7 @@ class StandingQueryService:
         if record.group is not None and not record.group.finished.is_set():
             return False
         members = self._sharing_closure(record)
-        wanted: Set[str] = set()
-        for member in members:
-            wanted.update(member.canonical.values())
-        graph = DataflowGraph(self._catalog, self._registry.plan_nodes(wanted))
-        transport = self._transport or default_transport(
-            "threads", sum(graph.partition_counts)
-        )
+        graph, transport = self._group_plan(members)
         group = PlanGroup(
             members, graph, self._config, transport, self._merge_seed,
             self._hub_capacity, self._policy,
@@ -493,6 +487,25 @@ class StandingQueryService:
             member.hub, member.cache = group.sinks[member.sink_canonical]
             member.group = group
         return True
+
+    def _group_plan(self, members: Sequence[StandingQuery]) -> Tuple[DataflowGraph, str]:
+        """The merged graph of a plan group of ``members`` and the transport
+        it runs on: the service's, else ``threads`` sized by the graph."""
+        wanted: Set[str] = set()
+        for member in members:
+            wanted.update(member.canonical.values())
+        graph = DataflowGraph(self._catalog, self._registry.plan_nodes(wanted))
+        return graph, self._transport or default_transport(
+            "threads", sum(graph.partition_counts)
+        )
+
+    def _group_transport(self, record: StandingQuery) -> str:
+        """The transport of ``record``'s plan group: the running group's,
+        else the one :meth:`_prepare_group` would pick now."""
+        group = record.group
+        if group is not None and not group.finished.is_set():
+            return group.transport
+        return self._group_plan(self._sharing_closure(record))[1]
 
     def _sharing_closure(self, record: StandingQuery) -> List[StandingQuery]:
         """Idle registered queries transitively sharing a subplan with
@@ -534,29 +547,22 @@ class StandingQueryService:
             return self._registry.shared_names()
 
     def explain(self, name: str) -> str:
-        """Physical EXPLAIN of a standing query with ``shared=`` markers.
+        """EXPLAIN of a standing query, with ``shared=`` markers.
 
         Renders the query's canonical (merged-plan) nodes, so shared
-        subplans appear under their canonical names; the
-        ``dataflow_shared`` attribute drives the EXPLAIN annotation.
+        subplans appear under their canonical names, on the transport its
+        plan group runs on (:meth:`_group_transport`).
         """
-        from ..engine.continuous import ContinuousScanOperator, DataflowJoinOperator
-        from ..engine.explain import explain_physical
+        from ..engine.explain import explain_dataflow
 
         with self._lock:
             record = self.lookup(name)
-            nodes = self._registry.plan_nodes(set(record.canonical.values()))
-            shared = self._registry.shared_names() & set(record.canonical.values())
+            canonical = set(record.canonical.values())
+            nodes = self._registry.plan_nodes(canonical)
+            shared = tuple(sorted(self._registry.shared_names() & canonical))
+            transport = self._group_transport(record)
         graph = DataflowGraph(self._catalog, nodes)
-        scans = tuple(
-            ContinuousScanOperator(self._catalog.lookup_stream(source), source)
-            for source in graph.source_names
-        )
-        operator = DataflowJoinOperator(self._catalog, scans, nodes, self._config)
-        operator.dataflow_shared = tuple(
-            sorted(shared)
-        )  # read by engine.explain's renderer
-        return explain_physical(operator)
+        return explain_dataflow(graph, graph.source_names, self._config, transport, shared)
 
     def stats(self) -> Dict[str, dict]:
         """Per-query serving statistics (hub counters, cache size, state)."""

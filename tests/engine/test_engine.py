@@ -1,4 +1,4 @@
-"""Tests for the catalog, planner, physical operators and executor."""
+"""Tests for the catalog, planner and executor."""
 
 from __future__ import annotations
 
@@ -11,18 +11,15 @@ from repro.engine import (
     Engine,
     JoinKind,
     JoinStrategy,
-    NJJoinOperator,
-    PlanError,
     Planner,
     Project,
     Scan,
-    ScanOperator,
     Select,
     TPJoin,
     Timeslice,
     execute_sql,
     explain_logical,
-    explain_physical,
+    explain_plan,
 )
 from repro.temporal import Interval
 from tests.conftest import canonical_rows
@@ -67,7 +64,8 @@ class TestPlanner:
         physical = planner.plan(
             TPJoin(Scan("a"), Scan("b"), JoinKind.LEFT_OUTER, (("Loc", "Loc"),))
         )
-        assert isinstance(physical, NJJoinOperator)
+        assert isinstance(physical, TPJoin)
+        assert physical.strategy is JoinStrategy.NJ
 
     def test_selection_pushdown_below_join(self, engine):
         planner = Planner(engine.catalog)
@@ -77,42 +75,16 @@ class TestPlanner:
             "Ann",
         )
         physical = planner.plan(logical)
-        # after pushdown the top operator is the join, with the filter below it
-        assert isinstance(physical, NJJoinOperator)
-        rendered = explain_physical(physical)
+        # after pushdown the top node is the join, with the filter below it
+        assert isinstance(physical, TPJoin)
+        assert physical.strategy is JoinStrategy.NJ
+        rendered = explain_plan(physical, engine.catalog)
         assert rendered.index("NJJoin") < rendered.index("Filter")
 
     def test_unknown_relation_in_plan(self, engine):
         planner = Planner(engine.catalog)
         with pytest.raises(CatalogError):
             planner.plan(Scan("missing"))
-
-
-class TestPhysicalOperators:
-    def test_scan_produces_all_tuples(self, wants_to_visit):
-        operator = ScanOperator(wants_to_visit, "a")
-        with operator:
-            assert len(list(operator)) == 2
-
-    def test_iterating_unopened_operator_raises(self, wants_to_visit):
-        operator = ScanOperator(wants_to_visit, "a")
-        with pytest.raises(PlanError):
-            list(operator)
-
-    def test_double_open_raises(self, wants_to_visit):
-        operator = ScanOperator(wants_to_visit, "a")
-        operator.open()
-        with pytest.raises(PlanError):
-            operator.open()
-        operator.close()
-
-    def test_next_tuple_interface(self, wants_to_visit):
-        operator = ScanOperator(wants_to_visit, "a").open()
-        produced = []
-        while (tp_tuple := operator.next_tuple()) is not None:
-            produced.append(tp_tuple)
-        assert len(produced) == 2
-        operator.close()
 
 
 class TestExecutor:

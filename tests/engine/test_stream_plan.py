@@ -15,7 +15,8 @@ import pytest
 from repro import ExecutionOptions
 from repro.core import tp_join
 from repro.dataflow import assert_converged, identity_rows
-from repro.engine import DataflowJoinOperator, Engine, Planner, PlannerConfig, parse_query
+from repro.dataflow import DataflowQuery
+from repro.engine import DataflowJoin, Engine, Planner, PlannerConfig, parse_query
 from repro.relation import equi_join_on
 
 from tests.dataflow.conftest import make_stream_catalog
@@ -38,15 +39,14 @@ def join_sql(kind: str) -> str:
     return f"SELECT * FROM STREAM a TP {SPELLING[kind]} JOIN STREAM b ON a.Key = b.Key"
 
 
-def run_plan(catalog, options: ExecutionOptions, sql: str) -> DataflowJoinOperator:
-    """Plan ``sql`` as the engine does, run it, and return the operator."""
-    operator = Planner(catalog, PlannerConfig(stream_config=options)).plan(
+def run_plan(catalog, options: ExecutionOptions, sql: str):
+    """Plan ``sql`` as the engine does, run its dataflow as the engine's
+    evaluator does, and return the plan node and the run's result."""
+    plan = Planner(catalog, PlannerConfig(stream_config=options)).plan(
         parse_query(sql).plan
     )
-    assert isinstance(operator, DataflowJoinOperator)
-    with operator:
-        list(operator)
-    return operator
+    assert isinstance(plan, DataflowJoin)
+    return plan, DataflowQuery(catalog, plan.nodes, config=plan.options).run()
 
 
 @pytest.mark.parametrize("parts", [1, 3])
@@ -57,10 +57,9 @@ def test_a_stream_join_is_one_dataflow_join_settling_to_the_batch_join(kind, ear
     options = ExecutionOptions(
         partitions=parts, early_emit=early, materialize_probabilities=True, metrics=True
     )
-    operator = run_plan(catalog, options, join_sql(kind))
-    assert operator.dataflow_nodes == 1
-    assert operator.dataflow_partitions == (parts,)
-    result = operator.last_result
+    plan, result = run_plan(catalog, options, join_sql(kind))
+    assert len(plan.nodes) == 1
+    assert tuple(node.partitions for node in plan.nodes) == (parts,)
     assert len(result.metrics_snapshots) == parts  # one snapshot per worker
     assert result.backend == ("inline" if parts == 1 else "threads")
     batch = tp_join(kind, a, b, equi_join_on(a.schema, b.schema, ON))
@@ -72,11 +71,10 @@ def test_a_stream_join_is_one_dataflow_join_settling_to_the_batch_join(kind, ear
 def test_a_join_chain_takes_the_partition_option_at_every_node(early):
     catalog, *_ = make_stream_catalog(seed=4)
     options = ExecutionOptions(partitions=3, early_emit=early, metrics=True)
-    operator = run_plan(catalog, options, CHAIN_SQL)
-    assert operator.dataflow_partitions == (3, 3)
-    result = operator.last_result
+    plan, result = run_plan(catalog, options, CHAIN_SQL)
+    assert tuple(node.partitions for node in plan.nodes) == (3, 3)
     assert len(result.metrics_snapshots) == 6
-    assert_converged(result, catalog, operator.query.graph.nodes)
+    assert_converged(result, catalog, plan.nodes)
 
 
 @pytest.mark.parametrize("early", [False, True])
@@ -99,7 +97,7 @@ def test_explain_names_the_transport_the_run_uses():
     text = engine.explain_sql(join_sql("anti"))
     assert "workers=inline" in text
     assert "processes" not in text
-    assert run_plan(catalog, options, join_sql("anti")).last_result.backend == "inline"
+    assert run_plan(catalog, options, join_sql("anti"))[1].backend == "inline"
     # More than one worker leaves the process, and EXPLAIN says where.
     parted = Engine(options=ExecutionOptions(transport="processes", partitions=2))
     for name in catalog.stream_names():

@@ -158,11 +158,14 @@ class TestCLI:
 
     def test_main_runs_a_small_experiment(self, capsys, tmp_path):
         csv_path = tmp_path / "m.csv"
-        exit_code = main(["fig5a", "--sizes", "80", "--csv", str(csv_path)])
+        exit_code = main(
+            ["fig5a", "--sizes", "80", "--csv", str(csv_path), "--json-dir", str(tmp_path)]
+        )
         assert exit_code == 0
         captured = capsys.readouterr()
         assert "fig5a" in captured.out
         assert csv_path.exists()
+        assert (tmp_path / "BENCH_fig5a.json").exists()
 
     def test_main_unknown_experiment_exits_with_error(self, capsys):
         with pytest.raises(SystemExit):

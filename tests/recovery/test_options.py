@@ -147,6 +147,13 @@ def test_explain_marks_replay_from_zero_recovery():
     assert "[recoverable replay-from-zero]" in plan
 
 
+def test_explain_has_no_marker_when_one_worker_runs_inline():
+    """The run goes inline and never recovers, so EXPLAIN promises nothing."""
+    plan = _explain_with(ExecutionOptions(transport="sockets", restart_limit=1))
+    assert "workers=inline" in plan
+    assert "recoverable" not in plan
+
+
 def test_explain_has_no_marker_without_a_restart_budget():
     plan = _explain_with(ExecutionOptions(transport="sockets", partitions=2))
     assert "recoverable" not in plan

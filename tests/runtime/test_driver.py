@@ -130,14 +130,20 @@ def test_dataflow_job_mirrors_the_options_but_withholds_checkpoints(monkeypatch)
     assert job.checkpoint_interval is None
 
 
+def explain_plan(catalog, nodes, options) -> str:
+    """EXPLAIN of ``nodes`` over the streams ``l`` and ``r``, as the engine
+    renders a planned stream join."""
+    from repro.engine import DataflowJoin
+    from repro.engine.explain import explain_plan
+
+    return explain_plan(DataflowJoin(tuple(nodes), ("l", "r"), options), catalog)
+
+
 def test_dataflow_socket_run_under_recovery_knobs_runs_unrecovered_and_says_so():
     """The trap the builder guards: a socket graph run under recovery knobs
     must take the plain session (no snapshot of a node worker is ever
     attempted) and settle exactly like the inline run — and nothing
     half-recovers silently: the run warns, EXPLAIN carries the marker."""
-    from repro.engine.continuous import ContinuousScanOperator, DataflowJoinOperator
-    from repro.engine.explain import explain_physical
-
     catalog, _left, _right = query_catalog(5, left_size=25, right_size=25)
     nodes = CHAIN
     inline = DataflowQuery(catalog, nodes, ExecutionOptions()).run(
@@ -150,13 +156,8 @@ def test_dataflow_socket_run_under_recovery_knobs_runs_unrecovered_and_says_so()
         sockets = DataflowQuery(catalog, nodes, options).run(merge_seed=5)
     assert sockets.backend == "sockets"
     assert sockets.recoveries() == []
-    scans = tuple(
-        ContinuousScanOperator(catalog.lookup_stream(name), name) for name in "lr"
-    )
     for plan_options, marked in ((options, True), (ExecutionOptions(), False)):
-        plan = explain_physical(
-            DataflowJoinOperator(catalog, scans, nodes, plan_options)
-        )
+        plan = explain_plan(catalog, nodes, plan_options)
         assert ("[not recoverable: peer edges]" in plan) is marked
         assert "[recoverable" not in plan
     assert identity_rows(sockets.relation) == identity_rows(inline.relation)
@@ -170,18 +171,12 @@ def test_a_one_node_graph_has_no_peer_edges(early, marker):
     """Only a node-to-node edge is a peer edge: a one-node graph with early
     emission off collects its outputs like a stream query and recovers like
     one; an early-emitting one is refused for what it is."""
-    from repro.engine.continuous import ContinuousScanOperator, DataflowJoinOperator
-    from repro.engine.explain import explain_physical
-
     catalog, _left, _right = query_catalog(5, left_size=12, right_size=12)
     nodes = [NodeSpec("n", "full_outer", "l", "r", ON, partitions=2)]
     options = ExecutionOptions(
         transport="sockets", restart_limit=1, checkpoint_interval=0.0, early_emit=early
     )
-    scans = tuple(
-        ContinuousScanOperator(catalog.lookup_stream(name), name) for name in "lr"
-    )
-    plan = explain_physical(DataflowJoinOperator(catalog, scans, nodes, options))
+    plan = explain_plan(catalog, nodes, options)
     assert marker in plan
     assert "peer edges" not in plan
 

@@ -231,6 +231,32 @@ def test_explain_marks_shared_subplans():
     service.shutdown()
 
 
+@pytest.mark.parametrize(
+    "options, nodes",
+    [
+        # The service names threads; a one-worker query would run inline alone.
+        ({"transport": "threads"}, [JOIN]),
+        # The query's options name sockets; serving runs in-process.
+        (
+            {"config": ExecutionOptions(transport="sockets")},
+            [NodeSpec("j1", "left_outer", "a", "b", ON, partitions=2)],
+        ),
+    ],
+)
+def test_explain_names_the_transport_the_plan_group_runs_on(options, nodes):
+    service = make_service(**options)
+    service.register("q1", nodes)
+    idle = service.explain("q1")
+    subscription = service.subscribe("q1")
+    transport = service.lookup("q1").group.transport
+    assert transport == "threads"
+    for plan in (idle, service.explain("q1")):
+        assert "workers=threads" in plan
+        assert "transport=" not in plan
+    drain(subscription)
+    service.shutdown()
+
+
 def test_register_conflicts_and_unregister():
     service = make_service()
     service.register("q1", [JOIN])
