@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from ..values import reduce_fields, writer
+from ..values import writer
 
 _new = object.__new__
 
@@ -127,7 +127,8 @@ class Var(LineageExpr):
         self.__class__ = Var
         return self
 
-    __reduce__ = reduce_fields
+    def __reduce__(self):
+        return Var, (self.name,)
 
     def variables(self) -> frozenset[str]:
         return frozenset({self.name})
@@ -154,7 +155,8 @@ class Not(LineageExpr):
         self.__class__ = Not
         return self
 
-    __reduce__ = reduce_fields
+    def __reduce__(self):
+        return Not, (self.child,)
 
     def variables(self) -> frozenset[str]:
         return self.child.variables()
@@ -183,7 +185,8 @@ class And(LineageExpr):
         self.__class__ = And
         return self
 
-    __reduce__ = reduce_fields
+    def __reduce__(self):
+        return And, (self.operands,)
 
     def variables(self) -> frozenset[str]:
         names: frozenset[str] = frozenset()
@@ -215,7 +218,8 @@ class Or(LineageExpr):
         self.__class__ = Or
         return self
 
-    __reduce__ = reduce_fields
+    def __reduce__(self):
+        return Or, (self.operands,)
 
     def variables(self) -> frozenset[str]:
         names: frozenset[str] = frozenset()

@@ -212,6 +212,12 @@ class ProbabilityComputer:
 def _shared_variable(operands: tuple[LineageExpr, ...]) -> str | None:
     """Return the variable shared by the most operands, or ``None``.
 
+    Ties go to the least name.  ``variables()`` is a frozenset, whose order
+    follows string hashing, so picking by count alone (as
+    ``Counter.most_common`` does, first-seen among equals) would condition
+    on a different variable under each ``PYTHONHASHSEED`` — and move the
+    last bits of the probability with it.
+
     ``None`` means the operands mention pairwise disjoint variable sets and
     the independence fast path applies.
     """
@@ -221,10 +227,10 @@ def _shared_variable(operands: tuple[LineageExpr, ...]) -> str | None:
             counts[name] += 1
     if not counts:
         return None
-    name, count = counts.most_common(1)[0]
-    if count <= 1:
+    most = max(counts.values())
+    if most <= 1:
         return None
-    return name
+    return min(name for name, count in counts.items() if count == most)
 
 
 def probability(lineage: LineageExpr, events: EventSpace) -> float:

@@ -7,7 +7,8 @@ join on K processes is one thing: a K-partition stream query on the runtime
 This package holds what that path and its batch-shaped name share:
 
 * :mod:`repro.parallel.serialize` — compact codecs for tuples, lineages and
-  stream elements, which the process and socket transports ship.
+  stream elements, which the process and socket transports ship in element
+  frames.
 * :mod:`repro.parallel.batch` — :func:`parallel_tp_join`: any Table II join
   on relations, serial for one worker and a K-partition stream query for
   more, returned in the canonical order of :func:`canonical_order`.
@@ -30,11 +31,9 @@ from .serialize import (
     decode_lineage,
     decode_tagged,
     decode_tuple,
-    decode_tuples,
     encode_lineage,
     encode_tagged,
     encode_tuple,
-    encode_tuples,
 )
 
 __all__ = [
@@ -44,10 +43,8 @@ __all__ = [
     "decode_lineage",
     "decode_tagged",
     "decode_tuple",
-    "decode_tuples",
     "encode_lineage",
     "encode_tagged",
     "encode_tuple",
-    "encode_tuples",
     "parallel_tp_join",
 ]

@@ -1,10 +1,9 @@
-"""Compact codecs for tuples and stream elements that leave the process.
+"""Compact codecs for stream elements that leave the process.
 
-The process and socket transports ship every routed element to a worker
-and every settled output back, so the wire format matters.  Pickling the object graph directly works
-— every core type is a picklable dataclass — but ships class metadata and
-per-object headers for each tuple and lineage node.  This module
-flattens everything into nested tuples of primitives instead:
+The process and socket transports ship every routed element to a worker in
+micro-batch frames, so the element wire format matters.  This module
+flattens each element into nested tuples of primitives, which pickle writes
+without a class lookup or a reducer call per object:
 
 * a lineage expression becomes a prefix-encoded tuple tree
   (``("v", name)`` / ``("n", child)`` / ``("a", op1, op2, ...)`` /
@@ -17,11 +16,19 @@ flattens everything into nested tuples of primitives instead:
 Schemas and event probabilities travel as plain tuples/dicts.  Decoding
 rebuilds the exact original values — codecs are inverse bijections, tested
 round-trip — so workers operate on full-fidelity TP tuples.
+
+Settled output goes the other way as the objects themselves: a worker
+report's tuple list (and a checkpoint's) is pickled as is.  Pickle's memo
+writes a lineage node that many windows share — ``λr``, or one negated
+disjunction — once, and unpickling rebuilds the objects from C through the
+value types' reducers (:mod:`repro.values`).  Element frames keep this
+codec because, on micro-batches, pickling the objects encodes about twice
+as slowly and decodes no faster.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Optional
 
 from ..lineage import FALSE, TRUE, And, EventSpace, LineageExpr, Not, Or, Var
 from ..relation import TPTuple
@@ -61,110 +68,59 @@ def revision_kind_codes() -> int:
 # --------------------------------------------------------------------------- #
 # lineage codec
 # --------------------------------------------------------------------------- #
-def encode_lineage(expr: LineageExpr, codes: Optional[Dict[int, tuple]] = None) -> tuple:
-    """Flatten a lineage expression into a prefix-encoded primitive tuple.
-
-    With ``codes`` (one per batch, see :func:`encode_tuples`) each distinct
-    node object is encoded once: ``codes`` maps the ``id`` of every node
-    encoded so far to its code, a later occurrence reuses that code object,
-    and pickle writes a shared subtree once and refers back to it after.
-    The caller keeps the nodes alive for as long as it uses ``codes``.
-    """
-    if codes is not None:
-        code = codes.get(id(expr))
-        if code is not None:
-            return code
+def encode_lineage(expr: LineageExpr) -> tuple:
+    """Flatten a lineage expression into a prefix-encoded primitive tuple."""
     if isinstance(expr, Var):
-        code = ("v", expr.name)
-    elif isinstance(expr, And):
-        code = ("a", *[encode_lineage(operand, codes) for operand in expr.operands])
-    elif isinstance(expr, Not):
-        code = ("n", encode_lineage(expr.child, codes))
-    elif isinstance(expr, Or):
-        code = ("o", *[encode_lineage(operand, codes) for operand in expr.operands])
-    elif expr == TRUE:
-        code = ("t",)
-    elif expr == FALSE:
-        code = ("f",)
-    else:
-        raise TypeError(f"unsupported lineage node {type(expr).__name__}")
-    if codes is not None:
-        codes[id(expr)] = code
-    return code
+        return ("v", expr.name)
+    if isinstance(expr, And):
+        return ("a", *[encode_lineage(operand) for operand in expr.operands])
+    if isinstance(expr, Not):
+        return ("n", encode_lineage(expr.child))
+    if isinstance(expr, Or):
+        return ("o", *[encode_lineage(operand) for operand in expr.operands])
+    if expr == TRUE:
+        return ("t",)
+    if expr == FALSE:
+        return ("f",)
+    raise TypeError(f"unsupported lineage node {type(expr).__name__}")
 
 
-def decode_lineage(code: tuple, nodes: Optional[Dict[int, LineageExpr]] = None) -> LineageExpr:
-    """Rebuild a lineage expression from its prefix encoding.
-
-    With ``nodes`` (one per batch, see :func:`decode_tuples`) each distinct
-    code object is decoded once — a subtree pickle wrote once arrives as
-    one object and is rebuilt as one node: ``nodes`` maps the ``id`` of
-    every code decoded so far to its node.  The caller keeps the codes
-    alive for as long as it uses ``nodes``.
-    """
-    if nodes is not None:
-        expr = nodes.get(id(code))
-        if expr is not None:
-            return expr
+def decode_lineage(code: tuple) -> LineageExpr:
+    """Rebuild a lineage expression from its prefix encoding."""
     tag = code[0]
     if tag == "v":
-        expr = Var(code[1])
-    elif tag == "a":
-        expr = And(tuple([decode_lineage(part, nodes) for part in code[1:]]))
-    elif tag == "n":
-        expr = Not(decode_lineage(code[1], nodes))
-    elif tag == "o":
-        expr = Or(tuple([decode_lineage(part, nodes) for part in code[1:]]))
-    elif tag == "t":
-        expr = TRUE
-    elif tag == "f":
-        expr = FALSE
-    else:
-        raise ValueError(f"unknown lineage code tag {tag!r}")
-    if nodes is not None:
-        nodes[id(code)] = expr
-    return expr
+        return Var(code[1])
+    if tag == "a":
+        return And(tuple([decode_lineage(part) for part in code[1:]]))
+    if tag == "n":
+        return Not(decode_lineage(code[1]))
+    if tag == "o":
+        return Or(tuple([decode_lineage(part) for part in code[1:]]))
+    if tag == "t":
+        return TRUE
+    if tag == "f":
+        return FALSE
+    raise ValueError(f"unknown lineage code tag {tag!r}")
 
 
 # --------------------------------------------------------------------------- #
 # tuple codec
 # --------------------------------------------------------------------------- #
-def encode_tuple(tp_tuple: TPTuple, codes: Optional[Dict[int, tuple]] = None) -> tuple:
-    """Flatten one TP tuple into primitives (``codes``: see :func:`encode_lineage`)."""
+def encode_tuple(tp_tuple: TPTuple) -> tuple:
+    """Flatten one TP tuple into primitives."""
     return (
         tp_tuple.fact,
-        encode_lineage(tp_tuple.lineage, codes),
+        encode_lineage(tp_tuple.lineage),
         tp_tuple.start,
         tp_tuple.end,
         tp_tuple.probability,
     )
 
 
-def decode_tuple(code: tuple, nodes: Optional[Dict[int, LineageExpr]] = None) -> TPTuple:
-    """Rebuild one TP tuple from its encoding (``nodes``: see :func:`decode_lineage`)."""
+def decode_tuple(code: tuple) -> TPTuple:
+    """Rebuild one TP tuple from its encoding."""
     fact, lineage_code, start, end, probability = code
-    return TPTuple.from_bounds(
-        tuple(fact), decode_lineage(lineage_code, nodes), start, end, probability
-    )
-
-
-def encode_tuples(tuples: Iterable[TPTuple]) -> List[tuple]:
-    """Encode a batch of TP tuples, each distinct lineage node once.
-
-    The windows of one positive share their operands — ``λr``, and the
-    negated disjunction of the negatives it overlaps — so the batch's codes
-    share them too.  Each code equals :func:`encode_tuple`'s.
-    """
-    tuples = list(tuples)  # alive while ``codes`` knows their nodes
-    codes: Dict[int, tuple] = {}
-    return [encode_tuple(tp_tuple, codes) for tp_tuple in tuples]
-
-
-def decode_tuples(codes: Iterable[tuple]) -> List[TPTuple]:
-    """Decode a batch of TP tuples, each distinct lineage code once."""
-    codes = list(codes)  # alive while ``nodes`` knows them
-    nodes: Dict[int, LineageExpr] = {}
-    return [decode_tuple(code, nodes) for code in codes]
+    return TPTuple.from_bounds(tuple(fact), decode_lineage(lineage_code), start, end, probability)
 
 
 # --------------------------------------------------------------------------- #

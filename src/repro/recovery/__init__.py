@@ -5,8 +5,8 @@ turns a dead seat from a run-killing error into a recovered one:
 
 * :mod:`repro.recovery.checkpoint` — snapshot/restore of an
   output-collecting worker's state (open windows, reverse maintainer, collected outputs;
-  probability memos are recomputed, not shipped) through the compact codecs of
-  :mod:`repro.parallel.serialize`;
+  probability memos are recomputed, not shipped) as primitives and the
+  state's own pickled tuples;
 * :mod:`repro.recovery.driver` — the recovering session the one router
   (:func:`repro.runtime.driver.run_job`) drives: detects a dead or
   timed-out seat, re-dispatches its self-contained spec to a

@@ -12,15 +12,15 @@ per maintainer) are not part of it: a restored worker recomputes, and a recomput
 bitwise the memoised one, so a frame's size follows the open state, not the
 length of the run.
 
-Payloads are nested tuples of primitives built on the compact codecs of
-:mod:`repro.parallel.serialize` (``encode_tuple`` / ``encode_lineage`` and
-inverses), so a checkpoint frame rides the socket transport's pickle framing
-at the same cost profile as the shard inputs themselves — no class metadata
-per node.  The codec is a bijection on the state it covers: restoring a
+Payloads are tuples and lists of primitives and the state's own
+:class:`~repro.relation.TPTuple` objects, which the socket transport's
+framing pickles as they are: pickle's memo writes a lineage node or a
+negative tuple that several entries share once, and unpickling rebuilds
+them from C.  The codec is a bijection on the state it covers: restoring a
 snapshot and replaying the post-checkpoint input suffix yields settled
 output tuple-for-tuple, bitwise-probability equal to an unfailed run,
 because floats (watermarks, intervals, the collected outputs'
-probabilities) round-trip exactly through pickle and lineages decode to
+probabilities) round-trip exactly through pickle and lineages unpickle to
 structurally equal expressions.
 
 Only output-collecting workers (``spec.collect_outputs``: the
@@ -43,18 +43,12 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..core.overlap import OverlapRecord
-from ..parallel.serialize import (
-    decode_tuple,
-    decode_tuples,
-    encode_tuple,
-    encode_tuples,
-)
 from ..stream.elements import LEFT, RIGHT
 from ..stream.incremental import IncrementalWindowMaintainer, OpenPositive
 
 #: Bumped whenever the payload shape changes; restore rejects mismatches
 #: loudly instead of mis-decoding a stale frame.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -70,12 +64,11 @@ __all__ = [
 # maintainer codec
 # --------------------------------------------------------------------------- #
 def encode_maintainer(maintainer: IncrementalWindowMaintainer) -> tuple:
-    """Flatten one incremental window maintainer into primitives.
+    """Flatten one incremental window maintainer into a picklable payload.
 
-    Partition keys travel verbatim (they are tuples of fact values, already
-    pickle-clean on the tuple path); each overlap record ships only the
-    negative tuple and the overlap interval — the positive side is the open
-    entry's own tuple and is rebound on decode.
+    Partition keys and tuples travel verbatim; each overlap record ships
+    only the negative tuple and the overlap interval — the positive side is
+    the open entry's own tuple and is rebound on restore.
     """
     stats = maintainer.stats
     open_code = []
@@ -84,19 +77,14 @@ def encode_maintainer(maintainer: IncrementalWindowMaintainer) -> tuple:
         for entry in entries:
             entry_codes.append(
                 (
-                    encode_tuple(entry.tuple),
+                    entry.tuple,
                     entry.ingest_clock,
                     entry.serial,
-                    [
-                        (encode_tuple(record.s), record.start, record.end)
-                        for record in entry.matches
-                    ],
+                    [(record.s, record.start, record.end) for record in entry.matches],
                 )
             )
         open_code.append((key, entry_codes))
-    negative_code = [
-        (key, encode_tuples(bucket)) for key, bucket in maintainer.negative_items()
-    ]
+    negative_code = maintainer.negative_items()
     return (
         maintainer._watermark_left,
         maintainer._watermark_right,
@@ -159,19 +147,18 @@ def restore_maintainer(maintainer: IncrementalWindowMaintainer, code: tuple) -> 
     ) = stats_code
     for key, entry_codes in open_code:
         entries: List[OpenPositive] = []
-        for tuple_code, ingest_clock, entry_serial, match_codes in entry_codes:
-            positive = decode_tuple(tuple_code)
+        for positive, ingest_clock, entry_serial, match_codes in entry_codes:
             entry = OpenPositive(
                 positive, ingest_clock=ingest_clock, key=key, serial=entry_serial
             )
-            for s_code, overlap_start, overlap_end in match_codes:
+            for negative, overlap_start, overlap_end in match_codes:
                 entry.matches.append(
-                    OverlapRecord(positive, decode_tuple(s_code), overlap_start, overlap_end)
+                    OverlapRecord(positive, negative, overlap_start, overlap_end)
                 )
             entries.append(entry)
         maintainer.load_open_entries(key, entries)
-    for key, bucket_code in negative_code:
-        maintainer.load_negatives(key, decode_tuples(bucket_code))
+    for key, bucket in negative_code:
+        maintainer.load_negatives(key, bucket)
 
 
 # --------------------------------------------------------------------------- #
@@ -211,7 +198,7 @@ def snapshot_worker(worker, elements_seen: int) -> tuple:
     return (
         CHECKPOINT_VERSION,
         elements_seen,
-        encode_tuples(worker._outputs),
+        list(worker._outputs),
         list(join.emit_latencies),
         (join.stats.outputs_emitted, join.stats.groups_finalized),
         _encode_trackers(worker),
@@ -236,7 +223,7 @@ def restore_worker(worker, payload: tuple) -> int:
     (
         version,
         elements_seen,
-        outputs_code,
+        outputs,
         emit_latencies,
         (outputs_emitted, groups_finalized),
         tracker_code,
@@ -251,7 +238,7 @@ def restore_worker(worker, payload: tuple) -> int:
     join = worker.join
     if worker._outputs is None:
         raise ValueError("cannot restore a checkpoint into a non-collecting worker")
-    worker._outputs[:] = decode_tuples(outputs_code)
+    worker._outputs[:] = outputs
     join.emit_latencies[:] = emit_latencies
     join.stats.outputs_emitted = outputs_emitted
     join.stats.groups_finalized = groups_finalized

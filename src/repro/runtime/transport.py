@@ -13,7 +13,8 @@ loop of :mod:`repro.runtime.worker`:
   CPU-bound lineage work at one core);
 * ``processes`` — one forked OS process per worker over bounded
   ``multiprocessing`` queues, elements crossing in the compact codecs of
-  :mod:`repro.parallel.serialize` (true multi-core speedup);
+  :mod:`repro.parallel.serialize` and reports as pickled tuples (true
+  multi-core speedup);
 * ``sockets`` — one worker per TCP endpoint (driver-spawned locally, or a
   remote ``python -m repro.runtime.worker --listen`` joined through a
   :class:`~repro.runtime.placement.Placement`): the same codecs in

@@ -118,12 +118,15 @@ class WorkerReport:
 
 
 def encode_report(report: WorkerReport) -> tuple:
-    """Flatten a report into primitives for the process/socket boundary."""
-    from ...parallel.serialize import encode_tuples
+    """Flatten a report for the process/socket boundary.
 
+    The outputs travel as the tuple objects: pickle writes each lineage node
+    the windows share once, and the receiving side's unpickling rebuilds
+    them before :func:`decode_report` runs.
+    """
     return (
         report.index,
-        encode_tuples(report.outputs),
+        report.outputs,
         list(report.emit_latencies),
         list(report.emit_event_lags),
         report.late_dropped,
@@ -135,17 +138,15 @@ def encode_report(report: WorkerReport) -> tuple:
 
 
 def decode_report(code: tuple) -> WorkerReport:
-    """Rebuild a report from its encoding."""
-    from ...parallel.serialize import decode_tuples
-
+    """Rebuild a report from its unpickled encoding."""
     index, outputs, latencies, lags, late, stats, metrics, spans, offset = code
     return WorkerReport(
         index=index,
-        outputs=decode_tuples(outputs),
-        emit_latencies=list(latencies),
-        emit_event_lags=list(lags),
+        outputs=outputs,
+        emit_latencies=latencies,
+        emit_event_lags=lags,
         late_dropped=late,
-        stats=tuple(stats) if stats is not None else None,
+        stats=stats,
         metrics=metrics,
         spans=spans,
         clock_offset=offset,

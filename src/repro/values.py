@@ -20,13 +20,17 @@ its ``__new__`` (for :class:`~repro.relation.TPTuple`, the factory its
 attribute stores on an instance of the type's :func:`writer` and hands that
 instance out as the frozen type with one ``__class__`` assignment.  ``==``,
 ``hash`` and ``repr`` stay the dataclass's own, and each type's
-``__reduce__`` (:func:`reduce_fields` where the constructor takes the
-fields in order) unpickles and copies through the same constructor.
+``__reduce__`` unpickles and copies through the same constructor.  The
+lineage nodes and :class:`~repro.relation.TPTuple`, most of a pickled
+worker report's objects, spell theirs out; the other types whose
+constructor takes the fields in order share :func:`reduce_fields`.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, fields
+from operator import attrgetter
+from typing import Callable, Dict
 
 
 def _refuse_assignment(self, name: str, value) -> None:
@@ -61,6 +65,31 @@ def writer(frozen: type) -> type:
     return type(f"_{frozen.__name__}Writer", (frozen,), namespace)
 
 
+def _one_field(name: str) -> Callable[[object], tuple]:
+    get = attrgetter(name)
+
+    def getter(value) -> tuple:
+        return (get(value),)
+
+    return getter
+
+
+#: One field getter per type for :func:`reduce_fields`.
+_FIELD_GETTERS: Dict[type, Callable[[object], tuple]] = {}
+
+
 def reduce_fields(value) -> tuple:
-    """``__reduce__`` of a value type whose constructor takes its fields in order."""
-    return type(value), tuple(getattr(value, field.name) for field in fields(value))
+    """``__reduce__`` of a value type whose constructor takes its fields in order.
+
+    Pickle calls it once per object, so the getter is built once per type:
+    ``dataclasses.fields`` walks the class's field table on every call.
+    """
+    cls = type(value)
+    getter = _FIELD_GETTERS.get(cls)
+    if getter is None:
+        # attrgetter of two or more names returns their tuple, of one name
+        # the bare value (a Watermark's).
+        names = [field.name for field in fields(cls)]
+        getter = attrgetter(*names) if len(names) > 1 else _one_field(names[0])
+        _FIELD_GETTERS[cls] = getter
+    return cls, getter(value)

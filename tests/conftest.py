@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -124,19 +125,47 @@ def random_relation_factory():
 # --------------------------------------------------------------------------- #
 # result comparison helpers
 # --------------------------------------------------------------------------- #
+def probabilities_match(left: float, right: float) -> bool:
+    """Whether two probabilities agree up to floating-point rounding noise.
+
+    Tighter than rounding both to 9 decimals everywhere but at a rounding
+    boundary, where two floats a few ulp apart can round apart.
+    """
+    return math.isclose(left, right, rel_tol=1e-12, abs_tol=1e-15)
+
+
+class ApproxProbability(float):
+    """A row's probability, equal to any float it :func:`probabilities_match`.
+
+    Its hash is constant, so a set of rows matches them on the other fields
+    (fact, interval, canonical lineage) and only then compares probabilities.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, float) and probabilities_match(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return 0
+
+
 def canonical_rows(relation: TPRelation, with_probability: bool = True) -> set[tuple]:
     """A canonical, order-insensitive representation of a join result.
 
     Lineages are canonicalised (commutative operands sorted) so results that
-    differ only in operand order compare equal; probabilities are rounded to
-    absorb floating-point noise.
+    differ only in operand order compare equal; probabilities compare equal
+    within rounding noise (:class:`ApproxProbability`).
     """
     rows = set()
     for tp_tuple in relation:
         probability = (
             None
             if (not with_probability or tp_tuple.probability is None)
-            else round(tp_tuple.probability, 9)
+            else ApproxProbability(tp_tuple.probability)
         )
         rows.add(
             (

@@ -22,7 +22,7 @@ from repro.core.overlap import OverlapRecord
 from repro.datasets import webkit_pair
 from repro.relation import TrueCondition
 from repro.temporal import Interval
-from tests.conftest import canonical_rows, make_random_relations
+from tests.conftest import ApproxProbability, canonical_rows, make_random_relations
 
 
 class TestBasicBehaviour:
@@ -126,7 +126,7 @@ class TestSymmetries:
                 fact = t.fact
                 if flip:
                     fact = fact[len(negative.schema):] + fact[: len(negative.schema)]
-                rows.add((fact, t.interval.start, t.interval.end, round(t.probability, 9)))
+                rows.add((fact, t.interval.start, t.interval.end, ApproxProbability(t.probability)))
             return rows
 
         assert normalise(right, flip=False) == normalise(mirrored, flip=True)

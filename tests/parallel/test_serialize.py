@@ -1,4 +1,4 @@
-"""Round-trip tests for the compact partition codecs."""
+"""Round-trip tests for the compact element codecs and the report wire."""
 
 from __future__ import annotations
 
@@ -11,13 +11,12 @@ from repro.parallel import (
     decode_lineage,
     decode_tagged,
     decode_tuple,
-    decode_tuples,
     encode_lineage,
     encode_tagged,
     encode_tuple,
-    encode_tuples,
 )
 from repro.relation import TPTuple
+from repro.runtime.worker import WorkerReport, decode_report, encode_report
 from repro.stream import CLOSED, LEFT, RIGHT, StreamEvent, Tagged, Watermark
 from repro.temporal import Interval
 
@@ -54,13 +53,6 @@ def test_tuple_roundtrip_with_and_without_probability():
     without_p = TPTuple(("Ann", "ZAK"), Var("a1"), Interval(1, 3))
     assert decode_tuple(encode_tuple(with_p)) == with_p
     assert decode_tuple(encode_tuple(without_p)) == without_p
-
-
-def test_tuple_batch_roundtrip_preserves_order():
-    tuples = [
-        TPTuple((f"f{i}",), Var(f"e{i}"), Interval(i, i + 2), 0.5) for i in range(6)
-    ]
-    assert decode_tuples(encode_tuples(tuples)) == tuples
 
 
 def test_tagged_event_roundtrip_keeps_side_sequence_and_clock():
@@ -100,44 +92,48 @@ def _windows_of_one_positive() -> list:
     return shared + unshared
 
 
-def test_batch_codes_equal_the_per_tuple_codes_and_ship_shared_nodes_once():
-    tuples = _windows_of_one_positive()
-    codes = encode_tuples(tuples)
-    assert codes == [encode_tuple(tp_tuple) for tp_tuple in tuples]
-    # λr and ¬(s1 ∨ s2) are one object each in the batch's codes...
-    assert codes[1][1][1] is codes[0][1] is codes[2][1][1]
-    assert codes[1][1][2] is codes[3][1][2]
-    # ...but equal nodes of distinct objects keep distinct codes.
-    assert codes[4][1] == codes[5][1] and codes[4][1] is not codes[5][1]
-    per_tuple = pickle.dumps([encode_tuple(tp_tuple) for tp_tuple in tuples])
-    assert len(pickle.dumps(codes)) < len(per_tuple)
+def _over_the_wire(outputs: list) -> list:
+    """The outputs of a report after its frame crosses a socket."""
+    frame = pickle.dumps(encode_report(WorkerReport(index=0, outputs=outputs)))
+    return decode_report(pickle.loads(frame)).outputs
 
 
-def test_batch_round_trip_through_pickle_is_exact_and_rebuilds_shared_nodes_once():
+def test_report_round_trip_is_exact_and_rebuilds_shared_nodes_once():
     tuples = _windows_of_one_positive()
-    decoded = decode_tuples(pickle.loads(pickle.dumps(encode_tuples(tuples))))
+    decoded = _over_the_wire(tuples)
     assert decoded == tuples
     assert [tp_tuple.probability.hex() for tp_tuple in decoded if tp_tuple.probability] == [
         tp_tuple.probability.hex() for tp_tuple in tuples if tp_tuple.probability
     ]
-    assert decoded[1].lineage.operands[0] is decoded[0].lineage
+    # λr and ¬(s1 ∨ s2) arrive as one object each...
+    assert decoded[1].lineage.operands[0] is decoded[0].lineage is decoded[2].lineage.operands[0]
     assert decoded[1].lineage.operands[1] is decoded[3].lineage.operands[1]
+    # ...but equal nodes of distinct objects stay distinct.
+    assert decoded[4].lineage == decoded[5].lineage
     assert decoded[4].lineage is not decoded[5].lineage
 
 
-def test_batch_codecs_take_one_shot_iterables_of_fresh_objects():
-    """Nodes and codes are known by ``id``: a generator's items must stay
-    alive, or a later item could reuse a dead one's id and its code."""
-    def fresh():
-        for index in range(200):
-            yield TPTuple(
-                (f"f{index}",),
-                lineage_and(Var(f"r{index}"), lineage_not(Var(f"s{index}"))),
-                Interval(index, index + 1),
-                0.5,
-            )
+def test_a_report_frame_grows_with_the_distinct_nodes_not_the_windows():
+    """N windows of one positive negated by the same eight negatives pickle
+    their shared lineage once: the frame is far smaller than N one-window
+    frames, or than N windows each carrying an equal lineage of its own."""
+    negatives = [Var(f"s{index}") for index in range(8)]
 
-    expected = list(fresh())
-    codes = encode_tuples(fresh())
-    assert codes == [encode_tuple(tp_tuple) for tp_tuple in expected]
-    assert decode_tuples(tuple(code) for code in codes) == expected
+    def lineage():
+        return lineage_and(Var("r1"), lineage_not(lineage_or(*negatives)))
+
+    shared = lineage()
+    count = 200
+    windows = [
+        TPTuple(("r1", None), shared, Interval(index, index + 1), 0.25) for index in range(count)
+    ]
+    unshared = [
+        TPTuple(("r1", None), lineage(), Interval(index, index + 1), 0.25) for index in range(count)
+    ]
+
+    def frame_bytes(outputs):
+        return len(pickle.dumps(encode_report(WorkerReport(index=0, outputs=outputs))))
+
+    assert frame_bytes(windows) < count * frame_bytes(windows[:1]) / 3
+    assert frame_bytes(windows) < frame_bytes(unshared) / 2
+    assert _over_the_wire(windows) == windows

@@ -10,6 +10,8 @@ bit for bit.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.lineage import canonical
@@ -21,7 +23,7 @@ from repro.recovery.checkpoint import (
     restore_worker,
     snapshot_worker,
 )
-from repro.relation import Schema, TPRelation
+from repro.relation import Schema, TPRelation, TPTuple
 from repro.runtime.worker import SOURCE_CHANNEL, Worker
 from repro.stream import continuous_join
 from repro.stream.elements import LEFT, RIGHT, StreamEvent, Tagged, Watermark
@@ -85,7 +87,8 @@ def test_snapshot_plus_suffix_equals_uninterrupted_run(kind, cut_fraction):
     suffix: settled output and stats match the straight-through run.
     right_outer and full_outer cover the mirrored reverse maintainer;
     probabilities are materialized, so the restored worker recomputes them
-    with a cold memo and must land on the same floats."""
+    with a cold memo and must land on the same floats.  The snapshot is
+    restored from its pickled frame, as it crosses a socket."""
     catalog, merged = _elements()
     spec = _spec(catalog, kind, materialize=True)
     cut = int(len(merged) * cut_fraction)
@@ -96,7 +99,7 @@ def test_snapshot_plus_suffix_equals_uninterrupted_run(kind, cut_fraction):
 
     original = Worker(spec, _NullEmitter())
     _feed(original, merged[:cut])
-    payload = snapshot_worker(original, cut)
+    payload = pickle.loads(pickle.dumps(snapshot_worker(original, cut)))
     assert checkpoint_elements(payload) == cut
 
     restored = Worker(spec, _NullEmitter())
@@ -111,12 +114,8 @@ def test_snapshot_plus_suffix_equals_uninterrupted_run(kind, cut_fraction):
     assert resumed.late_dropped == expected.late_dropped
 
 
-def test_snapshot_is_picklable_and_made_of_primitives():
-    """Checkpoint frames ride the socket transport's pickle framing, so the
-    payload must round-trip through pickle without custom classes doing the
-    heavy lifting (compact codecs, not per-node class metadata)."""
-    import pickle
-
+def test_snapshot_round_trips_through_pickle():
+    """Checkpoint frames ride the socket transport's pickle framing."""
     catalog, merged = _elements()
     spec = _spec(catalog, "left_outer")
     worker = Worker(spec, _NullEmitter())
@@ -128,9 +127,10 @@ def test_snapshot_is_picklable_and_made_of_primitives():
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_snapshot_payload_holds_only_primitives(kind):
+def test_snapshot_payload_holds_only_primitives_and_tp_tuples(kind):
     """Every value in a mid-stream snapshot, nested at any depth, is a
-    primitive: the frame carries no class of the maintainer's own."""
+    primitive or a TP tuple: the frame carries no class of the maintainer's
+    own, and the tuples pickle as the value objects they are."""
     catalog, merged = _elements()
     worker = Worker(_spec(catalog, kind, materialize=True), _NullEmitter())
     _feed(worker, merged[: len(merged) // 2])
@@ -144,7 +144,7 @@ def test_snapshot_payload_holds_only_primitives(kind):
             for key, item in value.items():
                 assert_primitive(key)
                 assert_primitive(item)
-        else:
+        elif not isinstance(value, TPTuple):
             assert value is None or isinstance(value, (bool, int, float, str)), (
                 f"non-primitive {type(value).__name__} in checkpoint payload"
             )
@@ -152,10 +152,10 @@ def test_snapshot_payload_holds_only_primitives(kind):
     assert_primitive(payload)
 
 
-@pytest.mark.parametrize("version", (1, CHECKPOINT_VERSION + 1))
+@pytest.mark.parametrize("version", (1, 2, CHECKPOINT_VERSION + 1))
 def test_version_mismatch_is_rejected_loudly(version):
-    """Version 1 frames carried the probability memo; they are refused by
-    name, not mis-decoded."""
+    """Version 1 frames carried the probability memo and version 2 frames
+    coded their tuples; both are refused by name, not mis-decoded."""
     catalog, merged = _elements()
     spec = _spec(catalog, "anti")
     worker = Worker(spec, _NullEmitter())
@@ -174,7 +174,6 @@ def _frame_bytes_after(groups: int) -> int:
     open positive at [6000, 6005) — and counts stay below 256 so every
     counter in the frame pickles to the same width.
     """
-    import pickle
 
     def relation(name, rows):
         return TPRelation.from_rows(
@@ -218,10 +217,10 @@ def test_checkpoint_size_follows_the_open_state_not_the_run_length():
     assert _frame_bytes_after(200) <= _frame_bytes_after(20)
 
 
-def test_an_open_entry_frames_as_primitives_with_overlap_bounds():
-    """The frame shape of ``CHECKPOINT_VERSION`` 2, pinned literally: per
-    key, each open entry is its tuple code, ingest clock, serial and one
-    ``(negative code, overlap start, overlap end)`` per match."""
+def test_an_open_entry_frames_as_its_tuple_with_overlap_bounds():
+    """The frame shape of ``CHECKPOINT_VERSION`` 3, pinned literally: per
+    key, each open entry is its tuple, ingest clock, serial and one
+    ``(negative tuple, overlap start, overlap end)`` per match."""
 
     def base(name, start, end):
         return TPRelation.from_rows(
@@ -235,9 +234,10 @@ def test_an_open_entry_frames_as_primitives_with_overlap_bounds():
     join.process(Tagged(LEFT, StreamEvent(left.tuples[0])))
     join.process(Tagged(RIGHT, StreamEvent(right.tuples[0])))
     frame = encode_maintainer(join.maintainer)
-    l0 = (("k", "l0"), ("v", "l0"), 2, 8, 0.5)
-    r0 = (("k", "r0"), ("v", "r0"), 4, 10, 0.5)
+    l0, r0 = left.tuples[0], right.tuples[0]
     assert frame[7:] == ([(("k",), [(l0, 1.5, 1, [(r0, 4, 8)])])], [(("k",), [r0])])
+    # The match's negative is the indexed one: pickle writes it once.
+    assert frame[7][0][1][0][3][0][0] is frame[8][0][1][0]
 
 
 def test_non_collecting_workers_are_not_checkpointable():

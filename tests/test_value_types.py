@@ -169,6 +169,26 @@ class TestPickleAndCopy:
         assert restored == value
         assert hash(restored) == hash(value)
 
+    def test_pickling_builds_one_field_getter_per_type(self, monkeypatch):
+        import repro.values as values
+
+        calls = []
+
+        def counted(cls):
+            calls.append(cls if isinstance(cls, type) else type(cls))
+            return dataclasses.fields(cls)
+
+        monkeypatch.setattr(values, "fields", counted)
+        monkeypatch.setattr(values, "_FIELD_GETTERS", {})
+        batch = [
+            Revision(RevisionKind.EMIT, TPTuple((f"f{i}",), And((A, Not(B))), Interval(i, i + 1)))
+            for i in range(1000)
+        ]
+        batch += [Interval(i, i + 2) for i in range(1000)]
+        batch += [Watermark(i + 0.5) for i in range(1000)]
+        assert pickle.loads(pickle.dumps(batch)) == batch
+        assert sorted(calls, key=lambda cls: cls.__name__) == [Interval, Revision, Watermark]
+
     def test_copy_and_deepcopy(self, named):
         cls, value = named
         for copied in (copy.copy(value), copy.deepcopy(value)):
