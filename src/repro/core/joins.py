@@ -27,8 +27,9 @@ record is exactly one negating window, and every lineage it forms is
 :func:`~repro.lineage.and_not_probability` state from ``p(r)``, looked up
 once per group.  Every other group runs the sweep and the
 :class:`~repro.lineage.ProbabilityComputer`.  The batch joins
-(:func:`tp_join`), the continuous operators
-(:class:`repro.stream.ContinuousJoin` and its retractable subclass) and the
+(:func:`tp_join`), the one continuous operator
+(:class:`repro.dataflow.RevisionJoin`, also built as
+:class:`repro.stream.ContinuousJoin`) and the
 engine's NJ operator all derive their tuples through it;
 the baselines under :mod:`repro.baselines` and the window-level path
 (:func:`~repro.core.concat.window_to_tuple` over :func:`lawan` windows, then

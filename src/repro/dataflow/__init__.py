@@ -6,13 +6,13 @@ watermarks — the multi-way, correction-tolerant layer above
 
 * :mod:`repro.dataflow.revision` — ``Emit`` / ``Retract`` / ``Refine``
   elements, the algebra every dataflow edge carries.
-* :mod:`repro.dataflow.operators` — :class:`RevisionJoin`, the retractable
-  early-emitting continuous join (all five Table II kinds, reverse windows
-  included).
+* :mod:`repro.dataflow.operators` — :class:`RevisionJoin`, the one
+  continuous join every node runs (all five Table II kinds, reverse windows
+  included), retractable and early-emitting.
 * :mod:`repro.dataflow.graph` — :class:`NodeSpec` / :class:`DataflowGraph`:
   DAG description, validation, schema and watermark topology.
 * :mod:`repro.dataflow.compile` — the graph compiler: worker specs, routing
-  stages and source edges, and each node's operator picked from its shape.
+  stages and source edges, and whether each node is read and checkpointable.
 * :mod:`repro.dataflow.executor` — :func:`run_graph`: hands the compiled
   graph to the runtime's one router (:func:`repro.runtime.driver.run_job`)
   and gathers the reports per node.

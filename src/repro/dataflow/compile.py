@@ -12,15 +12,15 @@ drives:
   elements are key-routed;
 * :func:`source_edges` — one fresh replay per (source → node input) edge.
 
-The compiler also picks each node's operator from the node's shape.  A node
-fed by source streams only, with no downstream node, no tap and early
-emission off runs :class:`~repro.stream.ContinuousJoin` and collects its
-finalized outputs, which is what makes its workers checkpointable
-(:mod:`repro.recovery`).  Every other node runs
-:class:`~repro.dataflow.RevisionJoin` and publishes revisions; with early
-emission on, one that no downstream node and no tap reads
-(:attr:`DataflowNodeSpec.read`) publishes each group once, settled, when
-it closes.
+Every node, whatever its shape, runs the one operator,
+:class:`~repro.dataflow.RevisionJoin`.  What the shape decides is what the
+node's output looks like: one that no downstream node and no tap reads
+(:attr:`DataflowNodeSpec.read`) wraps nothing and derives no output
+watermark, and an early-emitting one publishes each group once, settled,
+when it closes.  A node fed by sources only, read by nothing and with early
+emission off is :attr:`~DataflowNodeSpec.checkpointable`: the recovery rule
+re-executes its workers seat by seat (:mod:`repro.recovery`), and the
+router stamps its right-side events only where they act as positives.
 
 Emit latencies remain comparable across the process boundary because
 ``time.perf_counter`` reads ``CLOCK_MONOTONIC``, which is system-wide on the
@@ -36,11 +36,11 @@ from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..core.joins import REVERSE_KINDS
 from ..parallel.serialize import events_from_probabilities
-from ..relation import Schema, TPTuple
+from ..relation import Schema
 from ..runtime import SOURCE_CHANNEL, ChannelWatermarks, WorkerReport
 from ..runtime.driver import SourceEdge, Stage
 from ..stream.elements import LEFT, RIGHT
-from ..stream.operators import continuous_join, theta_from_pairs
+from ..stream.operators import theta_from_pairs
 from .graph import DataflowGraph
 from .operators import RevisionJoin
 
@@ -72,11 +72,6 @@ class DataflowNodeSpec:
     the worker can min-merge per-channel watermarks (the stage output
     watermark = min over the upstream partitions).
 
-    ``collect_outputs`` picks the operator: ``True`` builds a
-    :class:`~repro.stream.ContinuousJoin` whose finalized outputs the worker
-    loop collects, ``False`` a :class:`~repro.dataflow.RevisionJoin` whose
-    settled windows are harvested at report time.
-
     ``event_probabilities`` ships the marginal probabilities of the base
     events when the run materializes probabilities inline: workers rebuild
     an event space from it.
@@ -105,7 +100,6 @@ class DataflowNodeSpec:
     left_channels: tuple = ()
     right_channels: tuple = ()
     early_emit: bool = False
-    collect_outputs: bool = False
     event_probabilities: Optional[dict] = None
     tap: Optional[Callable] = dataclass_field(default=None, repr=False, compare=False)
     probe: Optional[Callable] = dataclass_field(default=None, repr=False, compare=False)
@@ -121,69 +115,67 @@ class DataflowNodeSpec:
         it: a downstream node, or a tap (a serve hub, ``iter_revisions``)."""
         return bool(self.downstream) or self.tap is not None
 
-    def build_join(self):
-        """Instantiate the operator this spec describes.
+    @property
+    def checkpointable(self) -> bool:
+        """Whether a snapshot of this partition's worker is all its state:
+        fed by sources only, read by nothing, early emission off.  Nothing
+        it holds is in flight to or from a peer, and nothing it published
+        is provisional, so :mod:`repro.recovery` may re-execute it seat by
+        seat from a checkpoint."""
+        return (
+            not self.early_emit
+            and not self.read
+            and all(
+                channel == SOURCE_CHANNEL
+                for channel in self.left_channels + self.right_channels
+            )
+        )
 
-        An early-emitting node nothing reads (:attr:`read`) is told so and
-        derives each group once, when it closes.
-        """
+    def build_join(self) -> RevisionJoin:
+        """Instantiate the operator this spec describes, told whether
+        anything reads it (:attr:`read`)."""
         materialize = self.event_probabilities is not None
-        core = dict(
+        return RevisionJoin(
+            self.kind,
+            Schema(tuple(self.left_attributes)),
+            Schema(tuple(self.right_attributes)),
+            self.on,
             left_name=self.left_name,
             right_name=self.right_name,
             events=events_from_probabilities(self.event_probabilities)
             if materialize
             else None,
             materialize_probabilities=materialize,
-        )
-        schemas = Schema(tuple(self.left_attributes)), Schema(tuple(self.right_attributes))
-        if self.collect_outputs:
-            return continuous_join(self.kind, *schemas, self.on, **core)
-        return RevisionJoin(
-            self.kind,
-            *schemas,
-            self.on,
             early_emit=self.early_emit,
             read=self.read,
-            **core,
         )
 
-    def report(self, join, outputs: Optional[List[TPTuple]]) -> WorkerReport:
+    def report(self, join: RevisionJoin) -> WorkerReport:
         """Package this partition's settled output and counters.
 
-        ``stats`` is the revision-counter tuple of
-        :class:`~repro.dataflow.RevisionJoinStats`; a collecting partition
-        emitted each output once, at settlement, and reports the same
-        counters a watermark-only revision join would.  So does an
-        early-emitting partition nothing reads (:attr:`read`): it sent each
-        group once, settled, when it closed, and only its
-        ``groups_published_early``, emit latencies and event lags record
-        when the group first had windows.
+        ``outputs`` is the operator's settled list and ``stats`` the
+        counter tuple of :class:`~repro.dataflow.RevisionJoinStats`.  A
+        partition nothing reads sent each group once, settled, so its
+        revision counters read as a watermark-only node's; an early one's
+        ``groups_published_early``, emit latencies and event lags still
+        record when each group first had windows.
         """
         stats = join.stats
-        if self.collect_outputs:
-            settled = list(outputs or [])
-            lags: List[float] = []
-            counters = (stats.outputs_emitted, 0, 0, 0, stats.groups_finalized, 0)
-        else:
-            settled = list(join.settled_outputs.values())
-            lags = list(join.emit_event_lags)
-            counters = (
+        late = join.maintainer.stats
+        return WorkerReport(
+            index=self.index,
+            outputs=list(join.settled),
+            emit_latencies=list(join.emit_latencies),
+            emit_event_lags=list(join.emit_event_lags),
+            late_dropped=late.late_positives_dropped + late.late_negatives_dropped,
+            stats=(
                 stats.emits,
                 stats.retracts,
                 stats.refines,
                 stats.groups_published_early,
                 stats.groups_settled,
                 stats.inputs_retracted,
-            )
-        late = join.maintainer.stats
-        return WorkerReport(
-            index=self.index,
-            outputs=settled,
-            emit_latencies=list(join.emit_latencies),
-            emit_event_lags=lags,
-            late_dropped=late.late_positives_dropped + late.late_negatives_dropped,
-            stats=counters,
+            ),
         )
 
 
@@ -312,49 +304,42 @@ def compile_graph(
                 for pair in consumer.on
             )
             routing.append((first_worker[target], parts[target], side, key_indices))
-        collect = (
-            not config.early_emit
-            and not routing
-            and spec.name not in taps
-            and spec.left not in node_index
-            and spec.right not in node_index
-        )
         left_schema = graph.schema_of(spec.left)
         right_schema = graph.schema_of(spec.right)
-        # A revision join treats both inputs as revisable, so both sides are
-        # stamped; a collecting join stamps the right side only when its
-        # events act as positives too (right/full outer).
+        node_specs = [
+            DataflowNodeSpec(
+                index=first_worker[index] + partition,
+                node_index=index,
+                name=spec.name,
+                kind=spec.kind,
+                partition=partition,
+                partitions=spec.partitions,
+                left_attributes=left_schema.attributes,
+                right_attributes=right_schema.attributes,
+                on=spec.on,
+                left_name=spec.left,
+                right_name=spec.right,
+                downstream=tuple(routing),
+                producers=producers[index],
+                left_channels=tuple(channels[index][LEFT]),
+                right_channels=tuple(channels[index][RIGHT]),
+                early_emit=config.early_emit,
+                event_probabilities=event_probabilities,
+                tap=taps.get(spec.name),
+                probe=probes.get(spec.name),
+            )
+            for partition in range(spec.partitions)
+        ]
+        # A checkpointable node stamps the right side only when its events
+        # act as positives too (right/full outer); any other node treats
+        # both inputs as revisable, so both sides are stamped.
         stages.append(
             Stage(
                 first_worker[index],
                 spec.partitions,
                 theta_from_pairs(left_schema, right_schema, spec.on),
-                spec.kind in REVERSE_KINDS or not collect,
+                spec.kind in REVERSE_KINDS or not node_specs[0].checkpointable,
             )
         )
-        for partition in range(spec.partitions):
-            specs.append(
-                DataflowNodeSpec(
-                    index=first_worker[index] + partition,
-                    node_index=index,
-                    name=spec.name,
-                    kind=spec.kind,
-                    partition=partition,
-                    partitions=spec.partitions,
-                    left_attributes=left_schema.attributes,
-                    right_attributes=right_schema.attributes,
-                    on=spec.on,
-                    left_name=spec.left,
-                    right_name=spec.right,
-                    downstream=tuple(routing),
-                    producers=producers[index],
-                    left_channels=tuple(channels[index][LEFT]),
-                    right_channels=tuple(channels[index][RIGHT]),
-                    early_emit=config.early_emit,
-                    collect_outputs=collect,
-                    event_probabilities=event_probabilities,
-                    tap=taps.get(spec.name),
-                    probe=probes.get(spec.name),
-                )
-            )
+        specs.extend(node_specs)
     return specs, stages

@@ -1,17 +1,27 @@
-"""Retractable continuous TP joins: the operator behind a dataflow node.
+"""The one continuous TP join operator: what every dataflow node runs.
 
-:class:`RevisionJoin` is a :class:`~repro.stream.operators.ContinuousJoin`
-— same constructor, same forward (and, for right/full outer joins, mirrored
-reverse) :class:`~repro.stream.incremental.IncrementalWindowMaintainer`,
-same routing of watermarks into them, same group → tuples → probabilities
-step — whose inputs and outputs are *revision streams*
+:class:`RevisionJoin` is the continuous counterpart of the batch joins, one
+class parametrised by ``kind``.  Which windows a kind keeps is stated once,
+in :data:`repro.core.joins.TABLE_II`, and every finalized overlap group is
+turned into output tuples by the same :func:`repro.core.joins.group_tuples`
+the batch joins call.  The kinds that keep *reverse* windows
+(:data:`~repro.core.joins.REVERSE_KINDS`: the unmatched and negating windows
+of ``s`` with respect to ``r``) run a second, mirrored
+:class:`~repro.stream.incremental.IncrementalWindowMaintainer` whose
+positive side is the right stream (θ swapped), while the overlapping
+windows keep coming from the forward maintainer, so output lineages are
+constructed operand-for-operand like the batch joins build them (which keeps
+probabilities bitwise-comparable).
+
+Its inputs are source events and *revision streams*
 (:mod:`repro.dataflow.revision`):
 
-* Input ``Emit``/``Refine`` elements are additions; ``Retract`` elements
-  unwind the matching addition exactly (drop the open positive and its
-  published windows, or strip the negative's overlap records from every open
-  group).  The upstream watermark contract guarantees a retractable tuple's
-  group is still open here, so unwinding is always possible.
+* Source events go straight to the maintainers.  Input ``Emit``/``Refine``
+  elements are additions too; ``Retract`` elements unwind the matching
+  addition exactly (drop the open positive and its published windows, or
+  strip the negative's overlap records from every open group).  The
+  upstream watermark contract guarantees a retractable tuple's group is
+  still open here, so unwinding is always possible.
 * In **early-emission** mode the operator publishes each open group's
   current windows as *provisional* revisions instead of waiting for the
   watermark — once per micro-batch.  A new positive and every change of a
@@ -27,34 +37,36 @@ step — whose inputs and outputs are *revision streams*
   it below the watermark lag.  Deferring is safe for the watermark
   contract: a dirty group is open, so its tuples start at or after its
   positive's start, which no derived watermark passes.
-* Provisional windows are published only where something reads them.  An
-  early-emitting node with no downstream node and no tap (``read=False``,
-  as :mod:`repro.dataflow.compile` builds an unread sink) keeps the batch
-  ends but publishes nothing at them: a dirty group is only *stamped* the
-  first time it has windows — every group of a side that keeps unmatched
+* Watermark finalization *settles* a group.  In early mode a dirty group is
+  published first — its revisions precede the watermark that passes it —
+  and what the group has published then *is* final: the list moves to the
+  settled list as it stands, nothing derived again, nothing compared.  With
+  early emission off nothing was published, so the groups one watermark
+  settles on a side are derived once, here, in one pass, and emitted.
+  Either way the derived watermark moving past the group then guarantees
+  downstream that none of its tuples will ever be revised again.
+* **A node nothing reads wraps nothing.**  A node with no downstream node
+  and no tap (``read=False``, as :mod:`repro.dataflow.compile` builds an
+  unread sink; the default of :class:`~repro.stream.ContinuousJoin`)
+  returns the settled tuples themselves from ``process`` and ``close``,
+  with no :class:`~repro.dataflow.revision.Revision` around them, and
+  derives no output watermark.  An early-emitting one keeps the batch ends
+  but publishes nothing at them: a dirty group is only *stamped* the first
+  time it has windows — every group of a side that keeps unmatched
   windows, a group of an overlapping-only side once it has a match — which
   records its latency and counts it in ``groups_published_early``.  A
   stamped group is derived once, when the node closes, in settle order: no
   one reads it sooner, and deriving every group a watermark settles at
   once would hold the interpreter for milliseconds while the upstream node
   waits on this node's inbox, which spreads the upstream's emit latency.
-  The node's ``emits``/``refines``/``retracts`` then read as a
-  watermark-only node's.
-* Watermark finalization *settles* a group.  In early mode a dirty group is
-  published first — its revisions precede the watermark that passes it —
-  and what the group has published then *is* final: the list moves to the
-  settled output as it stands, nothing derived again, nothing compared.
-  With early emission off nothing was published, so the group is derived
-  once, here, and emitted (the path of ``ContinuousJoin._emit`` plus the
-  ``Revision`` wrapper: the groups one watermark settles on a side are
-  derived in one pass); an unread node keeps it for
-  :meth:`RevisionJoin.close`, which derives each run of same-side groups
-  in one pass.  Either way the derived watermark moving past
-  the group then guarantees downstream that none of its tuples will ever be
-  revised again.
+  Its ``emits``/``refines``/``retracts`` then read as a watermark-only
+  node's.
 
-Nothing on this path renders a lineage to text: windows and retracted
-inputs are recognised structurally, sweep order asks for a negative's
+Every node keeps its settled tuples in one list, :attr:`RevisionJoin.
+settled`, in settle order; that list is the node's report and its
+checkpoint (:mod:`repro.recovery.checkpoint`).  Nothing on this path
+renders a lineage to text: windows and retracted inputs are recognised
+structurally, sweep order asks for a negative's
 :meth:`~repro.relation.TPTuple.key` only to break an overlap tie, and the
 derived watermark's ``min_open_start`` is answered by a heap.  The net
 output is not indexed either — a group's tuples live in the group's own
@@ -67,28 +79,42 @@ inputs, tuple for tuple — the convergence harness in
 :mod:`repro.dataflow.convergence` asserts exactly that, probabilities
 bitwise.
 
-With ``materialize_probabilities`` the operator computes each published
-tuple's probability through the maintainer-owned
-:class:`~repro.lineage.ProbabilityComputer`, one computer per maintainer; a
-refined window's probability is recomputed through the same computer,
-whose memo answers the sub-expressions the group's earlier revisions
-already evaluated.
+With ``materialize_probabilities`` (requires the merged event space) the
+operator computes each published tuple's probability through the
+maintainer-owned :class:`~repro.lineage.ProbabilityComputer` — one computer
+per maintainer, whose memo is shared by all its windows, so one
+watermark's finalized groups of one side, whatever their keys, are derived
+by a single :func:`~repro.core.joins.group_tuples` call; a refined window's
+probability is recomputed through the same computer, whose memo answers the
+sub-expressions the group's earlier revisions already evaluated.  The
+values stay bitwise-identical to a fresh per-tuple computation.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.joins import TABLE_II
+from ..core.joins import (
+    REVERSE_KINDS,
+    TABLE_II,
+    group_tuples,
+    join_output_schema,
+    swap_theta,
+)
 from ..core.overlap import OverlapGroup, sort_matches
 from ..core.windows import WindowClass
-from ..relation import Schema, TPTuple
+from ..lineage import EventSpace
+from ..relation import Schema, TPTuple, ThetaCondition, theta_or_true
 from ..stream.elements import LEFT, RIGHT, StreamEvent, Tagged, Watermark
-from ..stream.incremental import FinalizedGroup, OpenPositive
-from ..stream.operators import ContinuousJoin
+from ..stream.incremental import (
+    FinalizedGroup,
+    IncrementalWindowMaintainer,
+    OpenPositive,
+)
 from .revision import Revision, RevisionElement, RevisionKind
 
 #: Identity of one open group across both maintainers: (is_reverse, serial).
@@ -102,7 +128,7 @@ BatchRuns = List[Tuple[Optional[tuple], List[RevisionElement]]]
 
 @dataclass
 class RevisionJoinStats:
-    """Operator-side counters of one retractable join."""
+    """Operator-side counters of one continuous join."""
 
     emits: int = 0
     retracts: int = 0
@@ -125,18 +151,25 @@ class RevisionJoinStats:
         return total
 
 
-class RevisionJoin(ContinuousJoin):
-    """A retractable continuous TP join over tagged revision elements.
-
-    Takes :class:`~repro.stream.operators.ContinuousJoin`'s arguments, plus:
+class RevisionJoin:
+    """A continuous TP join of one ``kind`` over tagged input elements.
 
     Args:
+        kind: one of :data:`repro.core.joins.JOIN_KINDS`; kinds in
+            :data:`~repro.core.joins.REVERSE_KINDS` additionally run the
+            mirrored reverse maintainer.
+        left_schema / right_schema: input schemas.
+        on: ``(left_attribute, right_attribute)`` equality pairs (θ).
+        events: merged event space of every source feeding this operator
+            (required for ``materialize_probabilities``).
+        materialize_probabilities: compute output tuples' probabilities
+            inline via the maintainer-owned computers, one per maintainer.
         early_emit: publish provisional windows before finalization.
-        read: whether anything reads the revisions as they leave (a
-            downstream node, a tap).  An early-emitting node nothing reads
-            only stamps the batch end at which each group first has
-            windows, for its latency counters, and derives the group once,
-            when the node closes.
+        read: whether anything reads the output as it leaves (a downstream
+            node, a tap).  A node nothing reads returns its settled tuples
+            unwrapped and no watermarks; early-emitting, it only stamps the
+            batch end at which each group first has windows, for its
+            latency counters, and derives the group once, when it closes.
     """
 
     def __init__(
@@ -146,13 +179,32 @@ class RevisionJoin(ContinuousJoin):
         right_schema: Schema,
         on: Sequence[tuple[str, str]] = (),
         *,
+        left_name: str = "r",
+        right_name: str = "s",
+        events: Optional[EventSpace] = None,
+        materialize_probabilities: bool = False,
+        clock: Callable[[], float] = time.perf_counter,
         early_emit: bool = False,
         read: bool = True,
-        **core,
     ) -> None:
-        super().__init__(kind, left_schema, right_schema, on, **core)
+        if materialize_probabilities and events is None:
+            raise ValueError("materialize_probabilities requires an event space")
+        self.kind = kind
+        # Raises ``ValueError`` for a kind Table II does not list.
+        self._schema = join_output_schema(kind, left_schema, right_schema, right_name)
+        self._widths = len(left_schema), len(right_schema)
+        self._theta = theta_or_true(left_schema, right_schema, on)
+        self._left_name = left_name
+        self._right_name = right_name
+        self._clock = clock
+        self._materialize = materialize_probabilities
+        self._forward = IncrementalWindowMaintainer(self._theta, events=events)
+        self._reverse: Optional[IncrementalWindowMaintainer] = (
+            IncrementalWindowMaintainer(swap_theta(self._theta), events=events)
+            if kind in REVERSE_KINDS
+            else None
+        )
         self._early = early_emit
-        #: Early mode: publish provisional windows (``True``) or only stamp.
         self._read = read
         #: Per side (forward, reverse): whether every positive has windows —
         #: the side keeps unmatched (and negating) windows — rather than
@@ -174,12 +226,16 @@ class RevisionJoin(ContinuousJoin):
         #: trace context that dirtied it (traced groups only), so the worker
         #: can dispatch them under that context.
         self.settle_traces: List[Tuple[int, int, tuple]] = []
-        #: The tuples of settled groups, in settle order: never revised again.
-        self._settled: List[TPTuple] = []
+        #: The tuples of settled groups, in settle order: never revised
+        #: again, and what the node reports.
+        self.settled: List[TPTuple] = []
         #: Unread early mode: settled groups that had windows, in settle
         #: order, not yet derived; :meth:`close` derives them.
         self._underived: List[Tuple[bool, FinalizedGroup]] = []
         self.stats = RevisionJoinStats()
+        #: Per group: seconds from its positive's ingestion to its first
+        #: publication (its settlement, with early emission off).
+        self.emit_latencies: List[float] = []
         #: Event-time emit lag per group: how far the input frontier (max
         #: event start seen) had progressed past the group's interval end at
         #: first publication.  Watermark-only emission floors this at the
@@ -192,8 +248,30 @@ class RevisionJoin(ContinuousJoin):
     # introspection
     # ------------------------------------------------------------------ #
     @property
+    def theta(self) -> ThetaCondition:
+        return self._theta
+
+    @property
+    def maintainer(self) -> IncrementalWindowMaintainer:
+        """The forward incremental window state (exposed for monitoring)."""
+        return self._forward
+
+    @property
+    def reverse_maintainer(self) -> Optional[IncrementalWindowMaintainer]:
+        """The mirrored maintainer of right/full outer joins (else ``None``)."""
+        return self._reverse
+
+    @property
     def early_emit(self) -> bool:
         return self._early
+
+    @property
+    def frontier(self) -> float:
+        """The largest event start this node has been fed."""
+        return self._frontier
+
+    def output_schema(self) -> Schema:
+        return self._schema
 
     @property
     def settled_outputs(self) -> Dict[tuple, TPTuple]:
@@ -208,16 +286,16 @@ class RevisionJoin(ContinuousJoin):
         published = chain.from_iterable(self._published.values())
         return {
             tp_tuple.identity(): tp_tuple
-            for tp_tuple in chain(self._settled, published)
+            for tp_tuple in chain(self.settled, published)
         }
 
     def describe(self) -> str:
-        mode = "watermark-only"
-        if self._early:
-            mode = "early-emit" if self._read else "early-emit, unread"
+        mode = "early-emit" if self._early else "watermark-only"
+        if not self._read:
+            mode += ", unread"
         return (
-            f"RevisionJoin[{self.kind}] {self._left_name} × {self._right_name} "
-            f"on {self._theta.describe()} ({mode})"
+            f"{type(self).__name__}[{self.kind}] {self._left_name} × "
+            f"{self._right_name} on {self._theta.describe()} ({mode})"
         )
 
     def derived_watermark(self) -> float:
@@ -236,49 +314,53 @@ class RevisionJoin(ContinuousJoin):
     # ------------------------------------------------------------------ #
     # element processing
     # ------------------------------------------------------------------ #
-    def process(self, tagged: Tagged) -> List[RevisionElement]:
-        """Apply one tagged input element; returns output revision elements.
+    def process(self, tagged: Tagged) -> list:
+        """Apply one tagged input element; return what it outputs.
 
-        The returned sequence always lists revisions first and, when the
-        node's derived watermark advanced, a trailing :class:`Watermark`
-        covering them.  In early mode an addition or retraction only marks
-        the groups it changed dirty; :meth:`end_batch` publishes them.
+        A read node returns revisions first and, when its derived watermark
+        advanced, a trailing :class:`Watermark` covering them; an unread
+        node returns the tuples of the groups it settled, nothing else.  In
+        early mode an addition or retraction only marks the groups it
+        changed dirty; :meth:`end_batch` publishes them.
         """
         element = tagged.element
-        out: List[RevisionElement] = []
+        out: list = []
         if isinstance(element, StreamEvent):
-            element = Revision(RevisionKind.EMIT, element.tuple)
-        if isinstance(element, Revision):
-            if element.kind is RevisionKind.RETRACT:
-                self._retract(tagged.side, element.tuple, tagged.trace, out)
-                # Dropping an open group can raise the min open start.
-                self._advance_watermark(out)
-            else:
-                if element.tuple.start > self._frontier:
-                    self._frontier = element.tuple.start
-                self._add(tagged.side, element.tuple, tagged.ingest_clock, tagged.trace)
+            self._add(tagged.side, element.tuple, tagged.ingest_clock, tagged.trace)
         elif isinstance(element, Watermark):
             self.settle_traces.clear()
             finalized, finalized_reverse = self._advance(tagged.side, element.value)
             self._settle(False, finalized, out)
             self._settle(True, finalized_reverse, out)
             self._advance_watermark(out)
+        elif isinstance(element, Revision):
+            if element.kind is RevisionKind.RETRACT:
+                self._retract(tagged.side, element.tuple, tagged.trace, out)
+                # Dropping an open group can raise the min open start.
+                self._advance_watermark(out)
+            else:
+                self._add(tagged.side, element.tuple, tagged.ingest_clock, tagged.trace)
         else:
             raise TypeError(f"unsupported dataflow element {element!r}")
         return out
 
-    def close(self) -> List[RevisionElement]:
+    def run(self, tagged_elements: Iterable[Tagged]) -> Iterator:
+        """Drive the operator over a merged element sequence, then close it."""
+        for tagged in tagged_elements:
+            yield from self.process(tagged)
+        yield from self.close()
+
+    def close(self) -> list:
         """Force both sides closed, settling every remaining group; an
-        unread node then derives and emits every group it settled."""
+        unread early-emitting node then derives every group it settled."""
         self.settle_traces.clear()
-        out: List[RevisionElement] = []
+        out: list = []
         self._settle(False, self._forward.close(), out)
         if self._reverse is not None:
             self._settle(True, self._reverse.close(), out)
         underived, self._underived = self._underived, []
         for is_reverse, run in groupby(underived, key=itemgetter(0)):
-            groups = [finalized for _side, finalized in run]
-            self._settled.extend(self._emit_settled(is_reverse, groups, out))
+            self._emit_settled(is_reverse, [finalized for _side, finalized in run], out)
         self._advance_watermark(out)
         return out
 
@@ -310,13 +392,46 @@ class RevisionJoin(ContinuousJoin):
         return runs
 
     # ------------------------------------------------------------------ #
+    # maintainers
+    # ------------------------------------------------------------------ #
+    def _advance(
+        self, side: str, value: float
+    ) -> Tuple[Sequence[FinalizedGroup], Sequence[FinalizedGroup]]:
+        """Route one side's watermark into both maintainers.
+
+        Returns the groups it finalized, forward then reverse (the mirrored
+        maintainer sees the sides swapped).
+        """
+        if side == LEFT:
+            return (
+                self._forward.advance_left(value),
+                self._reverse.advance_right(value) if self._reverse else (),
+            )
+        if side == RIGHT:
+            return (
+                self._forward.advance_right(value),
+                self._reverse.advance_left(value) if self._reverse else (),
+            )
+        raise ValueError(f"unknown stream side {side!r}")
+
+    def _derive(self, is_reverse: bool, groups: Iterable[OverlapGroup]) -> Iterator[TPTuple]:
+        """The output tuples of one side's ``groups``, group by group, with
+        probabilities if materialized: one :func:`group_tuples` pass."""
+        computer = None
+        if self._materialize:
+            computer = (self._reverse if is_reverse else self._forward).computer
+        return group_tuples(
+            self.kind, groups, *self._widths, reverse=is_reverse, computer=computer
+        )
+
+    # ------------------------------------------------------------------ #
     # additions and retractions
     # ------------------------------------------------------------------ #
     def _mark_dirty(
-        self, affected: List[Tuple[bool, OpenPositive]], trace: Optional[tuple]
+        self, is_reverse: bool, entries: Iterable[OpenPositive], trace: Optional[tuple]
     ) -> None:
         dirty = self._dirty
-        for is_reverse, entry in affected:
+        for entry in entries:
             dirty[(is_reverse, entry.serial)] = (entry, trace)
 
     def _add(
@@ -326,28 +441,35 @@ class RevisionJoin(ContinuousJoin):
         ingest_clock: Optional[float],
         trace: Optional[tuple],
     ) -> None:
-        now = ingest_clock if ingest_clock is not None else self._clock()
-        affected: List[Tuple[bool, OpenPositive]] = []
+        """Ingest one addition: a positive into one maintainer, a negative
+        into the other; only early mode marks what it changed dirty.
+
+        Only a side acting as a positive pays for a clock reading, and a
+        router-stamped clock wins so buffered queueing is included.
+        """
+        if tp_tuple.start > self._frontier:
+            self._frontier = tp_tuple.start
+        early = self._early
         if side == LEFT:
+            now = ingest_clock if ingest_clock is not None else self._clock()
             entry = self._forward.add_positive(tp_tuple, ingest_clock=now)
-            if entry is not None:
-                affected.append((False, entry))
+            if early and entry is not None:
+                self._mark_dirty(False, (entry,), trace)
             if self._reverse is not None:
-                affected.extend(
-                    (True, hit) for hit in self._reverse.add_negative(tp_tuple)
-                )
+                hits = self._reverse.add_negative(tp_tuple)
+                if early:
+                    self._mark_dirty(True, hits, trace)
         elif side == RIGHT:
-            affected.extend(
-                (False, hit) for hit in self._forward.add_negative(tp_tuple)
-            )
+            hits = self._forward.add_negative(tp_tuple)
+            if early:
+                self._mark_dirty(False, hits, trace)
             if self._reverse is not None:
+                now = ingest_clock if ingest_clock is not None else self._clock()
                 entry = self._reverse.add_positive(tp_tuple, ingest_clock=now)
-                if entry is not None:
-                    affected.append((True, entry))
+                if early and entry is not None:
+                    self._mark_dirty(True, (entry,), trace)
         else:
             raise ValueError(f"unknown stream side {side!r}")
-        if self._early:
-            self._mark_dirty(affected, trace)
 
     def _retract(
         self,
@@ -357,27 +479,24 @@ class RevisionJoin(ContinuousJoin):
         out: List[RevisionElement],
     ) -> None:
         self.stats.inputs_retracted += 1
-        affected: List[Tuple[bool, OpenPositive]] = []
         if side == LEFT:
             entry = self._forward.remove_positive(tp_tuple)
             if entry is not None:
                 self._unpublish((False, entry.serial), out)
             if self._reverse is not None:
-                affected.extend(
-                    (True, hit) for hit in self._reverse.remove_negative(tp_tuple)
-                )
+                hits = self._reverse.remove_negative(tp_tuple)
+                if self._early:
+                    self._mark_dirty(True, hits, trace)
         elif side == RIGHT:
-            affected.extend(
-                (False, hit) for hit in self._forward.remove_negative(tp_tuple)
-            )
+            hits = self._forward.remove_negative(tp_tuple)
+            if self._early:
+                self._mark_dirty(False, hits, trace)
             if self._reverse is not None:
                 entry = self._reverse.remove_positive(tp_tuple)
                 if entry is not None:
                     self._unpublish((True, entry.serial), out)
         else:
             raise ValueError(f"unknown stream side {side!r}")
-        if self._early:
-            self._mark_dirty(affected, trace)
 
     # ------------------------------------------------------------------ #
     # publication
@@ -446,20 +565,15 @@ class RevisionJoin(ContinuousJoin):
         self._announce(kind, fresh, True, out)
         return current
 
-    def _settle(
-        self,
-        is_reverse: bool,
-        groups: Sequence[FinalizedGroup],
-        out: List[RevisionElement],
-    ) -> None:
+    def _settle(self, is_reverse: bool, groups: Sequence[FinalizedGroup], out: list) -> None:
         """Finalize one side's groups, in order: their tuples become settled
         output.
 
-        In early mode a dirty group publishes its pending change first; its
-        published tuples then *are* the final ones and move over as they
-        stand.  An unread node only stamped the group and leaves its
-        derivation to :meth:`close`.  Otherwise the groups are derived once,
-        here, in one pass, and emitted.
+        With early emission off the groups are derived once, here, in one
+        pass, and emitted.  In early mode a dirty group publishes its
+        pending change first; its published tuples then *are* the final
+        ones and move over as they stand.  An unread node only stamped the
+        group and leaves its derivation to :meth:`close`.
         """
         if not groups:
             return
@@ -467,7 +581,7 @@ class RevisionJoin(ContinuousJoin):
         if not self._early:
             for finalized in groups:
                 self._record_latency(finalized.ingest_clock, finalized.group.r.end)
-            self._settled.extend(self._emit_settled(is_reverse, groups, out))
+            self._emit_settled(is_reverse, groups, out)
             return
         for finalized in groups:
             gid: GroupId = (is_reverse, finalized.serial)
@@ -477,21 +591,23 @@ class RevisionJoin(ContinuousJoin):
                 # Never had a window to publish, so it has none now either.
                 self._record_latency(finalized.ingest_clock, finalized.group.r.end)
             elif self._read:
-                self._settled.extend(tuples)
+                self.settled.extend(tuples)
             else:
                 self._underived.append((is_reverse, finalized))
 
     def _emit_settled(
-        self,
-        is_reverse: bool,
-        groups: Sequence[FinalizedGroup],
-        out: List[RevisionElement],
-    ) -> List[TPTuple]:
-        """Derive settled groups of one side, once and in one pass, and emit
-        their tuples as final."""
+        self, is_reverse: bool, groups: Sequence[FinalizedGroup], out: list
+    ) -> None:
+        """Derive settled groups of one side, once and in one pass, keep
+        their tuples as settled and emit them as final — unwrapped where
+        nothing reads them."""
         tuples = list(self._derive(is_reverse, [finalized.group for finalized in groups]))
-        self._announce(RevisionKind.EMIT, tuples, False, out)
-        return tuples
+        self.settled.extend(tuples)
+        if self._read:
+            self._announce(RevisionKind.EMIT, tuples, False, out)
+        else:
+            self.stats.emits += len(tuples)
+            out.extend(tuples)
 
     def _publish_dirty(self, gid: GroupId, out: List[RevisionElement]) -> None:
         """Publish ``gid`` now if it is dirty: a settling group says its last
@@ -533,6 +649,10 @@ class RevisionJoin(ContinuousJoin):
         self.emit_event_lags.append(self._frontier - end)
 
     def _advance_watermark(self, out: List[RevisionElement]) -> None:
+        """Append the derived watermark if it advanced; a node nothing
+        reads derives none."""
+        if not self._read:
+            return
         derived = self.derived_watermark()
         if derived > self._last_watermark:
             self._last_watermark = derived

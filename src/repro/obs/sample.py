@@ -4,10 +4,9 @@ The hot loops only bump three flow counters; everything else — revision
 counters, open-group gauges, watermark lag, probability memo hit rates —
 already lives in the operators' own stats objects and state, so
 it is *sampled* here on demand (periodic snapshot or final report)
-instead of being counted twice on the hot path.  Sampling is duck-typed:
-it works for :class:`~repro.stream.operators.ContinuousJoin`, its
-retractable subclass :class:`~repro.dataflow.operators.RevisionJoin`, and
-anything future exposing the same attributes.
+instead of being counted twice on the hot path.  Every node runs the one
+operator, :class:`~repro.dataflow.operators.RevisionJoin`, so every worker
+— a stream query's too — reports the same counters and gauges.
 """
 
 from __future__ import annotations
@@ -41,37 +40,23 @@ _REVISION_COUNTERS = {
     "inputs_retracted": "inputs_retracted",
 }
 
-#: OperatorStats counters of the stream shard operators.
-_OPERATOR_COUNTERS = {
-    "outputs_emitted": "outputs_emitted",
-    "groups_finalized": "operator_groups_finalized",
-}
-
 
 def _sample_maintainer(registry: MetricsRegistry, maintainer, prefix: str) -> dict:
     stats = maintainer.stats
     for name in _MAINTAINER_COUNTERS:
         registry.set_counter(f"{prefix}{name}", getattr(stats, name))
     registry.gauge(f"{prefix}peak_open_positives").set(stats.peak_open_positives)
-    counters = getattr(maintainer, "probability_counters", None)
-    return counters() if counters is not None else {}
+    return maintainer.probability_counters()
 
 
 def sample_operator(registry: MetricsRegistry, join) -> None:
     """Copy one operator's current state into its worker registry."""
-    stats = getattr(join, "stats", None)
-    if stats is not None:
-        for field_name, metric in _REVISION_COUNTERS.items():
-            if hasattr(stats, field_name):
-                registry.set_counter(metric, getattr(stats, field_name))
-        for field_name, metric in _OPERATOR_COUNTERS.items():
-            if hasattr(stats, field_name) and not hasattr(stats, "emits"):
-                registry.set_counter(metric, getattr(stats, field_name))
+    stats = join.stats
+    for field_name, metric in _REVISION_COUNTERS.items():
+        registry.set_counter(metric, getattr(stats, field_name))
 
-    forward = getattr(join, "maintainer", None)
-    if forward is None:
-        return
-    reverse = getattr(join, "reverse_maintainer", None)
+    forward = join.maintainer
+    reverse = join.reverse_maintainer
 
     probability = _sample_maintainer(registry, forward, "")
     open_groups = forward.open_positives
@@ -86,16 +71,12 @@ def sample_operator(registry: MetricsRegistry, join) -> None:
     registry.gauge("open_groups").set(open_groups)
     registry.gauge("indexed_negatives").set(indexed)
 
-    watermark = forward.combined_watermark
-    derive = getattr(join, "derived_watermark", None)
-    if derive is not None:
-        watermark = derive()
+    watermark = join.derived_watermark()
     registry.gauge("watermark").set(watermark)
-    frontier = getattr(join, "_frontier", None)
-    if frontier is not None:
-        registry.gauge("frontier").set(frontier)
-        if math.isfinite(frontier) and math.isfinite(watermark):
-            registry.gauge("watermark_lag").set(frontier - watermark)
-        else:
-            registry.gauge("watermark_lag").set(0.0)
+    frontier = join.frontier
+    registry.gauge("frontier").set(frontier)
+    if math.isfinite(frontier) and math.isfinite(watermark):
+        registry.gauge("watermark_lag").set(frontier - watermark)
+    else:
+        registry.gauge("watermark_lag").set(0.0)
     registry.gauge("sampled_at").set(time.time())

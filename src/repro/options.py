@@ -86,11 +86,12 @@ class ExecutionOptions:
     * ``restart_limit`` — how many dead/timed-out seats one run may
       recover by re-dispatching the worker spec to a fresh seat and
       replaying that seat's elements.  ``0`` (default) disables
-      recovery: a dead seat fails the run.  Only runs whose workers
-      collect their outputs (a stream query, a one-node graph with early
-      emission off) recover; any other runs unrecovered with a warning.
+      recovery: a dead seat fails the run.  Only runs whose workers are
+      fed by sources and read by nothing, with early emission off (a
+      stream query, a one-node graph), recover; any other runs
+      unrecovered with a warning.
     * ``checkpoint_interval`` — seconds between worker state snapshots
-      (open windows, counters, collected outputs) shipped to the driver
+      (open windows, counters, settled tuples) shipped to the driver
       as checkpoint frames; recovery then replays only the
       post-checkpoint suffix instead of the shard's whole history.
       ``0.0`` checkpoints at every micro-batch boundary (deterministic,

@@ -3,8 +3,8 @@
 The socket transport makes worker *loss* an expected event.  This package
 turns a dead seat from a run-killing error into a recovered one:
 
-* :mod:`repro.recovery.checkpoint` — snapshot/restore of an
-  output-collecting worker's state (open windows, reverse maintainer, collected outputs;
+* :mod:`repro.recovery.checkpoint` — snapshot/restore of a
+  checkpointable worker's state (open windows, reverse maintainer, settled tuples;
   probability memos are recomputed, not shipped) as primitives and the
   state's own pickled tuples;
 * :mod:`repro.recovery.driver` — the recovering session the one router

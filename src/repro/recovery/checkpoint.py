@@ -1,11 +1,12 @@
-"""Checkpoint codec: snapshot and restore one collecting worker's state.
+"""Checkpoint codec: snapshot and restore one checkpointable worker's state.
 
 A checkpoint captures everything a replacement worker needs to continue a
 continuous-join partition from a micro-batch boundary instead of from element
-zero: the collected settled outputs, the per-side channel-watermark merges,
-the operator's emit latencies and counters, and — the bulk — the forward
-(and, for right/full outer joins, the mirrored reverse)
-:class:`~repro.stream.incremental.IncrementalWindowMaintainer`: open
+zero: the operator's settled list, its six revision counters, emit
+latencies, event lags and input frontier, the per-side channel-watermark
+merges, and — the bulk — the forward (and, for right/full outer joins, the
+mirrored reverse) :class:`~repro.stream.incremental.
+IncrementalWindowMaintainer`: open
 positives with their accrued overlap records, indexed negatives, watermark
 horizons, serial counter and stats.  The probability computers' memos (one computer
 per maintainer) are not part of it: a restored worker recomputes, and a recomputed probability is
@@ -19,16 +20,18 @@ negative tuple that several entries share once, and unpickling rebuilds
 them from C.  The codec is a bijection on the state it covers: restoring a
 snapshot and replaying the post-checkpoint input suffix yields settled
 output tuple-for-tuple, bitwise-probability equal to an unfailed run,
-because floats (watermarks, intervals, the collected outputs'
-probabilities) round-trip exactly through pickle and lineages unpickle to
-structurally equal expressions.
+because floats (watermarks, intervals, the settled tuples' probabilities)
+round-trip exactly through pickle and lineages unpickle to structurally
+equal expressions.
 
-Only output-collecting workers (``spec.collect_outputs``: the
-:class:`~repro.stream.ContinuousJoin` nodes the graph compiler picks for a
-stream query or a one-node early-off graph) are checkpointable: a worker with
-peer edges has in-flight elements a single-worker snapshot cannot capture,
-and a revision-publishing one keeps state this codec does not cover (see
-:func:`repro.runtime.driver.recovery_blocker`).
+Every node runs the one operator, :class:`~repro.dataflow.RevisionJoin`, so
+this codec covers every node's operator state but the early-emission
+bookkeeping; only :attr:`~repro.dataflow.compile.DataflowNodeSpec.
+checkpointable` workers (fed by sources only, read by nothing, early
+emission off: a stream query, a one-node early-off graph) are snapshotted.
+A worker with peer edges has in-flight elements a single-worker snapshot
+cannot capture, and an early-emitting one holds provisional publications
+this codec does not cover (see :func:`repro.runtime.driver.recovery_decision`).
 
 Maintainer state is read and written only through the
 :class:`~repro.stream.incremental.IncrementalWindowMaintainer` accessor
@@ -40,15 +43,17 @@ frame.
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from typing import List, Optional
 
 from ..core.overlap import OverlapRecord
+from ..dataflow.operators import RevisionJoinStats
 from ..stream.elements import LEFT, RIGHT
 from ..stream.incremental import IncrementalWindowMaintainer, OpenPositive
 
 #: Bumped whenever the payload shape changes; restore rejects mismatches
 #: loudly instead of mis-decoding a stale frame.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -181,26 +186,29 @@ def _restore_trackers(worker, code: tuple) -> None:
 
 
 def snapshot_worker(worker, elements_seen: int) -> tuple:
-    """Capture one output-collecting worker's full state at a batch boundary.
+    """Capture one checkpointable worker's full state at a batch boundary.
 
     ``elements_seen`` is the count of delivered elements (events *and*
     watermarks, in per-seat send order) the worker has consumed; recovery
     replays exactly the input suffix after it.
     """
-    join = worker.join
-    if worker._outputs is None:
+    if not worker.spec.checkpointable:
         raise ValueError(
-            "only output-collecting workers are checkpointable; a worker "
-            "that publishes revisions has peer edges or operator state a "
-            "single-worker snapshot cannot capture"
+            "only checkpointable workers (fed by sources, read by nothing, "
+            "early emission off) are snapshotted; this one has peer edges, "
+            "a tap or provisional publications a single-worker snapshot "
+            "cannot capture"
         )
+    join = worker.join
     reverse = join.reverse_maintainer
     return (
         CHECKPOINT_VERSION,
         elements_seen,
-        list(worker._outputs),
+        list(join.settled),
         list(join.emit_latencies),
-        (join.stats.outputs_emitted, join.stats.groups_finalized),
+        list(join.emit_event_lags),
+        join.frontier,
+        astuple(join.stats),
         _encode_trackers(worker),
         encode_maintainer(join.maintainer),
         encode_maintainer(reverse) if reverse is not None else None,
@@ -220,28 +228,32 @@ def restore_worker(worker, payload: tuple) -> int:
     Must run before the worker consumes any element.  Returns the
     ``elements_seen`` count the driver's replay skips past.
     """
-    (
-        version,
-        elements_seen,
-        outputs,
-        emit_latencies,
-        (outputs_emitted, groups_finalized),
-        tracker_code,
-        forward_code,
-        reverse_code,
-    ) = payload
+    version = payload[0]
     if version != CHECKPOINT_VERSION:
         raise ValueError(
             f"checkpoint version {version} does not match "
             f"CHECKPOINT_VERSION {CHECKPOINT_VERSION}"
         )
+    (
+        _version,
+        elements_seen,
+        settled,
+        emit_latencies,
+        emit_event_lags,
+        frontier,
+        counters,
+        tracker_code,
+        forward_code,
+        reverse_code,
+    ) = payload
+    if not worker.spec.checkpointable:
+        raise ValueError("cannot restore a checkpoint into a worker that is not checkpointable")
     join = worker.join
-    if worker._outputs is None:
-        raise ValueError("cannot restore a checkpoint into a non-collecting worker")
-    worker._outputs[:] = outputs
+    join.settled[:] = settled
     join.emit_latencies[:] = emit_latencies
-    join.stats.outputs_emitted = outputs_emitted
-    join.stats.groups_finalized = groups_finalized
+    join.emit_event_lags[:] = emit_event_lags
+    join._frontier = frontier
+    join.stats = RevisionJoinStats(*counters)
     _restore_trackers(worker, tracker_code)
     restore_maintainer(join.maintainer, forward_code)
     if reverse_code is not None:

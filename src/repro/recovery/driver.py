@@ -23,10 +23,11 @@ picks this session for socket runs of self-contained specs under
   the windows the checkpoint had not yet finalized.  Settled output stays
   tuple-for-tuple, bitwise-probability equal to an unfailed run.
 
-Collecting partitions are shared-nothing (no worker→worker edges), which
-is what makes single-seat re-execution sound; graphs with peer edges or
-revision-publishing nodes never get this session
-(:func:`repro.runtime.driver.recovery_blocker`).
+Checkpointable partitions (fed by sources, read by nothing, early emission
+off) are shared-nothing (no worker→worker edges), which is what makes
+single-seat re-execution sound; graphs with peer edges or early-emitting
+nodes never get this session (:func:`repro.runtime.driver.
+recovery_decision`).
 
 Each recovery increments the driver-side ``recovery`` metrics registry
 and records one ``recovery`` span; the router merges both into the run's

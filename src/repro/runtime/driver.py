@@ -48,7 +48,6 @@ __all__ = [
     "Stage",
     "default_transport",
     "merge_edges",
-    "recovery_blocker",
     "recovery_decision",
     "run_job",
 ]
@@ -112,17 +111,19 @@ def default_transport(transport: str, workers: int) -> str:
     return transport if workers > 1 else "inline"
 
 
-def recovery_blocker(specs: Sequence) -> Optional[str]:
+def _recovery_blocker(specs: Sequence) -> Optional[str]:
     """Why these workers cannot be recovered seat by seat (``None``: they can).
 
-    Only output-collecting workers are checkpointable
+    Only checkpointable workers (fed by sources, read by nothing, early
+    emission off) are snapshotted
     (:func:`repro.recovery.checkpoint.snapshot_worker`): a worker with peer
-    edges has in-flight elements no per-seat snapshot captures, and a
-    revision-publishing one keeps state the checkpoint codec does not cover.
+    edges has in-flight elements no per-seat snapshot captures, and an
+    early-emitting one holds provisional publications the checkpoint codec
+    does not cover.
     """
     if any(spec.downstream for spec in specs):
         return "peer edges"
-    if not all(spec.collect_outputs for spec in specs):
+    if not all(spec.checkpointable for spec in specs):
         return "early emission"
     return None
 
@@ -139,7 +140,7 @@ def recovery_decision(
     """
     if transport != "sockets" or not options.recovery_enabled:
         return False, None
-    blocker = recovery_blocker(specs)
+    blocker = _recovery_blocker(specs)
     return blocker is None, blocker
 
 
@@ -208,13 +209,13 @@ def run_job(
     set, routing stops and the done sentinels go out, so the run settles
     early over what was already ingested.
 
-    A socket run of self-contained (output-collecting) specs under
+    A socket run of self-contained (checkpointable) specs under
     ``options.recovery_enabled`` runs on a
     :class:`~repro.recovery.driver.RecoveringSession`, which re-executes
     dead seats; ``chaos`` is that session's failure-injection hook (see
     :class:`repro.recovery.chaos.ChaosInjector`) and is ignored everywhere
     else.  A socket run that asks for recovery with specs that are not
-    self-contained (see :func:`recovery_blocker`) still runs, unrecovered,
+    self-contained (see :func:`recovery_decision`) still runs, unrecovered,
     and says so with one :class:`RuntimeWarning`.
 
     Returns ``(reports, events_processed, backpressure_blocks, backend,

@@ -1,8 +1,9 @@
 """The one worker loop every execution backend runs.
 
-A *worker* owns one operator instance (a continuous join or a retractable
-revision join) over one shard of the key space, and drives it through the
-same four steps no matter which transport delivers its input:
+A *worker* owns one operator instance (the one continuous join,
+:class:`~repro.dataflow.RevisionJoin`) over one shard of the key space, and
+drives it through the same four steps no matter which transport delivers
+its input:
 
 1. **route** — incoming watermarks are min-merged per channel
    (:class:`~repro.runtime.channel.ChannelWatermarks`: the stage output
@@ -12,8 +13,8 @@ same four steps no matter which transport delivers its input:
    early-emitting operator publishes what it changed at the micro-batch
    end (:meth:`Worker.end_batch`);
 3. **emit** — operator outputs are key-routed to downstream workers (one
-   stable-hash partition per revision, watermarks broadcast) or collected
-   locally when the spec has no downstream;
+   stable-hash partition per revision, watermarks broadcast); a worker with
+   no downstream only counts them (the operator keeps its settled tuples);
 4. **close-sentinel** — when every producer has signalled done, the operator
    is closed, remaining outputs flushed, and one done sentinel sent per
    downstream (edge × partition) channel.
@@ -76,7 +77,6 @@ class WorkerSpec(Protocol):
     left_channels: Sequence[Hashable]
     right_channels: Sequence[Hashable]
     downstream: Sequence[tuple]
-    collect_outputs: bool
     tap: Optional[Callable]
     probe: Optional[Callable]
 
@@ -85,7 +85,10 @@ class WorkerSpec(Protocol):
     @property
     def channel_id(self) -> Hashable: ...
 
-    def report(self, join, outputs: Optional[List[TPTuple]]) -> "WorkerReport": ...
+    @property
+    def checkpointable(self) -> bool: ...
+
+    def report(self, join) -> "WorkerReport": ...
 
 
 @dataclass
@@ -93,7 +96,7 @@ class WorkerReport:
     """What one worker hands back to the driver after settling.
 
     ``outputs`` is the worker's contribution to the settled result (its
-    collected outputs, or a revision join's settled window tuples);
+    operator's settled tuples);
     ``stats`` is the node's revision-counter tuple and ``late_dropped`` the
     events its maintainer dropped behind the watermark.
     """
@@ -162,10 +165,10 @@ class Worker:
         self.spec = spec
         self.emitter = emitter
         self.join = spec.build_join()
-        #: Whether the operator defers publication to micro-batch ends (an
-        #: early-emitting revision join): the transport then calls
-        #: :meth:`end_batch` at every boundary.  Nothing else pays for it.
-        self.batched = getattr(self.join, "early_emit", False)
+        #: Whether the operator defers publication to micro-batch ends (it
+        #: emits early): the transport then calls :meth:`end_batch` at every
+        #: boundary.  Nothing else pays for it.
+        self.batched = self.join.early_emit
         #: Batched and traced: deferred revisions are dispatched under the
         #: trace context of the element that dirtied their group, parented on
         #: its operate span — kept here for the current batch, by the trace
@@ -198,7 +201,6 @@ class Worker:
             LEFT: ChannelWatermarks(spec.left_channels),
             RIGHT: ChannelWatermarks(spec.right_channels),
         }
-        self._outputs: Optional[List[TPTuple]] = [] if spec.collect_outputs else None
         self._key_hashes = StableKeyHashes()
         self._finished = False
 
@@ -316,7 +318,7 @@ class Worker:
         for first, consumer_parts, _side, _key_indices in self.spec.downstream:
             for offset in range(consumer_parts):
                 self.emitter.done(first + offset)
-        report = self.spec.report(self.join, self._outputs)
+        report = self.spec.report(self.join)
         report.metrics = self.metrics_snapshot()
         if self.tracer is not None:
             report.spans = self.tracer.dump()
@@ -349,26 +351,21 @@ class Worker:
         return self._finished
 
     def _dispatch(self, elements) -> None:
-        """Step 3, the only routing loop: collect locally or key-route.
+        """Step 3, the only routing loop: key-route to downstream workers.
 
         While a traced operate step is active each output also gets an
         ``emit`` span timestamping its departure; the span's id becomes the
         parent carried downstream, so the gap to the consumer's ``operate``
-        span is the inter-worker queue/wire wait.  Sink workers (locally
-        collected outputs) still get the span — that is what closes a
-        timeline source→sink.
+        span is the inter-worker queue/wire wait.  Sink workers (nothing
+        downstream) still get the span — that is what closes a timeline
+        source→sink — and untraced ones return at once.
         """
         self.emitted += len(elements)
         if self._tap is not None:
             for element in elements:
                 self._tap(self.spec.channel_id, element)
         trace = self._active_trace
-        if self._outputs is not None:
-            if trace is not None:
-                now = perf_counter()
-                for element in elements:
-                    self.tracer.record("emit", *trace, now, now, **span_detail(element))
-            self._outputs.extend(elements)
+        if trace is None and not self.spec.downstream:
             return
         channel = self.spec.channel_id
         send = self.emitter.send
@@ -427,9 +424,9 @@ def run_worker(
     * ``"spans"`` — the spans recorded since the last shipment, on the same
       cadence;
     * ``"checkpoint"`` — every ``checkpoint_interval`` seconds (``0.0`` =
-      every batch) the worker's full state (operator, collected outputs, the
-      count of elements consumed), snapshotted at a micro-batch boundary by
-      :func:`repro.recovery.checkpoint.snapshot_worker`.
+      every batch) the worker's full state (operator with its settled
+      tuples, the count of elements consumed), snapshotted at a micro-batch
+      boundary by :func:`repro.recovery.checkpoint.snapshot_worker`.
 
     ``restore`` seeds a replacement worker from such a checkpoint before any
     element is consumed; replay then skips the elements it covers.

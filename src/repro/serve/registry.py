@@ -110,14 +110,14 @@ class PlanGroup:
         #: Live/final worker metrics for this group's run (populated only
         #: when the shared config enables metrics; ``None`` otherwise).
         self.collector = None
-        if getattr(config, "metrics", False):
+        if config.metrics:
             from ..obs.collector import MetricsCollector
 
             self.collector = MetricsCollector()
         #: Live/final span timelines for this group's run (populated only
         #: when the shared config enables tracing; ``None`` otherwise).
         self.trace_collector = None
-        if getattr(config, "trace", False):
+        if config.trace:
             from ..obs.trace import TraceCollector
 
             self.trace_collector = TraceCollector()
@@ -149,13 +149,13 @@ class PlanGroup:
         no two hubs (and no hub and the driver sampler) ever share a
         timeline.
         """
-        if not getattr(self.config, "trace", False):
+        if not self.config.trace:
             return None, None
-        from ..obs.trace import DEFAULT_TRACE_SAMPLE_RATE, Tracer, TraceSampler
+        from ..obs.trace import Tracer, TraceSampler
 
         readers = [member.name for member in self.members if member.sink_canonical == sink]
         sampler = TraceSampler(
-            getattr(self.config, "trace_sample_rate", DEFAULT_TRACE_SAMPLE_RATE),
+            self.config.trace_sample_rate,
             first_id=HUB_TRACE_ID_BASE + len(self.sinks) * 100_000,
         )
         return Tracer(f"hub/{'+'.join(readers)}"), sampler

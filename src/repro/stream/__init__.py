@@ -7,8 +7,10 @@ Layers, bottom to top:
   bounded-lateness eviction.
 * :mod:`repro.stream.incremental` — per-key overlap state with
   watermark-driven, retraction-free window finalization.
-* :mod:`repro.stream.operators` — :class:`ContinuousJoin`, one operator
-  class for the five join kinds of :data:`repro.core.joins.TABLE_II`.
+* :mod:`repro.stream.operators` — :class:`ContinuousJoin`, the one
+  continuous operator (:class:`~repro.dataflow.RevisionJoin`, for the five
+  join kinds of :data:`repro.core.joins.TABLE_II`) as a caller that reads
+  finalized tuples builds it.
 * :mod:`repro.stream.query` — registered streams and the
   :class:`StreamQuery` API, a one-node
   :class:`~repro.dataflow.DataflowQuery` of K key-partitioned workers.

@@ -29,6 +29,7 @@ from repro.dataflow import (
     run_graph,
 )
 from repro.dataflow.compile import compile_graph
+from repro.relation import TPTuple
 from repro.stream import JOIN_KINDS, LEFT, RIGHT, Tagged, Watermark
 
 from tests.dataflow.conftest import make_stream_catalog
@@ -90,7 +91,7 @@ def replay(spec, entries):
         else:
             join.process(tagged)
     join.close()
-    return spec.report(join, None), published
+    return spec.report(join), published
 
 
 def sink_specs(graph: DataflowGraph, config, taps=None) -> list:
@@ -266,12 +267,14 @@ def test_unread_join_stamps_at_batch_end_and_emits_when_it_closes():
     out = join.process(Tagged(LEFT, Watermark(9))) + join.process(
         Tagged(RIGHT, Watermark(9))
     )
-    # Settled, but nothing reads it before it closes: nothing derived yet.
-    assert additions(out) == []
+    # Settled, but nothing reads it before it closes: nothing derived, and
+    # no watermark either.
+    assert out == []
     assert join.stats.groups_settled == 1 and join.stats.emits == 0
-    settled = additions(join.close())
-    # l0 [2, 8) minus r0 [4, 6): unmatched, overlapping, negating, unmatched.
-    assert len(settled) == 4 and not any(r.provisional for r in settled)
+    settled = join.close()
+    # l0 [2, 8) minus r0 [4, 6): unmatched, overlapping, negating, unmatched,
+    # as the tuples themselves — nothing reads them, so nothing wraps them.
+    assert len(settled) == 4 and all(isinstance(t, TPTuple) for t in settled)
     assert join.stats.emits == 4 and join.stats.groups_settled == 1
     assert len(join.emit_event_lags) == 1  # stamped once, not again at settle
     assert len(join.settled_outputs) == 4

@@ -130,7 +130,7 @@ def test_stream_query_metrics_across_partitions():
     assert len(aggregator.snapshots()) == 2
     totals = aggregator.totals()
     assert totals["elements_routed"] == totals["elements_operated"] > 0
-    assert totals["outputs_emitted"] == result.outputs_emitted
+    assert totals["revision_emits"] == result.outputs_emitted
     skew = aggregator.load_skew()
     assert set(skew["per_worker"]) == {"0", "1"}
     assert skew["max"] >= skew["mean"] > 0

@@ -11,6 +11,7 @@ bit for bit.
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -36,7 +37,7 @@ SEED = 41
 
 
 class _NullEmitter:
-    """Stream shards collect outputs locally; nothing goes downstream."""
+    """Stream shards keep their settled tuples; nothing goes downstream."""
 
     def send(self, target, channel, tagged) -> None:  # pragma: no cover
         raise AssertionError("stream shards have no downstream")
@@ -111,6 +112,9 @@ def test_snapshot_plus_suffix_equals_uninterrupted_run(kind, cut_fraction):
     # Latency values are wall-clock, but one is recorded per settled emit —
     # the restored worker must account for every pre-checkpoint emit too.
     assert len(resumed.emit_latencies) == len(expected.emit_latencies)
+    # Event lags are event time, measured from the restored input frontier.
+    assert resumed.emit_event_lags == expected.emit_event_lags
+    assert resumed.stats == expected.stats
     assert resumed.late_dropped == expected.late_dropped
 
 
@@ -152,10 +156,11 @@ def test_snapshot_payload_holds_only_primitives_and_tp_tuples(kind):
     assert_primitive(payload)
 
 
-@pytest.mark.parametrize("version", (1, 2, CHECKPOINT_VERSION + 1))
+@pytest.mark.parametrize("version", (1, 2, 3, CHECKPOINT_VERSION + 1))
 def test_version_mismatch_is_rejected_loudly(version):
-    """Version 1 frames carried the probability memo and version 2 frames
-    coded their tuples; both are refused by name, not mis-decoded."""
+    """Version 1 frames carried the probability memo, version 2 frames
+    coded their tuples and version 3 frames held a collecting worker's
+    outputs and two counters; all are refused by name, not mis-decoded."""
     catalog, merged = _elements()
     spec = _spec(catalog, "anti")
     worker = Worker(spec, _NullEmitter())
@@ -201,7 +206,7 @@ def _frame_bytes_after(groups: int) -> int:
         join.process(Tagged(RIGHT, StreamEvent(negative)))
     join.process(Tagged(LEFT, Watermark(5000)))
     outputs = join.process(Tagged(RIGHT, Watermark(5000)))
-    assert join.stats.groups_finalized == groups
+    assert join.stats.groups_settled == groups
     assert all(tp_tuple.probability is not None for tp_tuple in outputs)
     counters = join.maintainer.probability_counters()
     assert counters["probability_factorised"] + counters["probability_cache_misses"] >= groups
@@ -218,9 +223,10 @@ def test_checkpoint_size_follows_the_open_state_not_the_run_length():
 
 
 def test_an_open_entry_frames_as_its_tuple_with_overlap_bounds():
-    """The frame shape of ``CHECKPOINT_VERSION`` 3, pinned literally: per
-    key, each open entry is its tuple, ingest clock, serial and one
-    ``(negative tuple, overlap start, overlap end)`` per match."""
+    """The maintainer frame, pinned literally (unchanged since
+    ``CHECKPOINT_VERSION`` 3): per key, each open entry is its tuple,
+    ingest clock, serial and one ``(negative tuple, overlap start, overlap
+    end)`` per match."""
 
     def base(name, start, end):
         return TPRelation.from_rows(
@@ -240,15 +246,17 @@ def test_an_open_entry_frames_as_its_tuple_with_overlap_bounds():
     assert frame[7][0][1][0][3][0][0] is frame[8][0][1][0]
 
 
-def test_non_collecting_workers_are_not_checkpointable():
-    """Dataflow node workers (peer edges, no locally collected outputs)
-    must be refused — a single-worker snapshot cannot capture in-flight
-    elements on their edges."""
+@pytest.mark.parametrize(
+    "edit", [dict(early_emit=True), dict(tap=lambda _channel, _element: None)]
+)
+def test_workers_that_are_not_checkpointable_are_refused(edit):
+    """An early-emitting or tapped worker must be refused — a single-worker
+    snapshot cannot capture its provisional publications."""
     catalog, merged = _elements()
-    spec = _spec(catalog, "left_outer")
+    spec = replace(_spec(catalog, "left_outer"), **edit)
+    assert not spec.checkpointable
     worker = Worker(spec, _NullEmitter())
     _feed(worker, merged[:10])
-    worker._outputs = None  # what a non-collecting spec produces
     with pytest.raises(ValueError, match="checkpointable"):
         snapshot_worker(worker, 10)
 

@@ -32,8 +32,8 @@ class GcProbeSpec(DataflowNodeSpec):
         join.gc_at_start = _reading()
         return join
 
-    def report(self, join, outputs):
-        report = super().report(join, outputs)
+    def report(self, join):
+        report = super().report(join)
         report.stats = (join.gc_at_start, _reading())
         return report
 

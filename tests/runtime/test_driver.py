@@ -105,7 +105,7 @@ def test_stream_shard_job_mirrors_the_options(
     query = StreamQuery(catalog, "left_outer", "l", "r", ON, config=options)
     job = _captured_job(monkeypatch, query.run, options)
     assert len(job.specs) == options.partitions
-    assert all(spec.collect_outputs for spec in job.specs)
+    assert all(spec.checkpointable for spec in job.specs)
     assert job.checkpoint_interval == (
         options.checkpoint_interval if checkpointing else None
     )
@@ -126,7 +126,7 @@ def test_dataflow_job_mirrors_the_options_but_withholds_checkpoints(monkeypatch)
     query = DataflowQuery(catalog, CHAIN, OPTIONS)
     job = _captured_job(monkeypatch, query.run)
     assert len(job.specs) == 3
-    assert not any(spec.collect_outputs for spec in job.specs)
+    assert not any(spec.checkpointable for spec in job.specs)
     assert job.checkpoint_interval is None
 
 

@@ -29,7 +29,7 @@ from repro.runtime import SOURCE_CHANNEL, Placement, RuntimeJob, sockets
 from repro.runtime.sockets import SocketSession, serve_listener
 from repro.stream import StreamQuery
 from repro.stream.elements import Watermark
-from repro.stream.operators import ContinuousJoin
+from repro.dataflow.operators import RevisionJoin
 from repro.stream.source import merge_tagged
 from tests.conftest import make_random_relations, run_shard_job, shard_specs
 from tests.recovery.conftest import query_catalog, settled_rows
@@ -42,13 +42,13 @@ SMALL = dict(micro_batch_size=4)
 
 def slow_seats(monkeypatch, seconds: float) -> None:
     """Every seat forked from here on sleeps ``seconds`` per operator step."""
-    process = ContinuousJoin.process
+    process = RevisionJoin.process
 
     def slowed(self, tagged):
         time.sleep(seconds)
         return process(self, tagged)
 
-    monkeypatch.setattr(ContinuousJoin, "process", slowed)
+    monkeypatch.setattr(RevisionJoin, "process", slowed)
 
 
 def batch_rows(size: int) -> list[str]:

@@ -20,7 +20,6 @@ from repro import ExecutionOptions
 from repro.dataflow import DataflowQuery, NodeSpec, assert_converged
 from repro.dataflow.operators import RevisionJoin
 from repro.runtime.sockets import SocketTransport
-from repro.stream.operators import ContinuousJoin
 from tests.conftest import run_shard_job
 from tests.dataflow.conftest import make_stream_catalog
 from tests.recovery.conftest import query_catalog
@@ -70,7 +69,7 @@ def test_thread_inboxes_hold_one_micro_batch(monkeypatch):
 
 
 def test_seat_inboxes_hold_one_micro_batch(monkeypatch):
-    slow_operator(monkeypatch, ContinuousJoin, 0.002)
+    slow_operator(monkeypatch, RevisionJoin, 0.002)
     catalog, _left, _right = query_catalog(43, left_size=40, right_size=40)
     options = ExecutionOptions(metrics=True, micro_batch_size=MICRO)
     reports, _events, _blocks, backend, *_ = run_shard_job(
@@ -131,7 +130,7 @@ def test_a_processes_run_leaves_no_queue_behind(processes_catalog):
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
 def test_a_failed_processes_run_leaves_no_queue_behind(processes_catalog, monkeypatch):
     catalog, options = processes_catalog
-    process = ContinuousJoin.process
+    process = RevisionJoin.process
     calls = {"count": 0}
 
     def failing(self, tagged):
@@ -140,7 +139,7 @@ def test_a_failed_processes_run_leaves_no_queue_behind(processes_catalog, monkey
             raise RuntimeError("injected worker failure")
         return process(self, tagged)
 
-    monkeypatch.setattr(ContinuousJoin, "process", failing)
+    monkeypatch.setattr(RevisionJoin, "process", failing)
     before = _descriptors()
     with pytest.raises(RuntimeError, match="injected worker failure"):
         run_shard_job("processes", catalog, options, partitions=2)

@@ -3,23 +3,31 @@
 On every transport, ``StreamQuery`` and the one-node ``DataflowQuery`` with
 early emission off settle to the same relation (probabilities bitwise when
 materialized), and the stream query counts events and late drops exactly
-as a direct drive of the operator does.  The graph compiler picks the node's
-operator from its shape: a collecting ``ContinuousJoin`` for an untapped,
-early-off node fed by sources, a ``RevisionJoin`` otherwise.
+as a direct drive of the operator does.  Every node shape runs the one
+operator, ``RevisionJoin``; a stream query's node, which nothing reads,
+wraps none of its outputs in a revision.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import ExecutionOptions, Schema
-from repro.core import TABLE_II
-from repro.dataflow import DataflowGraph, DataflowQuery, NodeSpec, RevisionJoin, run_graph
-from repro.dataflow import query as query_module
+from repro.core import TABLE_II, tp_join
+from repro.dataflow import (
+    DataflowGraph,
+    DataflowQuery,
+    NodeSpec,
+    Revision,
+    RevisionJoin,
+    run_graph,
+)
 from repro.dataflow.convergence import identity_rows
 from repro.datasets import ReplayConfig, stream_def
 from repro.engine import Catalog
-from repro.stream import ContinuousJoin, StreamQuery, continuous_join, merge_tagged
+from repro.stream import StreamQuery, continuous_join, merge_tagged
 
 from tests.conftest import make_random_relations
 
@@ -108,44 +116,71 @@ def test_both_queries_report_late_drops(early):
         assert f"late_dropped={late} " in result.explain_analyze()
 
 
+@pytest.mark.parametrize("materialize", [False, True])
+@pytest.mark.parametrize("kind", ["left_outer", "full_outer"])
 @pytest.mark.parametrize("transport", ["inline", "threads"])
-def test_the_compiler_picks_the_operator_from_the_node_shape(transport):
-    catalog = _catalog()
-    graph = DataflowGraph(catalog, [NodeSpec("n", KIND, "l", "r", ON, partitions=2)])
+def test_every_node_runs_the_one_operator_and_a_stream_query_wraps_nothing(
+    monkeypatch, transport, kind, materialize
+):
+    """Every node shape builds ``RevisionJoin``.  A stream query's node is
+    read by nothing, so its run builds no ``Revision`` at all, and its
+    counters say what the batch join outputs: the fast path, not a fold of
+    the published one."""
+    left, right, theta = make_random_relations(
+        23, left_size=40, right_size=40, num_keys=4, time_span=60
+    )
+    catalog = Catalog()
+    for offset, (name, relation) in enumerate((("l", left), ("r", right))):
+        replay = ReplayConfig(disorder=6, watermark_every=4, seed=offset)
+        catalog.register_stream(name, stream_def(relation, replay))
+    options = ExecutionOptions(
+        partitions=1 if transport == "inline" else 2,
+        materialize_probabilities=materialize,
+        metrics=True,
+    )
+    chain = [
+        NodeSpec("n", kind, "l", "r", ON, partitions=2),
+        NodeSpec("m", "left_outer", "n", "r", ON),
+    ]
 
-    def operators(early: bool = False, **hooks) -> set:
+    def operators(nodes, early: bool = False, **hooks) -> set:
         seen: list = []
         run_graph(
-            graph,
-            ExecutionOptions(early_emit=early),
+            DataflowGraph(catalog, nodes),
+            replace(options, early_emit=early),
             transport=transport,
-            probes={"n": lambda _channel, join: seen.append(type(join))},
+            probes={node.name: lambda _channel, join: seen.append(type(join)) for node in nodes},
             **hooks,
         )
         return set(seen)
 
-    assert operators() == {ContinuousJoin}
-    assert operators(taps={"n": lambda _channel, _element: None}) == {RevisionJoin}
-    assert operators(early=True) == {RevisionJoin}
+    tapped = {"n": lambda _channel, _element: None}
+    assert (
+        operators(chain[:1])
+        == operators(chain[:1], taps=tapped)
+        == operators(chain[:1], early=True)
+        == operators(chain)
+        == operators(chain, early=True)
+        == {RevisionJoin}
+    )
 
+    built: list = []
+    new = Revision.__new__
 
-@pytest.mark.parametrize("transport", ["inline", "threads"])
-def test_a_stream_query_runs_the_collecting_operator(monkeypatch, transport):
-    """The node a stream query compiles is the checkpointable one."""
-    seen: list = []
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
 
-    def probed(graph, config, *args, **kwargs):
-        (name,) = graph.node_names
-        probes = {name: lambda _channel, join: seen.append(type(join))}
-        return run_graph(graph, config, *args, probes=probes, **kwargs)
-
-    # StreamQuery has no run path of its own: patching DataflowQuery's
-    # reaches it.
-    monkeypatch.setattr(query_module, "run_graph", probed)
-    options = ExecutionOptions(partitions=1 if transport == "inline" else 2)
-    result = StreamQuery(_catalog(), KIND, "l", "r", ON, config=options).run()
+    monkeypatch.setattr(Revision, "__new__", counting)
+    query = StreamQuery(catalog, kind, "l", "r", ON, config=options)
+    result = query.run(merge_seed=MERGE_SEED)
     assert result.workers == transport
-    assert seen and set(seen) == {ContinuousJoin}
+    assert built == []
+    expected = len(tp_join(kind, left, right, theta))
+    totals = query.metrics().totals()
+    assert result.outputs_emitted == totals["revision_emits"] == expected > 0
+    assert totals["revision_retracts"] == totals["revision_refines"] == 0
+    assert totals["groups_settled"] == len(left) + (len(right) if kind == "full_outer" else 0)
 
 
 @pytest.mark.parametrize("transport", ["inline", "threads"])

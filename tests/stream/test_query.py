@@ -160,7 +160,7 @@ def test_worker_failure_raises_instead_of_deadlocking(
         config=ExecutionOptions(partitions=2, micro_batch_size=2),
     )
 
-    real_factory = spec_module.continuous_join
+    real_factory = spec_module.RevisionJoin
 
     def failing_factory(*args, **kwargs):
         join = real_factory(*args, **kwargs)
@@ -176,7 +176,7 @@ def test_worker_failure_raises_instead_of_deadlocking(
         join.process = process
         return join
 
-    monkeypatch.setattr(spec_module, "continuous_join", failing_factory)
+    monkeypatch.setattr(spec_module, "RevisionJoin", failing_factory)
 
     import threading
 
