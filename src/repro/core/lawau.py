@@ -84,7 +84,3 @@ def gap_sweep(group: OverlapGroup) -> Iterator[Span]:
         # Case 5: the tail of r's interval after the last overlapping window.
         yield _U, wind_ts, r.end, None, None
 
-
-def unmatched_windows(groups: Iterable[OverlapGroup]) -> list[Window]:
-    """Only the unmatched windows ``WU(r; s, θ)`` from a LAWAU run."""
-    return [w for w in iter_lawau(groups) if w.window_class is _U]

@@ -169,10 +169,6 @@ class WindowSet:
     unmatched_s: tuple[Window, ...] = ()
     negating_s: tuple[Window, ...] = ()
 
-    def all_of_r(self) -> tuple[Window, ...]:
-        """Every window of ``r`` with respect to ``s`` (WUO ∪ WN)."""
-        return self.unmatched_r + self.overlapping + self.negating_r
-
     def counts(self) -> dict[str, int]:
         """Window counts per class (used by EXPLAIN and the harness)."""
         return {

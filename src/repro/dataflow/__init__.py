@@ -45,7 +45,6 @@ from .revision import (
     Revision,
     RevisionElement,
     RevisionKind,
-    as_revision,
 )
 
 __all__ = [
@@ -65,7 +64,6 @@ __all__ = [
     "RevisionJoin",
     "RevisionJoinStats",
     "RevisionKind",
-    "as_revision",
     "assert_converged",
     "batch_rerun",
     "drained_relation",

@@ -19,6 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..core.joins import JOIN_KINDS, join_output_schema
 from ..lineage import EventSpace
+from ..options import is_count
 from ..relation import Schema
 from ..relation.errors import SchemaError
 from ..stream.elements import LEFT, RIGHT
@@ -92,6 +93,11 @@ class DataflowGraph:
                 )
             if spec.name in seen or spec.name in self._schemas:
                 raise GraphError(f"duplicate node name {spec.name!r}")
+            if not is_count(spec.partitions):
+                raise GraphError(
+                    f"node {spec.name!r}: partitions must be an int, "
+                    f"got {spec.partitions!r}"
+                )
             if spec.partitions < 1:
                 raise GraphError(
                     f"node {spec.name!r}: partitions must be at least 1, "

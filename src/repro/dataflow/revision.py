@@ -27,8 +27,7 @@ interval starts at or after the value.  It is computed as::
 i.e. the inputs' watermark minus the operator's current lag — exactly what a
 chained operator needs to finalize its own windows soundly.
 
-A base source is the degenerate revision stream that only ever emits:
-:func:`as_revision` adapts plain :class:`StreamEvent` elements.
+A base source is the degenerate revision stream that only ever emits.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from enum import Enum
 from typing import Union
 
 from ..relation import TPTuple
-from ..stream.elements import StreamEvent, Watermark
+from ..stream.elements import Watermark
 from ..values import reduce_fields, writer
 
 _new = object.__new__
@@ -92,7 +91,3 @@ _RevisionWriter = writer(Revision)
 #: Anything a dataflow edge carries.
 RevisionElement = Union[Revision, Watermark]
 
-
-def as_revision(element: StreamEvent) -> Revision:
-    """Adapt a base-source event into its revision-stream form (a plain emit)."""
-    return Revision(RevisionKind.EMIT, element.tuple)

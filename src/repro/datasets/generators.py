@@ -17,7 +17,7 @@ from the config, so a given config always yields byte-identical relations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from ..lineage import EventSpace
@@ -75,10 +75,6 @@ class WorkloadConfig:
     payload_attribute: str = "Payload"
     seed: int = 0
 
-    def with_seed(self, seed: int) -> "WorkloadConfig":
-        """A copy of the config with a different RNG seed."""
-        return replace(self, seed=seed)
-
     def schema(self) -> Schema:
         """The schema of the generated relation."""
         return Schema.of(self.key_attribute, self.payload_attribute)
@@ -133,24 +129,6 @@ def generate_pair(
     positive = generate_relation(positive_config, events, name=positive_name)
     negative = generate_relation(negative_config, events, name=negative_name)
     return positive, negative
-
-
-def uniform_subset(relation: TPRelation, size: int, seed: int = 0) -> TPRelation:
-    """A uniformly sampled subset of ``size`` tuples (the paper's scaling method).
-
-    The paper derives its 50K–200K input sizes by uniform sampling from the
-    full datasets, explicitly preserving the distinct-value ratio; sampling
-    uniformly without replacement does the same here.
-    """
-    if size >= len(relation):
-        return relation
-    rng = random.Random(seed)
-    chosen = rng.sample(range(len(relation)), size)
-    chosen.sort()
-    picked = [relation.tuples[index] for index in chosen]
-    return TPRelation(
-        relation.schema, picked, relation.events, name=relation.name, check_constraint=False
-    )
 
 
 # --------------------------------------------------------------------------- #

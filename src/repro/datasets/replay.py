@@ -15,20 +15,17 @@ the largest start seen is at most ``disorder`` ahead of it, so the source
 watermark (``max start - lateness``) has not passed it.
 
 :func:`stream_def` packages a relation as a registered-stream definition for
-the engine catalog; :func:`meteo_stream_pair` / :func:`webkit_stream_pair`
-are the streaming variants of the batch workload builders.
+the engine catalog.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..relation import TPRelation, TPTuple
 from ..stream import StreamDef, StreamSource, StreamStats
-from .meteo import meteo_pair
-from .webkit import webkit_pair
 
 
 @dataclass(frozen=True)
@@ -75,20 +72,6 @@ def arrival_order(
     return [tp_tuple for _, _, tp_tuple in keyed]
 
 
-def replay_source(
-    relation: TPRelation, config: ReplayConfig | None = None, name: str = ""
-) -> StreamSource:
-    """A fresh watermarking source replaying ``relation`` with disorder."""
-    config = config or ReplayConfig()
-    ordered = arrival_order(relation, config.disorder, config.seed)
-    return StreamSource(
-        ordered,
-        lateness=config.effective_lateness(),
-        watermark_every=config.watermark_every,
-        name=name or relation.name,
-    )
-
-
 def stream_def(
     relation: TPRelation, config: ReplayConfig | None = None, name: str = ""
 ) -> StreamDef:
@@ -122,26 +105,3 @@ def stream_def(
         stats=StreamStats(cardinality=len(relation)),
     )
 
-
-def meteo_stream_pair(
-    size: int, config: ReplayConfig | None = None, seed: int = 0
-) -> tuple[StreamDef, StreamDef]:
-    """Streaming variant of :func:`repro.datasets.meteo_pair`."""
-    config = config or ReplayConfig()
-    positive, negative = meteo_pair(size, seed=seed)
-    return (
-        stream_def(positive, config),
-        stream_def(negative, replace(config, seed=config.seed + 1)),
-    )
-
-
-def webkit_stream_pair(
-    size: int, config: ReplayConfig | None = None, seed: int = 0
-) -> tuple[StreamDef, StreamDef]:
-    """Streaming variant of :func:`repro.datasets.webkit_pair`."""
-    config = config or ReplayConfig()
-    positive, negative = webkit_pair(size, seed=seed)
-    return (
-        stream_def(positive, config),
-        stream_def(negative, replace(config, seed=config.seed + 1)),
-    )

@@ -2,16 +2,14 @@
 
 Used by the WebKit example to describe its workload and by tests to verify
 that the WebKit-like and Meteo-like generators actually exhibit the
-properties the paper attributes to the real datasets (different join
-selectivity, different overlap density).
+selectivity the paper attributes to the real datasets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..relation import TPRelation, ThetaCondition
-from ..temporal import Timeline
+from ..relation import TPRelation
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,21 +61,3 @@ def workload_statistics(relation: TPRelation, key_attribute: str) -> WorkloadSta
         mean_probability=sum(probabilities) / len(probabilities),
     )
 
-
-def mean_matches_per_tuple(
-    positive: TPRelation, negative: TPRelation, theta: ThetaCondition
-) -> float:
-    """Average number of valid, θ-matching partners per positive tuple.
-
-    This is the overlap density that drives the number of negating windows —
-    the main difference between the WebKit-like (sparse) and Meteo-like
-    (dense) workloads.
-    """
-    if not positive:
-        return 0.0
-    timeline = Timeline((s.interval, s) for s in negative)
-    total = 0
-    for r in positive:
-        partners = timeline.overlapping(r.interval)
-        total += sum(1 for s in partners if theta.evaluate(r, s))
-    return total / len(positive)

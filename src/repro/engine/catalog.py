@@ -136,7 +136,3 @@ class Catalog:
         """Drop a query's catalog entry (missing names are ignored)."""
         self._queries.pop(name, None)
 
-    def query_names(self) -> list[str]:
-        """All registered query names, sorted."""
-        return sorted(self._queries)
-

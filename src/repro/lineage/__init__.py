@@ -2,7 +2,6 @@
 
 from .builders import (
     and_not,
-    conjunction_of,
     disjunction_of,
     lineage_and,
     lineage_not,
@@ -15,7 +14,6 @@ from .probability import (
     ProbabilityComputer,
     and_not_probability,
     and_probability,
-    conditional_probability,
     probabilities,
     probability,
 )
@@ -38,8 +36,6 @@ __all__ = [
     "and_not_probability",
     "and_probability",
     "canonical",
-    "conditional_probability",
-    "conjunction_of",
     "disjunction_of",
     "equivalent",
     "lineage_and",

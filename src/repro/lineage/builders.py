@@ -106,11 +106,6 @@ def disjunction_of(operands: Iterable[LineageExpr]) -> LineageExpr:
     return lineage_or(*list(operands))
 
 
-def conjunction_of(operands: Iterable[LineageExpr]) -> LineageExpr:
-    """Conjunction of an iterable (``true`` when empty)."""
-    return lineage_and(*list(operands))
-
-
 def _flatten(
     operands: Sequence[LineageExpr], node_type: type
 ) -> list[LineageExpr]:

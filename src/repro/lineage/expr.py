@@ -73,10 +73,6 @@ class LineageExpr:
         """Return the direct sub-expressions."""
         return ()
 
-    def is_constant(self) -> bool:
-        """Return ``True`` for the constants ``TRUE`` and ``FALSE``."""
-        return isinstance(self, _Const)
-
     def walk(self) -> Iterator["LineageExpr"]:
         """Yield the expression and all sub-expressions, pre-order."""
         yield self

@@ -245,18 +245,3 @@ def probabilities(
     computer = ProbabilityComputer(events)
     return {key: computer.probability(expr) for key, expr in lineages.items()}
 
-
-def conditional_probability(
-    lineage: LineageExpr, given: LineageExpr, events: EventSpace
-) -> float:
-    """Return ``P(lineage | given)``.
-
-    Raises:
-        ZeroDivisionError: if ``P(given)`` is zero.
-    """
-    computer = ProbabilityComputer(events)
-    joint = computer.probability(lineage & given)
-    condition = computer.probability(given)
-    if condition == 0.0:
-        raise ZeroDivisionError("conditioning event has probability zero")
-    return joint / condition

@@ -233,12 +233,6 @@ class MetricsAggregator:
     def snapshots(self) -> List[dict]:
         return [self._snapshots[key] for key in sorted(self._snapshots)]
 
-    def counter_total(self, name: str) -> int:
-        return sum(
-            int(snapshot.get("counters", {}).get(name, 0))
-            for snapshot in self._snapshots.values()
-        )
-
     def totals(self) -> Dict[str, int]:
         """All counters summed across workers."""
         merged: Dict[str, int] = {}

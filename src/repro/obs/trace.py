@@ -241,9 +241,6 @@ class TraceAggregator:
             self._spans.values(), key=lambda span: (span.get("t0", 0.0), span["span"])
         )
 
-    def trace_ids(self) -> List[int]:
-        return sorted({span["trace"] for span in self._spans.values()})
-
     def timeline(self, trace_id: int) -> List[dict]:
         return [span for span in self.spans() if span.get("trace") == trace_id]
 

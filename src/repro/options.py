@@ -22,6 +22,11 @@ from .runtime.transport import TRANSPORTS
 __all__ = ["ExecutionOptions"]
 
 
+def is_count(value: object) -> bool:
+    """Whether ``value`` is an ``int`` and not a ``bool``: what a count knob takes."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExecutionOptions:
     """Every execution knob of a continuous/dataflow run, in one place.
@@ -117,10 +122,18 @@ class ExecutionOptions:
     seat_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name in ("partitions", "micro_batch_size", "restart_limit"):
+            value = getattr(self, name)
+            if not is_count(value):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.partitions <= 0:
             raise ValueError("partitions must be positive")
         if self.micro_batch_size <= 0:
             raise ValueError("micro_batch_size must be positive")
+        if not self.metrics_interval > 0:
+            raise ValueError(
+                f"metrics_interval must be positive seconds, got {self.metrics_interval!r}"
+            )
         # One-worker runs execute inline regardless (default_transport), so
         # ``inline`` is not a value this knob takes.
         if self.transport not in TRANSPORTS[1:]:

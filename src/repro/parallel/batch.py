@@ -41,11 +41,6 @@ class ParallelJoinResult:
     workers: int
     elapsed_seconds: float
 
-    @property
-    def ran_parallel(self) -> bool:
-        """Whether the run actually fanned out to more than one partition."""
-        return self.workers > 1
-
 
 def canonical_order(tuples: Sequence[TPTuple]) -> List[TPTuple]:
     """Sort tuples into the canonical deterministic output order.

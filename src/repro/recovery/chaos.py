@@ -86,11 +86,6 @@ class ChaosInjector:
         ):
             time.sleep(0.01)
 
-    @property
-    def kills_signalled(self) -> int:
-        """How many plan entries actually killed a process."""
-        return sum(1 for _after, _seat, signalled in self.executed if signalled)
-
 
 def random_kill_plan(
     seed: int,

@@ -6,16 +6,14 @@ from .errors import (
     SchemaError,
     UnknownAttributeError,
 )
-from .io import read_relation_csv, write_relation_csv, write_result_csv
+from .io import read_relation_csv, write_relation_csv
 from .operators import (
-    difference,
     project,
     rename,
     select,
     select_eq,
     snapshot,
     timeslice,
-    union,
 )
 from .predicates import (
     EquiJoinCondition,
@@ -26,7 +24,7 @@ from .predicates import (
     stable_key_hash,
     theta_or_true,
 )
-from .relation import TPRelation, fresh_event_names
+from .relation import TPRelation
 from .schema import Schema
 from .tptuple import TPTuple
 
@@ -42,10 +40,8 @@ __all__ = [
     "ThetaCondition",
     "TrueCondition",
     "UnknownAttributeError",
-    "difference",
     "equi_join_on",
     "stable_key_hash",
-    "fresh_event_names",
     "project",
     "read_relation_csv",
     "rename",
@@ -54,7 +50,5 @@ __all__ = [
     "theta_or_true",
     "snapshot",
     "timeslice",
-    "union",
     "write_relation_csv",
-    "write_result_csv",
 ]

@@ -2,9 +2,7 @@
 
 The on-disk format mirrors the paper's tables: one column per fact
 attribute, then ``event``, ``ts``, ``te`` and ``p``.  Only base relations
-(single-variable lineages) round-trip through CSV; derived relations can be
-exported with :func:`write_result_csv`, which serialises the lineage as text
-for inspection but is not meant to be read back.
+(single-variable lineages) round-trip through CSV.
 """
 
 from __future__ import annotations
@@ -78,21 +76,3 @@ def read_relation_csv(
             rows.append((*fact, event, int(start), int(end), float(probability)))
     return TPRelation.from_rows(schema, rows, events=events, name=name or source.stem)
 
-
-def write_result_csv(relation: TPRelation, path: str | Path) -> None:
-    """Write any (possibly derived) relation with lineage rendered as text."""
-    destination = Path(path)
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    with destination.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([*relation.schema.attributes, "lineage", "ts", "te", "p"])
-        for tp_tuple in relation:
-            writer.writerow(
-                [
-                    *("" if value is None else value for value in tp_tuple.fact),
-                    str(tp_tuple.lineage),
-                    tp_tuple.start,
-                    tp_tuple.end,
-                    "" if tp_tuple.probability is None else tp_tuple.probability,
-                ]
-            )

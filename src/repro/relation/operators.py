@@ -1,9 +1,9 @@
 """Non-join temporal-probabilistic operators.
 
-These are the unary and set operators of the TP algebra that the paper's
-predecessor work ("Supporting set operations in temporal-probabilistic
-databases", ICDE 2018) defines and that a usable TP library needs around the
-joins: selection, projection, timeslice, union and difference.  The join
+These are the unary operators of the TP algebra that the paper's predecessor
+work ("Supporting set operations in temporal-probabilistic databases", ICDE
+2018) defines and that the query engine evaluates around the joins:
+selection, projection and timeslice.  The join
 operators — the paper's actual contribution — live in :mod:`repro.core.joins`.
 
 Semantics follow the standard possible-worlds interpretation:
@@ -16,13 +16,6 @@ Semantics follow the standard possible-worlds interpretation:
   with a constant contributor set.
 * **timeslice** restricts every tuple to its intersection with a query
   interval.
-* **union** concatenates two relations over a merged event space; tuples
-  with the same fact and overlapping intervals get their lineages OR-ed on
-  the overlap (per-segment), keeping the result duplicate-free.
-* **difference** of ``r`` minus ``s`` keeps, per time point, ``r``'s fact
-  with lineage ``λr ∧ ¬λs`` when a matching ``s`` tuple is valid and ``λr``
-  otherwise — i.e. it is the fact-equality special case of the paper's anti
-  join, and the implementation simply delegates to it.
 """
 
 from __future__ import annotations
@@ -84,64 +77,6 @@ def project(relation: TPRelation, attributes: Iterable[str]) -> TPRelation:
             output.append(TPTuple(projected_fact, lineage, segment))
     output.sort(key=lambda t: t.key())
     return relation.derived(target, output, name=f"project({relation.name})", check_constraint=True)
-
-
-def union(left: TPRelation, right: TPRelation) -> TPRelation:
-    """TP union (∪) of two relations with the same schema."""
-    if left.schema.attributes != right.schema.attributes:
-        raise ValueError(
-            f"union requires identical schemas, got {left.schema} and {right.schema}"
-        )
-    events = left.events.merge(right.events)
-    combined = TPRelation(
-        left.schema,
-        [*left.tuples, *right.tuples],
-        events,
-        name=f"union({left.name},{right.name})",
-        check_constraint=False,
-    )
-    # Re-partition per fact so same-fact overlaps get OR-ed lineages.
-    by_fact: dict[tuple, list[TPTuple]] = {}
-    for tp_tuple in combined:
-        by_fact.setdefault(tp_tuple.fact, []).append(tp_tuple)
-    output: list[TPTuple] = []
-    for fact, group in by_fact.items():
-        intervals = [t.interval for t in group]
-        frame = Interval(min(i.start for i in intervals), max(i.end for i in intervals))
-        for segment, active in partition_by_validity(frame, intervals):
-            if not active:
-                continue
-            lineage = disjunction_of(group[i].lineage for i in active)
-            output.append(TPTuple(fact, lineage, segment))
-    output.sort(key=lambda t: t.key())
-    return TPRelation(
-        left.schema, output, events, name=f"union({left.name},{right.name})", check_constraint=True
-    )
-
-
-def difference(left: TPRelation, right: TPRelation) -> TPRelation:
-    """TP difference (−): the fact-equality special case of the anti join."""
-    if left.schema.attributes != right.schema.attributes:
-        raise ValueError(
-            f"difference requires identical schemas, got {left.schema} and {right.schema}"
-        )
-    from ..core.joins import tp_anti_join  # local import to avoid a cycle
-    from .predicates import EquiJoinCondition
-
-    condition = EquiJoinCondition(
-        left.schema,
-        right.schema,
-        tuple((name, name) for name in left.schema.attributes),
-    )
-    result = tp_anti_join(left, right, condition)
-    # The anti join keeps the left schema; rename back to the plain names.
-    return TPRelation(
-        left.schema,
-        result.tuples,
-        result.events,
-        name=f"difference({left.name},{right.name})",
-        check_constraint=False,
-    )
 
 
 def rename(relation: TPRelation, mapping: dict[str, str]) -> TPRelation:

@@ -175,11 +175,6 @@ class TPRelation:
                         f"{left.interval} and {right.interval}"
                     )
 
-    def validate_lineages(self) -> None:
-        """Check that every lineage variable has a registered probability."""
-        for tp_tuple in self._tuples:
-            self._events.validate_lineage(tp_tuple.lineage)
-
     # ------------------------------------------------------------------ #
     # derivation
     # ------------------------------------------------------------------ #
@@ -204,13 +199,6 @@ class TPRelation:
             check_constraint=False,
         )
 
-    def sorted_by_interval(self) -> "TPRelation":
-        """Return a copy sorted by (start, end, fact) — the sweep order."""
-        ordered = sorted(self._tuples, key=lambda t: (t.start, t.end, t.fact))
-        return TPRelation(
-            self._schema, ordered, self._events, name=self._name, check_constraint=False
-        )
-
     def head(self, count: int) -> "TPRelation":
         """Return the first ``count`` tuples (used by dataset scaling)."""
         return TPRelation(
@@ -224,12 +212,6 @@ class TPRelation:
     # ------------------------------------------------------------------ #
     # presentation
     # ------------------------------------------------------------------ #
-    def to_rows(self) -> list[tuple]:
-        """Render as ``(fact..., lineage, interval, probability)`` rows."""
-        return [
-            (*t.fact, str(t.lineage), str(t.interval), t.probability) for t in self._tuples
-        ]
-
     def pretty(self, max_rows: int | None = None) -> str:
         """A small fixed-width rendering for examples and debugging."""
         header = [*self._schema.attributes, "lineage", "T", "p"]
@@ -260,7 +242,3 @@ class TPRelation:
         label = self._name or "TPRelation"
         return f"<{label}: {len(self._tuples)} tuples, schema {self._schema}>"
 
-
-def fresh_event_names(prefix: str, count: int) -> list[str]:
-    """Generate ``count`` event-variable names ``prefix1 ... prefixN``."""
-    return [f"{prefix}{index}" for index in range(1, count + 1)]

@@ -79,22 +79,6 @@ class Schema:
                 )
         return Schema(tuple(mapping.get(name, name) for name in self.attributes))
 
-    def prefixed(self, prefix: str) -> "Schema":
-        """Return a schema with every attribute prefixed (``prefix.name``)."""
-        return Schema(tuple(f"{prefix}.{name}" for name in self.attributes))
-
-    def concat(self, other: "Schema") -> "Schema":
-        """Concatenate two schemas (used for join output schemas).
-
-        Raises:
-            SchemaError: if the schemas share attribute names; callers should
-                prefix/rename before concatenating.
-        """
-        clash = set(self.attributes) & set(other.attributes)
-        if clash:
-            raise SchemaError(f"attribute name clash in concatenation: {sorted(clash)}")
-        return Schema(self.attributes + other.attributes)
-
     def validate_fact(self, fact: tuple) -> None:
         """Check that a fact tuple has the right arity."""
         if len(fact) != len(self.attributes):

@@ -292,11 +292,6 @@ class _JobRegistry:
             self._jobs[job.key] = job
             self._condition.notify_all()
 
-    def jobs(self) -> List[_ServerJob]:
-        """A snapshot of the currently-running jobs (metrics endpoint)."""
-        with self._condition:
-            return list(self._jobs.values())
-
     def wait_for(self, key: str) -> _ServerJob:
         with self._condition:
             found = self._condition.wait_for(

@@ -36,7 +36,7 @@ from .hub import (
 )
 from .registry import PlanGroup, ServeError, StandingQueryService, ServingSubscription
 from .server import ServeClient, ServeServer
-from .subplan import SubplanRegistry, graph_structural_keys, structural_key
+from .subplan import SubplanRegistry, graph_structural_keys
 
 __all__ = [
     "END_OF_STREAM",
@@ -53,5 +53,4 @@ __all__ = [
     "StandingQueryService",
     "SubplanRegistry",
     "graph_structural_keys",
-    "structural_key",
 ]

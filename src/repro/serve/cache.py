@@ -128,6 +128,3 @@ class ResultCache:
             ]
         )
 
-    def provisional_count(self) -> int:
-        """How many cached tuples are still provisional."""
-        return sum(1 for _tuple, provisional in self._entries.values() if provisional)

@@ -356,10 +356,6 @@ class StandingQueryService:
         self._queries: Dict[str, StandingQuery] = {}
         self._lock = threading.RLock()
 
-    @property
-    def subplans(self) -> SubplanRegistry:
-        return self._registry
-
     # ------------------------------------------------------------------ #
     # registration
     # ------------------------------------------------------------------ #
@@ -533,19 +529,6 @@ class StandingQueryService:
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
-    def operators_of(self, name: str) -> List:
-        """The live operator instances behind a query's sink (per partition)."""
-        with self._lock:
-            record = self.lookup(name)
-            if record.group is None:
-                return []
-            return list(record.group.operators.get(record.sink_canonical, ()))
-
-    def shared_subplans(self) -> Set[str]:
-        """Canonical subplan names currently referenced by >1 query."""
-        with self._lock:
-            return self._registry.shared_names()
-
     def explain(self, name: str) -> str:
         """EXPLAIN of a standing query, with ``shared=`` markers.
 

@@ -24,7 +24,7 @@ computers, one per maintainer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from ..dataflow.graph import DataflowGraph, NodeSpec
 
@@ -51,16 +51,6 @@ def graph_structural_keys(graph: DataflowGraph) -> Dict[str, StructuralKey]:
             spec.partitions,
         )
     return keys
-
-
-def structural_key(graph: DataflowGraph, name: str) -> StructuralKey:
-    """Structural key of one node (or ``("stream", name)`` for a source)."""
-    keys = graph_structural_keys(graph)
-    if name in keys:
-        return keys[name]
-    if name in graph.source_names:
-        return ("stream", name)
-    raise KeyError(f"unknown graph node or source {name!r}")
 
 
 @dataclass
@@ -161,18 +151,6 @@ class SubplanRegistry:
             for key in self._order
             if self._by_key[key].name in wanted
         ]
-
-    def entry_of(self, canonical_name: str) -> Optional[SubplanEntry]:
-        """The live entry holding ``canonical_name`` (``None`` when absent)."""
-        for entry in self._by_key.values():
-            if entry.name == canonical_name:
-                return entry
-        return None
-
-    def refcount_of(self, canonical_name: str) -> int:
-        """Reference count of one canonical subplan (0 when absent)."""
-        entry = self.entry_of(canonical_name)
-        return 0 if entry is None else entry.refcount
 
     def shared_names(self) -> Set[str]:
         """Canonical names referenced more than once — the ``[shared]`` set."""

@@ -79,11 +79,6 @@ class Watermark:
 
     __reduce__ = reduce_fields
 
-    @property
-    def closes(self) -> bool:
-        """Whether this watermark closes the stream."""
-        return self.value == CLOSED
-
 
 _WatermarkWriter = writer(Watermark)
 

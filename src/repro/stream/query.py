@@ -43,7 +43,8 @@ class StreamStats:
 
     A stream is unbounded in principle, so ``cardinality`` is an *expected*
     figure — a replay of a finite relation knows it exactly.  The planner
-    does not read it.
+    and the runtime do not read it; the benchmark's ``serve-fanout``
+    workload counts its input events with it.
     """
 
     cardinality: int

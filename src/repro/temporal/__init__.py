@@ -1,15 +1,12 @@
-"""Temporal substrate: half-open intervals, the segmentation used by the
-baselines, and the interval sets the window tests check coverage with."""
+"""Temporal substrate: half-open intervals and the segmentation the
+baselines and the projection operator use."""
 
 from .interval import Interval, IntervalError
-from .intervalset import IntervalSet
-from .timeline import Timeline, partition_by_validity, segments, segments_within
+from .timeline import partition_by_validity, segments, segments_within
 
 __all__ = [
     "Interval",
     "IntervalError",
-    "IntervalSet",
-    "Timeline",
     "partition_by_validity",
     "segments",
     "segments_within",

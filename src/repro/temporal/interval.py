@@ -96,21 +96,6 @@ class Interval:
             return Interval(start, end)
         return None
 
-    def difference(self, other: "Interval") -> list["Interval"]:
-        """Return the parts of this interval not covered by ``other``.
-
-        The result contains zero, one or two intervals, ordered by start.
-        """
-        overlap = self.intersect(other)
-        if overlap is None:
-            return [self]
-        pieces: list[Interval] = []
-        if self.start < overlap.start:
-            pieces.append(Interval(self.start, overlap.start))
-        if overlap.end < self.end:
-            pieces.append(Interval(overlap.end, self.end))
-        return pieces
-
     def split_at_points(self, points: Iterable[int]) -> list["Interval"]:
         """Split the interval at every interior point of ``points``.
 

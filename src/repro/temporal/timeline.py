@@ -12,7 +12,6 @@ the Temporal Alignment baseline and several tests.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import Iterable, Sequence
 
 from .interval import Interval
@@ -47,60 +46,6 @@ def segments_within(frame: Interval, intervals: Iterable[Interval]) -> list[Inte
     every start or end of a matching tuple of the negative relation.
     """
     return frame.split_at_points(_change_points(intervals))
-
-
-class Timeline:
-    """A queryable index over a fixed set of intervals.
-
-    The timeline answers "which payloads are valid at time point *t*" and
-    "which payloads are valid somewhere within interval *i*" queries.  It is
-    used by the naive baseline (as the ground-truth evaluator) and by the
-    dataset statistics module; the core NJ algorithms deliberately do *not*
-    use it — they only need a single ordered sweep.
-    """
-
-    __slots__ = ("_entries", "_starts")
-
-    def __init__(self, items: Iterable[tuple[Interval, object]]) -> None:
-        self._entries: list[tuple[Interval, object]] = sorted(
-            items, key=lambda entry: (entry[0].start, entry[0].end)
-        )
-        self._starts: list[int] = [entry[0].start for entry in self._entries]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def valid_at(self, time_point: int) -> list[object]:
-        """Return the payloads of all intervals containing ``time_point``."""
-        upper = bisect_right(self._starts, time_point)
-        return [
-            payload
-            for interval, payload in self._entries[:upper]
-            if time_point in interval
-        ]
-
-    def overlapping(self, query: Interval) -> list[object]:
-        """Return the payloads of all intervals overlapping ``query``."""
-        upper = bisect_left(self._starts, query.end)
-        return [
-            payload
-            for interval, payload in self._entries[:upper]
-            if interval.overlaps(query)
-        ]
-
-    def change_points_within(self, frame: Interval) -> list[int]:
-        """Change points of the indexed intervals strictly inside ``frame``."""
-        points: set[int] = set()
-        for interval, _payload in self._entries:
-            if interval.start >= frame.end:
-                break
-            if not interval.overlaps(frame):
-                continue
-            if frame.start < interval.start < frame.end:
-                points.add(interval.start)
-            if frame.start < interval.end < frame.end:
-                points.add(interval.end)
-        return sorted(points)
 
 
 def partition_by_validity(

@@ -9,8 +9,9 @@ overlap at all.
 from __future__ import annotations
 
 from repro import Schema, TPRelation, equi_join_on
-from repro.core import WindowClass, lawau, overlap_join, unmatched_windows
-from repro.temporal import Interval, IntervalSet
+from repro.core import WindowClass, lawau, overlap_join
+from repro.temporal import Interval
+from tests.temporal.intervalset import IntervalSet
 from tests.conftest import make_random_relations
 
 
@@ -26,7 +27,7 @@ def _setup(positive_rows, negative_rows):
 def _unmatched_intervals(positive_rows, negative_rows):
     positive, negative, theta = _setup(positive_rows, negative_rows)
     groups = overlap_join(positive, negative, theta)
-    return [w.interval for w in unmatched_windows(groups)]
+    return [w.interval for w in lawau(groups) if w.window_class is WindowClass.UNMATCHED]
 
 
 class TestSweepCases:

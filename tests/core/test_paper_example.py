@@ -124,7 +124,7 @@ class TestExample2Windows:
         self, wants_to_visit, hotel_availability, loc_theta
     ):
         windows = compute_windows(wants_to_visit, hotel_availability, loc_theta)
-        for window in windows.all_of_r():
+        for window in windows.unmatched_r + windows.overlapping + windows.negating_r:
             assert window.source_interval is not None
             assert window.source_interval.contains_interval(window.interval)
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core import overlap_join
 from repro.datasets import (
     DISTINCT_METRICS,
     IntervalLengthDistribution,
@@ -11,13 +14,23 @@ from repro.datasets import (
     WorkloadConfig,
     generate_pair,
     generate_relation,
-    mean_matches_per_tuple,
     meteo_pair,
-    uniform_subset,
     webkit_pair,
     workload_statistics,
 )
 from repro.relation import EquiJoinCondition
+
+
+def assert_lineage_complete(relation) -> None:
+    """Every lineage variable of ``relation`` has a registered probability."""
+    for tp_tuple in relation:
+        relation.events.validate_lineage(tp_tuple.lineage)
+
+
+def mean_matches_per_tuple(positive, negative, theta) -> float:
+    """Valid, θ-matching partners per positive tuple: the overlap density."""
+    groups = overlap_join(positive, negative, theta)
+    return sum(len(group.matches) for group in groups) / len(positive)
 
 
 class TestGenerateRelation:
@@ -36,7 +49,7 @@ class TestGenerateRelation:
     def test_different_seeds_differ(self):
         base = WorkloadConfig(size=40, distinct_keys=4, seed=7)
         first = generate_relation(base, name="x")
-        second = generate_relation(base.with_seed(8), name="x")
+        second = generate_relation(replace(base, seed=8), name="x")
         assert [t.key() for t in first] != [t.key() for t in second]
 
     def test_constraint_holds(self):
@@ -83,33 +96,10 @@ class TestGenerateRelation:
 
     def test_generate_pair_shares_one_event_space(self):
         config = WorkloadConfig(size=30, distinct_keys=3, seed=1)
-        left, right = generate_pair(config, config.with_seed(2))
+        left, right = generate_pair(config, replace(config, seed=2))
         assert left.events is right.events
-        left.validate_lineages()
-        right.validate_lineages()
-
-
-class TestUniformSubset:
-    def test_subset_size(self):
-        relation = generate_relation(WorkloadConfig(size=100, distinct_keys=5, seed=1), name="t")
-        assert len(uniform_subset(relation, 20, seed=3)) == 20
-
-    def test_subset_larger_than_relation_returns_relation(self):
-        relation = generate_relation(WorkloadConfig(size=10, distinct_keys=5, seed=1), name="t")
-        assert uniform_subset(relation, 100) is relation
-
-    def test_subset_is_deterministic(self):
-        relation = generate_relation(WorkloadConfig(size=100, distinct_keys=5, seed=1), name="t")
-        first = uniform_subset(relation, 30, seed=9)
-        second = uniform_subset(relation, 30, seed=9)
-        assert [t.key() for t in first] == [t.key() for t in second]
-
-    def test_subset_preserves_distinct_value_ratio_roughly(self):
-        relation = generate_relation(WorkloadConfig(size=2000, distinct_keys=20, seed=1), name="t")
-        subset = uniform_subset(relation, 500, seed=2)
-        stats_full = workload_statistics(relation, "Key")
-        stats_subset = workload_statistics(subset, "Key")
-        assert stats_subset.distinct_keys == pytest.approx(stats_full.distinct_keys, abs=2)
+        assert_lineage_complete(left)
+        assert_lineage_complete(right)
 
 
 class TestPaperWorkloads:
@@ -149,7 +139,7 @@ class TestPaperWorkloads:
     def test_pairs_are_constraint_valid_and_lineage_complete(self):
         for relation in (*webkit_pair(300, seed=3), *meteo_pair(300, seed=3)):
             relation.check_duplicate_free()
-            relation.validate_lineages()
+            assert_lineage_complete(relation)
 
     def test_statistics_report_fields(self):
         relation, _ = webkit_pair(200, seed=4)

@@ -8,12 +8,9 @@ from repro.datasets import (
     ReplayConfig,
     arrival_order,
     meteo_pair,
-    meteo_stream_pair,
-    replay_source,
     stream_def,
-    webkit_stream_pair,
 )
-from repro.stream import StreamEvent, Watermark
+from repro.stream import StreamEvent
 
 
 def test_zero_disorder_replays_in_event_time_order():
@@ -50,9 +47,9 @@ def test_arrival_order_is_deterministic_per_seed():
     assert first != other
 
 
-def test_replay_source_with_matched_lateness_evicts_nothing():
+def test_replay_with_matched_lateness_evicts_nothing():
     relation, _ = meteo_pair(250, seed=2)
-    source = replay_source(relation, ReplayConfig(disorder=12, seed=6))
+    source = stream_def(relation, ReplayConfig(disorder=12, seed=6)).replay()
     events = [e for e in source if isinstance(e, StreamEvent)]
     assert len(events) == len(relation)
     assert source.stats.late_evicted == 0
@@ -66,15 +63,6 @@ def test_stream_def_replay_is_repeatable():
     assert first == second
     assert definition.name == "m"
     assert definition.schema == relation.schema
-
-
-def test_stream_pairs_share_config_but_differ_in_jitter():
-    for builder in (meteo_stream_pair, webkit_stream_pair):
-        left, right = builder(60, ReplayConfig(disorder=5, seed=11))
-        left_elements = list(left.replay())
-        right_elements = list(right.replay())
-        assert any(isinstance(e, Watermark) for e in left_elements)
-        assert left_elements[-1].closes and right_elements[-1].closes
 
 
 def test_negative_disorder_rejected():

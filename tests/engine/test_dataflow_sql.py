@@ -144,7 +144,7 @@ def test_dataflow_query_registration_round_trips(dataflow_engine, triple):
     ]
     query = dataflow_engine.dataflow_query("monitor", nodes)
     assert dataflow_engine.catalog.lookup_query("monitor") is query
-    assert dataflow_engine.catalog.query_names() == ["monitor"]
+    assert sorted(dataflow_engine.catalog._queries) == ["monitor"]
     result = query.run(merge_seed=1)
     assert rows(result.relation) == rows(chain_batch(a, b, c))
     with pytest.raises(CatalogError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import (
@@ -13,11 +15,23 @@ from repro import (
     tp_anti_join,
     tp_left_outer_join,
 )
-from repro.datasets import meteo_pair, uniform_subset, webkit_pair
+from repro.datasets import meteo_pair, webkit_pair
 from repro.engine import Engine
 from repro.relation import EquiJoinCondition, read_relation_csv, write_relation_csv
 from tests.conftest import canonical_rows
 from tests.lineage.test_lineage_properties import brute_force_probability
+
+
+def uniform_subset(relation: TPRelation, size: int, seed: int) -> TPRelation:
+    """``size`` tuples sampled uniformly without replacement, in input order."""
+    chosen = sorted(random.Random(seed).sample(range(len(relation)), size))
+    return TPRelation(
+        relation.schema,
+        [relation.tuples[index] for index in chosen],
+        relation.events,
+        name=relation.name,
+        check_constraint=False,
+    )
 
 
 class TestGeneratedWorkloadsEndToEnd:

@@ -14,7 +14,6 @@ from repro.lineage import (
     Or,
     Var,
     and_not,
-    conjunction_of,
     disjunction_of,
     lineage_and,
     lineage_not,
@@ -89,9 +88,6 @@ class TestConvenience:
 
     def test_disjunction_of_empty(self):
         assert disjunction_of([]) == FALSE
-
-    def test_conjunction_of_empty(self):
-        assert conjunction_of([]) == TRUE
 
     def test_disjunction_of_iterable(self):
         assert disjunction_of([Var("x"), Var("y")]) == Or((Var("x"), Var("y")))

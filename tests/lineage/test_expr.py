@@ -16,11 +16,6 @@ class TestConstants:
         assert TRUE.variables() == frozenset()
         assert FALSE.variables() == frozenset()
 
-    def test_constants_are_recognised(self):
-        assert TRUE.is_constant()
-        assert FALSE.is_constant()
-        assert not Var("a").is_constant()
-
     def test_str(self):
         assert str(TRUE) == "true"
         assert str(FALSE) == "false"

@@ -13,7 +13,6 @@ from repro.lineage import (
     ProbabilityComputer,
     Var,
     and_not,
-    conditional_probability,
     lineage_and,
     lineage_not,
     lineage_or,
@@ -146,15 +145,6 @@ class TestComputerAndHelpers:
     def test_probabilities_bulk(self, events):
         values = probabilities({"x": Var("a1"), "y": Var("b1")}, events)
         assert values == {"x": pytest.approx(0.7), "y": pytest.approx(0.9)}
-
-    def test_conditional_probability(self, events):
-        value = conditional_probability(Var("a1"), Var("b1"), events)
-        assert value == pytest.approx(0.7)  # independent events
-
-    def test_conditional_probability_zero_condition(self, events):
-        space = EventSpace({"z": 0.0, "a1": 0.7})
-        with pytest.raises(ZeroDivisionError):
-            conditional_probability(Var("a1"), Var("z"), space)
 
     def test_events_property(self, events):
         assert ProbabilityComputer(events).events is events

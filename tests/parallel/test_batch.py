@@ -64,7 +64,6 @@ def test_workers_one_is_canonically_ordered_serial_run():
     result = parallel_tp_join("anti", left, right, [("Key", "Key")], workers=1)
     serial = tp_anti_join(left, right, theta)
     assert result.workers == 1
-    assert not result.ran_parallel
     assert parallel_tp_join("anti", left, right, [("Key", "Key")]).workers == 1
     assert [t.key() for t in result.relation] == [t.key() for t in canonical_order(serial.tuples)]
 

@@ -150,7 +150,7 @@ def test_watermark_roundtrip_preserves_value(tagged):
     assert value == tagged.element.value or (
         math.isinf(value) and math.isinf(tagged.element.value)
     )
-    assert decoded.element.closes == tagged.element.closes
+    assert (value == CLOSED) == (tagged.element.value == CLOSED)
 
 
 @settings(max_examples=200, deadline=None)

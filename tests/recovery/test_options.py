@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ExecutionOptions
-from repro.dataflow import DataflowQuery, NodeSpec
+from repro.dataflow import DataflowGraph, DataflowQuery, NodeSpec
 from repro.engine import Engine
 from repro.stream import StreamQuery
 
@@ -49,6 +49,34 @@ def test_options_defaults_are_the_historical_ones():
 def test_options_validation_rejects_nonsense(kwargs):
     with pytest.raises(ValueError):
         ExecutionOptions(**kwargs)
+
+
+def _graph_with_partitions(partitions):
+    catalog, *_ = make_stream_catalog(seed=1)
+    return DataflowGraph(catalog, [NodeSpec("j", "inner", "a", "b", ON, partitions=partitions)])
+
+
+NON_COUNT_KNOBS = {
+    "partitions=1.5": (lambda: ExecutionOptions(partitions=1.5), "partitions"),
+    "partitions=True": (lambda: ExecutionOptions(partitions=True), "partitions"),
+    "micro_batch_size=2.5": (
+        lambda: ExecutionOptions(micro_batch_size=2.5, partitions=2),
+        "micro_batch_size",
+    ),
+    "restart_limit=1.0": (lambda: ExecutionOptions(restart_limit=1.0), "restart_limit"),
+    "metrics_interval=-1": (lambda: ExecutionOptions(metrics_interval=-1), "metrics_interval"),
+    "metrics_interval=0": (lambda: ExecutionOptions(metrics_interval=0), "metrics_interval"),
+    "NodeSpec.partitions=1.5": (lambda: _graph_with_partitions(1.5), "partitions"),
+    "NodeSpec.partitions=True": (lambda: _graph_with_partitions(True), "partitions"),
+}
+
+
+@pytest.mark.parametrize("build, field", NON_COUNT_KNOBS.values(), ids=NON_COUNT_KNOBS.keys())
+def test_non_integer_or_non_positive_knobs_fail_naming_the_field(build, field):
+    """A float or bool count, or a metrics interval of no length, fails at
+    construction with the field's name, not deep inside a run."""
+    with pytest.raises(ValueError, match=field):
+        build()
 
 
 def test_recovery_requires_sockets_and_a_restart_budget():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Schema, TPRelation, equi_join_on, tp_left_outer_join
-from repro.relation import read_relation_csv, write_relation_csv, write_result_csv
+from repro.relation import read_relation_csv, write_relation_csv
 
 
 @pytest.fixture()
@@ -51,19 +51,3 @@ class TestRoundTrip:
         joined = tp_left_outer_join(base_relation, hotels, theta)
         with pytest.raises(ValueError):
             write_relation_csv(joined, tmp_path / "joined.csv")
-
-
-class TestResultExport:
-    def test_write_result_csv_serialises_lineage_text(self, base_relation, tmp_path):
-        hotels = TPRelation.from_rows(
-            Schema.of("Hotel", "Loc"),
-            [("hotel1", "ZAK", "b3", 4, 6, 0.7)],
-            name="b",
-        )
-        theta = equi_join_on(base_relation.schema, hotels.schema, [("Loc", "Loc")])
-        joined = tp_left_outer_join(base_relation, hotels, theta)
-        path = tmp_path / "result.csv"
-        write_result_csv(joined, path)
-        content = path.read_text()
-        assert "lineage" in content.splitlines()[0]
-        assert "a1 ∧ b3" in content

@@ -8,14 +8,12 @@ from repro.lineage import Var, lineage_or
 from repro.relation import (
     Schema,
     TPRelation,
-    difference,
     project,
     rename,
     select,
     select_eq,
     snapshot,
     timeslice,
-    union,
 )
 from repro.temporal import Interval
 
@@ -100,41 +98,6 @@ class TestProjection:
         result = project(relation, ["Name"]).with_probabilities()
         overlap_row = next(t for t in result if t.interval == Interval(3, 5))
         assert overlap_row.probability == pytest.approx(1 - 0.5 * 0.6)
-
-
-class TestSetOperators:
-    def test_union_requires_same_schema(self, bookings):
-        other = TPRelation.from_rows(Schema.of("X"), [("x", "u1", 1, 2, 0.5)])
-        with pytest.raises(ValueError):
-            union(bookings, other)
-
-    def test_union_keeps_disjoint_tuples(self):
-        left = TPRelation.from_rows(Schema.of("Name"), [("Ann", "e1", 1, 3, 0.5)])
-        right = TPRelation.from_rows(Schema.of("Name"), [("Bob", "e2", 2, 4, 0.6)])
-        result = union(left, right)
-        assert {t.fact for t in result} == {("Ann",), ("Bob",)}
-
-    def test_union_disjoins_lineage_on_same_fact_overlap(self):
-        left = TPRelation.from_rows(Schema.of("Name"), [("Ann", "e1", 1, 5, 0.5)])
-        right = TPRelation.from_rows(Schema.of("Name"), [("Ann", "e2", 3, 8, 0.6)])
-        result = union(left, right)
-        middle = next(t for t in result if t.interval == Interval(3, 5))
-        assert middle.lineage == lineage_or(Var("e1"), Var("e2"))
-        result.check_duplicate_free()
-
-    def test_difference_is_anti_join_on_fact_equality(self):
-        left = TPRelation.from_rows(Schema.of("Name"), [("Ann", "e1", 1, 8, 0.5)])
-        right = TPRelation.from_rows(Schema.of("Name"), [("Ann", "e2", 3, 5, 0.6)])
-        result = difference(left, right).with_probabilities()
-        rows = {(t.interval, str(t.lineage)) for t in result}
-        assert (Interval(1, 3), "e1") in rows
-        assert (Interval(5, 8), "e1") in rows
-        assert (Interval(3, 5), "e1 ∧ ¬e2") in rows
-
-    def test_difference_requires_same_schema(self, bookings):
-        other = TPRelation.from_rows(Schema.of("X"), [("x", "u1", 1, 2, 0.5)])
-        with pytest.raises(ValueError):
-            difference(bookings, other)
 
 
 class TestRename:

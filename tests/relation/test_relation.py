@@ -6,7 +6,6 @@ import pytest
 
 from repro.lineage import EventSpace, Var, lineage_and
 from repro.relation import ConstraintViolation, Schema, SchemaError, TPRelation, TPTuple
-from repro.relation.relation import fresh_event_names
 from repro.temporal import Interval
 
 
@@ -74,16 +73,6 @@ class TestConstraint:
         with pytest.raises(ConstraintViolation):
             relation.check_duplicate_free()
 
-    def test_validate_lineages(self, booking_a):
-        booking_a.validate_lineages()
-        bad = booking_a.derived(
-            booking_a.schema,
-            [TPTuple(("X", "Y"), Var("unknown"), Interval(1, 2))],
-        )
-        with pytest.raises(KeyError):
-            bad.validate_lineages()
-
-
 class TestAccessors:
     def test_attribute_values(self, booking_a):
         assert booking_a.attribute_values("Loc") == ["ZAK", "WEN"]
@@ -117,26 +106,12 @@ class TestDerivation:
         assert len(only_ann) == 1
         assert only_ann.tuples[0].fact[0] == "Ann"
 
-    def test_sorted_by_interval(self, booking_a):
-        relation = TPRelation.from_rows(
-            Schema.of("Name"),
-            [("B", "x1", 5, 9, 0.5), ("A", "x2", 1, 3, 0.5)],
-        )
-        ordered = relation.sorted_by_interval()
-        assert [t.start for t in ordered] == [1, 5]
-
     def test_head(self, booking_a):
         assert len(booking_a.head(1)) == 1
         assert booking_a.head(10).tuples == booking_a.tuples
 
-    def test_to_rows_and_pretty(self, booking_a):
-        rows = booking_a.to_rows()
-        assert rows[0][:2] == ("Ann", "ZAK")
+    def test_pretty(self, booking_a):
         text = booking_a.pretty()
         assert "Name" in text and "Ann" in text
         truncated = booking_a.pretty(max_rows=1)
         assert "more" in truncated
-
-
-def test_fresh_event_names():
-    assert fresh_event_names("a", 3) == ["a1", "a2", "a3"]

@@ -59,17 +59,6 @@ class TestDerivation:
         with pytest.raises(UnknownAttributeError):
             Schema.of("A").rename({"Z": "X"})
 
-    def test_prefixed(self):
-        assert Schema.of("A", "B").prefixed("r").attributes == ("r.A", "r.B")
-
-    def test_concat(self):
-        combined = Schema.of("A").concat(Schema.of("B", "C"))
-        assert combined.attributes == ("A", "B", "C")
-
-    def test_concat_clash(self):
-        with pytest.raises(SchemaError):
-            Schema.of("A").concat(Schema.of("A"))
-
     def test_validate_fact(self):
         schema = Schema.of("A", "B")
         schema.validate_fact(("x", "y"))

@@ -74,7 +74,7 @@ def test_refine_replaces_the_tuple_under_the_same_identity():
     cache.apply(Revision(RevisionKind.REFINE, refined))
     assert cache.snapshot() == [refined]
     assert cache.snapshot()[0].probability == 0.75
-    assert cache.provisional_count() == 0
+    assert cache.snapshot(settled_only=True) == [refined]
     # Same fact and lineage over another interval is another tuple.
     cache.apply(Revision(RevisionKind.EMIT, output_tuple(1, start=5)))
     assert len(cache) == 2

@@ -45,7 +45,9 @@ def wait_for_operators(service, name, count, timeout=5.0) -> list:
     # start-up probes have reported every partition's operator instance.
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        operators = service.operators_of(name)
+        record = service.lookup(name)
+        group = record.group
+        operators = list(group.operators.get(record.sink_canonical, ())) if group else []
         if len(operators) >= count:
             return operators
     raise AssertionError(f"probes never reported {count} operators for {name!r}")
@@ -142,7 +144,7 @@ def test_two_queries_sharing_a_subplan_execute_it_once():
     )
     service.register("q1", [shared_spec])
     service.register("q2", [NodeSpec("other_name", "left_outer", "a", "b", ON, partitions=partitions)])
-    assert service.shared_subplans() == {"j1"}
+    assert service._registry.shared_names() == {"j1"}
     one = service.subscribe("q1")
     two = service.subscribe("q2")
     gate.set()
@@ -171,7 +173,7 @@ def test_disjoint_queries_do_not_share_a_group():
     service = make_service()
     service.register("q1", [JOIN])
     service.register("q2", [NodeSpec("j2", "inner", "a", "c", ON)])
-    assert service.shared_subplans() == set()
+    assert service._registry.shared_names() == set()
     one = service.subscribe("q1")
     two = service.subscribe("q2")
     assert service.lookup("q1").group is not service.lookup("q2").group
@@ -276,10 +278,10 @@ def test_standing_queries_register_in_the_catalog_query_namespace():
     catalog = make_stream_catalog(seed=5)
     service = StandingQueryService(catalog)
     service.register("q1", [JOIN])
-    assert catalog.query_names() == ["q1"]
+    assert sorted(catalog._queries) == ["q1"]
     assert catalog.lookup_query("q1") is service.lookup("q1").query
     service.unregister("q1")
-    assert catalog.query_names() == []
+    assert sorted(catalog._queries) == []
     with pytest.raises(CatalogError, match="q1"):
         catalog.lookup_query("q1")
 
@@ -293,7 +295,7 @@ def test_a_standing_query_cannot_take_an_engine_query_name():
     service = StandingQueryService(catalog)
     with pytest.raises(CatalogError, match="q1"):
         service.register("q1", [JOIN])
-    assert service.names() == [] and len(service.subplans) == 0
+    assert service.names() == [] and len(service._registry) == 0
     assert catalog.lookup_query("q1") is engine_query
 
 

@@ -56,7 +56,7 @@ def test_late_events_are_evicted_and_counted():
 def test_exhaustion_closes_the_stream():
     elements = list(StreamSource(_tuples(("k", 0, 0, 1)), watermark_every=100))
     assert isinstance(elements[-1], Watermark)
-    assert elements[-1].closes
+    assert elements[-1].value == CLOSED
 
 
 def test_source_validates_configuration():

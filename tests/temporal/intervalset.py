@@ -1,18 +1,18 @@
-"""Sets of disjoint intervals.
+"""Sets of disjoint intervals: the coverage referee of the window tests.
 
 An :class:`IntervalSet` maintains a canonical (sorted, coalesced) collection
 of disjoint intervals.  The LAWAU algorithm conceptually computes, per input
 tuple of the positive relation, the complement of the union of its overlapping
 windows within the tuple's own interval — exactly the ``complement_within``
-operation provided here.  The window tests use the class as a referee for
-coverage.
+operation provided here.  No code under ``src/`` needs it; the window and
+interval tests check coverage with it.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from .interval import Interval
+from repro.temporal import Interval
 
 
 class IntervalSet:
@@ -105,7 +105,7 @@ class IntervalSet:
                     break
                 next_pieces: list[Interval] = []
                 for piece in pieces:
-                    next_pieces.extend(piece.difference(hole))
+                    next_pieces.extend(interval_difference(piece, hole))
                 pieces = next_pieces
             result.extend(pieces)
         return IntervalSet(result)
@@ -127,6 +127,20 @@ class IntervalSet:
     def overlaps(self, interval: Interval) -> bool:
         """Return ``True`` if any time point of ``interval`` is in the set."""
         return bool(self.intersect(IntervalSet([interval])))
+
+
+def interval_difference(interval: Interval, hole: Interval) -> list[Interval]:
+    """The parts of ``interval`` not covered by ``hole``: zero, one or two
+    intervals, ordered by start."""
+    overlap = interval.intersect(hole)
+    if overlap is None:
+        return [interval]
+    pieces: list[Interval] = []
+    if interval.start < overlap.start:
+        pieces.append(Interval(interval.start, overlap.start))
+    if overlap.end < interval.end:
+        pieces.append(Interval(overlap.end, interval.end))
+    return pieces
 
 
 def _coalesce(intervals: Iterable[Interval]) -> list[Interval]:

@@ -91,18 +91,6 @@ class TestCombination:
     def test_intersect_adjacent_is_none(self):
         assert Interval(2, 4).intersect(Interval(4, 8)) is None
 
-    def test_difference_no_overlap(self):
-        assert Interval(2, 4).difference(Interval(6, 8)) == [Interval(2, 4)]
-
-    def test_difference_hole_in_the_middle(self):
-        assert Interval(2, 10).difference(Interval(4, 6)) == [Interval(2, 4), Interval(6, 10)]
-
-    def test_difference_covering(self):
-        assert Interval(4, 6).difference(Interval(2, 10)) == []
-
-    def test_difference_prefix(self):
-        assert Interval(2, 8).difference(Interval(1, 5)) == [Interval(5, 8)]
-
     def test_split_at_points(self):
         pieces = Interval(2, 10).split_at_points([4, 7, 0, 12, 4])
         assert pieces == [Interval(2, 4), Interval(4, 7), Interval(7, 10)]

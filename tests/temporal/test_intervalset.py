@@ -1,8 +1,26 @@
-"""Tests for repro.temporal.intervalset."""
+"""Tests for the interval-set referee in ``tests/temporal/intervalset.py``."""
 
 from __future__ import annotations
 
-from repro.temporal import Interval, IntervalSet
+from repro.temporal import Interval
+from tests.temporal.intervalset import IntervalSet, interval_difference
+
+
+class TestIntervalDifference:
+    def test_no_overlap(self):
+        assert interval_difference(Interval(2, 4), Interval(6, 8)) == [Interval(2, 4)]
+
+    def test_hole_in_the_middle(self):
+        assert interval_difference(Interval(2, 10), Interval(4, 6)) == [
+            Interval(2, 4),
+            Interval(6, 10),
+        ]
+
+    def test_covering(self):
+        assert interval_difference(Interval(4, 6), Interval(2, 10)) == []
+
+    def test_prefix(self):
+        assert interval_difference(Interval(2, 8), Interval(1, 5)) == [Interval(5, 8)]
 
 
 class TestConstruction:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.temporal import (
     Interval,
-    Timeline,
     partition_by_validity,
     segments,
     segments_within,
@@ -39,29 +38,6 @@ class TestSegments:
         assert pieces[-1].end == frame.end
         for left, right in zip(pieces, pieces[1:]):
             assert left.end == right.start
-
-
-class TestTimeline:
-    def test_valid_at(self):
-        timeline = Timeline([(Interval(1, 4), "a"), (Interval(3, 6), "b")])
-        assert sorted(timeline.valid_at(3)) == ["a", "b"]
-        assert timeline.valid_at(5) == ["b"]
-        assert timeline.valid_at(0) == []
-        assert timeline.valid_at(6) == []
-
-    def test_overlapping_query(self):
-        timeline = Timeline([(Interval(1, 4), "a"), (Interval(5, 8), "b"), (Interval(7, 9), "c")])
-        assert sorted(timeline.overlapping(Interval(3, 6))) == ["a", "b"]
-        assert sorted(timeline.overlapping(Interval(0, 10))) == ["a", "b", "c"]
-        assert timeline.overlapping(Interval(4, 5)) == []
-
-    def test_change_points_within(self):
-        timeline = Timeline([(Interval(1, 4), "a"), (Interval(3, 6), "b")])
-        assert timeline.change_points_within(Interval(2, 10)) == [3, 4, 6]
-        assert timeline.change_points_within(Interval(0, 2)) == [1]
-
-    def test_len(self):
-        assert len(Timeline([(Interval(1, 2), "a")])) == 1
 
 
 class TestPartitionByValidity:

@@ -237,7 +237,6 @@ class TestRuntimeElements:
         assert StreamEvent(R) == StreamEvent(R, 0)
         assert Tagged("right", Watermark(1)) == Tagged("right", Watermark(1), None, None)
         assert Revision(RevisionKind.EMIT, R).provisional is False
-        assert Watermark(float("inf")).closes and not Watermark(3).closes
 
     def test_replace_takes_any_field_by_keyword(self):
         tagged = VALUES["tagged"]
