@@ -10,7 +10,7 @@ from repro.datasets import (
     meteo_pair,
     stream_def,
 )
-from repro.stream import StreamEvent
+from repro.stream import CLOSED, StreamEvent, Watermark
 
 
 def test_zero_disorder_replays_in_event_time_order():
@@ -47,7 +47,7 @@ def test_arrival_order_is_deterministic_per_seed():
     assert first != other
 
 
-def test_replay_with_matched_lateness_evicts_nothing():
+def test_replay_source_with_matched_lateness_evicts_nothing():
     relation, _ = meteo_pair(250, seed=2)
     source = stream_def(relation, ReplayConfig(disorder=12, seed=6)).replay()
     events = [e for e in source if isinstance(e, StreamEvent)]
@@ -63,6 +63,15 @@ def test_stream_def_replay_is_repeatable():
     assert first == second
     assert definition.name == "m"
     assert definition.schema == relation.schema
+
+
+def test_replay_interleaves_watermarks_and_ends_closed():
+    relation, _ = meteo_pair(60, seed=4)
+    elements = list(stream_def(relation, ReplayConfig(disorder=5, seed=11)).replay())
+    watermarks = [e.value for e in elements if isinstance(e, Watermark)]
+    assert len(watermarks) > 1
+    assert watermarks == sorted(watermarks)
+    assert isinstance(elements[-1], Watermark) and elements[-1].value == CLOSED
 
 
 def test_negative_disorder_rejected():

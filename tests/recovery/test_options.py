@@ -64,6 +64,8 @@ NON_COUNT_KNOBS = {
         "micro_batch_size",
     ),
     "restart_limit=1.0": (lambda: ExecutionOptions(restart_limit=1.0), "restart_limit"),
+    "micro_batch_size=True": (lambda: ExecutionOptions(micro_batch_size=True), "micro_batch_size"),
+    "restart_limit=True": (lambda: ExecutionOptions(restart_limit=True), "restart_limit"),
     "metrics_interval=-1": (lambda: ExecutionOptions(metrics_interval=-1), "metrics_interval"),
     "metrics_interval=0": (lambda: ExecutionOptions(metrics_interval=0), "metrics_interval"),
     "NodeSpec.partitions=1.5": (lambda: _graph_with_partitions(1.5), "partitions"),
@@ -77,6 +79,14 @@ def test_non_integer_or_non_positive_knobs_fail_naming_the_field(build, field):
     construction with the field's name, not deep inside a run."""
     with pytest.raises(ValueError, match=field):
         build()
+
+
+def test_integer_counts_and_a_fractional_interval_are_accepted():
+    options = ExecutionOptions(
+        partitions=2, micro_batch_size=3, restart_limit=0, metrics_interval=0.25
+    )
+    assert (options.partitions, options.micro_batch_size, options.restart_limit) == (2, 3, 0)
+    assert _graph_with_partitions(2).nodes[0].partitions == 2
 
 
 def test_recovery_requires_sockets_and_a_restart_budget():

@@ -73,6 +73,18 @@ class TestConstraint:
         with pytest.raises(ConstraintViolation):
             relation.check_duplicate_free()
 
+    def test_validate_lineages(self, booking_a):
+        for tp_tuple in booking_a:
+            booking_a.events.validate_lineage(tp_tuple.lineage)
+        bad = booking_a.derived(
+            booking_a.schema,
+            [TPTuple(("X", "Y"), Var("unknown"), Interval(1, 2))],
+        )
+        with pytest.raises(KeyError):
+            for tp_tuple in bad:
+                bad.events.validate_lineage(tp_tuple.lineage)
+
+
 class TestAccessors:
     def test_attribute_values(self, booking_a):
         assert booking_a.attribute_values("Loc") == ["ZAK", "WEN"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.dataflow import DataflowGraph, NodeSpec
 from repro.serve import SubplanRegistry, graph_structural_keys
 
@@ -43,6 +45,15 @@ def test_structural_key_distinguishes_kind_theta_partitions():
         NodeSpec("j", "inner", "a", "b", ON, partitions=2),
     ):
         assert structural_key(graph_of(catalog, variant), "j") != base
+
+
+def test_structural_key_of_sources_and_unknown_names():
+    catalog = make_stream_catalog(seed=3)
+    graph = graph_of(catalog, NodeSpec("j", "inner", "a", "b", ON))
+    assert structural_key(graph, "j")[2:4] == (("stream", "a"), ("stream", "b"))
+    assert set(graph_structural_keys(graph)) == {"j"}  # sources key only inside nodes
+    with pytest.raises(KeyError):
+        structural_key(graph, "nope")
 
 
 def test_chained_keys_embed_producer_keys():

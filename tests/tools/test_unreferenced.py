@@ -1,16 +1,21 @@
 """``tools/unreferenced.py``: the scan that keeps unused definitions out of ``src/``.
 
 On a small planted tree, a public definition nothing uses is reported, and
-one that code uses (by name, attribute, import or identifier string) or the
-allow-list keeps is not; a package's re-exports, ``__all__`` entries and
-tests are no use.  A stale or unreasoned allow-list entry fails the run, and
-the repository itself reports nothing.
+one that code in any scanned tree uses (by name, attribute, import or
+identifier string) or the allow-list keeps is not; a package's re-exports,
+``__all__`` entries, docstrings and tests are no use.  A stale or unreasoned
+allow-list entry fails the run, and the repository itself reports nothing,
+called as a function and from the command line.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
 TOOL = ROOT / "tools" / "unreferenced.py"
@@ -94,6 +99,28 @@ def test_reports_exactly_the_unused_public_definitions(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("tree", ["src", "benchmarks", "examples", "tools"])
+def test_a_use_in_each_scanned_tree_counts(tmp_path, tree):
+    root = plant(tmp_path)
+    (root / tree).mkdir(exist_ok=True)
+    (root / tree / "user.py").write_text("from repro import core\n\ncore.planted()\n")
+    assert "repro.core:planted" not in load_tool().unreferenced(root)
+
+
+def test_a_from_import_outside_a_package_init_is_a_use(tmp_path):
+    root = plant(tmp_path)
+    (root / "examples" / "importer.py").write_text("from repro.core import reexported_only\n")
+    assert "repro.core:reexported_only" not in load_tool().unreferenced(root)
+
+
+def test_a_docstring_or_all_entry_is_no_use(tmp_path):
+    root = plant(tmp_path)
+    (root / "examples" / "mentions.py").write_text(
+        '"""planted"""\n\n__all__ = ["planted"]\n\n\ndef f():\n    """planted"""\n'
+    )
+    assert "repro.core:planted" in load_tool().unreferenced(root)
+
+
 def test_allow_listed_definitions_pass_and_the_rest_fail(tmp_path, capsys, monkeypatch):
     tool = load_tool()
     root = plant(tmp_path)
@@ -126,3 +153,11 @@ def test_the_repository_reports_nothing(capsys):
     tool = load_tool()
     assert tool.main([str(ROOT)]) == 0, capsys.readouterr().out
     assert set(tool.ALLOWED.values()) <= set(tool.REASONS)
+
+
+def test_the_command_line_checks_its_own_repository():
+    run = subprocess.run(
+        [sys.executable, str(TOOL)], capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.startswith("0 problem(s);")
