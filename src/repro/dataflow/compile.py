@@ -77,8 +77,8 @@ class DataflowNodeSpec:
     an event space from it.
 
     ``tap`` / ``probe`` are optional in-process observation hooks (the
-    serving layer's seam): ``tap(channel_id, element)`` is called with every
-    output element the worker dispatches, ``probe(channel_id, join)`` with
+    serving layer's seam): ``tap(channel_id, elements)`` is called with every
+    non-empty output list the worker dispatches, ``probe(channel_id, join)`` with
     the operator instance right after construction.  Both are callables, so
     a spec carrying them cannot cross a process/socket boundary — the graph
     driver rejects that combination before starting any worker.

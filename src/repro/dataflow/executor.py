@@ -113,9 +113,10 @@ def run_graph(
     stats).  ``config`` is the run's :class:`repro.ExecutionOptions`.
 
     ``taps`` / ``probes`` map node names to observation callables — the
-    serving layer's seam: a tap sees every output element of the node's
-    partitions live (``tap(channel_id, element)``), a probe sees each
-    operator instance at worker start-up (``probe(channel_id, join)``).
+    serving layer's seam: a tap sees every output list of the node's
+    partitions live (``tap(channel_id, elements)``, one call per non-empty
+    dispatched list), a probe sees each operator instance at worker
+    start-up (``probe(channel_id, join)``).
     Callables cannot cross a process/socket boundary, so both require an
     in-process transport (``inline`` / ``threads``).
 

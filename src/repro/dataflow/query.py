@@ -274,9 +274,9 @@ class DataflowQuery(QueryTelemetry):
         cancel = threading.Event()
         failures: List[BaseException] = []
 
-        def tap(channel_id, element) -> None:
+        def tap(channel_id, elements) -> None:
             try:
-                channel.put((channel_id, element))
+                channel.put_all([(channel_id, element) for element in elements])
             except ChannelClosed:
                 # The consumer abandoned the iterator; stop the run instead
                 # of failing the worker.

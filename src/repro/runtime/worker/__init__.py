@@ -190,7 +190,7 @@ class Worker:
         #: (thread/socket inboxes); sampled into inbox_* gauges.
         self.inbox_channel = None
         # Optional in-process observation hooks (the serving layer's seam):
-        # ``tap(channel_id, element)`` sees every output element live,
+        # ``tap(channel_id, elements)`` sees every non-empty output list live,
         # ``probe(channel_id, join)`` sees the operator instance at start-up.
         # Both are callables and therefore only usable on in-process
         # transports.
@@ -361,9 +361,8 @@ class Worker:
         source→sink — and untraced ones return at once.
         """
         self.emitted += len(elements)
-        if self._tap is not None:
-            for element in elements:
-                self._tap(self.spec.channel_id, element)
+        if self._tap is not None and elements:
+            self._tap(self.spec.channel_id, elements)
         trace = self._active_trace
         if trace is None and not self.spec.downstream:
             return

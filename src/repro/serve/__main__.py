@@ -106,6 +106,7 @@ def _render_prometheus(service: StandingQueryService) -> str:
                     f"hub_{key}": hub[key]
                     for key in (
                         "published",
+                        "publish_batches",
                         "dropped_provisional",
                         "publish_blocks",
                         "disconnects",

@@ -33,12 +33,17 @@ already holds** past the cursor (:meth:`FanoutHub.read_batch`; ``read`` is a
 batch of one): a reader that found the ring empty either blocks on the hub
 condition or arms a one-shot *waker* callback that the next ``publish`` /
 ``close`` / disconnect / detach fires — the bridge event loops use instead of
-parking a thread per subscriber.  Publishing and cache maintenance happen
-under one lock —
-``publish(element, update=cache.apply)`` applies the cache update and the
-ring append atomically, and ``attach(snapshot_fn)`` takes its snapshot
-under the same lock, which is what makes a late joiner's snapshot + tail
-exactly equal to a from-start subscriber's accumulated state.
+parking a thread per subscriber.
+
+The unit of publication is a batch too: ``publish_all(elements,
+update=cache.apply)`` carries a worker's whole dispatched output list in
+under one lock acquisition and one wake-up (``publish`` is a batch of one),
+yet keeps per-element semantics — the cache update and the ring append of
+each element are atomic together, the policy decides per element, and
+readers are woken before the publisher parks on a full ring.
+``attach(snapshot_fn)`` takes its snapshot under the same lock, which is
+what makes a late joiner's snapshot + tail exactly equal to a from-start
+subscriber's accumulated state.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import time
 from bisect import bisect_left
 from collections import deque
 from operator import itemgetter
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..dataflow.revision import Revision
 from ..stream.elements import Watermark
@@ -218,6 +223,7 @@ class FanoutHub:
         self._closed = False
         # Statistics, all guarded by the condition's lock.
         self.published = 0
+        self.publish_batches = 0  # publish_all calls that appended anything
         self.dropped_provisional = 0
         self.publish_blocks = 0
         self.disconnects = 0
@@ -268,7 +274,9 @@ class FanoutHub:
 
         ``elements_read / read_batches`` is the mean delivery batch: near 1
         the hub is ping-ponging with its readers, near ``DELIVERY_BATCH``
-        the readers are the bottleneck.  Given an ``owner``, the subscriber
+        the readers are the bottleneck.  ``published / publish_batches`` is
+        the mean publish batch beside it: how many elements one hub lock
+        carried in.  Given an ``owner``, the subscriber
         and read figures count only the subscribers it attached; the
         publish-side and ring figures are the hub's either way.
         """
@@ -280,6 +288,7 @@ class FanoutHub:
                 reads = self._reads.get(owner, [0, 0])
             return {
                 "published": self.published,
+                "publish_batches": self.publish_batches,
                 "dropped_provisional": self.dropped_provisional,
                 "publish_blocks": self.publish_blocks,
                 "disconnects": self.disconnects,
@@ -438,62 +447,51 @@ class FanoutHub:
     # publisher side
     # ------------------------------------------------------------------ #
     def publish(self, item: Any, update: Optional[Callable[[Any], None]] = None) -> bool:
-        """Deliver one element to every subscriber.
+        """Deliver one element: a :meth:`publish_all` of one.
 
-        ``update`` (the materialized-cache maintenance hook) runs under the
-        hub lock for **every** element — including ones a policy drops or
-        that no subscriber will read — immediately before the ring append,
-        so an ``attach`` snapshot can never observe cache and ring out of
-        step.  Returns whether the element entered the ring.
+        Returns whether the element entered the ring.
         """
+        return self.publish_all((item,), update) == 1
+
+    def publish_all(
+        self, items: Sequence[Any], update: Optional[Callable[[Any], None]] = None
+    ) -> int:
+        """Deliver a batch of elements to every subscriber, in order.
+
+        One lock acquisition and one wake-up for the batch, with the
+        per-element semantics of single publishes: ``update`` (the
+        materialized-cache maintenance hook) runs under the hub lock for
+        **every** element — including ones a policy drops or that no
+        subscriber will read — immediately before that element's ring
+        append, so an ``attach`` snapshot can never observe cache and ring
+        out of step; the policy decides per element when the ring is full,
+        and the trace sampler sees each appended element.  Readers are woken
+        before the publisher parks on a full ring, so a batch larger than
+        the free space drains as it goes.  Returns how many elements
+        entered the ring.
+        """
+        ring = self._ring
+        capacity = self._capacity
+        entered = 0
         with self._cond:
-            while True:
-                if self._closed:
-                    return False
-                if not self._live:
-                    # Nobody is reading: maintain the cache (late joiners
-                    # recover through snapshots); the ring is already empty.
-                    if update is not None:
-                        update(item)
-                    return False
-                if len(self._ring) < self._capacity:
-                    break
-                if self._policy == "drop_provisional":
-                    if self._evict_droppable():
+            for item in items:
+                if self._closed or not self._live or len(ring) >= capacity:
+                    if not self._admit(item, update):
                         continue
-                    if droppable(item):
-                        if update is not None:
-                            update(item)
-                        self.dropped_provisional += 1
-                        return False
-                    self.publish_blocks += 1
-                    self._wait()
-                elif self._policy == "disconnect":
-                    self._disconnect_slowest()
-                else:  # block
-                    self.publish_blocks += 1
-                    self._wait()
-            if update is not None:
-                update(item)
-            self._ring.append([self._next_seq, item, None])
-            self._next_seq += 1
-            self.published += 1
-            if self._sampler is not None:
-                trace_id = self._sampler.sample()
-                if trace_id is not None:
-                    sequence = self._next_seq - 1
-                    now = time.perf_counter()
-                    span = self._tracer.record(
-                        "hub_publish", trace_id, None, now, now,
-                        seq=sequence, ring=len(self._ring),
-                    )
-                    self._traced[sequence] = (trace_id, span)
-                    while len(self._traced) > _TRACED_SEQ_LIMIT:
-                        del self._traced[next(iter(self._traced))]
-            if len(self._ring) > self.max_ring:
-                self.max_ring = len(self._ring)
-            self._wake()
-            return True
+                if update is not None:
+                    update(item)
+                ring.append([self._next_seq, item, None])
+                self._next_seq += 1
+                self.published += 1
+                entered += 1
+                if self._sampler is not None:
+                    self._trace_publish()
+                if len(ring) > self.max_ring:
+                    self.max_ring = len(ring)
+            if entered:
+                self.publish_batches += 1
+                self._wake()
+        return entered
 
     def close(self) -> None:
         """No further elements; readers drain the ring then see the end.
@@ -514,6 +512,54 @@ class FanoutHub:
             self._cond.wait(timeout)
         finally:
             self._waiting -= 1
+
+    def _admit(self, item: Any, update: Optional[Callable[[Any], None]]) -> bool:
+        """Make ring room for ``item`` under the policy, or settle it.
+
+        ``True`` when the caller should append it.  ``False`` when it must
+        not enter the ring: the hub is closed, or nobody is reading (the
+        cache still gets ``update``; late joiners recover through
+        snapshots), or ``drop_provisional`` discarded it (cache updated).
+        """
+        while True:
+            if self._closed:
+                return False
+            if not self._live:
+                if update is not None:
+                    update(item)
+                return False
+            if len(self._ring) < self._capacity:
+                return True
+            if self._policy == "drop_provisional":
+                if self._evict_droppable():
+                    continue
+                if droppable(item):
+                    if update is not None:
+                        update(item)
+                    self.dropped_provisional += 1
+                    return False
+            elif self._policy == "disconnect":
+                self._disconnect_slowest()
+                continue
+            self.publish_blocks += 1
+            # Whatever this batch already appended must reach its readers,
+            # or a full ring would wait on readers nobody woke.
+            self._wake()
+            self._wait()
+
+    def _trace_publish(self) -> None:
+        """Offer the element just appended to the sampler."""
+        trace_id = self._sampler.sample()
+        if trace_id is None:
+            return
+        sequence = self._next_seq - 1
+        now = time.perf_counter()
+        span = self._tracer.record(
+            "hub_publish", trace_id, None, now, now, seq=sequence, ring=len(self._ring)
+        )
+        self._traced[sequence] = (trace_id, span)
+        while len(self._traced) > _TRACED_SEQ_LIMIT:
+            del self._traced[next(iter(self._traced))]
 
     def _wake(self) -> None:
         """Something changed: notify parked threads, fire armed wakers.

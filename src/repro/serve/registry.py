@@ -22,11 +22,13 @@ first), and **detach**; the service owns everything in between:
   :class:`~repro.serve.hub.FanoutHub` and one
   :class:`~repro.serve.cache.ResultCache`, shared by every member query
   whose sink it is; the group taps each sink node, min-merges its
-  per-partition watermarks, and publishes every element once, with the
-  cache update applied atomically.  A published element therefore costs one
-  publish, one cache update and (over TCP) one encoding per sink, however
-  many queries and subscribers read it; :meth:`StandingQueryService.stats`
-  and :meth:`~StandingQueryService.metrics` still report per query, each
+  per-partition watermarks, and publishes each dispatched output list as
+  one batch — one hub lock per batch, the cache update applied atomically
+  with each element's append.  A published element therefore costs a share
+  of one hub lock, one cache update and (over TCP) one encoding per sink,
+  however many queries and subscribers read it;
+  :meth:`StandingQueryService.stats` and
+  :meth:`~StandingQueryService.metrics` still report per query, each
   query's subscribers attaching under its name.
 
 Execution uses the in-process transports (taps are callables).  Unless the
@@ -125,10 +127,6 @@ class PlanGroup:
         self.finished = threading.Event()
         self.failure: Optional[BaseException] = None
         self.subscribers = 0
-        #: Canonical node name → operator instances (one per partition),
-        #: collected by start-up probes; the sharing assertions read this.
-        self.operators: Dict[str, List] = {}
-        self._operators_lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
         self._linger_timer: Optional[threading.Timer] = None
 
@@ -161,12 +159,11 @@ class PlanGroup:
         return Tracer(f"hub/{'+'.join(readers)}"), sampler
 
     def start(self) -> None:
-        """Tap every member sink, probe every node, run in a daemon thread."""
+        """Tap every member sink and run in a daemon thread."""
         taps = {sink: self._make_tap(sink, *pair) for sink, pair in self.sinks.items()}
-        probes = {name: self._make_probe(name) for name in self.graph.node_names}
         self._thread = threading.Thread(
             target=self._run,
-            args=(taps, probes),
+            args=(taps,),
             name=f"serve-group-{'+'.join(self.names)}",
             daemon=True,
         )
@@ -175,31 +172,28 @@ class PlanGroup:
     def _make_tap(self, sink: str, hub: FanoutHub, cache: ResultCache):
         # One watermark tracker per tapped node: per-partition sink
         # watermarks min-merge into the node's true output frontier before
-        # fan-out.
+        # fan-out.  Each dispatched output list is published as one batch.
         tracker = output_watermarks(self.graph, sink)
         tracker_lock = threading.Lock()
-        publish = hub.publish
+        publish_all = hub.publish_all
         update = cache.apply
 
-        def tap(channel_id, element) -> None:
-            if isinstance(element, Watermark):
-                with tracker_lock:
-                    merged = tracker.update(channel_id, element.value)
-                if merged is None:
-                    return
-                element = Watermark(merged)
-            publish(element, update)
+        def tap(channel_id, elements) -> None:
+            batch = []
+            for element in elements:
+                if isinstance(element, Watermark):
+                    with tracker_lock:
+                        merged = tracker.update(channel_id, element.value)
+                    if merged is None:
+                        continue
+                    element = Watermark(merged)
+                batch.append(element)
+            if batch:
+                publish_all(batch, update)
 
         return tap
 
-    def _make_probe(self, name: str):
-        def probe(_channel_id, join) -> None:
-            with self._operators_lock:
-                self.operators.setdefault(name, []).append(join)
-
-        return probe
-
-    def _run(self, taps, probes) -> None:
+    def _run(self, taps) -> None:
         try:
             run_graph(
                 self.graph,
@@ -207,7 +201,6 @@ class PlanGroup:
                 self.merge_seed,
                 transport=self.transport,
                 taps=taps,
-                probes=probes,
                 cancel=self.cancel,
                 collector=self.collector,
                 trace_collector=self.trace_collector,

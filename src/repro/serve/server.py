@@ -41,7 +41,9 @@ slow client's cursor lag and the hub's policy fire.  An element is encoded
 once per hub, not once per pump: the first pump to reach a ring entry
 stores its line body (:func:`element_body`, everything but the closing
 ``, "name": …}``) on the entry, and every pump appends its own name suffix
-to the shared bytes.  When the ring is empty the read arms a one-shot waker
+to the shared bytes.  Bodies are encoded through one C encoder built at
+import — the one ``json.dumps`` would build per call, so the bytes are the
+same.  When the ring is empty the read arms a one-shot waker
 under the hub lock, and the next ``publish``/``close``/detach schedules the
 pump again through ``loop.call_soon_threadsafe``; no pool thread is parked
 per subscriber.
@@ -58,6 +60,7 @@ import json
 import logging
 import socket
 from collections import deque
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence
 
 from ..dataflow.graph import NodeSpec
@@ -124,6 +127,15 @@ _REVISION_OPENINGS = {
 
 _KINDS = {kind.value: kind for kind in RevisionKind}
 
+#: The C encoder ``json.dumps`` builds afresh on every call — ASCII
+#: escaping, ``", "`` / ``": "`` separators, ``Infinity`` allowed — built
+#: once.  Tuple codes and watermark values hold no containers that could
+#: form a cycle, so it skips the circular-reference bookkeeping.
+_ENCODER = c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None,
+    ": ", ", ", False, False, True,
+)
+
 
 def element_body(element: Any) -> bytes:
     """``json.dumps(element_payload(element))`` without its closing ``}``.
@@ -134,9 +146,9 @@ def element_body(element: Any) -> bytes:
     """
     if isinstance(element, Revision):
         opening = _REVISION_OPENINGS[element.kind, element.provisional]
-        return (opening + json.dumps(encode_tuple(element.tuple))).encode()
+        return (opening + "".join(_ENCODER(encode_tuple(element.tuple), 0))).encode()
     if isinstance(element, Watermark):
-        return ('{"type": "watermark", "value": ' + json.dumps(element.value)).encode()
+        return ('{"type": "watermark", "value": ' + "".join(_ENCODER(element.value, 0))).encode()
     raise TypeError(f"cannot encode hub element {element!r}")
 
 

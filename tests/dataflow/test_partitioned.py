@@ -88,7 +88,7 @@ def test_routing_is_stable_and_key_consistent(stream_catalog_factory):
         graph,
         ExecutionOptions(early_emit=True),
         merge_seed=3,
-        taps={"n1": lambda _channel, element: published.append(element)},
+        taps={"n1": lambda _channel, elements: published.extend(elements)},
         probes={"n2": lambda channel, join: consumers.__setitem__(channel[2], join)},
     )
     adds, retracts = [0, 0, 0], [0, 0, 0]
@@ -118,14 +118,15 @@ def test_a_tap_reads_the_stage_watermark_as_the_min_over_partitions(
     merged: list = []
     behind = []
 
-    def tap(channel, element) -> None:
-        if isinstance(element, Watermark):
-            latest[channel[2]] = element.value
-            stage = tracker.update(channel, element.value)
-            if stage is not None:
-                assert stage == min(latest.values())
-                merged.append(stage)
-                behind.append(stage < max(latest.values()))
+    def tap(channel, elements) -> None:
+        for element in elements:
+            if isinstance(element, Watermark):
+                latest[channel[2]] = element.value
+                stage = tracker.update(channel, element.value)
+                if stage is not None:
+                    assert stage == min(latest.values())
+                    merged.append(stage)
+                    behind.append(stage < max(latest.values()))
 
     run_graph(graph, ExecutionOptions(), merge_seed=1, taps={"n": tap})
     assert merged == sorted(set(merged)) and merged[-1] == math.inf

@@ -55,7 +55,7 @@ def graph_for(sink_partitions: int, seed: int = 31) -> DataflowGraph:
     return DataflowGraph(catalog, tree(sink_partitions))
 
 
-def ignore(_channel_id, _element) -> None:
+def ignore(_channel_id, _elements) -> None:
     """A tap that reads nothing, but makes the node a read one."""
 
 

@@ -175,9 +175,10 @@ def test_taps_coexist_with_metrics_and_read_them_live():
     tapped = []
     live_readings = []
 
-    def tap(_channel_id, element) -> None:
-        tapped.append(element)
-        if len(tapped) == 1:
+    def tap(_channel_id, elements) -> None:
+        first = not tapped
+        tapped.extend(elements)
+        if first:
             aggregator = collector.aggregate()
             if aggregator is not None:
                 live_readings.append(aggregator.totals())

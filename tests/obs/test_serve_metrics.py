@@ -119,6 +119,8 @@ def test_stats_verb_returns_serving_and_worker_telemetry(serving):
     # One subscriber read everything, in no more batches than elements.
     assert telemetry["hub"]["elements_read"] == query_stats["published"]
     assert 0 < telemetry["hub"]["read_batches"] <= telemetry["hub"]["elements_read"]
+    # Each dispatched output list entered the hub as one batch.
+    assert 0 < telemetry["hub"]["publish_batches"] <= telemetry["hub"]["published"]
     # The plan group ran with metrics on: worker totals came home.
     assert telemetry["workers"] is not None
     totals = telemetry["workers"]["totals"]
@@ -150,6 +152,11 @@ def test_prometheus_rendering_covers_hubs_and_workers(serving):
     text = _render_prometheus(serving.service)
     assert "# TYPE repro_hub_published_total counter" in text
     assert "# TYPE repro_hub_read_batches_total counter" in text
+    assert "# TYPE repro_hub_publish_batches_total counter" in text
+    batches = serving.service.metrics()["q1"]["hub"]["publish_batches"]
+    assert batches > 0
+    labels = 'component="hub",query="q1",worker="hub/q1"'
+    assert f"repro_hub_publish_batches_total{{{labels}}} {batches}" in text
     assert "# TYPE repro_hub_elements_read_total counter" in text
     assert 'query="q1"' in text
     assert "# TYPE repro_elements_routed_total counter" in text

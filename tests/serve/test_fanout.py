@@ -1,4 +1,5 @@
-"""Fan-out contract: one publish, one cache update, one encoding per element.
+"""Fan-out contract: one publish per dispatched batch, one cache update and
+one encoding per element.
 
 Standing queries whose sinks are the same canonical node share one hub and
 one cache, and an element's NDJSON body is encoded once per hub however many
@@ -14,13 +15,18 @@ import threading
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ExecutionOptions
 from repro.dataflow import NodeSpec
 from repro.dataflow.revision import Revision, RevisionKind
+from repro.lineage import FALSE, TRUE, And, Not, Or, Var
+from repro.relation import TPTuple
+from repro.runtime.worker import Worker
 from repro.serve import FanoutHub, ResultCache, ServeClient, StandingQueryService
 from repro.serve import server as server_module
-from repro.serve.server import element_body, element_payload
+from repro.serve.server import element_body, element_from_payload, element_payload
 from repro.stream.elements import Watermark
 
 from tests.serve.conftest import hosted, make_gated_catalog
@@ -71,6 +77,17 @@ def test_one_publish_one_apply_one_encode_per_element(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(FanoutHub, "publish", counted("publish", FanoutHub.publish))
+    monkeypatch.setattr(
+        FanoutHub, "publish_all", counted("publish_all", FanoutHub.publish_all)
+    )
+    dispatch = Worker._dispatch
+
+    def dispatched(self, elements):
+        if elements and self._tap is not None:
+            counts["dispatch"] += 1
+        return dispatch(self, elements)
+
+    monkeypatch.setattr(Worker, "_dispatch", dispatched)
     monkeypatch.setattr(ResultCache, "apply", counted("apply", ResultCache.apply))
     monkeypatch.setattr(
         server_module, "element_body", counted("encode", server_module.element_body)
@@ -99,13 +116,20 @@ def test_one_publish_one_apply_one_encode_per_element(monkeypatch):
         assert service.lookup("q0").hub is service.lookup("q1").hub
         assert service.lookup("q0").cache is service.lookup("q1").cache
         stats = service.stats()
+        hub_metrics = service.lookup("q0").hub.metrics()
     published = len(received[0])
     assert published > 0 and len(received[1]) == published
     assert [dict(m, name=None) for m in received[0]] == [
         dict(m, name=None) for m in received[1]
     ]
     assert stats["q0"]["published"] == stats["q1"]["published"] == published
-    assert counts == {"publish": published, "apply": published, "encode": published}
+    # At most one hub call per dispatched output list (a list holding only
+    # a watermark the min-merge swallows makes none), each a whole batch;
+    # the serve path makes no single-element publish.
+    batches = counts.pop("publish_all")
+    assert 0 < batches <= counts.pop("dispatch")
+    assert batches == hub_metrics["publish_batches"] < published
+    assert counts == {"apply": published, "encode": published}
 
 
 @pytest.mark.parametrize(
@@ -162,6 +186,56 @@ def test_element_body_plus_name_suffix_is_the_payload_line(kind, provisional):
             assert element_body(element) + suffix == json.dumps(
                 {**element_payload(element), "name": name}
             ).encode()
+
+
+TRICKY_TEXT = ('"', "\\", "\n", "\x00", "\x1f", "é", "☃", "𝄞", 'a "q" \\ b')
+texts = st.one_of(st.text(max_size=8), st.sampled_from(TRICKY_TEXT))
+fact_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.sampled_from((-0.0, 0.1, 1e300, -1e-300)),
+    texts,
+)
+lineages = st.recursive(
+    st.one_of(st.builds(Var, st.text(min_size=1, max_size=6)), st.just(TRUE), st.just(FALSE)),
+    lambda children: st.one_of(
+        st.builds(Not, children),
+        st.builds(And, st.lists(children, min_size=2, max_size=3).map(tuple)),
+        st.builds(Or, st.lists(children, min_size=2, max_size=3).map(tuple)),
+    ),
+    max_leaves=8,
+)
+tp_tuples = st.builds(
+    lambda fact, lineage, start, width, probability: TPTuple.from_bounds(
+        fact, lineage, start, start + width, probability
+    ),
+    st.lists(fact_values, min_size=1, max_size=4).map(tuple),
+    lineages,
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.integers(min_value=1, max_value=2**20),
+    st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+)
+hub_elements = st.one_of(
+    st.builds(Revision, st.sampled_from(tuple(RevisionKind)), tp_tuples, st.booleans()),
+    st.builds(
+        Watermark,
+        st.one_of(
+            st.integers(),
+            st.floats(allow_nan=False),
+            st.sampled_from((float("inf"), float("-inf"), -0.0)),
+        ),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hub_elements, texts)
+def test_every_element_shape_encodes_to_the_payload_line_and_decodes_back(element, name):
+    line = element_body(element) + f', "name": {json.dumps(name)}}}'.encode()
+    assert line == json.dumps({**element_payload(element), "name": name}).encode()
+    assert element_from_payload(json.loads(line)) == element
 
 
 def test_traced_queries_share_one_hub_and_report_per_query():

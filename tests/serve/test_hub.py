@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import sys
 import threading
+import time
 
 import pytest
 
@@ -93,8 +94,6 @@ def test_detached_subscriber_releases_its_entries():
 
 
 def test_block_policy_backpressures_and_loses_nothing():
-    import time
-
     hub = FanoutHub(capacity=4, policy="block")
     fast = hub.attach()
     stalled = hub.attach()
@@ -406,13 +405,23 @@ def test_traced_sequences_get_one_cursor_advance_span_per_subscriber():
         assert advanced == published
 
 
-def test_no_wakeup_is_lost_when_publish_races_the_arm():
+def publish_in_batches(hub, items, size: int, update=None) -> None:
+    """Publish ``items`` in order, ``size`` per ``publish_all`` (a plain
+    ``publish`` each for a size of 1)."""
+    for start in range(0, len(items), size):
+        if size == 1:
+            hub.publish(items[start], update)
+        else:
+            hub.publish_all(items[start:start + size], update)
+
+
+@pytest.mark.parametrize("size", (1, 5))
+def test_no_wakeup_is_lost_when_publish_races_the_arm(size):
     # The pump protocol: read without blocking; on [] the waker is armed
     # under the hub lock and the reader sleeps until it fires.  A publish
     # that lands between "found nothing" and "armed" would strand the
     # reader, so every wait carries a deadline: a hang fails, not times out.
-    import sys
-    import time
+    # A batch larger than the ring must wake the reader before it parks.
 
     rounds = 1000
     hub = FanoutHub(capacity=4, policy="block")
@@ -435,8 +444,7 @@ def test_no_wakeup_is_lost_when_publish_races_the_arm():
                 return
 
     def publisher():
-        for value in range(rounds):
-            hub.publish(value)
+        publish_in_batches(hub, list(range(rounds)), size)
         hub.close()
 
     interval = sys.getswitchinterval()
@@ -458,10 +466,12 @@ def test_no_wakeup_is_lost_when_publish_races_the_arm():
     assert time.monotonic() - started < 30.0
 
 
-def test_read_encoded_under_contention_encodes_correctly_and_counts_every_read():
+@pytest.mark.parametrize("size", (1, 13))
+def test_read_encoded_under_contention_encodes_correctly_and_counts_every_read(size):
     # More readers than cores, switching threads as often as possible: each
     # reader must get exactly the bodies of the elements in order, and the
-    # per-owner read counters (updated under the hub lock) lose nothing.
+    # per-owner read counters (updated under the hub lock) lose nothing,
+    # whether elements come one by one or in batches.
     readers, count = 6, 1500
     hub = FanoutHub(capacity=32)
     subscriptions = [hub.attach(owner=f"q{index % 2}") for index in range(readers)]
@@ -481,8 +491,7 @@ def test_read_encoded_under_contention_encodes_correctly_and_counts_every_read()
         for thread in threads:
             thread.start()
         elements = [revision(serial) for serial in range(count)]
-        for element in elements:
-            hub.publish(element)
+        publish_in_batches(hub, elements, size)
         hub.close()
         for thread in threads:
             thread.join(timeout=30.0)
@@ -493,3 +502,157 @@ def test_read_encoded_under_contention_encodes_correctly_and_counts_every_read()
     assert all(bodies == want for bodies in got)
     assert hub.metrics()["elements_read"] == readers * count
     assert hub.metrics(owner="q0")["elements_read"] == readers // 2 * count
+
+
+# --------------------------------------------------------------------------- #
+# publish_all: a batch behaves like the same elements published one by one
+# --------------------------------------------------------------------------- #
+def hub_counters(hub) -> tuple:
+    metrics = hub.metrics()
+    return tuple(
+        metrics[key]
+        for key in ("published", "dropped_provisional", "publish_blocks", "disconnects")
+    )
+
+
+def read_outcome(subscription):
+    """What is left for a subscriber: its elements and final cursor, or the
+    disconnect it reads."""
+    try:
+        return drain(subscription), subscription.cursor
+    except SlowSubscriberDisconnected:
+        return "disconnected"
+
+
+def policy_run(policy: str, size: int) -> tuple:
+    """Two stalled subscribers over a capacity-4 ring with two entries in,
+    then seven elements — more than the free space — published ``size`` at
+    a time.
+
+    Nobody reads while publishing, so the run is deterministic: under
+    ``drop_provisional`` the ring holds room for every settled element by
+    evicting or dropping the droppable ones, and under ``disconnect`` the
+    full ring cuts the oldest cursor, then the other.
+    """
+    from repro.serve import ResultCache
+
+    hub = FanoutHub(capacity=4, policy=policy)
+    cache = ResultCache()
+    first = hub.attach()
+    for serial in (0, 1):
+        hub.publish(revision(serial), cache.apply)
+    second = hub.attach()
+    batch = [
+        revision(2, provisional=True),
+        Watermark(1),
+        revision(3),
+        revision(4, provisional=True),
+        revision(5),
+        revision(6, provisional=True),
+        Watermark(2),
+    ]
+    publish_in_batches(hub, batch, size, cache.apply)
+    counters = hub_counters(hub)
+    ring = hub.ring_size()
+    hub.close()
+    return (
+        counters, ring, cache.snapshot(), cache.last_watermark,
+        read_outcome(first), read_outcome(second),
+    )
+
+
+def blocked_run(size: int) -> tuple:
+    """A 4-entry ``block`` ring, ten elements published ``size`` at a time:
+    the reader drains the whole ring each time the publisher parks on it,
+    and only then, so every batch size parks the same number of times."""
+    from repro.serve import ResultCache
+
+    hub = FanoutHub(capacity=4, policy="block")
+    cache = ResultCache()
+    subscription = hub.attach()
+    items = [revision(serial, provisional=serial % 3 == 0) for serial in range(9)]
+    items.append(Watermark(5))
+    publisher = threading.Thread(
+        target=publish_in_batches, args=(hub, items, size, cache.apply), daemon=True
+    )
+    publisher.start()
+    received, parked = [], 0
+    deadline = time.monotonic() + 10.0
+    while publisher.is_alive() and time.monotonic() < deadline:
+        # The counter moves under the hub lock right before the publisher
+        # parks, and the lock is free again only once it has parked.
+        if hub.metrics()["publish_blocks"] > parked:
+            parked += 1
+            received.extend(subscription.read_batch(hub.capacity, timeout=0))
+    publisher.join(timeout=1.0)
+    stuck = publisher.is_alive()
+    hub.close()  # releases a stuck publisher either way
+    assert not stuck
+    received.extend(drain(subscription))
+    assert received == items
+    return hub_counters(hub), cache.snapshot(), cache.last_watermark, subscription.cursor
+
+
+@pytest.mark.parametrize("policy", ("drop_provisional", "disconnect"))
+def test_a_batch_past_the_free_space_acts_like_single_publishes(policy):
+    batched = policy_run(policy, size=7)  # the whole batch in one call
+    assert batched == policy_run(policy, size=1)
+    counters = batched[0]
+    if policy == "drop_provisional":
+        # Three evicted from the ring, two dropped on arrival; nothing blocked.
+        assert counters == (7, 5, 0, 0)
+        assert [r.tuple.fact[0] for r in batched[4][0]] == ["k0", "k1", "k3", "k5"]
+    else:
+        # Both stalled cursors were cut; the last three reached the cache only.
+        assert counters == (6, 0, 0, 2)
+        assert batched[4:] == ("disconnected", "disconnected")
+    assert batched[3] == 2  # every element, dropped or not, updated the cache
+
+
+def test_a_blocked_batch_parks_like_single_publishes():
+    batched = blocked_run(size=10)  # the whole batch in one call
+    assert batched == blocked_run(size=1)
+    assert batched[0] == (10, 0, 2, 0)  # parked at 4 and at 8 entries
+
+
+@pytest.mark.parametrize("reader", ("parked", "waker"))
+def test_a_batch_wakes_its_readers_before_parking_on_a_full_ring(reader):
+    hub = FanoutHub(capacity=4, policy="block")
+    subscription = hub.attach()
+    received, failures = [], []
+    woken = threading.Event()
+
+    def read_parked() -> None:
+        # Parks on the hub condition before anything is published.
+        received.extend(subscription)
+
+    def read_by_waker() -> None:
+        while True:
+            woken.clear()
+            batch = subscription.read_batch(64, waker=woken.set)
+            if batch is END_OF_STREAM:
+                return
+            if not batch and not woken.wait(timeout=5.0):
+                failures.append("the waker never fired")
+                return
+            received.extend(batch)
+
+    thread = threading.Thread(
+        target=read_parked if reader == "parked" else read_by_waker, daemon=True
+    )
+    thread.start()
+    deadline = time.monotonic() + 5.0
+    while reader == "parked" and not hub._waiting and time.monotonic() < deadline:
+        time.sleep(0.001)
+    items = [revision(serial) for serial in range(25)]
+    publisher = threading.Thread(target=hub.publish_all, args=(items,), daemon=True)
+    publisher.start()
+    publisher.join(timeout=10.0)
+    deadlocked = publisher.is_alive()
+    hub.close()  # releases a deadlocked publisher and reader either way
+    thread.join(timeout=10.0)
+    assert not deadlocked, "the batch deadlocked on a full ring"
+    assert not failures
+    assert received == items
+    assert hub.publish_blocks > 0
+    assert hub.metrics()["publish_batches"] == 1

@@ -40,19 +40,6 @@ def drain(subscription, timeout=10.0) -> list:
         items.append(item)
 
 
-def wait_for_operators(service, name, count, timeout=5.0) -> list:
-    # Worker threads start asynchronously after subscribe(); poll until the
-    # start-up probes have reported every partition's operator instance.
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        record = service.lookup(name)
-        group = record.group
-        operators = list(group.operators.get(record.sink_canonical, ())) if group else []
-        if len(operators) >= count:
-            return operators
-    raise AssertionError(f"probes never reported {count} operators for {name!r}")
-
-
 def net_settled_state(elements) -> list:
     """Accumulate a revision stream into its net settled tuple set."""
     from repro.serve import ResultCache
@@ -132,7 +119,19 @@ def test_linger_keeps_the_group_alive_for_a_resubscribe():
     service.shutdown()
 
 
-def test_two_queries_sharing_a_subplan_execute_it_once():
+def test_two_queries_sharing_a_subplan_execute_it_once(monkeypatch):
+    from repro.serve import registry as registry_module
+
+    # Collect the operator instances the group's run builds, through the
+    # executor's probe seam.
+    operators: list = []
+    run_graph = registry_module.run_graph
+
+    def probed_run_graph(graph, *args, **kwargs):
+        probes = {name: lambda _channel, join: operators.append(join) for name in graph.node_names}
+        return run_graph(graph, *args, probes=probes, **kwargs)
+
+    monkeypatch.setattr(registry_module, "run_graph", probed_run_graph)
     partitions = 2
     shared_spec = NodeSpec("j1", "left_outer", "a", "b", ON, partitions=partitions)
     config = ExecutionOptions(early_emit=True, materialize_probabilities=True)
@@ -148,23 +147,27 @@ def test_two_queries_sharing_a_subplan_execute_it_once():
     one = service.subscribe("q1")
     two = service.subscribe("q2")
     gate.set()
-    # Both standing queries landed in one plan group over one merged graph.
-    assert service.lookup("q1").group is service.lookup("q2").group
-    ops_one = wait_for_operators(service, "q1", partitions)
-    ops_two = wait_for_operators(service, "q2", partitions)
-    # One operator instance per partition — not per query.
-    assert len(ops_one) == partitions
-    assert all(a is b for a, b in zip(ops_one, ops_two))
+    # Both standing queries landed in one plan group over one merged graph,
+    # whose one shared node is one partitioned operator set, not one per
+    # query: the subplan registry holds it once for both.
+    first, second = service.lookup("q1"), service.lookup("q2")
+    assert first.group is second.group
+    assert first.sink_canonical == second.sink_canonical == "j1"
+    refcounts = {entry.name: entry.refcount for entry in service._registry._by_key.values()}
+    assert refcounts["j1"] == 2
+    assert first.group.graph.node_names == ["j1"]
+    assert first.group.graph.partition_counts == [partitions]
+    assert first.hub is second.hub
     elements_one = drain(one)
     elements_two = drain(two)
     # Both subscribers observed the identical (non-empty) revision stream.
     state_one = net_settled_state(elements_one)
     assert state_one and state_one == net_settled_state(elements_two)
-    # The probability computers (one per maintainer) are shared: a key
-    # resolves to the same computer object through either query.
-    maintainer = ops_one[0].maintainer
+    # One operator instance per partition — not per query — and its
+    # maintainer answers every key with its one probability computer.
+    assert len(operators) == partitions
+    maintainer = operators[0].maintainer
     key = next(iter(service.snapshot("q1"))).fact[0]
-    assert maintainer.computer_for((key,)) is ops_two[0].maintainer.computer_for((key,))
     assert maintainer.computer_for((key,)) is maintainer.computer
     service.shutdown()
 

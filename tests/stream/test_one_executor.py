@@ -154,7 +154,7 @@ def test_every_node_runs_the_one_operator_and_a_stream_query_wraps_nothing(
         )
         return set(seen)
 
-    tapped = {"n": lambda _channel, _element: None}
+    tapped = {"n": lambda _channel, _elements: None}
     assert (
         operators(chain[:1])
         == operators(chain[:1], taps=tapped)
