@@ -172,7 +172,11 @@ class PlanGroup:
     def _make_tap(self, sink: str, hub: FanoutHub, cache: ResultCache):
         # One watermark tracker per tapped node: per-partition sink
         # watermarks min-merge into the node's true output frontier before
-        # fan-out.  Each dispatched output list is published as one batch.
+        # fan-out.  Each dispatched output list is published as one batch,
+        # cut before each of its watermarks: the elements ahead of a
+        # partition's watermark enter the hub before that watermark enters
+        # the tracker, since another partition's tap may publish the merged
+        # frontier the moment it does.
         tracker = output_watermarks(self.graph, sink)
         tracker_lock = threading.Lock()
         publish_all = hub.publish_all
@@ -182,6 +186,9 @@ class PlanGroup:
             batch = []
             for element in elements:
                 if isinstance(element, Watermark):
+                    if batch:
+                        publish_all(batch, update)
+                        batch = []
                     with tracker_lock:
                         merged = tracker.update(channel_id, element.value)
                     if merged is None:

@@ -11,9 +11,11 @@ from repro import ExecutionOptions
 from repro.dataflow import DataflowQuery, NodeSpec
 from repro.dataflow.revision import Revision, RevisionKind
 from repro.engine import CatalogError
+from repro.lineage import Var
 from repro.relation import TPTuple
 from repro.serve import END_OF_STREAM, ServeError, StandingQueryService
 from repro.stream.elements import Watermark
+from repro.temporal import Interval
 
 from tests.serve.conftest import make_gated_catalog, make_stream_catalog
 
@@ -169,6 +171,49 @@ def test_two_queries_sharing_a_subplan_execute_it_once(monkeypatch):
     maintainer = operators[0].maintainer
     key = next(iter(service.snapshot("q1"))).fact[0]
     assert maintainer.computer_for((key,)) is maintainer.computer
+    service.shutdown()
+
+
+def test_a_partition_publishes_its_elements_before_its_watermark_enters_the_merge():
+    # Two partitions tap one sink.  Partition 1 dispatches [late, W(10)] and
+    # is held inside its first hub call while partition 0 reports W(10).
+    # The merged frontier may reach the hub only after `late`, which it
+    # covers (late.tuple.start < 10).
+    from repro.serve import ResultCache
+    from repro.serve.registry import PlanGroup
+
+    service = make_service()
+    service.register("q1", [NodeSpec("j1", "left_outer", "a", "b", ON, partitions=2)])
+    record = service.lookup("q1")
+    graph, transport = service._group_plan([record])
+    group = PlanGroup([record], graph, ExecutionOptions(), transport, None, 16, "block")
+    published: list = []
+    inside, release = threading.Event(), threading.Event()
+
+    class HeldHub:
+        def publish_all(self, items, update=None):
+            if threading.current_thread() is held:
+                inside.set()
+                assert release.wait(10.0)
+            published.extend(items)
+            return len(items)
+
+    tap = group._make_tap("j1", HeldHub(), ResultCache())
+    late = Revision(RevisionKind.EMIT, TPTuple(("k", "s"), Var("e"), Interval(5, 6), 0.5))
+    # A node's partition p reports on channel ("node", node index, p).
+    held = threading.Thread(target=tap, args=(("node", 0, 1), [late, Watermark(10)]))
+    held.start()
+    assert inside.wait(10.0)
+    tap(("node", 0, 0), [Watermark(10)])
+    release.set()
+    held.join(10.0)
+    assert published == [late, Watermark(10)]
+    frontier = float("-inf")
+    for element in published:
+        if isinstance(element, Watermark):
+            frontier = element.value
+        else:
+            assert element.tuple.start >= frontier
     service.shutdown()
 
 
