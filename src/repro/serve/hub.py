@@ -36,8 +36,9 @@ condition or arms a one-shot *waker* callback that the next ``publish`` /
 parking a thread per subscriber.
 
 The unit of publication is a batch too: ``publish_all(elements,
-update=cache.apply)`` carries a worker's whole dispatched output list in
-under one lock acquisition and one wake-up (``publish`` is a batch of one),
+update=cache.apply)`` carries a worker's dispatched output list (the serve
+tap cuts it before each watermark) in under one lock acquisition and one
+wake-up (``publish`` is a batch of one),
 yet keeps per-element semantics — the cache update and the ring append of
 each element are atomic together, the policy decides per element, and
 readers are woken before the publisher parks on a full ring.

@@ -23,8 +23,8 @@ first), and **detach**; the service owns everything in between:
   :class:`~repro.serve.cache.ResultCache`, shared by every member query
   whose sink it is; the group taps each sink node, min-merges its
   per-partition watermarks, and publishes each dispatched output list as
-  one batch — one hub lock per batch, the cache update applied atomically
-  with each element's append.  A published element therefore costs a share
+  one batch, cut before each watermark — one hub lock per batch, the cache
+  update applied atomically with each element's append.  A published element therefore costs a share
   of one hub lock, one cache update and (over TCP) one encoding per sink,
   however many queries and subscribers read it;
   :meth:`StandingQueryService.stats` and
