@@ -20,13 +20,16 @@ wants and forms each output tuple once, with the class's
 lineage-concatenation function and, when given a probability computer, the
 tuple's probability.  A group in the NJ base shape — ``λr`` and every
 negative's lineage distinct event variables, the negatives pairwise
-disjoint in time — is answered there without the LAWAN sweep: each overlap
-record is exactly one negating window, and every lineage it forms is
-``λr``, ``λr ∧ λs`` or ``λr ∧ ¬λs``, whose probabilities
-:func:`~repro.lineage.and_probability` and
-:func:`~repro.lineage.and_not_probability` state from ``p(r)``, looked up
-once per group.  Every other group runs the sweep and the
-:class:`~repro.lineage.ProbabilityComputer`.  The batch joins
+disjoint in time — is answered there by one fused loop, with no sweep
+generator and no call per output: the LAWAU gaps are swept inline, each
+overlap record is exactly one negating window, and every lineage it forms
+is ``λr``, ``λr ∧ λs`` or ``λr ∧ ¬λs``, written in place with its tuple
+through the types' :func:`~repro.values.writer`, and priced with the float
+operations of :func:`~repro.lineage.and_probability` and
+:func:`~repro.lineage.and_not_probability` from ``p(r)``, looked up once
+per group.  Every other group runs :func:`~repro.core.lawau.gap_sweep`,
+the LAWAN sweep and the :class:`~repro.lineage.ProbabilityComputer`.  The
+batch joins
 (:func:`tp_join`), the one continuous operator
 (:class:`repro.dataflow.RevisionJoin`, also built as
 :class:`repro.stream.ContinuousJoin`) and the
@@ -52,22 +55,15 @@ from functools import partial
 from itertools import chain
 from typing import Iterable, Iterator, Optional
 
-from ..lineage import (
-    And,
-    LineageExpr,
-    Not,
-    ProbabilityComputer,
-    Var,
-    and_not,
-    and_not_probability,
-    and_probability,
-    lineage_and,
-)
+from ..lineage import And, Not, ProbabilityComputer, Var, and_not, lineage_and
+from ..lineage.expr import _AndWriter
 from ..relation import Schema, TPRelation, TPTuple, ThetaCondition
+from ..relation.tptuple import _Writer as _TupleWriter
+from ..temporal import IntervalError
 from .concat import combined_output_schema
 from .lawan import lawan, negating_sweep, negating_windows
 from .lawau import gap_sweep, lawau
-from .overlap import OverlapGroup, OverlapRecord, iter_overlap_join, overlap_spans
+from .overlap import OverlapGroup, iter_overlap_join, overlap_spans
 from .windows import Window, WindowClass, WindowSet
 
 _U, _N, _O = WindowClass.UNMATCHED, WindowClass.NEGATING, WindowClass.OVERLAPPING
@@ -184,10 +180,14 @@ def group_tuples(
     (``and`` / pass-through / ``andNot``), the padded fact, and — given a
     ``computer`` — the probability of the lineage.
 
-    A group in the NJ base shape (:func:`_base_shape`) skips the LAWAN
-    sweep: each of its overlap records is exactly one negating window, whose
-    lineage and probability are formed directly, as the builders and the
-    computer would form them, bit for bit.
+    A group in the NJ base shape — ``λr`` an event variable the computer
+    knows, every negative's lineage another one, the records pairwise
+    disjoint — runs one fused loop instead: the LAWAU gaps are swept
+    inline, each overlap record is exactly one negating window, and every
+    output and its ``And`` is written in place through its type's
+    :func:`~repro.values.writer`, with the probability the builders and the
+    computer would form, bit for bit.  A finished group and its records are
+    released before the next group is asked for.
     """
     wanted = TABLE_II[kind][reverse]
     if not wanted:
@@ -201,90 +201,119 @@ def group_tuples(
         probability, events = computer.probability, computer.events
         marginal = events.probability
     make = TPTuple.from_bounds
+    new = object.__new__
     # One ¬λs per negative event, shared by every record of it in this call.
     negations: dict[str, Not] = {}
     for group in groups:
-        r = group.r
+        r, matches = group.r, group.matches
         fact_r, lineage_r = tuple(r.fact), r.lineage
         padded = fact_r if positive_only else (pad + fact_r if reverse else fact_r + pad)
-        # LAWAN is LAWAU plus the negating sweep and LAWAU the overlap records
-        # plus the gaps between them: run no more of the pipeline than is kept.
-        spans = gap_sweep(group) if keep_u or keep_n else overlap_spans(group)
-        if _base_shape(lineage_r, group.matches) and (
-            events is None or lineage_r.name in events
-        ):
-            # Every window is λr, λr ∧ λs or λr ∧ ¬λs: p(r) is looked up once.
-            p_r = None if marginal is None else marginal(lineage_r.name)
-            for window_class, start, end, fact_s, lineage_s in spans:
-                if window_class is _U:
-                    if not keep_u:
-                        continue
-                    fact, lineage, p = padded, lineage_r, p_r
-                elif keep_o:
-                    fact, lineage = fact_r + tuple(fact_s), And((lineage_r, lineage_s))
-                    p = None if marginal is None else and_probability(p_r, marginal(lineage_s.name))
-                else:
-                    continue
+        # The NJ base shape: λr and every λs distinct event variables, and
+        # each record (sorted by start) starting at or after the previous
+        # one's end, so every active set of the LAWAN sweep holds one
+        # negative and every lineage is λr, λr ∧ λs or λr ∧ ¬λs.
+        base = type(lineage_r) is Var and (events is None or lineage_r.name in events)
+        if base:
+            name_r, previous_end = lineage_r.name, r.start
+            for record in matches:
+                lineage_s = record.s.lineage
+                if type(lineage_s) is not Var or lineage_s.name == name_r or (
+                    record.start < previous_end
+                ):
+                    base = False
+                    break
+                previous_end = record.end
+        if base:
+            # p(r) is looked up once; the float operations are those of
+            # and_probability and and_not_probability.  A gap test is
+            # from_bounds' ``end > start`` check; a record's is made below.
+            p_r = None if marginal is None else marginal(name_r)
+            wind_ts = r.start
+            for record in matches:
+                start = record.start
+                if keep_u and start > wind_ts:
+                    if marginal is not None:
+                        computer.factorised += 1
+                    tp_tuple = new(_TupleWriter)
+                    tp_tuple.fact, tp_tuple.lineage, tp_tuple.probability = padded, lineage_r, p_r
+                    tp_tuple.start, tp_tuple.end = wind_ts, start
+                    tp_tuple.__class__ = TPTuple
+                    yield tp_tuple
+                end = record.end
+                if keep_o:
+                    s = record.s
+                    lineage_s = s.lineage
+                    p = None
+                    if marginal is not None:
+                        p = 1.0 * p_r * marginal(lineage_s.name)
+                        computer.factorised += 1
+                    if end <= start:
+                        raise IntervalError.empty(start, end)
+                    lineage = new(_AndWriter)
+                    lineage.operands = (lineage_r, lineage_s)
+                    lineage.__class__ = And
+                    tp_tuple = new(_TupleWriter)
+                    tp_tuple.fact, tp_tuple.lineage, tp_tuple.probability = (
+                        fact_r + tuple(s.fact), lineage, p
+                    )
+                    tp_tuple.start, tp_tuple.end = start, end
+                    tp_tuple.__class__ = TPTuple
+                    yield tp_tuple
+                wind_ts = end
+            if keep_u and wind_ts < r.end:
                 if marginal is not None:
                     computer.factorised += 1
-                yield make(fact, lineage, start, end, p)
+                tp_tuple = new(_TupleWriter)
+                tp_tuple.fact, tp_tuple.lineage, tp_tuple.probability = padded, lineage_r, p_r
+                tp_tuple.start, tp_tuple.end = wind_ts, r.end
+                tp_tuple.__class__ = TPTuple
+                yield tp_tuple
             if keep_n:
-                for record in group.matches:
+                for record in matches:
                     lineage_s = record.s.lineage
                     name_s = lineage_s.name
                     p = None
                     if marginal is not None:
-                        p = and_not_probability(p_r, marginal(name_s))
+                        p = p_r * (1.0 - marginal(name_s))
                         computer.factorised += 1
                     negated = negations.get(name_s)
                     if negated is None:
                         negated = negations[name_s] = Not(lineage_s)
-                    lineage = And((lineage_r, negated))
-                    yield make(padded, lineage, record.start, record.end, p)
-                # The loop variable would keep this group's last record alive
-                # through the next group's build when that one has none.
-                record = None
-            continue
-        if keep_n:
-            spans = chain(spans, negating_sweep(group))
-        for window_class, start, end, fact_s, lineage_s in spans:
-            if window_class is _N:
-                fact, lineage = padded, and_not(lineage_r, lineage_s)
-            elif window_class is _U:
-                if not keep_u:
+                    start, end = record.start, record.end
+                    if end <= start:
+                        raise IntervalError.empty(start, end)
+                    lineage = new(_AndWriter)
+                    lineage.operands = (lineage_r, negated)
+                    lineage.__class__ = And
+                    tp_tuple = new(_TupleWriter)
+                    tp_tuple.fact, tp_tuple.lineage, tp_tuple.probability = padded, lineage, p
+                    tp_tuple.start, tp_tuple.end = start, end
+                    tp_tuple.__class__ = TPTuple
+                    yield tp_tuple
+        else:
+            # LAWAN is LAWAU plus the negating sweep and LAWAU the overlap
+            # records plus the gaps between them: run no more of the
+            # pipeline than is kept.
+            spans = gap_sweep(group) if keep_u or keep_n else overlap_spans(group)
+            if keep_n:
+                spans = chain(spans, negating_sweep(group))
+            for window_class, start, end, fact_s, lineage_s in spans:
+                if window_class is _N:
+                    fact, lineage = padded, and_not(lineage_r, lineage_s)
+                elif window_class is _U:
+                    if not keep_u:
+                        continue
+                    fact, lineage = padded, lineage_r
+                elif keep_o:
+                    # Only kept of r w.r.t. s, by a kind with the combined schema.
+                    fact, lineage = fact_r + tuple(fact_s), lineage_and(lineage_r, lineage_s)
+                else:
                     continue
-                fact, lineage = padded, lineage_r
-            elif keep_o:
-                # Only kept of r w.r.t. s, by a kind with the combined schema.
-                fact, lineage = fact_r + tuple(fact_s), lineage_and(lineage_r, lineage_s)
-            else:
-                continue
-            yield make(
-                fact, lineage, start, end, None if probability is None else probability(lineage)
-            )
-
-
-def _base_shape(lineage_r: LineageExpr, matches: list[OverlapRecord]) -> bool:
-    """Whether one overlap group is in the NJ base shape.
-
-    ``λr`` is an event variable, every negative's lineage is another one,
-    and the records (sorted by start) are pairwise disjoint: each starts at
-    or after the previous one ends.  Then every active set of the LAWAN
-    sweep holds exactly one negative, so each record is one negating window
-    ``λr ∧ ¬λs``, and every lineage the group forms is one of the shapes
-    :func:`~repro.lineage.and_probability` and
-    :func:`~repro.lineage.and_not_probability` answer.
-    """
-    if type(lineage_r) is not Var:
-        return False
-    name = lineage_r.name
-    previous_end = matches[0].start if matches else None
-    for record in matches:
-        lineage_s = record.s.lineage
-        if type(lineage_s) is not Var or lineage_s.name == name or record.start < previous_end:
-            return False
-        previous_end = record.end
-    return True
+                yield make(
+                    fact, lineage, start, end, None if probability is None else probability(lineage)
+                )
+        # Nothing of this group may outlive it while the next one is built.
+        group = r = matches = record = None
 
 
 def join_output_schema(

@@ -29,7 +29,9 @@ The sweep, :func:`gap_sweep`, is written once and yields bare
 :data:`~repro.core.windows.Span` records ``(window_class, start, end,
 fact_s, lineage_s)``, bounds as ints; :func:`iter_lawau` and friends wrap
 them in :class:`~repro.core.windows.Window`, while
-:func:`repro.core.joins.group_tuples` forms output tuples from them directly.
+:func:`repro.core.joins.group_tuples` forms output tuples from them directly
+for every group outside the NJ base shape (it sweeps a base-shaped group's
+gaps inline).
 """
 
 from __future__ import annotations

@@ -37,14 +37,20 @@ or after ``r.end``; only the slice between the two is looked at, so a pass
 costs the partition's sort plus the candidates that can overlap, not a
 prefix scan of the partition per ``r`` tuple.  Either way the produced
 window stream per ``r`` tuple is ordered by overlap start
-(:func:`sort_matches`), the order required by the sweeps.
+(:func:`sort_matches`, which sorts by a C-level ``attrgetter``), the
+order required by the sweeps.
+
+The merge writes each :class:`OverlapRecord` and :class:`OverlapGroup` in
+place (:mod:`repro.values`) rather than calling a constructor per record or
+group; the stream maintainer's hot sites build theirs the same way.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, groupby
+from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Iterator
 
 from ..relation import TPRelation, TPTuple, ThetaCondition
@@ -90,17 +96,27 @@ class OverlapRecord:
 _RecordWriter = writer(OverlapRecord)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class OverlapGroup:
     """All overlap records of one ``r`` tuple, ordered by overlap start.
 
     ``matches`` is empty exactly when the ``r`` tuple is fully unmatched; the
     single row the conventional outer join pads for it is the unmatched span
-    over ``r.T`` that :func:`repro.core.lawau.gap_sweep` yields.
+    over ``r.T`` that :func:`repro.core.lawau.gap_sweep` yields.  The
+    overlap join and the stream maintainer write the two fields of a bare
+    instance; the constructor is for everyone else.
     """
 
     r: TPTuple
-    matches: list[OverlapRecord] = field(default_factory=list)
+    matches: list[OverlapRecord]
+
+    def __new__(cls, r: TPTuple, matches: list[OverlapRecord] | None = None) -> "OverlapGroup":
+        self = _new(cls)
+        self.r = r
+        self.matches = [] if matches is None else matches
+        return self
+
+    __reduce__ = reduce_fields
 
 
 #: One partition of ``s``: its tuples sorted by ``(start, end)``, their
@@ -146,7 +162,9 @@ def iter_overlap_join(
             partitions.setdefault(key, []).append(s)
     buckets = {key: _index_bucket(bucket) for key, bucket in partitions.items()}
     for r in positive:
-        group = OverlapGroup(r)
+        group = _new(OverlapGroup)
+        group.r = r
+        group.matches = []
         key = left_key(r)
         bucket = buckets.get(key) if matchable(key) else None
         if bucket is not None:
@@ -159,9 +177,8 @@ def _whole_relation(tp_tuple: TPTuple) -> tuple:
     return ()
 
 
-def _bounds(item: TPTuple | OverlapRecord) -> tuple[int, int]:
-    """The sort key both orders start from: the item's ``(start, end)``."""
-    return (item.start, item.end)
+#: The sort key both orders start from: an item's ``(start, end)``.
+_bounds = attrgetter("start", "end")
 
 
 def _index_bucket(bucket: list[TPTuple]) -> _Bucket:
@@ -185,7 +202,7 @@ def _merge_bucket(
     tuples, starts, reach = bucket
     r = group.r
     r_start, r_end = r.start, r.end
-    matches = group.matches
+    append = group.matches.append
     for index in range(bisect_right(reach, r_start), bisect_left(starts, r_end)):
         s = tuples[index]
         s_end = s.end
@@ -195,14 +212,13 @@ def _merge_bucket(
             continue
         if check is None or check(r, s):
             s_start = starts[index]
-            matches.append(
-                OverlapRecord(
-                    r,
-                    s,
-                    s_start if s_start > r_start else r_start,
-                    s_end if s_end < r_end else r_end,
-                )
-            )
+            record = _new(_RecordWriter)
+            record.r = r
+            record.s = s
+            record.start = s_start if s_start > r_start else r_start
+            record.end = s_end if s_end < r_end else r_end
+            record.__class__ = OverlapRecord
+            append(record)
 
 
 def _negative_key(record: OverlapRecord) -> tuple:
@@ -221,7 +237,7 @@ def sort_matches(matches: list[OverlapRecord]) -> None:
     if len(matches) < 2:
         return
     matches.sort(key=_bounds)
-    bounds = [_bounds(record) for record in matches]
+    bounds = list(map(_bounds, matches))
     if len(set(bounds)) == len(bounds):
         return
     first = 0

@@ -14,7 +14,6 @@ from .probability import (
     ProbabilityComputer,
     and_not_probability,
     and_probability,
-    probabilities,
     probability,
 )
 from .simplify import canonical, equivalent, restrict
@@ -41,7 +40,6 @@ __all__ = [
     "lineage_and",
     "lineage_not",
     "lineage_or",
-    "probabilities",
     "probability",
     "restrict",
     "var",

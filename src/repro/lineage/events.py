@@ -66,13 +66,18 @@ class EventSpace:
         Both spaces validated their values when they registered them, so
         only the names they share are checked, and the first that
         conflicts, in ``other``'s order, raises as :meth:`register` does.
+        Two spaces over one mapping (the relations of one generated pair
+        share theirs) cannot conflict: it is copied unchecked.
         """
         mine, theirs = self._probabilities, other._probabilities
+        merged = EventSpace()
+        if mine is theirs:
+            merged._probabilities = mine.copy()
+            return merged
         for name in mine.keys() & theirs.keys():
             if mine[name] != theirs[name]:
                 name = next(n for n in theirs if n in mine and mine[n] != theirs[n])
                 raise _conflict(name, mine[name], theirs[name])
-        merged = EventSpace()
         merged._probabilities = mine | theirs
         return merged
 

@@ -21,12 +21,13 @@ produced by temporal-probabilistic joins have a lot of exploitable structure:
   to the next.  Anything else — a repeated name, a derived ``λr``, a third
   conjunct, an event the space does not know — takes the general path
   below, which stays the referee the shapes are property-tested against.
-  The two one-negative operations are stated once, as
-  :func:`and_probability` and :func:`and_not_probability`:
-  :func:`repro.core.joins.group_tuples` calls them directly for an overlap
-  group of base events whose negatives never overlap (there every window is
-  ``λr``, ``λr ∧ λs`` or ``λr ∧ ¬λs``, and ``p(r)`` is looked up once per
-  group), and ``_factorised`` calls them for a lineage handed in alone.
+  The two one-negative operations are :func:`and_probability` and
+  :func:`and_not_probability`, which ``_factorised`` calls for a lineage
+  handed in alone; :func:`repro.core.joins.group_tuples` repeats their
+  float operations inline for an overlap group of base events whose
+  negatives never overlap (there every window is ``λr``, ``λr ∧ λs`` or
+  ``λr ∧ ¬λs``, and ``p(r)`` is looked up once per group), and the join
+  tests hold the two to the same bits.
 * **Independent decomposition** — if the operands of a conjunction
   (disjunction) mention pairwise disjoint sets of variables, the probability
   factorises.  A join over derived inputs — ``(a1 ∧ c1) ∧ ¬(b3 ∨ b2)`` —
@@ -44,7 +45,7 @@ join layers.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Mapping
+from typing import Dict
 
 from .events import EventSpace, UnknownEventError
 from .expr import FALSE, TRUE, And, LineageExpr, Not, Or, Var
@@ -237,11 +238,4 @@ def probability(lineage: LineageExpr, events: EventSpace) -> float:
     """Compute ``P(lineage)`` (convenience wrapper without explicit computer)."""
     return ProbabilityComputer(events).probability(lineage)
 
-
-def probabilities(
-    lineages: Mapping[object, LineageExpr], events: EventSpace
-) -> dict[object, float]:
-    """Compute the probabilities of several lineages sharing one memo cache."""
-    computer = ProbabilityComputer(events)
-    return {key: computer.probability(expr) for key, expr in lineages.items()}
 

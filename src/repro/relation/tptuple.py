@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..lineage import EventSpace, LineageExpr, ProbabilityComputer, Var
+from ..lineage import LineageExpr, Var
 from ..temporal import Interval, IntervalError
 from ..values import writer
 
@@ -38,8 +38,8 @@ class TPTuple:
         start: inclusive start of the half-open validity interval.
         end: exclusive end of the validity interval, greater than ``start``.
         probability: marginal probability of the lineage, if already known.
-            ``None`` means "not yet computed"; use :meth:`with_probability`
-            or :class:`TPRelation.with_probabilities` to fill it in.
+            ``None`` means "not yet computed"; use
+            :meth:`TPRelation.with_probabilities` to fill it in.
     """
 
     fact: tuple
@@ -103,13 +103,6 @@ class TPTuple:
     ) -> "TPTuple":
         """Create a base tuple whose lineage is a single fresh event variable."""
         return cls(tuple(fact), Var(event), interval, probability)
-
-    def with_probability(self, events: EventSpace) -> "TPTuple":
-        """Return a copy with the probability computed from ``events``."""
-        computer = ProbabilityComputer(events)
-        return TPTuple.from_bounds(
-            self.fact, self.lineage, self.start, self.end, computer.probability(self.lineage)
-        )
 
     def with_interval(self, interval: Interval) -> "TPTuple":
         """Return a copy valid over a different interval (same fact/lineage)."""

@@ -24,7 +24,9 @@ first), and **detach**; the service owns everything in between:
   whose sink it is; the group taps each sink node, min-merges its
   per-partition watermarks, and publishes each dispatched output list as
   one batch, cut before each watermark — one hub lock per batch, the cache
-  update applied atomically with each element's append.  A published element therefore costs a share
+  update applied atomically with each element's append; a batch headed by
+  a merged watermark goes out under the merge's lock, so the hub's
+  watermarks never decrease.  A published element therefore costs a share
   of one hub lock, one cache update and (over TCP) one encoding per sink,
   however many queries and subscribers read it;
   :meth:`StandingQueryService.stats` and
@@ -172,31 +174,39 @@ class PlanGroup:
     def _make_tap(self, sink: str, hub: FanoutHub, cache: ResultCache):
         # One watermark tracker per tapped node: per-partition sink
         # watermarks min-merge into the node's true output frontier before
-        # fan-out.  Each dispatched output list is published as one batch,
-        # cut before each of its watermarks: the elements ahead of a
+        # fan-out.  Each dispatched output list is published as batches cut
+        # before each of its watermarks: the elements ahead of a
         # partition's watermark enter the hub before that watermark enters
         # the tracker, since another partition's tap may publish the merged
-        # frontier the moment it does.
+        # frontier the moment it does.  A batch headed by a watermark is
+        # published under the tracker's lock, so merged frontiers reach the
+        # hub in the order they were merged and never decrease.
         tracker = output_watermarks(self.graph, sink)
         tracker_lock = threading.Lock()
         publish_all = hub.publish_all
         update = cache.apply
 
+        def publish(channel_id, watermark, batch) -> None:
+            if watermark is None:
+                if batch:
+                    publish_all(batch, update)
+                return
+            with tracker_lock:
+                merged = tracker.update(channel_id, watermark.value)
+                if merged is not None:
+                    batch.insert(0, Watermark(merged))
+                if batch:
+                    publish_all(batch, update)
+
         def tap(channel_id, elements) -> None:
-            batch = []
+            watermark, batch = None, []
             for element in elements:
                 if isinstance(element, Watermark):
-                    if batch:
-                        publish_all(batch, update)
-                        batch = []
-                    with tracker_lock:
-                        merged = tracker.update(channel_id, element.value)
-                    if merged is None:
-                        continue
-                    element = Watermark(merged)
-                batch.append(element)
-            if batch:
-                publish_all(batch, update)
+                    publish(channel_id, watermark, batch)
+                    watermark, batch = element, []
+                else:
+                    batch.append(element)
+            publish(channel_id, watermark, batch)
 
         return tap
 

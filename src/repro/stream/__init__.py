@@ -25,7 +25,6 @@ from .elements import (
     StreamEvent,
     Tagged,
     Watermark,
-    tag,
 )
 from .incremental import (
     FinalizedGroup,
@@ -60,6 +59,5 @@ __all__ = [
     "Watermark",
     "continuous_join",
     "merge_tagged",
-    "tag",
     "theta_from_pairs",
 ]

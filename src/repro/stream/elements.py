@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Optional, Union
 
 from ..relation import TPTuple
 from ..values import reduce_fields, writer
@@ -131,9 +131,3 @@ class Tagged:
 
 
 _TaggedWriter = writer(Tagged)
-
-
-def tag(side: str, elements: Iterable[StreamElement]) -> Iterator[Tagged]:
-    """Label every element of one stream with its join side."""
-    for element in elements:
-        yield Tagged(side, element)

@@ -68,7 +68,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
-from ..core.overlap import OverlapGroup, OverlapRecord, sort_matches
+from ..core.overlap import OverlapGroup, OverlapRecord, _RecordWriter, sort_matches
 from ..lineage import EventSpace, ProbabilityComputer
 from ..relation import TPTuple, ThetaCondition
 from ..relation.predicates import matchable
@@ -315,14 +315,13 @@ class IncrementalWindowMaintainer:
         for negative in self._negatives.get(key, ()) if matchable(key) else ():
             n_start, n_end = negative.start, negative.end
             if n_start < end and start < n_end and (check is None or check(tp_tuple, negative)):
-                entry.matches.append(
-                    OverlapRecord(
-                        tp_tuple,
-                        negative,
-                        n_start if n_start > start else start,
-                        n_end if n_end < end else end,
-                    )
-                )
+                record = _new(_RecordWriter)
+                record.r = tp_tuple
+                record.s = negative
+                record.start = n_start if n_start > start else start
+                record.end = n_end if n_end < end else end
+                record.__class__ = OverlapRecord
+                entry.matches.append(record)
         entries = self._open.get(key)
         if entries is None:
             self._open[key] = [entry]
@@ -372,14 +371,13 @@ class IncrementalWindowMaintainer:
             positive = entry.tuple
             p_start, p_end = positive.start, positive.end
             if p_start < end and start < p_end and (check is None or check(positive, tp_tuple)):
-                entry.matches.append(
-                    OverlapRecord(
-                        positive,
-                        tp_tuple,
-                        start if start > p_start else p_start,
-                        end if end < p_end else p_end,
-                    )
-                )
+                record = _new(_RecordWriter)
+                record.r = positive
+                record.s = tp_tuple
+                record.start = start if start > p_start else p_start
+                record.end = end if end < p_end else p_end
+                record.__class__ = OverlapRecord
+                entry.matches.append(record)
                 affected.append(entry)
         return affected
 
@@ -500,9 +498,12 @@ class IncrementalWindowMaintainer:
                     sort_matches(entry.matches)
                     if open_starts is not None:
                         open_starts.discard(entry)
+                    group = _new(OverlapGroup)
+                    group.r = entry.tuple
+                    group.matches = entry.matches
                     finalized.append(
                         FinalizedGroup(
-                            OverlapGroup(entry.tuple, entry.matches),
+                            group,
                             entry.ingest_clock,
                             entry.key,
                             entry.serial,

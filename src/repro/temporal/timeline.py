@@ -26,17 +26,6 @@ def _change_points(intervals: Iterable[Interval]) -> list[int]:
     return sorted(points)
 
 
-def segments(intervals: Iterable[Interval]) -> list[Interval]:
-    """Return the elementary segments induced by a set of intervals.
-
-    The elementary segments partition the span between the earliest start and
-    the latest end such that no interval starts or ends strictly inside a
-    segment.
-    """
-    points = _change_points(intervals)
-    return [Interval(a, b) for a, b in zip(points, points[1:])]
-
-
 def segments_within(frame: Interval, intervals: Iterable[Interval]) -> list[Interval]:
     """Return the elementary segments of ``frame`` induced by ``intervals``.
 

@@ -18,7 +18,14 @@ So none of them uses a generated ``__init__``.  Each has one constructor,
 its ``__new__`` (for :class:`~repro.relation.TPTuple`, the factory its
 ``__new__`` calls), which validates the fields, writes them with plain
 attribute stores on an instance of the type's :func:`writer` and hands that
-instance out as the frozen type with one ``__class__`` assignment.  ``==``,
+instance out as the frozen type with one ``__class__`` assignment — plus
+writer-built instances in the named hot loops, which make the same stores
+and the same checks inline, with no call per value: the NJ base shape's
+fused loop in :func:`repro.core.joins.group_tuples` (each output
+:class:`~repro.relation.TPTuple` and its :class:`~repro.lineage.And`), and
+the overlap join's ``_merge_bucket`` and the stream maintainer's
+``add_positive``/``add_negative`` (each
+:class:`~repro.core.overlap.OverlapRecord`).  ``==``,
 ``hash`` and ``repr`` stay the dataclass's own, and each type's
 ``__reduce__`` unpickles and copies through the same constructor.  The
 lineage nodes and :class:`~repro.relation.TPTuple`, most of a pickled

@@ -17,7 +17,7 @@ from repro import (
     tp_right_outer_join,
 )
 from repro.core import TABLE_II, nj_wn, nj_wuo, nj_wuon, swap_theta, tp_join
-from repro.core import joins
+from repro.core import joins, overlap
 from repro.core.overlap import OverlapRecord
 from repro.datasets import webkit_pair
 from repro.relation import TrueCondition
@@ -203,6 +203,32 @@ class TestWhatABatchJoinKeepsAlive:
         assert len(readings) == groups
         assert max(records for _, records in readings) > 1
         assert max(others for others, _ in readings) == 0, readings
+
+    @pytest.mark.parametrize("kind", ["anti", "left_outer", "full_outer", "inner"])
+    def test_no_earlier_groups_record_is_alive_when_a_group_is_built(
+        self, pair, kind, monkeypatch
+    ):
+        """Each time the overlap join has built a group's records, the
+        consumer has already let go of every earlier group: its loop
+        variables name none of them while it waits for the next."""
+        merge = overlap._merge_bucket
+        readings = []
+
+        def watched(group, bucket, check):
+            merge(group, bucket, check)
+            stale = [
+                o for o in gc.get_objects() if type(o) is OverlapRecord and o.r is not group.r
+            ]
+            readings.append((len(stale) - baseline, len(group.matches)))
+
+        monkeypatch.setattr(overlap, "_merge_bucket", watched)
+        gc.collect()
+        baseline = sum(type(o) is OverlapRecord for o in gc.get_objects())
+        left, right, theta = pair
+        tp_join(kind, left, right, theta)
+        assert len(readings) > len(left) // 2
+        assert max(records for _, records in readings) > 1
+        assert max(stale for stale, _ in readings) == 0, readings
 
     @pytest.mark.parametrize("kind", sorted(TABLE_II))
     def test_outputs_are_not_revalidated(self, pair, kind, monkeypatch):

@@ -79,6 +79,26 @@ class TestOperations:
         assert list(merged) == ["a", "b", "c"]
         assert type(merged.probability("b")) is int
 
+    def test_merging_a_space_with_itself_returns_a_new_equal_space(self):
+        space = EventSpace({"a1": 0.7, "b1": 1})
+        merged = space.merge(space)
+        assert merged is not space
+        assert merged.as_dict() == space.as_dict() and list(merged) == list(space)
+        merged.register("c1", 0.5)
+        assert "c1" not in space
+
+    def test_spaces_over_one_mapping_merge_into_a_copy(self):
+        space = EventSpace({"a1": 0.7})
+        twin = EventSpace()
+        twin._probabilities = space._probabilities
+        merged = space.merge(twin)
+        assert merged.as_dict() == {"a1": 0.7}
+        assert merged._probabilities is not space._probabilities
+
+    def test_two_conflicting_spaces_still_raise(self):
+        with pytest.raises(ValueError, match="^event 'a1' already registered"):
+            EventSpace({"a1": 0.7, "b1": 0.1}).merge(EventSpace({"b1": 0.1, "a1": 0.2}))
+
     def test_merge_does_not_mutate_inputs(self):
         left = EventSpace({"a1": 0.7})
         left.merge(EventSpace({"b1": 0.2}))

@@ -16,7 +16,6 @@ from repro.lineage import (
     lineage_and,
     lineage_not,
     lineage_or,
-    probabilities,
     probability,
 )
 
@@ -141,10 +140,6 @@ class TestComputerAndHelpers:
         assert computer.factorised == 0
         # Without a reset the repeated pass would have been all hits.
         assert computer.cache_misses > 3 * len(lineages)
-
-    def test_probabilities_bulk(self, events):
-        values = probabilities({"x": Var("a1"), "y": Var("b1")}, events)
-        assert values == {"x": pytest.approx(0.7), "y": pytest.approx(0.9)}
 
     def test_events_property(self, events):
         assert ProbabilityComputer(events).events is events

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.lineage import EventSpace, Var, lineage_and
+from repro.lineage import Var
 from repro.relation import TPTuple
 from repro.temporal import Interval
 
@@ -39,13 +39,6 @@ class TestDerivation:
         assert shrunk.interval == Interval(2, 4)
         assert shrunk.fact == tp_tuple.fact
         assert tp_tuple.interval == Interval(1, 9)
-
-    def test_with_probability_computes_from_events(self):
-        events = EventSpace({"a1": 0.7, "b3": 0.7})
-        derived = TPTuple(("Ann",), lineage_and(Var("a1"), Var("b3")), Interval(4, 6))
-        assert derived.probability is None
-        filled = derived.with_probability(events)
-        assert filled.probability == pytest.approx(0.49)
 
     def test_key_is_sortable_with_none_padding(self):
         padded = TPTuple(("Ann", None), Var("a1"), Interval(2, 4))

@@ -217,6 +217,48 @@ def test_a_partition_publishes_its_elements_before_its_watermark_enters_the_merg
     service.shutdown()
 
 
+def test_merged_watermarks_reach_the_hub_in_merge_order():
+    # Partition 1's W(10) merges the frontier to 5, and its tap is held
+    # inside the hub call that publishes it while partition 0's W(10)
+    # merges it to 10.  The hub must get W(5) before W(10), never after.
+    from repro.serve import ResultCache
+    from repro.serve.registry import PlanGroup
+
+    service = make_service()
+    service.register("q1", [NodeSpec("j1", "left_outer", "a", "b", ON, partitions=2)])
+    record = service.lookup("q1")
+    graph, transport = service._group_plan([record])
+    group = PlanGroup([record], graph, ExecutionOptions(), transport, None, 16, "block")
+    published: list = []
+    inside, release = threading.Event(), threading.Event()
+
+    class HeldHub:
+        def publish_all(self, items, update=None):
+            if threading.current_thread() is held:
+                inside.set()
+                assert release.wait(10.0)
+            published.extend(items)
+            return len(items)
+
+    tap = group._make_tap("j1", HeldHub(), ResultCache())
+    tap(("node", 0, 0), [Watermark(5)])
+    assert published == []
+    held = threading.Thread(target=tap, args=(("node", 0, 1), [Watermark(10)]))
+    held.start()
+    assert inside.wait(10.0)
+    other = threading.Thread(target=tap, args=(("node", 0, 0), [Watermark(10)]))
+    other.start()
+    # Give partition 0 the time to publish ahead of partition 1, if it can.
+    other.join(0.5)
+    release.set()
+    held.join(10.0)
+    other.join(10.0)
+    assert not held.is_alive() and not other.is_alive()
+    watermarks = [element.value for element in published if isinstance(element, Watermark)]
+    assert watermarks == sorted(watermarks) == [5, 10]
+    service.shutdown()
+
+
 def test_disjoint_queries_do_not_share_a_group():
     service = make_service()
     service.register("q1", [JOIN])

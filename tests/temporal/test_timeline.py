@@ -5,25 +5,11 @@ from __future__ import annotations
 from repro.temporal import (
     Interval,
     partition_by_validity,
-    segments,
     segments_within,
 )
 
 
 class TestSegments:
-    def test_shared_endpoints_split_once(self):
-        assert segments([Interval(1, 4), Interval(4, 6)]) == [Interval(1, 4), Interval(4, 6)]
-
-    def test_empty(self):
-        assert segments([]) == []
-
-    def test_elementary_segments(self):
-        assert segments([Interval(1, 4), Interval(3, 6)]) == [
-            Interval(1, 3),
-            Interval(3, 4),
-            Interval(4, 6),
-        ]
-
     def test_segments_within_frame(self):
         pieces = segments_within(Interval(2, 8), [Interval(4, 6), Interval(5, 9)])
         assert pieces == [Interval(2, 4), Interval(4, 5), Interval(5, 6), Interval(6, 8)]

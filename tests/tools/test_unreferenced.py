@@ -3,9 +3,10 @@
 On a small planted tree, a public definition nothing uses is reported, and
 one that code in any scanned tree uses (by name, attribute, import or
 identifier string) or the allow-list keeps is not; a package's re-exports,
-``__all__`` entries, docstrings and tests are no use.  A stale or unreasoned
-allow-list entry fails the run, and the repository itself reports nothing,
-called as a function and from the command line.
+``__all__`` entries, docstrings, tests and a function's own variable of the
+same name are no use.  A stale or unreasoned allow-list entry fails the
+run, and the repository itself reports nothing, called as a function and
+from the command line.
 """
 
 from __future__ import annotations
@@ -119,6 +120,54 @@ def test_a_docstring_or_all_entry_is_no_use(tmp_path):
         '"""planted"""\n\n__all__ = ["planted"]\n\n\ndef f():\n    """planted"""\n'
     )
     assert "repro.core:planted" in load_tool().unreferenced(root)
+
+
+SHADOWS = {
+    "parameter": "def f(planted):\n    return planted\n",
+    "assignment": "def f():\n    planted = 1\n    return planted\n",
+    "loop target": "def f(items):\n    for planted in items:\n        print(planted)\n",
+    "comprehension target": "def f(items):\n    return [planted for planted in items]\n",
+    "with target": "def f(opened):\n    with opened as planted:\n        return planted\n",
+    "import": "def f():\n    import json as planted\n    return planted\n",
+    "enclosing function": (
+        "def f(planted):\n    def g():\n        return planted\n\n    return g\n"
+    ),
+    "lambda parameter": "f = lambda planted: planted\n",
+}
+
+
+@pytest.mark.parametrize("binding", sorted(SHADOWS))
+def test_a_local_of_the_same_name_is_no_use(tmp_path, binding):
+    root = plant(tmp_path)
+    (root / "examples" / "shadow.py").write_text(SHADOWS[binding])
+    assert "repro.core:planted" in load_tool().unreferenced(root)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        # The module-level name, read inside a function that binds others.
+        "from repro.core import *\n\n\ndef f(other):\n    return planted(other)\n",
+        # A default is evaluated in the scope around the function.
+        "from repro.core import *\n\n\ndef f(planted=planted):\n    return planted\n",
+        # A global declaration makes the store the module's own.
+        "def f():\n    global planted\n    planted = 1\n",
+        # A function-level import in a package __init__ is a use, not a re-export.
+        None,
+    ],
+    ids=["free", "default", "global", "local import in __init__"],
+)
+def test_a_name_no_function_binds_is_a_use(tmp_path, code):
+    root = plant(tmp_path)
+    if code is None:
+        package = root / "tools" / "helpers"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text(
+            "def f():\n    from repro.core import planted\n\n    return planted()\n"
+        )
+    else:
+        (root / "examples" / "user.py").write_text(code)
+    assert "repro.core:planted" not in load_tool().unreferenced(root)
 
 
 def test_allow_listed_definitions_pass_and_the_rest_fail(tmp_path, capsys, monkeypatch):

@@ -6,14 +6,19 @@ class.  It is *referenced* when its name appears in any Python file under
 ``src/``, ``benchmarks/``, ``examples/`` or ``tools/`` as
 
 * a ``Name`` or an ``Attribute``,
-* a name imported by ``from ... import``, except in a package
-  ``__init__.py``, whose imports are re-exports, or
+* a name imported by ``from ... import``, except at the top level of a
+  package ``__init__.py``, whose imports there are re-exports, or
 * an identifier string (a ``getattr`` argument, a lazy-export key), except
   the entries of an ``__all__`` list and docstrings.
 
-Tests do not count: a definition only tests use is not reached by a run, a
-CLI or the documented API.  The scan matches names, not bindings, so a
-method shares its name with every other attribute of that name.
+A ``Name`` is no use when a function around it binds that name itself —
+as a parameter, an assignment, a loop, ``with`` or comprehension target, an
+``except ... as``, an import or a nested definition — unless it declares
+the name ``global``: there it is the function's own variable, not the
+module-level definition.  Tests do not count: a definition only tests use
+is not reached by a run, a CLI or the documented API.  Attributes are
+matched by name, so a method shares its name with every other attribute of
+that name.
 
 Every unreferenced definition must be in :data:`ALLOWED` with one reason
 from :data:`REASONS`, and every :data:`ALLOWED` entry must still be
@@ -125,6 +130,62 @@ def all_lists(tree: ast.AST) -> Set[int]:
     return found
 
 
+#: The nodes that open a function scope.
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def local_bindings(function: ast.AST) -> Set[str]:
+    """The names ``function`` binds in its own scope, less its ``global``s."""
+    arguments = function.args
+    names = {
+        argument.arg
+        for argument in (
+            *arguments.posonlyargs,
+            *arguments.args,
+            *arguments.kwonlyargs,
+            arguments.vararg,
+            arguments.kwarg,
+        )
+        if argument is not None
+    }
+    declared: Set[str] = set()
+    pending = list(function.body) if isinstance(function.body, list) else [function.body]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Global):
+            declared.update(node.names)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.ExceptHandler, ast.MatchAs, ast.MatchStar)) and node.name:
+            names.add(node.name)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif not isinstance(node, ast.Lambda):
+            pending.extend(ast.iter_child_nodes(node))
+    return names - declared
+
+
+def scoped_nodes(
+    node: ast.AST, bound: frozenset = frozenset()
+) -> Iterator[Tuple[ast.AST, frozenset]]:
+    """``node`` and every node under it, with the names their enclosing functions bind.
+
+    A function's decorators, defaults and annotations belong to the scope
+    around it; only its body sees its own bindings.
+    """
+    yield node, bound
+    if isinstance(node, FUNCTIONS):
+        inner = bound | local_bindings(node)
+        body = {id(part) for part in (node.body if isinstance(node.body, list) else [node.body])}
+        for part in ast.iter_child_nodes(node):
+            yield from scoped_nodes(part, inner if id(part) in body else bound)
+    else:
+        for child in ast.iter_child_nodes(node):
+            yield from scoped_nodes(child, bound)
+
+
 def used_names(root: Path) -> Set[str]:
     """Every name the code under :data:`USERS` uses."""
     names: Set[str] = set()
@@ -132,12 +193,15 @@ def used_names(root: Path) -> Set[str]:
         tree = ast.parse(path.read_text(), str(path))
         skipped = docstring_nodes(tree) | all_lists(tree)
         reexports = path.name == "__init__.py"
-        for node in ast.walk(tree):
+        for node, bound in scoped_nodes(tree):
             if isinstance(node, ast.Name):
-                names.add(node.id)
+                if node.id not in bound:
+                    names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and not reexports:
+            elif isinstance(node, ast.ImportFrom) and (bound or not reexports):
+                # Only a package's module-level imports re-export; one
+                # inside a function (whose bindings it joins) is a use.
                 names.update(alias.name for alias in node.names)
             elif (
                 isinstance(node, ast.Constant)
